@@ -1,8 +1,7 @@
 """jetsym: jet-bundle calculus and Clairin conditional symmetries of PDEs."""
 
 from .algebra import (TriBool, ZeroResult, ZeroVerdict, diff, is_zero,
-                      normalize, proportional, structurally_equal, substitute,
-                      zero_verdict)
+                      normalize, proportional, substitute, zero_verdict)
 from .grammar import parse, print_expr
 from .multiindex import MultiIndex
 from .workspace import DEFAULT_SEED, SymbolKind, Workspace
@@ -23,7 +22,6 @@ __all__ = [
     "parse",
     "print_expr",
     "proportional",
-    "structurally_equal",
     "substitute",
     "zero_verdict",
 ]

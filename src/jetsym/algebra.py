@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
@@ -138,13 +139,9 @@ def random_rational(rng, span=12):
     return sp.Rational(num, den)
 
 
-def _try_point(expr_syms, rng):
-    return {s: random_rational(rng) for s in expr_syms}
-
-
-def evaluate_at(e, point, prec=40):
+def evaluate_at(e, point):
     """High-precision numerical value; raises ValueError when not finite/real."""
-    v = sp.N(e.xreplace(point), prec)
+    v = sp.N(e.xreplace(point), 40)
     if v.free_symbols:
         raise ValueError(f"unbound symbols {v.free_symbols}")
     c = complex(v)
@@ -155,20 +152,20 @@ def evaluate_at(e, point, prec=40):
     return c.real
 
 
-def sample_points(e, rng, count, tries=40):
-    """Yield evaluable random rational points for the free symbols of e."""
-    syms = sorted(e.free_symbols, key=lambda s: s.name)
-    produced = 0
-    for _ in range(count * tries):
-        if produced >= count:
-            return
-        point = _try_point(syms, rng)
+def sample_points(syms, rng, evaluate, draws):
+    """The engine's generic-point sampler.
+
+    Draws up to ``draws`` random exact-rational points for ``syms`` (in that
+    order) and yields ``(point, evaluate(point))`` for each point where
+    ``evaluate`` succeeds; points outside its domain are skipped.
+    """
+    for _ in range(draws):
+        point = {s: random_rational(rng) for s in syms}
         try:
-            evaluate_at(e, point)
+            value = evaluate(point)
         except (ValueError, TypeError, ZeroDivisionError):
             continue
-        produced += 1
-        yield point
+        yield point, value
 
 
 def zero_verdict(e, seed=None, samples=8, tol=1e-9):
@@ -190,11 +187,12 @@ def zero_verdict(e, seed=None, samples=8, tol=1e-9):
         if abs(value) > tol:
             return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
         return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
-    rng = random.Random(seed)
+    syms = sorted(n.free_symbols, key=lambda s: s.name)
+    points = sample_points(syms, random.Random(seed),
+                           lambda point: evaluate_at(n, point), samples * 40)
     terms = sp.Add.make_args(n)
     checked = 0
-    for point in sample_points(n, rng, samples):
-        value = evaluate_at(n, point)
+    for point, value in islice(points, samples):
         try:
             scale = max(abs(evaluate_at(t, point)) for t in terms)
         except (ValueError, TypeError, ZeroDivisionError):
@@ -223,6 +221,3 @@ def proportional(e1, e2):
         return False
     return r.is_Rational and r != 0
 
-
-def structurally_equal(e1, e2):
-    return normalize(e1) == normalize(e2)

@@ -7,25 +7,23 @@ negative, 2 when any verdict is Unknown, 3 on errors.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
-from .algebra import TriBool, substitute
+from .algebra import TriBool, substitute, zero_verdict
 from .condsym import (AnsatzSystem, PdeSystem, build_ansatz,
                       characteristic_system, compatibility_residuals,
                       determining_system, fields_to_normal_form,
                       verify_conditional_symmetry, verify_solution)
 from .errors import JetsymError, PreconditionFailed
-from .geometry import analyze_distribution, rectify
+from .geometry import VectorFieldFamily, analyze_distribution, is_abelian, rectify
 from .grammar import print_expr
+from .jets import NormalFormSystem
 from .liesys import build_pde_lie_system, recognize_riccati, solve_solvable_q1
 from .problem import load_problem
 from .report import Report
 from .workspace import DEFAULT_SEED
-
-COMMANDS = ("analyze-distribution", "charsys", "compatibility",
-            "derive-determining", "verify-symmetry", "verify-solution",
-            "solve-liesys")
 
 
 def build_parser():
@@ -48,18 +46,6 @@ def build_parser():
     return parser
 
 
-def _base_report(command, problem, args, seed):
-    options = {
-        "order": problem.ws.order_cap,
-        "seed": f"0x{seed:X}",
-        "fields": args.fields,
-        "cap": args.cap,
-        "force_direct": args.force_direct,
-    }
-    return Report(command=command, problem=os.path.basename(problem.path),
-                  options=options)
-
-
 def _apply_instance(problem, exprs):
     if not problem.instance:
         return exprs
@@ -73,8 +59,7 @@ def _pde_system(problem, instanced=False):
     return PdeSystem(problem.ws, tuple(pdes))
 
 
-def cmd_analyze(problem, args, seed):
-    report = _base_report("analyze-distribution", problem, args, seed)
+def cmd_analyze(report, problem, args, seed):
     F = problem.fields(args.fields)
     ws = problem.ws
     dist = analyze_distribution(F, seed=seed)
@@ -102,11 +87,9 @@ def cmd_analyze(problem, args, seed):
         report.notes.extend(result.notes)
     except JetsymError as err:
         report.add("rectifiable", "No", detail=str(err))
-    return report
 
 
-def cmd_charsys(problem, args, seed):
-    report = _base_report("charsys", problem, args, seed)
+def cmd_charsys(report, problem, args, seed):
     F = problem.fields(args.fields)
     n = problem.ws.order_cap
     cs = characteristic_system(F, n, seed=seed)
@@ -117,17 +100,14 @@ def cmd_charsys(problem, args, seed):
                    detail="constant nonzero residual: the zero set is empty")
     else:
         report.add("consistent", "Yes")
-    return report
 
 
-def cmd_compatibility(problem, args, seed):
-    report = _base_report("compatibility", problem, args, seed)
+def cmd_compatibility(report, problem, args, seed):
     F = problem.fields(args.fields)
     nf, direct = fields_to_normal_form(F, seed=seed, require_abelian=False)
     if not direct:
         report.notes.append("fields rectified before the compatibility check")
     ws = problem.ws
-    from .algebra import zero_verdict
     all_zero = True
     for a, j, k, res in compatibility_residuals(nf):
         v = zero_verdict(res, seed=seed)
@@ -139,16 +119,13 @@ def cmd_compatibility(problem, args, seed):
                 f"_{ws.independent[j].name})")
         report.add(name, v.verdict.value, confidence=v.confidence,
                    detail=print_expr(res))
-    from .geometry import VectorFieldFamily, is_abelian
     abelian = is_abelian(VectorFieldFamily(ws, tuple(nf.fields())), seed=seed)
     report.notes.append(f"cross-check: induced fields Abelian = {abelian.value}")
     if all_zero != (abelian is TriBool.YES):
         report.notes.append("WARNING: compatibility and Abelian verdicts disagree")
-    return report
 
 
-def cmd_derive_determining(problem, args, seed):
-    report = _base_report("derive-determining", problem, args, seed)
+def cmd_derive_determining(report, problem, args, seed):
     ws = problem.ws
     if problem.ansatz is None:
         raise PreconditionFailed("ansatz section",
@@ -176,11 +153,9 @@ def cmd_derive_determining(problem, args, seed):
                       f"in {len(ansatz.unknowns)} unknown functions")
     report.notes.append(
         "unknowns: " + ", ".join(print_expr(f) for f in ansatz.unknowns))
-    return report
 
 
-def cmd_verify_symmetry(problem, args, seed):
-    report = _base_report("verify-symmetry", problem, args, seed)
+def cmd_verify_symmetry(report, problem, args, seed):
     pde = _pde_system(problem, instanced=True)
     F = problem.fields(args.fields)
     result = verify_conditional_symmetry(pde, F, n=problem.ws.order_cap,
@@ -198,11 +173,9 @@ def cmd_verify_symmetry(problem, args, seed):
     if result.nf is not None:
         for row in result.nf.format_rows():
             report.equations.append(f"section: {row}")
-    return report
 
 
-def cmd_verify_solution(problem, args, seed):
-    report = _base_report("verify-solution", problem, args, seed)
+def cmd_verify_solution(report, problem, args, seed):
     ws = problem.ws
     if not problem.candidates:
         raise PreconditionFailed("candidates section",
@@ -213,7 +186,6 @@ def cmd_verify_solution(problem, args, seed):
         F = problem.fields(args.fields)
         nf, _ = fields_to_normal_form(F, seed=seed)
         if problem.instance:
-            from .jets import NormalFormSystem
             nf = NormalFormSystem(ws, {k: substitute(v, problem.instance)
                                        for k, v in nf.rhs.items()})
     for cand in problem.candidates:
@@ -228,11 +200,9 @@ def cmd_verify_solution(problem, args, seed):
         for label, r in verify_solution(systems, cand.exprs, ws, seed=seed):
             report.add(f"{cand.name}: {label}", r.verdict.value,
                        confidence=r.confidence)
-    return report
 
 
-def cmd_solve_liesys(problem, args, seed):
-    report = _base_report("solve-liesys", problem, args, seed)
+def cmd_solve_liesys(report, problem, args, seed):
     ws = problem.ws
     F = problem.fields(args.fields)
     nf, _ = fields_to_normal_form(F, seed=seed)
@@ -255,10 +225,9 @@ def cmd_solve_liesys(problem, args, seed):
                    detail="formal integral nodes remain in the solution")
     for label, r in sol.verdicts:
         report.add(label, r.verdict.value, confidence=r.confidence)
-    return report
 
 
-_DISPATCH = {
+_HANDLERS = {
     "analyze-distribution": cmd_analyze,
     "charsys": cmd_charsys,
     "compatibility": cmd_compatibility,
@@ -267,12 +236,24 @@ _DISPATCH = {
     "verify-solution": cmd_verify_solution,
     "solve-liesys": cmd_solve_liesys,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(args):
     seed = int(args.seed, 16) if args.seed else DEFAULT_SEED
     problem = load_problem(args.problem, order=args.order)
-    return _DISPATCH[args.command](problem, args, seed)
+    # built before the handler runs: prolongation raises ws.order_cap
+    options = {
+        "order": problem.ws.order_cap,
+        "seed": f"0x{seed:X}",
+        "fields": args.fields,
+        "cap": args.cap,
+        "force_direct": args.force_direct,
+    }
+    report = Report(command=args.command, problem=os.path.basename(problem.path),
+                    options=options)
+    _HANDLERS[args.command](report, problem, args, seed)
+    return report
 
 
 def main(argv=None):
@@ -282,7 +263,6 @@ def main(argv=None):
     except JetsymError as err:
         message = f"jetsym {args.command}: error: {err}"
         if args.format == "json":
-            import json
             print(json.dumps({"command": args.command, "error": str(err),
                               "exit_code": 3}, sort_keys=True, indent=2))
         else:

@@ -120,7 +120,6 @@ def _basis_suffix(family, key):
         return "".join(str(k) for k in key)
     if family.kind in ("exponential", "hyperbolic"):
         # k = 0 -> 0, k = -1 -> 1, k = +1 -> 2, k = -2 -> 3, ...
-        ordered = sorted(key, key=lambda k: (abs(k), k > 0))
         flat = []
         for k in key:
             flat.append(str(2 * abs(k) - (1 if k < 0 else 0) if k != 0 else 0))
@@ -147,7 +146,6 @@ class AnsatzSystem:
     family: AnsatzFamily
     rhs: dict                      # (alpha, j) -> Expr
     unknowns: tuple                # applied unknown functions
-    coefficients: dict = None      # (alpha, j, key) -> applied function
 
     def normal_form(self):
         return NormalFormSystem(self.ws, self.rhs)
@@ -174,7 +172,6 @@ def build_ansatz(family, ws):
     deps = ws.dependent
     keys = _basis_keys(family, deps)
     rhs = {}
-    coefficients = {}
     unknowns = []
     for j in range(ws.p):
         letter = string.ascii_lowercase[j] if j < 26 else f"a{j}"
@@ -185,10 +182,9 @@ def build_ansatz(family, ws):
                 name = f"{letter}{suffix}" if ws.q == 1 else f"{letter}{a + 1}_{suffix}"
                 fn = ws.add_function(name)
                 unknowns.append(fn)
-                coefficients[(a, j, key)] = fn
                 total += fn * family.monomial(key, deps)
             rhs[(a, j)] = normalize(total)
-    return AnsatzSystem(ws, family, rhs, tuple(unknowns), coefficients)
+    return AnsatzSystem(ws, family, rhs, tuple(unknowns))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +193,6 @@ def build_ansatz(family, ws):
 
 def _canonical_equation(e):
     """Fix the overall sign so structurally equal equations deduplicate."""
-    e = normalize(e)
     if e == 0:
         return e
     lead = e.as_ordered_terms()[0]
@@ -214,8 +209,6 @@ class DeterminingSystem:
     family: AnsatzFamily
     compatibility_eqs: list
     pde_eqs: list
-    compat_rows: list = field(default_factory=list)   # (alpha, j, k, monomial, eq)
-    pde_rows: list = field(default_factory=list)      # (name, monomial, eq)
 
     def all_equations(self):
         return list(self.compatibility_eqs) + list(self.pde_eqs)
@@ -234,29 +227,27 @@ def determining_system(pde, ansatz):
     family = ansatz.family
     nf = ansatz.normal_form()
 
-    compat_eqs, compat_rows, seen = [], [], set()
-    for a, j, k, res in compatibility_residuals(nf):
-        for mono, coeff in sorted(collect_family(res, family, deps).items(),
-                                  key=lambda kv: sp.default_sort_key(kv[0])):
+    compat_eqs, seen = [], set()
+    for _, _, _, res in compatibility_residuals(nf):
+        for _, coeff in sorted(collect_family(res, family, deps).items(),
+                               key=lambda kv: sp.default_sort_key(kv[0])):
             eq = _canonical_equation(coeff)
-            compat_rows.append((a, j, k, mono, eq))
             if eq != 0 and eq not in seen:
                 seen.add(eq)
                 compat_eqs.append(eq)
 
-    pde_eqs, pde_rows, seen_pde = [], [], set()
-    for name, delta in pde.items():
+    pde_eqs, seen_pde = [], set()
+    for _, delta in pde.items():
         for restricted in restrict_routes(delta, nf):
-            for mono, coeff in sorted(collect_family(restricted, family, deps).items(),
-                                      key=lambda kv: sp.default_sort_key(kv[0])):
+            for _, coeff in sorted(collect_family(restricted, family, deps).items(),
+                                   key=lambda kv: sp.default_sort_key(kv[0])):
                 eq = _canonical_equation(coeff)
                 if eq == 0 or eq in seen_pde:
                     continue
                 seen_pde.add(eq)
-                pde_rows.append((name, mono, eq))
                 pde_eqs.append(eq)
 
-    return DeterminingSystem(ws, family, compat_eqs, pde_eqs, compat_rows, pde_rows)
+    return DeterminingSystem(ws, family, compat_eqs, pde_eqs)
 
 
 def instantiate_ansatz(ansatz, bindings):
@@ -271,30 +262,6 @@ def verify_instance(dsys, bindings, seed=None):
     for eq in dsys.all_equations():
         out.append(zero_verdict(substitute(eq, bindings), seed=seed))
     return out
-
-
-def solve_linear_instance(dsys):
-    """Solve the determining system when it is linear in the unknowns.
-
-    Treats applied unknown functions and their formal derivatives as plain
-    variables; returns a solution dict or None when the system is nonlinear
-    or inconsistent.  Instances beyond this (the general nonlinear case) are
-    out of scope by design.
-    """
-    eqs = dsys.all_equations()
-    atoms = set()
-    for e in eqs:
-        atoms |= e.atoms(AppliedUndef) | e.atoms(sp.Derivative)
-    atoms = sorted(atoms, key=str)
-    try:
-        for e in eqs:
-            poly = sp.Poly(e, *atoms)
-            if poly.total_degree() > 1:
-                return None
-        sol = sp.solve(eqs, atoms, dict=True)
-    except (sp.PolynomialError, NotImplementedError):
-        return None
-    return sol[0] if sol else None
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +381,10 @@ def _solve_for_leading_jet(e, ws):
     return s, value, normalize(A)
 
 
-def _reduce(e, mapping, rounds=10):
-    out = normalize(e)
-    for _ in range(rounds):
+def _reduce(e, mapping):
+    """Rewrite a normalized e with mapping until it stops changing."""
+    out = e
+    for _ in range(10):
         new = normalize(out.xreplace(mapping))
         if new == out:
             break

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import sympy as sp
 
 from .algebra import (TriBool, ZeroVerdict, evaluate_at, normalize,
-                      random_rational, zero_verdict)
+                      sample_points, zero_verdict)
 from .errors import PreconditionFailed, SingularXi, SpecializationFailed
 from .grammar import print_expr
 from .jets import NormalFormSystem, VectorField
@@ -61,16 +61,18 @@ def lie_bracket(Y, Z):
 # generic rank machinery
 # ---------------------------------------------------------------------------
 
-def _chart_point(ws, rng):
-    syms = list(ws.independent) + list(ws.dependent) + list(ws.parameters.values())
-    return {s: random_rational(rng) for s in syms}
-
-
 def _numeric_rows(rows, point):
     out = []
     for row in rows:
         out.append([evaluate_at(e, point) for e in row])
     return out
+
+
+def _chart_samples(rows, ws, seed, draws):
+    """(point, numeric rows) at random chart points where every entry evaluates."""
+    syms = list(ws.independent) + list(ws.dependent) + list(ws.parameters.values())
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
+    return sample_points(syms, rng, lambda point: _numeric_rows(rows, point), draws)
 
 
 def _float_rank_with_pivots(M, tol=1e-9):
@@ -119,21 +121,12 @@ def _minor_note(rows, piv_rows, piv_cols, label):
 class RankReport:
     rank: int
     notes: list = field(default_factory=list)
-    trials: list = field(default_factory=list)
 
 
-def _generic_rank_of_rows(rows, ws, seed, label, trials=3):
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
+def _generic_rank_of_rows(rows, ws, seed, label):
     results = []
     pivots = None
-    attempts = 0
-    while len(results) < trials and attempts < 60:
-        attempts += 1
-        point = _chart_point(ws, rng)
-        try:
-            M = _numeric_rows(rows, point)
-        except (ValueError, TypeError, ZeroDivisionError):
-            continue
+    for _, M in islice(_chart_samples(rows, ws, seed, 60), 3):
         r, pr, pc = _float_rank_with_pivots(M)
         results.append(r)
         if pivots is None or r >= max(results):
@@ -148,7 +141,7 @@ def _generic_rank_of_rows(rows, ws, seed, label, trials=3):
     note = _minor_note(rows, *pivots, label)
     if note:
         notes.append(note)
-    return RankReport(rank=rank, notes=notes, trials=results)
+    return RankReport(rank=rank, notes=notes)
 
 
 def generic_rank(F, seed=None):
@@ -192,13 +185,7 @@ class InvolutivityReport:
 def _spanning_subset(F, rank, seed):
     """Indices of `rank` members whose rows are generically independent."""
     rows = F.coefficient_rows()
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    for _ in range(40):
-        point = _chart_point(F.ws, rng)
-        try:
-            M = _numeric_rows(rows, point)
-        except (ValueError, TypeError, ZeroDivisionError):
-            continue
+    for point, M in _chart_samples(rows, F.ws, seed, 40):
         chosen = []
         for i in range(len(rows)):
             trial = chosen + [i]
@@ -362,9 +349,8 @@ def rectify(F, seed=None, precomputed=None):
         rhs = {}
         for k in range(ws.p):
             for a in range(ws.q):
-                val = sp.Add(*[W[j, k] * F.members[subset[j]].phi[a]
-                               for j in range(ws.p)])
-                rhs[(a, k)] = normalize(val)
+                rhs[(a, k)] = sp.Add(*[W[j, k] * F.members[subset[j]].phi[a]
+                                       for j in range(ws.p)])
         nf = NormalFormSystem(ws, rhs)
         assumptions = []
         if det.free_symbols:

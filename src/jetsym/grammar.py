@@ -372,11 +372,7 @@ def _render_pow(e):
         return f"exp({_print(ex, _ADD)})", _ATOM
     if ex.is_Integer:
         if ex < 0:
-            inner, _ = _render_pow(sp.Pow(base, -ex)) if ex != -1 else _render(base)
-            if ex == -1:
-                inner = _print(base, _POW)
-            else:
-                inner = _print(sp.Pow(base, -ex), _POW)
+            inner = _print(base if ex == -1 else sp.Pow(base, -ex), _POW)
             return f"1/{inner}", _MUL
         return f"{_print(base, _ATOM)}^{int(ex)}", _POW
     if ex.is_Rational:

@@ -270,10 +270,9 @@ def build_pde_lie_system(nf, cap=10, seed=None):
 
 @dataclass
 class RiccatiData:
-    """Slotwise rhs_j = A_j + B_j u + u C_j + u (D_j u); C is merged into B."""
+    """Slotwise rhs_j = A_j + B_j u + u (D_j u)."""
     A: dict
     B: dict
-    C: dict
     D: dict
 
 
@@ -282,7 +281,7 @@ def recognize_riccati(sys):
     ws = sys.nf.ws
     deps = ws.dependent
     q = ws.q
-    A, B, C, D = {}, {}, {}, {}
+    A, B, D = {}, {}, {}
     for j in range(ws.p):
         quad = {}
         lin = [[sp.Integer(0)] * q for _ in range(q)]
@@ -324,9 +323,8 @@ def recognize_riccati(sys):
                 return None, print_expr(coeff * sp.Mul(*[deps[b] for b in betas]))
         A[j] = tuple(normalize(v) for v in const)
         B[j] = tuple(tuple(normalize(v) for v in row) for row in lin)
-        C[j] = sp.Integer(0)
         D[j] = tuple(normalize(v) for v in d_row)
-    return RiccatiData(A, B, C, D), None
+    return RiccatiData(A, B, D), None
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,6 @@ class MultiIndex:
         c[i] += 1
         return MultiIndex(tuple(c))
 
-    def dec(self, i):
-        c = list(self.counts)
-        if c[i] == 0:
-            raise ValueError(f"cannot decrement empty slot {i} of {self.counts}")
-        c[i] -= 1
-        return MultiIndex(tuple(c))
-
     def slots(self):
         """Slot indices with multiplicity, lowest slot first."""
         out = []
@@ -107,10 +100,9 @@ def indices_of_order(p, n):
     return sorted(out, key=MultiIndex.sort_key)
 
 
-def indices_up_to(p, n, include_zero=False):
-    """All multi-indices with 1 <= |K| <= n (or 0 <= |K| <= n)."""
-    start = 0 if include_zero else 1
+def indices_up_to(p, n):
+    """All multi-indices with 1 <= |K| <= n."""
     out = []
-    for m in range(start, n + 1):
+    for m in range(1, n + 1):
         out.extend(indices_of_order(p, m))
     return out

@@ -199,12 +199,6 @@ class Workspace:
         orders = [K.order for _, _, K in self.dependent_atoms(expr)]
         return max(orders, default=0) if orders else 0
 
-    def all_symbols(self):
-        syms = list(self.independent) + list(self.dependent)
-        syms += list(self.parameters.values())
-        syms += [s for (a, c), s in self._jets.items() if sum(c) >= 1]
-        return syms
-
     def parse(self, text):
         from .grammar import parse
         return parse(text, self)

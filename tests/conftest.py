@@ -1,9 +1,11 @@
 import random
+from itertools import islice
 
 import pytest
 import sympy as sp
 
 from jetsym import Workspace
+from jetsym.algebra import evaluate_at, sample_points
 
 
 @pytest.fixture
@@ -57,3 +59,10 @@ def random_expr(rng, syms, depth=3):
         arg = random_poly(rng, syms, degree=1, terms=2)
         return rng.choice([sp.sin, sp.cos, sp.exp])(arg)
     return random_expr(rng, syms, depth - 1) ** rng.randint(1, 2)
+
+
+def evaluable_points(e, rng, count):
+    """Up to count random points where e evaluates, from the engine's sampler."""
+    syms = sorted(e.free_symbols, key=lambda s: s.name)
+    draws = sample_points(syms, rng, lambda point: evaluate_at(e, point), count * 40)
+    return [point for point, _ in islice(draws, count)]

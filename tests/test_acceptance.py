@@ -14,7 +14,7 @@ import sympy as sp
 
 from jetsym import (TriBool, Workspace, ZeroVerdict, diff, is_zero, normalize,
                     parse, proportional)
-from jetsym.algebra import evaluate_at, sample_points
+from jetsym.algebra import evaluate_at
 from jetsym.cli import main
 from jetsym.condsym import NormalFormSystem, build_ansatz, compatibility_residuals
 from jetsym.errors import PreconditionFailed
@@ -25,7 +25,7 @@ from jetsym.jets import VectorField, prolong, total_derivative
 from jetsym.liesys import build_pde_lie_system, solve_solvable_q1
 from jetsym.problem import load_problem
 
-from conftest import random_expr, random_poly
+from conftest import evaluable_points, random_expr, random_poly
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -332,7 +332,7 @@ def test_criterion_8d_finite_difference_oracle():
             continue
         s = rng.choice(free)
         d = diff(e, s)
-        for point in sample_points(e + d, random.Random(rng.randint(0, 10 ** 9)), 1):
+        for point in evaluable_points(e + d, random.Random(rng.randint(0, 10 ** 9)), 1):
             up, dn = dict(point), dict(point)
             up[s] = point[s] + h
             dn[s] = point[s] - h

@@ -5,14 +5,13 @@ import pytest
 import sympy as sp
 
 from jetsym import MultiIndex, Workspace, ZeroVerdict, is_zero, normalize, parse
-from jetsym.algebra import sample_points
 from jetsym.errors import HardJetLimitExceeded, PreconditionFailed
 from jetsym.jets import (NormalFormSystem, VectorField, characteristic,
                          contract_contact, linear_combination, prolong,
                          restrict_routes, restrict_to_section,
                          total_derivative, total_derivative_multi)
 
-from conftest import random_expr, random_poly
+from conftest import evaluable_points, random_expr, random_poly
 
 
 def test_total_derivative_basics(ws2):
@@ -120,7 +119,7 @@ def test_prolong_first_order_flow_oracle(ws1, rng):
         f = random_poly(rng, [x], degree=3, terms=3)
         fx = sp.diff(f, x)
         t = 1e-6
-        for point in sample_points(x, random.Random(rng.randint(0, 10 ** 9)), 3):
+        for point in evaluable_points(x, random.Random(rng.randint(0, 10 ** 9)), 3):
             x0 = point[x]
             u0 = f.subs(x, x0)
             phi_f = phi.subs({x: x0, u: u0})
