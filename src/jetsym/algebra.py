@@ -79,6 +79,24 @@ def _normalize_kernel_args(e):
                      lambda n: type(n)(normalize(n.args[0])))
 
 
+_GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
+
+
+def _is_plain_polynomial(e):
+    """True for a sum of terms Rational * prod g**k, with each generator g a
+    Symbol, applied unknown function or Derivative and each k a positive
+    Integer."""
+    for term in sp.Add.make_args(e):
+        for f in sp.Mul.make_args(term):
+            if f.is_Pow:
+                f, k = f.base, f.exp
+                if not (k.is_Integer and k > 0):
+                    return False
+            if not (f.is_Rational or isinstance(f, _GENERATORS)):
+                return False
+    return True
+
+
 def normalize(e):
     """Canonical form: expanded rational normal form over symbols and kernels.
 
@@ -86,6 +104,13 @@ def normalize(e):
     exponent addition (exp) and parity (sin/cos/sinh/cosh are handled by
     the construction rules themselves).  No Pythagorean or other identity
     rewriting takes place.
+
+    ``sympy.cancel`` runs only when the expanded form is not a plain
+    polynomial (see ``_is_plain_polynomial``).  On a plain polynomial it
+    would return the content times the expanded numerator over the
+    denominator 1, which is the expanded form itself, so skipping it
+    changes nothing.  Kernels, negative powers and symbolic powers still
+    go through it.
     """
     e = sp.sympify(e)
     if e.has(*_BAD_CONSTANTS):
@@ -95,10 +120,11 @@ def normalize(e):
     e = sp.expand(e)
     e = _merge_exp_factors(e)
     e = sp.expand(e)
-    try:
-        e = sp.cancel(e)
-    except (PolynomialError, NotImplementedError, ZeroDivisionError):
-        pass
+    if not _is_plain_polynomial(e):
+        try:
+            e = sp.cancel(e)
+        except (PolynomialError, NotImplementedError, ZeroDivisionError):
+            pass
     if e.has(*_BAD_CONSTANTS):
         raise DivisionByZero(f"undefined constant while normalizing {e}")
     return e

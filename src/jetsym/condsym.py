@@ -20,9 +20,9 @@ from .errors import PreconditionFailed, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, is_abelian, rectify
 from .grammar import print_expr
-from .jets import (NormalFormSystem, contract_contact, prolong,
+from .jets import (NormalFormSystem, characteristic_derivatives, prolong,
                    restrict_routes, restrict_to_section, section_derivative)
-from .multiindex import MultiIndex, indices_up_to
+from .multiindex import MultiIndex
 
 __all__ = [
     "AnsatzSystem", "CharacteristicSystem", "DeterminingSystem",
@@ -75,22 +75,25 @@ class CharacteristicSystem:
 
 
 def characteristic_system(F, n, seed=None):
-    """All contact contractions of the prolonged family members."""
+    """The residuals D_K Q^a of every family member, for |K| <= n-1.
+
+    These are the contact contractions of j^n Y, but no member is prolonged:
+    ``characteristic_derivatives`` derives each D_K Q^a once, by recursion
+    on K, on a chart whose order cap is raised to n.
+    """
     if n < 1:
         raise ValueError("characteristic systems need order n >= 1")
     ws = F.ws
+    ws.ensure_order(n, silent=True)
     residuals = {}
     inconsistent = []
     for j, Y in enumerate(F.members):
-        P = prolong(Y, n)
-        for K in [MultiIndex.zero(ws.p)] + indices_up_to(ws.p, n - 1):
-            for a in range(ws.q):
-                e = contract_contact(P, a, K)
-                residuals[(j, a, K.counts)] = e
-                if e != 0 and not (e.free_symbols - set(ws.parameters.values())) \
-                        and not e.has(AppliedUndef, sp.Derivative):
-                    if zero_verdict(e, seed=seed).verdict is ZeroVerdict.NONZERO:
-                        inconsistent.append((j, a, K.counts))
+        for (a, counts), e in characteristic_derivatives(Y, n - 1).items():
+            residuals[(j, a, counts)] = e
+            if e != 0 and not (e.free_symbols - set(ws.parameters.values())) \
+                    and not e.has(AppliedUndef, sp.Derivative):
+                if zero_verdict(e, seed=seed).verdict is ZeroVerdict.NONZERO:
+                    inconsistent.append((j, a, counts))
     return CharacteristicSystem(n, residuals, inconsistent)
 
 

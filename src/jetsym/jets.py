@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .algebra import normalize
-from .errors import PreconditionFailed
+from .errors import HardJetLimitExceeded, PreconditionFailed
 from .grammar import print_expr
 from .multiindex import MultiIndex, indices_up_to
 
@@ -168,6 +168,26 @@ class ProlongedVectorField:
         return normalize(out)
 
 
+def characteristic_derivatives(Y, n):
+    """{(a, K.counts): D_K Q^a} for 0 <= |K| <= n, each derived once.
+
+    D_K Q^a is one total derivative, in the highest nonzero slot j of K, of
+    the entry for K - e_j: the last step of ``total_derivative_multi``'s
+    chain, so every entry equals ``total_derivative_multi(Q^a, K, ws)``.
+    Jets of order n + 1 appear; the caller sets the order cap for them.
+    """
+    ws = Y.ws
+    table = {(a, MultiIndex.zero(ws.p).counts): q
+             for a, q in enumerate(characteristic(Y))}
+    for K in indices_up_to(ws.p, n):
+        j = max(i for i, k in enumerate(K.counts) if k)
+        lower = list(K.counts)
+        lower[j] -= 1
+        for a in range(ws.q):
+            table[(a, K.counts)] = total_derivative(table[(a, tuple(lower))], j, ws)
+    return table
+
+
 def prolong(Y, n):
     """Prolongation to order n: psi^a_K = D_K Q^a + sum_i xi^i u^a_{K,i}.
 
@@ -177,15 +197,18 @@ def prolong(Y, n):
     if n < 1:
         raise ValueError("prolongation order must be >= 1")
     ws = Y.ws
-    ws.hard_cap = max(ws.hard_cap, n + 1)
+    if n + 1 > ws.hard_cap:
+        raise HardJetLimitExceeded(
+            f"prolongation to order {n} needs jets of order {n + 1}, "
+            f"beyond the hard limit {ws.hard_cap}")
     final_cap = max(ws.order_cap, n)
     ws.ensure_order(n + 1, silent=True)  # sanctioned intermediates; they cancel
     try:
-        Q = characteristic(Y)
+        DQ = characteristic_derivatives(Y, n)
         psi = {}
         for K in indices_up_to(ws.p, n):
             for a in range(ws.q):
-                val = total_derivative_multi(Q[a], K, ws)
+                val = DQ[(a, K.counts)]
                 for i in range(ws.p):
                     val += Y.xi[i] * ws.jet(a, K.inc(i), auto_raise=True)
                 val = normalize(val)

@@ -2,10 +2,12 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetsym import (ZeroVerdict, diff, is_zero, normalize, parse, proportional,
-                    substitute, zero_verdict)
-from jetsym.algebra import evaluate_at
+from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
+                    print_expr, proportional, substitute, zero_verdict)
+from jetsym.algebra import _is_plain_polynomial, evaluate_at
 from jetsym.errors import CyclicBinding, DivisionByZero
 
 from conftest import evaluable_points, random_expr
@@ -29,6 +31,50 @@ def test_normalize_exp_merge(ws2):
     # merge, then numerical cross-check at sample points
     e = sp.exp(u) * sp.exp(-u / 2) - sp.exp(u / 2)
     assert is_zero(e) is ZeroVerdict.ZERO
+
+
+_PLAIN_WS = Workspace(["t", "x1"], ["u"], order_cap=2)
+_PLAIN_WS.add_parameter("lam")
+_PLAIN_WS.add_function("h", args=["t"])
+_PLAIN_GENERATORS = [_PLAIN_WS.parse(text) for text in (
+    "t", "x1", "u", "u_{x1}", "u_{t,x1}", "lam", "h(t)", "D(h(t),t)")]
+
+_rationals = st.builds(sp.Rational, st.integers(-9, 9), st.integers(1, 6))
+_monomials = st.builds(
+    lambda c, powers: c * sp.Mul(*(g ** k for g, k in powers)),
+    _rationals,
+    st.lists(st.tuples(st.sampled_from(_PLAIN_GENERATORS), st.integers(1, 3)),
+             max_size=3))
+_sums = st.builds(lambda terms: sp.Add(*terms), st.lists(_monomials, max_size=4))
+# products and powers of sums, so that normalize has to expand them
+_plain = st.one_of(_sums, st.builds(lambda a, b: a * b, _sums, _sums),
+                   st.builds(lambda a, k: a ** k, _sums, st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_plain)
+def test_normalize_plain_polynomial_matches_cancel(e):
+    """On plain polynomials normalize (which skips cancel) matches cancel."""
+    reference = sp.cancel(sp.expand(e))
+    out = normalize(e)
+    assert _is_plain_polynomial(sp.expand(e))
+    assert out == reference
+    assert print_expr(out) == print_expr(reference)
+
+
+def test_normalize_cancels_non_plain(monkeypatch):
+    ws = _PLAIN_WS
+    u = ws.dependent[0]
+    cases = [1 / (1 + u), u ** -2] + [ws.parse(text) for text in (
+        "exp(-h(t)/2)*u_{x1} + 4*x1*exp(u/2)", "sin(u)*u_{x1}")]
+    calls = []
+    cancel = sp.cancel
+    monkeypatch.setattr(sp, "cancel", lambda f, *a, **k: calls.append(f) or cancel(f, *a, **k))
+    for e in cases:
+        calls.clear()
+        assert not _is_plain_polynomial(sp.expand(e))
+        assert normalize(e) == cancel(sp.expand(e))
+        assert calls, f"cancel was skipped on {e}"
 
 
 def test_normalize_idempotent_random(ws2, rng):

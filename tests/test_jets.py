@@ -7,9 +7,11 @@ import sympy as sp
 from jetsym import MultiIndex, Workspace, ZeroVerdict, is_zero, normalize, parse
 from jetsym.errors import HardJetLimitExceeded, PreconditionFailed
 from jetsym.jets import (NormalFormSystem, VectorField, characteristic,
-                         contract_contact, linear_combination, prolong,
+                         characteristic_derivatives, contract_contact,
+                         linear_combination, prolong,
                          restrict_routes, restrict_to_section,
                          total_derivative, total_derivative_multi)
+from jetsym.multiindex import indices_up_to
 
 from conftest import evaluable_points, random_expr, random_poly
 
@@ -59,6 +61,17 @@ def test_hard_jet_limit(ws1):
     e = ws1.jet(0, (3,))
     with pytest.raises(HardJetLimitExceeded):
         total_derivative(e, 0, ws1)
+
+
+def test_prolong_respects_hard_cap():
+    # j^2 Y needs jets of order 3 on the way; a hard cap of 2 forbids them
+    ws = Workspace(["x1", "x2"], ["u"], order_cap=2, hard_cap=2)
+    u = ws.dependent[0]
+    Y = VectorField(ws, (u, sp.Integer(0)), (u ** 2,))
+    with pytest.raises(HardJetLimitExceeded):
+        prolong(Y, 2)
+    assert ws.order_cap == 2 and ws.hard_cap == 2
+    assert prolong(Y, 1).order == 1
 
 
 def test_characteristic_examples(ws2):
@@ -202,3 +215,34 @@ def test_holonomic_annihilation(ws2, rng):
             for K in [(0, 0), (1, 0), (0, 1)]:
                 residual = contract_contact(P, 0, K).xreplace(jet_map)
                 assert is_zero(residual) is ZeroVerdict.ZERO
+
+
+def _table_matches_chain(Y, n):
+    ws = Y.ws
+    ws.ensure_order(n + 1, silent=True)
+    table = characteristic_derivatives(Y, n)
+    Q = characteristic(Y)
+    assert len(table) == ws.q * (1 + len(indices_up_to(ws.p, n)))
+    for K in [MultiIndex.zero(ws.p)] + indices_up_to(ws.p, n):
+        for a in range(ws.q):
+            # structural equality: the recursion repeats the chain's last step
+            assert table[(a, K.counts)] == total_derivative_multi(Q[a], K, ws)
+
+
+def test_characteristic_derivatives_match_chain(rng):
+    """The D_K Q table equals total_derivative_multi entry by entry."""
+    for p in (2, 3):
+        for n in (1, 2, 3):
+            ws = Workspace([f"x{i + 1}" for i in range(p)], ["u"], order_cap=1)
+            xs = list(ws.independent) + list(ws.dependent)
+            Y = VectorField(ws, tuple(random_poly(rng, xs, 1, 2) for _ in range(p)),
+                            (random_poly(rng, xs, 2, 3),))
+            _table_matches_chain(Y, n)
+
+
+def test_characteristic_derivatives_liouville_member():
+    ws = Workspace(["t", "x1", "x2"], ["u"], order_cap=1)
+    ws.add_function("h", args=["t"])
+    Y = VectorField.from_strings(
+        ws, ["1", "x1", "0"], ["D(h(t),t) - 4*x1*exp(u/2)*exp(-h(t)/2)"])
+    _table_matches_chain(Y, 2)
