@@ -242,7 +242,6 @@ COMMANDS = tuple(_HANDLERS)
 def run(args):
     seed = int(args.seed, 16) if args.seed else DEFAULT_SEED
     problem = load_problem(args.problem, order=args.order)
-    # built before the handler runs: prolongation raises ws.order_cap
     options = {
         "order": problem.ws.order_cap,
         "seed": f"0x{seed:X}",

@@ -20,9 +20,9 @@ from .errors import PreconditionFailed, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, is_abelian, rectify
 from .grammar import print_expr
-from .jets import (NormalFormSystem, characteristic_derivatives, prolong,
-                   restrict_routes, restrict_to_section, section_derivative)
-from .multiindex import MultiIndex
+from .jets import (NormalFormSystem, ProlongedVectorField, restrict_routes,
+                   restrict_to_section, section_derivative)
+from .multiindex import MultiIndex, indices_up_to
 
 __all__ = [
     "AnsatzSystem", "CharacteristicSystem", "DeterminingSystem",
@@ -63,6 +63,7 @@ class CharacteristicSystem:
     order: int
     residuals: dict  # (member j, alpha, K counts) -> Expr
     inconsistent: list = field(default_factory=list)
+    prolonged: tuple = ()  # j^n Y_j, which owns the residuals of member j
 
     def rows(self, ws):
         out = []
@@ -77,24 +78,26 @@ class CharacteristicSystem:
 def characteristic_system(F, n, seed=None):
     """The residuals D_K Q^a of every family member, for |K| <= n-1.
 
-    These are the contact contractions of j^n Y, but no member is prolonged:
-    ``characteristic_derivatives`` derives each D_K Q^a once, by recursion
-    on K, on a chart whose order cap is raised to n.
+    These are the contact contractions of j^n Y, read from one
+    ``ProlongedVectorField`` per member, which derives each D_K Q^a once and
+    no psi^a_K.  The workspace's order cap is left as it is.
     """
     if n < 1:
         raise ValueError("characteristic systems need order n >= 1")
     ws = F.ws
-    ws.ensure_order(n, silent=True)
+    prolonged = tuple(ProlongedVectorField(Y, n) for Y in F.members)
+    keys = [(a, K) for K in [MultiIndex.zero(ws.p)] + indices_up_to(ws.p, n - 1)
+            for a in range(ws.q)]
     residuals = {}
     inconsistent = []
-    for j, Y in enumerate(F.members):
-        for (a, counts), e in characteristic_derivatives(Y, n - 1).items():
-            residuals[(j, a, counts)] = e
+    for j, PY in enumerate(prolonged):
+        for a, K in keys:
+            e = residuals[(j, a, K.counts)] = PY.characteristic_derivative(a, K)
             if e != 0 and not (e.free_symbols - set(ws.parameters.values())) \
                     and not e.has(AppliedUndef, sp.Derivative):
                 if zero_verdict(e, seed=seed).verdict is ZeroVerdict.NONZERO:
-                    inconsistent.append((j, a, counts))
-    return CharacteristicSystem(n, residuals, inconsistent)
+                    inconsistent.append((j, a, K.counts))
+    return CharacteristicSystem(n, residuals, inconsistent, prolonged)
 
 
 def compatibility_residuals(nf):
@@ -385,13 +388,12 @@ def _solve_for_leading_jet(e, ws):
 
 
 def _reduce(e, mapping):
-    """Rewrite a normalized e with mapping until it stops changing."""
+    """Rewrite a normalized e with mapping until no mapped jet is left."""
     out = e
     for _ in range(10):
-        new = normalize(out.xreplace(mapping))
-        if new == out:
+        if not out.free_symbols & mapping.keys():
             break
-        out = new
+        out = normalize(out.xreplace(mapping))
     return out
 
 
@@ -456,8 +458,7 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
     mapping = dict(char_map)
     mapping.update(delta_map)
     verdicts = []
-    for j, Z in enumerate(F.members):
-        P = prolong(Z, n)
+    for j, P in enumerate(char.prolonged):
         for name, delta in pde.items():
             e = P.apply_to(delta)
             e = _reduce(e, mapping)
@@ -484,12 +485,7 @@ def verify_solution(systems, candidate, ws, seed=None):
         if isinstance(system, PdeSystem):
             equations.extend(system.items())
         elif isinstance(system, NormalFormSystem):
-            ws.ensure_order(1, silent=True)
-            for a in range(ws.q):
-                for i in range(ws.p):
-                    jet = ws.jet(a, MultiIndex.unit(ws.p, i), auto_raise=True)
-                    label = f"{jet.name} = {print_expr(system.rhs[(a, i)])}"
-                    equations.append((label, normalize(jet - system.rhs[(a, i)])))
+            equations.extend(zip(system.format_rows(), system.equations()))
         else:
             raise TypeError(f"cannot verify against {type(system).__name__}")
 

@@ -234,11 +234,18 @@ def _solve_in_span(F, subset, bracket, point):
 def is_involutive(F, seed=None):
     """Each bracket solvable as a C-infinity combination of a spanning subset."""
     rank_report = generic_rank(F, seed=seed)
-    subset, point = _spanning_subset(F, rank_report.rank, seed)
+    report = _involutivity(F, rank_report.rank, seed)
+    report.notes[:0] = rank_report.notes
+    return report
+
+
+def _involutivity(F, rank, seed):
+    """``is_involutive`` for a known generic rank; its notes omit the rank's."""
+    subset, point = _spanning_subset(F, rank, seed)
     verdict = TriBool.YES
     structure = {}
     assumptions = []
-    notes = list(rank_report.notes)
+    notes = []
     for j, k in combinations(range(len(F)), 2):
         br = lie_bracket(F.members[j], F.members[k])
         if br.is_zero_field():
@@ -296,7 +303,7 @@ def analyze_distribution(F, seed=None):
     if abelian is TriBool.YES:
         inv = InvolutivityReport(TriBool.YES, {}, tuple(range(len(F))), [], [])
     else:
-        inv = is_involutive(F, seed=seed)
+        inv = _involutivity(F, rank_report.rank, seed)
     notes = rank_report.notes + proj_notes + inv.notes
     return DistributionReport(
         generic_rank=rank_report.rank,

@@ -92,6 +92,10 @@ def linear_combination(fields, coeffs):
     return out
 
 
+def _as_index(K):
+    return K if isinstance(K, MultiIndex) else MultiIndex(tuple(K))
+
+
 def _slot_index(ws, slot):
     if isinstance(slot, int):
         return slot
@@ -112,8 +116,7 @@ def total_derivative(e, slot, ws):
 
 def total_derivative_multi(e, K, ws):
     """D_K = D_1^{k_1} o ... o D_p^{k_p}; the identity when |K| = 0."""
-    if not isinstance(K, MultiIndex):
-        K = MultiIndex(tuple(K))
+    K = _as_index(K)
     out = sp.sympify(e)
     for i, count in enumerate(K.counts):
         for _ in range(count):
@@ -134,23 +137,68 @@ def characteristic(Y):
 
 
 class ProlongedVectorField:
-    """j^n Y: the base field plus psi^a_K coefficients for 1 <= |K| <= n."""
+    """j^n Y: the base field plus psi^a_K coefficients for 1 <= |K| <= n.
 
-    def __init__(self, base, order, psi):
+    Each D_K Q^a and psi^a_K is derived once, when first read.  Jets of
+    order n + 1 appear on the way, up to the workspace's hard cap.
+    """
+
+    def __init__(self, base, order):
         self.base = base
         self.order = order
-        self.psi = dict(psi)
+        self._dq = {}
+        self._psi = {}
 
     @property
     def ws(self):
         return self.base.ws
 
+    def characteristic_derivative(self, alpha, K):
+        """D_K Q^a: one total derivative, in the highest nonzero slot j of K,
+        of D_{K - e_j} Q^a -- the last step of ``total_derivative_multi``'s
+        chain, so the result equals ``total_derivative_multi(Q^a, K, ws)``."""
+        K = _as_index(K)
+        if K.order > self.order:
+            raise PreconditionFailed(
+                "prolongation order", f"|K| = {K.order} > {self.order}")
+        key = (alpha, K.counts)
+        if key not in self._dq:
+            if K.order == 0:
+                self._dq.update(((a, K.counts), q)
+                                for a, q in enumerate(characteristic(self.base)))
+            else:
+                j = max(i for i, k in enumerate(K.counts) if k)
+                lower = list(K.counts)
+                lower[j] -= 1
+                self._dq[key] = total_derivative(
+                    self.characteristic_derivative(alpha, lower), j, self.ws)
+        return self._dq[key]
+
     def coefficient(self, alpha, K):
-        if not isinstance(K, MultiIndex):
-            K = MultiIndex(tuple(K))
+        """psi^a_K = D_K Q^a + sum_i xi^i u^a_{K,i}, or phi^a when |K| = 0; an
+        order-(n+1) jet that survives indicates a corrupted input and raises."""
+        K = _as_index(K)
         if K.order == 0:
             return self.base.phi[alpha]
-        return self.psi[(alpha, K.counts)]
+        key = (alpha, K.counts)
+        if key not in self._psi:
+            ws = self.ws
+            val = self.characteristic_derivative(alpha, K)
+            for i in range(ws.p):
+                val += self.base.xi[i] * ws.jet(alpha, K.inc(i), auto_raise=True)
+            val = normalize(val)
+            if ws.max_jet_order(val) > self.order:
+                raise PreconditionFailed(
+                    "prolongation", f"order-{self.order + 1} jets survived in psi_{K.counts}")
+            self._psi[key] = val
+        return self._psi[key]
+
+    @property
+    def psi(self):
+        """{(a, K.counts): psi^a_K} for 1 <= |K| <= n, every entry derived."""
+        ws = self.ws
+        return {(a, K.counts): self.coefficient(a, K)
+                for K in indices_up_to(ws.p, self.order) for a in range(ws.q)}
 
     def apply_to(self, f):
         """Apply j^n Y as a derivation to a function on the jet chart."""
@@ -168,73 +216,24 @@ class ProlongedVectorField:
         return normalize(out)
 
 
-def characteristic_derivatives(Y, n):
-    """{(a, K.counts): D_K Q^a} for 0 <= |K| <= n, each derived once.
-
-    D_K Q^a is one total derivative, in the highest nonzero slot j of K, of
-    the entry for K - e_j: the last step of ``total_derivative_multi``'s
-    chain, so every entry equals ``total_derivative_multi(Q^a, K, ws)``.
-    Jets of order n + 1 appear; the caller sets the order cap for them.
-    """
-    ws = Y.ws
-    table = {(a, MultiIndex.zero(ws.p).counts): q
-             for a, q in enumerate(characteristic(Y))}
-    for K in indices_up_to(ws.p, n):
-        j = max(i for i, k in enumerate(K.counts) if k)
-        lower = list(K.counts)
-        lower[j] -= 1
-        for a in range(ws.q):
-            table[(a, K.counts)] = total_derivative(table[(a, tuple(lower))], j, ws)
-    return table
-
-
 def prolong(Y, n):
-    """Prolongation to order n: psi^a_K = D_K Q^a + sum_i xi^i u^a_{K,i}.
-
-    Intermediate jets of order n+1 appear during the computation and must
-    cancel; a surviving one indicates a corrupted input and raises.
-    """
+    """j^n Y; raises at once when its order-(n+1) jets would pass the hard cap."""
     if n < 1:
         raise ValueError("prolongation order must be >= 1")
-    ws = Y.ws
-    if n + 1 > ws.hard_cap:
+    if n + 1 > Y.ws.hard_cap:
         raise HardJetLimitExceeded(
             f"prolongation to order {n} needs jets of order {n + 1}, "
-            f"beyond the hard limit {ws.hard_cap}")
-    final_cap = max(ws.order_cap, n)
-    ws.ensure_order(n + 1, silent=True)  # sanctioned intermediates; they cancel
-    try:
-        DQ = characteristic_derivatives(Y, n)
-        psi = {}
-        for K in indices_up_to(ws.p, n):
-            for a in range(ws.q):
-                val = DQ[(a, K.counts)]
-                for i in range(ws.p):
-                    val += Y.xi[i] * ws.jet(a, K.inc(i), auto_raise=True)
-                val = normalize(val)
-                if ws.max_jet_order(val) > n:
-                    raise PreconditionFailed(
-                        "prolongation", f"order-{n + 1} jets survived in psi_{K.counts}")
-                psi[(a, K.counts)] = val
-    finally:
-        ws.order_cap = final_cap
-    return ProlongedVectorField(Y, n, psi)
+            f"beyond the hard limit {Y.ws.hard_cap}")
+    return ProlongedVectorField(Y, n)
 
 
 def contract_contact(PY, alpha, K):
     """iota_{j^n Y} theta^a_K = psi^a_K - sum_i u^a_{K,i} xi^i = D_K Q^a."""
-    ws = PY.ws
-    if not isinstance(K, MultiIndex):
-        K = MultiIndex(tuple(K))
+    K = _as_index(K)
     if K.order > PY.order - 1:
         raise PreconditionFailed(
             "contact order", f"basic contact forms on J^{PY.order} need |K| <= {PY.order - 1}")
-    if K.order == 0:
-        return characteristic(PY.base)[alpha]
-    val = PY.psi[(alpha, K.counts)]
-    for i in range(ws.p):
-        val = val - ws.jet(alpha, K.inc(i), auto_raise=True) * PY.base.xi[i]
-    return normalize(val)
+    return PY.characteristic_derivative(alpha, K)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +310,7 @@ def _route_value(alpha, route, nf):
 
 def jet_section_value(alpha, K, nf, route=None):
     """The J0 value of u^a_K on the section, resolved along a peel route."""
-    if not isinstance(K, MultiIndex):
-        K = MultiIndex(tuple(K))
+    K = _as_index(K)
     if K.order == 0:
         return nf.ws.dependent[alpha]
     if route is None:

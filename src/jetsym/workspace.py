@@ -10,7 +10,6 @@ reference symbols registered here.
 from __future__ import annotations
 
 import re
-import warnings
 from enum import Enum
 
 import sympy as sp
@@ -106,36 +105,32 @@ class Workspace:
     # -- jets ----------------------------------------------------------
 
     def jet(self, alpha, K, auto_raise=False):
-        """The jet symbol u^alpha_K; |K| = 0 gives the dependent symbol itself."""
+        """The jet symbol u^alpha_K; |K| = 0 gives the dependent symbol itself.
+
+        The order cap limits the jets a caller names, as the parser does: past
+        it JetOrderExceeded is raised, even for a jet that already exists.
+        Engine operations pass ``auto_raise=True`` for the jets they create;
+        the cap stays as it is.  Past the hard cap HardJetLimitExceeded is
+        raised, whoever asks.
+        """
         if not isinstance(K, MultiIndex):
             K = MultiIndex(tuple(K))
         if K.p != self.p:
             raise ValueError(f"multi-index {K.counts} has wrong length for p={self.p}")
+        if not auto_raise and K.order > self.order_cap:
+            raise JetOrderExceeded(f"jet order {K.order} exceeds cap {self.order_cap}")
         key = (alpha, K.counts)
         if key in self._jets:
             return self._jets[key]
-        if K.order > self.order_cap:
-            if not auto_raise:
-                raise JetOrderExceeded(
-                    f"jet order {K.order} exceeds cap {self.order_cap}")
-            self.ensure_order(K.order)
+        if K.order > self.hard_cap:
+            raise HardJetLimitExceeded(
+                f"jet order {K.order} exceeds the hard limit {self.hard_cap}")
         base = self.dependent[alpha].name
         subs = ",".join(self.independent[i].name for i in K.slots())
         sym = sp.Symbol(f"{base}_{{{subs}}}", real=True)
         self._names[sym.name] = (SymbolKind.JET, (alpha, K))
         self._jets[key] = sym
         return sym
-
-    def ensure_order(self, n, silent=False):
-        if n <= self.order_cap:
-            return
-        if n > self.hard_cap:
-            raise HardJetLimitExceeded(
-                f"jet order {n} exceeds the hard limit {self.hard_cap}")
-        if not silent:
-            warnings.warn(f"raising jet order cap {self.order_cap} -> {n}",
-                          stacklevel=3)
-        self.order_cap = n
 
     def jet_info(self, sym):
         """(alpha, K) for a jet or dependent symbol, else None."""

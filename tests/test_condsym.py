@@ -268,6 +268,26 @@ def test_verify_symmetry_wave_route_b_forced():
     assert report.overall() is TriBool.YES
 
 
+def test_charsys_and_route_b_on_one_workspace_in_either_order():
+    """Neither call changes what the other sees: same results, same cap."""
+    def run(charsys_first):
+        ws, pde, F = wave_instance_problem()
+        calls = [lambda: characteristic_system(F, 3),
+                 lambda: verify_conditional_symmetry(pde, F, n=3, force_direct=True)]
+        if charsys_first:
+            cs, rb = calls[0](), calls[1]()
+        else:
+            rb, cs = calls[1](), calls[0]()
+        assert ws.order_cap == 2
+        return (cs.rows(ws), cs.inconsistent, rb.route, rb.overall(),
+                [(label, r.verdict, r.confidence) for label, r in rb.verdicts],
+                rb.notes, rb.assumptions)
+
+    first = run(True)
+    assert first == run(False)
+    assert first[2:4] == ("B", TriBool.YES)
+
+
 def test_verify_symmetry_negative():
     ws, pde, F = wave_instance_problem()
     u = ws.dependent[0]

@@ -1,7 +1,7 @@
 import pytest
 import sympy as sp
 
-from jetsym import TriBool, Workspace, ZeroVerdict, is_zero, normalize
+from jetsym import TriBool, Workspace, ZeroVerdict, geometry, is_zero, normalize
 from jetsym.errors import PreconditionFailed
 from jetsym.geometry import (VectorFieldFamily, analyze_distribution,
                              generic_rank, is_abelian, is_involutive,
@@ -116,6 +116,24 @@ def test_is_involutive_wave_rectifiable(wave_rectifiable):
     assert report.verdict is TriBool.YES
     f = report.structure_functions[(0, 1)]
     assert tuple(f) == (0, -1)
+
+
+def test_analyze_distribution_ranks_once(monkeypatch):
+    """A non-Abelian family: one generic rank, and its note appears once."""
+    ws = Workspace(["t", "x"], ["u"], order_cap=1)
+    t = ws.independent[0]
+    F = VectorFieldFamily(ws, (VectorField(ws, (ONE, ZERO), (ZERO,)),
+                               VectorField(ws, (ZERO, sp.exp(t)), (ZERO,))))
+    calls = []
+    real = geometry.generic_rank
+    monkeypatch.setattr(geometry, "generic_rank",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    report = analyze_distribution(F)
+    assert (report.abelian, report.involutive) == (TriBool.NO, TriBool.YES)
+    assert report.degeneracy_notes == ["distribution rank drops where exp(t) = 0",
+                                       "xi-block rank drops where exp(t) = 0"]
+    assert len(calls) == 1
+    assert is_involutive(F).notes == ["distribution rank drops where exp(t) = 0"]
 
 
 def test_is_abelian(ws2, wave_pair, nonlie):

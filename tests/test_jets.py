@@ -5,9 +5,11 @@ import pytest
 import sympy as sp
 
 from jetsym import MultiIndex, Workspace, ZeroVerdict, is_zero, normalize, parse
-from jetsym.errors import HardJetLimitExceeded, PreconditionFailed
-from jetsym.jets import (NormalFormSystem, VectorField, characteristic,
-                         characteristic_derivatives, contract_contact,
+from jetsym.condsym import characteristic_system
+from jetsym.errors import HardJetLimitExceeded, JetOrderExceeded, PreconditionFailed
+from jetsym.geometry import VectorFieldFamily
+from jetsym.jets import (NormalFormSystem, ProlongedVectorField, VectorField,
+                         characteristic, contract_contact,
                          linear_combination, prolong,
                          restrict_routes, restrict_to_section,
                          total_derivative, total_derivative_multi)
@@ -48,10 +50,8 @@ def test_total_derivatives_commute(rng):
         syms = [ws.independent[0], ws.independent[1], ws.dependent[0],
                 ws.jet(0, (1, 0)), ws.jet(0, (0, 1))]
         e = random_expr(rng, syms)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            d12 = total_derivative(total_derivative(e, 0, ws), 1, ws)
-            d21 = total_derivative(total_derivative(e, 1, ws), 0, ws)
+        d12 = total_derivative(total_derivative(e, 0, ws), 1, ws)
+        d21 = total_derivative(total_derivative(e, 1, ws), 0, ws)
         assert is_zero(d12 - d21) is ZeroVerdict.ZERO
 
 
@@ -72,6 +72,43 @@ def test_prolong_respects_hard_cap():
         prolong(Y, 2)
     assert ws.order_cap == 2 and ws.hard_cap == 2
     assert prolong(Y, 1).order == 1
+
+
+def test_engine_jets_leave_the_order_cap():
+    """Total derivatives, every psi of j^3 Y and a characteristic system
+    create jets past the order cap without moving it or warning; the parser
+    is still held to the cap, also for a jet the engine already made."""
+    ws = Workspace(["x1", "x2"], ["u"], order_cap=1)
+    x1 = ws.independent[0]
+    u = ws.dependent[0]
+    Y = VectorField(ws, (u, x1), (u ** 2,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert total_derivative(ws.jet(0, (1, 0)), 0, ws) == ws.jet(0, (2, 0), auto_raise=True)
+        assert ws.order_cap == 1
+        P = prolong(Y, 3)
+        assert len(P.psi) == len(indices_up_to(2, 3))
+        assert ws.order_cap == 1
+        cs = characteristic_system(VectorFieldFamily(ws, (Y,)), 3)
+        assert len(cs.residuals) == 1 + len(indices_up_to(2, 2))
+        assert ws.order_cap == 1
+    with pytest.raises(JetOrderExceeded):
+        parse("u_{x1,x1}", ws)
+
+
+def test_hard_cap_guards_lazy_psi_and_total_derivatives():
+    ws = Workspace(["x1", "x2"], ["u"], order_cap=2, hard_cap=3)
+    u = ws.dependent[0]
+    Y = VectorField(ws, (u, sp.Integer(0)), (u ** 2,))
+    P = ProlongedVectorField(Y, 3)  # psi of order 3 needs jets of order 4
+    assert P.coefficient(0, (2, 0)) is not None
+    with pytest.raises(HardJetLimitExceeded):
+        P.coefficient(0, (3, 0))
+    with pytest.raises(HardJetLimitExceeded):
+        total_derivative(ws.jet(0, (2, 1), auto_raise=True), 1, ws)
+    with pytest.raises(HardJetLimitExceeded):
+        characteristic_system(VectorFieldFamily(ws, (Y,)), 4)
+    assert ws.order_cap == 2 and ws.hard_cap == 3
 
 
 def test_characteristic_examples(ws2):
@@ -219,25 +256,24 @@ def test_holonomic_annihilation(ws2, rng):
 
 def _table_matches_chain(Y, n):
     ws = Y.ws
-    ws.ensure_order(n + 1, silent=True)
-    table = characteristic_derivatives(Y, n)
+    PY = ProlongedVectorField(Y, n)
     Q = characteristic(Y)
-    assert len(table) == ws.q * (1 + len(indices_up_to(ws.p, n)))
     for K in [MultiIndex.zero(ws.p)] + indices_up_to(ws.p, n):
         for a in range(ws.q):
             # structural equality: the recursion repeats the chain's last step
-            assert table[(a, K.counts)] == total_derivative_multi(Q[a], K, ws)
+            assert PY.characteristic_derivative(a, K) == total_derivative_multi(Q[a], K, ws)
+    assert len(PY._dq) == ws.q * (1 + len(indices_up_to(ws.p, n)))
 
 
 def test_characteristic_derivatives_match_chain(rng):
-    """The D_K Q table equals total_derivative_multi entry by entry."""
-    for p in (2, 3):
-        for n in (1, 2, 3):
-            ws = Workspace([f"x{i + 1}" for i in range(p)], ["u"], order_cap=1)
-            xs = list(ws.independent) + list(ws.dependent)
-            Y = VectorField(ws, tuple(random_poly(rng, xs, 1, 2) for _ in range(p)),
-                            (random_poly(rng, xs, 2, 3),))
-            _table_matches_chain(Y, n)
+    """j^n Y's D_K Q equals total_derivative_multi entry by entry."""
+    cases = [(p, ["u"], n) for p in (2, 3) for n in (1, 2, 3)] + [(2, ["u", "v"], 2)]
+    for p, deps, n in cases:
+        ws = Workspace([f"x{i + 1}" for i in range(p)], deps, order_cap=1)
+        xs = list(ws.independent) + list(ws.dependent)
+        Y = VectorField(ws, tuple(random_poly(rng, xs, 1, 2) for _ in range(p)),
+                        tuple(random_poly(rng, xs, 2, 3) for _ in deps))
+        _table_matches_chain(Y, n)
 
 
 def test_characteristic_derivatives_liouville_member():
