@@ -5,7 +5,9 @@ Each file in ``tests/golden/`` is the ``--format json`` stdout of one
 reports (exit 3) included; the exit code is the report's ``exit_code``.
 Two flag variants that take other code paths (route B through
 ``--force-direct``, a second ``[fields]`` group) have their own files,
-named after the flags.
+named after the flags.  The rungs of the benchmark's determining ladder,
+``perfbench/problems/RUNG.jetsym``, have one ``derive-determining`` file
+each, so their determining equations are locked as well as counted.
 The files change only with an intended report change.  Rewrite them with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -22,9 +24,13 @@ from jetsym.report import Report
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
+LADDER = ROOT / "perfbench" / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SOURCES = {p.stem: p for folder in (LADDER, PROBLEMS) for p in folder.glob("*.jetsym")}
 FIXTURES = sorted(p.stem for p in PROBLEMS.glob("*.jetsym"))
-CASES = [(fixture, command) for fixture in FIXTURES for command in COMMANDS]
+RUNGS = sorted(p.stem for p in LADDER.glob("*.jetsym"))
+CASES = ([(fixture, command) for fixture in FIXTURES for command in COMMANDS]
+         + [(rung, "derive-determining") for rung in RUNGS])
 VARIANTS = [("liouville", "verify-symmetry", ("--force-direct",)),
             ("wave", "verify-symmetry", ("--fields", "rectifiable"))]
 
@@ -32,7 +38,7 @@ VARIANTS = [("liouville", "verify-symmetry", ("--force-direct",)),
 def run_json(fixture, command, extra=()):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = main([command, str(PROBLEMS / f"{fixture}.jetsym"), *extra,
+        rc = main([command, str(SOURCES[fixture]), *extra,
                    "--format", "json"])
     return rc, out.getvalue()
 
@@ -43,7 +49,8 @@ def golden_path(fixture, command, extra=()):
 
 
 def test_golden_set_is_complete():
-    assert len(CASES) + len(VARIANTS) == 44
+    assert len(SOURCES) == len(FIXTURES) + len(RUNGS)
+    assert len(CASES) + len(VARIANTS) == 56
     assert sorted(GOLDEN.glob("*.json")) == sorted(
         golden_path(*c) for c in CASES + VARIANTS)
 
