@@ -219,13 +219,16 @@ def zero_verdict(e, seed=None, samples=8, tol=1e-9):
     terms = sp.Add.make_args(n)
     checked = 0
     for point, value in islice(points, samples):
-        try:
-            scale = max(abs(evaluate_at(t, point)) for t in terms)
-        except (ValueError, TypeError, ZeroDivisionError):
-            scale = 1.0
-        if abs(value) > tol * max(1.0, scale):
-            return ZeroResult(ZeroVerdict.NONZERO, "probabilistic",
-                              witness=point, seed=seed)
+        # the term scale only raises the threshold above tol, so a value
+        # within tol passes without evaluating the terms
+        if abs(value) > tol:
+            try:
+                scale = max(abs(evaluate_at(t, point)) for t in terms)
+            except (ValueError, TypeError, ZeroDivisionError):
+                scale = 1.0
+            if abs(value) > tol * max(1.0, scale):
+                return ZeroResult(ZeroVerdict.NONZERO, "probabilistic",
+                                  witness=point, seed=seed)
         checked += 1
     if checked == 0:
         return ZeroResult(ZeroVerdict.UNKNOWN, "sampling-blocked", seed=seed)

@@ -20,8 +20,8 @@ from .errors import PreconditionFailed, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, is_abelian, rectify
 from .grammar import print_expr
-from .jets import (NormalFormSystem, ProlongedVectorField, restrict_routes,
-                   restrict_to_section, section_derivative)
+from .jets import (NormalFormSystem, ProlongedVectorField, compatibility_residuals,
+                   restrict_routes, restrict_to_section)
 from .multiindex import MultiIndex, indices_up_to
 
 __all__ = [
@@ -93,28 +93,17 @@ def characteristic_system(F, n, seed=None):
     for j, PY in enumerate(prolonged):
         for a, K in keys:
             e = residuals[(j, a, K.counts)] = PY.characteristic_derivative(a, K)
-            if e != 0 and not (e.free_symbols - set(ws.parameters.values())) \
-                    and not e.has(AppliedUndef, sp.Derivative):
-                if zero_verdict(e, seed=seed).verdict is ZeroVerdict.NONZERO:
-                    inconsistent.append((j, a, K.counts))
+            if _nonzero_constant(e, ws, seed):
+                inconsistent.append((j, a, K.counts))
     return CharacteristicSystem(n, residuals, inconsistent, prolonged)
 
 
-def compatibility_residuals(nf):
-    """Integrability of u^a_i = phi^a_i: mixed section derivatives must agree.
-
-    Returns (alpha, j, k, residual) with residual = D~_j phi^a_k - D~_k phi^a_j
-    for j < k; all residuals vanish iff the induced fields commute.
-    """
-    ws = nf.ws
-    out = []
-    for a in range(ws.q):
-        for j in range(ws.p):
-            for k in range(j + 1, ws.p):
-                res = normalize(section_derivative(nf.rhs[(a, k)], j, nf)
-                                - section_derivative(nf.rhs[(a, j)], k, nf))
-                out.append((a, j, k, res))
-    return out
+def _nonzero_constant(e, ws, seed):
+    """True for a residual that is constant on the chart (free of all but
+    parameters, with no opaque functions) and certified NonZero."""
+    return (e != 0 and not (e.free_symbols - set(ws.parameters.values()))
+            and not e.has(AppliedUndef, sp.Derivative)
+            and zero_verdict(e, seed=seed).verdict is ZeroVerdict.NONZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +427,8 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
     for key, res in char.residuals.items():
         red = _reduce(res, delta_map)
         red = _reduce(red, char_map)
-        if red == 0:
-            continue
-        if not (red.free_symbols - set(ws.parameters.values())) \
-                and not red.has(AppliedUndef, sp.Derivative):
-            if zero_verdict(red, seed=seed).verdict is ZeroVerdict.NONZERO:
-                unsat.append(print_expr(res))
+        if _nonzero_constant(red, ws, seed):
+            unsat.append(print_expr(res))
     if char.inconsistent:
         unsat.extend(print_expr(char.residuals[k]) for k in char.inconsistent)
     if unsat:

@@ -139,11 +139,12 @@ def _rewrite_for_family(e, family, deps):
 def collect_family(e, family, deps):
     """Write e = sum coeff(m) * m over the family basis monomials.
 
-    Coefficients are normalized and free of the dependent variables; a term
-    that cannot be matched raises NotInFamily with the offending residue.
+    ``e`` must be a normal form (the output of ``normalize`` or of an engine
+    operation), which is not normalized again here.  Coefficients are
+    normalized and free of the dependent variables; a term that cannot be
+    matched raises NotInFamily with the offending residue.
     """
     deps = tuple(deps)
-    e = normalize(e)
     e = sp.expand(_rewrite_for_family(e, family, deps))
     if e == 0:
         return {}

@@ -20,7 +20,7 @@ from .algebra import (TriBool, ZeroVerdict, evaluate_at, normalize,
                       sample_points, zero_verdict)
 from .errors import PreconditionFailed, SingularXi, SpecializationFailed
 from .grammar import print_expr
-from .jets import NormalFormSystem, VectorField
+from .jets import NormalFormSystem, VectorField, compatibility_residuals
 from .workspace import DEFAULT_SEED
 
 
@@ -49,12 +49,16 @@ class VectorFieldFamily:
 
 
 def lie_bracket(Y, Z):
-    """[Y, Z] on J0: the usual commutator of first-order operators."""
-    if Y.ws is not Z.ws:
+    """[Y, Z] on J0: the usual commutator of first-order operators, whose
+    coefficients sum_s Y^s d_s Z^c - Z^s d_s Y^c ``VectorField`` normalizes."""
+    ws = Y.ws
+    if ws is not Z.ws:
         raise ValueError("vector fields live on different workspaces")
-    xi = tuple(Y.apply_to(Z.xi[k]) - Z.apply_to(Y.xi[k]) for k in range(Y.ws.p))
-    phi = tuple(Y.apply_to(Z.phi[a]) - Z.apply_to(Y.phi[a]) for a in range(Y.ws.q))
-    return VectorField(Y.ws, xi, phi)
+    pairs = list(zip(Y.coefficient_row(), Z.coefficient_row()))
+    chart = ws.independent + ws.dependent
+    out = [sp.Add(*[y * sp.diff(zc, s) - z * sp.diff(yc, s) for (y, z), s in zip(pairs, chart)])
+           for yc, zc in pairs]
+    return VectorField(ws, tuple(out[:ws.p]), tuple(out[ws.p:]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +366,15 @@ def rectify(F, seed=None, precomputed=None):
         assumptions = []
         if det.free_symbols:
             assumptions.append(f"nonvanishing xi-minor: {print_expr(det)}")
-        notes = []
-        rect_abelian = is_abelian(VectorFieldFamily(ws, tuple(nf.fields())), seed=seed)
-        if rect_abelian is TriBool.NO:
+        # Z_1..Z_p commute iff nf is integrable; the jet values behind the
+        # residuals stay memoized in nf for the restrictions that follow.
+        verdicts = {zero_verdict(res, seed=seed).verdict
+                    for *_, res in compatibility_residuals(nf)}
+        if ZeroVerdict.NONZERO in verdicts:
             raise PreconditionFailed(
                 "rectify postcondition", "rectified family is not Abelian")
-        if rect_abelian is TriBool.UNKNOWN:
+        notes = []
+        if ZeroVerdict.UNKNOWN in verdicts:
             notes.append("rectified family Abelian check undetermined (opaque coefficients)")
         return RectifyResult(nf, subset, det, assumptions, notes)
     raise SingularXi(last_error or "no invertible xi-submatrix found")

@@ -9,7 +9,7 @@ defines a characteristic system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import sympy as sp
 
@@ -43,16 +43,6 @@ class VectorField:
     def from_strings(cls, ws, xi_texts, phi_texts):
         return cls(ws, tuple(ws.parse(t) for t in xi_texts),
                    tuple(ws.parse(t) for t in phi_texts))
-
-    def apply_to(self, f):
-        """Directional derivative of a J0 function along the field."""
-        f = sp.sympify(f)
-        out = sp.Integer(0)
-        for i, x in enumerate(self.ws.independent):
-            out += self.xi[i] * sp.diff(f, x)
-        for a, u in enumerate(self.ws.dependent):
-            out += self.phi[a] * sp.diff(f, u)
-        return normalize(out)
 
     def coefficient_row(self):
         return list(self.xi) + list(self.phi)
@@ -243,10 +233,14 @@ def contract_contact(PY, alpha, K):
 @dataclass(frozen=True)
 class NormalFormSystem:
     """First-order constraints u^a_{x_i} = phi^a_i(x, u): the computational
-    face of a characteristic-system section."""
+    face of a characteristic-system section.
+
+    Each jet value on the section is derived once, when first read.
+    """
 
     ws: object
     rhs: dict
+    _jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws = self.ws
@@ -260,6 +254,18 @@ class NormalFormSystem:
                     raise ValueError(f"normal-form rhs {e} contains jet symbols")
                 rhs[(a, i)] = e
         object.__setattr__(self, "rhs", rhs)
+
+    def jet_value(self, alpha, route):
+        """u^a_K on the section along a peel route of K, outermost slot first:
+        phi^a_i for the route (i,), else D-tilde_{route[0]} of the value
+        along route[1:]."""
+        route = tuple(route)
+        key = (alpha, route)
+        if key not in self._jets:
+            self._jets[key] = (
+                section_derivative(self.jet_value(alpha, route[1:]), route[0], self)
+                if len(route) > 1 else self.rhs[(alpha, route[0])])
+        return self._jets[key]
 
     def fields(self):
         """The induced fields Z_j = d/dx^j + sum phi^a_j d/du^a."""
@@ -301,21 +307,16 @@ def section_derivative(e, slot, nf):
     return normalize(out)
 
 
-def _route_value(alpha, route, nf):
-    val = nf.rhs[(alpha, route[-1])]
-    for slot in route[-2::-1]:
-        val = section_derivative(val, slot, nf)
-    return val
+def compatibility_residuals(nf):
+    """Integrability of u^a_i = phi^a_i: mixed section derivatives must agree.
 
-
-def jet_section_value(alpha, K, nf, route=None):
-    """The J0 value of u^a_K on the section, resolved along a peel route."""
-    K = _as_index(K)
-    if K.order == 0:
-        return nf.ws.dependent[alpha]
-    if route is None:
-        route = K.slots()
-    return _route_value(alpha, tuple(route), nf)
+    Returns (alpha, j, k, residual) with residual = D~_j phi^a_k - D~_k phi^a_j
+    for j < k.  It is the phi^a-part of the bracket [Z_j, Z_k] of the induced
+    fields, whose xi-part is 0, so all residuals vanish iff the fields commute.
+    """
+    ws = nf.ws
+    return [(a, j, k, normalize(nf.jet_value(a, (j, k)) - nf.jet_value(a, (k, j))))
+            for a in range(ws.q) for j in range(ws.p) for k in range(j + 1, ws.p)]
 
 
 def restrict_to_section(e, nf):
@@ -328,7 +329,7 @@ def restrict_to_section(e, nf):
     e = sp.sympify(e)
     mapping = {}
     for s, a, K in ws.jet_atoms(e):
-        mapping[s] = jet_section_value(a, K, nf)
+        mapping[s] = nf.jet_value(a, K.slots())
     return normalize(e.xreplace(mapping))
 
 
@@ -345,7 +346,7 @@ def restrict_routes(e, nf, limit=128):
     for s, a, K in sorted(ws.jet_atoms(e), key=lambda t: t[0].name):
         values = []
         for route in K.routes():
-            v = jet_section_value(a, K, nf, route)
+            v = nf.jet_value(a, route)
             if all(v != w for w in values):
                 values.append(v)
         alternatives.append((s, values))

@@ -5,6 +5,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, proportional, substitute, zero_verdict)
 from jetsym.algebra import _is_plain_polynomial, evaluate_at
@@ -201,6 +202,20 @@ def test_zero_verdict_confidence_and_seed(ws2):
     assert r2.seed is not None
     r3 = zero_verdict(e, seed=0xBEEF)
     assert r3.verdict is ZeroVerdict.ZERO and r3.seed == 0xBEEF
+
+
+def test_sampled_zero_evaluates_once_per_point(ws2, monkeypatch):
+    """A value within tol passes whatever the term scale, so the terms are
+    not evaluated one by one."""
+    x1 = ws2.independent[0]
+    u = ws2.dependent[0]
+    calls = []
+    real = algebra.evaluate_at
+    monkeypatch.setattr(algebra, "evaluate_at",
+                        lambda e, point: calls.append(e) or real(e, point))
+    r = zero_verdict((sp.sin(x1) ** 2 + sp.cos(x1) ** 2 - 1) * (x1 + u))
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
+    assert len(calls) == 8
 
 
 def test_proportional():

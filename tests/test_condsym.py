@@ -1,5 +1,6 @@
 import sympy as sp
 
+from jetsym import jets
 from jetsym import TriBool, Workspace, ZeroVerdict, is_zero, normalize, parse, proportional
 from jetsym.condsym import (AnsatzSystem, NormalFormSystem, PdeSystem,
                             build_ansatz, characteristic_system,
@@ -129,6 +130,17 @@ def wave_determining():
         "wave", parse("u_{x1,x2} - (c3*u^3 + c2*u^2 + c1*u + c0)", ws)),))
     ansatz = build_ansatz(AnsatzFamily("polynomial", 2), ws)
     return ws, pde, ansatz, determining_system(pde, ansatz)
+
+
+def test_determining_system_derives_each_jet_value_once(monkeypatch):
+    """The compatibility residual and both peel routes of u_{x1,x2} read the
+    same two section derivatives, so each is derived once."""
+    calls = []
+    real = jets.section_derivative
+    monkeypatch.setattr(jets, "section_derivative",
+                        lambda e, slot, nf: calls.append((e, slot)) or real(e, slot, nf))
+    wave_determining()
+    assert len(set(calls)) == len(calls) == 2
 
 
 def golden_wave_forms(ws):

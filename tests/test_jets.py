@@ -12,7 +12,8 @@ from jetsym.jets import (NormalFormSystem, ProlongedVectorField, VectorField,
                          characteristic, contract_contact,
                          linear_combination, prolong,
                          restrict_routes, restrict_to_section,
-                         total_derivative, total_derivative_multi)
+                         section_derivative, total_derivative,
+                         total_derivative_multi)
 from jetsym.multiindex import indices_up_to
 
 from conftest import evaluable_points, random_expr, random_poly
@@ -233,6 +234,29 @@ def test_restrict_routes_differ_off_shell(ws2):
     nf = NormalFormSystem(ws2, {(0, 0): a * u, (0, 1): b * u})
     values = restrict_routes(ws2.jet(0, (1, 1)), nf)
     assert len(values) == 2
+
+
+def _peel_chain(alpha, route, nf):
+    """The reference chain: phi^a at the innermost slot of the route, then one
+    section derivative per slot outwards."""
+    val = nf.rhs[(alpha, route[-1])]
+    for slot in route[-2::-1]:
+        val = section_derivative(val, slot, nf)
+    return val
+
+
+def test_jet_value_matches_peel_chain(rng):
+    """The memoized jet values equal the unmemoized chain, structurally, on
+    every route up to order 3."""
+    for p, deps in [(2, ["u", "v"]), (3, ["u"])]:
+        ws = Workspace([f"x{i + 1}" for i in range(p)], deps, order_cap=1)
+        xs = list(ws.independent) + list(ws.dependent)
+        nf = NormalFormSystem(ws, {(a, i): random_poly(rng, xs, 1, 3)
+                                   for a in range(ws.q) for i in range(p)})
+        for K in indices_up_to(p, 3):
+            for route in K.routes():
+                for a in range(ws.q):
+                    assert nf.jet_value(a, route) == _peel_chain(a, route, nf)
 
 
 def test_holonomic_annihilation(ws2, rng):
