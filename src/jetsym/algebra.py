@@ -11,11 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import islice
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
+from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import PolynomialError
+from sympy.polys.rings import PolyRing
 
 from .errors import CyclicBinding, DivisionByZero, UnknownSymbol
 from .grammar import KERNEL_CLASSES
@@ -80,21 +83,108 @@ def _normalize_kernel_args(e):
 
 
 _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
+_OPAQUE = (AppliedUndef, sp.Derivative)
 
 
-def _is_plain_polynomial(e):
-    """True for a sum of terms Rational * prod g**k, with each generator g a
-    Symbol, applied unknown function or Derivative and each k a positive
-    Integer."""
+def _plain_terms(e):
+    """[(Rational, {g: k})] when e is a plain polynomial -- a sum of terms
+    Rational * prod g**k, with each generator g a Symbol, applied unknown
+    function or canonical Derivative and each k a positive Integer -- else
+    None."""
+    out = []
     for term in sp.Add.make_args(e):
+        coeff, monomial = sp.S.One, {}
         for f in sp.Mul.make_args(term):
+            k = 1
             if f.is_Pow:
                 f, k = f.base, f.exp
                 if not (k.is_Integer and k > 0):
-                    return False
-            if not (f.is_Rational or isinstance(f, _GENERATORS)):
-                return False
-    return True
+                    return None
+            if f.is_Rational:
+                coeff *= f
+            elif isinstance(f, _GENERATORS) and not (
+                    isinstance(f, sp.Derivative) and f != f.canonical):
+                monomial[f] = monomial.get(f, 0) + int(k)
+            else:
+                return None
+        out.append((coeff, monomial))
+    return out
+
+
+def _is_plain_polynomial(e):
+    return _plain_terms(e) is not None
+
+
+@lru_cache(maxsize=1024)
+def _qq_ring(gens):
+    return PolyRing(gens, QQ)
+
+
+def _ring_elements(term_lists):
+    """Plain polynomials, given by their ``_plain_terms``, as elements of one
+    sparse ring over QQ whose generators are their atoms; also the map from
+    each generator to its index."""
+    index = {}
+    for terms in term_lists:
+        for _, monomial in terms:
+            for g in monomial:
+                index.setdefault(g, len(index))
+    ring = _qq_ring(tuple(index))
+    elements = []
+    for terms in term_lists:
+        element = {}
+        for coeff, monomial in terms:
+            exponents = [0] * ring.ngens
+            for g, k in monomial.items():
+                exponents[index[g]] = k
+            key = tuple(exponents)
+            element[key] = element.get(key, QQ.zero) + QQ(coeff.p, coeff.q)
+        elements.append(ring.dtype({m: c for m, c in element.items() if c}))
+    return elements, index
+
+
+def derive(e, images):
+    """X(e) = sum_g de/dg * images[g]: the derivation X of the jet chart that
+    maps each symbol g in ``images`` to ``images[g]`` and every other symbol
+    to 0, applied to e and normalized.
+
+    An opaque atom g (an applied unknown function or a Derivative of one)
+    is differentiated through its arguments by the chain rule,
+    X(g) = sum_s images[s] * dg/ds.  When e and the images it needs are
+    plain polynomials (see ``_plain_terms``), X runs in a sparse polynomial
+    ring over QQ whose generators are their atoms, and the result converts
+    back once; otherwise it is ``sp.diff`` on the expression tree, summed
+    and normalized.  Both paths give the same normal form.
+    """
+    e = sp.sympify(e)
+    terms = _plain_terms(e)
+    if terms is not None:
+        needed = {}
+        for g in dict.fromkeys(g for _, monomial in terms for g in monomial):
+            if g in images:
+                needed[g] = _plain_terms(sp.sympify(images[g]))
+            elif isinstance(g, _OPAQUE):
+                needed[g] = _plain_terms(normalize(sp.Add(
+                    *[images[s] * sp.diff(g, s) for s in g.free_symbols if s in images])))
+        if all(t is not None for t in needed.values()):
+            (element, *values), index = _ring_elements([terms, *needed.values()])
+            out = element.ring.zero
+            for g, value in zip(needed, values):
+                out += element.diff(index[g]) * value
+            return out.as_expr()
+    return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
+
+
+def sum_of_products(pairs):
+    """sum a * b over the (a, b) pairs, normalized; in the sparse ring of
+    ``derive`` when every factor is a plain polynomial."""
+    factors = [sp.sympify(f) for pair in pairs for f in pair]
+    term_lists = [_plain_terms(f) for f in factors]
+    if any(t is None for t in term_lists):
+        return normalize(sp.Add(*[a * b for a, b in zip(factors[::2], factors[1::2])]))
+    elements, _ = _ring_elements(term_lists)
+    return sum((a * b for a, b in zip(elements[::2], elements[1::2])),
+               elements[0].ring.zero).as_expr()
 
 
 def normalize(e):
@@ -106,11 +196,12 @@ def normalize(e):
     rewriting takes place.
 
     ``sympy.cancel`` runs only when the expanded form is not a plain
-    polynomial (see ``_is_plain_polynomial``).  On a plain polynomial it
-    would return the content times the expanded numerator over the
-    denominator 1, which is the expanded form itself, so skipping it
-    changes nothing.  Kernels, negative powers and symbolic powers still
-    go through it.
+    polynomial (see ``_plain_terms``).  On a plain polynomial it would
+    return the content times the expanded numerator over the denominator 1,
+    which is the expanded form itself, so skipping it changes nothing.
+    Kernels, negative powers and symbolic powers still go through it.  A
+    plain polynomial is also the input on which ``derive`` works in a
+    sparse ring; its result is in this normal form already.
     """
     e = sp.sympify(e)
     if e.has(*_BAD_CONSTANTS):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .algebra import TriBool, ZeroVerdict, normalize, substitute, zero_verdict
+from .algebra import TriBool, ZeroVerdict, normalize, zero_verdict
 from .errors import PreconditionFailed, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, is_abelian, rectify
@@ -243,20 +243,6 @@ def determining_system(pde, ansatz):
                 pde_eqs.append(eq)
 
     return DeterminingSystem(ws, family, compat_eqs, pde_eqs)
-
-
-def instantiate_ansatz(ansatz, bindings):
-    """Substitute concrete coefficient functions; returns the induced normal form."""
-    rhs = {key: substitute(e, bindings) for key, e in ansatz.rhs.items()}
-    return NormalFormSystem(ansatz.ws, rhs)
-
-
-def verify_instance(dsys, bindings, seed=None):
-    """Check a concrete coefficient instance against every determining equation."""
-    out = []
-    for eq in dsys.all_equations():
-        out.append(zero_verdict(substitute(eq, bindings), seed=seed))
-    return out
 
 
 # ---------------------------------------------------------------------------

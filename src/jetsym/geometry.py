@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 import sympy as sp
 
-from .algebra import (TriBool, ZeroVerdict, evaluate_at, normalize,
+from .algebra import (TriBool, ZeroVerdict, derive, evaluate_at, normalize,
                       sample_points, zero_verdict)
 from .errors import PreconditionFailed, SingularXi, SpecializationFailed
 from .grammar import print_expr
@@ -49,15 +49,15 @@ class VectorFieldFamily:
 
 
 def lie_bracket(Y, Z):
-    """[Y, Z] on J0: the usual commutator of first-order operators, whose
-    coefficients sum_s Y^s d_s Z^c - Z^s d_s Y^c ``VectorField`` normalizes."""
+    """[Y, Z] on J0: the commutator of first-order operators, whose
+    coefficients are Y(Z^c) - Z(Y^c), each applied through ``derive``."""
     ws = Y.ws
     if ws is not Z.ws:
         raise ValueError("vector fields live on different workspaces")
-    pairs = list(zip(Y.coefficient_row(), Z.coefficient_row()))
     chart = ws.independent + ws.dependent
-    out = [sp.Add(*[y * sp.diff(zc, s) - z * sp.diff(yc, s) for (y, z), s in zip(pairs, chart)])
-           for yc, zc in pairs]
+    ys, zs = Y.coefficient_row(), Z.coefficient_row()
+    y_images, z_images = dict(zip(chart, ys)), dict(zip(chart, zs))
+    out = [derive(zc, y_images) - derive(yc, z_images) for yc, zc in zip(ys, zs)]
     return VectorField(ws, tuple(out[:ws.p]), tuple(out[ws.p:]))
 
 

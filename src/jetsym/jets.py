@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .algebra import normalize
+from .algebra import derive, normalize, sum_of_products
 from .errors import HardJetLimitExceeded, PreconditionFailed
 from .grammar import print_expr
 from .multiindex import MultiIndex, indices_up_to
@@ -39,11 +39,6 @@ class VectorField:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "phi", phi)
 
-    @classmethod
-    def from_strings(cls, ws, xi_texts, phi_texts):
-        return cls(ws, tuple(ws.parse(t) for t in xi_texts),
-                   tuple(ws.parse(t) for t in phi_texts))
-
     def coefficient_row(self):
         return list(self.xi) + list(self.phi)
 
@@ -54,13 +49,6 @@ class VectorField:
         factor = sp.sympify(factor)
         return VectorField(self.ws, tuple(factor * e for e in self.xi),
                            tuple(factor * e for e in self.phi))
-
-    def __add__(self, other):
-        if other.ws is not self.ws:
-            raise ValueError("vector fields live on different workspaces")
-        return VectorField(self.ws,
-                           tuple(a + b for a, b in zip(self.xi, other.xi)),
-                           tuple(a + b for a, b in zip(self.phi, other.phi)))
 
     def format(self):
         parts = []
@@ -75,13 +63,6 @@ class VectorField:
         return " + ".join(parts) if parts else "0"
 
 
-def linear_combination(fields, coeffs):
-    out = fields[0].scaled(coeffs[0])
-    for f, c in zip(fields[1:], coeffs[1:]):
-        out = out + f.scaled(c)
-    return out
-
-
 def _as_index(K):
     return K if isinstance(K, MultiIndex) else MultiIndex(tuple(K))
 
@@ -93,15 +74,14 @@ def _slot_index(ws, slot):
 
 
 def total_derivative(e, slot, ws):
-    """D_i e = de/dx_i + sum u^a_{K,i} de/du^a_K, order raised lazily."""
+    """D_i e = de/dx_i + sum u^a_{K,i} de/du^a_K: ``derive`` with x_i -> 1 and
+    u^a_K -> u^a_{K,i}.  The jets of order |K| + 1 it needs are created up
+    to the hard cap; the order cap stays as it is."""
     i = _slot_index(ws, slot)
     e = sp.sympify(e)
-    out = sp.diff(e, ws.independent[i])
-    for s, a, K in ws.dependent_atoms(e):
-        d = sp.diff(e, s)
-        if d != 0:
-            out += ws.jet(a, K.inc(i), auto_raise=True) * d
-    return normalize(out)
+    images = {s: ws.jet(a, K.inc(i), auto_raise=True) for s, a, K in ws.dependent_atoms(e)}
+    images[ws.independent[i]] = sp.S.One
+    return derive(e, images)
 
 
 def total_derivative_multi(e, K, ws):
@@ -173,10 +153,10 @@ class ProlongedVectorField:
         key = (alpha, K.counts)
         if key not in self._psi:
             ws = self.ws
-            val = self.characteristic_derivative(alpha, K)
-            for i in range(ws.p):
-                val += self.base.xi[i] * ws.jet(alpha, K.inc(i), auto_raise=True)
-            val = normalize(val)
+            val = sum_of_products(
+                [(sp.S.One, self.characteristic_derivative(alpha, K))]
+                + [(xi, ws.jet(alpha, K.inc(i), auto_raise=True))
+                   for i, xi in enumerate(self.base.xi)])
             if ws.max_jet_order(val) > self.order:
                 raise PreconditionFailed(
                     "prolongation", f"order-{self.order + 1} jets survived in psi_{K.counts}")
@@ -198,12 +178,9 @@ class ProlongedVectorField:
             raise PreconditionFailed(
                 "prolongation order",
                 f"expression has jets of order {ws.max_jet_order(f)} > {self.order}")
-        out = sp.Integer(0)
-        for i, x in enumerate(ws.independent):
-            out += self.base.xi[i] * sp.diff(f, x)
-        for s, a, K in ws.dependent_atoms(f):
-            out += self.coefficient(a, K) * sp.diff(f, s)
-        return normalize(out)
+        images = dict(zip(ws.independent, self.base.xi))
+        images.update((s, self.coefficient(a, K)) for s, a, K in ws.dependent_atoms(f))
+        return derive(f, images)
 
 
 def prolong(Y, n):
@@ -298,13 +275,13 @@ class NormalFormSystem:
 
 
 def section_derivative(e, slot, nf):
-    """D-tilde_i = d/dx_i + sum_b phi^b_i d/du^b acting on a J0 expression."""
+    """D-tilde_i = d/dx_i + sum_b phi^b_i d/du^b acting on a J0 expression:
+    ``derive`` with x_i -> 1 and u^b -> phi^b_i."""
     ws = nf.ws
     i = _slot_index(ws, slot)
-    out = sp.diff(sp.sympify(e), ws.independent[i])
-    for b, u in enumerate(ws.dependent):
-        out += nf.rhs[(b, i)] * sp.diff(e, u)
-    return normalize(out)
+    images = {u: nf.rhs[(b, i)] for b, u in enumerate(ws.dependent)}
+    images[ws.independent[i]] = sp.S.One
+    return derive(e, images)
 
 
 def compatibility_residuals(nf):

@@ -19,7 +19,7 @@ import sympy as sp
 from sympy.core.function import AppliedUndef
 from sympy.polys.polyerrors import PolynomialError
 
-from .algebra import ZeroVerdict, is_zero, normalize, substitute, zero_verdict
+from .algebra import ZeroVerdict, derive, is_zero, normalize, substitute, zero_verdict
 from .condsym import compatibility_residuals, verify_solution
 from .errors import CapExceeded, NotSeparable, NotSolvableShape, PreconditionFailed
 from .grammar import print_expr
@@ -112,15 +112,11 @@ def _solve_rational(generators_coords, target_coords):
 
 
 def u_bracket(X, Y, deps):
-    """Commutator of two u-fields (q-tuples of u-only expressions)."""
-    q = len(deps)
-    out = []
-    for c in range(q):
-        val = sp.Integer(0)
-        for b in range(q):
-            val += X[b] * sp.diff(Y[c], deps[b]) - Y[b] * sp.diff(X[c], deps[b])
-        out.append(normalize(val))
-    return tuple(out)
+    """Commutator of two u-fields (q-tuples of u-only expressions):
+    X(Y^c) - Y(X^c), each applied through ``derive``."""
+    x_images, y_images = dict(zip(deps, X)), dict(zip(deps, Y))
+    return tuple(normalize(derive(yc, x_images) - derive(xc, y_images))
+                 for xc, yc in zip(X, Y))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 import sympy as sp
 
 from jetsym import Workspace
-from jetsym.algebra import evaluate_at, sample_points
+from jetsym.algebra import evaluate_at, sample_points, substitute, zero_verdict
+from jetsym.jets import NormalFormSystem, VectorField
 
 
 @pytest.fixture
@@ -66,3 +67,32 @@ def evaluable_points(e, rng, count):
     syms = sorted(e.free_symbols, key=lambda s: s.name)
     draws = sample_points(syms, rng, lambda point: evaluate_at(e, point), count * 40)
     return [point for point, _ in islice(draws, count)]
+
+
+def add_fields(*fields):
+    """The coefficientwise sum of vector fields on one workspace."""
+    ws = fields[0].ws
+    if any(f.ws is not ws for f in fields):
+        raise ValueError("vector fields live on different workspaces")
+    return VectorField(ws, tuple(map(sp.Add, *(f.xi for f in fields))),
+                       tuple(map(sp.Add, *(f.phi for f in fields))))
+
+
+def linear_combination(fields, coeffs):
+    return add_fields(*(f.scaled(c) for f, c in zip(fields, coeffs)))
+
+
+def field_from_strings(ws, xi_texts, phi_texts):
+    return VectorField(ws, tuple(ws.parse(t) for t in xi_texts),
+                       tuple(ws.parse(t) for t in phi_texts))
+
+
+def instantiate_ansatz(ansatz, bindings):
+    """Substitute concrete coefficient functions; returns the induced normal form."""
+    rhs = {key: substitute(e, bindings) for key, e in ansatz.rhs.items()}
+    return NormalFormSystem(ansatz.ws, rhs)
+
+
+def verify_instance(dsys, bindings, seed=None):
+    """Check a concrete coefficient instance against every determining equation."""
+    return [zero_verdict(substitute(eq, bindings), seed=seed) for eq in dsys.all_equations()]

@@ -25,7 +25,7 @@ from jetsym.jets import VectorField, prolong, total_derivative
 from jetsym.liesys import build_pde_lie_system, solve_solvable_q1
 from jetsym.problem import load_problem
 
-from conftest import evaluable_points, random_expr, random_poly
+from conftest import add_fields, evaluable_points, random_expr, random_poly
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -129,7 +129,7 @@ def test_criterion_3_rectifiable_family(capsys):
     problem = load_problem(PROBLEMS / "wave.jetsym")
     Y1, Y2 = problem.fields("rectifiable").members
     br = lie_bracket(Y1, Y2)
-    residual = br + Y2  # [Y1, Y2] + Y2 must vanish coefficientwise
+    residual = add_fields(br, Y2)  # [Y1, Y2] + Y2 must vanish coefficientwise
     assert all(normalize(c) == 0 for c in residual.coefficient_row())
     _pass(3, "rectifiable family verified; [Y1,Y2] = -Y2 exactly")
 

@@ -7,14 +7,14 @@ from jetsym import TriBool, Workspace, ZeroVerdict, is_zero, normalize, parse, p
 from jetsym.condsym import (AnsatzSystem, NormalFormSystem, PdeSystem,
                             build_ansatz, characteristic_system,
                             compatibility_residuals, determining_system,
-                            fields_to_normal_form, instantiate_ansatz,
-                            verify_conditional_symmetry, verify_instance,
+                            fields_to_normal_form,
+                            verify_conditional_symmetry,
                             verify_solution)
 from jetsym.families import AnsatzFamily
 from jetsym.geometry import VectorFieldFamily, is_abelian
 from jetsym.jets import VectorField
 
-from conftest import random_poly
+from conftest import instantiate_ansatz, random_poly, verify_instance
 
 ONE = sp.Integer(1)
 ZERO = sp.Integer(0)

@@ -8,7 +8,7 @@ from jetsym.geometry import (VectorFieldFamily, analyze_distribution,
                              lie_bracket, projects_onto_tx, rectify)
 from jetsym.jets import VectorField, prolong
 
-from conftest import random_poly
+from conftest import add_fields, random_poly
 
 ONE = sp.Integer(1)
 ZERO = sp.Integer(0)
@@ -59,10 +59,10 @@ def test_bracket_antisymmetry_and_jacobi(ws2, rng):
         Y, Z, W = rand_field(), rand_field(), rand_field()
         same = lie_bracket(Y, Y)
         assert all(is_zero(c) is ZeroVerdict.ZERO for c in same.coefficient_row())
-        anti = lie_bracket(Y, Z) + lie_bracket(Z, Y)
+        anti = add_fields(lie_bracket(Y, Z), lie_bracket(Z, Y))
         assert all(is_zero(c) is ZeroVerdict.ZERO for c in anti.coefficient_row())
-        jac = (lie_bracket(Y, lie_bracket(Z, W)) + lie_bracket(Z, lie_bracket(W, Y))
-               + lie_bracket(W, lie_bracket(Y, Z)))
+        jac = add_fields(lie_bracket(Y, lie_bracket(Z, W)), lie_bracket(Z, lie_bracket(W, Y)),
+                         lie_bracket(W, lie_bracket(Y, Z)))
         assert all(is_zero(c) is ZeroVerdict.ZERO for c in jac.coefficient_row())
 
 
@@ -70,7 +70,7 @@ def test_bracket_wave_rectifiable_pair(wave_rectifiable):
     """[Y1, Y2] = -Y2 exactly."""
     Y1, Y2 = wave_rectifiable.members
     br = lie_bracket(Y1, Y2)
-    diff = br + Y2
+    diff = add_fields(br, Y2)
     assert all(normalize(c) == 0 for c in diff.coefficient_row())
 
 

@@ -9,14 +9,14 @@ from jetsym.condsym import characteristic_system
 from jetsym.errors import HardJetLimitExceeded, JetOrderExceeded, PreconditionFailed
 from jetsym.geometry import VectorFieldFamily
 from jetsym.jets import (NormalFormSystem, ProlongedVectorField, VectorField,
-                         characteristic, contract_contact,
-                         linear_combination, prolong,
+                         characteristic, contract_contact, prolong,
                          restrict_routes, restrict_to_section,
                          section_derivative, total_derivative,
                          total_derivative_multi)
 from jetsym.multiindex import indices_up_to
 
-from conftest import evaluable_points, random_expr, random_poly
+from conftest import (evaluable_points, field_from_strings, linear_combination,
+                      random_expr, random_poly)
 
 
 def test_total_derivative_basics(ws2):
@@ -303,6 +303,6 @@ def test_characteristic_derivatives_match_chain(rng):
 def test_characteristic_derivatives_liouville_member():
     ws = Workspace(["t", "x1", "x2"], ["u"], order_cap=1)
     ws.add_function("h", args=["t"])
-    Y = VectorField.from_strings(
+    Y = field_from_strings(
         ws, ["1", "x1", "0"], ["D(h(t),t) - 4*x1*exp(u/2)*exp(-h(t)/2)"])
     _table_matches_chain(Y, 2)
