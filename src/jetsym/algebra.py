@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+import operator
 from functools import lru_cache
 from itertools import islice
 
@@ -83,7 +84,6 @@ def _normalize_kernel_args(e):
 
 
 _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
-_OPAQUE = (AppliedUndef, sp.Derivative)
 
 
 def _plain_terms(e):
@@ -111,35 +111,25 @@ def _plain_terms(e):
     return out
 
 
-def _is_plain_polynomial(e):
-    return _plain_terms(e) is not None
-
-
-@lru_cache(maxsize=1024)
-def _qq_ring(gens):
-    return PolyRing(gens, QQ)
+_qq_ring = lru_cache(maxsize=1024)(lambda gens: PolyRing(gens, QQ))
 
 
 def _ring_elements(term_lists):
     """Plain polynomials, given by their ``_plain_terms``, as elements of one
-    sparse ring over QQ whose generators are their atoms; also the map from
-    each generator to its index."""
-    index = {}
-    for terms in term_lists:
-        for _, monomial in terms:
-            for g in monomial:
-                index.setdefault(g, len(index))
+    sparse ring over QQ on their atoms; also each atom's generator index."""
+    index = {g: i for i, g in enumerate(dict.fromkeys(
+        g for terms in term_lists for _, monomial in terms for g in monomial))}
     ring = _qq_ring(tuple(index))
     elements = []
     for terms in term_lists:
         element = {}
         for coeff, monomial in terms:
-            exponents = [0] * ring.ngens
+            key = [0] * ring.ngens
             for g, k in monomial.items():
-                exponents[index[g]] = k
-            key = tuple(exponents)
+                key[index[g]] = k
+            key = tuple(key)
             element[key] = element.get(key, QQ.zero) + QQ(coeff.p, coeff.q)
-        elements.append(ring.dtype({m: c for m, c in element.items() if c}))
+        elements.append(ring.from_dict(element))
     return elements, index
 
 
@@ -163,7 +153,7 @@ def derive(e, images):
         for g in dict.fromkeys(g for _, monomial in terms for g in monomial):
             if g in images:
                 needed[g] = _plain_terms(sp.sympify(images[g]))
-            elif isinstance(g, _OPAQUE):
+            elif isinstance(g, (AppliedUndef, sp.Derivative)):
                 needed[g] = _plain_terms(normalize(sp.Add(
                     *[images[s] * sp.diff(g, s) for s in g.free_symbols if s in images])))
         if all(t is not None for t in needed.values()):
@@ -180,11 +170,10 @@ def sum_of_products(pairs):
     ``derive`` when every factor is a plain polynomial."""
     factors = [sp.sympify(f) for pair in pairs for f in pair]
     term_lists = [_plain_terms(f) for f in factors]
-    if any(t is None for t in term_lists):
-        return normalize(sp.Add(*[a * b for a, b in zip(factors[::2], factors[1::2])]))
+    if None in term_lists:
+        return normalize(sp.Add(*[a * b for a, b in pairs]))
     elements, _ = _ring_elements(term_lists)
-    return sum((a * b for a, b in zip(elements[::2], elements[1::2])),
-               elements[0].ring.zero).as_expr()
+    return sum(map(operator.mul, elements[::2], elements[1::2]), elements[0].ring.zero).as_expr()
 
 
 def normalize(e):
@@ -211,7 +200,7 @@ def normalize(e):
     e = sp.expand(e)
     e = _merge_exp_factors(e)
     e = sp.expand(e)
-    if not _is_plain_polynomial(e):
+    if _plain_terms(e) is None:
         try:
             e = sp.cancel(e)
         except (PolynomialError, NotImplementedError, ZeroDivisionError):
@@ -300,8 +289,8 @@ def zero_verdict(e, seed=None, samples=8, tol=1e-9):
     if n.has(AppliedUndef, sp.Derivative, sp.Integral):
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", seed=seed)
     if not n.free_symbols:
-        value = evaluate_at(n, {})
-        if abs(value) > tol:
+        # a nonzero Rational is exact: only other constants need the float test
+        if n.is_Rational or abs(evaluate_at(n, {})) > tol:
             return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
         return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
     syms = sorted(n.free_symbols, key=lambda s: s.name)

@@ -9,7 +9,9 @@ defines a characteristic system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import sympy as sp
 
@@ -45,11 +47,6 @@ class VectorField:
     def is_zero_field(self):
         return all(e == 0 for e in self.xi + self.phi)
 
-    def scaled(self, factor):
-        factor = sp.sympify(factor)
-        return VectorField(self.ws, tuple(factor * e for e in self.xi),
-                           tuple(factor * e for e in self.phi))
-
     def format(self):
         parts = []
         for i, x in enumerate(self.ws.independent):
@@ -67,17 +64,11 @@ def _as_index(K):
     return K if isinstance(K, MultiIndex) else MultiIndex(tuple(K))
 
 
-def _slot_index(ws, slot):
-    if isinstance(slot, int):
-        return slot
-    return ws.slot(slot)
-
-
 def total_derivative(e, slot, ws):
     """D_i e = de/dx_i + sum u^a_{K,i} de/du^a_K: ``derive`` with x_i -> 1 and
     u^a_K -> u^a_{K,i}.  The jets of order |K| + 1 it needs are created up
     to the hard cap; the order cap stays as it is."""
-    i = _slot_index(ws, slot)
+    i = slot if isinstance(slot, int) else ws.slot(slot)
     e = sp.sympify(e)
     images = {s: ws.jet(a, K.inc(i), auto_raise=True) for s, a, K in ws.dependent_atoms(e)}
     images[ws.independent[i]] = sp.S.One
@@ -97,13 +88,9 @@ def total_derivative_multi(e, K, ws):
 def characteristic(Y):
     """Q^a = phi^a - sum_i xi^i u^a_i, affine in the first-order jets."""
     ws = Y.ws
-    out = []
-    for a in range(ws.q):
-        q = Y.phi[a]
-        for i in range(ws.p):
-            q = q - Y.xi[i] * ws.jet(a, MultiIndex.unit(ws.p, i), auto_raise=True)
-        out.append(normalize(q))
-    return tuple(out)
+    return tuple(sum_of_products(
+        [(sp.S.One, phi)] + [(xi, -ws.jet(a, MultiIndex.unit(ws.p, i), auto_raise=True))
+                             for i, xi in enumerate(Y.xi)]) for a, phi in enumerate(Y.phi))
 
 
 class ProlongedVectorField:
@@ -257,12 +244,8 @@ class NormalFormSystem:
     def equations(self):
         """Constraint residuals u^a_i - phi^a_i as jet expressions."""
         ws = self.ws
-        out = []
-        for a in range(ws.q):
-            for i in range(ws.p):
-                jet = ws.jet(a, MultiIndex.unit(ws.p, i), auto_raise=True)
-                out.append(normalize(jet - self.rhs[(a, i)]))
-        return out
+        return [normalize(ws.jet(a, MultiIndex.unit(ws.p, i), auto_raise=True) - self.rhs[(a, i)])
+                for a in range(ws.q) for i in range(ws.p)]
 
     def format_rows(self):
         ws = self.ws
@@ -278,7 +261,7 @@ def section_derivative(e, slot, nf):
     """D-tilde_i = d/dx_i + sum_b phi^b_i d/du^b acting on a J0 expression:
     ``derive`` with x_i -> 1 and u^b -> phi^b_i."""
     ws = nf.ws
-    i = _slot_index(ws, slot)
+    i = slot if isinstance(slot, int) else ws.slot(slot)
     images = {u: nf.rhs[(b, i)] for b, u in enumerate(ws.dependent)}
     images[ws.independent[i]] = sp.S.One
     return derive(e, images)
@@ -302,12 +285,8 @@ def restrict_to_section(e, nf):
     Uses the canonical peel route (lowest slot first); for an integrable
     normal form all routes agree because total derivatives commute.
     """
-    ws = nf.ws
     e = sp.sympify(e)
-    mapping = {}
-    for s, a, K in ws.jet_atoms(e):
-        mapping[s] = nf.jet_value(a, K.slots())
-    return normalize(e.xreplace(mapping))
+    return normalize(e.xreplace({s: nf.jet_value(a, K.slots()) for s, a, K in nf.ws.jet_atoms(e)}))
 
 
 def restrict_routes(e, nf, limit=128):
@@ -317,34 +296,15 @@ def restrict_routes(e, nf, limit=128):
     machinery collects coefficients from every route so that no condition
     implied by a resolution order is lost.
     """
-    ws = nf.ws
     e = sp.sympify(e)
-    alternatives = []
-    for s, a, K in sorted(ws.jet_atoms(e), key=lambda t: t[0].name):
-        values = []
-        for route in K.routes():
-            v = nf.jet_value(a, route)
-            if all(v != w for w in values):
-                values.append(v)
-        alternatives.append((s, values))
-    combos = 1
-    for _, values in alternatives:
-        combos *= len(values)
+    atoms = sorted(nf.ws.jet_atoms(e), key=lambda t: t[0].name)
+    alternatives = [list(dict.fromkeys(nf.jet_value(a, route) for route in K.routes()))
+                    for _, a, K in atoms]
+    combos = math.prod(map(len, alternatives))
     if combos > limit:
         raise PreconditionFailed(
             "route enumeration", f"{combos} jet resolution routes exceed limit {limit}")
-    results = []
-    stack = [(dict(), 0)]
-    while stack:
-        mapping, idx = stack.pop()
-        if idx == len(alternatives):
-            r = normalize(e.xreplace(mapping))
-            if all(r != seen for seen in results):
-                results.append(r)
-            continue
-        sym, values = alternatives[idx]
-        for v in values:
-            m2 = dict(mapping)
-            m2[sym] = v
-            stack.append((m2, idx + 1))
-    return results
+    # the first atom varies slowest, each over its distinct values last-first
+    return list(dict.fromkeys(
+        normalize(e.xreplace(dict(zip((s for s, _, _ in atoms), combo))))
+        for combo in product(*(values[::-1] for values in alternatives))))

@@ -79,7 +79,8 @@ def add_fields(*fields):
 
 
 def linear_combination(fields, coeffs):
-    return add_fields(*(f.scaled(c) for f, c in zip(fields, coeffs)))
+    return add_fields(*(VectorField(f.ws, tuple(c * e for e in f.xi), tuple(c * e for e in f.phi))
+                        for f, c in zip(fields, coeffs)))
 
 
 def field_from_strings(ws, xi_texts, phi_texts):

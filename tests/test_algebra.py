@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, proportional, substitute, zero_verdict)
-from jetsym.algebra import _is_plain_polynomial, evaluate_at
+from jetsym.algebra import _plain_terms, derive, evaluate_at, sum_of_products
 from jetsym.errors import CyclicBinding, DivisionByZero
 
 from conftest import evaluable_points, random_expr
@@ -58,9 +58,49 @@ def test_normalize_plain_polynomial_matches_cancel(e):
     """On plain polynomials normalize (which skips cancel) matches cancel."""
     reference = sp.cancel(sp.expand(e))
     out = normalize(e)
-    assert _is_plain_polynomial(sp.expand(e))
+    assert _plain_terms(sp.expand(e)) is not None
     assert out == reference
     assert print_expr(out) == print_expr(reference)
+
+
+def _tree_derive(e, images):
+    """The expression-tree formula that ``derive`` falls back to."""
+    return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
+
+
+_CHART = [g for g in _PLAIN_GENERATORS if g.is_Symbol]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plain, st.dictionaries(st.sampled_from(_CHART), _sums, min_size=1))
+def test_derive_ring_matches_tree(e, images):
+    """On plain polynomials the sparse-ring derivation, including the chain
+    rule through h(t) and D(h(t),t), is the tree formula to the last node."""
+    e = normalize(e)
+    images = {s: normalize(v) for s, v in images.items()}
+    assert _plain_terms(e) is not None
+    assert all(_plain_terms(v) is not None for v in images.values())
+    out, reference = derive(e, images), _tree_derive(e, images)
+    assert out == reference
+    assert sp.srepr(out) == sp.srepr(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_sums, _sums), min_size=1, max_size=4))
+def test_sum_of_products_ring_matches_tree(pairs):
+    pairs = [(normalize(a), normalize(b)) for a, b in pairs]
+    out = sum_of_products(pairs)
+    reference = normalize(sp.Add(*[a * b for a, b in pairs]))
+    assert sp.srepr(out) == sp.srepr(reference)
+
+
+def test_derive_falls_back_off_the_ring():
+    """A kernel in e or in a needed image takes the tree path."""
+    ws = _PLAIN_WS
+    t, u = ws.independent[0], ws.dependent[0]
+    for e, images in [(sp.exp(u) * t, {t: 1, u: u ** 2}),
+                      (u ** 2 * t, {t: sp.sin(u), u: 1})]:
+        assert derive(e, images) == _tree_derive(e, images)
 
 
 def test_normalize_cancels_non_plain(monkeypatch):
@@ -73,7 +113,7 @@ def test_normalize_cancels_non_plain(monkeypatch):
     monkeypatch.setattr(sp, "cancel", lambda f, *a, **k: calls.append(f) or cancel(f, *a, **k))
     for e in cases:
         calls.clear()
-        assert not _is_plain_polynomial(sp.expand(e))
+        assert _plain_terms(sp.expand(e)) is None
         assert normalize(e) == cancel(sp.expand(e))
         assert calls, f"cancel was skipped on {e}"
 
@@ -202,6 +242,15 @@ def test_zero_verdict_confidence_and_seed(ws2):
     assert r2.seed is not None
     r3 = zero_verdict(e, seed=0xBEEF)
     assert r3.verdict is ZeroVerdict.ZERO and r3.seed == 0xBEEF
+
+
+def test_nonzero_rational_constant_is_structurally_nonzero(ws2):
+    """A tiny rational constant is exact, so no float tolerance applies."""
+    x = ws2.independent[0]
+    for e in [(x + 1) ** 2 - x ** 2 - 2 * x - 1 + sp.Rational(1, 10 ** 15),
+              sp.Rational(1, 10 ** 15)]:
+        r = zero_verdict(e)
+        assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, "structural")
 
 
 def test_sampled_zero_evaluates_once_per_point(ws2, monkeypatch):

@@ -35,6 +35,18 @@ def test_total_derivative_of_unknown_function(ws2):
     assert d == normalize(sp.Derivative(phi, x2) * u + phi * ws2.jet(0, (0, 1)))
 
 
+def test_total_derivative_chain_rule_through_opaque_atom():
+    """D_t(h(t) u_{x1}) = D(h(t),t) u_{x1} + h(t) u_{t,x1}: the opaque h(t) is
+    differentiated through its argument on the ring path too."""
+    ws = Workspace(["t", "x1"], ["u"], order_cap=2)
+    h = ws.add_function("h", args=["t"])
+    t = ws.independent[0]
+    ux1, utx1 = ws.jet(0, (0, 1)), ws.jet(0, (1, 1))
+    d = total_derivative(h * ux1, 0, ws)
+    assert sp.Derivative(h, t) * ux1 in sp.Add.make_args(d)
+    assert d == sp.Derivative(h, t) * ux1 + h * utx1
+
+
 def test_total_derivative_multi_identity(ws2):
     e = parse("u^2 + x1*u", ws2)
     assert total_derivative_multi(e, MultiIndex((0, 0)), ws2) == normalize(e)
