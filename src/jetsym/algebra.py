@@ -8,14 +8,14 @@ numerical sampling fallback.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-import operator
-from functools import lru_cache
 from itertools import islice
 
 import sympy as sp
+from sympy.core.cache import cacheit
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import PolynomialError
@@ -111,15 +111,12 @@ def _plain_terms(e):
     return out
 
 
-_qq_ring = lru_cache(maxsize=1024)(lambda gens: PolyRing(gens, QQ))
-
-
 def _ring_elements(term_lists):
     """Plain polynomials, given by their ``_plain_terms``, as elements of one
     sparse ring over QQ on their atoms; also each atom's generator index."""
     index = {g: i for i, g in enumerate(dict.fromkeys(
         g for terms in term_lists for _, monomial in terms for g in monomial))}
-    ring = _qq_ring(tuple(index))
+    ring = PolyRing(tuple(index), QQ)
     elements = []
     for terms in term_lists:
         element = {}
@@ -134,19 +131,22 @@ def _ring_elements(term_lists):
 
 
 def derive(e, images):
-    """X(e) = sum_g de/dg * images[g]: the derivation X of the jet chart that
-    maps each symbol g in ``images`` to ``images[g]`` and every other symbol
-    to 0, applied to e and normalized.
+    """X(e) = sum_g de/dg * images[g], normalized: the derivation of the jet
+    chart that maps each symbol g in ``images`` to ``images[g]`` and every
+    other symbol to 0.  An opaque atom g (an applied unknown function or a
+    Derivative of one) follows the chain rule, X(g) = sum_s images[s] dg/ds.
 
-    An opaque atom g (an applied unknown function or a Derivative of one)
-    is differentiated through its arguments by the chain rule,
-    X(g) = sum_s images[s] * dg/ds.  When e and the images it needs are
-    plain polynomials (see ``_plain_terms``), X runs in a sparse polynomial
-    ring over QQ whose generators are their atoms, and the result converts
-    back once; otherwise it is ``sp.diff`` on the expression tree, summed
-    and normalized.  Both paths give the same normal form.
+    On plain polynomials (``_plain_terms``) X runs in a sparse ring over QQ
+    on their atoms and converts back once; otherwise it is ``sp.diff`` on the
+    expression tree, summed and normalized.  Both give the same normal form,
+    which sympy's cache keeps, as it keeps ``sp.diff``'s.
     """
-    e = sp.sympify(e)
+    return _derive(sp.sympify(e), tuple(images.items()))
+
+
+@cacheit
+def _derive(e, images):
+    images = dict(images)
     terms = _plain_terms(e)
     if terms is not None:
         needed = {}
@@ -188,9 +188,8 @@ def normalize(e):
     polynomial (see ``_plain_terms``).  On a plain polynomial it would
     return the content times the expanded numerator over the denominator 1,
     which is the expanded form itself, so skipping it changes nothing.
-    Kernels, negative powers and symbolic powers still go through it.  A
-    plain polynomial is also the input on which ``derive`` works in a
-    sparse ring; its result is in this normal form already.
+    Kernels, negative powers and symbolic powers still go through it.
+    ``derive`` returns this form directly from its sparse ring.
     """
     e = sp.sympify(e)
     if e.has(*_BAD_CONSTANTS):
