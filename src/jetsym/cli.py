@@ -14,10 +14,11 @@ import sys
 from .algebra import TriBool, substitute, zero_verdict
 from .condsym import (AnsatzSystem, PdeSystem, build_ansatz,
                       characteristic_system, compatibility_residuals,
-                      determining_system, fields_to_normal_form,
-                      verify_conditional_symmetry, verify_solution)
+                      determining_system, verify_conditional_symmetry,
+                      verify_solution)
 from .errors import JetsymError, PreconditionFailed
-from .geometry import VectorFieldFamily, analyze_distribution, is_abelian, rectify
+from .geometry import (VectorFieldFamily, analyze_distribution, is_abelian, rectify,
+                       z_form)
 from .grammar import print_expr
 from .jets import NormalFormSystem
 from .liesys import build_pde_lie_system, recognize_riccati, solve_solvable_q1
@@ -104,8 +105,9 @@ def cmd_charsys(report, problem, args, seed):
 
 def cmd_compatibility(report, problem, args, seed):
     F = problem.fields(args.fields)
-    nf, direct = fields_to_normal_form(F, seed=seed, require_abelian=False)
-    if not direct:
+    nf = z_form(F)
+    if nf is None:
+        nf = rectify(F, seed=seed).nf
         report.notes.append("fields rectified before the compatibility check")
     ws = problem.ws
     all_zero = True
@@ -133,12 +135,8 @@ def cmd_derive_determining(report, problem, args, seed):
     pde = _pde_system(problem)
     spec = problem.ansatz
     if spec.explicit_rhs is not None:
-        rhs = {}
-        idx = 0
-        for j in range(ws.p):
-            for a in range(ws.q):
-                rhs[(a, j)] = spec.explicit_rhs[idx]
-                idx += 1
+        rhs = {(a, j): spec.explicit_rhs[j * ws.q + a]
+               for j in range(ws.p) for a in range(ws.q)}
         ansatz = AnsatzSystem.from_explicit(spec.family, ws, rhs)
     else:
         ansatz = build_ansatz(spec.family, ws)
@@ -184,7 +182,7 @@ def cmd_verify_solution(report, problem, args, seed):
     nf = None
     if problem.field_groups:
         F = problem.fields(args.fields)
-        nf, _ = fields_to_normal_form(F, seed=seed)
+        nf = rectify(F, seed=seed).nf
         if problem.instance:
             nf = NormalFormSystem(ws, {k: substitute(v, problem.instance)
                                        for k, v in nf.rhs.items()})
@@ -205,7 +203,7 @@ def cmd_verify_solution(report, problem, args, seed):
 def cmd_solve_liesys(report, problem, args, seed):
     ws = problem.ws
     F = problem.fields(args.fields)
-    nf, _ = fields_to_normal_form(F, seed=seed)
+    nf = rectify(F, seed=seed).nf
     sys_ = build_pde_lie_system(nf, cap=args.cap, seed=seed)
     gens = ", ".join("(" + ", ".join(print_expr(c) for c in g) + ")"
                      for g in sys_.vg.generators)

@@ -18,7 +18,7 @@ from sympy.core.function import AppliedUndef
 from .algebra import TriBool, ZeroVerdict, normalize, zero_verdict
 from .errors import PreconditionFailed, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
-from .geometry import analyze_distribution, is_abelian, rectify
+from .geometry import analyze_distribution, rectify
 from .grammar import print_expr
 from .jets import (NormalFormSystem, ProlongedVectorField, compatibility_residuals,
                    restrict_routes, restrict_to_section)
@@ -28,7 +28,7 @@ __all__ = [
     "AnsatzSystem", "CharacteristicSystem", "DeterminingSystem",
     "NormalFormSystem", "PdeSystem", "SymmetryReport", "build_ansatz",
     "characteristic_system", "compatibility_residuals", "determining_system",
-    "fields_to_normal_form", "verify_conditional_symmetry", "verify_solution",
+    "verify_conditional_symmetry", "verify_solution",
 ]
 
 
@@ -115,19 +115,13 @@ def _basis_suffix(family, key):
         return "".join(str(k) for k in key)
     if family.kind in ("exponential", "hyperbolic"):
         # k = 0 -> 0, k = -1 -> 1, k = +1 -> 2, k = -2 -> 3, ...
-        flat = []
-        for k in key:
-            flat.append(str(2 * abs(k) - (1 if k < 0 else 0) if k != 0 else 0))
-        return "".join(flat)
+        return "".join(str(2 * abs(k) - (k < 0)) for k in key)
     head, n = key
     return {"one": "0", "sin": f"s{n}", "cos": f"c{n}"}[head]
 
 
 def _basis_keys(family, deps):
-    basis = family.basis(deps)
-    keys = []
-    for m in basis:
-        keys.append(family.term_key(m, deps))
+    keys = [family.term_key(m, deps) for m in family.basis(deps)]
     if family.kind in ("exponential", "hyperbolic"):
         keys.sort(key=lambda key: tuple((abs(k), k > 0) for k in key))
     return keys
@@ -149,11 +143,8 @@ class AnsatzSystem:
     def from_explicit(cls, family, ws, rhs_map):
         """Wrap explicit right-hand sides; unknowns are the functions they use."""
         rhs = {k: normalize(v) for k, v in rhs_map.items()}
-        unknowns = []
-        for e in rhs.values():
-            for f in sorted(e.atoms(AppliedUndef), key=lambda f: str(f)):
-                if f not in unknowns:
-                    unknowns.append(f)
+        unknowns = dict.fromkeys(f for e in rhs.values()
+                                 for f in sorted(e.atoms(AppliedUndef), key=str))
         return cls(ws, family, rhs, tuple(unknowns))
 
 
@@ -249,37 +240,6 @@ def determining_system(pde, ansatz):
 # symmetry verification
 # ---------------------------------------------------------------------------
 
-def fields_to_normal_form(F, seed=None, report=None, require_abelian=True):
-    """An Abelian family already in Z_j-form is read off directly (it is a
-    rectified PDE Lie algebra as it stands); anything else goes through
-    rectification, which enforces the rank/projection/involutivity
-    preconditions.  ``require_abelian=False`` reads any Z_j-form family off
-    verbatim, which the compatibility check needs (its whole point is to
-    test integrability of systems that may fail it)."""
-    ws = F.ws
-    if len(F) == ws.p:
-        slots = []
-        for m in F.members:
-            unit = [i for i in range(ws.p) if m.xi[i] == 1]
-            if len(unit) == 1 and all(m.xi[i] == 0 for i in range(ws.p) if i != unit[0]):
-                slots.append(unit[0])
-            else:
-                slots = None
-                break
-        if slots is not None and sorted(slots) == list(range(ws.p)):
-            abelian = TriBool.YES
-            if require_abelian:
-                abelian = (report.abelian if report is not None
-                           else is_abelian(F, seed=seed))
-            if abelian is TriBool.YES:
-                rhs = {}
-                for j, m in zip(slots, F.members):
-                    for a in range(ws.q):
-                        rhs[(a, j)] = m.phi[a]
-                return NormalFormSystem(ws, rhs), True
-    return rectify(F, seed=seed, precomputed=report).nf, False
-
-
 @dataclass
 class SymmetryReport:
     route: str
@@ -311,9 +271,9 @@ def verify_conditional_symmetry(pde, F, n=None, force_direct=False, seed=None):
     if not force_direct:
         try:
             report = analyze_distribution(F, seed=seed)
-            nf, already_rectified = fields_to_normal_form(F, seed=seed, report=report)
+            nf = rectify(F, seed=seed, precomputed=report).nf
             justification = ("tangency criterion for rectified families (Thm 7.6)"
-                             if already_rectified else
+                             if report.nf is not None else
                              "rectification equivalence + tangency criterion (Thm 7.4 + 7.6)")
             verdicts = []
             for name, delta in pde.items():
@@ -468,11 +428,8 @@ def verify_solution(systems, candidate, ws, seed=None):
             val = candidate.get(ws.dependent[a])
             if val is None:
                 raise ValueError(f"candidate missing dependent {ws.dependent[a]}")
-            args = []
-            for i, count in enumerate(K.counts):
-                if count:
-                    args.extend([ws.independent[i]] * count)
-            mapping[s] = sp.diff(val, *args)
+            mapping[s] = sp.diff(val, *[x for x, count in zip(ws.independent, K.counts)
+                                         for _ in range(count)])
 
     out = []
     for label, e in equations:

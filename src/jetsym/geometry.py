@@ -1,11 +1,13 @@
 """Vector-field algebra on the base chart: Lie brackets, distribution rank,
 projection onto the independent directions, involutivity, and rectification.
 
-Rank and projection verdicts are generic: the coefficient matrix is
-specialized at random exact-rational points (majority of three trials) and
-degeneracy loci are reported through the vanishing pivot minors rather than
-computed exhaustively.  Structure-function solving divides by those minors;
-the report carries them as declared nonvanishing assumptions.
+A family in Z_j-form (``z_form``) is read off exactly, with brackets from
+its compatibility residuals.  For any other family, rank and projection
+verdicts are generic: the coefficient matrix is specialized at random
+exact-rational points (majority of three trials) and degeneracy loci are
+reported through the vanishing pivot minors rather than computed
+exhaustively.  Structure-function solving divides by those minors; the
+report carries them as declared nonvanishing assumptions.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class VectorFieldFamily:
     def coefficient_rows(self):
         return [m.coefficient_row() for m in self.members]
 
-    def xi_rows(self):
-        return [list(m.xi) for m in self.members]
-
 
 def lie_bracket(Y, Z):
     """[Y, Z] on J0: the commutator of first-order operators, whose
@@ -65,18 +64,13 @@ def lie_bracket(Y, Z):
 # generic rank machinery
 # ---------------------------------------------------------------------------
 
-def _numeric_rows(rows, point):
-    out = []
-    for row in rows:
-        out.append([evaluate_at(e, point) for e in row])
-    return out
-
-
 def _chart_samples(rows, ws, seed, draws):
     """(point, numeric rows) at random chart points where every entry evaluates."""
     syms = list(ws.independent) + list(ws.dependent) + list(ws.parameters.values())
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    return sample_points(syms, rng, lambda point: _numeric_rows(rows, point), draws)
+    return sample_points(
+        syms, rng, lambda point: [[evaluate_at(e, point) for e in row] for row in rows],
+        draws)
 
 
 def _float_rank_with_pivots(M, tol=1e-9):
@@ -155,22 +149,67 @@ def generic_rank(F, seed=None):
 
 def projects_onto_tx(F, seed=None):
     """True iff the xi-block has generic rank p; degeneracy loci in the notes."""
-    report = _generic_rank_of_rows(F.xi_rows(), F.ws, seed, "xi-block")
+    report = _generic_rank_of_rows([list(m.xi) for m in F.members], F.ws, seed, "xi-block")
     return report.rank == F.ws.p, report.notes
+
+
+def _all_zero(exprs, seed):
+    """Yes iff every expression is Zero; No at the first NonZero (three-valued)."""
+    verdict = TriBool.YES
+    for e in exprs:
+        v = zero_verdict(e, seed=seed).verdict
+        if v is ZeroVerdict.NONZERO:
+            return TriBool.NO
+        if v is ZeroVerdict.UNKNOWN:
+            verdict = TriBool.UNKNOWN
+    return verdict
 
 
 def is_abelian(F, seed=None):
     """Yes iff all pairwise brackets vanish (three-valued)."""
-    verdict = TriBool.YES
-    for j, k in combinations(range(len(F)), 2):
-        br = lie_bracket(F.members[j], F.members[k])
-        for e in br.coefficient_row():
-            v = zero_verdict(e, seed=seed).verdict
-            if v is ZeroVerdict.NONZERO:
-                return TriBool.NO
-            if v is ZeroVerdict.UNKNOWN:
-                verdict = TriBool.UNKNOWN
-    return verdict
+    return _all_zero((e for j, k in combinations(range(len(F)), 2)
+                      for e in lie_bracket(F.members[j], F.members[k]).coefficient_row()),
+                     seed)
+
+
+def _member_bracket(F):
+    return lambda j, k: lie_bracket(F.members[j], F.members[k])
+
+
+# ---------------------------------------------------------------------------
+# families in Z_j-form
+# ---------------------------------------------------------------------------
+
+def z_form(F):
+    """The normal form u^a_{x_j} = phi^a_j of a family in Z_j-form, else None.
+
+    Such a family has p members d/dx^j + phi^a_j d/du^a, one for each slot j,
+    in any order.  It is rectified as it stands: its xi-block is a
+    permutation matrix, so its rank is p and it projects onto TX exactly.
+    """
+    ws = F.ws
+    units = [tuple(int(i == j) for i in range(ws.p)) for j in range(ws.p)]
+    slots = [units.index(m.xi) for m in F.members if m.xi in units]
+    if len(F) != ws.p or sorted(slots) != list(range(ws.p)):
+        return None
+    return NormalFormSystem(ws, {(a, j): m.phi[a] for j, m in zip(slots, F.members)
+                                 for a in range(ws.q)})
+
+
+def _nf_abelian(nf, seed):
+    """Yes iff the induced fields Z_j commute: every compatibility residual is Zero."""
+    return _all_zero((res for *_, res in compatibility_residuals(nf)), seed)
+
+
+def _z_bracket(F, nf):
+    """Member brackets of a family in Z_j-form, read off its compatibility
+    residuals."""
+    phi = {}
+    for a, j, k, res in compatibility_residuals(nf):
+        phi[(a, j, k)], phi[(a, k, j)] = res, -res
+    ws, slot = F.ws, [m.xi.index(1) for m in F.members]
+    return lambda j, k: VectorField(ws, (sp.S.Zero,) * ws.p, tuple(
+        phi[(a, slot[j], slot[k])] for a in range(ws.q)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +252,7 @@ def _solve_in_span(F, subset, bracket, point):
     m = len(cols)
     b = bracket.coefficient_row()
     nrows = ws.p + ws.q
-    Mnum = []
-    for r in range(nrows):
-        Mnum.append([evaluate_at(cols[c][r], point) for c in range(m)])
+    Mnum = [[evaluate_at(cols[c][r], point) for c in range(m)] for r in range(nrows)]
     _, piv_rows, _ = _float_rank_with_pivots(Mnum)
     candidates = [tuple(piv_rows)] if len(piv_rows) == m else []
     candidates += [c for c in combinations(range(nrows), m) if c != tuple(piv_rows)]
@@ -227,10 +264,8 @@ def _solve_in_span(F, subset, bracket, point):
         rhs = sp.Matrix([[b[r]] for r in rowsel])
         sol = S.solve(rhs)
         coeffs = [normalize(v) for v in sol]
-        residuals = []
-        for r in range(nrows):
-            lhs = sp.Add(*[cols[c][r] * coeffs[c] for c in range(m)])
-            residuals.append(normalize(lhs - b[r]))
+        residuals = [normalize(sp.Add(*[cols[c][r] * coeffs[c] for c in range(m)]) - b[r])
+                     for r in range(nrows)]
         return coeffs, residuals, det
     return None
 
@@ -238,20 +273,21 @@ def _solve_in_span(F, subset, bracket, point):
 def is_involutive(F, seed=None):
     """Each bracket solvable as a C-infinity combination of a spanning subset."""
     rank_report = generic_rank(F, seed=seed)
-    report = _involutivity(F, rank_report.rank, seed)
+    report = _involutivity(F, rank_report.rank, seed, _member_bracket(F))
     report.notes[:0] = rank_report.notes
     return report
 
 
-def _involutivity(F, rank, seed):
-    """``is_involutive`` for a known generic rank; its notes omit the rank's."""
+def _involutivity(F, rank, seed, bracket):
+    """``is_involutive`` for a known generic rank, with ``bracket(j, k)`` the
+    bracket of members j and k; its notes omit the rank's."""
     subset, point = _spanning_subset(F, rank, seed)
     verdict = TriBool.YES
     structure = {}
     assumptions = []
     notes = []
     for j, k in combinations(range(len(F)), 2):
-        br = lie_bracket(F.members[j], F.members[k])
+        br = bracket(j, k)
         if br.is_zero_field():
             structure[(j, k)] = tuple(sp.Integer(0) for _ in subset)
             continue
@@ -298,27 +334,30 @@ class DistributionReport:
     spanning_subset: tuple = ()
     assumptions: list = field(default_factory=list)
     degeneracy_notes: list = field(default_factory=list)
+    nf: NormalFormSystem = None  # the normal form of a Z_j-form family
 
 
 def analyze_distribution(F, seed=None):
-    rank_report = generic_rank(F, seed=seed)
-    projects, proj_notes = projects_onto_tx(F, seed=seed)
-    abelian = is_abelian(F, seed=seed)
+    """Rank, projection, involutivity and the Abelian test of a family.
+
+    A family in Z_j-form is read off exactly, without sampling: rank p,
+    projection onto TX, and brackets from its compatibility residuals.
+    """
+    nf = z_form(F)
+    if nf is None:
+        rank_report = generic_rank(F, seed=seed)
+        projects, proj_notes = projects_onto_tx(F, seed=seed)
+        rank, notes = rank_report.rank, rank_report.notes + proj_notes
+        abelian, bracket = is_abelian(F, seed=seed), _member_bracket(F)
+    else:
+        rank, projects, notes = F.ws.p, True, []
+        abelian, bracket = _nf_abelian(nf, seed), _z_bracket(F, nf)
     if abelian is TriBool.YES:
         inv = InvolutivityReport(TriBool.YES, {}, tuple(range(len(F))), [], [])
     else:
-        inv = _involutivity(F, rank_report.rank, seed)
-    notes = rank_report.notes + proj_notes + inv.notes
-    return DistributionReport(
-        generic_rank=rank_report.rank,
-        projects_onto_tx=projects,
-        involutive=inv.verdict,
-        abelian=abelian,
-        structure_functions=inv.structure_functions,
-        spanning_subset=inv.spanning_subset,
-        assumptions=inv.assumptions,
-        degeneracy_notes=notes,
-    )
+        inv = _involutivity(F, rank, seed, bracket)
+    return DistributionReport(rank, projects, inv.verdict, abelian, inv.structure_functions,
+                              inv.spanning_subset, inv.assumptions, notes + inv.notes, nf)
 
 
 @dataclass
@@ -334,8 +373,9 @@ def rectify(F, seed=None, precomputed=None):
     """Rewrite a rectifiable family in the basis Z_k = d/dx^k + phi^a_k d/du^a.
 
     Inverts the p x p xi-submatrix of a spanning subset (first usable subset
-    in input order).  Preconditions: generic rank p, projection onto the
-    independent directions, involutivity.
+    in input order).  A family already in Z_j-form keeps the normal form of
+    its distribution report.  Preconditions: generic rank p, projection onto
+    the independent directions, involutivity.
     """
     ws = F.ws
     report = precomputed if precomputed is not None else analyze_distribution(F, seed=seed)
@@ -352,29 +392,26 @@ def rectify(F, seed=None, precomputed=None):
     for subset in combinations(range(len(F)), ws.p):
         Xi = sp.Matrix([[F.members[j].xi[i] for i in range(ws.p)] for j in subset])
         det = normalize(Xi.det())
-        det_verdict = zero_verdict(det, seed=seed).verdict
-        if det_verdict is not ZeroVerdict.NONZERO:
+        if zero_verdict(det, seed=seed).verdict is not ZeroVerdict.NONZERO:
             last_error = f"subset {subset}: xi-minor {print_expr(det)} not invertible"
             continue
-        W = Xi.T.inv()
-        rhs = {}
-        for k in range(ws.p):
-            for a in range(ws.q):
-                rhs[(a, k)] = sp.Add(*[W[j, k] * F.members[subset[j]].phi[a]
-                                       for j in range(ws.p)])
-        nf = NormalFormSystem(ws, rhs)
-        assumptions = []
-        if det.free_symbols:
-            assumptions.append(f"nonvanishing xi-minor: {print_expr(det)}")
-        # Z_1..Z_p commute iff nf is integrable; the jet values behind the
-        # residuals stay memoized in nf for the restrictions that follow.
-        verdicts = {zero_verdict(res, seed=seed).verdict
-                    for *_, res in compatibility_residuals(nf)}
-        if ZeroVerdict.NONZERO in verdicts:
+        if report.nf is not None:
+            nf, abelian = report.nf, report.abelian
+        else:
+            W = Xi.T.inv()
+            nf = NormalFormSystem(ws, {
+                (a, k): sp.Add(*[W[j, k] * F.members[subset[j]].phi[a]
+                                 for j in range(ws.p)])
+                for k in range(ws.p) for a in range(ws.q)})
+            # the jet values behind the residuals stay memoized in nf for
+            # the restrictions that follow
+            abelian = _nf_abelian(nf, seed)
+        if abelian is TriBool.NO:
             raise PreconditionFailed(
                 "rectify postcondition", "rectified family is not Abelian")
-        notes = []
-        if ZeroVerdict.UNKNOWN in verdicts:
-            notes.append("rectified family Abelian check undetermined (opaque coefficients)")
+        assumptions = ([f"nonvanishing xi-minor: {print_expr(det)}"]
+                       if det.free_symbols else [])
+        notes = (["rectified family Abelian check undetermined (opaque coefficients)"]
+                 if abelian is TriBool.UNKNOWN else [])
         return RectifyResult(nf, subset, det, assumptions, notes)
     raise SingularXi(last_error or "no invertible xi-submatrix found")

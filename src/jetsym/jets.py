@@ -20,6 +20,8 @@ from .errors import HardJetLimitExceeded, PreconditionFailed
 from .grammar import print_expr
 from .multiindex import MultiIndex, indices_up_to
 
+ROUTE_LIMIT = 128  # jet resolution routes that restrict_routes enumerates at most
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -289,7 +291,7 @@ def restrict_to_section(e, nf):
     return normalize(e.xreplace({s: nf.jet_value(a, K.slots()) for s, a, K in nf.ws.jet_atoms(e)}))
 
 
-def restrict_routes(e, nf, limit=128):
+def restrict_routes(e, nf):
     """All structurally-distinct restrictions over the jet peel routes.
 
     Off an integrable section the peel order matters; the determining
@@ -301,9 +303,9 @@ def restrict_routes(e, nf, limit=128):
     alternatives = [list(dict.fromkeys(nf.jet_value(a, route) for route in K.routes()))
                     for _, a, K in atoms]
     combos = math.prod(map(len, alternatives))
-    if combos > limit:
+    if combos > ROUTE_LIMIT:
         raise PreconditionFailed(
-            "route enumeration", f"{combos} jet resolution routes exceed limit {limit}")
+            "route enumeration", f"{combos} jet resolution routes exceed limit {ROUTE_LIMIT}")
     # the first atom varies slowest, each over its distinct values last-first
     return list(dict.fromkeys(
         normalize(e.xreplace(dict(zip((s for s, _, _ in atoms), combo))))

@@ -29,6 +29,8 @@ __all__ = ["PDELieSystem", "Q1Solution", "RiccatiData", "VGAlgebra",
            "build_pde_lie_system", "recognize_riccati", "solve_solvable_q1",
            "u_bracket", "vg_closure"]
 
+MAX_ROUNDS = 12  # bracket rounds that vg_closure tries before giving up
+
 
 # ---------------------------------------------------------------------------
 # separation and exact rational span arithmetic
@@ -154,7 +156,7 @@ def _check_jacobi(vg):
                 raise AssertionError("structure constants violate the Jacobi identity")
 
 
-def vg_closure(nf, cap=10, max_rounds=12):
+def vg_closure(nf, cap=10):
     """Close the u-only factors of a separable normal form under brackets.
 
     Returns the algebra with exact rational structure constants, or raises
@@ -190,7 +192,7 @@ def vg_closure(nf, cap=10, max_rounds=12):
             try_add(ufield)
 
     depth = 0
-    for round_idx in range(max_rounds):
+    for round_idx in range(MAX_ROUNDS):
         added = False
         current = list(gens)
         for i, j in combinations(range(len(current)), 2):
@@ -339,21 +341,14 @@ class Q1Solution:
     assumptions: list = field(default_factory=list)
 
 
-def _transform_catalog(ws, gauge=None):
+def _transform_catalog(ws):
     u = ws.dependent[0]
     w = sp.Symbol("_w_", real=True, positive=True)
-    catalog = [
+    return [
         ("w = u", w, u, w),
         ("w = exp(u/2)", w, sp.exp(u / 2), 2 * sp.log(w)),
         ("w = exp(-u/2)", w, sp.exp(-u / 2), -2 * sp.log(w)),
     ]
-    if gauge is not None:
-        g = sp.sympify(gauge)
-        catalog.append((f"w = exp((u - g)/2), g = {print_expr(g)}",
-                        w, sp.exp((u - g) / 2), g + 2 * sp.log(w)))
-        catalog.append((f"w = exp(-(u - g)/2), g = {print_expr(g)}",
-                        w, sp.exp(-(u - g) / 2), g - 2 * sp.log(w)))
-    return catalog
 
 
 def _affine_coefficients(expr, w):
@@ -392,7 +387,7 @@ def _potential(coeffs, ws):
     return P, unresolved
 
 
-def solve_solvable_q1(sys, gauge=None, lam_name="lam", seed=None):
+def solve_solvable_q1(sys, seed=None):
     """Integrate a q = 1 PDE Lie system whose algebra maps into <d/dw, w d/dw>.
 
     w = w_H * (w_N + lam): the homogeneous factor is the exponential of a
@@ -405,7 +400,7 @@ def solve_solvable_q1(sys, gauge=None, lam_name="lam", seed=None):
         raise PreconditionFailed("q = 1", f"system has q = {ws.q}")
     u = ws.dependent[0]
     last_reason = None
-    for label, w, w_of_u, u_of_w in _transform_catalog(ws, gauge):
+    for label, w, w_of_u, u_of_w in _transform_catalog(ws):
         dwdu = sp.diff(w_of_u, u)
         ok = True
         for gen in sys.vg.generators:
@@ -433,13 +428,13 @@ def solve_solvable_q1(sys, gauge=None, lam_name="lam", seed=None):
         quotients = [normalize(d * sp.exp(-P)) for d in ds]
         w_n, unresolved_n = _potential(quotients, ws)
         unresolved = unresolved_h or unresolved_n
-        lam = ws.parameters.get(lam_name)
+        lam = ws.parameters.get("lam")
         if lam is None:
-            lam = ws.add_parameter(lam_name)
+            lam = ws.add_parameter("lam")
         w_expr = normalize(w_h * (w_n + lam))
         u_sol = normalize(u_of_w.xreplace({w: w_expr}))
         verdicts = verify_solution([nf], {u: u_sol}, ws, seed=seed)
-        assumptions = [f"integration parameter: {lam_name}"]
+        assumptions = ["integration parameter: lam"]
         if unresolved:
             assumptions.append("formal integrals remain; verification is Unknown")
         return Q1Solution(u_sol, label, w_h, w_n, lam, unresolved,

@@ -90,7 +90,8 @@ def _strip_quotes(text):
 
 
 def _split_sections(path, text):
-    sections = []
+    """{section name: [(line, key, value)]} and {section name: header line}."""
+    sections, headers = {}, {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -100,28 +101,33 @@ def _split_sections(path, text):
             name = line.strip()
             if not name.endswith("]"):
                 raise SchemaError(path, lineno, f"malformed section header {name!r}")
-            current = (name[1:-1].strip(), [])
-            sections.append(current)
+            name = name[1:-1].strip()
+            if name in sections:
+                raise SchemaError(path, lineno, f"duplicate section [{name}]")
+            current = sections[name] = []
+            headers[name] = lineno
             continue
         if current is None:
             raise SchemaError(path, lineno, "content before the first section")
         for sep in ("=", ":"):
             if sep in line:
                 key, value = line.split(sep, 1)
-                current[1].append((lineno, key.strip(), value.strip()))
+                current.append((lineno, key.strip(), value.strip()))
                 break
         else:
             raise SchemaError(path, lineno, f"expected 'key = value', got {line!r}")
-    return dict_of_sections(path, sections)
+    return sections, headers
 
 
-def dict_of_sections(path, sections):
-    out = {}
-    for name, rows in sections:
-        if name in out:
-            raise SchemaError(path, 0, f"duplicate section [{name}]")
-        out[name] = rows
-    return out
+def _int_value(path, lineno, name, text, least):
+    """The integer that ``text`` spells, when it is at least ``least``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise SchemaError(path, lineno, f"{name} must be an integer >= {least}, got {text!r}")
+    return value
 
 
 def _parse_expr(ws, path, lineno, text):
@@ -144,13 +150,13 @@ def _parse_field(ws, path, lineno, value):
     return VectorField(ws, tuple(xi), tuple(phi))
 
 
-def _get_single(section, key, path, default=None):
-    for lineno, k, v in section:
+def _get_single(path, sections, headers, name, key, default=None):
+    for lineno, k, v in sections[name]:
         if k == key:
             return lineno, v
     if default is not None:
         return 0, default
-    raise SchemaError(path, 0, f"missing key {key!r}")
+    raise SchemaError(path, headers[name], f"missing key {key!r}")
 
 
 def load_problem(path, order=None):
@@ -164,20 +170,22 @@ def load_problem(path, order=None):
             text = fh.read()
     except OSError as err:
         raise SchemaError(path, 0, f"cannot read problem file: {err}") from None
-    sections = _split_sections(path, text)
+    sections, headers = _split_sections(path, text)
 
     if "variables" not in sections:
         raise SchemaError(path, 0, "missing [variables] section")
-    _, indep = _get_single(sections["variables"], "independent", path)
-    _, dep = _get_single(sections["variables"], "dependent", path)
+    _, indep = _get_single(path, sections, headers, "variables", "independent")
+    _, dep = _get_single(path, sections, headers, "variables", "dependent")
 
     options = {}
+    order_line, order_text = 0, "2"
     for lineno, key, value in sections.get("options", []):
         options[key] = _strip_quotes(value)
-    file_order = int(options.get("order", 2))
-    n = order if order is not None else file_order
-    if n < 1:
-        raise SchemaError(path, 0, f"jet order {n} must be >= 1")
+        if key == "order":
+            order_line, order_text = lineno, options[key]
+    if order is not None:
+        order_line, order_text = 0, str(order)
+    n = _int_value(path, order_line, "jet order", order_text, 1)
 
     try:
         ws = Workspace(indep.split(), dep.split(), order_cap=n,
@@ -218,19 +226,20 @@ def load_problem(path, order=None):
             continue
         members = [_parse_field(ws, path, lineno, value) for lineno, _, value in rows]
         if not members:
-            raise SchemaError(path, 0, f"empty field group [{sec_name}]")
+            raise SchemaError(path, headers[sec_name], f"empty field group [{sec_name}]")
         field_groups[group] = VectorFieldFamily(ws, tuple(members))
 
     ansatz = None
     if "ansatz" in sections:
         sec = sections["ansatz"]
-        _, kind = _get_single(sec, "family", path)
+        kind_line, kind = _get_single(path, sections, headers, "ansatz", "family")
         bound_key = {"polynomial": "degree", "exponential": "kmax",
                      "trigonometric": "nmax", "hyperbolic": "kmax"}.get(kind)
         if bound_key is None:
-            raise SchemaError(path, 0, f"unknown ansatz family {kind!r}")
-        _, bound = _get_single(sec, bound_key, path, default="1")
-        family = AnsatzFamily(kind, int(bound))
+            raise SchemaError(path, kind_line, f"unknown ansatz family {kind!r}")
+        bound_line, bound = _get_single(path, sections, headers, "ansatz", bound_key,
+                                        default="1")
+        family = AnsatzFamily(kind, _int_value(path, bound_line, bound_key, bound, 0))
         check_closure(family.basis(ws.dependent), ws.dependent)
         explicit = None
         for lineno, key, value in sec:

@@ -243,8 +243,7 @@ def test_criterion_7_liouville_pipeline(capsys):
     # the solver reproduces the same superposition formula from the DCs
     problem = load_problem(PROBLEMS / "liouville.jetsym")
     ws = problem.ws
-    from jetsym.condsym import fields_to_normal_form
-    nf, _ = fields_to_normal_form(problem.fields())
+    nf = rectify(problem.fields()).nf
     sol = solve_solvable_q1(build_pde_lie_system(nf))
     h = ws.functions["h"]
     t, x1, x2 = ws.independent

@@ -1,23 +1,25 @@
 import sys
+from pathlib import Path
 
 import sympy as sp
 
-from jetsym import jets
+from jetsym import geometry, jets
 from jetsym import TriBool, Workspace, ZeroVerdict, is_zero, normalize, parse, proportional
+from jetsym.cli import main
 from jetsym.condsym import (AnsatzSystem, NormalFormSystem, PdeSystem,
                             build_ansatz, characteristic_system,
                             compatibility_residuals, determining_system,
-                            fields_to_normal_form,
                             verify_conditional_symmetry,
                             verify_solution)
 from jetsym.families import AnsatzFamily
-from jetsym.geometry import VectorFieldFamily, is_abelian
+from jetsym.geometry import VectorFieldFamily, is_abelian, rectify
 from jetsym.jets import VectorField
 
 from conftest import instantiate_ansatz, random_poly, verify_instance
 
 ONE = sp.Integer(1)
 ZERO = sp.Integer(0)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def wave_workspace():
@@ -146,6 +148,28 @@ def test_determining_system_derives_each_jet_value_once(monkeypatch):
                                 lambda e, slot, nf: calls.append((e, slot)) or real(e, slot, nf))
     wave_determining()
     assert len(set(calls)) == len(calls) == 2
+
+
+def _count_calls(monkeypatch, module, name):
+    """Calls of ``module.name`` through every jetsym module that binds it."""
+    calls = []
+    real = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("jetsym.") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name,
+                                lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
+def test_verify_symmetry_reads_a_normal_form_once(monkeypatch, capsys):
+    """verify-symmetry on the wave fixture, a family in Z_j-form, brackets
+    nothing: its Abelian test and route A's restriction of u_{x1,x2} share
+    the normal form's two section derivatives D~_1 phi_2 and D~_2 phi_1."""
+    brackets = _count_calls(monkeypatch, geometry, "lie_bracket")
+    derivatives = _count_calls(monkeypatch, jets, "section_derivative")
+    assert main(["verify-symmetry", str(PROBLEMS / "wave.jetsym")]) == 0
+    capsys.readouterr()
+    assert (len(brackets), len(derivatives)) == (0, 2)
 
 
 def golden_wave_forms(ws):
@@ -333,7 +357,7 @@ def test_verify_solution_wave():
     u = ws.dependent[0]
     x1, x2 = ws.independent
     lam = ws.parameters["lam"]
-    nf, _ = fields_to_normal_form(F)
+    nf = rectify(F).nf
     candidate = {u: -1 / (x1 + x2 + lam)}
     results = verify_solution([pde, nf], candidate, ws)
     assert len(results) == 3

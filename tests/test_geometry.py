@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy as sp
 
@@ -5,7 +7,7 @@ from jetsym import TriBool, Workspace, ZeroVerdict, geometry, is_zero, normalize
 from jetsym.errors import PreconditionFailed
 from jetsym.geometry import (VectorFieldFamily, analyze_distribution,
                              generic_rank, is_abelian, is_involutive,
-                             lie_bracket, projects_onto_tx, rectify)
+                             lie_bracket, projects_onto_tx, rectify, z_form)
 from jetsym.jets import VectorField, prolong
 
 from conftest import add_fields, random_poly
@@ -134,6 +136,77 @@ def test_analyze_distribution_ranks_once(monkeypatch):
                                        "xi-block rank drops where exp(t) = 0"]
     assert len(calls) == 1
     assert is_involutive(F).notes == ["distribution rank drops where exp(t) = 0"]
+
+
+def _random_z_family(rng, p, q, kind):
+    """A family d/dx^j + phi^a_j d/du^a, j = 1..p, with its members out of
+    slot order.  About half the families are Abelian by construction:
+    phi^a_j = d_j G^a, times psi(u) when q = 1, has symmetric section
+    derivatives."""
+    ws = Workspace([f"x{i + 1}" for i in range(p)], ["u", "v"][:q], order_cap=1)
+    xs, us = ws.independent, ws.dependent
+
+    def term(syms):
+        c = sp.Rational(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3))
+        arg = c * rng.choice(syms)
+        return arg if kind == "polynomial" else rng.choice([sp.exp, sp.sin])(arg)
+
+    if rng.random() < 0.5:
+        potentials = [term(xs) * term(xs) + term(xs) for _ in us]
+        psi = 1 + term(us) if q == 1 else ONE
+        phi = [[sp.diff(G, x) * psi for G in potentials] for x in xs]
+    else:
+        phi = [[term(xs + us) + term(xs + us) for _ in us] for _ in xs]
+    members = [VectorField(ws, tuple(ONE if i == j else ZERO for i in range(p)),
+                           tuple(phi[j])) for j in range(p)]
+    order = list(range(p))
+    while order == sorted(order):
+        rng.shuffle(order)
+    return VectorFieldFamily(ws, tuple(members[j] for j in order))
+
+
+def test_z_form_family_is_read_off_exactly(monkeypatch):
+    """For families in Z_j-form, analyze_distribution takes the Abelian
+    verdict from the compatibility residuals: it agrees with the brackets,
+    and no rank is sampled and no bracket is taken."""
+    rng = random.Random(0x2F0)
+    families = [_random_z_family(rng, p, q, kind)
+                for p in (2, 3) for q in (1, 2) for kind in ("polynomial", "exp-sin")]
+    expected = [is_abelian(F) for F in families]
+    assert {TriBool.YES, TriBool.NO} <= set(expected)
+    calls = []
+    for name in ("generic_rank", "projects_onto_tx", "lie_bracket"):
+        monkeypatch.setattr(geometry, name,
+                            lambda *args, name=name, **kw: calls.append(name))
+    for F, abelian in zip(families, expected):
+        report = analyze_distribution(F)
+        assert report.abelian is abelian
+        assert report.involutive is abelian
+        assert (report.generic_rank, report.projects_onto_tx) == (F.ws.p, True)
+        # no rank or projection notes; a non-Abelian family notes only the
+        # bracket that leaves the span
+        assert all(n.startswith("bracket [") for n in report.degeneracy_notes)
+        assert not report.degeneracy_notes or abelian is TriBool.NO
+        assert report.nf is not None
+    assert calls == []
+
+
+def test_z_form(ws2, wave_pair):
+    x1, x2 = ws2.independent
+    u = ws2.dependent[0]
+    Z1, Z2 = wave_pair.members
+    swapped = z_form(VectorFieldFamily(ws2, (VectorField(ws2, (ZERO, ONE), (x1,)),
+                                             VectorField(ws2, (ONE, ZERO), (u,)))))
+    assert swapped.rhs == {(0, 0): u, (0, 1): x1}
+    assert z_form(wave_pair).rhs == {(0, 0): u ** 2, (0, 1): u ** 2}
+    not_z = [
+        (VectorField(ws2, (2 * ONE, ZERO), (u,)), Z2),      # a xi entry of 2
+        (Z1, VectorField(ws2, (ONE, ZERO), (x2,))),         # two members on one slot
+        (Z1, Z2, VectorField(ws2, (ONE, ZERO), (ZERO,))),   # p + 1 members
+        (VectorField(ws2, (x1, ZERO), (u,)), Z2),           # a non-constant xi
+    ]
+    for members in not_z:
+        assert z_form(VectorFieldFamily(ws2, members)) is None
 
 
 def test_is_abelian(ws2, wave_pair, nonlie):

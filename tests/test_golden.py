@@ -13,8 +13,10 @@ The files change only with an intended report change.  Rewrite them with
 """
 
 import contextlib
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,32 @@ def test_golden_report(fixture, command):
 def test_golden_variant_report(fixture, command, extra):
     _check(golden_path(fixture, command, extra).read_text(),
            *run_json(fixture, command, extra))
+
+
+def load_expectations():
+    """The benchmark's hand-written expectations, ``perfbench/expectations.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_expectations", ROOT / "perfbench" / "expectations.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_reports_meet_the_benchmark_expectations():
+    """Every golden report passes the benchmark's hand-written check for its
+    job: the golden files and ``perfbench/expectations.py`` agree."""
+    exp = load_expectations()
+    expected = {golden_path(fixture, command, extra): expect
+                for command, fixture, extra, expect, _, _ in exp.CLI_TABLE}
+    expected.update((golden_path(rung, "derive-determining"), expect)
+                    for rung, expect, _ in exp.LADDER_TABLE)
+    assert sorted(expected) == sorted(GOLDEN.glob("*.json"))
+    outcomes = {}
+    for path, expect in expected.items():
+        data = json.loads(path.read_text())
+        outcomes[path.name] = exp.check_cli(expect, data["exit_code"], data)
+    assert {name: o for name, o in outcomes.items() if o[0] != exp.OK} == {}
 
 
 if __name__ == "__main__":

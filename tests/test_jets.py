@@ -248,6 +248,17 @@ def test_restrict_routes_differ_off_shell(ws2):
     assert len(values) == 2
 
 
+def test_restrict_routes_guard(ws2, monkeypatch):
+    """More route combinations than jets.ROUTE_LIMIT is a typed error."""
+    from jetsym import jets
+    u = ws2.dependent[0]
+    nf = NormalFormSystem(ws2, {(0, 0): ws2.add_function("a") * u,
+                                (0, 1): ws2.add_function("b") * u})
+    monkeypatch.setattr(jets, "ROUTE_LIMIT", 1)
+    with pytest.raises(PreconditionFailed, match="2 jet resolution routes exceed limit 1"):
+        restrict_routes(ws2.jet(0, (1, 1)), nf)
+
+
 def _peel_chain(alpha, route, nf):
     """The reference chain: phi^a at the innermost slot of the route, then one
     section derivative per slot outwards."""

@@ -63,6 +63,30 @@ def test_schema_errors(tmp_path):
     assert "nope" in str(err.value)
 
 
+HEADER = "[variables]\nindependent = x t\ndependent = u\n[pde]\np = \"u_{x}\"\n"
+
+
+@pytest.mark.parametrize("body,line", [
+    ("[options]\norder = two\n", 7),
+    ("[options]\norder = 0\n", 7),
+    ("[ansatz]\nfamily = polynomial\ndegree = 2x\n", 8),
+    ("[ansatz]\nfamily = polynomial\ndegree = -1\n", 8),
+    ("[ansatz]\nfamily = polynomal\n", 7),
+    ("[pde]\nq = \"u_{t}\"\n", 6),
+    ("[fields]\n[options]\norder = 1\n", 6),
+    ("[ansatz]\ndegree = 2\n", 6),
+], ids=["order-not-int", "order-zero", "degree-not-int", "degree-negative",
+        "unknown-family", "duplicate-section", "empty-fields", "missing-key"])
+def test_malformed_problem_reports_its_line(capsys, tmp_path, body, line):
+    """Malformed numbers and sections exit 3 with FILE:LINE and no traceback."""
+    path = tmp_path / "bad.jetsym"
+    path.write_text(HEADER + body)
+    rc, out, err = run_cli(capsys, "derive-determining", path)
+    assert rc == 3
+    assert f"{path}:{line}: " in err
+    assert "Traceback" not in out + err
+
+
 def test_cli_exit_codes(capsys):
     rc, _, _ = run_cli(capsys, "verify-symmetry", PROBLEMS / "wave.jetsym")
     assert rc == 0
