@@ -16,6 +16,7 @@ from itertools import islice
 
 import sympy as sp
 from sympy.core.cache import cacheit
+from sympy.core.evalf import PrecisionExhausted
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import PolynomialError
@@ -273,13 +274,18 @@ def sample_points(syms, rng, evaluate, draws):
         yield point, value
 
 
-def zero_verdict(e, seed=None, samples=8, tol=1e-9):
+ZERO_SAMPLES = 8   # points at which a residual with free symbols is sampled
+ZERO_TOL = 1e-9    # relative tolerance of a sampled value
+
+
+def zero_verdict(e, seed=None):
     """Three-valued zero test.
 
     Zero when the normal form is literally 0 (structural) or the residual
-    vanishes at ``samples`` random exact-rational points within relative
-    tolerance (probabilistic).  NonZero on a witness point; Unknown when
-    opaque unknown functions block sampling.
+    vanishes at ``ZERO_SAMPLES`` random exact-rational points within relative
+    tolerance ``ZERO_TOL`` (probabilistic).  NonZero on a witness point, or
+    for a constant whose value is not 0 (structural); Unknown when opaque
+    unknown functions block sampling.
     """
     seed = DEFAULT_SEED if seed is None else seed
     n = normalize(e)
@@ -288,24 +294,28 @@ def zero_verdict(e, seed=None, samples=8, tol=1e-9):
     if n.has(AppliedUndef, sp.Derivative, sp.Integral):
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", seed=seed)
     if not n.free_symbols:
-        # a nonzero Rational is exact: only other constants need the float test
-        if n.is_Rational or abs(evaluate_at(n, {})) > tol:
-            return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+        # a nonzero Rational is exact; any other constant is decided by its
+        # value to 40 significant digits, however small that value is
+        try:
+            if n.is_Rational or n.evalf(40, strict=True) != 0:
+                return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+        except PrecisionExhausted:
+            pass
         return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
     syms = sorted(n.free_symbols, key=lambda s: s.name)
     points = sample_points(syms, random.Random(seed),
-                           lambda point: evaluate_at(n, point), samples * 40)
+                           lambda point: evaluate_at(n, point), ZERO_SAMPLES * 40)
     terms = sp.Add.make_args(n)
     checked = 0
-    for point, value in islice(points, samples):
-        # the term scale only raises the threshold above tol, so a value
-        # within tol passes without evaluating the terms
-        if abs(value) > tol:
+    for point, value in islice(points, ZERO_SAMPLES):
+        # the term scale only raises the threshold above ZERO_TOL, so a
+        # value within it passes without evaluating the terms
+        if abs(value) > ZERO_TOL:
             try:
                 scale = max(abs(evaluate_at(t, point)) for t in terms)
             except (ValueError, TypeError, ZeroDivisionError):
                 scale = 1.0
-            if abs(value) > tol * max(1.0, scale):
+            if abs(value) > ZERO_TOL * max(1.0, scale):
                 return ZeroResult(ZeroVerdict.NONZERO, "probabilistic",
                                   witness=point, seed=seed)
         checked += 1
@@ -314,8 +324,8 @@ def zero_verdict(e, seed=None, samples=8, tol=1e-9):
     return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
 
 
-def is_zero(e, seed=None, samples=8, tol=1e-9):
-    return zero_verdict(e, seed=seed, samples=samples, tol=tol).verdict
+def is_zero(e, seed=None):
+    return zero_verdict(e, seed=seed).verdict
 
 
 def proportional(e1, e2):

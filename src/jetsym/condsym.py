@@ -16,7 +16,7 @@ import sympy as sp
 from sympy.core.function import AppliedUndef
 
 from .algebra import TriBool, ZeroVerdict, normalize, zero_verdict
-from .errors import PreconditionFailed, ReductionIncomplete
+from .errors import JetsymError, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, rectify
 from .grammar import print_expr
@@ -297,7 +297,7 @@ def verify_conditional_symmetry(pde, F, n=None, force_direct=False, seed=None):
             route_a.assumptions.extend(route_b.assumptions)
             route_a.route = "A+B"
             return route_a
-        except PreconditionFailed as err:
+        except JetsymError as err:
             notes.append(f"route A unavailable: {err}")
     return _direct_tangency(pde, F, n, seed=seed, notes=notes)
 

@@ -4,17 +4,17 @@ projection onto the independent directions, involutivity, and rectification.
 A family in Z_j-form (``z_form``) is read off exactly, with brackets from
 its compatibility residuals.  For any other family, rank and projection
 verdicts are generic: the coefficient matrix is specialized at random
-exact-rational points (majority of three trials) and degeneracy loci are
-reported through the vanishing pivot minors rather than computed
-exhaustively.  Structure-function solving divides by those minors; the
-report carries them as declared nonvanishing assumptions.
+exact-rational points and eliminated exactly there (``_pivots``), and
+degeneracy loci are reported through the vanishing pivot minors rather than
+computed exhaustively.  Structure-function solving divides by those minors;
+the report carries them as declared nonvanishing assumptions.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import sympy as sp
 
@@ -65,43 +65,50 @@ def lie_bracket(Y, Z):
 # ---------------------------------------------------------------------------
 
 def _chart_samples(rows, ws, seed, draws):
-    """(point, numeric rows) at random chart points where every entry evaluates."""
+    """(point, rows specialized exactly) at random chart points where every
+    entry evaluates to a finite real number."""
     syms = list(ws.independent) + list(ws.dependent) + list(ws.parameters.values())
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    return sample_points(
-        syms, rng, lambda point: [[evaluate_at(e, point) for e in row] for row in rows],
-        draws)
+
+    def specialize(point):
+        M = [[e.xreplace(point) for e in row] for row in rows]
+        for v in chain.from_iterable(M):
+            evaluate_at(v, {})
+        return M
+
+    return sample_points(syms, rng, specialize, draws)
 
 
-def _float_rank_with_pivots(M, tol=1e-9):
-    """Rank by Gaussian elimination; returns (rank, pivot rows, pivot cols)."""
+def _pivots(M):
+    """(pivot rows, pivot columns) of an exact Gaussian elimination of the
+    specialized rows M.
+
+    In each column the candidates are tried in order of float magnitude, the
+    first row winning a tie; floats only order them.  The pivot is the first
+    candidate that ``zero_verdict`` finds NonZero, which for a Rational is
+    an exact comparison with 0.
+    """
     rows = [list(r) for r in M]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    scale = max((abs(v) for r in rows for v in r), default=0.0)
-    if scale == 0.0:
-        return 0, [], []
-    row_idx = list(range(nrows))
+    row_idx = list(range(len(rows)))
     piv_rows, piv_cols = [], []
-    r = 0
-    for c in range(ncols):
-        best, best_i = 0.0, None
-        for i in range(r, nrows):
-            if abs(rows[i][c]) > best:
-                best, best_i = abs(rows[i][c]), i
-        if best <= tol * scale:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(piv_rows)
+        if r == len(rows):
+            break
+        candidates = sorted(range(r, len(rows)),
+                            key=lambda i: -abs(evaluate_at(rows[i][c], {})))
+        best = next((i for i in candidates
+                     if zero_verdict(rows[i][c]).verdict is ZeroVerdict.NONZERO), None)
+        if best is None:
             continue
-        rows[r], rows[best_i] = rows[best_i], rows[r]
-        row_idx[r], row_idx[best_i] = row_idx[best_i], row_idx[r]
+        rows[r], rows[best] = rows[best], rows[r]
+        row_idx[r], row_idx[best] = row_idx[best], row_idx[r]
         piv_rows.append(row_idx[r])
         piv_cols.append(c)
-        for i in range(r + 1, nrows):
+        for i in range(r + 1, len(rows)):
             factor = rows[i][c] / rows[r][c]
-            for j in range(c, ncols):
-                rows[i][j] -= factor * rows[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r, piv_rows, piv_cols
+            rows[i][c:] = [a - factor * b for a, b in zip(rows[i][c:], rows[r][c:])]
+    return piv_rows, piv_cols
 
 
 def _minor_note(rows, piv_rows, piv_cols, label):
@@ -122,28 +129,25 @@ class RankReport:
 
 
 def _generic_rank_of_rows(rows, ws, seed, label):
-    results = []
+    """Rank of the rows at the first sample point where it is full, else the
+    highest rank at up to three points.  The exact rank at a point falls
+    below the generic rank only on the zero set of a pivot minor."""
     pivots = None
     for _, M in islice(_chart_samples(rows, ws, seed, 60), 3):
-        r, pr, pc = _float_rank_with_pivots(M)
-        results.append(r)
-        if pivots is None or r >= max(results):
-            pivots = (pr, pc)
-    if not results:
+        trial = _pivots(M)
+        if pivots is None or len(trial[0]) > len(pivots[0]):
+            pivots = trial
+        if len(pivots[0]) == min(len(rows), len(rows[0])):
+            break
+    if pivots is None:
         raise SpecializationFailed(
             f"no evaluable specialization found for the {label} coefficient matrix")
-    rank = max(set(results), key=results.count)
-    notes = []
-    if len(set(results)) > 1:
-        notes.append(f"{label} rank disagreed across trials: {results}")
     note = _minor_note(rows, *pivots, label)
-    if note:
-        notes.append(note)
-    return RankReport(rank=rank, notes=notes)
+    return RankReport(rank=len(pivots[0]), notes=[note] if note else [])
 
 
 def generic_rank(F, seed=None):
-    """Generic rank of the l x (p+q) coefficient matrix, majority of 3 trials."""
+    """Generic rank of the l x (p+q) coefficient matrix, exact at sample points."""
     return _generic_rank_of_rows(F.coefficient_rows(), F.ws, seed, "distribution")
 
 
@@ -154,26 +158,23 @@ def projects_onto_tx(F, seed=None):
 
 
 def _all_zero(exprs, seed):
-    """Yes iff every expression is Zero; No at the first NonZero (three-valued)."""
+    """(Yes, None) iff every expression is Zero; (No, i) at the first NonZero
+    exprs[i]; (Unknown, None) otherwise."""
     verdict = TriBool.YES
-    for e in exprs:
+    for i, e in enumerate(exprs):
         v = zero_verdict(e, seed=seed).verdict
         if v is ZeroVerdict.NONZERO:
-            return TriBool.NO
+            return TriBool.NO, i
         if v is ZeroVerdict.UNKNOWN:
             verdict = TriBool.UNKNOWN
-    return verdict
+    return verdict, None
 
 
 def is_abelian(F, seed=None):
     """Yes iff all pairwise brackets vanish (three-valued)."""
     return _all_zero((e for j, k in combinations(range(len(F)), 2)
                       for e in lie_bracket(F.members[j], F.members[k]).coefficient_row()),
-                     seed)
-
-
-def _member_bracket(F):
-    return lambda j, k: lie_bracket(F.members[j], F.members[k])
+                     seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +198,12 @@ def z_form(F):
 
 
 def _nf_abelian(nf, seed):
-    """Yes iff the induced fields Z_j commute: every compatibility residual is Zero."""
-    return _all_zero((res for *_, res in compatibility_residuals(nf)), seed)
-
-
-def _z_bracket(F, nf):
-    """Member brackets of a family in Z_j-form, read off its compatibility
-    residuals."""
-    phi = {}
-    for a, j, k, res in compatibility_residuals(nf):
-        phi[(a, j, k)], phi[(a, k, j)] = res, -res
-    ws, slot = F.ws, [m.xi.index(1) for m in F.members]
-    return lambda j, k: VectorField(ws, (sp.S.Zero,) * ws.p, tuple(
-        phi[(a, slot[j], slot[k])] for a in range(ws.q)))
+    """The Abelian verdict of the induced fields Z_j, Yes iff every
+    compatibility residual is Zero, and the first NonZero residual
+    (a, j, k, residual) or None."""
+    residuals = compatibility_residuals(nf)
+    verdict, i = _all_zero([res for *_, res in residuals], seed)
+    return verdict, None if i is None else residuals[i]
 
 
 # ---------------------------------------------------------------------------
@@ -226,77 +220,49 @@ class InvolutivityReport:
 
 
 def _spanning_subset(F, rank, seed):
-    """Indices of `rank` members whose rows are generically independent."""
-    rows = F.coefficient_rows()
-    for point, M in _chart_samples(rows, F.ws, seed, 40):
-        chosen = []
-        for i in range(len(rows)):
-            trial = chosen + [i]
-            sub = [M[t] for t in trial]
-            r, _, _ = _float_rank_with_pivots(sub)
-            if r == len(trial):
-                chosen.append(i)
-            if len(chosen) == rank:
-                return tuple(chosen), point
-    raise SpecializationFailed("could not select a spanning subset numerically")
+    """The first `rank` members, in input order, whose rows are independent at
+    a sample point, and the chart rows on which their minor there is nonzero."""
+    for _, M in _chart_samples(F.coefficient_rows(), F.ws, seed, 40):
+        rows, members = _pivots(list(zip(*M)))
+        if len(members) >= rank:
+            return tuple(members[:rank]), tuple(rows[:rank])
+    raise SpecializationFailed("could not select a spanning subset")
 
 
-def _solve_in_span(F, subset, bracket, point):
-    """Solve bracket = sum_m f^m V_m over the function field.
-
-    Returns (coeffs, residuals, det) or None when every square subsystem is
-    symbolically singular.
-    """
-    ws = F.ws
+def _solve_in_span(F, subset, rowsel, bracket):
+    """Solve bracket = sum_m f^m V_m over the function field on the chart
+    rows ``rowsel``, whose minor is nonzero; returns (coeffs, residuals, det)."""
     cols = [F.members[i].coefficient_row() for i in subset]
-    m = len(cols)
     b = bracket.coefficient_row()
-    nrows = ws.p + ws.q
-    Mnum = [[evaluate_at(cols[c][r], point) for c in range(m)] for r in range(nrows)]
-    _, piv_rows, _ = _float_rank_with_pivots(Mnum)
-    candidates = [tuple(piv_rows)] if len(piv_rows) == m else []
-    candidates += [c for c in combinations(range(nrows), m) if c != tuple(piv_rows)]
-    for rowsel in candidates:
-        S = sp.Matrix([[cols[c][r] for c in range(m)] for r in rowsel])
-        det = normalize(S.det())
-        if det == 0:
-            continue
-        rhs = sp.Matrix([[b[r]] for r in rowsel])
-        sol = S.solve(rhs)
-        coeffs = [normalize(v) for v in sol]
-        residuals = [normalize(sp.Add(*[cols[c][r] * coeffs[c] for c in range(m)]) - b[r])
-                     for r in range(nrows)]
-        return coeffs, residuals, det
-    return None
+    S = sp.Matrix([[col[r] for col in cols] for r in rowsel])
+    det = normalize(S.det())
+    coeffs = [normalize(v) for v in S.solve(sp.Matrix([b[r] for r in rowsel]))]
+    residuals = [normalize(sp.Add(*[col[r] * f for col, f in zip(cols, coeffs)]) - b[r])
+                 for r in range(len(b))]
+    return coeffs, residuals, det
 
 
 def is_involutive(F, seed=None):
     """Each bracket solvable as a C-infinity combination of a spanning subset."""
     rank_report = generic_rank(F, seed=seed)
-    report = _involutivity(F, rank_report.rank, seed, _member_bracket(F))
+    report = _involutivity(F, rank_report.rank, seed)
     report.notes[:0] = rank_report.notes
     return report
 
 
-def _involutivity(F, rank, seed, bracket):
-    """``is_involutive`` for a known generic rank, with ``bracket(j, k)`` the
-    bracket of members j and k; its notes omit the rank's."""
-    subset, point = _spanning_subset(F, rank, seed)
+def _involutivity(F, rank, seed):
+    """``is_involutive`` for a known generic rank; its notes omit the rank's."""
+    subset, rowsel = _spanning_subset(F, rank, seed)
     verdict = TriBool.YES
     structure = {}
     assumptions = []
     notes = []
     for j, k in combinations(range(len(F)), 2):
-        br = bracket(j, k)
+        br = lie_bracket(F.members[j], F.members[k])
         if br.is_zero_field():
             structure[(j, k)] = tuple(sp.Integer(0) for _ in subset)
             continue
-        solved = _solve_in_span(F, subset, br, point)
-        if solved is None:
-            verdict = TriBool.UNKNOWN
-            notes.append(f"bracket [{j},{k}]: all square subsystems singular")
-            continue
-        coeffs, residuals, det = solved
+        coeffs, residuals, det = _solve_in_span(F, subset, rowsel, br)
         pair_verdict = TriBool.YES
         for e in residuals:
             v = zero_verdict(e, seed=seed).verdict
@@ -341,21 +307,33 @@ def analyze_distribution(F, seed=None):
     """Rank, projection, involutivity and the Abelian test of a family.
 
     A family in Z_j-form is read off exactly, without sampling: rank p,
-    projection onto TX, and brackets from its compatibility residuals.
+    projection onto TX, and the Abelian verdict from its compatibility
+    residuals.  Its bracket [Z_j, Z_k] has xi-part 0, so it lies in the span
+    only when it is 0: the family is involutive exactly when it is Abelian.
     """
     nf = z_form(F)
     if nf is None:
         rank_report = generic_rank(F, seed=seed)
         projects, proj_notes = projects_onto_tx(F, seed=seed)
         rank, notes = rank_report.rank, rank_report.notes + proj_notes
-        abelian, bracket = is_abelian(F, seed=seed), _member_bracket(F)
+        abelian = is_abelian(F, seed=seed)
     else:
         rank, projects, notes = F.ws.p, True, []
-        abelian, bracket = _nf_abelian(nf, seed), _z_bracket(F, nf)
+        abelian, escape = _nf_abelian(nf, seed)
     if abelian is TriBool.YES:
         inv = InvolutivityReport(TriBool.YES, {}, tuple(range(len(F))), [], [])
+    elif nf is None:
+        inv = _involutivity(F, rank, seed)
     else:
-        inv = _involutivity(F, rank, seed, bracket)
+        inv = InvolutivityReport(abelian, None, tuple(range(len(F))), [], [])
+        if escape is not None:
+            # [Z_j, Z_k] = res d/du^a for slots j < k, and the residual of
+            # the zero combination is minus the bracket
+            _, j, k, res = escape
+            slots = [m.xi.index(1) for m in F.members]
+            j, k = slots.index(j), slots.index(k)
+            inv.notes.append(f"bracket [{min(j, k)},{max(j, k)}] leaves the span: "
+                             f"residual {print_expr(-res if j < k else res)}")
     return DistributionReport(rank, projects, inv.verdict, abelian, inv.structure_functions,
                               inv.spanning_subset, inv.assumptions, notes + inv.notes, nf)
 
@@ -405,7 +383,7 @@ def rectify(F, seed=None, precomputed=None):
                 for k in range(ws.p) for a in range(ws.q)})
             # the jet values behind the residuals stay memoized in nf for
             # the restrictions that follow
-            abelian = _nf_abelian(nf, seed)
+            abelian = _nf_abelian(nf, seed)[0]
         if abelian is TriBool.NO:
             raise PreconditionFailed(
                 "rectify postcondition", "rectified family is not Abelian")

@@ -253,6 +253,18 @@ def test_nonzero_rational_constant_is_structurally_nonzero(ws2):
         assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, "structural")
 
 
+def test_tiny_constant_is_structurally_nonzero():
+    """A constant that is not Rational is decided by its value to 40
+    significant digits, however small; only a constant that no precision
+    settles stays a probabilistic Zero."""
+    eps = sp.Rational(1, 10 ** 12)
+    for e in [sp.exp(-36), sp.sin(eps / 1000), sp.exp(1 + eps) - sp.E]:
+        r = zero_verdict(e)
+        assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, "structural"), e
+    r = zero_verdict(sp.sin(1) ** 2 + sp.cos(1) ** 2 - 1)
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
+
+
 def test_sampled_zero_evaluates_once_per_point(ws2, monkeypatch):
     """A value within tol passes whatever the term scale, so the terms are
     not evaluated one by one."""

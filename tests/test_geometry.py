@@ -94,6 +94,37 @@ def test_rank_degeneracy_note():
     assert any("x = 0" in n or "x" in n for n in notes)  # x = 0 locus flagged
 
 
+@pytest.mark.parametrize("tiny", [sp.Rational(1, 10 ** 12), sp.exp(-40)])
+def test_tiny_pivot_is_exact(ws2, tiny):
+    """A pivot far below any float tolerance still counts: the rank is exact
+    at the sample point."""
+    F = VectorFieldFamily(ws2, (VectorField(ws2, (ONE, ZERO), (ZERO,)),
+                                VectorField(ws2, (ONE, tiny), (ZERO,))))
+    assert generic_rank(F).rank == 2
+    assert projects_onto_tx(F) == (True, [])
+
+
+def test_generic_rank_is_exact_on_scaled_rows():
+    """Random rational matrices of known rank, each row scaled by 10^-k with
+    k in 0..20: the generic rank is the exact rank."""
+    rng = random.Random(0x5CA1E)
+    ws = Workspace(["x1", "x2"], ["u", "v"], order_cap=1)
+
+    def rational():
+        return sp.Rational(rng.randint(-9, 9), rng.randint(1, 9))
+
+    for _ in range(30):
+        nrows = rng.randint(1, 4)
+        rank = rng.randint(0, nrows)
+        A = sp.Matrix(nrows, rank, lambda i, j: rational())
+        B = sp.Matrix(rank, 4, lambda i, j: rational())
+        rows = [[e / 10 ** k for e in row]
+                for row, k in zip((A * B).tolist(), [rng.randint(0, 20) for _ in range(nrows)])]
+        F = VectorFieldFamily(ws, tuple(VectorField(ws, tuple(r[:2]), tuple(r[2:]))
+                                        for r in rows))
+        assert generic_rank(F).rank == sp.Matrix(rows).rank()
+
+
 def test_projects_onto_tx(nonlie, ws2):
     ok, _ = projects_onto_tx(nonlie)
     assert ok
@@ -168,14 +199,15 @@ def _random_z_family(rng, p, q, kind):
 def test_z_form_family_is_read_off_exactly(monkeypatch):
     """For families in Z_j-form, analyze_distribution takes the Abelian
     verdict from the compatibility residuals: it agrees with the brackets,
-    and no rank is sampled and no bracket is taken."""
+    and no point is sampled and no bracket is taken."""
     rng = random.Random(0x2F0)
     families = [_random_z_family(rng, p, q, kind)
                 for p in (2, 3) for q in (1, 2) for kind in ("polynomial", "exp-sin")]
     expected = [is_abelian(F) for F in families]
     assert {TriBool.YES, TriBool.NO} <= set(expected)
     calls = []
-    for name in ("generic_rank", "projects_onto_tx", "lie_bracket"):
+    for name in ("generic_rank", "projects_onto_tx", "lie_bracket", "_spanning_subset",
+                 "sample_points"):
         monkeypatch.setattr(geometry, name,
                             lambda *args, name=name, **kw: calls.append(name))
     for F, abelian in zip(families, expected):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -159,13 +160,50 @@ def test_exit_code_2_on_unknown(capsys, tmp_path):
     assert "Int(" in data["solution"]["u"]
 
 
-def test_cross_process_determinism():
-    """Identical problem + seed gives a byte-identical machine report."""
-    cmd = [sys.executable, "-m", "jetsym.cli", "verify-symmetry",
-           str(PROBLEMS / "wave.jetsym"), "--seed", "BEEF", "--format", "json"]
-    runs = [subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)]
+@pytest.mark.parametrize("args", [
+    ("verify-symmetry", "wave.jetsym", "--seed", "BEEF"),
+    # notes and assumptions from pivots chosen at sample points
+    ("analyze-distribution", "rectify.jetsym"),
+    ("verify-symmetry", "wave.jetsym", "--fields", "rectifiable"),
+], ids=["verify-symmetry-wave", "analyze-distribution-rectify",
+        "verify-symmetry-wave-rectifiable"])
+def test_cross_process_determinism(args):
+    """Identical problem + seed gives a byte-identical machine report, also
+    across processes with different string hashing."""
+    command, fixture, *flags = args
+    cmd = [sys.executable, "-m", "jetsym.cli", command, str(PROBLEMS / fixture),
+           *flags, "--format", "json"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True,
+                           env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            for hash_seed in ("1", "2")]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("tiny", ["1/1000000000000", "exp(-40)"])
+def test_tiny_pivot_family_is_rectifiable(capsys, tmp_path, tiny):
+    path = tmp_path / "tiny.jetsym"
+    path.write_text("[variables]\nindependent = x1 x2\ndependent = u\n"
+                    "[fields]\nY1 = \"1\" | \"0\" ; \"0\"\n"
+                    f"Y2 = \"1\" | \"{tiny}\" ; \"0\"\n")
+    rc, out, _ = run_cli(capsys, "analyze-distribution", path)
+    assert rc == 0
+    assert "[Yes] rectifiable" in out
+
+
+def test_route_a_error_falls_back_to_route_b(capsys, tmp_path):
+    """Scaling liouville's first member takes the family out of Z_j-form, and
+    the opaque h(t) then blocks route A's sampling: route B answers."""
+    path = tmp_path / "liouville-scaled.jetsym"
+    text = (PROBLEMS / "liouville.jetsym").read_text()
+    scaled = text.replace('"1" | "0" | "0" ; "D(h(t),t)"', '"2" | "0" | "0" ; "2*D(h(t),t)"')
+    assert scaled != text
+    path.write_text(scaled)
+    rc, data = run_json(capsys, "verify-symmetry", path)
+    assert rc == 0
+    assert data["verdicts"][0]["verdict"] == "Yes"
+    assert "route B" in data["verdicts"][0]["justification"]
+    assert any(n.startswith("route A unavailable: ") for n in data["notes"])
 
 
 def test_force_direct_flag(capsys):
