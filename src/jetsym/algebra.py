@@ -4,6 +4,21 @@ Expressions are sympy objects built over workspace symbols; this module
 pins down the canonical form and the engine-wide three-valued zero test.
 Exact rational arithmetic throughout; floats only appear inside the
 numerical sampling fallback.
+
+The hot path is one sparse ring over QQ (``sympy.polys.rings.PolyRing``),
+built per call on the atoms of its input (``_terms``, ``_ring_elements``).
+Its generators are symbols, applied unknown functions, canonical
+Derivatives, non-constant sin/cos/sinh/cosh/log atoms and, for each
+direction t of an exponential exp(c*t) with c rational, one generator
+exp(t/d), d the lcm of t's exponent denominators.  A sum with negative
+exponents is a Laurent element N / S: N a polynomial and S the smallest
+monomial in the exponential generators that clears them.  ``normalize``,
+``derive`` and ``sum_of_products`` compute there and convert back once;
+input outside the ring (rational functions, symbolic powers, constant
+kernels such as exp(-1/3)) takes sympy's expression trees and
+``sympy.cancel``.  The two agree except that the ring's Laurent form never
+shifts further than it must, where ``sympy.cancel``, reading exp(t) and
+exp(t/2) as unrelated generators, can (see ``normalize``).
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ import sympy as sp
 from sympy.core.cache import cacheit
 from sympy.core.evalf import PrecisionExhausted
 from sympy.core.function import AppliedUndef
+from sympy.core.numbers import ilcm
 from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import PolynomialError
 from sympy.polys.rings import PolyRing
@@ -79,45 +95,128 @@ def _canonical_derivatives(e):
     return e.replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.canonical)
 
 
+@cacheit
+def _normal_kernel(k):
+    """The kernel k with its argument normalized, once per kernel."""
+    return type(k)(normalize(k.args[0]))
+
+
 def _normalize_kernel_args(e):
-    return e.replace(lambda n: isinstance(n, KERNEL_CLASSES),
-                     lambda n: type(n)(normalize(n.args[0])))
+    return e.replace(lambda n: isinstance(n, KERNEL_CLASSES), _normal_kernel)
 
 
 _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
+# the kernels other than exp, which the ring reads as atoms, and their
+# derivatives d kernel(a) / da; log's 1/a is off the ring, so X(log a)
+# sends derive to the tree path unless X(a) = 0
+_KERNEL_PARTIALS = {sp.sin: sp.cos, sp.cos: lambda a: -sp.sin(a), sp.sinh: sp.cosh,
+                    sp.cosh: sp.sinh, sp.log: lambda a: 1 / a}
+_KERNEL_ATOMS = tuple(_KERNEL_PARTIALS)
 
 
-def _plain_terms(e):
-    """[(Rational, {g: k})] when e is a plain polynomial -- a sum of terms
-    Rational * prod g**k, with each generator g a Symbol, applied unknown
-    function or canonical Derivative and each k a positive Integer -- else
-    None."""
+def _direction(arg):
+    """exp(t) and c with arg = c*t, c Rational and t a product free of a
+    rational factor; None for a constant or a sum."""
+    c, rest = sp.S.One, []
+    for f in sp.Mul.make_args(arg):
+        if f.is_Rational:
+            c *= f
+        else:
+            rest.append(f)
+    c2, t = sp.Mul(*rest).as_coeff_Mul(rational=True)
+    if not t.free_symbols or any(f.is_Add for f in sp.Mul.make_args(t)):
+        return None
+    g = sp.exp(t)
+    return (g, c * c2) if isinstance(g, sp.exp) else None
+
+
+def _monomial(factors):
+    """(Rational, {atom: k}) for a product of ring factors, else None."""
+    coeff, monomial, laurent = sp.S.One, {}, False
+    for f in factors:
+        k = 1
+        if f.is_Pow:
+            f, k = f.base, f.exp
+            if not k.is_Integer:
+                return None
+            k = int(k)
+            if k < 0 and not isinstance(f, sp.exp):
+                return None
+        if isinstance(f, _GENERATORS):
+            if isinstance(f, sp.Derivative) and f != f.canonical:
+                return None
+            monomial[f] = monomial.get(f, 0) + k
+        elif f.is_Rational:
+            coeff *= f
+        elif isinstance(f, _KERNEL_ATOMS):
+            if not f.free_symbols:
+                return None
+            monomial[f] = monomial.get(f, 0) + k
+        elif isinstance(f, sp.exp):
+            direction = _direction(f.args[0])
+            if direction is None:
+                return None
+            g, c = direction
+            monomial[g] = monomial.get(g, 0) + c * k
+            laurent = True
+        else:
+            return None
+    if laurent:
+        monomial = {g: k for g, k in monomial.items() if k}
+    return coeff, monomial
+
+
+def _terms(e):
+    """[(Rational, {atom: k})] when e is a sum of QQ terms over the ring's
+    atoms, else None.
+
+    e is an expanded sum, or a normal form Rational * Add * monomial.  An atom
+    is a Symbol, an applied unknown function, a canonical Derivative or a
+    non-constant sin/cos/sinh/cosh/log, with k a positive integer; or
+    exp(t) for a direction t, with k rational and of either sign, standing
+    for exp(k*t).
+    """
+    outer = None
+    if e.is_Mul:
+        adds = [f for f in e.args if f.is_Add]
+        if len(adds) == 1:
+            outer = _monomial(f for f in e.args if not f.is_Add)
+            if outer is None:
+                return None
+            e = adds[0]
     out = []
     for term in sp.Add.make_args(e):
-        coeff, monomial = sp.S.One, {}
-        for f in sp.Mul.make_args(term):
-            k = 1
-            if f.is_Pow:
-                f, k = f.base, f.exp
-                if not (k.is_Integer and k > 0):
-                    return None
-            if f.is_Rational:
-                coeff *= f
-            elif isinstance(f, _GENERATORS) and not (
-                    isinstance(f, sp.Derivative) and f != f.canonical):
-                monomial[f] = monomial.get(f, 0) + int(k)
-            else:
-                return None
-        out.append((coeff, monomial))
-    return out
+        m = _monomial(sp.Mul.make_args(term))
+        if m is None:
+            return None
+        out.append(m)
+    if outer is None:
+        return out
+    c0, m0 = outer
+    return [(c0 * c, {g: k for g in {**m0, **m} if (k := m0.get(g, 0) + m.get(g, 0))})
+            for c, m in out]
 
 
 def _ring_elements(term_lists):
-    """Plain polynomials, given by their ``_plain_terms``, as elements of one
-    sparse ring over QQ on their atoms; also each atom's generator index."""
-    index = {g: i for i, g in enumerate(dict.fromkeys(
-        g for terms in term_lists for _, monomial in terms for g in monomial))}
-    ring = PolyRing(tuple(index), QQ)
+    """Sums given by their ``_terms`` as Laurent elements (N, shift) of one
+    sparse ring over QQ on their atoms; also each atom's generator index and
+    the denominator d of each exp(t).
+
+    The generator of exp(t) is exp(t/d), d the lcm of t's exponent
+    denominators, so its exponents are integers.  These generators come
+    first, and an element stands for N / prod g**shift over them: its shift
+    is the smallest that makes every exponent nonnegative, and () on a ring
+    without exponentials.
+    """
+    atoms = dict.fromkeys(g for terms in term_lists for _, monomial in terms for g in monomial)
+    dens = {g: 1 for g in atoms if type(g) is sp.exp}
+    if dens:
+        for terms in term_lists:
+            for _, monomial in terms:
+                for g in dens.keys() & monomial.keys():
+                    dens[g] = ilcm(dens[g], monomial[g].q)
+    index = {g: i for i, g in enumerate([*dens, *(g for g in atoms if g not in dens)])}
+    ring = PolyRing(tuple(sp.exp(g.args[0] / dens[g]) if g in dens else g for g in index), QQ)
     elements = []
     for terms in term_lists:
         element = {}
@@ -125,22 +224,64 @@ def _ring_elements(term_lists):
             key = [0] * ring.ngens
             for g, k in monomial.items():
                 key[index[g]] = k
+            if dens:
+                for i, d in enumerate(dens.values()):
+                    key[i] = int(key[i] * d)
             key = tuple(key)
             element[key] = element.get(key, QQ.zero) + QQ(coeff.p, coeff.q)
-        elements.append(ring.from_dict(element))
-    return elements, index
+        shift = ()
+        if dens:
+            shift = tuple(max(0, -min(key[i] for key in element)) for i in range(len(dens)))
+            element = {tuple(map(operator.add, key, shift)) + key[len(shift):]: c
+                       for key, c in element.items()}
+        elements.append((ring.from_dict(element), shift))
+    return elements, index, dens
+
+
+def _laurent_mul(a, b):
+    return a[0] * b[0], tuple(map(operator.add, a[1], b[1]))
+
+
+def _laurent_sum(parts, ring):
+    """The sum of Laurent elements, over the largest shift of each generator."""
+    shifts = {s for _, s in parts}
+    shift = tuple(map(max, zip(*shifts)))
+    total = ring.zero
+    for element, s in parts:
+        if s != shift:
+            element = element.mul_monom(_padded(ring, tuple(map(operator.sub, shift, s))))
+        total += element
+    return total, shift
+
+
+def _padded(ring, shift):
+    return shift + (0,) * (ring.ngens - len(shift))
+
+
+def _as_expr(element, shift):
+    """N / S as ``P.as_expr() / Q.as_expr()`` with (P, Q) =
+    ``PolyElement.cancel(N, S)``: the common monomial factor of N and the
+    shift S is cancelled, and P has integer coefficients."""
+    if not any(shift):
+        return element.as_expr()
+    p, q = element.cancel(element.ring({_padded(element.ring, shift): 1}))
+    return p.as_expr() / q.as_expr()
 
 
 def derive(e, images):
     """X(e) = sum_g de/dg * images[g], normalized: the derivation of the jet
     chart that maps each symbol g in ``images`` to ``images[g]`` and every
-    other symbol to 0.  An opaque atom g (an applied unknown function or a
-    Derivative of one) follows the chain rule, X(g) = sum_s images[s] dg/ds.
+    other symbol to 0.  Any other atom follows the chain rule through its
+    free symbols: X(h(t)) = images[t] dh/dt for an opaque function,
+    X(sin a) = cos a X(a) for a kernel and X(exp(c t)) = c X(t) exp(c t).
 
-    On plain polynomials (``_plain_terms``) X runs in a sparse ring over QQ
-    on their atoms and converts back once; otherwise it is ``sp.diff`` on the
-    expression tree, summed and normalized.  Both give the same normal form,
-    which sympy's cache keeps, as it keeps ``sp.diff``'s.
+    e and the images are normal forms.  When ``_terms`` reads them and the
+    atoms' images, X runs in one sparse ring over QQ (``_ring_elements``):
+    a Laurent element N / S derives as (X(N) - N sum_E s_E X(t_E) / d_E) / S
+    for the shift S = prod_E E**s_E of the generators E = exp(t_E / d_E).
+    Otherwise it is ``sp.diff`` on the expression tree, summed and
+    normalized.  Both give the same normal form, which sympy's cache keeps,
+    as it keeps ``sp.diff``'s.
     """
     return _derive(sp.sympify(e), tuple(images.items()))
 
@@ -148,49 +289,87 @@ def derive(e, images):
 @cacheit
 def _derive(e, images):
     images = dict(images)
-    terms = _plain_terms(e)
+    terms = _terms(e)
     if terms is not None:
         needed = {}
         for g in dict.fromkeys(g for _, monomial in terms for g in monomial):
             if g in images:
-                needed[g] = _plain_terms(sp.sympify(images[g]))
-            elif isinstance(g, (AppliedUndef, sp.Derivative)):
-                needed[g] = _plain_terms(normalize(sp.Add(
-                    *[images[s] * sp.diff(g, s) for s in g.free_symbols if s in images])))
+                needed[g] = _terms(sp.sympify(images[g]))
+            elif not g.is_Symbol:
+                own = tuple((s, images[s]) for s in sorted(g.free_symbols, key=str)
+                            if s in images)
+                if own:
+                    needed[g] = _terms(_image(g, own))
         if all(t is not None for t in needed.values()):
-            (element, *values), index = _ring_elements([terms, *needed.values()])
-            out = element.ring.zero
+            ((element, shift), *values), index, dens = _ring_elements(
+                [terms, *needed.values()])
+            parts = []
             for g, value in zip(needed, values):
-                out += element.diff(index[g]) * value
-            return out.as_expr()
+                i = index[g]
+                if g in dens:
+                    # E**m / E**shift -> (m - shift)/d X(t) E**m / E**shift
+                    de = element.ring.from_dict({m: c * QQ(m[i] - shift[i], dens[g])
+                                                 for m, c in element.items()})
+                else:
+                    de = element.diff(i)
+                parts.append(_laurent_mul((de, shift), value))
+            return _as_expr(*_laurent_sum(parts, element.ring))
     return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
+
+
+@cacheit
+def _image(g, images):
+    """X(g) for an atom g of the ring that is not a chart symbol, given the
+    images of its own free symbols: computed once per atom and images, in
+    the ring where ``sum_of_products`` can.  For g = exp(t) it is X(t)."""
+    images = dict(images)
+    if isinstance(g, sp.exp):
+        return derive(g.args[0], images)
+    if isinstance(g, _KERNEL_ATOMS):
+        a = g.args[0]
+        return sum_of_products([(_KERNEL_PARTIALS[type(g)](a), derive(a, images))])
+    return sum_of_products([(v, sp.diff(g, s)) for s, v in images.items()])
 
 
 def sum_of_products(pairs):
     """sum a * b over the (a, b) pairs, normalized; in the sparse ring of
-    ``derive`` when every factor is a plain polynomial."""
+    ``derive`` when ``_terms`` reads every factor."""
     factors = [sp.sympify(f) for pair in pairs for f in pair]
-    term_lists = [_plain_terms(f) for f in factors]
+    term_lists = [_terms(f) for f in factors]
     if None in term_lists:
         return normalize(sp.Add(*[a * b for a, b in pairs]))
-    elements, _ = _ring_elements(term_lists)
-    return sum(map(operator.mul, elements[::2], elements[1::2]), elements[0].ring.zero).as_expr()
+    elements, _, _ = _ring_elements(term_lists)
+    return _as_expr(*_laurent_sum(list(map(_laurent_mul, elements[::2], elements[1::2])),
+                                  elements[0][0].ring))
 
 
 def normalize(e):
-    """Canonical form: expanded rational normal form over symbols and kernels.
+    """Canonical form: the expanded sum over symbols and kernels, or its
+    Laurent form; a rational normal form where neither applies.
 
-    Idempotent; exact; kernels with structurally equal arguments merge by
-    exponent addition (exp) and parity (sin/cos/sinh/cosh are handled by
-    the construction rules themselves).  No Pythagorean or other identity
-    rewriting takes place.
+    Kernel arguments are normalized first, and kernels with structurally
+    equal arguments merge by exponent addition (exp) and parity
+    (sin/cos/sinh/cosh are handled by the construction rules themselves).
+    No Pythagorean or other identity rewriting takes place.  The form is
+    idempotent and exact:
 
-    ``sympy.cancel`` runs only when the expanded form is not a plain
-    polynomial (see ``_plain_terms``).  On a plain polynomial it would
-    return the content times the expanded numerator over the denominator 1,
-    which is the expanded form itself, so skipping it changes nothing.
-    Kernels, negative powers and symbolic powers still go through it.
-    ``derive`` returns this form directly from its sparse ring.
+    - When ``_terms`` reads the expanded sum and no exponential in it has a
+      negative exponent, the expanded sum is the form, as ``sympy.cancel``
+      would also return it.
+    - When some do, the form is N / S as ``P.as_expr() / Q.as_expr()``
+      (``_as_expr``): each direction t of an exponential exp(c*t) is one
+      generator E = exp(t/d), d the lcm of t's exponent denominators, and S
+      is the smallest monomial in the E whose product with every term has
+      no negative exponent.  ``sympy.cancel`` returns the same shape but can
+      shift further, because it reads exp(t) and exp(t/2) as unrelated
+      generators: a*exp(-u/2) + b*exp(-3*u/2) + x is
+      (a*exp(u) + b + x*exp(3*u/2))*exp(-3*u/2) here and
+      (a*exp(3*u/2) + b*exp(u/2) + x*exp(2*u))*exp(-2*u) there.
+    - Any other input -- rational functions such as 1/(1 + u), symbolic
+      powers, constants such as exp(-1/3) -- has its exponential factors
+      merged and is put in ``sympy.cancel``'s form.
+
+    ``derive`` and ``sum_of_products`` return this form from the ring.
     """
     e = sp.sympify(e)
     if e.has(*_BAD_CONSTANTS):
@@ -198,13 +377,18 @@ def normalize(e):
     e = _canonical_derivatives(e)
     e = _normalize_kernel_args(e)
     e = sp.expand(e)
+    terms = _terms(e)
+    if terms is not None:
+        if any(k < 0 for _, monomial in terms for k in monomial.values()):
+            (element,), _, _ = _ring_elements([terms])
+            e = _as_expr(*element)
+        return e
     e = _merge_exp_factors(e)
     e = sp.expand(e)
-    if _plain_terms(e) is None:
-        try:
-            e = sp.cancel(e)
-        except (PolynomialError, NotImplementedError, ZeroDivisionError):
-            pass
+    try:
+        e = sp.cancel(e)
+    except (PolynomialError, NotImplementedError, ZeroDivisionError):
+        pass
     if e.has(*_BAD_CONSTANTS):
         raise DivisionByZero(f"undefined constant while normalizing {e}")
     return e
@@ -274,6 +458,19 @@ def sample_points(syms, rng, evaluate, draws):
         yield point, value
 
 
+def nonzero_constant(c):
+    """True when the constant c is certainly not 0: a nonzero Rational is
+    exact, and any other constant is decided by its value to 40 significant
+    digits, however small that value is.  False when no precision settles
+    it, as for sin(1)**2 + cos(1)**2 - 1."""
+    if c.is_Rational:
+        return c != 0
+    try:
+        return c.evalf(40, strict=True) != 0
+    except PrecisionExhausted:
+        return False
+
+
 ZERO_SAMPLES = 8   # points at which a residual with free symbols is sampled
 ZERO_TOL = 1e-9    # relative tolerance of a sampled value
 
@@ -294,13 +491,8 @@ def zero_verdict(e, seed=None):
     if n.has(AppliedUndef, sp.Derivative, sp.Integral):
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", seed=seed)
     if not n.free_symbols:
-        # a nonzero Rational is exact; any other constant is decided by its
-        # value to 40 significant digits, however small that value is
-        try:
-            if n.is_Rational or n.evalf(40, strict=True) != 0:
-                return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
-        except PrecisionExhausted:
-            pass
+        if nonzero_constant(n):
+            return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
         return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
     syms = sorted(n.free_symbols, key=lambda s: s.name)
     points = sample_points(syms, random.Random(seed),

@@ -18,8 +18,8 @@ from itertools import chain, combinations, islice
 
 import sympy as sp
 
-from .algebra import (TriBool, ZeroVerdict, derive, evaluate_at, normalize,
-                      sample_points, zero_verdict)
+from .algebra import (TriBool, ZeroVerdict, derive, evaluate_at, nonzero_constant,
+                      normalize, sample_points, zero_verdict)
 from .errors import PreconditionFailed, SingularXi, SpecializationFailed
 from .grammar import print_expr
 from .jets import NormalFormSystem, VectorField, compatibility_residuals
@@ -85,8 +85,8 @@ def _pivots(M):
 
     In each column the candidates are tried in order of float magnitude, the
     first row winning a tie; floats only order them.  The pivot is the first
-    candidate that ``zero_verdict`` finds NonZero, which for a Rational is
-    an exact comparison with 0.
+    candidate that ``nonzero_constant`` finds nonzero, which for a Rational
+    is an exact comparison with 0.
     """
     rows = [list(r) for r in M]
     row_idx = list(range(len(rows)))
@@ -97,8 +97,7 @@ def _pivots(M):
             break
         candidates = sorted(range(r, len(rows)),
                             key=lambda i: -abs(evaluate_at(rows[i][c], {})))
-        best = next((i for i in candidates
-                     if zero_verdict(rows[i][c]).verdict is ZeroVerdict.NONZERO), None)
+        best = next((i for i in candidates if nonzero_constant(rows[i][c])), None)
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]

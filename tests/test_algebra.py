@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, proportional, substitute, zero_verdict)
-from jetsym.algebra import _plain_terms, derive, evaluate_at, sum_of_products
+from jetsym.algebra import _terms, derive, evaluate_at, sum_of_products
 from jetsym.errors import CyclicBinding, DivisionByZero
 
 from conftest import evaluable_points, random_expr
@@ -58,9 +58,64 @@ def test_normalize_plain_polynomial_matches_cancel(e):
     """On plain polynomials normalize (which skips cancel) matches cancel."""
     reference = sp.cancel(sp.expand(e))
     out = normalize(e)
-    assert _plain_terms(sp.expand(e)) is not None
+    assert _terms(sp.expand(e)) is not None
     assert out == reference
     assert print_expr(out) == print_expr(reference)
+
+
+_t, _x1, _u = (_PLAIN_WS.parse(text) for text in ("t", "x1", "u"))
+_h = _PLAIN_WS.parse("h(t)")
+_KERNELS = [sp.sin(_u), sp.cos(_x1), sp.sinh(_u + _x1), sp.cosh(_h), sp.log(_PLAIN_WS.parse("lam"))]
+_halves = st.sampled_from([sp.Rational(k, 2) for k in (-4, -3, -2, -1, 1, 2, 3, 4)])
+_exps = st.builds(lambda c, t: sp.exp(c * t), _halves, st.sampled_from([_t, _u, _h]))
+_laurent_monomials = st.builds(
+    lambda c, powers, exps: c * sp.Mul(*(g ** k for g, k in powers)) * sp.Mul(*exps),
+    _rationals,
+    st.lists(st.tuples(st.sampled_from(_PLAIN_GENERATORS + _KERNELS), st.integers(1, 2)),
+             max_size=2),
+    st.lists(_exps, max_size=2))
+_laurent_sums = st.builds(lambda terms: sp.Add(*terms), st.lists(_laurent_monomials, max_size=4))
+_laurent = st.one_of(_laurent_sums, st.builds(lambda a, b: a * b, _laurent_sums, _laurent_sums))
+
+
+def _exponents(n):
+    """The rational exponents of the exponentials along each direction in
+    each term of the sum n, from the ring's own reader."""
+    return [{g: k for g, k in monomial.items() if isinstance(g, sp.exp)}
+            for _, monomial in _terms(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent)
+def test_laurent_normal_form(e):
+    """normalize's Laurent form is idempotent, equal to e, shifted no
+    further than it must be, and sympy.cancel's form when no exponential
+    has a negative exponent."""
+    n = normalize(e)
+    assert sp.srepr(normalize(n)) == sp.srepr(n)
+    assert sp.expand(n) == sp.expand(e)
+    sums = [f for f in n.args if f.is_Add] if n.is_Mul else []
+    if sums:
+        # N * S**-1: N has no negative exponent, and along every direction
+        # of the shift S some term of N has exponent 0
+        (numerator,) = sums
+        shift = _exponents(sp.Mul(*[f for f in n.args if not f.is_Add]))[0]
+        terms = _exponents(numerator)
+        assert all(k > 0 for monomial in terms for k in monomial.values())
+        assert all(k < 0 for k in shift.values())
+        assert all(any(g not in monomial for monomial in terms) for g in shift)
+    elif len(sp.Add.make_args(n)) > 1:
+        assert all(k > 0 for monomial in _exponents(n) for k in monomial.values())
+    if all(k > 0 for monomial in _exponents(sp.expand(e)) for k in monomial.values()):
+        assert sp.srepr(n) == sp.srepr(sp.cancel(sp.expand(e)))
+
+
+def test_laurent_normal_form_shifts_minimally():
+    a, b, x = (_PLAIN_WS.parse(text) for text in ("lam", "t", "x1"))
+    e = a * sp.exp(-_u / 2) + b * sp.exp(-3 * _u / 2) + x
+    n = normalize(e)
+    assert n == (a * sp.exp(_u) + b + x * sp.exp(3 * _u / 2)) / sp.exp(3 * _u / 2)
+    assert sp.exp(-2 * _u) in sp.Mul.make_args(sp.cancel(e))
 
 
 def _tree_derive(e, images):
@@ -72,21 +127,25 @@ _CHART = [g for g in _PLAIN_GENERATORS if g.is_Symbol]
 
 
 @settings(max_examples=60, deadline=None)
-@given(_plain, st.dictionaries(st.sampled_from(_CHART), _sums, min_size=1))
+@given(st.one_of(_plain, _laurent),
+       st.dictionaries(st.sampled_from(_CHART), st.one_of(_sums, _laurent_sums), min_size=1))
 def test_derive_ring_matches_tree(e, images):
-    """On plain polynomials the sparse-ring derivation, including the chain
-    rule through h(t) and D(h(t),t), is the tree formula to the last node."""
+    """On the ring -- polynomials, kernels and Laurent exponentials -- the
+    sparse-ring derivation, including the chain rule through h(t),
+    D(h(t),t), kernel atoms and exponentials, is the tree formula to the
+    last node."""
     e = normalize(e)
     images = {s: normalize(v) for s, v in images.items()}
-    assert _plain_terms(e) is not None
-    assert all(_plain_terms(v) is not None for v in images.values())
+    assert _terms(e) is not None
+    assert all(_terms(v) is not None for v in images.values())
     out, reference = derive(e, images), _tree_derive(e, images)
     assert out == reference
     assert sp.srepr(out) == sp.srepr(reference)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(_sums, _sums), min_size=1, max_size=4))
+@given(st.lists(st.tuples(st.one_of(_sums, _laurent_sums), st.one_of(_sums, _laurent_sums)),
+                min_size=1, max_size=4))
 def test_sum_of_products_ring_matches_tree(pairs):
     pairs = [(normalize(a), normalize(b)) for a, b in pairs]
     out = sum_of_products(pairs)
@@ -95,27 +154,52 @@ def test_sum_of_products_ring_matches_tree(pairs):
 
 
 def test_derive_falls_back_off_the_ring():
-    """A kernel in e or in a needed image takes the tree path."""
+    """Input the ring does not read -- a rational function, a symbolic
+    power, a constant exponential -- or an atom whose image it does not
+    read (log u, whose image has 1/u) takes the tree path."""
     ws = _PLAIN_WS
-    t, u = ws.independent[0], ws.dependent[0]
-    for e, images in [(sp.exp(u) * t, {t: 1, u: u ** 2}),
-                      (u ** 2 * t, {t: sp.sin(u), u: 1})]:
+    t, u, lam = ws.independent[0], ws.dependent[0], ws.parameters["lam"]
+    for e, images in [(t / (1 + u), {t: 1, u: u ** 2}),
+                      (u ** lam * t, {t: 1, u: 1}),
+                      (sp.exp(-sp.Rational(1, 3)) * u ** 2, {u: t}),
+                      (sp.log(u) * t, {t: 1, u: u ** 2}),
+                      (u ** 2 * t, {t: 1 / (1 + u), u: 1})]:
+        e = normalize(e)
         assert derive(e, images) == _tree_derive(e, images)
 
 
+def test_atom_image_is_computed_once(monkeypatch):
+    """Two derivations that share an atom and the images of its free
+    symbols compute the atom's chain-rule image once."""
+    ws = _PLAIN_WS
+    t, x1, u = ws.independent + ws.dependent
+    h = ws.parse("h(t)")
+    sp.core.cache.clear_cache()
+    calls = []
+    real = sp.diff
+    monkeypatch.setattr(sp, "diff", lambda f, *a, **k: calls.append(f) or real(f, *a, **k))
+    first = derive(x1 * h, {t: 1, x1: 1})
+    second = derive(u * sp.sin(h) * h ** 2, {t: 1, u: x1})
+    assert first == h + x1 * ws.parse("D(h(t),t)")
+    assert second == _tree_derive(u * sp.sin(h) * h ** 2, {t: 1, u: x1})
+    assert calls.count(h) == 1
+
+
 def test_normalize_cancels_non_plain(monkeypatch):
+    """Rational functions go through sympy.cancel; kernel and Laurent sums
+    are put in the same form without it."""
     ws = _PLAIN_WS
     u = ws.dependent[0]
-    cases = [1 / (1 + u), u ** -2] + [ws.parse(text) for text in (
+    cases = [(1 / (1 + u), True), (u ** -2, True)] + [(ws.parse(text), False) for text in (
         "exp(-h(t)/2)*u_{x1} + 4*x1*exp(u/2)", "sin(u)*u_{x1}")]
     calls = []
     cancel = sp.cancel
     monkeypatch.setattr(sp, "cancel", lambda f, *a, **k: calls.append(f) or cancel(f, *a, **k))
-    for e in cases:
+    for e, cancelled in cases:
         calls.clear()
-        assert _plain_terms(sp.expand(e)) is None
+        assert (_terms(sp.expand(e)) is None) is cancelled
         assert normalize(e) == cancel(sp.expand(e))
-        assert calls, f"cancel was skipped on {e}"
+        assert bool(calls) is cancelled, e
 
 
 def test_normalize_idempotent_random(ws2, rng):

@@ -1,14 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
-from jetsym import TriBool, Workspace, ZeroVerdict, geometry, is_zero, normalize
+from jetsym import TriBool, Workspace, ZeroVerdict, algebra, geometry, is_zero, normalize
 from jetsym.errors import PreconditionFailed
 from jetsym.geometry import (VectorFieldFamily, analyze_distribution,
                              generic_rank, is_abelian, is_involutive,
                              lie_bracket, projects_onto_tx, rectify, z_form)
 from jetsym.jets import VectorField, prolong
+from jetsym.problem import load_problem
 
 from conftest import add_fields, random_poly
 
@@ -102,6 +104,21 @@ def test_tiny_pivot_is_exact(ws2, tiny):
                                 VectorField(ws2, (ONE, tiny), (ZERO,))))
     assert generic_rank(F).rank == 2
     assert projects_onto_tx(F) == (True, [])
+
+
+def test_pivots_decide_constants_without_normalize(monkeypatch):
+    """The kernel constants of rectify.jetsym's rows specialized at a sample
+    point are decided by their values, with no normalize call."""
+    problem = load_problem(Path(__file__).resolve().parent.parent / "problems" / "rectify.jetsym")
+    rows = problem.fields().coefficient_rows()
+    _, M = next(geometry._chart_samples(rows, problem.ws, None, 60))
+    assert any(not e.is_Rational for e in M[0])
+    calls = []
+    real = algebra.normalize
+    for module in (algebra, geometry):
+        monkeypatch.setattr(module, "normalize", lambda e: calls.append(e) or real(e))
+    assert geometry._pivots(M) == ([0, 1], [0, 1])
+    assert calls == []
 
 
 def test_generic_rank_is_exact_on_scaled_rows():
