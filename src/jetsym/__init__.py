@@ -1,7 +1,7 @@
 """jetsym: jet-bundle calculus and Clairin conditional symmetries of PDEs."""
 
 from .algebra import (TriBool, ZeroResult, ZeroVerdict, diff, is_zero,
-                      normalize, proportional, substitute, zero_verdict)
+                      normalize, substitute, zero_verdict)
 from .grammar import parse, print_expr
 from .multiindex import MultiIndex
 from .workspace import DEFAULT_SEED, SymbolKind, Workspace
@@ -21,7 +21,6 @@ __all__ = [
     "normalize",
     "parse",
     "print_expr",
-    "proportional",
     "substitute",
     "zero_verdict",
 ]

@@ -69,28 +69,6 @@ class ZeroResult:
 _BAD_CONSTANTS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
-def _merge_exp_factors(e):
-    """Exponent-addition rule: combine all exp factors of a product."""
-
-    def fix(m):
-        exps, rest = [], []
-        for f in m.args:
-            if isinstance(f, sp.exp):
-                exps.append(f.args[0])
-            elif f.is_Pow and f.base is sp.S.Exp1:
-                exps.append(f.exp)
-            elif f.is_Pow and isinstance(f.base, sp.exp):
-                exps.append(f.base.args[0] * f.exp)
-            else:
-                rest.append(f)
-        if len(exps) < 2:
-            return m
-        combined = sp.exp(sp.expand(sp.Add(*exps)))
-        return sp.Mul(*rest) * sp.expand_power_exp(combined)
-
-    return e.replace(lambda x: x.is_Mul, fix)
-
-
 def _canonical_derivatives(e):
     return e.replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.canonical)
 
@@ -347,9 +325,9 @@ def normalize(e):
     """Canonical form: the expanded sum over symbols and kernels, or its
     Laurent form; a rational normal form where neither applies.
 
-    Kernel arguments are normalized first, and kernels with structurally
-    equal arguments merge by exponent addition (exp) and parity
-    (sin/cos/sinh/cosh are handled by the construction rules themselves).
+    Kernel arguments are normalized first; sympy's construction rules
+    apply the parity of sin/cos/sinh/cosh and write exp(u)*exp(-u/2) as
+    exp(u/2), and ``sympy.expand`` splits exp(a + b) into exp(a)*exp(b).
     No Pythagorean or other identity rewriting takes place.  The form is
     idempotent and exact:
 
@@ -366,8 +344,8 @@ def normalize(e):
       (a*exp(u) + b + x*exp(3*u/2))*exp(-3*u/2) here and
       (a*exp(3*u/2) + b*exp(u/2) + x*exp(2*u))*exp(-2*u) there.
     - Any other input -- rational functions such as 1/(1 + u), symbolic
-      powers, constants such as exp(-1/3) -- has its exponential factors
-      merged and is put in ``sympy.cancel``'s form.
+      powers, constants such as exp(-1/3) -- is put in ``sympy.cancel``'s
+      form.
 
     ``derive`` and ``sum_of_products`` return this form from the ring.
     """
@@ -383,8 +361,6 @@ def normalize(e):
             (element,), _, _ = _ring_elements([terms])
             e = _as_expr(*element)
         return e
-    e = _merge_exp_factors(e)
-    e = sp.expand(e)
     try:
         e = sp.cancel(e)
     except (PolynomialError, NotImplementedError, ZeroDivisionError):
@@ -518,16 +494,4 @@ def zero_verdict(e, seed=None):
 
 def is_zero(e, seed=None):
     return zero_verdict(e, seed=seed).verdict
-
-
-def proportional(e1, e2):
-    """True when e1 = r*e2 for a nonzero rational constant r (or both are 0)."""
-    n1, n2 = normalize(e1), normalize(e2)
-    if n1 == 0 or n2 == 0:
-        return n1 == 0 and n2 == 0
-    try:
-        r = sp.cancel(n1 / n2)
-    except (PolynomialError, NotImplementedError):
-        return False
-    return r.is_Rational and r != 0
 

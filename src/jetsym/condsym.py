@@ -110,23 +110,6 @@ def _nonzero_constant(e, ws, seed):
 # ansatz systems
 # ---------------------------------------------------------------------------
 
-def _basis_suffix(family, key):
-    if family.kind == "polynomial":
-        return "".join(str(k) for k in key)
-    if family.kind in ("exponential", "hyperbolic"):
-        # k = 0 -> 0, k = -1 -> 1, k = +1 -> 2, k = -2 -> 3, ...
-        return "".join(str(2 * abs(k) - (k < 0)) for k in key)
-    head, n = key
-    return {"one": "0", "sin": f"s{n}", "cos": f"c{n}"}[head]
-
-
-def _basis_keys(family, deps):
-    keys = [family.term_key(m, deps) for m in family.basis(deps)]
-    if family.kind in ("exponential", "hyperbolic"):
-        keys.sort(key=lambda key: tuple((abs(k), k > 0) for k in key))
-    return keys
-
-
 @dataclass
 class AnsatzSystem:
     """phi^a_j = sum_K a^a_{jK}(x) u^K with x-only unknown coefficients."""
@@ -156,7 +139,7 @@ def build_ansatz(family, ws):
     general case prefixes the dependent index.
     """
     deps = ws.dependent
-    keys = _basis_keys(family, deps)
+    keys = family.keys(ws.q)
     rhs = {}
     unknowns = []
     for j in range(ws.p):
@@ -164,7 +147,7 @@ def build_ansatz(family, ws):
         for a in range(ws.q):
             total = sp.Integer(0)
             for key in keys:
-                suffix = _basis_suffix(family, key)
+                suffix = family.suffix(key)
                 name = f"{letter}{suffix}" if ws.q == 1 else f"{letter}{a + 1}_{suffix}"
                 fn = ws.add_function(name)
                 unknowns.append(fn)

@@ -6,7 +6,8 @@ half-integer exponentials exp(k*u/2), trigonometric combinations
 1/sin(n*u)/cos(n*u), or integer exponentials exp(k*u) (the hyperbolic
 basis in exponential form).  Families are closed under d/du, products,
 and linear combinations, which is what makes coefficient collection of
-the determining equations possible.
+the determining equations possible.  Collection reads the terms of a
+normal form as the ring of ``algebra`` does (``algebra._terms``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.simplify.fu import TR8
 
-from .algebra import normalize
+from .algebra import _monomial, _terms, normalize
 from .errors import FamilyNotClosed, NotInFamily
 
 POLYNOMIAL = "polynomial"
@@ -34,6 +36,8 @@ class AnsatzFamily:
     ``bound`` limits the basis used to *build* ansaetze (max total degree,
     max |k| in exp(k*u/2), or max n in sin(n*u)); collection accepts any
     member of the family closure, which products of basis elements produce.
+    A basis element's key is its exponents (k_1, ..., k_q) of u, of
+    exp(u/2) or of exp(u), or ("one", 0), ("sin", n) or ("cos", n).
     """
 
     kind: str
@@ -45,124 +49,126 @@ class AnsatzFamily:
         if self.bound < 0:
             raise ValueError("family bound must be non-negative")
 
-    def basis(self, deps):
-        deps = tuple(deps)
-        q = len(deps)
+    def keys(self, q):
+        """The basis keys, in the order the ansatz names its unknowns."""
+        b = self.bound
         if self.kind == POLYNOMIAL:
-            keys = [k for k in itertools.product(range(self.bound + 1), repeat=q)
-                    if sum(k) <= self.bound]
-        elif self.kind == EXPONENTIAL:
-            keys = list(itertools.product(range(-self.bound, self.bound + 1), repeat=q))
-        elif self.kind == HYPERBOLIC:
-            keys = list(itertools.product(range(-self.bound, self.bound + 1), repeat=q))
-        else:
+            return [k for k in itertools.product(range(b + 1), repeat=q) if sum(k) <= b]
+        if self.kind == TRIGONOMETRIC:
             if q != 1:
                 raise ValueError("trigonometric families support a single dependent variable")
-            keys = [("one", 0)] + [(f, n) for n in range(1, self.bound + 1)
-                                   for f in ("cos", "sin")]
-            return tuple(self.monomial(k, deps) for k in keys)
-        keys.sort()
-        return tuple(self.monomial(k, deps) for k in keys)
+            return [("one", 0)] + [(f, n) for n in range(1, b + 1) for f in ("cos", "sin")]
+        return sorted(itertools.product(range(-b, b + 1), repeat=q),
+                      key=lambda key: tuple((abs(k), k > 0) for k in key))
+
+    def suffix(self, key):
+        """The suffix of the unknown coefficient of the basis element ``key``."""
+        if self.kind == POLYNOMIAL:
+            return "".join(str(k) for k in key)
+        if self.kind == TRIGONOMETRIC:
+            return "0" if key[0] == "one" else f"{key[0][0]}{key[1]}"
+        # k = 0 -> 0, k = -1 -> 1, k = +1 -> 2, k = -2 -> 3, ...
+        return "".join(str(2 * abs(k) - (k < 0)) for k in key)
+
+    def basis(self, deps):
+        return tuple(self.monomial(key, deps) for key in self.keys(len(deps)))
 
     def monomial(self, key, deps):
-        deps = tuple(deps)
         if self.kind == POLYNOMIAL:
             return sp.Mul(*[d ** k for d, k in zip(deps, key)])
-        if self.kind == EXPONENTIAL:
-            return sp.exp(sp.Add(*[sp.Rational(k, 2) * d for d, k in zip(deps, key)]))
-        if self.kind == HYPERBOLIC:
-            return sp.exp(sp.Add(*[k * d for d, k in zip(deps, key)]))
-        head, n = key
-        if head == "one":
-            return sp.Integer(1)
-        return {"sin": sp.sin, "cos": sp.cos}[head](n * deps[0])
+        if self.kind == TRIGONOMETRIC:
+            head, n = key
+            return sp.Integer(1) if head == "one" else getattr(sp, head)(n * deps[0])
+        den = 2 if self.kind == EXPONENTIAL else 1
+        return sp.exp(sp.Add(*[sp.Rational(k, den) * d for d, k in zip(deps, key)]))
 
-    def term_key(self, m, deps):
-        """Family key of a pure u-monomial, or None when outside the closure."""
-        deps = tuple(deps)
-        m = sp.sympify(m)
+    def key(self, monomial, deps):
+        """The key of a u-monomial {atom: k} as ``algebra._terms`` reads it,
+        or None when it is no single element of the family closure."""
         if self.kind == POLYNOMIAL:
-            powers = m.as_powers_dict()
-            key = [0] * len(deps)
-            for base, ex in powers.items():
-                if base == 1:
-                    continue
-                if base not in deps or not (ex.is_Integer and ex >= 0):
-                    return None
-                key[deps.index(base)] = int(ex)
-            return tuple(key)
-        if self.kind in (EXPONENTIAL, HYPERBOLIC):
-            den = 2 if self.kind == EXPONENTIAL else 1
-            total = sp.Integer(0)
-            for base, ex in m.as_powers_dict().items():
-                if base == 1:
-                    continue
-                if base is sp.S.Exp1:
-                    total += ex
-                elif isinstance(base, sp.exp):
-                    total += base.args[0] * ex
-                else:
-                    return None
-            total = sp.expand(total)
-            key = []
-            rest = total
-            for d in deps:
-                r = total.coeff(d, 1)
-                if not (r * den).is_Integer:
-                    return None
-                key.append(int(r * den))
-                rest -= r * d
-            if sp.expand(rest) != 0:
+            if monomial.keys() <= set(deps):
+                return tuple(monomial.get(d, 0) for d in deps)
+            return None
+        if self.kind == TRIGONOMETRIC:
+            if not monomial:
+                return ("one", 0)
+            (g, k), *rest = monomial.items()
+            if rest or k != 1 or not isinstance(g, (sp.sin, sp.cos)):
                 return None
-            return tuple(key)
-        # trigonometric
-        if m == 1:
-            return ("one", 0)
-        if isinstance(m, (sp.sin, sp.cos)):
-            arg = sp.expand(m.args[0])
-            n = sp.cancel(arg / deps[0])
-            if n.is_Integer and n > 0:
-                return (type(m).__name__, int(n))
-        return None
+            n = g.args[0] / deps[0]
+            return (type(g).__name__, int(n)) if n.is_Integer and n > 0 else None
+        den = 2 if self.kind == EXPONENTIAL else 1
+        key = [0] * len(deps)
+        for g, k in monomial.items():
+            if type(g) is not sp.exp or g.args[0] not in deps or not (k * den).is_Integer:
+                return None
+            key[deps.index(g.args[0])] = int(k * den)
+        return tuple(key)
 
 
-def _rewrite_for_family(e, family, deps):
-    if family.kind == TRIGONOMETRIC:
-        from sympy.simplify.fu import TR8
-        return sp.expand(TR8(sp.expand(e)))
-    if family.kind == HYPERBOLIC:
-        e = e.replace(sp.sinh, lambda a: (sp.exp(a) - sp.exp(-a)) / 2)
-        e = e.replace(sp.cosh, lambda a: (sp.exp(a) + sp.exp(-a)) / 2)
-    return e
+# rewrites a u-monomial that is no single basis element into a sum of them
+_REWRITES = {TRIGONOMETRIC: TR8,
+             HYPERBOLIC: lambda m: m.rewrite((sp.sinh, sp.cosh), sp.exp)}
+
+
+def _power(g, k):
+    """The ring atom g to the k, where exp(t) stands for exp(k*t)."""
+    return sp.exp(k * g.args[0]) if type(g) is sp.exp else g ** k
+
+
+def _split_terms(e, deps):
+    """(x-part, u-monomial {atom: k}) for each term of e, the x-part free of
+    deps.  Where the ring cannot read e, its expanded terms are split by
+    sympy: an x-part such as 1/(1 + x) is kept, and a u-part outside the ring
+    stands as one atom, which no family reads."""
+    terms = _terms(e)
+    if terms is None:
+        for term in sp.Add.make_args(sp.expand(e)):
+            x, u = term.as_independent(*deps, as_Add=False)
+            c, monomial = _monomial(sp.Mul.make_args(u)) or (1, {u: 1})
+            yield c * x, monomial
+        return
+    for c, monomial in terms:
+        u = {g: k for g, k in monomial.items() if not g.free_symbols.isdisjoint(deps)}
+        yield c * sp.Mul(*[_power(g, k) for g, k in monomial.items() if g not in u]), u
+
+
+def _family_terms(monomial, family, deps):
+    """[(r, key)] with sum r * basis element = the u-monomial; NotInFamily
+    when there is none."""
+    key = family.key(monomial, deps)
+    if key is not None:
+        return [(1, key)]
+    m = sp.Mul(*[_power(g, k) for g, k in monomial.items()])
+    rewrite = _REWRITES.get(family.kind, lambda expr: expr)
+    out = [(c, family.key(u, deps)) for c, u in _terms(sp.expand(rewrite(m))) or ()]
+    if not out or any(key is None for _, key in out):
+        raise NotInFamily(m, family.kind)
+    return out
 
 
 def collect_family(e, family, deps):
     """Write e = sum coeff(m) * m over the family basis monomials.
 
     ``e`` must be a normal form (the output of ``normalize`` or of an engine
-    operation), which is not normalized again here.  Coefficients are
-    normalized and free of the dependent variables; a term that cannot be
-    matched raises NotInFamily with the offending residue.
+    operation), which is not normalized again here.  Each distinct
+    u-monomial of its terms is read into family keys once, and the x-parts
+    are summed per key and normalized.  A u-monomial that cannot be matched
+    raises NotInFamily.
     """
     deps = tuple(deps)
-    e = sp.expand(_rewrite_for_family(e, family, deps))
-    if e == 0:
-        return {}
-    acc = {}
-    for term in sp.Add.make_args(e):
-        coeff, mono = term.as_independent(*deps, as_Add=False)
-        key = family.term_key(mono, deps)
-        if key is None:
-            raise NotInFamily(term, family.kind)
-        acc[key] = acc.get(key, sp.Integer(0)) + coeff
+    read, acc = {}, {}
+    for x, monomial in _split_terms(sp.sympify(e), deps):
+        u = frozenset(monomial.items())
+        if u not in read:
+            read[u] = _family_terms(monomial, family, deps)
+        for r, key in read[u]:
+            acc.setdefault(key, []).append(r * x)
     out = {}
-    for key, coeff in acc.items():
-        coeff = normalize(coeff)
-        if coeff == 0:
-            continue
-        if coeff.free_symbols & set(deps):
-            raise NotInFamily(coeff, family.kind)
-        out[family.monomial(key, deps)] = coeff
+    for key, parts in acc.items():
+        coeff = normalize(sp.Add(*parts))
+        if coeff != 0:
+            out[family.monomial(key, deps)] = coeff
     return out
 
 

@@ -3,9 +3,10 @@ from itertools import islice
 
 import pytest
 import sympy as sp
+from sympy.polys.polyerrors import PolynomialError
 
 from jetsym import Workspace
-from jetsym.algebra import evaluate_at, sample_points, substitute, zero_verdict
+from jetsym.algebra import evaluate_at, normalize, sample_points, substitute, zero_verdict
 from jetsym.jets import NormalFormSystem, VectorField
 
 
@@ -97,3 +98,15 @@ def instantiate_ansatz(ansatz, bindings):
 def verify_instance(dsys, bindings, seed=None):
     """Check a concrete coefficient instance against every determining equation."""
     return [zero_verdict(substitute(eq, bindings), seed=seed) for eq in dsys.all_equations()]
+
+
+def proportional(e1, e2):
+    """True when e1 = r*e2 for a nonzero rational constant r (or both are 0)."""
+    n1, n2 = normalize(e1), normalize(e2)
+    if n1 == 0 or n2 == 0:
+        return n1 == 0 and n2 == 0
+    try:
+        r = sp.cancel(n1 / n2)
+    except (PolynomialError, NotImplementedError):
+        return False
+    return r.is_Rational and r != 0

@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 
 from jetsym import (TriBool, Workspace, ZeroVerdict, diff, is_zero, normalize,
-                    parse, proportional)
+                    parse)
 from jetsym.algebra import evaluate_at
 from jetsym.cli import main
 from jetsym.condsym import NormalFormSystem, build_ansatz, compatibility_residuals
@@ -25,7 +25,7 @@ from jetsym.jets import VectorField, prolong, total_derivative
 from jetsym.liesys import build_pde_lie_system, solve_solvable_q1
 from jetsym.problem import load_problem
 
-from conftest import add_fields, evaluable_points, random_expr, random_poly
+from conftest import add_fields, evaluable_points, proportional, random_expr, random_poly
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

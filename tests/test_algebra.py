@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
-                    print_expr, proportional, substitute, zero_verdict)
+                    print_expr, substitute, zero_verdict)
 from jetsym.algebra import _terms, derive, evaluate_at, sum_of_products
 from jetsym.errors import CyclicBinding, DivisionByZero
 
-from conftest import evaluable_points, random_expr
+from conftest import evaluable_points, proportional, random_expr
 
 
 def test_normalize_constant_folding(ws2):
@@ -187,11 +187,19 @@ def test_atom_image_is_computed_once(monkeypatch):
 
 def test_normalize_cancels_non_plain(monkeypatch):
     """Rational functions go through sympy.cancel; kernel and Laurent sums
-    are put in the same form without it."""
+    are put in the same form without it.  Exponential factors of a rational
+    function need no merging of their own: the forms below are those the
+    engine gave when it still merged them."""
     ws = _PLAIN_WS
-    u = ws.dependent[0]
-    cases = [(1 / (1 + u), True), (u ** -2, True)] + [(ws.parse(text), False) for text in (
-        "exp(-h(t)/2)*u_{x1} + 4*x1*exp(u/2)", "sin(u)*u_{x1}")]
+    u, x1 = ws.dependent[0], ws.independent[1]
+    over = "Pow(Add(Symbol('u', real=True), Integer(1)), Integer(-1))"
+    forms = {sp.exp(u) * sp.exp(x1) / (1 + u):
+             f"Mul({over}, exp(Symbol('u', real=True)), exp(Symbol('x1', real=True)))",
+             sp.exp(u) * sp.exp(-u / 2) / (1 + u):
+             f"Mul({over}, exp(Mul(Rational(1, 2), Symbol('u', real=True))))"}
+    cases = [(1 / (1 + u), True), (u ** -2, True), *((e, True) for e in forms)] + [
+        (ws.parse(text), False) for text in (
+            "exp(-h(t)/2)*u_{x1} + 4*x1*exp(u/2)", "sin(u)*u_{x1}")]
     calls = []
     cancel = sp.cancel
     monkeypatch.setattr(sp, "cancel", lambda f, *a, **k: calls.append(f) or cancel(f, *a, **k))
@@ -200,6 +208,8 @@ def test_normalize_cancels_non_plain(monkeypatch):
         assert (_terms(sp.expand(e)) is None) is cancelled
         assert normalize(e) == cancel(sp.expand(e))
         assert bool(calls) is cancelled, e
+    for e, form in forms.items():
+        assert sp.srepr(normalize(e)) == form
 
 
 def test_normalize_idempotent_random(ws2, rng):

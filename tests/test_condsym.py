@@ -4,7 +4,7 @@ from pathlib import Path
 import sympy as sp
 
 from jetsym import geometry, jets
-from jetsym import TriBool, Workspace, ZeroVerdict, is_zero, normalize, parse, proportional
+from jetsym import TriBool, Workspace, ZeroVerdict, is_zero, normalize, parse
 from jetsym.cli import main
 from jetsym.condsym import (AnsatzSystem, NormalFormSystem, PdeSystem,
                             build_ansatz, characteristic_system,
@@ -15,7 +15,7 @@ from jetsym.families import AnsatzFamily
 from jetsym.geometry import VectorFieldFamily, is_abelian, rectify
 from jetsym.jets import VectorField
 
-from conftest import instantiate_ansatz, random_poly, verify_instance
+from conftest import instantiate_ansatz, proportional, random_poly, verify_instance
 
 ONE = sp.Integer(1)
 ZERO = sp.Integer(0)

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 import sympy as sp
 
 from jetsym import ZeroVerdict, is_zero, normalize, parse
+from jetsym.cli import main
 from jetsym.errors import FamilyNotClosed, NotInFamily
 from jetsym.families import (EXPONENTIAL, HYPERBOLIC, POLYNOMIAL,
                              TRIGONOMETRIC, AnsatzFamily, check_closure,
@@ -39,6 +42,21 @@ def test_collect_not_in_family(ws2):
         collect_family(sp.log(u), AnsatzFamily(POLYNOMIAL, 2), [u])
     with pytest.raises(NotInFamily):
         collect_family(u * sp.exp(u / 2), AnsatzFamily(EXPONENTIAL, 1), [u])
+    with pytest.raises(NotInFamily):
+        collect_family(sp.exp(u / 3), AnsatzFamily(EXPONENTIAL, 1), [u])
+    with pytest.raises(NotInFamily):
+        collect_family(sp.sin(u + ws2.independent[0]), AnsatzFamily(TRIGONOMETRIC, 1), [u])
+    with pytest.raises(NotInFamily):
+        collect_family(u * sp.exp(u), AnsatzFamily(HYPERBOLIC, 1), [u])
+
+
+def test_collect_keeps_x_parts_outside_the_ring(ws2):
+    u = ws2.dependent[0]
+    x1 = ws2.independent[0]
+    coeffs = collect_family(normalize(u ** 2 / (1 + x1) + u), AnsatzFamily(POLYNOMIAL, 2), [u])
+    assert coeffs == {u ** 2: 1 / (x1 + 1), u: sp.Integer(1)}
+    coeffs = collect_family(sp.pi * sp.exp(u) + x1, AnsatzFamily(EXPONENTIAL, 1), [u])
+    assert coeffs == {sp.exp(u): sp.pi, sp.Integer(1): x1}
 
 
 def test_exponential_collect_gauss_codazzi_shape(ws2):
@@ -83,15 +101,43 @@ def test_hyperbolic_collect(ws1):
     assert coeffs == {sp.exp(u): sp.Integer(1)}
 
 
-def test_collect_reassembly_random(ws2, rng):
+# factors whose pairwise products lie in each family's closure
+CLOSURE_FACTORS = {
+    POLYNOMIAL: lambda u: [1, u, u ** 2],
+    EXPONENTIAL: lambda u: [sp.exp(k * u / 2) for k in (-2, -1, 0, 1, 3)],
+    TRIGONOMETRIC: lambda u: [1, sp.sin(u), sp.cos(u), sp.sin(2 * u), sp.cos(3 * u)],
+    HYPERBOLIC: lambda u: [1, sp.sinh(u), sp.cosh(2 * u), sp.exp(-u)],
+}
+
+
+@pytest.mark.parametrize("kind", list(CLOSURE_FACTORS))
+def test_collect_reassembly_random(ws2, rng, kind):
     u = ws2.dependent[0]
     xs = list(ws2.independent)
-    fam = AnsatzFamily(POLYNOMIAL, 3)
-    for _ in range(20):
-        e = sum(random_poly(rng, xs, degree=2, terms=2) * u ** k for k in range(4))
+    f = ws2.add_function("f")
+    fam = AnsatzFamily(kind, 1)
+    factors = CLOSURE_FACTORS[kind](u)
+    for _ in range(10):
+        e = normalize(sum((random_poly(rng, xs, degree=2, terms=2) + rng.randint(-2, 2) * f)
+                          * rng.choice(factors) * rng.choice(factors) for _ in range(4)))
         coeffs = collect_family(e, fam, [u])
+        assert not any(c.has(u) for c in coeffs.values())
         reassembled = sum(c * m for m, c in coeffs.items())
-        assert is_zero(reassembled - e) is ZeroVerdict.ZERO
+        # f stands as a symbol, so that the difference can be sampled
+        residual = (reassembled - e).xreplace({f: sp.Symbol("F")})
+        assert is_zero(residual) is ZeroVerdict.ZERO
+
+
+def test_derive_determining_makes_no_cancel_call(monkeypatch, capsys):
+    """Collection reads the ring's terms, so a sine-Gordon ladder rung, where
+    products of sin and cos are rewritten, never calls sympy.cancel."""
+    rung = Path(__file__).resolve().parent.parent / "perfbench/problems/sine-gordon-n2.jetsym"
+    calls = []
+    cancel = sp.cancel
+    monkeypatch.setattr(sp, "cancel", lambda *a, **k: calls.append(a) or cancel(*a, **k))
+    assert main(["derive-determining", str(rung), "--format", "json"]) == 0
+    assert '"exit_code": 0' in capsys.readouterr().out
+    assert calls == []
 
 
 def test_closure_check(ws1):
