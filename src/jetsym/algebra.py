@@ -175,6 +175,29 @@ def _terms(e):
             for c, m in out]
 
 
+def monomial_expr(monomial):
+    """The product of a monomial {atom: k}, where exp(t) stands for exp(k*t)."""
+    return sp.Mul(*[sp.exp(k * g.args[0]) if type(g) is sp.exp else g ** k
+                    for g, k in monomial.items()])
+
+
+def split_terms(e, deps):
+    """(x-part, u-monomial {atom: k}) for each term of e, the x-part free of
+    deps and every atom of the u-monomial meeting them.  Where the ring cannot
+    read e, its expanded terms are split by sympy: an x-part such as
+    1/(1 + x) is kept, and a u-part outside the ring stands as one atom."""
+    terms = _terms(e)
+    if terms is None:
+        for term in sp.Add.make_args(sp.expand(e)):
+            x, u = term.as_independent(*deps, as_Add=False)
+            c, monomial = _monomial(sp.Mul.make_args(u)) or (1, {u: 1})
+            yield c * x, monomial
+        return
+    for c, monomial in terms:
+        u = {g: k for g, k in monomial.items() if not g.free_symbols.isdisjoint(deps)}
+        yield c * monomial_expr({g: k for g, k in monomial.items() if g not in u}), u
+
+
 def _ring_elements(term_lists):
     """Sums given by their ``_terms`` as Laurent elements (N, shift) of one
     sparse ring over QQ on their atoms; also each atom's generator index and

@@ -6,8 +6,9 @@ half-integer exponentials exp(k*u/2), trigonometric combinations
 1/sin(n*u)/cos(n*u), or integer exponentials exp(k*u) (the hyperbolic
 basis in exponential form).  Families are closed under d/du, products,
 and linear combinations, which is what makes coefficient collection of
-the determining equations possible.  Collection reads the terms of a
-normal form as the ring of ``algebra`` does (``algebra._terms``).
+the determining equations possible.  Collection and the closure check
+read the terms of a normal form through the ring's x/u splitter
+(``algebra.split_terms``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import sympy as sp
 from sympy.simplify.fu import TR8
 
-from .algebra import _monomial, _terms, normalize
+from .algebra import derive, monomial_expr, normalize, split_terms
 from .errors import FamilyNotClosed, NotInFamily
 
 POLYNOMIAL = "polynomial"
@@ -83,7 +84,7 @@ class AnsatzFamily:
         return sp.exp(sp.Add(*[sp.Rational(k, den) * d for d, k in zip(deps, key)]))
 
     def key(self, monomial, deps):
-        """The key of a u-monomial {atom: k} as ``algebra._terms`` reads it,
+        """The key of a u-monomial {atom: k} as ``algebra.split_terms`` reads it,
         or None when it is no single element of the family closure."""
         if self.kind == POLYNOMIAL:
             if monomial.keys() <= set(deps):
@@ -111,38 +112,17 @@ _REWRITES = {TRIGONOMETRIC: TR8,
              HYPERBOLIC: lambda m: m.rewrite((sp.sinh, sp.cosh), sp.exp)}
 
 
-def _power(g, k):
-    """The ring atom g to the k, where exp(t) stands for exp(k*t)."""
-    return sp.exp(k * g.args[0]) if type(g) is sp.exp else g ** k
-
-
-def _split_terms(e, deps):
-    """(x-part, u-monomial {atom: k}) for each term of e, the x-part free of
-    deps.  Where the ring cannot read e, its expanded terms are split by
-    sympy: an x-part such as 1/(1 + x) is kept, and a u-part outside the ring
-    stands as one atom, which no family reads."""
-    terms = _terms(e)
-    if terms is None:
-        for term in sp.Add.make_args(sp.expand(e)):
-            x, u = term.as_independent(*deps, as_Add=False)
-            c, monomial = _monomial(sp.Mul.make_args(u)) or (1, {u: 1})
-            yield c * x, monomial
-        return
-    for c, monomial in terms:
-        u = {g: k for g, k in monomial.items() if not g.free_symbols.isdisjoint(deps)}
-        yield c * sp.Mul(*[_power(g, k) for g, k in monomial.items() if g not in u]), u
-
-
 def _family_terms(monomial, family, deps):
     """[(r, key)] with sum r * basis element = the u-monomial; NotInFamily
-    when there is none."""
+    when there is none.  A u-part outside the ring, which ``split_terms``
+    keeps as one atom, has no key."""
     key = family.key(monomial, deps)
     if key is not None:
         return [(1, key)]
-    m = sp.Mul(*[_power(g, k) for g, k in monomial.items()])
+    m = monomial_expr(monomial)
     rewrite = _REWRITES.get(family.kind, lambda expr: expr)
-    out = [(c, family.key(u, deps)) for c, u in _terms(sp.expand(rewrite(m))) or ()]
-    if not out or any(key is None for _, key in out):
+    out = [(c, family.key(u, deps)) for c, u in split_terms(sp.expand(rewrite(m)), deps)]
+    if any(key is None for _, key in out):
         raise NotInFamily(m, family.kind)
     return out
 
@@ -158,7 +138,7 @@ def collect_family(e, family, deps):
     """
     deps = tuple(deps)
     read, acc = {}, {}
-    for x, monomial in _split_terms(sp.sympify(e), deps):
+    for x, monomial in split_terms(sp.sympify(e), deps):
         u = frozenset(monomial.items())
         if u not in read:
             read[u] = _family_terms(monomial, family, deps)
@@ -175,17 +155,16 @@ def collect_family(e, family, deps):
 def check_closure(basis, deps):
     """Verify a custom basis is closed under d/du with constant coefficients."""
     deps = tuple(deps)
-    basis = tuple(sp.sympify(b) for b in basis)
-    span = {normalize(b) for b in basis}
+    basis = [normalize(b) for b in basis]
+    span = set(basis)
     for b in basis:
         for d in deps:
-            derived = sp.expand(sp.diff(b, d))
-            for term in sp.Add.make_args(derived):
-                coeff, mono = term.as_independent(*deps, as_Add=False)
+            for coeff, monomial in split_terms(derive(b, {d: 1}), deps):
+                mono = monomial_expr(monomial)
                 if not coeff.is_Rational:
                     raise FamilyNotClosed(
                         f"d/d{d} of {b} produced non-constant coefficient {coeff}")
-                if mono != 0 and normalize(mono) not in span:
+                if coeff != 0 and normalize(mono) not in span:
                     raise FamilyNotClosed(
-                        f"d/d{d} of {b} leaves the basis span (term {term})")
+                        f"d/d{d} of {b} leaves the basis span (term {coeff * mono})")
     return True

@@ -3,7 +3,10 @@ integration of solvable single-dependent-variable systems.
 
 A normal form whose right-hand sides split as x-dependent coefficients times
 u-only vector fields closing into a finite-dimensional Lie algebra is a PDE
-Lie system.  For q = 1 and an algebra that a catalogued change of variable
+Lie system.  The split, the u-fields' coordinates and the Riccati and affine
+shapes are read by the ring's x/u splitter (``algebra.split_terms``), and a
+u-field's coordinates over the generators come from one exact reduction over
+QQ (``DomainMatrix.rref``).  For q = 1 and an algebra that a catalogued change of variable
 maps into the affine algebra <d/dw, w d/dw>, the system integrates by the
 homogeneous-times-particular quadrature scheme; antiderivatives that resist
 elementary integration stay as formal integral nodes and downgrade the
@@ -17,9 +20,11 @@ from itertools import combinations
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
-from sympy.polys.polyerrors import PolynomialError
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from .algebra import ZeroVerdict, derive, is_zero, normalize, substitute, zero_verdict
+from .algebra import (ZeroVerdict, derive, is_zero, monomial_expr, normalize, split_terms,
+                      substitute, zero_verdict)
 from .condsym import compatibility_residuals, verify_solution
 from .errors import CapExceeded, NotSeparable, NotSolvableShape, PreconditionFailed
 from .grammar import print_expr
@@ -29,28 +34,9 @@ __all__ = ["PDELieSystem", "Q1Solution", "RiccatiData", "VGAlgebra",
            "build_pde_lie_system", "recognize_riccati", "solve_solvable_q1",
            "u_bracket", "vg_closure"]
 
-MAX_ROUNDS = 12  # bracket rounds that vg_closure tries before giving up
-
-
 # ---------------------------------------------------------------------------
 # separation and exact rational span arithmetic
 # ---------------------------------------------------------------------------
-
-def _separate_term(term, ws):
-    """Split one multiplicative term into (x-part, u-part)."""
-    deps = set(ws.dependent)
-    xpart, upart = sp.Integer(1), sp.Integer(1)
-    for f in sp.Mul.make_args(term):
-        has_u = bool(f.free_symbols & deps)
-        if not has_u:
-            xpart *= f
-            continue
-        blockers = (f.free_symbols & set(ws.independent)) or f.atoms(AppliedUndef)
-        if blockers:
-            raise NotSeparable(term)
-        upart *= f
-    return normalize(xpart), normalize(upart)
-
 
 def separate(nf):
     """Per slot: the rhs vector as sum of x-coefficients times u-fields.
@@ -58,59 +44,64 @@ def separate(nf):
     Terms sharing the same structural x-coefficient (up to a rational
     multiple) are grouped into one q-component u-field: a coefficient
     appearing in several components couples them into a single generator
-    (the projective fields of a matrix Riccati system need this).
+    (the projective fields of a matrix Riccati system need this).  A u-field
+    is given by its coordinates {(component, u-monomial): rational}.
     """
     ws = nf.ws
+    deps, xs = ws.dependent, set(ws.independent)
     out = {}
     for j in range(ws.p):
         groups = {}
         for a in range(ws.q):
-            for term in sp.Add.make_args(sp.expand(nf.rhs[(a, j)])):
-                c, g = _separate_term(term, ws)
-                r, key = c.as_coeff_Mul()
-                if not r.is_Rational:
-                    r, key = sp.Integer(1), c
-                field = groups.setdefault(normalize(key),
-                                          [sp.Integer(0)] * ws.q)
-                field[a] += r * g
-        out[j] = [(key, tuple(normalize(v) for v in field))
-                  for key, field in sorted(groups.items(),
-                                           key=lambda kv: sp.default_sort_key(kv[0]))
-                  if any(v != 0 for v in field)]
+            for x, monomial in split_terms(nf.rhs[(a, j)], deps):
+                m = monomial_expr(monomial)
+                if any(g.free_symbols & xs or g.atoms(AppliedUndef) for g in monomial):
+                    raise NotSeparable(print_expr(x * m))
+                r, key = x.as_coeff_Mul(rational=True)
+                coords = groups.setdefault(key, {})
+                coords[(a, m)] = coords.get((a, m), 0) + r
+        out[j] = [(key, nonzero) for key, coords in
+                  sorted(groups.items(), key=lambda kv: sp.default_sort_key(kv[0]))
+                  if (nonzero := {k: v for k, v in coords.items() if v != 0})]
     return out
 
 
-def _decompose(ufield, deps):
-    """Exact rational coordinates of a u-field in a structural-term basis."""
+def _coordinates(ufield, deps):
+    """Exact rational coordinates {(component, u-monomial): rational} of a
+    u-field; a factor without u that is no rational, such as sqrt(2), stays
+    in the u-monomial."""
     coords = {}
     for a, comp in enumerate(ufield):
-        for term in sp.Add.make_args(sp.expand(comp)):
-            c, m = term.as_coeff_Mul()
-            if not c.is_Rational:
-                c, m = sp.Integer(1), term
-            key = (a, normalize(m))
-            coords[key] = coords.get(key, sp.Rational(0)) + c
+        for x, monomial in split_terms(comp, deps):
+            r, rest = x.as_coeff_Mul(rational=True)
+            key = (a, rest * monomial_expr(monomial))
+            coords[key] = coords.get(key, 0) + r
     return {k: v for k, v in coords.items() if v != 0}
 
 
+def _field(coords, q):
+    """The u-field, a q-tuple of normal forms, with the given coordinates."""
+    comps = [[] for _ in range(q)]
+    for (a, m), r in coords.items():
+        comps[a].append(r * m)
+    return tuple(normalize(sp.Add(*c)) for c in comps)
+
+
 def _solve_rational(generators_coords, target_coords):
-    """Coordinates of target over the generators, or None (exact over Q)."""
-    keys = sorted({k for g in generators_coords for k in g}
-                  | set(target_coords), key=lambda k: (k[0], sp.default_sort_key(k[1])))
-    if not generators_coords:
-        return None if target_coords else []
-    A = sp.Matrix([[g.get(k, 0) for g in generators_coords] for k in keys])
-    b = sp.Matrix([[target_coords.get(k, 0)] for k in keys])
-    try:
-        sol, residual_params = A.gauss_jordan_solve(b)
-    except ValueError:
+    """Coordinates of target over the generators, free ones 0, or None when
+    there are none: one reduction of the augmented matrix over QQ."""
+    columns = (*generators_coords, target_coords)
+    keys = dict.fromkeys(k for c in columns for k in c)
+    n = len(generators_coords)
+    rows = [[QQ.convert(c.get(k, 0)) for c in columns] for k in keys]
+    reduced, pivots = DomainMatrix(rows, (len(keys), n + 1), QQ).rref()
+    if n in pivots:
         return None
-    if residual_params.rows:
-        sol = sol.xreplace({p: sp.Integer(0) for p in residual_params})
-    if any(sp.expand(v) != 0 for v in (A * sol - b)):
-        return None
-    out = [sp.Rational(v) if v.is_Rational else None for v in sol]
-    return None if None in out else out
+    reduced = reduced.to_Matrix()
+    out = [sp.Integer(0)] * n
+    for row, col in enumerate(pivots):
+        out[col] = reduced[row, n]
+    return out
 
 
 def u_bracket(X, Y, deps):
@@ -129,7 +120,8 @@ def u_bracket(X, Y, deps):
 class VGAlgebra:
     generators: tuple            # q-tuples of u-only expressions
     structure_constants: dict    # (i, j) with i < j -> tuple of rationals
-    closure_depth: int
+    coordinates: tuple           # each generator's coordinates (``_coordinates``)
+    pieces: dict                 # the separation of the normal form (``separate``)
 
     @property
     def dimension(self):
@@ -161,60 +153,41 @@ def vg_closure(nf, cap=10):
 
     Returns the algebra with exact rational structure constants, or raises
     NotSeparable / CapExceeded (no finite structure found up to the cap).
+    Each round of brackets adds a generator or ends the closure, so the cap
+    bounds the rounds too; the last round's brackets give the structure.
     """
-    ws = nf.ws
-    deps = ws.dependent
+    deps = nf.ws.dependent
     pieces = separate(nf)
     gens, gen_coords = [], []
 
-    def try_add(ufield):
-        coords = _decompose(ufield, deps)
-        if not coords:
-            return None
+    def try_add(coords):
+        """The u-field's coordinates over the generators, or None when it
+        is outside their span and joins them."""
         existing = _solve_rational(gen_coords, coords)
         if existing is not None:
-            return existing
+            return tuple(existing)
         if len(gens) + 1 > cap:
             raise CapExceeded(cap)
         # store with rational content 1 and a positive leading coordinate
-        keys = sorted(coords, key=lambda k: (k[0], sp.default_sort_key(k[1])))
+        lead = min(coords, key=lambda k: (k[0], sp.default_sort_key(k[1])))
         content = sp.Integer(0)
-        for k in keys:
-            content = sp.gcd(content, coords[k])
-        if coords[keys[0]] < 0:
+        for v in coords.values():
+            content = sp.gcd(content, v)
+        if coords[lead] < 0:
             content = -content
-        gens.append(tuple(normalize(c / content) for c in ufield))
         gen_coords.append({k: v / content for k, v in coords.items()})
+        gens.append(_field(gen_coords[-1], nf.ws.q))
         return None
 
     for j in sorted(pieces):
-        for _, ufield in pieces[j]:
-            try_add(ufield)
-
-    depth = 0
-    for round_idx in range(MAX_ROUNDS):
-        added = False
-        current = list(gens)
-        for i, j in combinations(range(len(current)), 2):
-            br = u_bracket(current[i], current[j], deps)
-            if all(c == 0 for c in br):
-                continue
-            if try_add(br) is None and len(gens) > len(current):
-                added = True
-        if not added and len(gens) == len(current):
-            depth = round_idx
-            break
-    else:
-        raise CapExceeded(cap)
-
-    structure = {}
-    for i, j in combinations(range(len(gens)), 2):
-        br = u_bracket(gens[i], gens[j], deps)
-        coords = _solve_rational(gen_coords, _decompose(br, deps))
-        if coords is None:
-            raise CapExceeded(cap)
-        structure[(i, j)] = tuple(coords)
-    vg = VGAlgebra(tuple(gens), structure, depth)
+        for _, coords in pieces[j]:
+            try_add(coords)
+    size = None
+    while size != len(gens):
+        size = len(gens)
+        structure = {(i, j): try_add(_coordinates(u_bracket(gens[i], gens[j], deps), deps))
+                     for i, j in combinations(range(size), 2)}
+    vg = VGAlgebra(tuple(gens), structure, tuple(gen_coords), pieces)
     _check_jacobi(vg)
     return vg
 
@@ -231,17 +204,12 @@ class PDELieSystem:
 def build_pde_lie_system(nf, cap=10, seed=None):
     """Detect VG structure and express the rhs as sum_b b_j^b(x) X_b."""
     ws = nf.ws
-    deps = ws.dependent
     vg = vg_closure(nf, cap=cap)
-    gen_coords = [_decompose(g, deps) for g in vg.generators]
     b = {(j, beta): sp.Integer(0) for j in range(ws.p) for beta in range(vg.dimension)}
-    pieces = separate(nf)
-    for j, pairs in pieces.items():
-        for c, ufield in pairs:
-            coords = _solve_rational(gen_coords, _decompose(ufield, deps))
-            if coords is None:
-                raise NotSeparable(ufield)
-            for beta, r in enumerate(coords):
+    for j, pairs in vg.pieces.items():
+        for c, coords in pairs:
+            # every piece lies in the span that vg_closure grew from it
+            for beta, r in enumerate(_solve_rational(vg.coordinates, coords)):
                 b[(j, beta)] = normalize(b[(j, beta)] + r * c)
     # decomposition exactness
     for j in range(ws.p):
@@ -275,53 +243,39 @@ class RiccatiData:
 
 
 def recognize_riccati(sys):
-    """Riccati shape test; returns (RiccatiData | None, violating term | None)."""
+    """Riccati shape test; returns (RiccatiData | None, violating term | None).
+
+    The violating term is the first term of degree above 2 or outside the
+    polynomials in u, or else the first quadratic term by which a component
+    departs from u^a (d . u), d_b read off u^b u^b in component b.
+    """
     ws = sys.nf.ws
     deps = ws.dependent
     q = ws.q
+
+    def mono(*factors):
+        """The exponents over deps of the product of u^b for b in factors."""
+        return tuple(factors.count(b) for b in range(q))
+
     A, B, D = {}, {}, {}
     for j in range(ws.p):
-        quad = {}
-        lin = [[sp.Integer(0)] * q for _ in range(q)]
-        const = [sp.Integer(0)] * q
+        parts = [{} for _ in range(q)]     # per component: exponents -> x-parts
         for a in range(q):
-            rhs = sp.expand(sys.nf.rhs[(a, j)])
-            try:
-                poly = sp.Poly(rhs, *deps)
-            except PolynomialError:
-                return None, print_expr(rhs)
-            if poly.total_degree() > 2:
-                bad = max(poly.as_dict(), key=sum)
-                term = poly.as_dict()[bad] * sp.Mul(*[d ** k for d, k in zip(deps, bad)])
-                return None, print_expr(term)
-            for mono, coeff in poly.as_dict().items():
-                degree = sum(mono)
-                if degree == 0:
-                    const[a] = coeff
-                elif degree == 1:
-                    lin[a][list(mono).index(1)] = coeff
-                else:
-                    quad[(a, mono)] = coeff
-        # factor the quadratic part as u^a * (d . u): the coefficient of
-        # u_b u_a in component a must be d_b for every component it meets
-        d_row = [sp.Integer(0)] * q
-        for (a, mono), coeff in quad.items():
-            betas = [i for i, k in enumerate(mono) for _ in range(k)]
-            if a in betas:
-                other = betas[0] if betas[1] == a else betas[1]
-                if d_row[other] == 0:
-                    d_row[other] = normalize(coeff)
-        for (a, mono), coeff in quad.items():
-            betas = [i for i, k in enumerate(mono) for _ in range(k)]
-            if a not in betas:
-                return None, print_expr(
-                    coeff * sp.Mul(*[deps[b] for b in betas]))
-            other = betas[0] if betas[1] == a else betas[1]
-            if normalize(coeff - d_row[other]) != 0:
-                return None, print_expr(coeff * sp.Mul(*[deps[b] for b in betas]))
-        A[j] = tuple(normalize(v) for v in const)
-        B[j] = tuple(tuple(normalize(v) for v in row) for row in lin)
-        D[j] = tuple(normalize(v) for v in d_row)
+            for x, monomial in split_terms(sys.nf.rhs[(a, j)], deps):
+                if not monomial.keys() <= set(deps) or sum(monomial.values()) > 2:
+                    return None, print_expr(x * monomial_expr(monomial))
+                parts[a].setdefault(tuple(monomial.get(d, 0) for d in deps), []).append(x)
+        coeff = [{m: normalize(sp.Add(*xs)) for m, xs in p.items()} for p in parts]
+        d_row = tuple(coeff[b].get(mono(b, b), sp.Integer(0)) for b in range(q))
+        for a in range(q):
+            expected = {mono(a, b): d_row[b] for b in range(q)}
+            for m in sorted({m for m in coeff[a] if sum(m) == 2} | set(expected)):
+                rest = normalize(coeff[a].get(m, 0) - expected.get(m, 0))
+                if rest != 0:
+                    return None, print_expr(rest * monomial_expr(dict(zip(deps, m))))
+        A[j] = tuple(c.get(mono(), sp.Integer(0)) for c in coeff)
+        B[j] = tuple(tuple(c.get(mono(b), sp.Integer(0)) for b in range(q)) for c in coeff)
+        D[j] = d_row
     return RiccatiData(A, B, D), None
 
 
@@ -352,17 +306,13 @@ def _transform_catalog(ws):
 
 
 def _affine_coefficients(expr, w):
-    try:
-        poly = sp.Poly(sp.expand(expr), w)
-    except PolynomialError:
-        return None
-    if poly.total_degree() > 1:
-        return None
-    c = normalize(poly.as_dict().get((1,), sp.Integer(0)))
-    d = normalize(poly.as_dict().get((0,), sp.Integer(0)))
-    if c.has(w) or d.has(w):
-        return None
-    return c, d
+    """(c, d) with expr = c*w + d, c and d free of w, or None."""
+    parts = ([], [])
+    for x, monomial in split_terms(expr, (w,)):
+        if not monomial.keys() <= {w} or monomial.get(w, 0) > 1:
+            return None
+        parts[monomial.get(w, 0)].append(x)
+    return tuple(normalize(sp.Add(*p)) for p in reversed(parts))
 
 
 def _potential(coeffs, ws):

@@ -1,12 +1,22 @@
+import contextlib
+import io
+import json
+import random
+from pathlib import Path
+
 import pytest
 import sympy as sp
 
 from jetsym import Workspace, ZeroVerdict, is_zero, normalize
-from jetsym.errors import CapExceeded, NotSolvableShape
+from jetsym.cli import main
+from jetsym.errors import CapExceeded, NotSeparable, NotSolvableShape
+from jetsym.grammar import parse
 from jetsym.jets import NormalFormSystem
-from jetsym.liesys import (PDELieSystem, build_pde_lie_system,
+from jetsym.liesys import (PDELieSystem, _solve_rational, build_pde_lie_system,
                            recognize_riccati, solve_solvable_q1, u_bracket,
                            vg_closure)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def wave_style_nf():
@@ -74,6 +84,17 @@ def test_build_pde_lie_system_decomposition():
         total = sp.Add(*[sys.b[(j, beta)] * sys.vg.generators[beta][0]
                          for beta in range(sys.vg.dimension)])
         assert is_zero(total - nf.rhs[(0, j)]) is ZeroVerdict.ZERO
+
+
+def test_build_pde_lie_system_separates_once(monkeypatch):
+    """The decomposition reuses the pieces and coordinates of the closure."""
+    from jetsym import liesys
+    calls = []
+    separate = liesys.separate
+    monkeypatch.setattr(liesys, "separate", lambda nf: calls.append(nf) or separate(nf))
+    ws, nf = wave_style_nf()
+    build_pde_lie_system(nf)
+    assert calls == [nf]
 
 
 def test_recognize_riccati_scalar():
@@ -216,3 +237,118 @@ def test_u_bracket():
     u = ws.dependent[0]
     br = u_bracket((sp.exp(-u / 2),), (sp.exp(u / 2),), [u])
     assert br == (sp.Integer(1),)
+
+
+def _riccati_violation(rhs):
+    ws = Workspace(["x1"], ["u", "v"], order_cap=1)
+    u, v = ws.dependent
+    nf = NormalFormSystem(ws, {(0, 0): rhs[0](u, v), (1, 0): rhs[1](u, v)})
+    return recognize_riccati(PDELieSystem(nf, vg=None, b={}))
+
+
+def test_recognize_riccati_rejects_a_quadratic_part_without_d():
+    """u*v in the u-component alone is not u (d . u) in every component."""
+    data, violation = _riccati_violation((lambda u, v: u * v, lambda u, v: 0))
+    assert data is None and violation == "u*v"
+
+
+def test_recognize_riccati_rejects_an_extra_quadratic_term():
+    """v^2 fixes d = (0, 1), so the v-component's 5*u*v has no place."""
+    data, violation = _riccati_violation((lambda u, v: u * v,
+                                          lambda u, v: v ** 2 + 5 * u * v))
+    assert data is None and violation == "5*u*v"
+
+
+def test_recognize_riccati_reads_d_from_every_component():
+    data, violation = _riccati_violation((lambda u, v: 3 * u ** 2 - 2 * u * v + 1,
+                                          lambda u, v: 3 * u * v - 2 * v ** 2))
+    assert violation is None
+    assert data.D[0] == (3, -2) and data.A[0] == (1, 0)
+
+
+@pytest.mark.parametrize("rhs,term", [("sin(x1*u)", "sin(u*x1)"),
+                                      ("exp(u*h(x1))", "exp(u*h(x1))")])
+def test_vg_closure_not_separable(rhs, term):
+    """A u-atom that meets x, or holds an unknown function, is rejected and
+    printed in input syntax."""
+    ws = Workspace(["x1"], ["u"], order_cap=1)
+    ws.add_function("h", args=["x1"])
+    nf = NormalFormSystem(ws, {(0, 0): parse(rhs, ws)})
+    with pytest.raises(NotSeparable) as err:
+        vg_closure(nf)
+    assert str(err.value) == f"term {term} does not separate into (x-part)*(u-part)"
+
+
+def test_solve_liesys_not_separable_exits_3(capsys, tmp_path):
+    path = tmp_path / "inseparable.jetsym"
+    path.write_text("""[variables]
+independent = x1 x2
+dependent = u
+
+[fields]
+Z1 = "1" | "0" ; "sin(x1*u)"
+Z2 = "0" | "1" ; "0"
+""")
+    assert main(["solve-liesys", str(path), "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "term sin(u*x1) does not separate into (x-part)*(u-part)")
+
+
+def test_vg_closure_outside_the_ring():
+    """A u-field 1/(1 + u) and an x-coefficient 1/(1 + x2), which the ring
+    cannot read, split by sympy: [1/(1 + u), 1 + u] = 2/(1 + u) closes."""
+    ws = Workspace(["x1", "x2"], ["u"], order_cap=1)
+    x1, x2 = ws.independent
+    u = ws.dependent[0]
+    nf = NormalFormSystem(ws, {(0, 0): x1 / (1 + u), (0, 1): (1 + u) / (1 + x2)})
+    sys = build_pde_lie_system(nf)
+    assert sys.vg.dimension == 2
+    assert {g[0] for g in sys.vg.generators} == {1 / (u + 1), u + 1}
+    for j in range(ws.p):
+        total = sp.Add(*[sys.b[(j, beta)] * sys.vg.generators[beta][0]
+                         for beta in range(sys.vg.dimension)])
+        assert normalize(total - nf.rhs[(0, j)]) == 0
+    assert sorted(map(str, sys.b.values())) == ["0", "0", "1/(x2 + 1)", "x1"]
+
+
+def test_solve_rational_agrees_with_gauss_jordan():
+    """On seeded rational systems, rank-deficient and inconsistent ones
+    included, the exact reduction finds sympy's solution with every free
+    parameter 0, or None where sympy finds none."""
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        A = sp.Matrix(rows, cols, lambda i, j: sp.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+                      if rng.random() < 0.6 else 0)
+        if rng.random() < 0.5:
+            A[:, -1] = A[:, 0] * sp.Rational(rng.randint(-2, 2), 3)   # rank-deficient
+        b = (A * sp.Matrix(cols, 1, lambda i, j: rng.randint(-2, 2)) if rng.random() < 0.6
+             else sp.Matrix(rows, 1, lambda i, j: rng.randint(-2, 2)))
+        gens = [{i: A[i, c] for i in range(rows) if A[i, c] != 0} for c in range(cols)]
+        target = {i: b[i] for i in range(rows) if b[i] != 0}
+        try:
+            sol, params = A.gauss_jordan_solve(b)
+            expected = list(sol.xreplace({t: 0 for t in params}))
+        except ValueError:
+            expected = None
+        assert _solve_rational(gens, target) == expected
+        outcomes.add((expected is None, A.rank() < cols))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_solve_liesys_reads_no_tree_polynomials(monkeypatch):
+    """The Lie-system layer reads terms through the ring's splitter and
+    solves by its own reduction: with sympy.Poly and gauss_jordan_solve
+    failing, solve-liesys still writes every fixture's golden report."""
+    def fail(*args, **kwargs):
+        raise AssertionError("tree path called")
+
+    monkeypatch.setattr(sp, "Poly", fail)
+    monkeypatch.setattr(sp.Matrix, "gauss_jordan_solve", fail)
+    for path in sorted((ROOT / "problems").glob("*.jetsym")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["solve-liesys", str(path), "--format", "json"])
+        golden = ROOT / "tests" / "golden" / f"{path.stem}.solve-liesys.json"
+        assert out.getvalue() == golden.read_text(), path.stem
