@@ -13,12 +13,14 @@ direction t of an exponential exp(c*t) with c rational, one generator
 exp(t/d), d the lcm of t's exponent denominators.  A sum with negative
 exponents is a Laurent element N / S: N a polynomial and S the smallest
 monomial in the exponential generators that clears them.  ``normalize``,
-``derive`` and ``sum_of_products`` compute there and convert back once;
-input outside the ring (rational functions, symbolic powers, constant
-kernels such as exp(-1/3)) takes sympy's expression trees and
-``sympy.cancel``.  The two agree except that the ring's Laurent form never
-shifts further than it must, where ``sympy.cancel``, reading exp(t) and
-exp(t/2) as unrelated generators, can (see ``normalize``).
+``derive``, ``sum_of_products`` and ``difference``, ``substitutions`` (jet
+values put into an equation) and ``normal_forms`` (coefficients gathered
+by family key) compute there and convert back once; input outside the
+ring (rational functions, symbolic powers, constant kernels such as
+exp(-1/3)) takes sympy's expression trees and ``sympy.cancel``.  The two
+agree except that the ring's Laurent form never shifts further than it
+must, where ``sympy.cancel``, reading exp(t) and exp(t/2) as unrelated
+generators, can (see ``normalize``).
 """
 
 from __future__ import annotations
@@ -181,21 +183,35 @@ def monomial_expr(monomial):
                     for g, k in monomial.items()])
 
 
+def split_monomials(e, deps):
+    """[(Rational, x-monomial, u-monomial)] for the terms of e as ``_terms``
+    reads them, every atom of the u-monomial meeting deps and none of the
+    x-monomial; None when the ring cannot read e."""
+    terms = _terms(e)
+    return None if terms is None else [
+        (c, {g: k for g, k in m.items() if g.free_symbols.isdisjoint(deps)},
+         {g: k for g, k in m.items() if not g.free_symbols.isdisjoint(deps)}) for c, m in terms]
+
+
 def split_terms(e, deps):
     """(x-part, u-monomial {atom: k}) for each term of e, the x-part free of
     deps and every atom of the u-monomial meeting them.  Where the ring cannot
     read e, its expanded terms are split by sympy: an x-part such as
-    1/(1 + x) is kept, and a u-part outside the ring stands as one atom."""
-    terms = _terms(e)
-    if terms is None:
+    1/(1 + x) is kept, and a u-part outside the ring stands as one atom, after
+    factoring its denominator if it meets other symbols: 1/(u*x + u + x + 1)
+    splits as 1/(x + 1) times 1/(u + 1)."""
+    split = split_monomials(e, deps)
+    if split is None:
         for term in sp.Add.make_args(sp.expand(e)):
             x, u = term.as_independent(*deps, as_Add=False)
+            if u.free_symbols - set(deps):
+                numerator, denominator = sp.fraction(term)
+                x, u = (numerator / sp.factor(denominator)).as_independent(*deps, as_Add=False)
             c, monomial = _monomial(sp.Mul.make_args(u)) or (1, {u: 1})
             yield c * x, monomial
         return
-    for c, monomial in terms:
-        u = {g: k for g, k in monomial.items() if not g.free_symbols.isdisjoint(deps)}
-        yield c * monomial_expr({g: k for g, k in monomial.items() if g not in u}), u
+    for c, x, u in split:
+        yield c * monomial_expr(x), u
 
 
 def _ring_elements(term_lists):
@@ -342,6 +358,51 @@ def sum_of_products(pairs):
     elements, _, _ = _ring_elements(term_lists)
     return _as_expr(*_laurent_sum(list(map(_laurent_mul, elements[::2], elements[1::2])),
                                   elements[0][0].ring))
+
+
+def difference(a, b):
+    """a - b for normal forms, normalized: 0 when they are equal, which
+    needs no ring, else in the ring of ``sum_of_products``."""
+    return sp.S.Zero if a == b else sum_of_products([(1, a), (-1, b)])
+
+
+def normal_forms(term_lists):
+    """``normalize`` of each sum given by its [(Rational, monomial)] terms,
+    converted from one sparse ring."""
+    return [_as_expr(*element) for element in _ring_elements(term_lists)[0]]
+
+
+def substitutions(e, combos):
+    """normalize(e.xreplace(combo)) for each combo, a map from the same
+    symbols to normal forms.  When ``_terms`` reads e and the values, and
+    no other atom of e meets the symbols, e's terms are grouped by their
+    monomial in the symbols, and each combo is the sum of the groups'
+    coefficients times the values' powers in one ring that holds them all.
+    """
+    e = sp.sympify(e)
+    symbols = set().union(*combos)
+    values = list(dict.fromkeys(v for combo in combos for v in combo.values()))
+    term_lists = [_terms(e), *(_terms(sp.sympify(v)) for v in values)]
+    if None in term_lists or any(g not in symbols and not g.free_symbols.isdisjoint(symbols)
+                                 for _, monomial in term_lists[0] for g in monomial):
+        return [normalize(e.xreplace(combo)) for combo in combos]
+    groups = {}
+    for c, monomial in term_lists[0]:
+        inner = frozenset((g, k) for g, k in monomial.items() if g in symbols)
+        groups.setdefault(inner, []).append(
+            (c, {g: k for g, k in monomial.items() if g not in symbols}))
+    elements, _, _ = _ring_elements([*groups.values(), *term_lists[1:]])
+    value_of = dict(zip(values, elements[len(groups):]))
+    out = []
+    for combo in combos:
+        parts = []
+        for inner, coeff in zip(groups, elements):
+            for g, k in inner:
+                value, shift = value_of[combo[g]]
+                coeff = _laurent_mul(coeff, (value ** k, tuple(k * s for s in shift)))
+            parts.append(coeff)
+        out.append(_as_expr(*_laurent_sum(parts, elements[0][0].ring)))
+    return out
 
 
 def normalize(e):

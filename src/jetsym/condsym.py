@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .algebra import TriBool, ZeroVerdict, normalize, zero_verdict
+from .algebra import TriBool, ZeroVerdict, normalize, sum_of_products, zero_verdict
 from .errors import JetsymError, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, rectify
@@ -161,12 +161,10 @@ def build_ansatz(family, ws):
 # ---------------------------------------------------------------------------
 
 def _canonical_equation(e):
-    """Fix the overall sign so structurally equal equations deduplicate."""
-    if e == 0:
-        return e
-    lead = e.as_ordered_terms()[0]
-    if lead.could_extract_minus_sign():
-        return normalize(-e)
+    """Fix the overall sign so structurally equal equations deduplicate: an
+    expanded sum negates to its normal form, a Laurent form in the ring."""
+    if e != 0 and e.as_ordered_terms()[0].could_extract_minus_sign():
+        return -e if e.is_Add else sum_of_products([(-1, e)])
     return e
 
 
@@ -191,32 +189,21 @@ def determining_system(pde, ansatz):
     each peel route off shell; every route is collected so no condition is
     lost, and duplicates are removed structurally.
     """
-    ws = ansatz.ws
-    deps = ws.dependent
-    family = ansatz.family
+    ws, family = ansatz.ws, ansatz.family
     nf = ansatz.normal_form()
 
-    compat_eqs, seen = [], set()
-    for _, _, _, res in compatibility_residuals(nf):
-        for _, coeff in sorted(collect_family(res, family, deps).items(),
-                               key=lambda kv: sp.default_sort_key(kv[0])):
-            eq = _canonical_equation(coeff)
-            if eq != 0 and eq not in seen:
-                seen.add(eq)
-                compat_eqs.append(eq)
-
-    pde_eqs, seen_pde = [], set()
-    for _, delta in pde.items():
-        for restricted in restrict_routes(delta, nf):
-            for _, coeff in sorted(collect_family(restricted, family, deps).items(),
+    def equations(residuals):
+        eqs = {}   # insertion-ordered, structurally deduplicated
+        for res in residuals:
+            for _, coeff in sorted(collect_family(res, family, ws.dependent).items(),
                                    key=lambda kv: sp.default_sort_key(kv[0])):
-                eq = _canonical_equation(coeff)
-                if eq == 0 or eq in seen_pde:
-                    continue
-                seen_pde.add(eq)
-                pde_eqs.append(eq)
+                if (eq := _canonical_equation(coeff)) != 0:
+                    eqs.setdefault(eq)
+        return list(eqs)
 
-    return DeterminingSystem(ws, family, compat_eqs, pde_eqs)
+    return DeterminingSystem(
+        ws, family, equations(res for *_, res in compatibility_residuals(nf)),
+        equations(r for _, delta in pde.items() for r in restrict_routes(delta, nf)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +279,20 @@ def _leading_jet(e, ws):
     return max(jets, key=lambda t: (t[2].sort_key(), t[1], t[0].name))
 
 
-def _solve_for_leading_jet(e, ws):
-    """e = A*jet + B -> (jet symbol, value, coefficient) or None."""
+def _solve_for_leading_jet(e, ws, mapping, assumptions):
+    """e = A*jet + B: map the leading jet to -B/A and note a non-constant A
+    as an assumption; False when e is not affine in its leading jet."""
     lead = _leading_jet(e, ws)
     if lead is None:
-        return None
+        return False
     s = lead[0]
     A = sp.diff(e, s)
     if A == 0 or A.has(s):
-        return None
-    value = normalize(s - e / A)
-    return s, value, normalize(A)
+        return False
+    mapping[s] = normalize(s - e / A)
+    if (A := normalize(A)).free_symbols:
+        assumptions.append(f"nonvanishing coefficient: {print_expr(A)}")
+    return True
 
 
 def _reduce(e, mapping):
@@ -325,31 +315,16 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
     for key in sorted(char.residuals,
                       key=lambda k: (MultiIndex(k[2]).sort_key(), k[0], k[1])):
         res = _reduce(char.residuals[key], char_map)
-        if res == 0:
-            continue
-        solved = _solve_for_leading_jet(res, ws)
-        if solved is None:
+        if res != 0 and not _solve_for_leading_jet(res, ws, char_map, assumptions):
             notes.append(f"characteristic residual {print_expr(res)} not solvable "
                          "for its leading jet")
-            continue
-        s, value, coeff = solved
-        char_map[s] = value
-        if coeff.free_symbols:
-            assumptions.append(f"nonvanishing coefficient: {print_expr(coeff)}")
 
     delta_map = {}
     for name, delta in pde.items():
         red = _reduce(delta, delta_map)
-        solved = _solve_for_leading_jet(red, ws)
-        if solved is None:
-            if ws.jet_atoms(red):
-                raise ReductionIncomplete(
-                    f"cannot solve {name} for its leading jet: {print_expr(red)}")
-            continue
-        s, value, coeff = solved
-        delta_map[s] = value
-        if coeff.free_symbols:
-            assumptions.append(f"nonvanishing coefficient: {print_expr(coeff)}")
+        if not _solve_for_leading_jet(red, ws, delta_map, assumptions) and ws.jet_atoms(red):
+            raise ReductionIncomplete(
+                f"cannot solve {name} for its leading jet: {print_expr(red)}")
 
     # joint-consistency: the constraints must admit common points at all
     unsat = []

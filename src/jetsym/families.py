@@ -8,7 +8,7 @@ basis in exponential form).  Families are closed under d/du, products,
 and linear combinations, which is what makes coefficient collection of
 the determining equations possible.  Collection and the closure check
 read the terms of a normal form through the ring's x/u splitter
-(``algebra.split_terms``).
+(``algebra.split_monomials``, or ``algebra.split_terms`` off the ring).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import sympy as sp
 from sympy.simplify.fu import TR8
 
-from .algebra import derive, monomial_expr, normalize, split_terms
+from .algebra import (derive, monomial_expr, normal_forms, normalize, split_monomials,
+                      split_terms)
 from .errors import FamilyNotClosed, NotInFamily
 
 POLYNOMIAL = "polynomial"
@@ -132,24 +133,26 @@ def collect_family(e, family, deps):
 
     ``e`` must be a normal form (the output of ``normalize`` or of an engine
     operation), which is not normalized again here.  Each distinct
-    u-monomial of its terms is read into family keys once, and the x-parts
-    are summed per key and normalized.  A u-monomial that cannot be matched
-    raises NotInFamily.
+    u-monomial of its terms is read into family keys once.  The x-parts are
+    gathered per key as ring terms, converted together (``normal_forms``),
+    or, off the ring, summed and normalized.  A u-monomial that cannot be
+    matched raises NotInFamily.
     """
     deps = tuple(deps)
+    e = sp.sympify(e)
+    split = split_monomials(e, deps)
+    pieces = split_terms(e, deps) if split is None else (((c, x), u) for c, x, u in split)
     read, acc = {}, {}
-    for x, monomial in split_terms(sp.sympify(e), deps):
+    for x, monomial in pieces:
         u = frozenset(monomial.items())
         if u not in read:
             read[u] = _family_terms(monomial, family, deps)
         for r, key in read[u]:
-            acc.setdefault(key, []).append(r * x)
-    out = {}
-    for key, parts in acc.items():
-        coeff = normalize(sp.Add(*parts))
-        if coeff != 0:
-            out[family.monomial(key, deps)] = coeff
-    return out
+            acc.setdefault(key, []).append(r * x if split is None else (r * x[0], x[1]))
+    coeffs = (normal_forms(list(acc.values())) if split is not None
+              else [normalize(sp.Add(*parts)) for parts in acc.values()])
+    return {family.monomial(key, deps): coeff
+            for key, coeff in zip(acc, coeffs) if coeff != 0}
 
 
 def check_closure(basis, deps):

@@ -15,7 +15,7 @@ from itertools import product
 
 import sympy as sp
 
-from .algebra import derive, normalize, sum_of_products
+from .algebra import derive, difference, normalize, substitutions, sum_of_products
 from .errors import HardJetLimitExceeded, PreconditionFailed
 from .grammar import print_expr
 from .multiindex import MultiIndex, indices_up_to
@@ -276,8 +276,8 @@ def compatibility_residuals(nf):
     for j < k.  It is the phi^a-part of the bracket [Z_j, Z_k] of the induced
     fields, whose xi-part is 0, so all residuals vanish iff the fields commute.
     """
-    ws = nf.ws
-    return [(a, j, k, normalize(nf.jet_value(a, (j, k)) - nf.jet_value(a, (k, j))))
+    ws, value = nf.ws, nf.jet_value
+    return [(a, j, k, difference(value(a, (j, k)), value(a, (k, j))))
             for a in range(ws.q) for j in range(ws.p) for k in range(j + 1, ws.p)]
 
 
@@ -288,7 +288,8 @@ def restrict_to_section(e, nf):
     normal form all routes agree because total derivatives commute.
     """
     e = sp.sympify(e)
-    return normalize(e.xreplace({s: nf.jet_value(a, K.slots()) for s, a, K in nf.ws.jet_atoms(e)}))
+    return substitutions(
+        e, [{s: nf.jet_value(a, K.slots()) for s, a, K in nf.ws.jet_atoms(e)}])[0]
 
 
 def restrict_routes(e, nf):
@@ -296,7 +297,8 @@ def restrict_routes(e, nf):
 
     Off an integrable section the peel order matters; the determining
     machinery collects coefficients from every route so that no condition
-    implied by a resolution order is lost.
+    implied by a resolution order is lost.  The routes are evaluated
+    together (``algebra.substitutions``).
     """
     e = sp.sympify(e)
     atoms = sorted(nf.ws.jet_atoms(e), key=lambda t: t[0].name)
@@ -307,6 +309,7 @@ def restrict_routes(e, nf):
         raise PreconditionFailed(
             "route enumeration", f"{combos} jet resolution routes exceed limit {ROUTE_LIMIT}")
     # the first atom varies slowest, each over its distinct values last-first
-    return list(dict.fromkeys(
-        normalize(e.xreplace(dict(zip((s for s, _, _ in atoms), combo))))
-        for combo in product(*(values[::-1] for values in alternatives))))
+    symbols = [s for s, _, _ in atoms]
+    return list(dict.fromkeys(substitutions(
+        e, [dict(zip(symbols, combo))
+            for combo in product(*(values[::-1] for values in alternatives))])))

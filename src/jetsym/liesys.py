@@ -23,8 +23,8 @@ from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .algebra import (ZeroVerdict, derive, is_zero, monomial_expr, normalize, split_terms,
-                      substitute, zero_verdict)
+from .algebra import (ZeroVerdict, derive, difference, is_zero, monomial_expr, normalize,
+                      split_terms, substitute, zero_verdict)
 from .condsym import compatibility_residuals, verify_solution
 from .errors import CapExceeded, NotSeparable, NotSolvableShape, PreconditionFailed
 from .grammar import print_expr
@@ -108,8 +108,7 @@ def u_bracket(X, Y, deps):
     """Commutator of two u-fields (q-tuples of u-only expressions):
     X(Y^c) - Y(X^c), each applied through ``derive``."""
     x_images, y_images = dict(zip(deps, X)), dict(zip(deps, Y))
-    return tuple(normalize(derive(yc, x_images) - derive(xc, y_images))
-                 for xc, yc in zip(X, Y))
+    return tuple(difference(derive(yc, x_images), derive(xc, y_images)) for xc, yc in zip(X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,9 @@ def vg_closure(nf, cap=10):
     Returns the algebra with exact rational structure constants, or raises
     NotSeparable / CapExceeded (no finite structure found up to the cap).
     Each round of brackets adds a generator or ends the closure, so the cap
-    bounds the rounds too; the last round's brackets give the structure.
+    bounds the rounds too.  Each pair is bracketed once; as the generators
+    stay independent, a pair solved in an earlier round keeps its
+    coordinates, padded with zeros.
     """
     deps = nf.ws.dependent
     pieces = separate(nf)
@@ -182,11 +183,16 @@ def vg_closure(nf, cap=10):
     for j in sorted(pieces):
         for _, coords in pieces[j]:
             try_add(coords)
-    size = None
+    brackets, structure, size = {}, {}, None
     while size != len(gens):
         size = len(gens)
-        structure = {(i, j): try_add(_coordinates(u_bracket(gens[i], gens[j], deps), deps))
-                     for i, j in combinations(range(size), 2)}
+        for i, j in combinations(range(size), 2):
+            if structure.get((i, j)) is None:
+                if (i, j) not in brackets:
+                    brackets[(i, j)] = _coordinates(u_bracket(gens[i], gens[j], deps), deps)
+                structure[(i, j)] = try_add(brackets[(i, j)])
+    structure = {pair: structure[pair] + (sp.Integer(0),) * (size - len(structure[pair]))
+                 for pair in combinations(range(size), 2)}
     vg = VGAlgebra(tuple(gens), structure, tuple(gen_coords), pieces)
     _check_jacobi(vg)
     return vg

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
-from jetsym.algebra import _terms, derive, evaluate_at, sum_of_products
+from jetsym.algebra import _terms, derive, evaluate_at, substitutions, sum_of_products
 from jetsym.errors import CyclicBinding, DivisionByZero
 
 from conftest import evaluable_points, proportional, random_expr
@@ -151,6 +151,40 @@ def test_sum_of_products_ring_matches_tree(pairs):
     out = sum_of_products(pairs)
     reference = normalize(sp.Add(*[a * b for a, b in pairs]))
     assert sp.srepr(out) == sp.srepr(reference)
+
+
+_JETS = [_PLAIN_WS.parse(text) for text in ("u_{x1}", "u_{t,x1}")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laurent,
+       st.lists(st.fixed_dictionaries({s: st.one_of(_sums, _laurent_sums) for s in _JETS}),
+                min_size=1, max_size=3),
+       st.sets(st.sampled_from(_JETS), min_size=1))
+def test_substitutions_ring_matches_tree(e, combos, symbols):
+    """Jet values substituted in the ring -- into polynomials, kernels,
+    Laurent exponentials and h(t) -- give normalize's form of the
+    substituted expression, node for node."""
+    e = normalize(e)
+    combos = [{s: normalize(v) for s, v in combo.items() if s in symbols} for combo in combos]
+    assert _terms(e) is not None
+    out = substitutions(e, combos)
+    assert [sp.srepr(n) for n in out] == [sp.srepr(normalize(e.xreplace(c))) for c in combos]
+
+
+def test_substitutions_fall_back_off_the_ring(monkeypatch):
+    """A rational function in e or in a value, or an atom of e that meets a
+    substituted symbol, takes the tree path with the same answer."""
+    ws = _PLAIN_WS
+    t, u, jet = ws.independent[0], ws.dependent[0], ws.parse("u_{x1}")
+    cases = [(normalize(e), value) for e, value in [
+        (t / (1 + u) * jet, t * u), (t * jet ** 2, t / (1 + u)), (sp.sin(jet) + jet, t)]]
+    expected = [normalize(e.xreplace({jet: value})) for e, value in cases]
+    calls = []
+    monkeypatch.setattr(algebra, "normalize", lambda e: calls.append(e) or normalize(e))
+    for (e, value), reference in zip(cases, expected):
+        assert substitutions(e, [{jet: value}]) == [reference]
+    assert len(calls) == len(cases)
 
 
 def test_derive_falls_back_off_the_ring():

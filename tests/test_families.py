@@ -2,13 +2,19 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetsym import ZeroVerdict, is_zero, normalize, parse
+from jetsym import Workspace, ZeroVerdict, algebra, condsym, families, is_zero, jets, normalize, parse
+from jetsym.algebra import split_terms
 from jetsym.cli import main
+from jetsym.condsym import PdeSystem, build_ansatz
 from jetsym.errors import FamilyNotClosed, NotInFamily
 from jetsym.families import (EXPONENTIAL, HYPERBOLIC, POLYNOMIAL,
-                             TRIGONOMETRIC, AnsatzFamily, check_closure,
+                             TRIGONOMETRIC, AnsatzFamily, _family_terms, check_closure,
                              collect_family)
+from jetsym.jets import compatibility_residuals, restrict_routes
+from jetsym.problem import load_problem
 
 from conftest import random_poly
 
@@ -126,6 +132,67 @@ def test_collect_reassembly_random(ws2, rng, kind):
         # f stands as a symbol, so that the difference can be sampled
         residual = (reassembled - e).xreplace({f: sp.Symbol("F")})
         assert is_zero(residual) is ZeroVerdict.ZERO
+
+
+def _collect_reference(e, family, deps):
+    """Collection by sympy: the x-parts of each key summed and normalized."""
+    acc = {}
+    for x, monomial in split_terms(e, deps):
+        for r, key in _family_terms(monomial, family, deps):
+            acc.setdefault(key, []).append(r * x)
+    return {family.monomial(key, deps): c for key, parts in acc.items()
+            if (c := normalize(sp.Add(*parts))) != 0}
+
+
+_WS = Workspace(["x1", "x2"], ["u"], order_cap=2)
+_X1, _X2 = _WS.independent
+_U = _WS.dependent[0]
+_X_ATOMS = [_X1, _X2, _WS.add_function("f"), sp.cos(_X1), sp.exp(_X2 / 2), sp.exp(-_X1),
+            1 / (1 + _X2)]
+_x_parts = st.builds(lambda terms: sp.Add(*terms), st.lists(st.builds(
+    lambda c, atoms: c * sp.Mul(*atoms),
+    st.builds(sp.Rational, st.integers(-5, 5), st.integers(1, 4)),
+    st.lists(st.sampled_from(_X_ATOMS), max_size=2)), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(CLOSURE_FACTORS)), st.data())
+def test_collect_family_matches_split_and_normalize(kind, data):
+    """Collection in the ring -- and on the tree path, for x-parts such as
+    1/(1 + x2) -- gives the split-and-normalize coefficients node for node."""
+    factors = st.sampled_from(CLOSURE_FACTORS[kind](_U))
+    e = normalize(sp.Add(*data.draw(st.lists(
+        st.builds(lambda x, a, b: x * a * b, _x_parts, factors, factors),
+        min_size=1, max_size=4))))
+    family = AnsatzFamily(kind, 1)
+    out, reference = collect_family(e, family, [_U]), _collect_reference(e, family, (_U,))
+    assert ([(sp.srepr(m), sp.srepr(c)) for m, c in out.items()]
+            == [(sp.srepr(m), sp.srepr(c)) for m, c in reference.items()])
+
+
+def test_determining_steps_stay_in_the_ring(monkeypatch):
+    """On a ladder rung the ring reads, the compatibility residuals, the
+    route restrictions and their collection neither normalize nor expand."""
+    problem = load_problem(Path(__file__).resolve().parent.parent
+                           / "perfbench/problems/wave-deg3.jetsym")
+    ws = problem.ws
+    ansatz = build_ansatz(problem.ansatz.family, ws)
+    nf = ansatz.normal_form()
+    ((_, delta),) = PdeSystem(ws, tuple(problem.pdes)).items()
+    calls = []
+
+    def spy(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for module in (algebra, jets, families, condsym):
+        monkeypatch.setattr(module, "normalize", spy("normalize", module.normalize))
+    monkeypatch.setattr(sp, "expand", spy("expand", sp.expand))
+    sp.core.cache.clear_cache()
+    residuals = [res for *_, res in compatibility_residuals(nf)]
+    restricted = restrict_routes(delta, nf)
+    collected = [collect_family(e, ansatz.family, ws.dependent) for e in residuals + restricted]
+    assert calls == []
+    assert len(restricted) == 2 and all(collected)
 
 
 def test_derive_determining_makes_no_cancel_call(monkeypatch, capsys):

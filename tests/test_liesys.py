@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from jetsym import Workspace, ZeroVerdict, is_zero, normalize
+from jetsym import Workspace, ZeroVerdict, is_zero, liesys, normalize
 from jetsym.cli import main
 from jetsym.errors import CapExceeded, NotSeparable, NotSolvableShape
 from jetsym.grammar import parse
@@ -309,6 +309,35 @@ def test_vg_closure_outside_the_ring():
                          for beta in range(sys.vg.dimension)])
         assert normalize(total - nf.rhs[(0, j)]) == 0
     assert sorted(map(str, sys.b.values())) == ["0", "0", "1/(x2 + 1)", "x1"]
+
+
+def test_separate_factors_a_product_denominator():
+    """1/((1 + x1)*(1 + u)) normalizes to one fraction over an expanded
+    denominator; factoring it separates the term again."""
+    ws = Workspace(["x1"], ["u"], order_cap=1)
+    x1, u = ws.independent[0], ws.dependent[0]
+    nf = NormalFormSystem(ws, {(0, 0): 1 / ((1 + x1) * (1 + u))})
+    assert nf.rhs[(0, 0)] == 1 / (u * x1 + u + x1 + 1)
+    sys = build_pde_lie_system(nf)
+    assert sys.vg.generators == ((1 / (1 + u),),)
+    assert sys.b == {(0, 0): 1 / (1 + x1)}
+
+
+def test_vg_closure_brackets_each_pair_once(monkeypatch):
+    """d/du and u^2 d/du close into sl(2) in two rounds: the bracket runs
+    once per pair of the three generators, and the structure constants are
+    those found by bracketing every pair again in each round."""
+    ws = Workspace(["x1", "x2"], ["u"], order_cap=1)
+    x1, x2 = ws.independent
+    u = ws.dependent[0]
+    nf = NormalFormSystem(ws, {(0, 0): x1, (0, 1): x2 * u ** 2})
+    calls = []
+    monkeypatch.setattr(liesys, "u_bracket", lambda *args: calls.append(args) or u_bracket(*args))
+    vg = vg_closure(nf)
+    assert vg.generators == ((1,), (u ** 2,), (u,))
+    assert len(calls) == 3
+    assert vg.structure_constants == {(0, 1): (0, 0, 2), (0, 2): (1, 0, 0), (1, 2): (0, -1, 0)}
+    assert all(isinstance(c, sp.Integer) for cs in vg.structure_constants.values() for c in cs)
 
 
 def test_solve_rational_agrees_with_gauss_jordan():
