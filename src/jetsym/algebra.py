@@ -12,7 +12,8 @@ Derivatives, non-constant sin/cos/sinh/cosh/log atoms and, for each
 direction t of an exponential exp(c*t) with c rational, one generator
 exp(t/d), d the lcm of t's exponent denominators.  A sum with negative
 exponents is a Laurent element N / S: N a polynomial and S the smallest
-monomial in the exponential generators that clears them.  ``normalize``,
+monomial in the exponential generators that clears them.  ``normalize``
+(which reads its input tree straight into the ring's terms, ``_read``),
 ``derive``, ``sum_of_products`` and ``difference``, ``substitutions`` (jet
 values put into an equation) and ``normal_forms`` (coefficients gathered
 by family key) compute there and convert back once; input outside the
@@ -29,6 +30,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import islice
 
 import sympy as sp
@@ -77,12 +79,25 @@ def _canonical_derivatives(e):
 
 @cacheit
 def _normal_kernel(k):
-    """The kernel k with its argument normalized, once per kernel."""
-    return type(k)(normalize(k.args[0]))
+    """The kernel k with its argument normalized (k itself when the argument
+    is normal) and its ``_read`` terms, once per kernel.  exp(a) reads as
+    the product of exp(t) over the terms t of a, as ``sympy.expand`` splits
+    it.  The terms are None for a constant kernel, an argument off the ring
+    or in Laurent form, exp of an argument with a constant term, and a log
+    that ``sympy.expand_log`` changes."""
+    terms, n = _read(k.args[0]), normalize(k.args[0])
+    n = k if n is k.args[0] else type(k)(n)
+    if type(n) is not type(k):
+        return n, _read(n)
+    if not _plain(terms) or type(n) is sp.log and sp.expand_log(n, deep=False) != n:
+        return n, None
+    factors = [sp.exp(t) for t in sp.Add.make_args(n.args[0])] if type(n) is sp.exp else [n]
+    c, monomial = _monomial(factors) or (None, None)
+    return n, None if c is None else {frozenset(monomial.items()): QQ(c.p, c.q)}
 
 
 def _normalize_kernel_args(e):
-    return e.replace(lambda n: isinstance(n, KERNEL_CLASSES), _normal_kernel)
+    return e.replace(lambda n: isinstance(n, KERNEL_CLASSES), lambda k: _normal_kernel(k)[0])
 
 
 _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
@@ -405,17 +420,72 @@ def substitutions(e, combos):
     return out
 
 
+def _times(a, b):
+    """The product of two sums of ``_read`` terms."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = dict(ma)
+            for g, k in mb:
+                m[g] = m.get(g, 0) + k
+            m = frozenset((g, k) for g, k in m.items() if k)
+            out[m] = out.get(m, QQ.zero) + ca * cb
+    return out
+
+
+def _plain(terms):
+    """True when ``_read`` took its input, and with no negative exponent."""
+    return terms is not None and all(k > 0 for m, c in terms.items() if c for _, k in m)
+
+
+def _read(e):
+    """The terms {monomial: c} that ``_terms`` reads from ``sympy.expand``
+    of e with canonical derivatives and normal kernel arguments, read off
+    the tree e: a monomial is a frozenset of (atom, k), c is in QQ.  None
+    when e takes the tree path."""
+    if e.is_Add or e.is_Mul:
+        out = {} if e.is_Add else {frozenset(): QQ.one}
+        for f in e.args:
+            if (t := _read(f)) is None:
+                return None
+            if e.is_Mul:
+                out = _times(out, t)
+            else:
+                for m, c in t.items():
+                    out[m] = out.get(m, QQ.zero) + c
+        return out
+    if e.is_Pow:
+        if not e.exp.is_Integer or (base := _read(e.base)) is None:
+            return None
+        if e.exp > 0:
+            return reduce(_times, [base] * int(e.exp))
+        # a negative power only of an exponential monomial, a unit of the ring
+        units = [(m, c) for m, c in base.items() if c]
+        if len(units) != 1 or any(type(g) is not sp.exp for g, _ in units[0][0]):
+            return None
+        ((m, c),) = units
+        return {frozenset((g, k * e.exp) for g, k in m): (1 / c) ** -int(e.exp)}
+    if e.is_Rational:
+        return {frozenset(): QQ(e.p, e.q)}
+    f = e
+    if isinstance(e, sp.Derivative):
+        e, f = e.canonical, e.expr
+    if e.is_Symbol or isinstance(f, AppliedUndef) and all(a.is_Symbol for a in f.args):
+        return {frozenset({(e, 1)}): QQ.one}
+    return _normal_kernel(e)[1] if isinstance(e, KERNEL_CLASSES) else None
+
+
 def normalize(e):
     """Canonical form: the expanded sum over symbols and kernels, or its
     Laurent form; a rational normal form where neither applies.
 
     Kernel arguments are normalized first; sympy's construction rules
     apply the parity of sin/cos/sinh/cosh and write exp(u)*exp(-u/2) as
-    exp(u/2), and ``sympy.expand`` splits exp(a + b) into exp(a)*exp(b).
-    No Pythagorean or other identity rewriting takes place.  The form is
-    idempotent and exact:
+    exp(u/2), and exp(a + b) is split into exp(a)*exp(b) as
+    ``sympy.expand`` splits it.  No Pythagorean or other identity rewriting
+    takes place.  The form is idempotent and exact:
 
-    - When ``_terms`` reads the expanded sum and no exponential in it has a
+    - When the ring reads the expanded sum and no exponential in it has a
       negative exponent, the expanded sum is the form, as ``sympy.cancel``
       would also return it.
     - When some do, the form is N / S as ``P.as_expr() / Q.as_expr()``
@@ -431,9 +501,35 @@ def normalize(e):
       powers, constants such as exp(-1/3) -- is put in ``sympy.cancel``'s
       form.
 
+    The ring's terms are read off the input tree (``_read``), multiplied
+    out in QQ and converted once, with no ``sympy.expand``.  The tree path
+    (canonical derivatives, kernel arguments, ``sympy.expand``, ``_terms``)
+    keeps what ``sympy.expand`` would shape otherwise: exp of an argument
+    with a constant term (exp(x + 1) is E*exp(x)), a kernel of a Laurent
+    argument, and a log that ``sympy.expand`` splits.  Symbols are real, so
+    log(4*x1*x2) expands to log(x1*x2) + 2*log(2); a log is an atom only
+    when ``sympy.expand_log`` leaves its normalized form unchanged.
+
     ``derive`` and ``sum_of_products`` return this form from the ring.
     """
     e = sp.sympify(e)
+    return _normal_form(e, _read(e))
+
+
+def _normal_form(e, terms):
+    """``normalize(e)`` given ``_read(e)``; e itself when it is normal."""
+    if terms is None:
+        return _tree_normalize(e)
+    if _plain(terms):
+        out = sp.Add(*[QQ.to_sympy(c) * monomial_expr(dict(m)) for m, c in terms.items() if c])
+        return e if out == e else out
+    (element,), _, _ = _ring_elements([[(QQ.to_sympy(c), dict(m))
+                                        for m, c in terms.items() if c]])
+    return _as_expr(*element)
+
+
+def _tree_normalize(e):
+    """``normalize`` on sympy's expression trees, for input ``_read`` rejects."""
     if e.has(*_BAD_CONSTANTS):
         raise DivisionByZero(f"undefined constant while normalizing {e}")
     e = _canonical_derivatives(e)

@@ -18,7 +18,7 @@ from itertools import chain, combinations, islice
 
 import sympy as sp
 
-from .algebra import (TriBool, ZeroVerdict, derive, evaluate_at, nonzero_constant,
+from .algebra import (TriBool, ZeroVerdict, _terms, derive, evaluate_at, nonzero_constant,
                       normalize, sample_points, zero_verdict)
 from .errors import PreconditionFailed, SingularXi, SpecializationFailed
 from .grammar import print_expr
@@ -111,14 +111,18 @@ def _pivots(M):
 
 
 def _minor_note(rows, piv_rows, piv_cols, label):
-    """Describe where the generically-nonzero pivot minor vanishes."""
+    """Describe where the generically-nonzero pivot minor vanishes; a
+    rational times an exponential monomial is a unit and vanishes nowhere."""
     if not piv_rows:
         return None
     sub = sp.Matrix([[rows[i][j] for j in piv_cols] for i in piv_rows])
     det = normalize(sub.det())
-    if det.free_symbols:
-        return f"{label} rank drops where {print_expr(det)} = 0"
-    return None
+    if not det.free_symbols:
+        return None
+    terms = _terms(det)
+    if terms and len(terms) == 1 and all(type(g) is sp.exp for g in terms[0][1]):
+        return f"{label} pivot minor {print_expr(det)} is nonvanishing"
+    return f"{label} rank drops where {print_expr(det)} = 0"
 
 
 @dataclass

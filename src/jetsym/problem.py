@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import JetsymError, SchemaError
-from .families import AnsatzFamily, check_closure
+from .families import AnsatzFamily
 from .geometry import VectorFieldFamily
 from .jets import VectorField
 from .workspace import Workspace
@@ -240,7 +240,10 @@ def load_problem(path, order=None):
         bound_line, bound = _get_single(path, sections, headers, "ansatz", bound_key,
                                         default="1")
         family = AnsatzFamily(kind, _int_value(path, bound_line, bound_key, bound, 0))
-        check_closure(family.basis(ws.dependent), ws.dependent)
+        try:
+            family.keys(len(ws.dependent))
+        except ValueError as err:
+            raise SchemaError(path, kind_line, str(err)) from None
         explicit = None
         for lineno, key, value in sec:
             if key == "rhs":

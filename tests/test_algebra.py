@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
-from jetsym.algebra import _terms, derive, evaluate_at, substitutions, sum_of_products
+from jetsym.algebra import (_read, _terms, _tree_normalize, derive, evaluate_at, substitutions,
+                            sum_of_products)
 from jetsym.errors import CyclicBinding, DivisionByZero
+from jetsym.grammar import KERNEL_CLASSES
+from jetsym.problem import load_problem
 
 from conftest import evaluable_points, proportional, random_expr
 
@@ -244,6 +248,77 @@ def test_normalize_cancels_non_plain(monkeypatch):
         assert bool(calls) is cancelled, e
     for e, form in forms.items():
         assert sp.srepr(normalize(e)) == form
+
+
+_g = sp.Function("g")(_t, _x1)
+# leaves of unexpanded trees: real coordinates, jets, lam, h(t), D(h(t),t)
+# and two Derivatives whose variables are out of canonical order
+_TREE_LEAVES = _PLAIN_GENERATORS + [sp.Derivative(_g, _x1, _t), sp.Derivative(_g, _x1, _t, _x1)]
+_trees = st.recursive(
+    st.one_of(st.sampled_from(_TREE_LEAVES), _rationals),
+    lambda trees: st.one_of(
+        st.builds(sp.Add, trees, trees),
+        st.builds(sp.Mul, trees, trees),
+        # integer powers of sums, and negative powers of exponentials and symbols
+        st.builds(sp.Pow, trees, st.integers(-2, 3)),
+        # kernels of unexpanded arguments; exp of sums with and without a constant term
+        st.builds(lambda kernel, a: kernel(a), st.sampled_from(KERNEL_CLASSES), trees),
+        st.builds(lambda c, a: sp.exp(c * a), _halves, trees),
+        # log of products, with a positive rational factor that sympy.expand splits off
+        st.builds(lambda c, a, b: sp.log(abs(c) * a * b), _rationals, trees, trees)),
+    max_leaves=8)
+
+
+def _normal_or_error(f, e):
+    try:
+        return sp.srepr(f(e))
+    except DivisionByZero:
+        return "DivisionByZero"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_normalize_reader_matches_tree(e):
+    """normalize, which reads trees straight into the ring's terms, gives
+    the tree path's form (canonical derivatives, kernel arguments,
+    sympy.expand, _terms, sympy.cancel) node for node."""
+    assert _normal_or_error(normalize, e) == _normal_or_error(_tree_normalize, e)
+
+
+def test_reader_leaves_expand_shaped_input_to_the_tree_path():
+    """sympy.expand splits log(4*x1*x2), since the symbols are real, and
+    writes exp(x1 + 1) as E*exp(x1): the reader takes neither, and
+    normalize gives the tree path's form.  Sums, products, powers and
+    exponentials of sums are read."""
+    lam = _PLAIN_WS.parameters["lam"]
+    x2 = sp.Symbol("x2", real=True)
+    for e, form in [(_t + sp.log(4 * _x1 * x2), _t + sp.log(_x1 * x2) + 2 * sp.log(2)),
+                    (sp.exp(_x1 + 1), sp.E * sp.exp(_x1))]:
+        assert _read(e) is None
+        assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e)) == sp.srepr(form)
+    for e in [(_x1 + _u) ** 3 * sp.exp(_u / 2), sp.exp(_x1 * (_u + 2)) / sp.exp(_u),
+              sp.sin(_x1 * (_x1 + lam)) ** 2 - sp.cos(-_x1), sp.log(_x1 * x2 + lam) * _h]:
+        assert _read(e) is not None
+        assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e))
+
+
+def test_loading_problems_calls_neither_expand_nor_cancel(monkeypatch):
+    """The rectify fixture and the benchmark's ansatz problems load from a
+    cold cache without sympy.expand or sympy.cancel: the ring reads every
+    expression in them."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [root / "problems" / "rectify.jetsym",
+             *sorted((root / "perfbench" / "problems").glob("*.jetsym"))]
+    calls = []
+    for name in ("expand", "cancel"):
+        real = getattr(sp, name)
+        monkeypatch.setattr(sp, name, lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
+    for path in paths:
+        sp.core.cache.clear_cache()
+        load_problem(path)
+    assert len(paths) == 13
+    assert calls == []
 
 
 def test_normalize_idempotent_random(ws2, rng):

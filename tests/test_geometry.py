@@ -180,10 +180,10 @@ def test_analyze_distribution_ranks_once(monkeypatch):
                         lambda *args, **kw: calls.append(args) or real(*args, **kw))
     report = analyze_distribution(F)
     assert (report.abelian, report.involutive) == (TriBool.NO, TriBool.YES)
-    assert report.degeneracy_notes == ["distribution rank drops where exp(t) = 0",
-                                       "xi-block rank drops where exp(t) = 0"]
+    assert report.degeneracy_notes == ["distribution pivot minor exp(t) is nonvanishing",
+                                       "xi-block pivot minor exp(t) is nonvanishing"]
     assert len(calls) == 1
-    assert is_involutive(F).notes == ["distribution rank drops where exp(t) = 0"]
+    assert is_involutive(F).notes == ["distribution pivot minor exp(t) is nonvanishing"]
 
 
 def _random_z_family(rng, p, q, kind):

@@ -1,7 +1,9 @@
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetsym import MultiIndex, normalize, parse, print_expr
+from jetsym import MultiIndex, Workspace, normalize, parse, print_expr
 from jetsym.errors import (DivisionByZero, ExprSyntaxError, JetOrderExceeded,
                            UnknownSymbol)
 
@@ -106,3 +108,27 @@ def test_formal_integral_round_trip(ws2):
     u, x1 = ws2.dependent[0], ws2.independent[0]
     e = normalize(sp.Integral(u ** 2, x1) + sp.Integral(sp.exp(x1 * u), x1))
     assert parse(print_expr(e), ws2) == e
+
+
+_WS = Workspace(["t", "x1"], ["u"], order_cap=2)
+_WS.add_parameter("lam")
+_WS.add_function("h", args=["t"])
+_ATOMS = [_WS.parse(text) for text in (
+    "x1", "u", "u_{x1}", "u_{t,x1}", "lam", "h(t)", "D(h(t),t)",
+    "sin(u)", "cos(x1)", "sinh(u + x1)", "cosh(h(t))", "log(lam)")]
+_t = _WS.independent[0]
+_terms = st.builds(
+    lambda c, powers, exps: c * sp.Mul(*(g ** k for g, k in powers)) * sp.Mul(*exps),
+    st.builds(sp.Rational, st.integers(-9, 9), st.integers(1, 6)),
+    st.lists(st.tuples(st.sampled_from(_ATOMS), st.integers(1, 2)), max_size=3),
+    st.lists(st.builds(lambda k: sp.exp(sp.Rational(k, 2) * _t),
+                       st.sampled_from([-3, -2, -1, 1, 2, 3])), max_size=2))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.builds(lambda terms: sp.Add(*terms), st.lists(_terms, max_size=4)))
+def test_print_parse_round_trip_fuzz(e):
+    """parse(print_expr(n)) is n node for node, for normal forms over jets,
+    lam, h(t), D(h(t),t), kernels and exp(c*t), Laurent forms included."""
+    n = normalize(e)
+    assert sp.srepr(parse(print_expr(n), _WS)) == sp.srepr(n)

@@ -88,6 +88,18 @@ def test_malformed_problem_reports_its_line(capsys, tmp_path, body, line):
     assert "Traceback" not in out + err
 
 
+def test_trigonometric_ansatz_needs_one_dependent(capsys, tmp_path):
+    """A trigonometric family over two dependent variables is refused at
+    its family line when the problem loads, with no traceback."""
+    path = tmp_path / "bad.jetsym"
+    path.write_text(HEADER.replace("dependent = u", "dependent = u v")
+                    + "[ansatz]\nfamily = trigonometric\n")
+    rc, out, err = run_cli(capsys, "derive-determining", path)
+    assert rc == 3
+    assert f"{path}:7: trigonometric families support a single dependent variable" in err
+    assert "Traceback" not in out + err
+
+
 def test_cli_exit_codes(capsys):
     rc, _, _ = run_cli(capsys, "verify-symmetry", PROBLEMS / "wave.jetsym")
     assert rc == 0
