@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import islice
+from itertools import combinations, islice
 
 import sympy as sp
 from sympy.core.cache import cacheit
@@ -107,6 +107,17 @@ _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
 _KERNEL_PARTIALS = {sp.sin: sp.cos, sp.cos: lambda a: -sp.sin(a), sp.sinh: sp.cosh,
                     sp.cosh: sp.sinh, sp.log: lambda a: 1 / a}
 _KERNEL_ATOMS = tuple(_KERNEL_PARTIALS)
+
+
+def _independent(atoms):
+    """True when the ring's atoms are algebraically independent, so that a
+    nonzero ring element is a nonzero function: symbols and jets, applied
+    unknown functions and their derivatives, and exp(t) with t free of
+    kernels, whose distinct directions t are Q-linearly independent (Ax,
+    "On Schanuel's conjectures", Ann. Math. 1971).  sin/cos of one argument
+    are not, nor are sinh/cosh or log."""
+    return all(isinstance(g, _GENERATORS)
+               or type(g) is sp.exp and not g.args[0].has(*KERNEL_CLASSES) for g in atoms)
 
 
 def _direction(arg):
@@ -579,12 +590,6 @@ def substitute(e, bindings, ws=None):
 # numerical sampling
 # ---------------------------------------------------------------------------
 
-def random_rational(rng, span=12):
-    num = rng.randint(-span, span)
-    den = rng.randint(1, span)
-    return sp.Rational(num, den)
-
-
 def evaluate_at(e, point):
     """High-precision numerical value; raises ValueError when not finite/real."""
     v = sp.N(e.xreplace(point), 40)
@@ -601,30 +606,18 @@ def evaluate_at(e, point):
 def sample_points(syms, rng, evaluate, draws):
     """The engine's generic-point sampler.
 
-    Draws up to ``draws`` random exact-rational points for ``syms`` (in that
-    order) and yields ``(point, evaluate(point))`` for each point where
-    ``evaluate`` succeeds; points outside its domain are skipped.
+    Draws up to ``draws`` random points for ``syms`` (in that order), each
+    coordinate a rational a/b with |a| <= 12 and 1 <= b <= 12, and yields
+    ``(point, evaluate(point))`` for each point where ``evaluate`` succeeds;
+    points outside its domain are skipped.
     """
     for _ in range(draws):
-        point = {s: random_rational(rng) for s in syms}
+        point = {s: sp.Rational(rng.randint(-12, 12), rng.randint(1, 12)) for s in syms}
         try:
             value = evaluate(point)
         except (ValueError, TypeError, ZeroDivisionError):
             continue
         yield point, value
-
-
-def nonzero_constant(c):
-    """True when the constant c is certainly not 0: a nonzero Rational is
-    exact, and any other constant is decided by its value to 40 significant
-    digits, however small that value is.  False when no precision settles
-    it, as for sin(1)**2 + cos(1)**2 - 1."""
-    if c.is_Rational:
-        return c != 0
-    try:
-        return c.evalf(40, strict=True) != 0
-    except PrecisionExhausted:
-        return False
 
 
 ZERO_SAMPLES = 8   # points at which a residual with free symbols is sampled
@@ -636,9 +629,11 @@ def zero_verdict(e, seed=None):
 
     Zero when the normal form is literally 0 (structural) or the residual
     vanishes at ``ZERO_SAMPLES`` random exact-rational points within relative
-    tolerance ``ZERO_TOL`` (probabilistic).  NonZero on a witness point, or
-    for a constant whose value is not 0 (structural); Unknown when opaque
-    unknown functions block sampling.
+    tolerance ``ZERO_TOL`` (probabilistic).  NonZero for a numerator that is
+    a nonzero ring element over algebraically independent atoms
+    (``_independent``) or a constant whose value is not 0, both structural,
+    or on a witness point; Unknown when opaque unknown functions block
+    sampling.
     """
     seed = DEFAULT_SEED if seed is None else seed
     n = normalize(e)
@@ -646,9 +641,18 @@ def zero_verdict(e, seed=None):
         return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
     if n.has(AppliedUndef, sp.Derivative, sp.Integral):
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", seed=seed)
+    terms = _terms(sp.fraction(n)[0])
+    if (terms is not None and _independent(g for _, monomial in terms for g in monomial)
+            and _ring_elements([terms])[0][0][0]):
+        return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
     if not n.free_symbols:
-        if nonzero_constant(n):
-            return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+        # decided by its value to 40 significant digits, however small;
+        # none settles a constant such as sin(1)**2 + cos(1)**2 - 1
+        try:
+            if n.evalf(40, strict=True) != 0:
+                return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+        except PrecisionExhausted:
+            pass
         return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
     syms = sorted(n.free_symbols, key=lambda s: s.name)
     points = sample_points(syms, random.Random(seed),
@@ -675,3 +679,78 @@ def zero_verdict(e, seed=None):
 def is_zero(e, seed=None):
     return zero_verdict(e, seed=seed).verdict
 
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+class Elimination:
+    """Gauss-Jordan elimination of a matrix of normal forms over the field
+    of fractions ``ring.to_domain().get_field()`` of the ring that
+    ``_ring_elements`` builds on the entries' numerators and denominators
+    (``sympy.fraction``); a part the ring cannot read is one more generator.
+
+    Pivots are taken column by column, in all but the last ``carried``
+    columns: the first nonzero entry, in input order, of a row without a
+    pivot.  It is nonzero as a function when every generator is
+    algebraically independent (``_independent``), and otherwise only if the
+    zero test finds it NonZero.  The carried columns take no pivot and come
+    out as combinations of the pivot columns (``solution``).  The k-th pivot
+    is (``rows[k]``, ``cols[k]``); nothing is normalized before ``minor`` or
+    ``solution`` is asked for.
+    """
+
+    def __init__(self, matrix, carried=0, seed=None):
+        parts = [part for row in matrix for e in row for part in sp.fraction(e)]
+        term_lists = [_terms(part) for part in parts]
+        exact = None not in term_lists
+        elements, _, _ = _ring_elements([
+            [(sp.S.One, {part: sp.S.One})] if terms is None else terms
+            for part, terms in zip(parts, term_lists)])
+        ring = elements[0][0].ring
+        field = ring.to_domain().get_field().field
+
+        def value(numerator, denominator):
+            (n, s), (d, t) = numerator, denominator
+            return field.new(n.mul_monom(_padded(ring, t)), d.mul_monom(_padded(ring, s)))
+
+        values = iter(elements)
+        self._m = m = [[value(next(values), next(values)) for _ in row] for row in matrix]
+        self._carried = carried
+        independent = exact and _independent(ring.symbols)
+        self.rows, self.cols, self._minor = [], [], field.one
+        for c in range(len(matrix[0]) - carried):
+            r = next((i for i, row in enumerate(m) if i not in self.rows and row[c] and (
+                independent or zero_verdict(row[c].as_expr(), seed=seed).verdict
+                is ZeroVerdict.NONZERO)), None)
+            if r is None:
+                continue
+            pivot = m[r][c]
+            m[r] = [v / pivot for v in m[r]]
+            for i, row in enumerate(m):
+                if i != r and row[c]:
+                    m[i] = [a - row[c] * b for a, b in zip(row, m[r])]
+            self.rows.append(r)
+            self.cols.append(c)
+            self._minor *= pivot
+        if sum(a > b for a, b in combinations(self.rows, 2)) % 2:
+            self._minor = -self._minor
+
+    def minor(self):
+        """(det, nonvanishing): the normalized determinant of the pivot rows
+        and columns, both ascending, and whether it is a rational times an
+        exponential monomial, a unit of the ring that vanishes nowhere."""
+        det = normalize(self._minor.as_expr())
+        terms = _terms(det)
+        return det, bool(terms) and len(terms) == 1 and all(
+            type(g) is sp.exp for g in terms[0][1])
+
+    def solution(self, j):
+        """The carried column j as a combination of the pivot columns: its
+        coefficients, in pivot order, which match it on the pivot rows, and
+        the residual (combination minus column) on each other row,
+        ascending; normalized."""
+        c = len(self._m[0]) - self._carried + j
+        return ([normalize(self._m[r][c].as_expr()) for r in self.rows],
+                [normalize((-row[c]).as_expr()) for i, row in enumerate(self._m)
+                 if i not in self.rows])

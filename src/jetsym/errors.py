@@ -68,10 +68,6 @@ class SingularXi(JetsymError):
     """Every candidate xi-submatrix is symbolically singular."""
 
 
-class SpecializationFailed(JetsymError):
-    """No random specialization produced evaluable matrix entries."""
-
-
 class NotSeparable(JetsymError):
     """A right-hand side does not split into x-coefficients times u-fields."""
 

@@ -2,28 +2,26 @@
 projection onto the independent directions, involutivity, and rectification.
 
 A family in Z_j-form (``z_form``) is read off exactly, with brackets from
-its compatibility residuals.  For any other family, rank and projection
-verdicts are generic: the coefficient matrix is specialized at random
-exact-rational points and eliminated exactly there (``_pivots``), and
-degeneracy loci are reported through the vanishing pivot minors rather than
-computed exhaustively.  Structure-function solving divides by those minors;
-the report carries them as declared nonvanishing assumptions.
-"""
+its compatibility residuals.  For any other family, rank, projection, the
+spanning subset, the span solve and the rectifying inverse all come from
+one exact elimination over the field of fractions of the sparse ring
+(``algebra.Elimination``), its pivots taken in input order.  Rank and
+projection are generic: degeneracy loci are reported through the pivot
+minors rather than computed exhaustively.  Structure-function solving
+divides by those minors; the report carries them as declared nonvanishing
+assumptions."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import sympy as sp
 
-from .algebra import (TriBool, ZeroVerdict, _terms, derive, evaluate_at, nonzero_constant,
-                      normalize, sample_points, zero_verdict)
-from .errors import PreconditionFailed, SingularXi, SpecializationFailed
+from .algebra import Elimination, TriBool, ZeroVerdict, derive, zero_verdict
+from .errors import PreconditionFailed, SingularXi
 from .grammar import print_expr
 from .jets import NormalFormSystem, VectorField, compatibility_residuals
-from .workspace import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -61,69 +59,8 @@ def lie_bracket(Y, Z):
 
 
 # ---------------------------------------------------------------------------
-# generic rank machinery
+# generic rank
 # ---------------------------------------------------------------------------
-
-def _chart_samples(rows, ws, seed, draws):
-    """(point, rows specialized exactly) at random chart points where every
-    entry evaluates to a finite real number."""
-    syms = list(ws.independent) + list(ws.dependent) + list(ws.parameters.values())
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-
-    def specialize(point):
-        M = [[e.xreplace(point) for e in row] for row in rows]
-        for v in chain.from_iterable(M):
-            evaluate_at(v, {})
-        return M
-
-    return sample_points(syms, rng, specialize, draws)
-
-
-def _pivots(M):
-    """(pivot rows, pivot columns) of an exact Gaussian elimination of the
-    specialized rows M.
-
-    In each column the candidates are tried in order of float magnitude, the
-    first row winning a tie; floats only order them.  The pivot is the first
-    candidate that ``nonzero_constant`` finds nonzero, which for a Rational
-    is an exact comparison with 0.
-    """
-    rows = [list(r) for r in M]
-    row_idx = list(range(len(rows)))
-    piv_rows, piv_cols = [], []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(piv_rows)
-        if r == len(rows):
-            break
-        candidates = sorted(range(r, len(rows)),
-                            key=lambda i: -abs(evaluate_at(rows[i][c], {})))
-        best = next((i for i in candidates if nonzero_constant(rows[i][c])), None)
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        row_idx[r], row_idx[best] = row_idx[best], row_idx[r]
-        piv_rows.append(row_idx[r])
-        piv_cols.append(c)
-        for i in range(r + 1, len(rows)):
-            factor = rows[i][c] / rows[r][c]
-            rows[i][c:] = [a - factor * b for a, b in zip(rows[i][c:], rows[r][c:])]
-    return piv_rows, piv_cols
-
-
-def _minor_note(rows, piv_rows, piv_cols, label):
-    """Describe where the generically-nonzero pivot minor vanishes; a
-    rational times an exponential monomial is a unit and vanishes nowhere."""
-    if not piv_rows:
-        return None
-    sub = sp.Matrix([[rows[i][j] for j in piv_cols] for i in piv_rows])
-    det = normalize(sub.det())
-    if not det.free_symbols:
-        return None
-    terms = _terms(det)
-    if terms and len(terms) == 1 and all(type(g) is sp.exp for g in terms[0][1]):
-        return f"{label} pivot minor {print_expr(det)} is nonvanishing"
-    return f"{label} rank drops where {print_expr(det)} = 0"
-
 
 @dataclass
 class RankReport:
@@ -131,32 +68,27 @@ class RankReport:
     notes: list = field(default_factory=list)
 
 
-def _generic_rank_of_rows(rows, ws, seed, label):
-    """Rank of the rows at the first sample point where it is full, else the
-    highest rank at up to three points.  The exact rank at a point falls
-    below the generic rank only on the zero set of a pivot minor."""
-    pivots = None
-    for _, M in islice(_chart_samples(rows, ws, seed, 60), 3):
-        trial = _pivots(M)
-        if pivots is None or len(trial[0]) > len(pivots[0]):
-            pivots = trial
-        if len(pivots[0]) == min(len(rows), len(rows[0])):
-            break
-    if pivots is None:
-        raise SpecializationFailed(
-            f"no evaluable specialization found for the {label} coefficient matrix")
-    note = _minor_note(rows, *pivots, label)
-    return RankReport(rank=len(pivots[0]), notes=[note] if note else [])
+def _rank_report(rows, seed, label):
+    """The rank of the rows, and where their pivot minor vanishes: nowhere
+    for a rational times an exponential monomial, a unit of the ring."""
+    elimination = Elimination(rows, seed=seed)
+    det, nonvanishing = elimination.minor()
+    notes = []
+    if det.free_symbols and nonvanishing:
+        notes.append(f"{label} pivot minor {print_expr(det)} is nonvanishing")
+    elif det.free_symbols:
+        notes.append(f"{label} rank drops where {print_expr(det)} = 0")
+    return RankReport(len(elimination.cols), notes)
 
 
 def generic_rank(F, seed=None):
-    """Generic rank of the l x (p+q) coefficient matrix, exact at sample points."""
-    return _generic_rank_of_rows(F.coefficient_rows(), F.ws, seed, "distribution")
+    """Generic rank of the l x (p+q) coefficient matrix, by exact elimination."""
+    return _rank_report(F.coefficient_rows(), seed, "distribution")
 
 
 def projects_onto_tx(F, seed=None):
     """True iff the xi-block has generic rank p; degeneracy loci in the notes."""
-    report = _generic_rank_of_rows([list(m.xi) for m in F.members], F.ws, seed, "xi-block")
+    report = _rank_report([m.xi for m in F.members], seed, "xi-block")
     return report.rank == F.ws.p, report.notes
 
 
@@ -222,61 +154,41 @@ class InvolutivityReport:
     notes: list = field(default_factory=list)
 
 
-def _spanning_subset(F, rank, seed):
-    """The first `rank` members, in input order, whose rows are independent at
-    a sample point, and the chart rows on which their minor there is nonzero."""
-    for _, M in _chart_samples(F.coefficient_rows(), F.ws, seed, 40):
-        rows, members = _pivots(list(zip(*M)))
-        if len(members) >= rank:
-            return tuple(members[:rank]), tuple(rows[:rank])
-    raise SpecializationFailed("could not select a spanning subset")
-
-
-def _solve_in_span(F, subset, rowsel, bracket):
-    """Solve bracket = sum_m f^m V_m over the function field on the chart
-    rows ``rowsel``, whose minor is nonzero; returns (coeffs, residuals, det)."""
-    cols = [F.members[i].coefficient_row() for i in subset]
-    b = bracket.coefficient_row()
-    S = sp.Matrix([[col[r] for col in cols] for r in rowsel])
-    det = normalize(S.det())
-    coeffs = [normalize(v) for v in S.solve(sp.Matrix([b[r] for r in rowsel]))]
-    residuals = [normalize(sp.Add(*[col[r] * f for col, f in zip(cols, coeffs)]) - b[r])
-                 for r in range(len(b))]
-    return coeffs, residuals, det
-
-
 def is_involutive(F, seed=None):
     """Each bracket solvable as a C-infinity combination of a spanning subset."""
     rank_report = generic_rank(F, seed=seed)
-    report = _involutivity(F, rank_report.rank, seed)
+    report = _involutivity(F, seed)
     report.notes[:0] = rank_report.notes
     return report
 
 
-def _involutivity(F, rank, seed):
-    """``is_involutive`` for a known generic rank; its notes omit the rank's."""
-    subset, rowsel = _spanning_subset(F, rank, seed)
+def _involutivity(F, seed):
+    """``is_involutive`` without the rank's notes.  One elimination of the
+    members' coefficient columns picks the spanning subset (the first
+    independent members) and its chart rows, and carries every bracket to
+    its coefficients over the subset and its residuals on the other rows."""
+    pairs = list(combinations(range(len(F)), 2))
+    brackets = [lie_bracket(F.members[j], F.members[k]) for j, k in pairs]
+    columns = F.coefficient_rows() + [br.coefficient_row() for br in brackets]
+    elimination = Elimination(list(zip(*columns)), carried=len(brackets), seed=seed)
+    subset = tuple(elimination.cols)
+    det = elimination.minor()[0]
+    minor = [f"nonvanishing minor: {print_expr(det)}"] if det.free_symbols else []
     verdict = TriBool.YES
     structure = {}
     assumptions = []
     notes = []
-    for j, k in combinations(range(len(F)), 2):
-        br = lie_bracket(F.members[j], F.members[k])
+    for i, ((j, k), br) in enumerate(zip(pairs, brackets)):
         if br.is_zero_field():
             structure[(j, k)] = tuple(sp.Integer(0) for _ in subset)
             continue
-        coeffs, residuals, det = _solve_in_span(F, subset, rowsel, br)
-        pair_verdict = TriBool.YES
-        for e in residuals:
-            v = zero_verdict(e, seed=seed).verdict
-            if v is ZeroVerdict.NONZERO:
-                notes.append(
-                    f"bracket [{j},{k}] leaves the span: residual {print_expr(e)}")
-                return InvolutivityReport(TriBool.NO, None, subset, assumptions, notes)
-            if v is ZeroVerdict.UNKNOWN:
-                pair_verdict = TriBool.UNKNOWN
-        if det.free_symbols:
-            assumptions.append(f"nonvanishing minor: {print_expr(det)}")
+        coeffs, residuals = elimination.solution(i)
+        pair_verdict, escape = _all_zero(residuals, seed)
+        if pair_verdict is TriBool.NO:
+            notes.append(f"bracket [{j},{k}] leaves the span: "
+                         f"residual {print_expr(residuals[escape])}")
+            return InvolutivityReport(TriBool.NO, None, subset, assumptions, notes)
+        assumptions = minor
         if pair_verdict is TriBool.UNKNOWN:
             verdict = TriBool.UNKNOWN
             notes.append(f"bracket [{j},{k}]: span membership undetermined")
@@ -284,8 +196,6 @@ def _involutivity(F, rank, seed):
             structure[(j, k)] = tuple(coeffs)
     if verdict is not TriBool.YES:
         structure = None
-    seen = set()
-    assumptions = [a for a in assumptions if not (a in seen or seen.add(a))]
     return InvolutivityReport(verdict, structure, subset, assumptions, notes)
 
 
@@ -309,7 +219,7 @@ class DistributionReport:
 def analyze_distribution(F, seed=None):
     """Rank, projection, involutivity and the Abelian test of a family.
 
-    A family in Z_j-form is read off exactly, without sampling: rank p,
+    A family in Z_j-form is read off as it stands: rank p,
     projection onto TX, and the Abelian verdict from its compatibility
     residuals.  Its bracket [Z_j, Z_k] has xi-part 0, so it lies in the span
     only when it is 0: the family is involutive exactly when it is Abelian.
@@ -326,7 +236,7 @@ def analyze_distribution(F, seed=None):
     if abelian is TriBool.YES:
         inv = InvolutivityReport(TriBool.YES, {}, tuple(range(len(F))), [], [])
     elif nf is None:
-        inv = _involutivity(F, rank, seed)
+        inv = _involutivity(F, seed)
     else:
         inv = InvolutivityReport(abelian, None, tuple(range(len(F))), [], [])
         if escape is not None:
@@ -353,8 +263,9 @@ class RectifyResult:
 def rectify(F, seed=None, precomputed=None):
     """Rewrite a rectifiable family in the basis Z_k = d/dx^k + phi^a_k d/du^a.
 
-    Inverts the p x p xi-submatrix of a spanning subset (first usable subset
-    in input order).  A family already in Z_j-form keeps the normal form of
+    One elimination of the members' coefficient rows, with pivots in the
+    xi-block, picks the members whose p x p xi-minor is inverted and reduces
+    them to the Z_k.  A family already in Z_j-form keeps the normal form of
     its distribution report.  Preconditions: generic rank p, projection onto
     the independent directions, involutivity.
     """
@@ -369,30 +280,24 @@ def rectify(F, seed=None, precomputed=None):
         raise PreconditionFailed("involutivity", "a bracket escapes the span")
     if report.involutive is TriBool.UNKNOWN:
         raise PreconditionFailed("involutivity", "involutivity undetermined")
-    last_error = None
-    for subset in combinations(range(len(F)), ws.p):
-        Xi = sp.Matrix([[F.members[j].xi[i] for i in range(ws.p)] for j in subset])
-        det = normalize(Xi.det())
-        if zero_verdict(det, seed=seed).verdict is not ZeroVerdict.NONZERO:
-            last_error = f"subset {subset}: xi-minor {print_expr(det)} not invertible"
-            continue
-        if report.nf is not None:
-            nf, abelian = report.nf, report.abelian
-        else:
-            W = Xi.T.inv()
-            nf = NormalFormSystem(ws, {
-                (a, k): sp.Add(*[W[j, k] * F.members[subset[j]].phi[a]
-                                 for j in range(ws.p)])
-                for k in range(ws.p) for a in range(ws.q)})
-            # the jet values behind the residuals stay memoized in nf for
-            # the restrictions that follow
-            abelian = _nf_abelian(nf, seed)[0]
-        if abelian is TriBool.NO:
-            raise PreconditionFailed(
-                "rectify postcondition", "rectified family is not Abelian")
-        assumptions = ([f"nonvanishing xi-minor: {print_expr(det)}"]
-                       if det.free_symbols else [])
-        notes = (["rectified family Abelian check undetermined (opaque coefficients)"]
-                 if abelian is TriBool.UNKNOWN else [])
-        return RectifyResult(nf, subset, det, assumptions, notes)
-    raise SingularXi(last_error or "no invertible xi-submatrix found")
+    rows = [m.xi for m in F.members] if report.nf is not None else F.coefficient_rows()
+    elimination = Elimination(rows, carried=len(rows[0]) - ws.p, seed=seed)
+    if len(elimination.cols) < ws.p:
+        raise SingularXi(f"xi-block has rank {len(elimination.cols)} < p = {ws.p}")
+    subset, det = tuple(sorted(elimination.rows)), elimination.minor()[0]
+    if report.nf is not None:
+        nf, abelian = report.nf, report.abelian
+    else:
+        phi = [elimination.solution(a)[0] for a in range(ws.q)]
+        nf = NormalFormSystem(ws, {(a, k): phi[a][k] for k in range(ws.p) for a in range(ws.q)})
+        # the jet values behind the residuals stay memoized in nf for
+        # the restrictions that follow
+        abelian = _nf_abelian(nf, seed)[0]
+    if abelian is TriBool.NO:
+        raise PreconditionFailed(
+            "rectify postcondition", "rectified family is not Abelian")
+    assumptions = ([f"nonvanishing xi-minor: {print_expr(det)}"]
+                   if det.free_symbols else [])
+    notes = (["rectified family Abelian check undetermined (opaque coefficients)"]
+             if abelian is TriBool.UNKNOWN else [])
+    return RectifyResult(nf, subset, det, assumptions, notes)

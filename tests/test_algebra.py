@@ -468,6 +468,15 @@ def test_tiny_constant_is_structurally_nonzero():
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
 
 
+def test_nonzero_ring_element_is_structurally_nonzero():
+    """A nonzero element of the ring over independent atoms is a nonzero
+    function, however small its coefficients: no point is sampled."""
+    t, x = sp.symbols("t x", real=True)
+    for e in [x ** 2 / 10 ** 15 + x / 10 ** 14, -sp.exp(-t) * sp.exp(-x)]:
+        r = zero_verdict(e)
+        assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, "structural"), e
+
+
 def test_sampled_zero_evaluates_once_per_point(ws2, monkeypatch):
     """A value within tol passes whatever the term scale, so the terms are
     not evaluated one by one."""

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 import sympy as sp
 
 from jetsym import TriBool, Workspace, ZeroVerdict, algebra, geometry, is_zero, normalize
+from jetsym.cli import main
 from jetsym.errors import PreconditionFailed
 from jetsym.geometry import (VectorFieldFamily, analyze_distribution,
                              generic_rank, is_abelian, is_involutive,
@@ -107,18 +109,49 @@ def test_tiny_pivot_is_exact(ws2, tiny):
 
 
 def test_pivots_decide_constants_without_normalize(monkeypatch):
-    """The kernel constants of rectify.jetsym's rows specialized at a sample
-    point are decided by their values, with no normalize call."""
+    """The exponential entries of rectify.jetsym's rows are decided in the
+    ring's field, with no normalize call."""
     problem = load_problem(Path(__file__).resolve().parent.parent / "problems" / "rectify.jetsym")
     rows = problem.fields().coefficient_rows()
-    _, M = next(geometry._chart_samples(rows, problem.ws, None, 60))
-    assert any(not e.is_Rational for e in M[0])
+    assert any(not e.is_Rational for e in rows[0])
     calls = []
     real = algebra.normalize
-    for module in (algebra, geometry):
-        monkeypatch.setattr(module, "normalize", lambda e: calls.append(e) or real(e))
-    assert geometry._pivots(M) == ([0, 1], [0, 1])
+    monkeypatch.setattr(algebra, "normalize", lambda e: calls.append(e) or real(e))
+    elimination = algebra.Elimination(rows)
+    assert (elimination.rows, elimination.cols) == ([0, 1], [0, 1])
     assert calls == []
+
+
+@pytest.mark.parametrize("rows", [
+    lambda u: [[sp.sin(u) ** 2 + sp.cos(u) ** 2 - 1, ONE], [ZERO, ONE]],
+    lambda u: [[sp.sqrt(u), u], [ONE, sp.sqrt(u)]],
+    lambda u: [[sp.exp(40), sp.exp(20)], [sp.exp(20), ONE]],
+], ids=["dependent-atoms", "off-ring", "constant-exponentials"])
+def test_pivots_on_dependent_atoms_and_off_ring_entries(rows):
+    """Where the ring's atoms are not independent, or an entry is off the
+    ring, a pivot must also be NonZero for the zero test: every rank is 1."""
+    ws = Workspace(["x"], ["u"], order_cap=1)
+    F = VectorFieldFamily(ws, tuple(VectorField(ws, (a,), (b,))
+                                    for a, b in rows(ws.dependent[0])))
+    assert generic_rank(F).rank == 1
+
+
+@pytest.mark.parametrize("fixture", ["rectify", "nonlie", "empty"])
+def test_analyze_distribution_draws_no_sample_point(monkeypatch, capsys, fixture):
+    """Rank, projection, involutivity and rectification are exact: the
+    command's report is the golden one, and no point is drawn."""
+    root = Path(__file__).resolve().parent
+    drawn = []
+
+    def refuse(*args, **kw):
+        drawn.append(args)
+        raise AssertionError("a sample point was drawn")
+
+    monkeypatch.setattr(algebra, "sample_points", refuse)
+    rc = main(["analyze-distribution", str(root.parent / "problems" / f"{fixture}.jetsym"),
+               "--format", "json"])
+    golden = (root / "golden" / f"{fixture}.analyze-distribution.json").read_text()
+    assert (drawn, capsys.readouterr().out, rc) == ([], golden, json.loads(golden)["exit_code"])
 
 
 def test_generic_rank_is_exact_on_scaled_rows():
@@ -223,8 +256,7 @@ def test_z_form_family_is_read_off_exactly(monkeypatch):
     expected = [is_abelian(F) for F in families]
     assert {TriBool.YES, TriBool.NO} <= set(expected)
     calls = []
-    for name in ("generic_rank", "projects_onto_tx", "lie_bracket", "_spanning_subset",
-                 "sample_points"):
+    for name in ("generic_rank", "projects_onto_tx", "lie_bracket"):
         monkeypatch.setattr(geometry, name,
                             lambda *args, name=name, **kw: calls.append(name))
     for F, abelian in zip(families, expected):

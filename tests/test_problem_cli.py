@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from jetsym import condsym
 from jetsym.cli import main
-from jetsym.errors import SchemaError
+from jetsym.errors import SchemaError, SingularXi
 from jetsym.problem import load_problem
 from jetsym.report import Report
 
@@ -203,19 +204,44 @@ def test_tiny_pivot_family_is_rectifiable(capsys, tmp_path, tiny):
     assert "[Yes] rectifiable" in out
 
 
-def test_route_a_error_falls_back_to_route_b(capsys, tmp_path):
-    """Scaling liouville's first member takes the family out of Z_j-form, and
-    the opaque h(t) then blocks route A's sampling: route B answers."""
+def _scaled_liouville(tmp_path):
+    """liouville.jetsym with its first member scaled by 2: out of Z_j-form,
+    with the opaque h(t) and its derivative in the coefficients."""
     path = tmp_path / "liouville-scaled.jetsym"
     text = (PROBLEMS / "liouville.jetsym").read_text()
     scaled = text.replace('"1" | "0" | "0" ; "D(h(t),t)"', '"2" | "0" | "0" ; "2*D(h(t),t)"')
     assert scaled != text
     path.write_text(scaled)
+    return path
+
+
+def test_scaled_liouville_is_analyzed_exactly(capsys, tmp_path):
+    """The opaque h(t) is a generator of the ring, so the elimination
+    answers where no sample point could bind it, and route A answers."""
+    path = _scaled_liouville(tmp_path)
+    rc, data = run_json(capsys, "analyze-distribution", path)
+    rows = {row["name"]: row for row in data["verdicts"]}
+    assert rc == 0
+    assert rows["generic rank = p"]["detail"] == "rank 3, p = 3"
+    assert rows["projects onto TX"]["verdict"] == "Yes"
     rc, data = run_json(capsys, "verify-symmetry", path)
     assert rc == 0
     assert data["verdicts"][0]["verdict"] == "Yes"
+    assert data["verdicts"][0]["justification"].startswith("route A: ")
+    assert not any(n.startswith("route A unavailable") for n in data["notes"])
+
+
+def test_route_a_error_falls_back_to_route_b(capsys, tmp_path, monkeypatch):
+    """A typed error on route A hands the question to route B."""
+    def singular(*args, **kw):
+        raise SingularXi("forced")
+
+    monkeypatch.setattr(condsym, "rectify", singular)
+    rc, data = run_json(capsys, "verify-symmetry", _scaled_liouville(tmp_path))
+    assert rc == 0
+    assert data["verdicts"][0]["verdict"] == "Yes"
     assert "route B" in data["verdicts"][0]["justification"]
-    assert any(n.startswith("route A unavailable: ") for n in data["notes"])
+    assert "route A unavailable: forced" in data["notes"]
 
 
 def test_force_direct_flag(capsys):
