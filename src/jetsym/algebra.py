@@ -692,18 +692,18 @@ class Elimination:
 
     Pivots are taken column by column, in all but the last ``carried``
     columns: the first nonzero entry, in input order, of a row without a
-    pivot.  It is nonzero as a function when every generator is
-    algebraically independent (``_independent``), and otherwise only if the
-    zero test finds it NonZero.  The carried columns take no pivot and come
-    out as combinations of the pivot columns (``solution``).  The k-th pivot
-    is (``rows[k]``, ``cols[k]``); nothing is normalized before ``minor`` or
-    ``solution`` is asked for.
+    pivot.  It is nonzero as a function when the ring reads every atom of
+    its numerator and they are algebraically independent (``_independent``),
+    and otherwise only if the zero test finds it NonZero.  The carried
+    columns take no pivot and come out as combinations of the pivot columns
+    (``solution``).  The k-th pivot is (``rows[k]``, ``cols[k]``); nothing
+    is normalized before ``minor`` or ``solution`` is asked for.
     """
 
     def __init__(self, matrix, carried=0, seed=None):
         parts = [part for row in matrix for e in row for part in sp.fraction(e)]
         term_lists = [_terms(part) for part in parts]
-        exact = None not in term_lists
+        opaque = {part for part, terms in zip(parts, term_lists) if terms is None}
         elements, _, _ = _ring_elements([
             [(sp.S.One, {part: sp.S.One})] if terms is None else terms
             for part, terms in zip(parts, term_lists)])
@@ -714,15 +714,21 @@ class Elimination:
             (n, s), (d, t) = numerator, denominator
             return field.new(n.mul_monom(_padded(ring, t)), d.mul_monom(_padded(ring, s)))
 
+        def nonzero(v):
+            atoms = {g for monom in v.numer.monoms() for g, k in zip(ring.symbols, monom) if k}
+            if not v or _independent(atoms) and opaque.isdisjoint(atoms):
+                return bool(v)
+            # the rank is generic in the unknown functions too: the zero test
+            # reads each of their atoms as one more symbol
+            n = v.numer.as_expr()
+            fresh = {g: sp.Symbol(str(g), real=True) for g in n.atoms(AppliedUndef, sp.Derivative)}
+            return zero_verdict(n.xreplace(fresh), seed=seed).verdict is ZeroVerdict.NONZERO
+
         values = iter(elements)
         self._m = m = [[value(next(values), next(values)) for _ in row] for row in matrix]
-        self._carried = carried
-        independent = exact and _independent(ring.symbols)
         self.rows, self.cols, self._minor = [], [], field.one
         for c in range(len(matrix[0]) - carried):
-            r = next((i for i, row in enumerate(m) if i not in self.rows and row[c] and (
-                independent or zero_verdict(row[c].as_expr(), seed=seed).verdict
-                is ZeroVerdict.NONZERO)), None)
+            r = next((i for i in range(len(m)) if i not in self.rows and nonzero(m[i][c])), None)
             if r is None:
                 continue
             pivot = m[r][c]
@@ -745,12 +751,11 @@ class Elimination:
         return det, bool(terms) and len(terms) == 1 and all(
             type(g) is sp.exp for g in terms[0][1])
 
-    def solution(self, j):
-        """The carried column j as a combination of the pivot columns: its
-        coefficients, in pivot order, which match it on the pivot rows, and
-        the residual (combination minus column) on each other row,
-        ascending; normalized."""
-        c = len(self._m[0]) - self._carried + j
+    def solution(self, c):
+        """Column c, which holds no pivot, as a combination of the pivot
+        columns: its coefficients, in pivot order, which match it on the
+        pivot rows, and the residual (combination minus column) on each
+        other row, ascending; normalized."""
         return ([normalize(self._m[r][c].as_expr()) for r in self.rows],
                 [normalize((-row[c]).as_expr()) for i, row in enumerate(self._m)
                  if i not in self.rows])

@@ -64,10 +64,6 @@ class PreconditionFailed(JetsymError):
         self.check = check
 
 
-class SingularXi(JetsymError):
-    """Every candidate xi-submatrix is symbolically singular."""
-
-
 class NotSeparable(JetsymError):
     """A right-hand side does not split into x-coefficients times u-fields."""
 

@@ -19,7 +19,7 @@ from itertools import combinations
 import sympy as sp
 
 from .algebra import Elimination, TriBool, ZeroVerdict, derive, zero_verdict
-from .errors import PreconditionFailed, SingularXi
+from .errors import PreconditionFailed
 from .grammar import print_expr
 from .jets import NormalFormSystem, VectorField, compatibility_residuals
 
@@ -182,7 +182,7 @@ def _involutivity(F, seed):
         if br.is_zero_field():
             structure[(j, k)] = tuple(sp.Integer(0) for _ in subset)
             continue
-        coeffs, residuals = elimination.solution(i)
+        coeffs, residuals = elimination.solution(len(F) + i)
         pair_verdict, escape = _all_zero(residuals, seed)
         if pair_verdict is TriBool.NO:
             notes.append(f"bracket [{j},{k}] leaves the span: "
@@ -274,21 +274,19 @@ def rectify(F, seed=None, precomputed=None):
     if report.generic_rank != ws.p:
         raise PreconditionFailed(
             "rank", f"generic rank {report.generic_rank} != p = {ws.p}")
-    if not report.projects_onto_tx:
+    rows = [m.xi for m in F.members] if report.nf is not None else F.coefficient_rows()
+    elimination = Elimination(rows, carried=len(rows[0]) - ws.p, seed=seed)
+    if len(elimination.cols) < ws.p:
         raise PreconditionFailed("projection", "xi-block has generic rank < p")
     if report.involutive is TriBool.NO:
         raise PreconditionFailed("involutivity", "a bracket escapes the span")
     if report.involutive is TriBool.UNKNOWN:
         raise PreconditionFailed("involutivity", "involutivity undetermined")
-    rows = [m.xi for m in F.members] if report.nf is not None else F.coefficient_rows()
-    elimination = Elimination(rows, carried=len(rows[0]) - ws.p, seed=seed)
-    if len(elimination.cols) < ws.p:
-        raise SingularXi(f"xi-block has rank {len(elimination.cols)} < p = {ws.p}")
     subset, det = tuple(sorted(elimination.rows)), elimination.minor()[0]
     if report.nf is not None:
         nf, abelian = report.nf, report.abelian
     else:
-        phi = [elimination.solution(a)[0] for a in range(ws.q)]
+        phi = [elimination.solution(ws.p + a)[0] for a in range(ws.q)]
         nf = NormalFormSystem(ws, {(a, k): phi[a][k] for k in range(ws.p) for a in range(ws.q)})
         # the jet values behind the residuals stay memoized in nf for
         # the restrictions that follow

@@ -136,6 +136,18 @@ def test_pivots_on_dependent_atoms_and_off_ring_entries(rows):
     assert generic_rank(F).rank == 1
 
 
+def test_opaque_pivot_beside_dependent_atoms():
+    """sin(u) makes the ring's atoms dependent, but a pivot h(t) is still
+    settled by the ring, and a pivot h(t)*sin(u) by the zero test with h(t)
+    read as one more symbol: both families are rectifiable."""
+    ws = Workspace(["t", "x"], ["u"], order_cap=1)
+    h, u = ws.add_function("h", ["t"]), ws.dependent[0]
+    for xi, phi, rhs in [(h, sp.sin(u), sp.sin(u) / h), (h * sp.sin(u), ZERO, ZERO)]:
+        F = VectorFieldFamily(ws, (VectorField(ws, (xi, ZERO), (phi,)),
+                                   VectorField(ws, (ZERO, ONE), (ZERO,))))
+        assert rectify(F).nf.rhs == {(0, 0): rhs, (0, 1): 0}
+
+
 @pytest.mark.parametrize("fixture", ["rectify", "nonlie", "empty"])
 def test_analyze_distribution_draws_no_sample_point(monkeypatch, capsys, fixture):
     """Rank, projection, involutivity and rectification are exact: the
