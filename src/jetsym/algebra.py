@@ -110,12 +110,10 @@ _KERNEL_ATOMS = tuple(_KERNEL_PARTIALS)
 
 
 def _independent(atoms):
-    """True when the ring's atoms are algebraically independent, so that a
-    nonzero ring element is a nonzero function: symbols and jets, applied
-    unknown functions and their derivatives, and exp(t) with t free of
-    kernels, whose distinct directions t are Q-linearly independent (Ax,
-    "On Schanuel's conjectures", Ann. Math. 1971).  sin/cos of one argument
-    are not, nor are sinh/cosh or log."""
+    """True for algebraically independent ring atoms: symbols, jets, unknown
+    functions and their derivatives, and exp(t) with t free of kernels, whose
+    distinct directions are Q-linearly independent (Ax, "On Schanuel's
+    conjectures", Ann. Math. 1971).  Not sin/cos, sinh/cosh or log."""
     return all(isinstance(g, _GENERATORS)
                or type(g) is sp.exp and not g.args[0].has(*KERNEL_CLASSES) for g in atoms)
 
@@ -590,6 +588,12 @@ def substitute(e, bindings, ws=None):
 # numerical sampling
 # ---------------------------------------------------------------------------
 
+def random_rational(rng, span=12):
+    num = rng.randint(-span, span)
+    den = rng.randint(1, span)
+    return sp.Rational(num, den)
+
+
 def evaluate_at(e, point):
     """High-precision numerical value; raises ValueError when not finite/real."""
     v = sp.N(e.xreplace(point), 40)
@@ -606,13 +610,12 @@ def evaluate_at(e, point):
 def sample_points(syms, rng, evaluate, draws):
     """The engine's generic-point sampler.
 
-    Draws up to ``draws`` random points for ``syms`` (in that order), each
-    coordinate a rational a/b with |a| <= 12 and 1 <= b <= 12, and yields
-    ``(point, evaluate(point))`` for each point where ``evaluate`` succeeds;
-    points outside its domain are skipped.
+    Draws up to ``draws`` random exact-rational points for ``syms`` (in that
+    order) and yields ``(point, evaluate(point))`` for each point where
+    ``evaluate`` succeeds; points outside its domain are skipped.
     """
     for _ in range(draws):
-        point = {s: sp.Rational(rng.randint(-12, 12), rng.randint(1, 12)) for s in syms}
+        point = {s: random_rational(rng) for s in syms}
         try:
             value = evaluate(point)
         except (ValueError, TypeError, ZeroDivisionError):
@@ -686,18 +689,15 @@ def is_zero(e, seed=None):
 
 class Elimination:
     """Gauss-Jordan elimination of a matrix of normal forms over the field
-    of fractions ``ring.to_domain().get_field()`` of the ring that
-    ``_ring_elements`` builds on the entries' numerators and denominators
-    (``sympy.fraction``); a part the ring cannot read is one more generator.
+    ``ring.to_domain().get_field()`` of the ring of ``_ring_elements`` on
+    the entries' ``sympy.fraction`` parts; an unreadable part is a generator.
 
-    Pivots are taken column by column, in all but the last ``carried``
-    columns: the first nonzero entry, in input order, of a row without a
-    pivot.  It is nonzero as a function when the ring reads every atom of
-    its numerator and they are algebraically independent (``_independent``),
-    and otherwise only if the zero test finds it NonZero.  The carried
-    columns take no pivot and come out as combinations of the pivot columns
-    (``solution``).  The k-th pivot is (``rows[k]``, ``cols[k]``); nothing
-    is normalized before ``minor`` or ``solution`` is asked for.
+    Column by column, except the last ``carried``, the pivot is the first
+    nonzero entry, in input order, of a row without one: nonzero in the
+    ring when its numerator's atoms are all read and ``_independent``, else
+    NonZero for the zero test.  Carried columns come out as combinations of
+    the pivot columns (``solution``).  The k-th pivot is (``rows[k]``,
+    ``cols[k]``); ``minor`` and ``solution`` normalize, nothing else does.
     """
 
     def __init__(self, matrix, carried=0, seed=None):

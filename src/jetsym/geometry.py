@@ -274,8 +274,7 @@ def rectify(F, seed=None, precomputed=None):
     if report.generic_rank != ws.p:
         raise PreconditionFailed(
             "rank", f"generic rank {report.generic_rank} != p = {ws.p}")
-    rows = [m.xi for m in F.members] if report.nf is not None else F.coefficient_rows()
-    elimination = Elimination(rows, carried=len(rows[0]) - ws.p, seed=seed)
+    elimination = Elimination(F.coefficient_rows(), carried=ws.q, seed=seed)
     if len(elimination.cols) < ws.p:
         raise PreconditionFailed("projection", "xi-block has generic rank < p")
     if report.involutive is TriBool.NO:
