@@ -42,7 +42,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import PolynomialError
 from sympy.polys.rings import PolyRing
 
-from .errors import CyclicBinding, DivisionByZero, UnknownSymbol
+from .errors import CyclicBinding, DivisionByZero, PreconditionFailed, UnknownSymbol
 from .grammar import KERNEL_CLASSES
 from .workspace import DEFAULT_SEED
 
@@ -693,11 +693,11 @@ class Elimination:
     the entries' ``sympy.fraction`` parts; an unreadable part is a generator.
 
     Column by column, except the last ``carried``, the pivot is the first
-    nonzero entry, in input order, of a row without one: nonzero in the
-    ring when its numerator's atoms are all read and ``_independent``, else
-    NonZero for the zero test.  Carried columns come out as combinations of
-    the pivot columns (``solution``).  The k-th pivot is (``rows[k]``,
-    ``cols[k]``); ``minor`` and ``solution`` normalize, nothing else does.
+    nonzero entry, in input order, of a row without one: the ring decides
+    when its numerator's atoms are read and ``_independent``, else the zero
+    test, whose Unknown raises ``PreconditionFailed``.  Carried columns come
+    out as combinations of the pivot columns (``solution``).  Pivot k is
+    (``rows[k]``, ``cols[k]``); a pivot the ring decides is not normalized.
     """
 
     def __init__(self, matrix, carried=0, seed=None):
@@ -722,7 +722,10 @@ class Elimination:
             # reads each of their atoms as one more symbol
             n = v.numer.as_expr()
             fresh = {g: sp.Symbol(str(g), real=True) for g in n.atoms(AppliedUndef, sp.Derivative)}
-            return zero_verdict(n.xreplace(fresh), seed=seed).verdict is ZeroVerdict.NONZERO
+            verdict = zero_verdict(n.xreplace(fresh), seed=seed).verdict
+            if verdict is ZeroVerdict.UNKNOWN:
+                raise PreconditionFailed("decidable pivot", f"the zero test cannot decide {n}")
+            return verdict is ZeroVerdict.NONZERO
 
         values = iter(elements)
         self._m = m = [[value(next(values), next(values)) for _ in row] for row in matrix]

@@ -2,14 +2,12 @@
 projection onto the independent directions, involutivity, and rectification.
 
 A family in Z_j-form (``z_form``) is read off exactly, with brackets from
-its compatibility residuals.  For any other family, rank, projection, the
-spanning subset, the span solve and the rectifying inverse all come from
-one exact elimination over the field of fractions of the sparse ring
-(``algebra.Elimination``), its pivots taken in input order.  Rank and
-projection are generic: degeneracy loci are reported through the pivot
-minors rather than computed exhaustively.  Structure-function solving
-divides by those minors; the report carries them as declared nonvanishing
-assumptions."""
+its compatibility residuals.  Otherwise the generic rank, projection, the
+spanning subset, the span solve and the rectifying inverse come from exact
+eliminations over the sparse ring's field of fractions (``Elimination``).
+Degeneracy loci are reported through the pivot minors rather than computed
+exhaustively; structure-function solving divides by those minors, and the
+report carries them as declared nonvanishing assumptions."""
 
 from __future__ import annotations
 
@@ -274,7 +272,8 @@ def rectify(F, seed=None, precomputed=None):
     if report.generic_rank != ws.p:
         raise PreconditionFailed(
             "rank", f"generic rank {report.generic_rank} != p = {ws.p}")
-    elimination = Elimination(F.coefficient_rows(), carried=ws.q, seed=seed)
+    rows = [m.xi for m in F.members] if report.nf is not None else F.coefficient_rows()
+    elimination = Elimination(rows, carried=len(rows[0]) - ws.p, seed=seed)
     if len(elimination.cols) < ws.p:
         raise PreconditionFailed("projection", "xi-block has generic rank < p")
     if report.involutive is TriBool.NO:

@@ -148,6 +148,16 @@ def test_opaque_pivot_beside_dependent_atoms():
         assert rectify(F).nf.rhs == {(0, 0): rhs, (0, 1): 0}
 
 
+def test_undecidable_pivot_is_an_error():
+    """log(u - 100) is real at no sample point, so the zero test cannot
+    decide it as a pivot: the rank is a typed error, not rank 1."""
+    ws = Workspace(["t", "x"], ["u"], order_cap=1)
+    F = VectorFieldFamily(ws, (VectorField(ws, (sp.log(ws.dependent[0] - 100), ZERO), (ZERO,)),
+                               VectorField(ws, (ZERO, ONE), (ZERO,))))
+    with pytest.raises(PreconditionFailed):
+        generic_rank(F)
+
+
 @pytest.mark.parametrize("fixture", ["rectify", "nonlie", "empty"])
 def test_analyze_distribution_draws_no_sample_point(monkeypatch, capsys, fixture):
     """Rank, projection, involutivity and rectification are exact: the
