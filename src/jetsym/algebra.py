@@ -111,11 +111,15 @@ _KERNEL_ATOMS = tuple(_KERNEL_PARTIALS)
 
 def _independent(atoms):
     """True for algebraically independent ring atoms: symbols, jets, unknown
-    functions and their derivatives, and exp(t) with t free of kernels, whose
-    distinct directions are Q-linearly independent (Ax, "On Schanuel's
-    conjectures", Ann. Math. 1971).  Not sin/cos, sinh/cosh or log."""
-    return all(isinstance(g, _GENERATORS)
-               or type(g) is sp.exp and not g.args[0].has(*KERNEL_CLASSES) for g in atoms)
+    functions and their derivatives, and exp(t) with t a rational times a
+    product of rational powers of those.  Distinct such directions are
+    Q-linearly independent modulo constants, so their exponentials are
+    algebraically independent (Ax, "On Schanuel's conjectures", Ann. Math.
+    1971).  Not sin/cos, sinh/cosh or log, and not exp(t) for other t:
+    exp(u/(x + 1))*exp(u*x/(x + 1)) is exp(u)."""
+    return all(isinstance(g, _GENERATORS) or type(g) is sp.exp and all(
+        f.is_Rational or isinstance(base, _GENERATORS) and k.is_Rational
+        for f in sp.Mul.make_args(g.args[0]) for base, k in [f.as_base_exp()]) for g in atoms)
 
 
 def _direction(arg):
@@ -644,9 +648,9 @@ def zero_verdict(e, seed=None):
         return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
     if n.has(AppliedUndef, sp.Derivative, sp.Integral):
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", seed=seed)
+    # a normal form's terms have distinct monomials: a nonzero ring element
     terms = _terms(sp.fraction(n)[0])
-    if (terms is not None and _independent(g for _, monomial in terms for g in monomial)
-            and _ring_elements([terms])[0][0][0]):
+    if terms is not None and _independent(g for _, monomial in terms for g in monomial):
         return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
     if not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
@@ -729,7 +733,7 @@ class Elimination:
 
         values = iter(elements)
         self._m = m = [[value(next(values), next(values)) for _ in row] for row in matrix]
-        self.rows, self.cols, self._minor = [], [], field.one
+        self.rows, self.cols, self._minors = [], [], [field.one]
         for c in range(len(matrix[0]) - carried):
             r = next((i for i in range(len(m)) if i not in self.rows and nonzero(m[i][c])), None)
             if r is None:
@@ -741,18 +745,15 @@ class Elimination:
                     m[i] = [a - row[c] * b for a, b in zip(row, m[r])]
             self.rows.append(r)
             self.cols.append(c)
-            self._minor *= pivot
-        if sum(a > b for a, b in combinations(self.rows, 2)) % 2:
-            self._minor = -self._minor
+            self._minors.append(self._minors[-1] * pivot)
 
-    def minor(self):
-        """(det, nonvanishing): the normalized determinant of the pivot rows
-        and columns, both ascending, and whether it is a rational times an
-        exponential monomial, a unit of the ring that vanishes nowhere."""
-        det = normalize(self._minor.as_expr())
-        terms = _terms(det)
-        return det, bool(terms) and len(terms) == 1 and all(
-            type(g) is sp.exp for g in terms[0][1])
+    def minor(self, k):
+        """The normalized determinant of the first k pivots' rows and
+        columns, both ascending."""
+        det = self._minors[k]
+        if sum(a > b for a, b in combinations(self.rows[:k], 2)) % 2:
+            det = -det
+        return normalize(det.as_expr())
 
     def solution(self, c):
         """Column c, which holds no pivot, as a combination of the pivot

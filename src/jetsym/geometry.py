@@ -2,9 +2,9 @@
 projection onto the independent directions, involutivity, and rectification.
 
 A family in Z_j-form (``z_form``) is read off exactly, with brackets from
-its compatibility residuals.  Otherwise the generic rank, projection, the
-spanning subset, the span solve and the rectifying inverse come from exact
-eliminations over the sparse ring's field of fractions (``Elimination``).
+its compatibility residuals.  Otherwise an exact elimination (``Elimination``)
+of the coefficient rows gives rank, projection and the rectifying inverse,
+and one of their columns the spanning subset and the span solve.
 Degeneracy loci are reported through the pivot minors rather than computed
 exhaustively; structure-function solving divides by those minors, and the
 report carries them as declared nonvanishing assumptions."""
@@ -64,30 +64,34 @@ def lie_bracket(Y, Z):
 class RankReport:
     rank: int
     notes: list = field(default_factory=list)
+    elimination: Elimination = None  # of the coefficient rows
 
 
-def _rank_report(rows, seed, label):
-    """The rank of the rows, and where their pivot minor vanishes: nowhere
-    for a rational times an exponential monomial, a unit of the ring."""
-    elimination = Elimination(rows, seed=seed)
-    det, nonvanishing = elimination.minor()
-    notes = []
-    if det.free_symbols and nonvanishing:
-        notes.append(f"{label} pivot minor {print_expr(det)} is nonvanishing")
-    elif det.free_symbols:
-        notes.append(f"{label} rank drops where {print_expr(det)} = 0")
-    return RankReport(len(elimination.cols), notes)
+def _minor_notes(elimination, k, label):
+    """Where the minor of the first k pivots vanishes: nowhere for a
+    rational times exponentials."""
+    det = elimination.minor(k)
+    if not det.free_symbols:
+        return []
+    if all(type(f) is sp.exp for f in sp.Mul.make_args(det.as_coeff_Mul()[1])):
+        return [f"{label} pivot minor {print_expr(det)} is nonvanishing"]
+    return [f"{label} rank drops where {print_expr(det)} = 0"]
 
 
 def generic_rank(F, seed=None):
-    """Generic rank of the l x (p+q) coefficient matrix, by exact elimination."""
-    return _rank_report(F.coefficient_rows(), seed, "distribution")
+    """Generic rank of the l x (p+q) coefficient matrix, by one exact
+    elimination of its rows, whose first pivots are the xi-block's."""
+    elimination = Elimination(F.coefficient_rows(), seed=seed)
+    rank = len(elimination.cols)
+    return RankReport(rank, _minor_notes(elimination, rank, "distribution"), elimination)
 
 
-def projects_onto_tx(F, seed=None):
-    """True iff the xi-block has generic rank p; degeneracy loci in the notes."""
-    report = _rank_report([m.xi for m in F.members], seed, "xi-block")
-    return report.rank == F.ws.p, report.notes
+def projects_onto_tx(F, seed=None, rank_report=None):
+    """True iff the xi-block has generic rank p, read off the elimination of
+    ``generic_rank``; degeneracy loci in the notes."""
+    elimination = (rank_report or generic_rank(F, seed=seed)).elimination
+    k = sum(c < F.ws.p for c in elimination.cols)
+    return k == F.ws.p, _minor_notes(elimination, k, "xi-block")
 
 
 def _all_zero(exprs, seed):
@@ -170,7 +174,7 @@ def _involutivity(F, seed):
     columns = F.coefficient_rows() + [br.coefficient_row() for br in brackets]
     elimination = Elimination(list(zip(*columns)), carried=len(brackets), seed=seed)
     subset = tuple(elimination.cols)
-    det = elimination.minor()[0]
+    det = elimination.minor(len(subset))
     minor = [f"nonvanishing minor: {print_expr(det)}"] if det.free_symbols else []
     verdict = TriBool.YES
     structure = {}
@@ -212,6 +216,7 @@ class DistributionReport:
     assumptions: list = field(default_factory=list)
     degeneracy_notes: list = field(default_factory=list)
     nf: NormalFormSystem = None  # the normal form of a Z_j-form family
+    elimination: Elimination = None  # of the coefficient rows, when nf is None
 
 
 def analyze_distribution(F, seed=None):
@@ -222,11 +227,12 @@ def analyze_distribution(F, seed=None):
     residuals.  Its bracket [Z_j, Z_k] has xi-part 0, so it lies in the span
     only when it is 0: the family is involutive exactly when it is Abelian.
     """
-    nf = z_form(F)
+    nf, elimination = z_form(F), None
     if nf is None:
         rank_report = generic_rank(F, seed=seed)
-        projects, proj_notes = projects_onto_tx(F, seed=seed)
+        projects, proj_notes = projects_onto_tx(F, rank_report=rank_report)
         rank, notes = rank_report.rank, rank_report.notes + proj_notes
+        elimination = rank_report.elimination
         abelian = is_abelian(F, seed=seed)
     else:
         rank, projects, notes = F.ws.p, True, []
@@ -246,7 +252,8 @@ def analyze_distribution(F, seed=None):
             inv.notes.append(f"bracket [{min(j, k)},{max(j, k)}] leaves the span: "
                              f"residual {print_expr(-res if j < k else res)}")
     return DistributionReport(rank, projects, inv.verdict, abelian, inv.structure_functions,
-                              inv.spanning_subset, inv.assumptions, notes + inv.notes, nf)
+                              inv.spanning_subset, inv.assumptions, notes + inv.notes, nf,
+                              elimination)
 
 
 @dataclass
@@ -261,39 +268,41 @@ class RectifyResult:
 def rectify(F, seed=None, precomputed=None):
     """Rewrite a rectifiable family in the basis Z_k = d/dx^k + phi^a_k d/du^a.
 
-    One elimination of the members' coefficient rows, with pivots in the
-    xi-block, picks the members whose p x p xi-minor is inverted and reduces
-    them to the Z_k.  A family already in Z_j-form keeps the normal form of
-    its distribution report.  Preconditions: generic rank p, projection onto
-    the independent directions, involutivity.
+    The elimination of the members' coefficient rows in the distribution
+    report has, at rank p with projection, its p pivots in the xi-block: its
+    pivot rows are the members whose xi-minor is inverted, reduced to the
+    Z_k.  A family already in Z_j-form keeps the normal form of its report,
+    and its xi-minor is the sign of its slot order.  Preconditions: generic
+    rank p, projection onto the independent directions, involutivity.
     """
     ws = F.ws
     report = precomputed if precomputed is not None else analyze_distribution(F, seed=seed)
     if report.generic_rank != ws.p:
         raise PreconditionFailed(
             "rank", f"generic rank {report.generic_rank} != p = {ws.p}")
-    rows = [m.xi for m in F.members] if report.nf is not None else F.coefficient_rows()
-    elimination = Elimination(rows, carried=len(rows[0]) - ws.p, seed=seed)
-    if len(elimination.cols) < ws.p:
+    if not report.projects_onto_tx:
         raise PreconditionFailed("projection", "xi-block has generic rank < p")
     if report.involutive is TriBool.NO:
         raise PreconditionFailed("involutivity", "a bracket escapes the span")
     if report.involutive is TriBool.UNKNOWN:
         raise PreconditionFailed("involutivity", "involutivity undetermined")
-    subset, det = tuple(sorted(elimination.rows)), elimination.minor()[0]
     if report.nf is not None:
-        nf, abelian = report.nf, report.abelian
-    else:
-        phi = [elimination.solution(ws.p + a)[0] for a in range(ws.q)]
-        nf = NormalFormSystem(ws, {(a, k): phi[a][k] for k in range(ws.p) for a in range(ws.q)})
-        # the jet values behind the residuals stay memoized in nf for
-        # the restrictions that follow
-        abelian = _nf_abelian(nf, seed)[0]
+        # involutive, so Abelian
+        slots = [m.xi.index(1) for m in F.members]
+        inversions = sum(a > b for a, b in combinations(slots, 2))
+        return RectifyResult(report.nf, tuple(range(ws.p)), sp.Integer(-1) ** inversions)
+    elimination = report.elimination
+    phi = [elimination.solution(ws.p + a)[0] for a in range(ws.q)]
+    nf = NormalFormSystem(ws, {(a, k): phi[a][k] for k in range(ws.p) for a in range(ws.q)})
+    # the jet values behind the residuals stay memoized in nf for
+    # the restrictions that follow
+    abelian = _nf_abelian(nf, seed)[0]
     if abelian is TriBool.NO:
         raise PreconditionFailed(
             "rectify postcondition", "rectified family is not Abelian")
+    det = elimination.minor(ws.p)
     assumptions = ([f"nonvanishing xi-minor: {print_expr(det)}"]
                    if det.free_symbols else [])
     notes = (["rectified family Abelian check undetermined (opaque coefficients)"]
              if abelian is TriBool.UNKNOWN else [])
-    return RectifyResult(nf, subset, det, assumptions, notes)
+    return RectifyResult(nf, tuple(sorted(elimination.rows)), det, assumptions, notes)

@@ -477,6 +477,15 @@ def test_nonzero_ring_element_is_structurally_nonzero():
         assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, "structural"), e
 
 
+def test_exponentials_of_dependent_directions_are_sampled():
+    """u/(x + 1) and u*x/(x + 1) are distinct directions whose sum is u, so
+    the ring's three exponentials are not independent: the zero test samples
+    the identity and finds it Zero."""
+    u, x = sp.symbols("u x", real=True)
+    e = sp.exp(u / (x + 1)) * sp.exp(u * x / (x + 1)) - sp.exp(u)
+    assert zero_verdict(e).verdict is ZeroVerdict.ZERO
+
+
 def test_sampled_zero_evaluates_once_per_point(ws2, monkeypatch):
     """A value within tol passes whatever the term scale, so the terms are
     not evaluated one by one."""

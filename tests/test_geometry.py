@@ -123,16 +123,18 @@ def test_pivots_decide_constants_without_normalize(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [
-    lambda u: [[sp.sin(u) ** 2 + sp.cos(u) ** 2 - 1, ONE], [ZERO, ONE]],
-    lambda u: [[sp.sqrt(u), u], [ONE, sp.sqrt(u)]],
-    lambda u: [[sp.exp(40), sp.exp(20)], [sp.exp(20), ONE]],
-], ids=["dependent-atoms", "off-ring", "constant-exponentials"])
+    lambda x, u: [[sp.sin(u) ** 2 + sp.cos(u) ** 2 - 1, ONE], [ZERO, ONE]],
+    lambda x, u: [[sp.sqrt(u), u], [ONE, sp.sqrt(u)]],
+    lambda x, u: [[sp.exp(40), sp.exp(20)], [sp.exp(20), ONE]],
+    lambda x, u: [[sp.exp(u / (x + 1)) * sp.exp(u * x / (x + 1)) - sp.exp(u), ONE],
+                  [ZERO, ONE]],
+], ids=["dependent-atoms", "off-ring", "constant-exponentials", "dependent-directions"])
 def test_pivots_on_dependent_atoms_and_off_ring_entries(rows):
     """Where the ring's atoms are not independent, or an entry is off the
     ring, a pivot must also be NonZero for the zero test: every rank is 1."""
     ws = Workspace(["x"], ["u"], order_cap=1)
     F = VectorFieldFamily(ws, tuple(VectorField(ws, (a,), (b,))
-                                    for a, b in rows(ws.dependent[0])))
+                                    for a, b in rows(ws.independent[0], ws.dependent[0])))
     assert generic_rank(F).rank == 1
 
 
@@ -221,6 +223,31 @@ def test_is_involutive_wave_rectifiable(wave_rectifiable):
     assert report.verdict is TriBool.YES
     f = report.structure_functions[(0, 1)]
     assert tuple(f) == (0, -1)
+
+
+@pytest.mark.parametrize("fixture, fields, count", [
+    ("rectify", "default", 1), ("wave", "rectifiable", 2), ("wave", "default", 0)])
+def test_one_elimination_of_the_coefficient_rows(monkeypatch, fixture, fields, count):
+    """Rank, projection and rectification share one elimination of the
+    coefficient rows; a non-Abelian family adds one for its brackets' span,
+    and a family in Z_j-form needs none."""
+    problem = load_problem(Path(__file__).resolve().parent.parent / "problems"
+                           / f"{fixture}.jetsym")
+    calls = []
+    real = geometry.Elimination
+    monkeypatch.setattr(geometry, "Elimination",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    F = problem.fields(fields)
+    rectify(F, precomputed=analyze_distribution(F))
+    assert len(calls) == count
+
+
+def test_rectify_z_form_minor_is_the_slot_order_sign(ws2):
+    u = ws2.dependent[0]
+    swapped = VectorFieldFamily(ws2, (VectorField(ws2, (ZERO, ONE), (u,)),
+                                      VectorField(ws2, (ONE, ZERO), (u,))))
+    result = rectify(swapped)
+    assert (result.det, result.subset, result.assumptions) == (-1, (0, 1), [])
 
 
 def test_analyze_distribution_ranks_once(monkeypatch):

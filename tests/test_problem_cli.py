@@ -8,7 +8,7 @@ import pytest
 
 from jetsym import condsym
 from jetsym.cli import main
-from jetsym.errors import PreconditionFailed, SchemaError
+from jetsym.errors import NotSeparable, SchemaError
 from jetsym.problem import load_problem
 from jetsym.report import Report
 
@@ -232,16 +232,18 @@ def test_scaled_liouville_is_analyzed_exactly(capsys, tmp_path):
 
 
 def test_route_a_error_falls_back_to_route_b(capsys, tmp_path, monkeypatch):
-    """A typed error on route A hands the question to route B."""
+    """Any typed error on route A, not only a failed precondition, hands the
+    question to route B."""
     def fail(*args, **kw):
-        raise PreconditionFailed("forced")
+        raise NotSeparable("forced")
 
     monkeypatch.setattr(condsym, "rectify", fail)
     rc, data = run_json(capsys, "verify-symmetry", _scaled_liouville(tmp_path))
     assert rc == 0
     assert data["verdicts"][0]["verdict"] == "Yes"
     assert "route B" in data["verdicts"][0]["justification"]
-    assert "route A unavailable: precondition failed (forced)" in data["notes"]
+    assert ("route A unavailable: term forced does not separate into (x-part)*(u-part)"
+            in data["notes"])
 
 
 def test_force_direct_flag(capsys):
