@@ -2,26 +2,23 @@
 
 Expressions are sympy objects built over workspace symbols; this module
 pins down the canonical form and the engine-wide three-valued zero test.
-Exact rational arithmetic throughout; floats only appear inside the
-numerical sampling fallback.
+Exact rational arithmetic throughout; the zero test encloses values in
+interval arithmetic, and no float decides a verdict.
 
 The hot path is one sparse ring over QQ (``sympy.polys.rings.PolyRing``),
 built per call on the atoms of its input (``_terms``, ``_ring_elements``).
 Its generators are symbols, applied unknown functions, canonical
 Derivatives, non-constant sin/cos/sinh/cosh/log atoms and, for each
-direction t of an exponential exp(c*t) with c rational, one generator
-exp(t/d), d the lcm of t's exponent denominators.  A sum with negative
-exponents is a Laurent element N / S: N a polynomial and S the smallest
-monomial in the exponential generators that clears them.  ``normalize``
-(which reads its input tree straight into the ring's terms, ``_read``),
-``derive``, ``sum_of_products`` and ``difference``, ``substitutions`` (jet
-values put into an equation) and ``normal_forms`` (coefficients gathered
-by family key) compute there and convert back once; input outside the
-ring (rational functions, symbolic powers, constant kernels such as
-exp(-1/3)) takes sympy's expression trees and ``sympy.cancel``.  The two
-agree except that the ring's Laurent form never shifts further than it
-must, where ``sympy.cancel``, reading exp(t) and exp(t/2) as unrelated
-generators, can (see ``normalize``).
+direction t of an exponential exp(c*t) with c rational (t = 1 for a
+rational constant), one generator exp(t/d), d the lcm of t's exponent
+denominators.  A sum with negative exponents is a Laurent element N / S:
+N a polynomial and S the smallest monomial in the exponential generators
+that clears them.  ``normalize`` (which reads its input tree straight into
+the ring's terms, ``_read``), ``derive``, ``sum_of_products`` and
+``difference``, ``substitutions`` and ``normal_forms`` compute there and
+convert back once; input outside the ring (rational functions, symbolic
+powers, other constant kernels) takes sympy's expression trees and
+``sympy.cancel``.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from functools import reduce
 from itertools import combinations, islice
 
 import sympy as sp
+from mpmath.ctx_iv import MPIntervalContext
 from sympy.core.cache import cacheit
 from sympy.core.evalf import PrecisionExhausted
 from sympy.core.function import AppliedUndef
@@ -82,9 +80,9 @@ def _normal_kernel(k):
     """The kernel k with its argument normalized (k itself when the argument
     is normal) and its ``_read`` terms, once per kernel.  exp(a) reads as
     the product of exp(t) over the terms t of a, as ``sympy.expand`` splits
-    it.  The terms are None for a constant kernel, an argument off the ring
-    or in Laurent form, exp of an argument with a constant term, and a log
-    that ``sympy.expand_log`` changes."""
+    it.  The terms are None for a constant kernel other than exp of a
+    Rational, an argument off the ring or in Laurent form, and a log that
+    ``sympy.expand_log`` changes."""
     terms, n = _read(k.args[0]), normalize(k.args[0])
     n = k if n is k.args[0] else type(k)(n)
     if type(n) is not type(k):
@@ -122,9 +120,14 @@ def _independent(atoms):
         for f in sp.Mul.make_args(g.args[0]) for base, k in [f.as_base_exp()]) for g in atoms)
 
 
+# the atom of the direction t = 1, unevaluated since exp(1) is E
+_E = sp.exp(1, evaluate=False)
+
+
 def _direction(arg):
     """exp(t) and c with arg = c*t, c Rational and t a product free of a
-    rational factor; None for a constant or a sum."""
+    rational factor, or t = 1 for a Rational arg; None for any other
+    constant or a sum."""
     c, rest = sp.S.One, []
     for f in sp.Mul.make_args(arg):
         if f.is_Rational:
@@ -132,6 +135,8 @@ def _direction(arg):
         else:
             rest.append(f)
     c2, t = sp.Mul(*rest).as_coeff_Mul(rational=True)
+    if t is sp.S.One:
+        return _E, c * c2
     if not t.free_symbols or any(f.is_Add for f in sp.Mul.make_args(t)):
         return None
     g = sp.exp(t)
@@ -150,6 +155,8 @@ def _monomial(factors):
             k = int(k)
             if k < 0 and not isinstance(f, sp.exp):
                 return None
+        if f is sp.E:
+            f = _E
         if isinstance(f, _GENERATORS):
             if isinstance(f, sp.Derivative) and f != f.canonical:
                 return None
@@ -485,6 +492,8 @@ def _read(e):
         e, f = e.canonical, e.expr
     if e.is_Symbol or isinstance(f, AppliedUndef) and all(a.is_Symbol for a in f.args):
         return {frozenset({(e, 1)}): QQ.one}
+    if e is sp.E:
+        e = _E
     return _normal_kernel(e)[1] if isinstance(e, KERNEL_CLASSES) else None
 
 
@@ -511,17 +520,14 @@ def normalize(e):
       (a*exp(u) + b + x*exp(3*u/2))*exp(-3*u/2) here and
       (a*exp(3*u/2) + b*exp(u/2) + x*exp(2*u))*exp(-2*u) there.
     - Any other input -- rational functions such as 1/(1 + u), symbolic
-      powers, constants such as exp(-1/3) -- is put in ``sympy.cancel``'s
-      form.
+      powers, constants such as sin(1) -- is put in ``sympy.cancel``'s form.
 
     The ring's terms are read off the input tree (``_read``), multiplied
-    out in QQ and converted once, with no ``sympy.expand``.  The tree path
-    (canonical derivatives, kernel arguments, ``sympy.expand``, ``_terms``)
-    keeps what ``sympy.expand`` would shape otherwise: exp of an argument
-    with a constant term (exp(x + 1) is E*exp(x)), a kernel of a Laurent
-    argument, and a log that ``sympy.expand`` splits.  Symbols are real, so
-    log(4*x1*x2) expands to log(x1*x2) + 2*log(2); a log is an atom only
-    when ``sympy.expand_log`` leaves its normalized form unchanged.
+    out in QQ and converted once, with no ``sympy.expand`` or
+    ``sympy.cancel``; exp(c*x + c0) with c0 rational reads as
+    exp(c0)*exp(c*x).  The tree path keeps a kernel of a Laurent argument
+    and a log that ``sympy.expand_log`` changes: symbols are real, so
+    log(4*x1*x2) expands to log(x1*x2) + 2*log(2).
 
     ``derive`` and ``sum_of_products`` return this form from the ring.
     """
@@ -589,17 +595,11 @@ def substitute(e, bindings, ws=None):
 
 
 # ---------------------------------------------------------------------------
-# numerical sampling
+# sampling and interval certificates
 # ---------------------------------------------------------------------------
 
-def random_rational(rng, span=12):
-    num = rng.randint(-span, span)
-    den = rng.randint(1, span)
-    return sp.Rational(num, den)
-
-
 def evaluate_at(e, point):
-    """High-precision numerical value; raises ValueError when not finite/real."""
+    """Float value to 40 digits, for test oracles; ValueError when not finite/real."""
     v = sp.N(e.xreplace(point), 40)
     if v.free_symbols:
         raise ValueError(f"unbound symbols {v.free_symbols}")
@@ -619,7 +619,7 @@ def sample_points(syms, rng, evaluate, draws):
     ``evaluate`` succeeds; points outside its domain are skipped.
     """
     for _ in range(draws):
-        point = {s: random_rational(rng) for s in syms}
+        point = {s: sp.Rational(rng.randint(-12, 12), rng.randint(1, 12)) for s in syms}
         try:
             value = evaluate(point)
         except (ValueError, TypeError, ZeroDivisionError):
@@ -627,27 +627,81 @@ def sample_points(syms, rng, evaluate, draws):
         yield point, value
 
 
-ZERO_SAMPLES = 8   # points at which a residual with free symbols is sampled
-ZERO_TOL = 1e-9    # relative tolerance of a sampled value
+ZERO_SAMPLES = 8   # accepted points at which a residual with free symbols is enclosed
+# the precision ladder, on private interval contexts whose precision never changes
+_LADDER = tuple((bits, MPIntervalContext()) for bits in (53, 212, 848))
+for _bits, _ctx in _LADDER:
+    _ctx.prec = _bits
+
+
+def _program(e):
+    """e as a straight-line program: its distinct subterms, each after its
+    operands, as (node, operand indices); the last is e."""
+    index = {}
+    for node in sp.postorder_traversal(e):
+        index.setdefault(node, len(index))
+    return [(node, tuple(index[a] for a in node.args)) for node in index]
+
+
+def _enclose(program, point, ctx):
+    """An interval, in ctx's precision, that holds the value of a
+    ``_program`` at an exact-rational point.  Raises ValueError where an
+    interval leaves the real domain (log or a non-integer power of one that
+    reaches 0, division by one that holds 0) and on a node it cannot
+    enclose."""
+    values = []
+    for node, args in program:
+        a = [values[i] for i in args]
+        if node.is_Rational or node.is_Symbol:
+            r = point.get(node, node)
+            v = ctx.mpf(r.p) / r.q
+        elif node.is_Add or node.is_Mul:
+            v = reduce(operator.add if node.is_Add else operator.mul, a)
+        elif node.is_Pow and node.exp.is_Integer:
+            if node.exp < 0 and 0 in a[0]:
+                raise ValueError("division by an interval that contains 0")
+            v = a[0] ** int(node.exp)
+        elif node.is_Pow or type(node) is sp.log:
+            if not a[0] > 0:
+                raise ValueError(f"{node}: log of an interval that reaches 0")
+            v = ctx.ln(a[0]) if type(node) is sp.log else ctx.exp(a[1] * ctx.ln(a[0]))
+        elif node is sp.E:
+            v = ctx.exp(ctx.one)
+        elif type(node) in (sp.exp, sp.sin, sp.cos):
+            v = getattr(ctx, type(node).__name__)(a[0])
+        elif type(node) in (sp.sinh, sp.cosh):
+            p, m = ctx.exp(a[0]), ctx.exp(-a[0])
+            v = (p + m if type(node) is sp.cosh else p - m) / 2
+        else:
+            raise ValueError(f"no enclosure of {node}")
+        values.append(v)
+    return values[-1]
 
 
 def zero_verdict(e, seed=None):
-    """Three-valued zero test.
+    """Three-valued zero test of the normal form n of e.
 
-    Zero when the normal form is literally 0 (structural) or the residual
-    vanishes at ``ZERO_SAMPLES`` random exact-rational points within relative
-    tolerance ``ZERO_TOL`` (probabilistic).  NonZero for a numerator that is
-    a nonzero ring element over algebraically independent atoms
-    (``_independent``) or a constant whose value is not 0, both structural,
-    or on a witness point; Unknown when opaque unknown functions block
-    sampling.
+    Zero, structural, when n is 0.  Unknown, opaque, when n holds an
+    unknown function, a Derivative or an Integral; the first is the witness.
+    NonZero, structural, for a numerator that is a nonzero ring element over
+    algebraically independent atoms (``_independent``), or a constant whose
+    value to 40 significant digits is not 0.  Any other n is a straight-line
+    program (``_program``) enclosed in interval arithmetic (Moore, 1966) at
+    53, 212 and 848 bits, at exact-rational points from ``sample_points``:
+    an interval that excludes 0 certifies NonZero (``interval``, witness
+    (point, bits)), a point where one leaves the real domain is rejected,
+    and Zero, probabilistic, needs 0 in every precision's interval at
+    ``ZERO_SAMPLES`` accepted points, since no test decides every residual
+    (Richardson, 1968).  Unknown, sampling-blocked, when none is accepted.
     """
     seed = DEFAULT_SEED if seed is None else seed
     n = normalize(e)
     if n is sp.S.Zero or n == 0:
         return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
-    if n.has(AppliedUndef, sp.Derivative, sp.Integral):
-        return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", seed=seed)
+    opaque = next((s for s in sp.preorder_traversal(n)
+                   if isinstance(s, (AppliedUndef, sp.Derivative, sp.Integral))), None)
+    if opaque is not None:
+        return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", witness=opaque, seed=seed)
     # a normal form's terms have distinct monomials: a nonzero ring element
     terms = _terms(sp.fraction(n)[0])
     if terms is not None and _independent(g for _, monomial in terms for g in monomial):
@@ -661,24 +715,20 @@ def zero_verdict(e, seed=None):
         except PrecisionExhausted:
             pass
         return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
+    program = _program(n)
+
+    def certify(point):
+        """The first precision whose enclosure excludes 0, else None."""
+        return next((bits for bits, ctx in _LADDER
+                     if (v := _enclose(program, point, ctx)) > 0 or v < 0), None)
+
     syms = sorted(n.free_symbols, key=lambda s: s.name)
-    points = sample_points(syms, random.Random(seed),
-                           lambda point: evaluate_at(n, point), ZERO_SAMPLES * 40)
-    terms = sp.Add.make_args(n)
-    checked = 0
-    for point, value in islice(points, ZERO_SAMPLES):
-        # the term scale only raises the threshold above ZERO_TOL, so a
-        # value within it passes without evaluating the terms
-        if abs(value) > ZERO_TOL:
-            try:
-                scale = max(abs(evaluate_at(t, point)) for t in terms)
-            except (ValueError, TypeError, ZeroDivisionError):
-                scale = 1.0
-            if abs(value) > ZERO_TOL * max(1.0, scale):
-                return ZeroResult(ZeroVerdict.NONZERO, "probabilistic",
-                                  witness=point, seed=seed)
-        checked += 1
-    if checked == 0:
+    point = None
+    for point, bits in islice(sample_points(syms, random.Random(seed), certify,
+                                            ZERO_SAMPLES * 40), ZERO_SAMPLES):
+        if bits is not None:
+            return ZeroResult(ZeroVerdict.NONZERO, "interval", witness=(point, bits), seed=seed)
+    if point is None:
         return ZeroResult(ZeroVerdict.UNKNOWN, "sampling-blocked", seed=seed)
     return ZeroResult(ZeroVerdict.ZERO, "probabilistic", seed=seed)
 

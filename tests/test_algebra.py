@@ -286,18 +286,20 @@ def test_normalize_reader_matches_tree(e):
 
 
 def test_reader_leaves_expand_shaped_input_to_the_tree_path():
-    """sympy.expand splits log(4*x1*x2), since the symbols are real, and
-    writes exp(x1 + 1) as E*exp(x1): the reader takes neither, and
-    normalize gives the tree path's form.  Sums, products, powers and
-    exponentials of sums are read."""
+    """sympy.expand splits log(4*x1*x2), since the symbols are real: the
+    reader leaves it, and normalize gives the tree path's form.  Sums,
+    products, powers, exponentials of sums and exponentials with a rational
+    constant term, which sympy.expand writes as E*exp(x1), are read."""
     lam = _PLAIN_WS.parameters["lam"]
     x2 = sp.Symbol("x2", real=True)
-    for e, form in [(_t + sp.log(4 * _x1 * x2), _t + sp.log(_x1 * x2) + 2 * sp.log(2)),
-                    (sp.exp(_x1 + 1), sp.E * sp.exp(_x1))]:
-        assert _read(e) is None
-        assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e)) == sp.srepr(form)
+    e = _t + sp.log(4 * _x1 * x2)
+    assert _read(e) is None
+    assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e)) == sp.srepr(
+        _t + sp.log(_x1 * x2) + 2 * sp.log(2))
+    assert sp.srepr(normalize(sp.exp(_x1 + 1))) == sp.srepr(sp.E * sp.exp(_x1))
     for e in [(_x1 + _u) ** 3 * sp.exp(_u / 2), sp.exp(_x1 * (_u + 2)) / sp.exp(_u),
-              sp.sin(_x1 * (_x1 + lam)) ** 2 - sp.cos(-_x1), sp.log(_x1 * x2 + lam) * _h]:
+              sp.sin(_x1 * (_x1 + lam)) ** 2 - sp.cos(-_x1), sp.log(_x1 * x2 + lam) * _h,
+              sp.exp(_x1 + 1), sp.exp(-_x1 - sp.Rational(1, 3)) + _u]:
         assert _read(e) is not None
         assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e))
 
@@ -487,17 +489,117 @@ def test_exponentials_of_dependent_directions_are_sampled():
 
 
 def test_sampled_zero_evaluates_once_per_point(ws2, monkeypatch):
-    """A value within tol passes whatever the term scale, so the terms are
-    not evaluated one by one."""
+    """A sampled Zero encloses the interval program once per precision of
+    the ladder at exactly ZERO_SAMPLES accepted points, and never evaluates
+    a float value."""
     x1 = ws2.independent[0]
     u = ws2.dependent[0]
     calls = []
-    real = algebra.evaluate_at
-    monkeypatch.setattr(algebra, "evaluate_at",
-                        lambda e, point: calls.append(e) or real(e, point))
+    real = algebra._enclose
+    monkeypatch.setattr(algebra, "_enclose", lambda program, point, ctx:
+                        calls.append((tuple(point.items()), ctx.prec))
+                        or real(program, point, ctx))
+    monkeypatch.setattr(algebra, "evaluate_at", lambda *a: calls.append(a))
     r = zero_verdict((sp.sin(x1) ** 2 + sp.cos(x1) ** 2 - 1) * (x1 + u))
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
-    assert len(calls) == 8
+    points = list(dict.fromkeys(point for point, _ in calls))
+    assert len(points) == algebra.ZERO_SAMPLES
+    assert calls == [(point, bits) for point in points for bits in (53, 212, 848)]
+
+
+_X, _Y = sp.symbols("x y", real=True)
+_LOG_IDENTITY = (sp.log(_X * _Y) - sp.log(_X) - sp.log(_Y)) * (2 * _X ** 2 - 3 * _X * _Y + _Y + 4)
+
+
+def _epsilon_residual(e):
+    return _LOG_IDENTITY + sp.exp(_X - 1) / 10 ** e
+
+
+@pytest.mark.parametrize("e, confidence", [
+    (sp.exp(_X + sp.Rational(1, 10 ** 12)) - sp.exp(_X), "structural"),
+    (sp.sin(_Y + sp.Rational(1, 10 ** 10)) - sp.sin(_Y), "interval"),
+    (_epsilon_residual(8), "interval"), (_epsilon_residual(12), "interval"),
+    (_epsilon_residual(13), "interval")])
+def test_tiny_differences_are_nonzero(e, confidence):
+    """Residuals that a relative float tolerance read as Zero: an
+    exponential or a sine shifted by a tiny rational, and a log identity
+    times a polynomial plus exp(x - 1)/10^k.  The ring settles the first;
+    an interval that excludes 0 certifies the others."""
+    r = zero_verdict(e)
+    assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, confidence)
+    if confidence == "interval":
+        point, bits = r.witness
+        assert set(point) == e.free_symbols and bits in (53, 212, 848)
+
+
+def test_epsilon_residual_needs_neither_cancel_nor_float_values(monkeypatch):
+    """exp(x - 1) stays on the ring, so an epsilon residual is normalized
+    without sympy.cancel, and it is enclosed, not evaluated."""
+    calls = []
+    real = sp.cancel
+    monkeypatch.setattr(sp, "cancel", lambda *a, **k: calls.append(a) or real(*a, **k))
+    monkeypatch.setattr(algebra, "evaluate_at", lambda *a: calls.append(a))
+    sp.core.cache.clear_cache()
+    assert zero_verdict(_epsilon_residual(12)).verdict is ZeroVerdict.NONZERO
+    assert calls == []
+
+
+def test_residual_without_a_real_point_is_sampling_blocked():
+    """log(-x^2 - 1) is real at no point, so every point is rejected."""
+    r = zero_verdict(sp.log(-_X ** 2 - 1) * (sp.sin(_X) ** 2 + sp.cos(_X) ** 2 - 1))
+    assert (r.verdict, r.confidence) == (ZeroVerdict.UNKNOWN, "sampling-blocked")
+
+
+def test_opaque_verdict_names_its_subterm():
+    t = sp.Symbol("t", real=True)
+    h = sp.Function("h")(t)
+    r = zero_verdict(sp.Derivative(h, t) * _X + sp.sin(_X) ** 2)
+    assert (r.verdict, r.confidence, r.witness) == (
+        ZeroVerdict.UNKNOWN, "opaque", sp.Derivative(h, t))
+
+
+_KERNEL_RESIDUALS = [
+    (sp.sin(_X + _Y) ** 2 + sp.cos(_X + _Y) ** 2 - 1) * (_X ** 2 + _X * _Y - 2),
+    (sp.cosh(2 * _X - 1) ** 2 - sp.sinh(2 * _X - 1) ** 2 - 1) * (_Y + 3),
+    (sp.sin(2 * _Y) - 2 * sp.sin(_Y) * sp.cos(_Y)) * (_X - _Y),
+    _LOG_IDENTITY,
+    _epsilon_residual(10),
+    (sp.log(_X ** 2) - 2 * sp.log(_X)) * (_Y - 1) + sp.exp(3 * _X + 2) / 10 ** 15,
+]
+
+
+def _verdicts(residuals):
+    return [(r.verdict, r.confidence, r.witness)
+            for r in map(zero_verdict, residuals)]
+
+
+def test_zero_verdict_leaves_mpmath_precision():
+    """The interval contexts are private: a caller's mpmath precision holds."""
+    import mpmath
+    before = mpmath.mp.prec, mpmath.iv.prec
+    try:
+        mpmath.mp.prec, mpmath.iv.prec = 71, 97
+        _verdicts(_KERNEL_RESIDUALS)
+        assert (mpmath.mp.prec, mpmath.iv.prec) == (71, 97)
+    finally:
+        mpmath.mp.prec, mpmath.iv.prec = before
+
+
+def test_zero_verdict_is_thread_safe():
+    """Two threads give the serial verdicts and witnesses."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    serial = _verdicts(_KERNEL_RESIDUALS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sp.core.cache.clear_cache()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(_verdicts, _KERNEL_RESIDUALS[i::2]) for i in range(2)]
+            halves = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [v for pair in zip(*halves) for v in pair] == serial
 
 
 def test_proportional():
