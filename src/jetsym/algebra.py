@@ -112,8 +112,8 @@ def _independent(atoms):
     functions and their derivatives, and exp(t) with t a rational times a
     product of rational powers of those.  Distinct such directions are
     Q-linearly independent modulo constants, so their exponentials are
-    algebraically independent (Ax, "On Schanuel's conjectures", Ann. Math.
-    1971).  Not sin/cos, sinh/cosh or log, and not exp(t) for other t:
+    algebraically independent (Ax, Ann. Math. 1971), and e is transcendental
+    (t = 1).  Not sin/cos, sinh/cosh or log, and not exp(t) for other t:
     exp(u/(x + 1))*exp(u*x/(x + 1)) is exp(u)."""
     return all(isinstance(g, _GENERATORS) or type(g) is sp.exp and all(
         f.is_Rational or isinstance(base, _GENERATORS) and k.is_Rational

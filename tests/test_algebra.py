@@ -1,6 +1,9 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -575,7 +578,6 @@ def _verdicts(residuals):
 
 def test_zero_verdict_leaves_mpmath_precision():
     """The interval contexts are private: a caller's mpmath precision holds."""
-    import mpmath
     before = mpmath.mp.prec, mpmath.iv.prec
     try:
         mpmath.mp.prec, mpmath.iv.prec = 71, 97
@@ -587,8 +589,6 @@ def test_zero_verdict_leaves_mpmath_precision():
 
 def test_zero_verdict_is_thread_safe():
     """Two threads give the serial verdicts and witnesses."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
     serial = _verdicts(_KERNEL_RESIDUALS)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
