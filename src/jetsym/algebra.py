@@ -11,14 +11,15 @@ Its generators are symbols, applied unknown functions, canonical
 Derivatives, non-constant sin/cos/sinh/cosh/log atoms and, for each
 direction t of an exponential exp(c*t) with c rational (t = 1 for a
 rational constant), one generator exp(t/d), d the lcm of t's exponent
-denominators.  A sum with negative exponents is a Laurent element N / S:
-N a polynomial and S the smallest monomial in the exponential generators
-that clears them.  ``normalize`` (which reads its input tree straight into
-the ring's terms, ``_read``), ``derive``, ``sum_of_products`` and
-``difference``, ``substitutions`` and ``normal_forms`` compute there and
-convert back once; input outside the ring (rational functions, symbolic
-powers, other constant kernels) takes sympy's expression trees and
-``sympy.cancel``.
+denominators.  A value is a pair (N, D) that stands for N / D: D is 1 for a
+polynomial, a monomial in the exponential generators for a sum with
+negative exponents, and any element for a rational function.  Pairs
+combine without cancelling and convert back once (``_as_expr``).
+``normalize`` (which reads its input tree straight into a pair,
+``_read``), ``derive``, ``sum_of_products`` and ``difference``,
+``substitutions`` and ``normal_forms`` compute there; symbolic and
+fractional powers, other constant kernels and a log that
+``sympy.expand_log`` splits take sympy's trees and ``sympy.cancel``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ import sympy as sp
 from mpmath.ctx_iv import MPIntervalContext
 from sympy.core.cache import cacheit
 from sympy.core.evalf import PrecisionExhausted
+from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.numbers import ilcm
 from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import PolynomialError
+from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
 from .errors import CyclicBinding, DivisionByZero, PreconditionFailed, UnknownSymbol
@@ -78,20 +81,27 @@ def _canonical_derivatives(e):
 @cacheit
 def _normal_kernel(k):
     """The kernel k with its argument normalized (k itself when the argument
-    is normal) and its ``_read`` terms, once per kernel.  exp(a) reads as
-    the product of exp(t) over the terms t of a, as ``sympy.expand`` splits
-    it.  The terms are None for a constant kernel other than exp of a
-    Rational, an argument off the ring or in Laurent form, and a log that
-    ``sympy.expand_log`` changes."""
-    terms, n = _read(k.args[0]), normalize(k.args[0])
-    n = k if n is k.args[0] else type(k)(n)
+    is normal) and its ``_read`` value, once per kernel.  An argument that
+    is not a polynomial stands expanded, as on the tree path, and exp(a)
+    reads as the product of exp(t) over the terms t of a, as
+    ``sympy.expand`` splits it: exp(x2 + 1/u) is exp(x2)*exp(1/u).  The
+    value is None for a constant kernel other than exp of a Rational, an
+    argument off the ring, and a log that ``sympy.expand_log`` changes."""
+    a = k.args[0]
+    value = _read(a)
+    n = _normal_form(a, value)
+    n = k if n is a else type(k)(n)
     if type(n) is not type(k):
         return n, _read(n)
-    if not _plain(terms) or type(n) is sp.log and sp.expand_log(n, deep=False) != n:
+    if value is None or type(n) is sp.log and sp.expand_log(n, deep=False) != n:
         return n, None
+    if not _plain(value):
+        n = type(k)(sp.expand(n.args[0]))
+        if type(n) is not type(k):
+            return n, None
     factors = [sp.exp(t) for t in sp.Add.make_args(n.args[0])] if type(n) is sp.exp else [n]
     c, monomial = _monomial(factors) or (None, None)
-    return n, None if c is None else {frozenset(monomial.items()): QQ(c.p, c.q)}
+    return n, None if c is None else ({frozenset(monomial.items()): QQ(c.p, c.q)}, {})
 
 
 def _normalize_kernel_args(e):
@@ -100,8 +110,7 @@ def _normalize_kernel_args(e):
 
 _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
 # the kernels other than exp, which the ring reads as atoms, and their
-# derivatives d kernel(a) / da; log's 1/a is off the ring, so X(log a)
-# sends derive to the tree path unless X(a) = 0
+# derivatives d kernel(a) / da
 _KERNEL_PARTIALS = {sp.sin: sp.cos, sp.cos: lambda a: -sp.sin(a), sp.sinh: sp.cosh,
                     sp.cosh: sp.sinh, sp.log: lambda a: 1 / a}
 _KERNEL_ATOMS = tuple(_KERNEL_PARTIALS)
@@ -181,35 +190,49 @@ def _monomial(factors):
     return coeff, monomial
 
 
-def _terms(e):
-    """[(Rational, {atom: k})] when e is a sum of QQ terms over the ring's
-    atoms, else None.
+# the denominator terms of a polynomial
+_UNIT = [(sp.S.One, {})]
 
-    e is an expanded sum, or a normal form Rational * Add * monomial.  An atom
-    is a Symbol, an applied unknown function, a canonical Derivative or a
-    non-constant sin/cos/sinh/cosh/log, with k a positive integer; or
-    exp(t) for a direction t, with k rational and of either sign, standing
-    for exp(k*t).
-    """
-    outer = None
-    if e.is_Mul:
-        adds = [f for f in e.args if f.is_Add]
-        if len(adds) == 1:
-            outer = _monomial(f for f in e.args if not f.is_Add)
-            if outer is None:
-                return None
-            e = adds[0]
+
+def _product_terms(factors):
+    """[(Rational, {atom: k})] for a product of ring factors and at most one
+    sum of ring monomials, else None."""
+    adds = [f for f in factors if f.is_Add]
+    outer = _monomial([f for f in factors if not f.is_Add]) if len(adds) < 2 else None
+    if outer is None or not adds:
+        return outer and [outer]
     out = []
-    for term in sp.Add.make_args(e):
-        m = _monomial(sp.Mul.make_args(term))
-        if m is None:
+    for term in adds[0].args:
+        if (m := _monomial(sp.Mul.make_args(term))) is None:
             return None
         out.append(m)
-    if outer is None:
-        return out
     c0, m0 = outer
+    if c0 == 1 and not m0:
+        return out
     return [(c0 * c, {g: k for g in {**m0, **m} if (k := m0.get(g, 0) + m.get(g, 0))})
             for c, m in out]
+
+
+def _terms(e):
+    """(numerator, denominator) as [(Rational, {atom: k})] when e is N / D
+    for sums N and D of QQ terms over the ring's atoms, else None; D is
+    ``_UNIT`` when e has no denominator.
+
+    e is an expanded sum, or a normal form: a Rational times at most one
+    Add times a monomial, over the negative integer powers among its
+    factors (``_as_expr``'s P / Q).  An atom is a Symbol, an applied unknown
+    function, a canonical Derivative or a non-constant sin/cos/sinh/cosh/log,
+    with k a positive integer; or exp(t) for a direction t, with k rational
+    and of either sign, standing for exp(k*t).
+    """
+    num, den = [], []
+    for f in sp.Mul.make_args(e):
+        if f.is_Pow and f.exp.is_Integer and f.exp < 0:
+            den.append(f.base if f.exp == -1 else f.base ** -f.exp)
+        else:
+            num.append(f)
+    n, d = _product_terms(num), _product_terms(den) if den else _UNIT
+    return None if n is None or d is None else (n, d)
 
 
 def monomial_expr(monomial):
@@ -221,17 +244,18 @@ def monomial_expr(monomial):
 def split_monomials(e, deps):
     """[(Rational, x-monomial, u-monomial)] for the terms of e as ``_terms``
     reads them, every atom of the u-monomial meeting deps and none of the
-    x-monomial; None when the ring cannot read e."""
-    terms = _terms(e)
-    return None if terms is None else [
+    x-monomial; None when e is not a sum the ring reads."""
+    fraction = _terms(e)
+    return None if fraction is None or fraction[1] is not _UNIT else [
         (c, {g: k for g, k in m.items() if g.free_symbols.isdisjoint(deps)},
-         {g: k for g, k in m.items() if not g.free_symbols.isdisjoint(deps)}) for c, m in terms]
+         {g: k for g, k in m.items() if not g.free_symbols.isdisjoint(deps)})
+        for c, m in fraction[0]]
 
 
 def split_terms(e, deps):
     """(x-part, u-monomial {atom: k}) for each term of e, the x-part free of
     deps and every atom of the u-monomial meeting them.  Where the ring cannot
-    read e, its expanded terms are split by sympy: an x-part such as
+    read e as a sum, its expanded terms are split by sympy: an x-part such as
     1/(1 + x) is kept, and a u-part outside the ring stands as one atom, after
     factoring its denominator if it meets other symbols: 1/(u*x + u + x + 1)
     splits as 1/(x + 1) times 1/(u + 1)."""
@@ -249,17 +273,17 @@ def split_terms(e, deps):
         yield c * monomial_expr(x), u
 
 
-def _ring_elements(term_lists):
-    """Sums given by their ``_terms`` as Laurent elements (N, shift) of one
-    sparse ring over QQ on their atoms; also each atom's generator index and
-    the denominator d of each exp(t).
+def _ring_elements(fractions):
+    """Quotients given by their ``_terms`` as pairs (N, D) of one sparse
+    ring over QQ on their atoms; also each atom's generator index and the
+    denominator d of each exp(t).
 
     The generator of exp(t) is exp(t/d), d the lcm of t's exponent
-    denominators, so its exponents are integers.  These generators come
-    first, and an element stands for N / prod g**shift over them: its shift
-    is the smallest that makes every exponent nonnegative, and () on a ring
-    without exponentials.
+    denominators, so its exponents are integers.  A sum with negative
+    exponents is N / S, S the smallest monomial in these generators that
+    clears them.
     """
+    term_lists = [terms for fraction in fractions for terms in fraction]
     atoms = dict.fromkeys(g for terms in term_lists for _, monomial in terms for g in monomial)
     dens = {g: 1 for g in atoms if type(g) is sp.exp}
     if dens:
@@ -269,8 +293,8 @@ def _ring_elements(term_lists):
                     dens[g] = ilcm(dens[g], monomial[g].q)
     index = {g: i for i, g in enumerate([*dens, *(g for g in atoms if g not in dens)])}
     ring = PolyRing(tuple(sp.exp(g.args[0] / dens[g]) if g in dens else g for g in index), QQ)
-    elements = []
-    for terms in term_lists:
+
+    def pair(terms):
         element = {}
         for coeff, monomial in terms:
             key = [0] * ring.ngens
@@ -281,43 +305,61 @@ def _ring_elements(term_lists):
                     key[i] = int(key[i] * d)
             key = tuple(key)
             element[key] = element.get(key, QQ.zero) + QQ(coeff.p, coeff.q)
-        shift = ()
-        if dens:
-            shift = tuple(max(0, -min(key[i] for key in element)) for i in range(len(dens)))
-            element = {tuple(map(operator.add, key, shift)) + key[len(shift):]: c
-                       for key, c in element.items()}
-        elements.append((ring.from_dict(element), shift))
+        shift = tuple(max(0, -min(column)) for column in zip(*element)) if dens else ()
+        if not any(shift):
+            return ring.from_dict(element), 1
+        return (ring.from_dict({tuple(map(operator.add, key, shift)): c
+                                for key, c in element.items()}),
+                ring.from_dict({shift: QQ.one}))
+
+    elements = []
+    for num, den in fractions:
+        a, s = pair(num)
+        if den is not _UNIT:
+            b, t = pair(den)
+            a, s = a * t, s * b
+        elements.append((a, s))
     return elements, index, dens
 
 
-def _laurent_mul(a, b):
-    return a[0] * b[0], tuple(map(operator.add, a[1], b[1]))
+def _sum(pairs, ring):
+    """The sum of pairs (N, D), over the product of their distinct
+    denominators: nothing is cancelled."""
+    n, d = ring.zero, 1
+    for a, b in pairs:
+        if not a:
+            continue
+        if not n:
+            n, d = a, b
+        elif b == d:
+            n = n + a
+        else:
+            n, d = n * b + a * d, d * b
+    return n, d
 
 
-def _laurent_sum(parts, ring):
-    """The sum of Laurent elements, over the largest shift of each generator."""
-    shifts = {s for _, s in parts}
-    shift = tuple(map(max, zip(*shifts)))
-    total = ring.zero
-    for element, s in parts:
-        if s != shift:
-            element = element.mul_monom(_padded(ring, tuple(map(operator.sub, shift, s))))
-        total += element
-    return total, shift
-
-
-def _padded(ring, shift):
-    return shift + (0,) * (ring.ngens - len(shift))
-
-
-def _as_expr(element, shift):
-    """N / S as ``P.as_expr() / Q.as_expr()`` with (P, Q) =
-    ``PolyElement.cancel(N, S)``: the common monomial factor of N and the
-    shift S is cancelled, and P has integer coefficients."""
-    if not any(shift):
-        return element.as_expr()
-    p, q = element.cancel(element.ring({_padded(element.ring, shift): 1}))
+def _as_expr(n, d):
+    """N / D as ``P.as_expr() / Q.as_expr()`` with (P, Q) =
+    ``PolyElement.cancel(N, D)`` and the sign that ``sympy.cancel`` gives:
+    Q's leading coefficient is positive in lex order of sympy's sorted
+    generators (``decompose_power`` of each factor).  N itself when D = 1."""
+    if d == 1:
+        return n.as_expr()
+    p, q = n.cancel(d)
+    if len(q) > 1:
+        terms = [(dict(decompose_power(g ** k) for g, k in zip(q.ring.symbols, monom) if k), c)
+                 for monom, c in q.terms()]
+        order = _sort_gens({g for powers, _ in terms for g in powers})
+        if max(terms, key=lambda term: [term[0].get(g, 0) for g in order])[1] < 0:
+            p, q = -p, -q
     return p.as_expr() / q.as_expr()
+
+
+def _derivation(p, images):
+    """X(p) = sum_i dp/dg_i * X(g_i) for a ring element p, given the pairs
+    X(g_i) by generator index."""
+    used = [any(column) for column in zip(*p)]
+    return _sum(((p.diff(i) * a, b) for i, (a, b) in images.items() if used[i]), p.ring)
 
 
 def derive(e, images):
@@ -325,15 +367,16 @@ def derive(e, images):
     chart that maps each symbol g in ``images`` to ``images[g]`` and every
     other symbol to 0.  Any other atom follows the chain rule through its
     free symbols: X(h(t)) = images[t] dh/dt for an opaque function,
-    X(sin a) = cos a X(a) for a kernel and X(exp(c t)) = c X(t) exp(c t).
+    X(sin a) = cos a X(a) for a kernel, X(log a) = X(a) / a and
+    X(exp(c t)) = c X(t) exp(c t).
 
     e and the images are normal forms.  When ``_terms`` reads them and the
-    atoms' images, X runs in one sparse ring over QQ (``_ring_elements``):
-    a Laurent element N / S derives as (X(N) - N sum_E s_E X(t_E) / d_E) / S
-    for the shift S = prod_E E**s_E of the generators E = exp(t_E / d_E).
-    Otherwise it is ``sp.diff`` on the expression tree, summed and
-    normalized.  Both give the same normal form, which sympy's cache keeps,
-    as it keeps ``sp.diff``'s.
+    atoms' images, X runs on pairs of one sparse ring over QQ
+    (``_ring_elements``): X(N / D) = X(N) / D - N X(D) / D**2, where a
+    generator E = exp(t / d) has the image E X(t) / d.  Otherwise it is
+    ``sp.diff`` on the expression tree, summed and normalized.  Both give
+    the same normal form, which sympy's cache keeps, as it keeps
+    ``sp.diff``'s.
     """
     return _derive(sp.sympify(e), tuple(images.items()))
 
@@ -341,10 +384,10 @@ def derive(e, images):
 @cacheit
 def _derive(e, images):
     images = dict(images)
-    terms = _terms(e)
-    if terms is not None:
+    fraction = _terms(e)
+    if fraction is not None:
         needed = {}
-        for g in dict.fromkeys(g for _, monomial in terms for g in monomial):
+        for g in dict.fromkeys(g for terms in fraction for _, monomial in terms for g in monomial):
             if g in images:
                 needed[g] = _terms(sp.sympify(images[g]))
             elif not g.is_Symbol:
@@ -353,19 +396,13 @@ def _derive(e, images):
                 if own:
                     needed[g] = _terms(_image(g, own))
         if all(t is not None for t in needed.values()):
-            ((element, shift), *values), index, dens = _ring_elements(
-                [terms, *needed.values()])
-            parts = []
-            for g, value in zip(needed, values):
+            ((n, d), *values), index, dens = _ring_elements([fraction, *needed.values()])
+            gens, x = n.ring.gens, {}
+            for g, (a, b) in zip(needed, values):
                 i = index[g]
-                if g in dens:
-                    # E**m / E**shift -> (m - shift)/d X(t) E**m / E**shift
-                    de = element.ring.from_dict({m: c * QQ(m[i] - shift[i], dens[g])
-                                                 for m, c in element.items()})
-                else:
-                    de = element.diff(i)
-                parts.append(_laurent_mul((de, shift), value))
-            return _as_expr(*_laurent_sum(parts, element.ring))
+                x[i] = (a * gens[i] * QQ(1, dens[g]), b) if g in dens else (a, b)
+            (a, b), (c, f) = _derivation(n, x), _derivation(n.ring(d), x)
+            return _as_expr(*_sum([(a, b * d), (n * -c, f * d ** 2)], n.ring))
     return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
 
 
@@ -386,13 +423,12 @@ def _image(g, images):
 def sum_of_products(pairs):
     """sum a * b over the (a, b) pairs, normalized; in the sparse ring of
     ``derive`` when ``_terms`` reads every factor."""
-    factors = [sp.sympify(f) for pair in pairs for f in pair]
-    term_lists = [_terms(f) for f in factors]
-    if None in term_lists:
+    fractions = [_terms(sp.sympify(f)) for pair in pairs for f in pair]
+    if None in fractions:
         return normalize(sp.Add(*[a * b for a, b in pairs]))
-    elements, _, _ = _ring_elements(term_lists)
-    return _as_expr(*_laurent_sum(list(map(_laurent_mul, elements[::2], elements[1::2])),
-                                  elements[0][0].ring))
+    values, _, _ = _ring_elements(fractions)
+    return _as_expr(*_sum(((a * c, b * d) for (a, b), (c, d) in zip(values[::2], values[1::2])),
+                          values[0][0].ring))
 
 
 def difference(a, b):
@@ -404,44 +440,55 @@ def difference(a, b):
 def normal_forms(term_lists):
     """``normalize`` of each sum given by its [(Rational, monomial)] terms,
     converted from one sparse ring."""
-    return [_as_expr(*element) for element in _ring_elements(term_lists)[0]]
+    return [_as_expr(*pair)
+            for pair in _ring_elements([(terms, _UNIT) for terms in term_lists])[0]]
 
 
 def substitutions(e, combos):
     """normalize(e.xreplace(combo)) for each combo, a map from the same
-    symbols to normal forms.  When ``_terms`` reads e and the values, and
-    no other atom of e meets the symbols, e's terms are grouped by their
-    monomial in the symbols, and each combo is the sum of the groups'
-    coefficients times the values' powers in one ring that holds them all.
+    symbols to normal forms.  When ``_terms`` reads e = N / D and the
+    values, no atom of D and no other atom of N meets the symbols, N's terms
+    are grouped by their monomial in the symbols, and each combo is the sum
+    of the groups' coefficients times the values' powers, over D, in one
+    ring that holds them all.
     """
     e = sp.sympify(e)
     symbols = set().union(*combos)
     values = list(dict.fromkeys(v for combo in combos for v in combo.values()))
-    term_lists = [_terms(e), *(_terms(sp.sympify(v)) for v in values)]
-    if None in term_lists or any(g not in symbols and not g.free_symbols.isdisjoint(symbols)
-                                 for _, monomial in term_lists[0] for g in monomial):
+    fractions = [_terms(e), *(_terms(sp.sympify(v)) for v in values)]
+    if None in fractions or any(
+            g not in symbols and not g.free_symbols.isdisjoint(symbols)
+            for _, monomial in fractions[0][0] for g in monomial) or any(
+            not g.free_symbols.isdisjoint(symbols) for _, monomial in fractions[0][1]
+            for g in monomial):
         return [normalize(e.xreplace(combo)) for combo in combos]
     groups = {}
-    for c, monomial in term_lists[0]:
+    for c, monomial in fractions[0][0]:
         inner = frozenset((g, k) for g, k in monomial.items() if g in symbols)
         groups.setdefault(inner, []).append(
             (c, {g: k for g, k in monomial.items() if g not in symbols}))
-    elements, _, _ = _ring_elements([*groups.values(), *term_lists[1:]])
-    value_of = dict(zip(values, elements[len(groups):]))
+    elements, _, _ = _ring_elements([*((terms, _UNIT) for terms in groups.values()),
+                                     (fractions[0][1], _UNIT), *fractions[1:]])
+    (d, s), value_of = elements[len(groups)], dict(zip(values, elements[len(groups) + 1:]))
     out = []
     for combo in combos:
         parts = []
-        for inner, coeff in zip(groups, elements):
+        for inner, (a, b) in zip(groups, elements):
             for g, k in inner:
-                value, shift = value_of[combo[g]]
-                coeff = _laurent_mul(coeff, (value ** k, tuple(k * s for s in shift)))
-            parts.append(coeff)
-        out.append(_as_expr(*_laurent_sum(parts, elements[0][0].ring)))
+                value, den = value_of[combo[g]]
+                a, b = a * value ** k, b * den ** k
+            parts.append((a, b))
+        a, b = _sum(parts, d.ring)
+        out.append(_as_expr(a * s, b * d))
     return out
 
 
 def _times(a, b):
     """The product of two sums of ``_read`` terms."""
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -453,53 +500,80 @@ def _times(a, b):
     return out
 
 
-def _plain(terms):
-    """True when ``_read`` took its input, and with no negative exponent."""
-    return terms is not None and all(k > 0 for m, c in terms.items() if c for _, k in m)
+def _scaled(num, den, lcm):
+    """num times the factors of the denominator lcm that den lacks."""
+    return reduce(_times, [f for key, (f, k) in lcm.items()
+                           for _ in range(k - den.get(key, (f, 0))[1])], num)
+
+
+def _plain(value):
+    """True for a ``_read`` value that is a polynomial: denominator 1 and no
+    negative exponent."""
+    num, den = value
+    return not den and all(k > 0 for m, c in num.items() if c for _, k in m)
+
+
+# the terms of 1
+_ONE = {frozenset(): QQ.one}
 
 
 def _read(e):
-    """The terms {monomial: c} that ``_terms`` reads from ``sympy.expand``
-    of e with canonical derivatives and normal kernel arguments, read off
-    the tree e: a monomial is a frozenset of (atom, k), c is in QQ.  None
-    when e takes the tree path."""
-    if e.is_Add or e.is_Mul:
-        out = {} if e.is_Add else {frozenset(): QQ.one}
+    """The value (N, D) of e, N / D as ``_terms`` reads ``sympy.expand`` of
+    e with canonical derivatives and normal kernel arguments, read off the
+    tree e.  N is a sum {monomial: c}, a monomial a frozenset of (atom, k)
+    and c in QQ; D is the product of its factors {key: (sum, k)}, empty for
+    a polynomial, so that a sum of quotients is over the least common
+    multiple of their factors.  None when e takes the tree path."""
+    if e.is_Mul:
+        num, den = _ONE, {}
         for f in e.args:
-            if (t := _read(f)) is None:
+            if (value := _read(f)) is None:
                 return None
-            if e.is_Mul:
-                out = _times(out, t)
-            else:
-                for m, c in t.items():
-                    out[m] = out.get(m, QQ.zero) + c
-        return out
+            num = _times(num, value[0])
+            den.update((key, (g, den.get(key, (g, 0))[1] + k)) for key, (g, k) in value[1].items())
+        return num, den
+    if e.is_Add:
+        groups = {}     # the numerators summed over each distinct denominator
+        for f in e.args:
+            if (value := _read(f)) is None:
+                return None
+            n, d = value
+            group = groups.setdefault(frozenset((key, k) for key, (_, k) in d.items()), ({}, d))[0]
+            for m, c in n.items():
+                group[m] = group.get(m, QQ.zero) + c
+        if len(groups) == 1:
+            return next(iter(groups.values()))
+        num, lcm = {}, {}
+        for _, d in groups.values():
+            lcm.update((key, (g, k)) for key, (g, k) in d.items() if k > lcm.get(key, (g, 0))[1])
+        for n, d in groups.values():
+            for m, c in _scaled(n, d, lcm).items():
+                num[m] = num.get(m, QQ.zero) + c
+        return num, lcm
     if e.is_Pow:
-        if not e.exp.is_Integer or (base := _read(e.base)) is None:
+        if not e.exp.is_Integer or (value := _read(e.base)) is None:
             return None
-        if e.exp > 0:
-            return reduce(_times, [base] * int(e.exp))
-        # a negative power only of an exponential monomial, a unit of the ring
-        units = [(m, c) for m, c in base.items() if c]
-        if len(units) != 1 or any(type(g) is not sp.exp for g, _ in units[0][0]):
-            return None
-        ((m, c),) = units
-        return {frozenset((g, k * e.exp) for g, k in m): (1 / c) ** -int(e.exp)}
+        (num, den), k = value, int(e.exp)
+        if k < 0:
+            if not any(num.values()):
+                return None     # 1/0, which the tree path reports
+            num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
+        return reduce(_times, [num] * k), {key: (g, j * k) for key, (g, j) in den.items()}
     if e.is_Rational:
-        return {frozenset(): QQ(e.p, e.q)}
+        return {frozenset(): QQ(e.p, e.q)}, {}
     f = e
     if isinstance(e, sp.Derivative):
         e, f = e.canonical, e.expr
     if e.is_Symbol or isinstance(f, AppliedUndef) and all(a.is_Symbol for a in f.args):
-        return {frozenset({(e, 1)}): QQ.one}
+        return {frozenset({(e, 1)}): QQ.one}, {}
     if e is sp.E:
         e = _E
     return _normal_kernel(e)[1] if isinstance(e, KERNEL_CLASSES) else None
 
 
 def normalize(e):
-    """Canonical form: the expanded sum over symbols and kernels, or its
-    Laurent form; a rational normal form where neither applies.
+    """Canonical form: the expanded sum over symbols and kernels, or a
+    quotient of two in lowest terms; a rational normal form otherwise.
 
     Kernel arguments are normalized first; sympy's construction rules
     apply the parity of sin/cos/sinh/cosh and write exp(u)*exp(-u/2) as
@@ -507,27 +581,26 @@ def normalize(e):
     ``sympy.expand`` splits it.  No Pythagorean or other identity rewriting
     takes place.  The form is idempotent and exact:
 
-    - When the ring reads the expanded sum and no exponential in it has a
-      negative exponent, the expanded sum is the form, as ``sympy.cancel``
-      would also return it.
-    - When some do, the form is N / S as ``P.as_expr() / Q.as_expr()``
-      (``_as_expr``): each direction t of an exponential exp(c*t) is one
-      generator E = exp(t/d), d the lcm of t's exponent denominators, and S
-      is the smallest monomial in the E whose product with every term has
-      no negative exponent.  ``sympy.cancel`` returns the same shape but can
-      shift further, because it reads exp(t) and exp(t/2) as unrelated
-      generators: a*exp(-u/2) + b*exp(-3*u/2) + x is
+    - When the ring reads e as a polynomial with no negative exponent,
+      the expanded sum is the form, as ``sympy.cancel`` would return it.
+    - When it reads e as a pair (N, D), the form is ``_as_expr(N, D)``,
+      ``sympy.cancel``'s form of a rational function such as 1/(1 + u).
+      Each direction t of an exponential exp(c*t) is one generator
+      E = exp(t/d), d the lcm of t's exponent denominators, so a sum with
+      negative exponents is over the smallest monomial in the E that
+      clears them.  ``sympy.cancel`` can shift further, because it reads
+      exp(t) and exp(t/2) as unrelated generators:
+      a*exp(-u/2) + b*exp(-3*u/2) + x is
       (a*exp(u) + b + x*exp(3*u/2))*exp(-3*u/2) here and
       (a*exp(3*u/2) + b*exp(u/2) + x*exp(2*u))*exp(-2*u) there.
-    - Any other input -- rational functions such as 1/(1 + u), symbolic
-      powers, constants such as sin(1) -- is put in ``sympy.cancel``'s form.
+    - Any other input -- symbolic or fractional powers, constants such as
+      sin(1) -- is put in ``sympy.cancel``'s form.
 
-    The ring's terms are read off the input tree (``_read``), multiplied
-    out in QQ and converted once, with no ``sympy.expand`` or
-    ``sympy.cancel``; exp(c*x + c0) with c0 rational reads as
-    exp(c0)*exp(c*x).  The tree path keeps a kernel of a Laurent argument
-    and a log that ``sympy.expand_log`` changes: symbols are real, so
-    log(4*x1*x2) expands to log(x1*x2) + 2*log(2).
+    The pair is read off the input tree (``_read``), multiplied out in QQ
+    and converted once, with no ``sympy.expand`` or ``sympy.cancel``;
+    exp(c*x + c0) with c0 rational reads as exp(c0)*exp(c*x).  The tree
+    path keeps a log that ``sympy.expand_log`` changes: symbols are real,
+    so log(4*x1*x2) expands to log(x1*x2) + 2*log(2).
 
     ``derive`` and ``sum_of_products`` return this form from the ring.
     """
@@ -535,37 +608,45 @@ def normalize(e):
     return _normal_form(e, _read(e))
 
 
-def _normal_form(e, terms):
+def _listed(terms):
+    """A ``_read`` sum as the [(Rational, {atom: k})] terms of ``_terms``."""
+    return [(QQ.to_sympy(c), dict(m)) for m, c in terms.items() if c]
+
+
+def _normal_form(e, value):
     """``normalize(e)`` given ``_read(e)``; e itself when it is normal."""
-    if terms is None:
+    if value is None:
         return _tree_normalize(e)
-    if _plain(terms):
-        out = sp.Add(*[QQ.to_sympy(c) * monomial_expr(dict(m)) for m, c in terms.items() if c])
+    if _plain(value):
+        out = sp.Add(*[QQ.to_sympy(c) * monomial_expr(dict(m)) for m, c in value[0].items() if c])
         return e if out == e else out
-    (element,), _, _ = _ring_elements([[(QQ.to_sympy(c), dict(m))
-                                        for m, c in terms.items() if c]])
-    return _as_expr(*element)
+    (pair,), _, _ = _ring_elements([(_listed(value[0]), _listed(_scaled(_ONE, {}, value[1])))])
+    return _as_expr(*pair)
 
 
 def _tree_normalize(e):
-    """``normalize`` on sympy's expression trees, for input ``_read`` rejects."""
+    """``normalize`` on sympy's trees, for input ``_read`` rejects:
+    ``sympy.expand``, ``sympy.cancel`` unless the ring reads a polynomial,
+    and a quotient the ring reads converted through it, whose exponential
+    generators can cancel further than ``sympy.cancel``'s."""
     if e.has(*_BAD_CONSTANTS):
         raise DivisionByZero(f"undefined constant while normalizing {e}")
     e = _canonical_derivatives(e)
     e = _normalize_kernel_args(e)
     e = sp.expand(e)
-    terms = _terms(e)
-    if terms is not None:
-        if any(k < 0 for _, monomial in terms for k in monomial.values()):
-            (element,), _, _ = _ring_elements([terms])
-            e = _as_expr(*element)
-        return e
-    try:
-        e = sp.cancel(e)
-    except (PolynomialError, NotImplementedError, ZeroDivisionError):
-        pass
-    if e.has(*_BAD_CONSTANTS):
-        raise DivisionByZero(f"undefined constant while normalizing {e}")
+    fraction = _terms(e)
+    if fraction is None or fraction[1] is not _UNIT:
+        try:
+            e = sp.cancel(e)
+        except (PolynomialError, NotImplementedError, ZeroDivisionError):
+            pass
+        if e.has(*_BAD_CONSTANTS):
+            raise DivisionByZero(f"undefined constant while normalizing {e}")
+        fraction = _terms(e)
+    if fraction is not None and (fraction[1] is not _UNIT or any(
+            k < 0 for _, monomial in fraction[0] for k in monomial.values())):
+        (pair,), _, _ = _ring_elements([fraction])
+        e = _as_expr(*pair)
     return e
 
 
@@ -703,8 +784,8 @@ def zero_verdict(e, seed=None):
     if opaque is not None:
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", witness=opaque, seed=seed)
     # a normal form's terms have distinct monomials: a nonzero ring element
-    terms = _terms(sp.fraction(n)[0])
-    if terms is not None and _independent(g for _, monomial in terms for g in monomial):
+    fraction = _terms(sp.fraction(n)[0])
+    if fraction is not None and _independent(g for _, monomial in fraction[0] for g in monomial):
         return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
     if not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
@@ -756,17 +837,17 @@ class Elimination:
 
     def __init__(self, matrix, carried=0, seed=None):
         parts = [part for row in matrix for e in row for part in sp.fraction(e)]
-        term_lists = [_terms(part) for part in parts]
-        opaque = {part for part, terms in zip(parts, term_lists) if terms is None}
+        fractions = [_terms(part) for part in parts]
+        opaque = {part for part, fraction in zip(parts, fractions) if fraction is None}
         elements, _, _ = _ring_elements([
-            [(sp.S.One, {part: sp.S.One})] if terms is None else terms
-            for part, terms in zip(parts, term_lists)])
+            ([(sp.S.One, {part: sp.S.One})], _UNIT) if fraction is None else fraction
+            for part, fraction in zip(parts, fractions)])
         ring = elements[0][0].ring
         field = ring.to_domain().get_field().field
 
         def value(numerator, denominator):
-            (n, s), (d, t) = numerator, denominator
-            return field.new(n.mul_monom(_padded(ring, t)), d.mul_monom(_padded(ring, s)))
+            (n, d), (n2, d2) = numerator, denominator
+            return field.new(n * d2, d * n2)
 
         def nonzero(v):
             atoms = {g for monom in v.numer.monoms() for g, k in zip(ring.symbols, monom) if k}

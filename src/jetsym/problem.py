@@ -43,12 +43,15 @@ the xi and phi blocks because ``,`` already occurs inside jets and calls.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from .algebra import substitute
+from .condsym import PdeSystem
 from .errors import JetsymError, SchemaError
 from .families import AnsatzFamily
 from .geometry import VectorFieldFamily
-from .jets import VectorField
+from .jets import NormalFormSystem, VectorField
 from .workspace import Workspace
 
 
@@ -130,6 +133,18 @@ def _int_value(path, lineno, name, text, least):
     return value
 
 
+@contextmanager
+def _line(path, lineno):
+    """Build the objects of one line: a ValueError or engine error from
+    their validation is a SchemaError at that line."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (ValueError, JetsymError) as err:
+        raise SchemaError(path, lineno, str(err)) from None
+
+
 def _parse_expr(ws, path, lineno, text):
     try:
         return ws.parse(_strip_quotes(text))
@@ -147,7 +162,8 @@ def _parse_field(ws, path, lineno, value):
     if len(xi) != ws.p or len(phi) != ws.q:
         raise SchemaError(path, lineno,
                           f"field needs {ws.p} xi and {ws.q} phi entries")
-    return VectorField(ws, tuple(xi), tuple(phi))
+    with _line(path, lineno):
+        return VectorField(ws, tuple(xi), tuple(phi))
 
 
 def _get_single(path, sections, headers, name, key, default=None):
@@ -187,17 +203,16 @@ def load_problem(path, order=None):
         order_line, order_text = 0, str(order)
     n = _int_value(path, order_line, "jet order", order_text, 1)
 
-    try:
+    with _line(path, 0):
         ws = Workspace(indep.split(), dep.split(), order_cap=n,
                        hard_cap=max(8, n + 2))
-    except ValueError as err:
-        raise SchemaError(path, 0, str(err)) from None
 
     for lineno, key, value in sections.get("parameters", []):
         if key != "names":
             raise SchemaError(path, lineno, "parameters section uses 'names = ...'")
-        for name in value.split():
-            ws.add_parameter(name)
+        with _line(path, lineno):
+            for name in value.split():
+                ws.add_parameter(name)
 
     for lineno, key, value in sections.get("functions", []):
         if key != "decl":
@@ -206,15 +221,14 @@ def load_problem(path, order=None):
             if "(" not in decl or not decl.endswith(")"):
                 raise SchemaError(path, lineno, f"bad function declaration {decl!r}")
             name, args = decl[:-1].split("(", 1)
-            try:
+            with _line(path, lineno):
                 ws.add_function(name.strip(),
                                 [a.strip() for a in args.split(",") if a.strip()])
-            except (ValueError, JetsymError) as err:
-                raise SchemaError(path, lineno, str(err)) from None
 
-    pdes = []
+    pdes, pde_lines = [], []
     for lineno, key, value in sections.get("pde", []):
         pdes.append((key, _parse_expr(ws, path, lineno, value)))
+        pde_lines.append(lineno)
 
     field_groups = {}
     for sec_name, rows in sections.items():
@@ -239,11 +253,10 @@ def load_problem(path, order=None):
             raise SchemaError(path, kind_line, f"unknown ansatz family {kind!r}")
         bound_line, bound = _get_single(path, sections, headers, "ansatz", bound_key,
                                         default="1")
-        family = AnsatzFamily(kind, _int_value(path, bound_line, bound_key, bound, 0))
-        try:
+        bound = _int_value(path, bound_line, bound_key, bound, 0)
+        with _line(path, kind_line):
+            family = AnsatzFamily(kind, bound)
             family.keys(len(ws.dependent))
-        except ValueError as err:
-            raise SchemaError(path, kind_line, str(err)) from None
         explicit = None
         for lineno, key, value in sec:
             if key == "rhs":
@@ -253,6 +266,9 @@ def load_problem(path, order=None):
                         path, lineno,
                         f"explicit ansatz rhs needs {ws.p * ws.q} entries "
                         "(slot-major over dependents)")
+                with _line(path, lineno):
+                    NormalFormSystem(ws, {(a, j): parts[j * ws.q + a]
+                                          for j in range(ws.p) for a in range(ws.q)})
                 explicit = parts
         ansatz = AnsatzSpec(family, explicit)
 
@@ -268,6 +284,8 @@ def load_problem(path, order=None):
         if len(parts) != ws.q:
             raise SchemaError(path, lineno,
                               f"candidate needs {ws.q} expressions")
+        if any(ws.max_jet_order(e) >= 1 for e in parts):
+            raise SchemaError(path, lineno, f"candidate {key} contains jet symbols")
         exprs = {ws.dependent[a]: parts[a] for a in range(ws.q)}
         candidates.append(Candidate(key, exprs, target))
 
@@ -282,6 +300,13 @@ def load_problem(path, order=None):
             raise SchemaError(path, lineno,
                               f"instance binding {key!r} is not a parameter "
                               "or unknown function")
+
+    # each equation stays one, with and without the instance bindings
+    for lineno, (name, e) in zip(pde_lines, pdes):
+        with _line(path, lineno):
+            PdeSystem(ws, ((name, e),))
+            if instance:
+                PdeSystem(ws, ((name, substitute(e, instance)),))
 
     return ProblemFile(path=path, ws=ws, pdes=pdes, field_groups=field_groups,
                        ansatz=ansatz, candidates=candidates, instance=instance,

@@ -3,11 +3,17 @@ from itertools import islice
 
 import pytest
 import sympy as sp
+from hypothesis import settings
 from sympy.polys.polyerrors import PolynomialError
 
 from jetsym import Workspace
 from jetsym.algebra import evaluate_at, normalize, sample_points, substitute, zero_verdict
 from jetsym.jets import NormalFormSystem, VectorField
+
+# every property test draws the same examples on every run; each keeps its
+# own max_examples
+settings.register_profile("jetsym", derandomize=True, deadline=None, database=None)
+settings.load_profile("jetsym")
 
 
 @pytest.fixture

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetsym import condsym
-from jetsym.cli import main
+from jetsym.cli import COMMANDS, main
 from jetsym.errors import NotSeparable, SchemaError
 from jetsym.problem import load_problem
 from jetsym.report import Report
@@ -267,3 +272,76 @@ def test_charsys_reports_residual_table(capsys):
     assert rc == 0
     assert any("u^2 - u_{x1}" in e or "-u_{x1} + u^2" in e
                for e in data["equations"])
+
+
+@pytest.mark.parametrize("old,new,command,line", [
+    ("names = lam c0 c1 c2 c3", "names = c[1", "charsys", 9),
+    ("names = lam c0 c1 c2 c3", "names = lam lam c0 c1 c2 c3", "charsys", 9),
+    ('wave = "u_{x1,x2} - (c3*u^3 + c2*u^2 + c1*u + c0)"', 'wave = "3"',
+     "derive-determining", 15),
+    ('Z1 = "1" | "0" ; "u^2"', 'Z1 = "u_{x1}" | "0" ; "u^2"', "verify-symmetry", 23),
+    ('kink = "-1/(x1 + x2 + lam)"', 'kink = "u_{x1}"', "verify-solution", 33),
+    ('wave = "u_{x1,x2} - (c3*u^3 + c2*u^2 + c1*u + c0)"', 'wave = "c1 + 1"',
+     "verify-solution", 15),
+    ("degree = 2", 'degree = 2\nrhs = "u_{x1}" | "0"', "derive-determining", 20),
+], ids=["bad-identifier", "duplicate-parameter", "constant-equation", "jet-in-field",
+        "jet-in-candidate", "constant-instanced-equation", "jet-in-explicit-rhs"])
+def test_invalid_problem_object_reports_its_line(capsys, tmp_path, old, new, command, line):
+    """A problem-file line whose object fails validation exits 3 with a
+    typed error at FILE:LINE, never a traceback."""
+    text = (PROBLEMS / "wave.jetsym").read_text()
+    assert old in text
+    path = tmp_path / "wave.jetsym"
+    path.write_text(text.replace(old, new))
+    rc, out, err = run_cli(capsys, command, path)
+    assert rc == 3
+    assert f"{path}:{line}: " in err
+    assert "Traceback" not in out + err
+
+
+_FIXTURE_TEXTS = {path.name: path.read_text() for path in sorted(PROBLEMS.glob("*.jetsym"))}
+# pieces of the problem-file and expression grammars
+_TOKENS = ["[", "]", "[fields]", "[pde]", "[candidates]", "[instance]", "=", ":", '"', "|",
+           ";", "@", "#", "\n", " ", "(", ")", ",", "^", "*", "/", "+", "-", "1/", "0",
+           "u", "x1", "t", "lam", "u_{x1}", "u_{x1,x1}", "exp(", "log(", "sin(", "D(",
+           "names = ", "decl = h(t)", "family = ", "degree", "kmax", "nmax", "dc", "both"]
+
+
+@st.composite
+def _mutated_problems(draw):
+    """A fixture after one to three edits, each on a line that is not a
+    comment: a grammar token inserted, a span of up to 12 characters
+    deleted, or the line duplicated."""
+    name = draw(st.sampled_from(sorted(_FIXTURE_TEXTS)))
+    lines = _FIXTURE_TEXTS[name].splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        content = [k for k, line in enumerate(lines) if line.strip()[:1] not in ("", "#")]
+        k = draw(st.sampled_from(content or [0]))
+        line = lines[k] if lines else ""
+        kind = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        at = draw(st.integers(0, max(len(line) - 1, 0)))
+        if kind == "insert":
+            line = line[:at] + draw(st.sampled_from(_TOKENS)) + line[at:]
+        elif kind == "delete":
+            line = line[:at] + line[draw(st.integers(at + 1, at + 12)):]
+        else:
+            line += line
+        lines[k:k + 1] = [line]
+    return name, "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_problems(), st.sampled_from(COMMANDS))
+def test_mutated_problem_files_end_in_a_verdict_or_a_typed_error(problem, command):
+    """Every mutated fixture, under any command, exits 0-3 without an
+    exception escaping main, and exit 3 reports a JetsymError."""
+    name, text = problem
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, str(path)])
+    assert rc in (0, 1, 2, 3)
+    if rc == 3:
+        assert err.getvalue().startswith(f"jetsym {command}: error: ")
