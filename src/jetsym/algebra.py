@@ -323,8 +323,8 @@ def _ring_elements(fractions):
 
 
 def _sum(pairs, ring):
-    """The sum of pairs (N, D), over the product of their distinct
-    denominators: nothing is cancelled."""
+    """The sum of pairs (N, D), over the lcm of their denominators: no
+    numerator is cancelled."""
     n, d = ring.zero, 1
     for a, b in pairs:
         if not a:
@@ -334,7 +334,8 @@ def _sum(pairs, ring):
         elif b == d:
             n = n + a
         else:
-            n, d = n * b + a * d, d * b
+            _, p, q = ring(d).cofactors(ring(b))
+            n, d = n * q + a * p, d * q
     return n, d
 
 
@@ -372,7 +373,7 @@ def derive(e, images):
 
     e and the images are normal forms.  When ``_terms`` reads them and the
     atoms' images, X runs on pairs of one sparse ring over QQ
-    (``_ring_elements``): X(N / D) = X(N) / D - N X(D) / D**2, where a
+    (``_ring_elements``): X(N / D) = (X(N) D - N X(D)) / D**2, where a
     generator E = exp(t / d) has the image E X(t) / d.  Otherwise it is
     ``sp.diff`` on the expression tree, summed and normalized.  Both give
     the same normal form, which sympy's cache keeps, as it keeps
@@ -402,7 +403,10 @@ def _derive(e, images):
                 i = index[g]
                 x[i] = (a * gens[i] * QQ(1, dens[g]), b) if g in dens else (a, b)
             (a, b), (c, f) = _derivation(n, x), _derivation(n.ring(d), x)
-            return _as_expr(*_sum([(a, b * d), (n * -c, f * d ** 2)], n.ring))
+            if not c:
+                return _as_expr(a, b * d)
+            m, k = _sum([(a * d, b), (n * -c, f)], n.ring)
+            return _as_expr(m, k * d ** 2)
     return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
 
 
