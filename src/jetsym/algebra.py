@@ -67,9 +67,6 @@ class ZeroResult:
     witness: object = None
     seed: int = None
 
-    def __bool__(self):
-        return self.verdict is ZeroVerdict.ZERO
-
 
 _BAD_CONSTANTS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 

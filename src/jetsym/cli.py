@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-from .algebra import TriBool, substitute, zero_verdict
-from .condsym import (AnsatzSystem, PdeSystem, build_ansatz,
+from .algebra import TriBool, zero_verdict
+from .condsym import (AnsatzSystem, build_ansatz,
                       characteristic_system, compatibility_residuals,
                       determining_system, verify_conditional_symmetry,
                       verify_solution)
@@ -20,7 +20,6 @@ from .errors import JetsymError, PreconditionFailed
 from .geometry import (VectorFieldFamily, analyze_distribution, is_abelian, rectify,
                        z_form)
 from .grammar import print_expr
-from .jets import NormalFormSystem
 from .liesys import build_pde_lie_system, recognize_riccati, solve_solvable_q1
 from .problem import load_problem
 from .report import Report
@@ -47,17 +46,10 @@ def build_parser():
     return parser
 
 
-def _apply_instance(problem, exprs):
-    if not problem.instance:
-        return exprs
-    return [(name, substitute(e, problem.instance)) for name, e in exprs]
-
-
-def _pde_system(problem, instanced=False):
-    pdes = _apply_instance(problem, problem.pdes) if instanced else problem.pdes
-    if not pdes:
+def _pde_system(problem):
+    if problem.pde is None:
         raise PreconditionFailed("pde section", "this command needs [pde] equations")
-    return PdeSystem(problem.ws, tuple(pdes))
+    return problem.pde
 
 
 def cmd_analyze(report, problem, args, seed):
@@ -135,9 +127,7 @@ def cmd_derive_determining(report, problem, args, seed):
     pde = _pde_system(problem)
     spec = problem.ansatz
     if spec.explicit_rhs is not None:
-        rhs = {(a, j): spec.explicit_rhs[j * ws.q + a]
-               for j in range(ws.p) for a in range(ws.q)}
-        ansatz = AnsatzSystem.from_explicit(spec.family, ws, rhs)
+        ansatz = AnsatzSystem.from_explicit(spec.family, ws, spec.explicit_rhs)
     else:
         ansatz = build_ansatz(spec.family, ws)
     dsys = determining_system(pde, ansatz)
@@ -154,7 +144,7 @@ def cmd_derive_determining(report, problem, args, seed):
 
 
 def cmd_verify_symmetry(report, problem, args, seed):
-    pde = _pde_system(problem, instanced=True)
+    pde = _pde_system(problem)
     F = problem.fields(args.fields)
     result = verify_conditional_symmetry(pde, F, n=problem.ws.order_cap,
                                          force_direct=args.force_direct,
@@ -178,18 +168,11 @@ def cmd_verify_solution(report, problem, args, seed):
     if not problem.candidates:
         raise PreconditionFailed("candidates section",
                                  "verify-solution needs a [candidates] section")
-    pde = _pde_system(problem, instanced=True) if problem.pdes else None
-    nf = None
-    if problem.field_groups:
-        F = problem.fields(args.fields)
-        nf = rectify(F, seed=seed).nf
-        if problem.instance:
-            nf = NormalFormSystem(ws, {k: substitute(v, problem.instance)
-                                       for k, v in nf.rhs.items()})
+    nf = rectify(problem.fields(args.fields), seed=seed).nf if problem.field_groups else None
     for cand in problem.candidates:
         systems = []
-        if cand.target in ("pde", "both") and pde is not None:
-            systems.append(pde)
+        if cand.target in ("pde", "both") and problem.pde is not None:
+            systems.append(problem.pde)
         if cand.target in ("dc", "both") and nf is not None:
             systems.append(nf)
         if not systems:
@@ -235,11 +218,16 @@ _HANDLERS = {
     "solve-liesys": cmd_solve_liesys,
 }
 COMMANDS = tuple(_HANDLERS)
+# the instance-level commands: they get the problem with [instance] bound,
+# the others the problem as written
+BOUND_COMMANDS = frozenset({"verify-symmetry", "verify-solution", "solve-liesys"})
 
 
 def run(args):
     seed = int(args.seed, 16) if args.seed else DEFAULT_SEED
     problem = load_problem(args.problem, order=args.order)
+    if args.command in BOUND_COMMANDS:
+        problem = problem.bound
     options = {
         "order": problem.ws.order_cap,
         "seed": f"0x{seed:X}",

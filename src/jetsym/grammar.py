@@ -264,13 +264,10 @@ class _Parser:
         return sp.Integral(args[0], *args[1:])
 
 
-def parse(text, ws, normalized=True):
-    """Parse expression text against a workspace; normalizes by default."""
-    e = _Parser(text, ws).run()
-    if normalized:
-        from .algebra import normalize
-        e = normalize(e)
-    return e
+def parse(text, ws):
+    """Parse expression text against a workspace, normalized."""
+    from .algebra import normalize
+    return normalize(_Parser(text, ws).run())
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,6 @@ class VectorField:
     def is_zero_field(self):
         return all(e == 0 for e in self.xi + self.phi)
 
-    def format(self):
-        parts = []
-        for i, x in enumerate(self.ws.independent):
-            if self.xi[i] != 0:
-                c = "" if self.xi[i] == 1 else f"({print_expr(self.xi[i])})*"
-                parts.append(f"{c}d/d{x.name}")
-        for a, u in enumerate(self.ws.dependent):
-            if self.phi[a] != 0:
-                c = "" if self.phi[a] == 1 else f"({print_expr(self.phi[a])})*"
-                parts.append(f"{c}d/d{u.name}")
-        return " + ".join(parts) if parts else "0"
-
 
 def _as_index(K):
     return K if isinstance(K, MultiIndex) else MultiIndex(tuple(K))

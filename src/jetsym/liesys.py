@@ -203,7 +203,6 @@ class PDELieSystem:
     nf: NormalFormSystem
     vg: VGAlgebra
     b: dict                     # (slot j, generator beta) -> Expr in x
-    integrable: bool = True
     notes: list = field(default_factory=list)
 
 
@@ -225,15 +224,13 @@ def build_pde_lie_system(nf, cap=10, seed=None):
             if is_zero(total - nf.rhs[(a, j)]) is ZeroVerdict.NONZERO:
                 raise AssertionError("VG decomposition does not reproduce the rhs")
     notes = []
-    integrable = True
     for _, _, _, res in compatibility_residuals(nf):
         v = zero_verdict(res, seed=seed).verdict
         if v is ZeroVerdict.NONZERO:
-            integrable = False
             notes.append(f"compatibility residual nonzero: {print_expr(res)}")
         elif v is ZeroVerdict.UNKNOWN:
             notes.append("compatibility verdict undetermined (opaque coefficients)")
-    return PDELieSystem(nf, vg, b, integrable, notes)
+    return PDELieSystem(nf, vg, b, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,6 @@ class Q1Solution:
     transform: str
     w_homogeneous: object
     w_particular: object
-    parameter: object
     unresolved: bool
     verdicts: list = field(default_factory=list)
     assumptions: list = field(default_factory=list)
@@ -393,6 +389,6 @@ def solve_solvable_q1(sys, seed=None):
         assumptions = ["integration parameter: lam"]
         if unresolved:
             assumptions.append("formal integrals remain; verification is Unknown")
-        return Q1Solution(u_sol, label, w_h, w_n, lam, unresolved,
+        return Q1Solution(u_sol, label, w_h, w_n, unresolved,
                           verdicts, assumptions)
     raise NotSolvableShape(last_reason or "no catalogued change of variables applies")

@@ -70,23 +70,9 @@ class MultiIndex:
     def sort_key(self):
         return (self.order, self.counts)
 
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        return self.sort_key() <= other.sort_key()
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __getitem__(self, i):
-        return self.counts[i]
-
 
 def indices_of_order(p, n):
     """All multi-indices with p slots and |K| = n, in canonical order."""
-    if n == 0:
-        return [MultiIndex.zero(p)]
     out = []
 
     def rec(prefix, remaining, slots_left):

@@ -35,16 +35,23 @@ comment; expression values may be double-quoted.  Example::
     only = "..." @ pde               # check against pde / dc / both
 
     [instance]
-    c3 = "2"                         # bindings applied by verify-*/solve runs
+    c3 = "2"                         # bindings of parameters and functions
 
 Vector-field coefficient lists use ``|`` between entries and ``;`` between
 the xi and phi blocks because ``,`` already occurs inside jets and calls.
+
+Other sections, and keys the fixed-key sections (all but ``[pde]``,
+``[fields]``, ``[candidates]`` and ``[instance]``) do not document, are refused.
+
+``load_problem`` binds ``[instance]`` once: ``problem.bound`` is the problem
+with the bindings applied to its ``[pde]`` system, ``[fields]`` groups and
+candidates (the problem itself without bindings), each built at its line.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import substitute
 from .condsym import PdeSystem
@@ -58,7 +65,7 @@ from .workspace import Workspace
 @dataclass
 class AnsatzSpec:
     family: AnsatzFamily
-    explicit_rhs: list = None    # per-slot expression lists, or None
+    explicit_rhs: dict = None    # (dependent a, slot j) -> Expr, or None
 
 
 @dataclass
@@ -72,17 +79,23 @@ class Candidate:
 class ProblemFile:
     path: str
     ws: Workspace
-    pdes: list                   # (name, Expr)
+    pde: PdeSystem               # None without [pde] equations
     field_groups: dict           # group name -> VectorFieldFamily
     ansatz: AnsatzSpec = None
     candidates: list = field(default_factory=list)
-    instance: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
+    instance: dict = field(default_factory=dict)   # parameter or function -> Expr
+    bound: ProblemFile = field(default=None, repr=False, compare=False)
 
     def fields(self, group="default"):
         if group not in self.field_groups:
             raise SchemaError(self.path, 0, f"no field group named {group!r}")
         return self.field_groups[group]
+
+
+# the keys each section takes; None: every key names an entry
+_KEYS = {"variables": ("independent", "dependent"), "parameters": ("names",),
+         "functions": ("decl",), "options": ("order",), "ansatz": None,
+         "pde": None, "fields": None, "candidates": None, "instance": None}
 
 
 def _strip_quotes(text):
@@ -95,7 +108,7 @@ def _strip_quotes(text):
 def _split_sections(path, text):
     """{section name: [(line, key, value)]} and {section name: header line}."""
     sections, headers = {}, {}
-    current = None
+    current = keys = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -105,9 +118,13 @@ def _split_sections(path, text):
             if not name.endswith("]"):
                 raise SchemaError(path, lineno, f"malformed section header {name!r}")
             name = name[1:-1].strip()
+            kind = "fields" if name.startswith("fields:") else name
+            if kind not in _KEYS:
+                raise SchemaError(path, lineno, f"unknown section [{name}]")
             if name in sections:
                 raise SchemaError(path, lineno, f"duplicate section [{name}]")
             current = sections[name] = []
+            keys = _KEYS[kind]
             headers[name] = lineno
             continue
         if current is None:
@@ -115,7 +132,10 @@ def _split_sections(path, text):
         for sep in ("=", ":"):
             if sep in line:
                 key, value = line.split(sep, 1)
-                current.append((lineno, key.strip(), value.strip()))
+                key = key.strip()
+                if keys is not None and key not in keys:
+                    raise SchemaError(path, lineno, f"unknown key {key!r} in [{name}]")
+                current.append((lineno, key, value.strip()))
                 break
         else:
             raise SchemaError(path, lineno, f"expected 'key = value', got {line!r}")
@@ -153,6 +173,7 @@ def _parse_expr(ws, path, lineno, text):
 
 
 def _parse_field(ws, path, lineno, value):
+    """The xi entries, then the phi entries, of a vector-field line."""
     blocks = value.split(";")
     if len(blocks) != 2:
         raise SchemaError(path, lineno,
@@ -162,8 +183,7 @@ def _parse_field(ws, path, lineno, value):
     if len(xi) != ws.p or len(phi) != ws.q:
         raise SchemaError(path, lineno,
                           f"field needs {ws.p} xi and {ws.q} phi entries")
-    with _line(path, lineno):
-        return VectorField(ws, tuple(xi), tuple(phi))
+    return xi + phi
 
 
 def _get_single(path, sections, headers, name, key, default=None):
@@ -176,7 +196,8 @@ def _get_single(path, sections, headers, name, key, default=None):
 
 
 def load_problem(path, order=None):
-    """Parse a problem file into a workspace plus typed sections.
+    """Parse a problem file into a workspace plus typed sections; its
+    ``bound`` carries the ``[instance]`` bindings (see the module docstring).
 
     ``order`` overrides the file's jet-order option (it must be fixed before
     any expression is parsed).
@@ -193,12 +214,9 @@ def load_problem(path, order=None):
     _, indep = _get_single(path, sections, headers, "variables", "independent")
     _, dep = _get_single(path, sections, headers, "variables", "dependent")
 
-    options = {}
     order_line, order_text = 0, "2"
-    for lineno, key, value in sections.get("options", []):
-        options[key] = _strip_quotes(value)
-        if key == "order":
-            order_line, order_text = lineno, options[key]
+    for lineno, _, value in sections.get("options", []):
+        order_line, order_text = lineno, _strip_quotes(value)
     if order is not None:
         order_line, order_text = 0, str(order)
     n = _int_value(path, order_line, "jet order", order_text, 1)
@@ -207,16 +225,12 @@ def load_problem(path, order=None):
         ws = Workspace(indep.split(), dep.split(), order_cap=n,
                        hard_cap=max(8, n + 2))
 
-    for lineno, key, value in sections.get("parameters", []):
-        if key != "names":
-            raise SchemaError(path, lineno, "parameters section uses 'names = ...'")
+    for lineno, _, value in sections.get("parameters", []):
         with _line(path, lineno):
             for name in value.split():
                 ws.add_parameter(name)
 
-    for lineno, key, value in sections.get("functions", []):
-        if key != "decl":
-            raise SchemaError(path, lineno, "functions section uses 'decl = ...'")
+    for lineno, _, value in sections.get("functions", []):
         for decl in value.split():
             if "(" not in decl or not decl.endswith(")"):
                 raise SchemaError(path, lineno, f"bad function declaration {decl!r}")
@@ -225,10 +239,30 @@ def load_problem(path, order=None):
                 ws.add_function(name.strip(),
                                 [a.strip() for a in args.split(",") if a.strip()])
 
-    pdes, pde_lines = [], []
-    for lineno, key, value in sections.get("pde", []):
-        pdes.append((key, _parse_expr(ws, path, lineno, value)))
-        pde_lines.append(lineno)
+    instance = {}
+    for lineno, key, value in sections.get("instance", []):
+        symbol = ws.parameters.get(key, ws.functions.get(key))
+        if symbol is None:
+            raise SchemaError(path, lineno,
+                              f"instance binding {key!r} is not a parameter "
+                              "or unknown function")
+        val = _parse_expr(ws, path, lineno, value)
+        if ws.max_jet_order(val) >= 1:
+            raise SchemaError(path, lineno, f"instance binding {key} contains jet symbols")
+        instance[symbol] = val
+
+    def build(lineno, make, exprs):
+        """The line's object as written and with the [instance] bindings
+        applied: one object when no binding applies."""
+        with _line(path, lineno):
+            obj = make(exprs)
+            if not any(e.has(*instance) for e in exprs):
+                return obj, obj
+            return obj, make([substitute(e, instance) for e in exprs])
+
+    pdes = [build(lineno, lambda es, key=key: PdeSystem(ws, ((key, es[0]),)),
+                  [_parse_expr(ws, path, lineno, value)])
+            for lineno, key, value in sections.get("pde", [])]
 
     field_groups = {}
     for sec_name, rows in sections.items():
@@ -238,10 +272,12 @@ def load_problem(path, order=None):
             group = sec_name.split(":", 1)[1].strip()
         else:
             continue
-        members = [_parse_field(ws, path, lineno, value) for lineno, _, value in rows]
-        if not members:
+        if not rows:
             raise SchemaError(path, headers[sec_name], f"empty field group [{sec_name}]")
-        field_groups[group] = VectorFieldFamily(ws, tuple(members))
+        field_groups[group] = [
+            build(lineno, lambda es: VectorField(ws, tuple(es[:ws.p]), tuple(es[ws.p:])),
+                  _parse_field(ws, path, lineno, value))
+            for lineno, _, value in rows]
 
     ansatz = None
     if "ansatz" in sections:
@@ -251,6 +287,10 @@ def load_problem(path, order=None):
                      "trigonometric": "nmax", "hyperbolic": "kmax"}.get(kind)
         if bound_key is None:
             raise SchemaError(path, kind_line, f"unknown ansatz family {kind!r}")
+        for lineno, key, _ in sec:
+            if key not in ("family", bound_key, "rhs"):
+                raise SchemaError(path, lineno,
+                                  f"unknown key {key!r} in [ansatz] of family {kind}")
         bound_line, bound = _get_single(path, sections, headers, "ansatz", bound_key,
                                         default="1")
         bound = _int_value(path, bound_line, bound_key, bound, 0)
@@ -267,9 +307,9 @@ def load_problem(path, order=None):
                         f"explicit ansatz rhs needs {ws.p * ws.q} entries "
                         "(slot-major over dependents)")
                 with _line(path, lineno):
-                    NormalFormSystem(ws, {(a, j): parts[j * ws.q + a]
-                                          for j in range(ws.p) for a in range(ws.q)})
-                explicit = parts
+                    explicit = NormalFormSystem(
+                        ws, {(a, j): parts[j * ws.q + a]
+                             for j in range(ws.p) for a in range(ws.q)}).rhs
         ansatz = AnsatzSpec(family, explicit)
 
     candidates = []
@@ -286,28 +326,19 @@ def load_problem(path, order=None):
                               f"candidate needs {ws.q} expressions")
         if any(ws.max_jet_order(e) >= 1 for e in parts):
             raise SchemaError(path, lineno, f"candidate {key} contains jet symbols")
-        exprs = {ws.dependent[a]: parts[a] for a in range(ws.q)}
-        candidates.append(Candidate(key, exprs, target))
+        candidates.append(build(
+            lineno, lambda es, key=key, target=target:
+            Candidate(key, dict(zip(ws.dependent, es)), target), parts))
 
-    instance = {}
-    for lineno, key, value in sections.get("instance", []):
-        val = _parse_expr(ws, path, lineno, value)
-        if key in ws.parameters:
-            instance[ws.parameters[key]] = val
-        elif key in ws.functions:
-            instance[ws.functions[key]] = val
-        else:
-            raise SchemaError(path, lineno,
-                              f"instance binding {key!r} is not a parameter "
-                              "or unknown function")
+    def side(k):
+        """The sections as written (k = 0) or bound (k = 1)."""
+        deltas = sum((pair[k].deltas for pair in pdes), ())
+        return {"pde": PdeSystem(ws, deltas) if deltas else None,
+                "field_groups": {group: VectorFieldFamily(ws, tuple(pair[k] for pair in rows))
+                                 for group, rows in field_groups.items()},
+                "candidates": [pair[k] for pair in candidates]}
 
-    # each equation stays one, with and without the instance bindings
-    for lineno, (name, e) in zip(pde_lines, pdes):
-        with _line(path, lineno):
-            PdeSystem(ws, ((name, e),))
-            if instance:
-                PdeSystem(ws, ((name, substitute(e, instance)),))
-
-    return ProblemFile(path=path, ws=ws, pdes=pdes, field_groups=field_groups,
-                       ansatz=ansatz, candidates=candidates, instance=instance,
-                       options=options)
+    problem = ProblemFile(path=path, ws=ws, ansatz=ansatz, instance=instance, **side(0))
+    problem.bound = replace(problem, **side(1)) if instance else problem
+    problem.bound.bound = problem.bound
+    return problem

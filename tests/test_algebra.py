@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetsym import algebra
@@ -155,10 +155,15 @@ def test_derive_ring_matches_tree(e, images):
     assert sp.srepr(out) == sp.srepr(reference)
 
 
+# a u^(1/2) factor is off the ring: sum_of_products falls back to normalize
+_off_ring = st.builds(lambda a: a * sp.sqrt(_u), _sums)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.one_of(_sums, _laurent_sums, _rational),
+@given(st.lists(st.tuples(st.one_of(_sums, _laurent_sums, _rational, _off_ring),
                           st.one_of(_sums, _laurent_sums, _rational)),
                 min_size=1, max_size=4))
+@example([(sp.sqrt(_u), _x1)])
 def test_sum_of_products_ring_matches_tree(pairs):
     pairs = [(normalize(a), normalize(b)) for a, b in pairs]
     out = sum_of_products(pairs)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jetsym import Workspace, ZeroVerdict, algebra, condsym, families, is_zero, jets, normalize, parse
 from jetsym.algebra import split_terms
 from jetsym.cli import main
-from jetsym.condsym import PdeSystem, build_ansatz
+from jetsym.condsym import build_ansatz
 from jetsym.errors import FamilyNotClosed, NotInFamily
 from jetsym.families import (EXPONENTIAL, HYPERBOLIC, POLYNOMIAL,
                              TRIGONOMETRIC, AnsatzFamily, _family_terms, check_closure,
@@ -178,7 +178,7 @@ def test_determining_steps_stay_in_the_ring(monkeypatch):
     ws = problem.ws
     ansatz = build_ansatz(problem.ansatz.family, ws)
     nf = ansatz.normal_form()
-    ((_, delta),) = PdeSystem(ws, tuple(problem.pdes)).items()
+    ((_, delta),) = problem.pde.items()
     calls = []
 
     def spy(name, real):

@@ -108,6 +108,19 @@ def test_tiny_pivot_is_exact(ws2, tiny):
     assert projects_onto_tx(F) == (True, [])
 
 
+def test_rectify_minor_with_pivot_rows_out_of_order():
+    """x1 d/dx2 and d/dx1 pivot on members (2, 1): the xi-minor takes the
+    sign of that order, as ``sympy.Matrix.det`` of the xi rows gives it."""
+    ws = Workspace(["x1", "x2"], ["u"], order_cap=1)
+    x1 = ws.independent[0]
+    F = VectorFieldFamily(ws, (VectorField(ws, (ZERO, x1), (ZERO,)),
+                               VectorField(ws, (ONE, ZERO), (ZERO,))))
+    assert analyze_distribution(F).elimination.rows == [1, 0]
+    result = rectify(F)
+    assert result.det == sp.Matrix([[ZERO, x1], [ONE, ZERO]]).det() == -x1
+    assert result.subset == (0, 1)
+
+
 def test_pivots_decide_constants_without_normalize(monkeypatch):
     """The exponential entries of rectify.jetsym's rows are decided in the
     ring's field, with no normalize call."""

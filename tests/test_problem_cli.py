@@ -35,7 +35,7 @@ def test_load_wave_problem():
     problem = load_problem(PROBLEMS / "wave.jetsym")
     assert problem.ws.p == 2 and problem.ws.q == 1
     assert problem.ws.order_cap == 2
-    assert [name for name, _ in problem.pdes] == ["wave"]
+    assert [name for name, _ in problem.pde.items()] == ["wave"]
     assert set(problem.field_groups) == {"default", "rectifiable"}
     assert problem.ansatz.family.kind == "polynomial"
     assert len(problem.candidates) == 1
@@ -44,7 +44,7 @@ def test_load_wave_problem():
 
 def test_load_problem_distribution_only():
     problem = load_problem(PROBLEMS / "rectify.jetsym")
-    assert problem.pdes == []
+    assert problem.pde is None
     assert "default" in problem.field_groups
 
 
@@ -82,10 +82,24 @@ HEADER = "[variables]\nindependent = x t\ndependent = u\n[pde]\np = \"u_{x}\"\n"
     ("[pde]\nq = \"u_{t}\"\n", 6),
     ("[fields]\n[options]\norder = 1\n", 6),
     ("[ansatz]\ndegree = 2\n", 6),
+    ("[ansatz]\nfamily = polynomial\ndegre = 2\n", 8),
+    ("[instnace]\nc = \"1\"\n", 6),
+    ("[ansatz]\nfamily = polynomial\nkmax = 2\n", 8),
+    ("[options]\norder = 2\ndegree = 2\n", 8),
+    ("[parameters]\nnames = c\n[fields]\nY = \"1\" | \"0\" ; \"c\"\n"
+     "[instance]\nc = \"u_{x}\"\n", 11),
+    ("[instance]\nc = \"1\"\n", 7),
+    ("[fields]\nY = \"1\" ; \"0\"\n", 7),
+    ("[candidates]\nk = \"1\" @ pdf\n", 7),
+    ("[candidates]\nk = \"1\" | \"2\"\n", 7),
 ], ids=["order-not-int", "order-zero", "degree-not-int", "degree-negative",
-        "unknown-family", "duplicate-section", "empty-fields", "missing-key"])
+        "unknown-family", "duplicate-section", "empty-fields", "missing-key",
+        "misspelled-key", "unknown-section", "key-of-another-family", "unknown-option",
+        "jet-valued-binding", "binding-of-no-name", "field-entry-count",
+        "candidate-target", "candidate-count"])
 def test_malformed_problem_reports_its_line(capsys, tmp_path, body, line):
-    """Malformed numbers and sections exit 3 with FILE:LINE and no traceback."""
+    """Malformed numbers, sections, keys and lines exit 3 with FILE:LINE
+    and no traceback."""
     path = tmp_path / "bad.jetsym"
     path.write_text(HEADER + body)
     rc, out, err = run_cli(capsys, "derive-determining", path)
@@ -104,6 +118,38 @@ def test_trigonometric_ansatz_needs_one_dependent(capsys, tmp_path):
     assert rc == 3
     assert f"{path}:7: trigonometric families support a single dependent variable" in err
     assert "Traceback" not in out + err
+
+
+def test_unknown_field_group_is_an_error(capsys):
+    rc, out, err = run_cli(capsys, "analyze-distribution", PROBLEMS / "wave.jetsym",
+                           "--fields", "nope")
+    assert rc == 3
+    assert "no field group named 'nope'" in err
+    assert "Traceback" not in out + err
+
+
+def test_instance_binds_the_instance_level_commands_only(capsys, tmp_path):
+    """liouville.jetsym with h(t) bound to t.  verify-solution checks the
+    bound candidate against the bound constraints, and solve-liesys reads
+    the bound section; analyze-distribution, charsys and compatibility see
+    the problem as written, h(t) included."""
+    path = tmp_path / "liouville.jetsym"
+    path.write_text((PROBLEMS / "liouville.jetsym").read_text() + '[instance]\nh = "t"\n')
+    rc, data = run_json(capsys, "verify-solution", path)
+    assert rc == 0
+    rows = [row for row in data["verdicts"] if row["name"].startswith("backlund: ")]
+    assert [row["name"] for row in rows][:2] == ["backlund: gle", "backlund: u_{t} = 1"]
+    assert len(rows) == 4
+    assert {(row["verdict"], row["confidence"]) for row in rows} == {("Zero", "structural")}
+    rc, data = run_json(capsys, "solve-liesys", path)
+    assert rc == 0
+    assert "u_{t} = 1" in [row["name"] for row in data["verdicts"]]
+    golden = Path(__file__).resolve().parent / "golden"
+    for command in ("analyze-distribution", "charsys", "compatibility"):
+        rc, data = run_json(capsys, command, path)
+        assert data == json.loads((golden / f"liouville.{command}.json").read_text())
+        if command != "compatibility":
+            assert "h(t)" in json.dumps(data)
 
 
 def test_cli_exit_codes(capsys):
