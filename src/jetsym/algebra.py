@@ -6,20 +6,21 @@ Exact rational arithmetic throughout; the zero test encloses values in
 interval arithmetic, and no float decides a verdict.
 
 The hot path is one sparse ring over QQ (``sympy.polys.rings.PolyRing``),
-built per call on the atoms of its input (``_terms``, ``_ring_elements``).
-Its generators are symbols, applied unknown functions, canonical
-Derivatives, non-constant sin/cos/sinh/cosh/log atoms and, for each
-direction t of an exponential exp(c*t) with c rational (t = 1 for a
-rational constant), one generator exp(t/d), d the lcm of t's exponent
-denominators.  A value is a pair (N, D) that stands for N / D: D is 1 for a
-polynomial, a monomial in the exponential generators for a sum with
-negative exponents, and any element for a rational function.  Pairs
-combine without cancelling and convert back once (``_as_expr``).
-``normalize`` (which reads its input tree straight into a pair,
-``_read``), ``derive``, ``sum_of_products`` and ``difference``,
-``substitutions`` and ``normal_forms`` compute there; symbolic and
-fractional powers, other constant kernels and a log that
-``sympy.expand_log`` splits take sympy's trees and ``sympy.cancel``.
+built per call on the atoms of its input (``_ring_elements``).  Its
+generators are symbols, applied unknown functions, canonical Derivatives,
+non-constant sin/cos/sinh/cosh/log atoms and, for each direction t of an
+exponential exp(c*t) with c rational (t = 1 for a rational constant), one
+generator exp(t/d), d the lcm of t's exponent denominators.  One reader,
+``_read``, turns a tree into ring terms, for every operation below.  A
+value is a pair (N, D) that stands for N / D: D is 1 for a polynomial, a
+monomial in the exponential generators for a sum with negative exponents,
+and any element for a rational function.  Pairs combine without
+cancelling and convert back once (``_as_expr``).  ``normalize``,
+``derive``, ``sum_of_products`` and ``difference``, ``substitutions``,
+``normal_forms``, the zero test's structural certificate and
+``Elimination`` compute there; symbolic and fractional powers, other
+constant kernels and a log that ``sympy.expand_log`` splits take sympy's
+trees and ``sympy.cancel``.
 """
 
 from __future__ import annotations
@@ -81,24 +82,33 @@ def _normal_kernel(k):
     is normal) and its ``_read`` value, once per kernel.  An argument that
     is not a polynomial stands expanded, as on the tree path, and exp(a)
     reads as the product of exp(t) over the terms t of a, as
-    ``sympy.expand`` splits it: exp(x2 + 1/u) is exp(x2)*exp(1/u).  The
-    value is None for a constant kernel other than exp of a Rational, an
-    argument off the ring, and a log that ``sympy.expand_log`` changes."""
+    ``sympy.expand`` splits it: exp(x2 + 1/u) is exp(x2)*exp(1/u), and
+    exp(sqrt(x)) is read although sqrt(x) is off the ring.  The value is
+    None for a constant kernel other than exp of a Rational, exp of a term
+    with no ``_direction``, another kernel of an argument off the ring and a
+    log that ``sympy.expand_log`` changes."""
     a = k.args[0]
     value = _read(a)
     n = _normal_form(a, value)
     n = k if n is a else type(k)(n)
     if type(n) is not type(k):
         return n, _read(n)
-    if value is None or type(n) is sp.log and sp.expand_log(n, deep=False) != n:
+    if value is None and type(n) is not sp.exp or (
+            type(n) is sp.log and sp.expand_log(n, deep=False) != n):
         return n, None
-    if not _plain(value):
+    if value is None or not _plain(value):
         n = type(k)(sp.expand(n.args[0]))
         if type(n) is not type(k):
             return n, None
-    factors = [sp.exp(t) for t in sp.Add.make_args(n.args[0])] if type(n) is sp.exp else [n]
-    c, monomial = _monomial(factors) or (None, None)
-    return n, None if c is None else ({frozenset(monomial.items()): QQ(c.p, c.q)}, {})
+    if type(n) is not sp.exp:
+        return n, ({frozenset({(n, 1)}): QQ.one}, {}) if n.free_symbols else None
+    monomial = {}
+    for t in sp.Add.make_args(n.args[0]):
+        if (direction := _direction(t)) is None:
+            return n, None
+        g, c = direction
+        monomial[g] = monomial.get(g, 0) + c
+    return n, ({frozenset((g, c) for g, c in monomial.items() if c): QQ.one}, {})
 
 
 def _normalize_kernel_args(e):
@@ -149,89 +159,6 @@ def _direction(arg):
     return (g, c * c2) if isinstance(g, sp.exp) else None
 
 
-def _monomial(factors):
-    """(Rational, {atom: k}) for a product of ring factors, else None."""
-    coeff, monomial, laurent = sp.S.One, {}, False
-    for f in factors:
-        k = 1
-        if f.is_Pow:
-            f, k = f.base, f.exp
-            if not k.is_Integer:
-                return None
-            k = int(k)
-            if k < 0 and not isinstance(f, sp.exp):
-                return None
-        if f is sp.E:
-            f = _E
-        if isinstance(f, _GENERATORS):
-            if isinstance(f, sp.Derivative) and f != f.canonical:
-                return None
-            monomial[f] = monomial.get(f, 0) + k
-        elif f.is_Rational:
-            coeff *= f
-        elif isinstance(f, _KERNEL_ATOMS):
-            if not f.free_symbols:
-                return None
-            monomial[f] = monomial.get(f, 0) + k
-        elif isinstance(f, sp.exp):
-            direction = _direction(f.args[0])
-            if direction is None:
-                return None
-            g, c = direction
-            monomial[g] = monomial.get(g, 0) + c * k
-            laurent = True
-        else:
-            return None
-    if laurent:
-        monomial = {g: k for g, k in monomial.items() if k}
-    return coeff, monomial
-
-
-# the denominator terms of a polynomial
-_UNIT = [(sp.S.One, {})]
-
-
-def _product_terms(factors):
-    """[(Rational, {atom: k})] for a product of ring factors and at most one
-    sum of ring monomials, else None."""
-    adds = [f for f in factors if f.is_Add]
-    outer = _monomial([f for f in factors if not f.is_Add]) if len(adds) < 2 else None
-    if outer is None or not adds:
-        return outer and [outer]
-    out = []
-    for term in adds[0].args:
-        if (m := _monomial(sp.Mul.make_args(term))) is None:
-            return None
-        out.append(m)
-    c0, m0 = outer
-    if c0 == 1 and not m0:
-        return out
-    return [(c0 * c, {g: k for g in {**m0, **m} if (k := m0.get(g, 0) + m.get(g, 0))})
-            for c, m in out]
-
-
-def _terms(e):
-    """(numerator, denominator) as [(Rational, {atom: k})] when e is N / D
-    for sums N and D of QQ terms over the ring's atoms, else None; D is
-    ``_UNIT`` when e has no denominator.
-
-    e is an expanded sum, or a normal form: a Rational times at most one
-    Add times a monomial, over the negative integer powers among its
-    factors (``_as_expr``'s P / Q).  An atom is a Symbol, an applied unknown
-    function, a canonical Derivative or a non-constant sin/cos/sinh/cosh/log,
-    with k a positive integer; or exp(t) for a direction t, with k rational
-    and of either sign, standing for exp(k*t).
-    """
-    num, den = [], []
-    for f in sp.Mul.make_args(e):
-        if f.is_Pow and f.exp.is_Integer and f.exp < 0:
-            den.append(f.base if f.exp == -1 else f.base ** -f.exp)
-        else:
-            num.append(f)
-    n, d = _product_terms(num), _product_terms(den) if den else _UNIT
-    return None if n is None or d is None else (n, d)
-
-
 def monomial_expr(monomial):
     """The product of a monomial {atom: k}, where exp(t) stands for exp(k*t)."""
     return sp.Mul(*[sp.exp(k * g.args[0]) if type(g) is sp.exp else g ** k
@@ -239,14 +166,15 @@ def monomial_expr(monomial):
 
 
 def split_monomials(e, deps):
-    """[(Rational, x-monomial, u-monomial)] for the terms of e as ``_terms``
-    reads them, every atom of the u-monomial meeting deps and none of the
-    x-monomial; None when e is not a sum the ring reads."""
-    fraction = _terms(e)
-    return None if fraction is None or fraction[1] is not _UNIT else [
-        (c, {g: k for g, k in m.items() if g.free_symbols.isdisjoint(deps)},
-         {g: k for g, k in m.items() if not g.free_symbols.isdisjoint(deps)})
-        for c, m in fraction[0]]
+    """[(c, x-monomial, u-monomial {atom: k})] for the terms of e as ``_read``
+    reads them, c in QQ, the x-monomial a frozenset of (atom, k) none of
+    whose atoms meets deps, and every atom of the u-monomial meeting them;
+    None when e is not a sum the ring reads."""
+    value = _read(e)
+    return None if value is None or value[1] else [
+        (c, frozenset((g, k) for g, k in m if g.free_symbols.isdisjoint(deps)),
+         {g: k for g, k in m if not g.free_symbols.isdisjoint(deps)})
+        for m, c in value[0].items() if c]
 
 
 def split_terms(e, deps):
@@ -255,7 +183,7 @@ def split_terms(e, deps):
     read e as a sum, its expanded terms are split by sympy: an x-part such as
     1/(1 + x) is kept, and a u-part outside the ring stands as one atom, after
     factoring its denominator if it meets other symbols: 1/(u*x + u + x + 1)
-    splits as 1/(x + 1) times 1/(u + 1)."""
+    splits as 1/(x + 1) times 1/(u + 1).  A zero term is not yielded."""
     split = split_monomials(e, deps)
     if split is None:
         for term in sp.Add.make_args(sp.expand(e)):
@@ -263,45 +191,55 @@ def split_terms(e, deps):
             if u.free_symbols - set(deps):
                 numerator, denominator = sp.fraction(term)
                 x, u = (numerator / sp.factor(denominator)).as_independent(*deps, as_Add=False)
-            c, monomial = _monomial(sp.Mul.make_args(u)) or (1, {u: 1})
-            yield c * x, monomial
+            value = _read(u)
+            if value is None or len(value[0]) != 1 or value[1]:
+                yield x, {u: 1}
+            else:
+                (m, c), = value[0].items()
+                yield QQ.to_sympy(c) * x, dict(m)
         return
     for c, x, u in split:
-        yield c * monomial_expr(x), u
+        yield QQ.to_sympy(c) * monomial_expr(dict(x)), u
 
 
-def _ring_elements(fractions):
-    """Quotients given by their ``_terms`` as pairs (N, D) of one sparse
-    ring over QQ on their atoms; also each atom's generator index and the
-    denominator d of each exp(t).
+def _atoms(values):
+    """The atoms of ``_read`` values (N, D), in order of appearance, each
+    with the lcm of its exponents' denominators."""
+    atoms = {}
+    for num, den in values:
+        for s in (num, *(f for f, _ in den.values())):
+            for m in s:
+                for g, k in m:
+                    atoms[g] = ilcm(atoms.get(g, 1), k.denominator) if type(g) is sp.exp else 1
+    return atoms
+
+
+def _ring_elements(values):
+    """``_read`` values (N, D) as pairs of one sparse ring over QQ on their
+    atoms, each factor of D multiplied in the ring; also each atom's
+    generator index and the denominator d of each exp(t).
 
     The generator of exp(t) is exp(t/d), d the lcm of t's exponent
     denominators, so its exponents are integers.  A sum with negative
     exponents is N / S, S the smallest monomial in these generators that
     clears them.
     """
-    term_lists = [terms for fraction in fractions for terms in fraction]
-    atoms = dict.fromkeys(g for terms in term_lists for _, monomial in terms for g in monomial)
-    dens = {g: 1 for g in atoms if type(g) is sp.exp}
-    if dens:
-        for terms in term_lists:
-            for _, monomial in terms:
-                for g in dens.keys() & monomial.keys():
-                    dens[g] = ilcm(dens[g], monomial[g].q)
+    atoms = _atoms(values)
+    dens = {g: d for g, d in atoms.items() if type(g) is sp.exp}
     index = {g: i for i, g in enumerate([*dens, *(g for g in atoms if g not in dens)])}
     ring = PolyRing(tuple(sp.exp(g.args[0] / dens[g]) if g in dens else g for g in index), QQ)
 
     def pair(terms):
         element = {}
-        for coeff, monomial in terms:
-            key = [0] * ring.ngens
-            for g, k in monomial.items():
-                key[index[g]] = k
-            if dens:
-                for i, d in enumerate(dens.values()):
-                    key[i] = int(key[i] * d)
-            key = tuple(key)
-            element[key] = element.get(key, QQ.zero) + QQ(coeff.p, coeff.q)
+        for m, c in terms.items():
+            if c:
+                key = [0] * ring.ngens
+                for g, k in m:
+                    key[index[g]] = k
+                if dens:
+                    for i, d in enumerate(dens.values()):
+                        key[i] = int(key[i] * d)
+                element[tuple(key)] = c
         shift = tuple(max(0, -min(column)) for column in zip(*element)) if dens else ()
         if not any(shift):
             return ring.from_dict(element), 1
@@ -310,11 +248,11 @@ def _ring_elements(fractions):
                 ring.from_dict({shift: QQ.one}))
 
     elements = []
-    for num, den in fractions:
+    for num, den in values:
         a, s = pair(num)
-        if den is not _UNIT:
-            b, t = pair(den)
-            a, s = a * t, s * b
+        for f, k in den.values():
+            b, t = pair(f)
+            a, s = a * t ** k, s * b ** k
         elements.append((a, s))
     return elements, index, dens
 
@@ -368,7 +306,7 @@ def derive(e, images):
     X(sin a) = cos a X(a) for a kernel, X(log a) = X(a) / a and
     X(exp(c t)) = c X(t) exp(c t).
 
-    e and the images are normal forms.  When ``_terms`` reads them and the
+    e and the images are normal forms.  When ``_read`` reads them and the
     atoms' images, X runs on pairs of one sparse ring over QQ
     (``_ring_elements``): X(N / D) = (X(N) D - N X(D)) / D**2, where a
     generator E = exp(t / d) has the image E X(t) / d.  Otherwise it is
@@ -382,19 +320,19 @@ def derive(e, images):
 @cacheit
 def _derive(e, images):
     images = dict(images)
-    fraction = _terms(e)
-    if fraction is not None:
+    value = _read(e)
+    if value is not None:
         needed = {}
-        for g in dict.fromkeys(g for terms in fraction for _, monomial in terms for g in monomial):
+        for g in _atoms([value]):
             if g in images:
-                needed[g] = _terms(sp.sympify(images[g]))
+                needed[g] = _read(sp.sympify(images[g]))
             elif not g.is_Symbol:
                 own = tuple((s, images[s]) for s in sorted(g.free_symbols, key=str)
                             if s in images)
                 if own:
-                    needed[g] = _terms(_image(g, own))
-        if all(t is not None for t in needed.values()):
-            ((n, d), *values), index, dens = _ring_elements([fraction, *needed.values()])
+                    needed[g] = _read(_image(g, own))
+        if None not in needed.values():
+            ((n, d), *values), index, dens = _ring_elements([value, *needed.values()])
             gens, x = n.ring.gens, {}
             for g, (a, b) in zip(needed, values):
                 i = index[g]
@@ -423,11 +361,11 @@ def _image(g, images):
 
 def sum_of_products(pairs):
     """sum a * b over the (a, b) pairs, normalized; in the sparse ring of
-    ``derive`` when ``_terms`` reads every factor."""
-    fractions = [_terms(sp.sympify(f)) for pair in pairs for f in pair]
-    if None in fractions:
+    ``derive`` when ``_read`` reads every factor."""
+    values = [_read(sp.sympify(f)) for pair in pairs for f in pair]
+    if None in values:
         return normalize(sp.Add(*[a * b for a, b in pairs]))
-    values, _, _ = _ring_elements(fractions)
+    values, _, _ = _ring_elements(values)
     return _as_expr(*_sum(((a * c, b * d) for (a, b), (c, d) in zip(values[::2], values[1::2])),
                           values[0][0].ring))
 
@@ -438,16 +376,15 @@ def difference(a, b):
     return sp.S.Zero if a == b else sum_of_products([(1, a), (-1, b)])
 
 
-def normal_forms(term_lists):
-    """``normalize`` of each sum given by its [(Rational, monomial)] terms,
-    converted from one sparse ring."""
-    return [_as_expr(*pair)
-            for pair in _ring_elements([(terms, _UNIT) for terms in term_lists])[0]]
+def normal_forms(sums):
+    """``normalize`` of each ``_read`` sum {monomial: c}, converted from one
+    sparse ring."""
+    return [_as_expr(*pair) for pair in _ring_elements([(s, {}) for s in sums])[0]]
 
 
 def substitutions(e, combos):
     """normalize(e.xreplace(combo)) for each combo, a map from the same
-    symbols to normal forms.  When ``_terms`` reads e = N / D and the
+    symbols to normal forms.  When ``_read`` reads e = N / D and the
     values, no atom of D and no other atom of N meets the symbols, N's terms
     are grouped by their monomial in the symbols, and each combo is the sum
     of the groups' coefficients times the values' powers, over D, in one
@@ -456,21 +393,18 @@ def substitutions(e, combos):
     e = sp.sympify(e)
     symbols = set().union(*combos)
     values = list(dict.fromkeys(v for combo in combos for v in combo.values()))
-    fractions = [_terms(e), *(_terms(sp.sympify(v)) for v in values)]
-    if None in fractions or any(
-            g not in symbols and not g.free_symbols.isdisjoint(symbols)
-            for _, monomial in fractions[0][0] for g in monomial) or any(
-            not g.free_symbols.isdisjoint(symbols) for _, monomial in fractions[0][1]
-            for g in monomial):
+    reads = [_read(e), *(_read(sp.sympify(v)) for v in values)]
+    if None in reads or any(g not in symbols and not g.free_symbols.isdisjoint(symbols)
+                            for g in _atoms(reads[:1])) or any(
+            g in symbols for g in _atoms([(_ONE, reads[0][1])])):
         return [normalize(e.xreplace(combo)) for combo in combos]
     groups = {}
-    for c, monomial in fractions[0][0]:
-        inner = frozenset((g, k) for g, k in monomial.items() if g in symbols)
-        groups.setdefault(inner, []).append(
-            (c, {g: k for g, k in monomial.items() if g not in symbols}))
-    elements, _, _ = _ring_elements([*((terms, _UNIT) for terms in groups.values()),
-                                     (fractions[0][1], _UNIT), *fractions[1:]])
-    (d, s), value_of = elements[len(groups)], dict(zip(values, elements[len(groups) + 1:]))
+    for m, c in reads[0][0].items():
+        inner = frozenset((g, k) for g, k in m if g in symbols)
+        groups.setdefault(inner, {})[m - inner] = c
+    elements, _, _ = _ring_elements([*((group, {}) for group in groups.values()),
+                                     (_ONE, reads[0][1]), *reads[1:]])
+    (s, d), value_of = elements[len(groups)], dict(zip(values, elements[len(groups) + 1:]))
     out = []
     for combo in combos:
         parts = []
@@ -479,7 +413,7 @@ def substitutions(e, combos):
                 value, den = value_of[combo[g]]
                 a, b = a * value ** k, b * den ** k
             parts.append((a, b))
-        a, b = _sum(parts, d.ring)
+        a, b = _sum(parts, s.ring)
         out.append(_as_expr(a * s, b * d))
     return out
 
@@ -518,30 +452,30 @@ def _plain(value):
 _ONE = {frozenset(): QQ.one}
 
 
+@cacheit
 def _read(e):
-    """The value (N, D) of e, N / D as ``_terms`` reads ``sympy.expand`` of
-    e with canonical derivatives and normal kernel arguments, read off the
+    """The value (N, D) of e, N / D as the ring reads ``sympy.expand`` of e
+    with canonical derivatives and normal kernel arguments, read off the
     tree e.  N is a sum {monomial: c}, a monomial a frozenset of (atom, k)
     and c in QQ; D is the product of its factors {key: (sum, k)}, empty for
     a polynomial, so that a sum of quotients is over the least common
-    multiple of their factors.  None when e takes the tree path."""
-    if e.is_Mul:
-        num, den = _ONE, {}
-        for f in e.args:
-            if (value := _read(f)) is None:
-                return None
-            num = _times(num, value[0])
-            den.update((key, (g, den.get(key, (g, 0))[1] + k)) for key, (g, k) in value[1].items())
-        return num, den
+    multiple of their factors.  An atom is a Symbol, an applied unknown
+    function of symbols, a canonical Derivative of one or a non-constant
+    kernel (``_normal_kernel``), with k a positive integer; or exp(t) for a
+    direction t, with k rational and of either sign, standing for exp(k*t).
+    None when e takes the tree path.  A product's atoms and one-term factors
+    multiply into one monomial.  Cached, since the engine reads the same
+    normal forms again and again; no caller changes a value."""
     if e.is_Add:
         groups = {}     # the numerators summed over each distinct denominator
         for f in e.args:
             if (value := _read(f)) is None:
                 return None
             n, d = value
-            group = groups.setdefault(frozenset((key, k) for key, (_, k) in d.items()), ({}, d))[0]
+            group = groups.setdefault(frozenset((key, k) for key, (_, k) in d.items()) if d
+                                      else None, ({}, d))[0]
             for m, c in n.items():
-                group[m] = group.get(m, QQ.zero) + c
+                group[m] = group[m] + c if m in group else c
         if len(groups) == 1:
             return next(iter(groups.values()))
         num, lcm = {}, {}
@@ -549,8 +483,32 @@ def _read(e):
             lcm.update((key, (g, k)) for key, (g, k) in d.items() if k > lcm.get(key, (g, 0))[1])
         for n, d in groups.values():
             for m, c in _scaled(n, d, lcm).items():
-                num[m] = num.get(m, QQ.zero) + c
+                num[m] = num[m] + c if m in num else c
         return num, lcm
+    if e.is_Mul:
+        c, monomial, num, den = sp.S.One, {}, _ONE, {}
+        for f in e.args:
+            if f.is_Rational:
+                c = f if c is sp.S.One else c * f
+                continue
+            base, k = f.args if f.is_Pow else (f, 1)
+            if base.is_Symbol and (k == 1 or k.is_Integer and k.p > 0):
+                monomial[base] = monomial[base] + int(k) if base in monomial else int(k)
+                continue
+            if (value := _read(f)) is None:
+                return None
+            n, d = value
+            if len(n) == 1 and not d:
+                (m, q), = n.items()
+                if q is QQ.one:
+                    for g, k in m:
+                        monomial[g] = monomial[g] + k if g in monomial else k
+                    continue
+            num = _times(num, n)
+            for key, (g, k) in d.items():
+                den[key] = (g, den[key][1] + k) if key in den else (g, k)
+        m = frozenset((g, k) for g, k in monomial.items() if k)
+        return _times(num, {m: QQ.dtype(c.p, c.q)}), den
     if e.is_Pow:
         if not e.exp.is_Integer or (value := _read(e.base)) is None:
             return None
@@ -609,11 +567,6 @@ def normalize(e):
     return _normal_form(e, _read(e))
 
 
-def _listed(terms):
-    """A ``_read`` sum as the [(Rational, {atom: k})] terms of ``_terms``."""
-    return [(QQ.to_sympy(c), dict(m)) for m, c in terms.items() if c]
-
-
 def _normal_form(e, value):
     """``normalize(e)`` given ``_read(e)``; e itself when it is normal."""
     if value is None:
@@ -621,7 +574,7 @@ def _normal_form(e, value):
     if _plain(value):
         out = sp.Add(*[QQ.to_sympy(c) * monomial_expr(dict(m)) for m, c in value[0].items() if c])
         return e if out == e else out
-    (pair,), _, _ = _ring_elements([(_listed(value[0]), _listed(_scaled(_ONE, {}, value[1])))])
+    (pair,), _, _ = _ring_elements([value])
     return _as_expr(*pair)
 
 
@@ -635,18 +588,17 @@ def _tree_normalize(e):
     e = _canonical_derivatives(e)
     e = _normalize_kernel_args(e)
     e = sp.expand(e)
-    fraction = _terms(e)
-    if fraction is None or fraction[1] is not _UNIT:
+    value = _read(e)
+    if value is None or value[1]:
         try:
             e = sp.cancel(e)
         except (PolynomialError, NotImplementedError, ZeroDivisionError):
             pass
         if e.has(*_BAD_CONSTANTS):
             raise DivisionByZero(f"undefined constant while normalizing {e}")
-        fraction = _terms(e)
-    if fraction is not None and (fraction[1] is not _UNIT or any(
-            k < 0 for _, monomial in fraction[0] for k in monomial.values())):
-        (pair,), _, _ = _ring_elements([fraction])
+        value = _read(e)
+    if value is not None and not _plain(value):
+        (pair,), _, _ = _ring_elements([value])
         e = _as_expr(*pair)
     return e
 
@@ -765,9 +717,10 @@ def zero_verdict(e, seed=None):
 
     Zero, structural, when n is 0.  Unknown, opaque, when n holds an
     unknown function, a Derivative or an Integral; the first is the witness.
-    NonZero, structural, for a numerator that is a nonzero ring element over
-    algebraically independent atoms (``_independent``), or a constant whose
-    value to 40 significant digits is not 0.  Any other n is a straight-line
+    NonZero, structural, when the factors of n but its negative powers and
+    exponentials are a nonzero ring element over algebraically independent
+    atoms (``_independent``), or for a constant whose value to 40
+    significant digits is not 0.  Any other n is a straight-line
     program (``_program``) enclosed in interval arithmetic (Moore, 1966) at
     53, 212 and 848 bits, at exact-rational points from ``sample_points``:
     an interval that excludes 0 certifies NonZero (``interval``, witness
@@ -784,9 +737,11 @@ def zero_verdict(e, seed=None):
                    if isinstance(s, (AppliedUndef, sp.Derivative, sp.Integral))), None)
     if opaque is not None:
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", witness=opaque, seed=seed)
-    # a normal form's terms have distinct monomials: a nonzero ring element
-    fraction = _terms(sp.fraction(n)[0])
-    if fraction is not None and _independent(g for _, monomial in fraction[0] for g in monomial):
+    # negative powers and exponentials are nonzero where n is defined, and
+    # the other factors' terms have distinct monomials: a nonzero element
+    value = _read(sp.Mul(*[f for f in sp.Mul.make_args(n) if not (
+        type(f) is sp.exp or f.is_Pow and f.exp.could_extract_minus_sign())]))
+    if value is not None and _independent(g for m, c in value[0].items() if c for g, _ in m):
         return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
     if not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
@@ -826,7 +781,7 @@ def is_zero(e, seed=None):
 class Elimination:
     """Gauss-Jordan elimination of a matrix of normal forms over the field
     ``ring.to_domain().get_field()`` of the ring of ``_ring_elements`` on
-    the entries' ``sympy.fraction`` parts; an unreadable part is a generator.
+    the entries' ``_read`` values; an unreadable entry is a generator.
 
     Column by column, except the last ``carried``, the pivot is the first
     nonzero entry, in input order, of a row without one: the ring decides
@@ -837,18 +792,13 @@ class Elimination:
     """
 
     def __init__(self, matrix, carried=0, seed=None):
-        parts = [part for row in matrix for e in row for part in sp.fraction(e)]
-        fractions = [_terms(part) for part in parts]
-        opaque = {part for part, fraction in zip(parts, fractions) if fraction is None}
-        elements, _, _ = _ring_elements([
-            ([(sp.S.One, {part: sp.S.One})], _UNIT) if fraction is None else fraction
-            for part, fraction in zip(parts, fractions)])
+        entries = [sp.sympify(e) for row in matrix for e in row]
+        values = [_read(e) for e in entries]
+        opaque = {e for e, value in zip(entries, values) if value is None}
+        elements, _, _ = _ring_elements([({frozenset({(e, 1)}): QQ.one}, {}) if value is None
+                                         else value for e, value in zip(entries, values)])
         ring = elements[0][0].ring
         field = ring.to_domain().get_field().field
-
-        def value(numerator, denominator):
-            (n, d), (n2, d2) = numerator, denominator
-            return field.new(n * d2, d * n2)
 
         def nonzero(v):
             atoms = {g for monom in v.numer.monoms() for g, k in zip(ring.symbols, monom) if k}
@@ -863,8 +813,8 @@ class Elimination:
                 raise PreconditionFailed("decidable pivot", f"the zero test cannot decide {n}")
             return verdict is ZeroVerdict.NONZERO
 
-        values = iter(elements)
-        self._m = m = [[value(next(values), next(values)) for _ in row] for row in matrix]
+        elements = iter(elements)
+        self._m = m = [[field.new(*map(ring, next(elements))) for _ in row] for row in matrix]
         self.rows, self.cols, self._minors = [], [], [field.one]
         for c in range(len(matrix[0]) - carried):
             r = next((i for i in range(len(m)) if i not in self.rows and nonzero(m[i][c])), None)

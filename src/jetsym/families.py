@@ -6,9 +6,10 @@ half-integer exponentials exp(k*u/2), trigonometric combinations
 1/sin(n*u)/cos(n*u), or integer exponentials exp(k*u) (the hyperbolic
 basis in exponential form).  Families are closed under d/du, products,
 and linear combinations, which is what makes coefficient collection of
-the determining equations possible.  Collection and the closure check
-read the terms of a normal form through the ring's x/u splitter
-(``algebra.split_monomials``, or ``algebra.split_terms`` off the ring).
+the determining equations possible.  Collection reads a normal form with
+the ring's one reader and sums QQ coefficients over x-monomials per key
+(``algebra.split_monomials``); off the ring, and in the closure check,
+``algebra.split_terms`` splits its terms into x-parts and u-monomials.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.polys.domains import QQ
 from sympy.simplify.fu import TR8
 
 from .algebra import (derive, monomial_expr, normal_forms, normalize, split_monomials,
@@ -134,9 +136,9 @@ def collect_family(e, family, deps):
     ``e`` must be a normal form (the output of ``normalize`` or of an engine
     operation), which is not normalized again here.  Each distinct
     u-monomial of its terms is read into family keys once.  The x-parts are
-    gathered per key as ring terms, converted together (``normal_forms``),
-    or, off the ring, summed and normalized.  A u-monomial that cannot be
-    matched raises NotInFamily.
+    gathered per key, on the ring as QQ coefficients over x-monomials
+    converted together (``normal_forms``), off it summed and normalized.  A
+    u-monomial that cannot be matched raises NotInFamily.
     """
     deps = tuple(deps)
     e = sp.sympify(e)
@@ -146,9 +148,14 @@ def collect_family(e, family, deps):
     for x, monomial in pieces:
         u = frozenset(monomial.items())
         if u not in read:
-            read[u] = _family_terms(monomial, family, deps)
+            read[u] = [(r if split is None else QQ.convert(r), key)
+                       for r, key in _family_terms(monomial, family, deps)]
         for r, key in read[u]:
-            acc.setdefault(key, []).append(r * x if split is None else (r * x[0], x[1]))
+            if split is None:
+                acc.setdefault(key, []).append(r * x)
+            else:
+                group, (c, m) = acc.setdefault(key, {}), x
+                group[m] = group[m] + r * c if m in group else r * c
     coeffs = (normal_forms(list(acc.values())) if split is not None
               else [normalize(sp.Add(*parts)) for parts in acc.values()])
     return {family.monomial(key, deps): coeff

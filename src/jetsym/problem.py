@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, replace
 
 from .algebra import substitute
 from .condsym import PdeSystem
-from .errors import JetsymError, SchemaError
+from .errors import JetsymError, PreconditionFailed, SchemaError
 from .families import AnsatzFamily
 from .geometry import VectorFieldFamily
 from .jets import NormalFormSystem, VectorField
@@ -87,8 +87,10 @@ class ProblemFile:
     bound: ProblemFile = field(default=None, repr=False, compare=False)
 
     def fields(self, group="default"):
+        """The field group named by ``--fields``."""
         if group not in self.field_groups:
-            raise SchemaError(self.path, 0, f"no field group named {group!r}")
+            raise PreconditionFailed("--fields", f"no field group named {group!r}; the file "
+                                     f"has {', '.join(self.field_groups) or 'none'}")
         return self.field_groups[group]
 
 
@@ -239,7 +241,7 @@ def load_problem(path, order=None):
                 ws.add_function(name.strip(),
                                 [a.strip() for a in args.split(",") if a.strip()])
 
-    instance = {}
+    instance, bindings = {}, []
     for lineno, key, value in sections.get("instance", []):
         symbol = ws.parameters.get(key, ws.functions.get(key))
         if symbol is None:
@@ -250,6 +252,11 @@ def load_problem(path, order=None):
         if ws.max_jet_order(val) >= 1:
             raise SchemaError(path, lineno, f"instance binding {key} contains jet symbols")
         instance[symbol] = val
+        bindings.append((lineno, key, val))
+    # the bindings are simultaneous, so no value may mention a bound name
+    for lineno, key, val in bindings:
+        if val.has(*instance):
+            raise SchemaError(path, lineno, f"instance binding {key} mentions a bound name")
 
     def build(lineno, make, exprs):
         """The line's object as written and with the [instance] bindings

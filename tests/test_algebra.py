@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
-from jetsym.algebra import (_read, _terms, _tree_normalize, derive, evaluate_at, substitutions,
-                            sum_of_products)
+from jetsym.algebra import (_as_expr, _read, _ring_elements, _tree_normalize, derive,
+                            evaluate_at, substitutions, sum_of_products)
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import CyclicBinding, DivisionByZero
 from jetsym.grammar import KERNEL_CLASSES
@@ -66,7 +66,7 @@ def test_normalize_plain_polynomial_matches_cancel(e):
     """On plain polynomials normalize (which skips cancel) matches cancel."""
     reference = sp.cancel(sp.expand(e))
     out = normalize(e)
-    assert _terms(sp.expand(e)) is not None
+    assert _read(sp.expand(e)) is not None
     assert out == reference
     assert print_expr(out) == print_expr(reference)
 
@@ -92,8 +92,8 @@ _rational = st.builds(lambda a, g, s: a / (1 + g * s), _laurent_sums,
 def _exponents(n):
     """The rational exponents of the exponentials along each direction in
     each term of the sum n, from the ring's own reader."""
-    return [{g: k for g, k in monomial.items() if isinstance(g, sp.exp)}
-            for _, monomial in _terms(n)[0]]
+    return [{g: k for g, k in monomial if isinstance(g, sp.exp)}
+            for monomial, c in _read(n)[0].items() if c]
 
 
 @settings(max_examples=80, deadline=None)
@@ -148,8 +148,8 @@ def test_derive_ring_matches_tree(e, images):
     formula to the last node."""
     e = normalize(e)
     images = {s: normalize(v) for s, v in images.items()}
-    assert _terms(e) is not None
-    assert all(_terms(v) is not None for v in images.values())
+    assert _read(e) is not None
+    assert all(_read(v) is not None for v in images.values())
     out, reference = derive(e, images), _tree_derive(e, images)
     assert out == reference
     assert sp.srepr(out) == sp.srepr(reference)
@@ -186,7 +186,7 @@ def test_substitutions_ring_matches_tree(e, combos, symbols):
     the substituted expression, node for node."""
     e = normalize(e)
     combos = [{s: normalize(v) for s, v in combo.items() if s in symbols} for combo in combos]
-    assert _terms(e) is not None
+    assert _read(e) is not None
     out = substitutions(e, combos)
     assert [sp.srepr(n) for n in out] == [sp.srepr(normalize(e.xreplace(c))) for c in combos]
 
@@ -230,6 +230,17 @@ def test_derive_falls_back_off_the_ring(monkeypatch):
     assert set(calls) == {cases[1][0]}
 
 
+def test_derive_reads_kernel_arguments_normalized():
+    """An exponential whose argument normalize leaves unreduced,
+    exp(6*t*u_{x1}/(3*t**2*u_{x1}*D(h(t),t) + ...)), is read with its
+    argument normalized, so derive gives normalize's form of the tree
+    formula."""
+    lam, jet, dh = _PLAIN_WS.parameters["lam"], _PLAIN_WS.parse("u_{x1}"), _PLAIN_WS.parse(
+        "D(h(t),t)")
+    e = normalize(sp.exp(-lam / (_t * dh + 1) + 2 - sp.Rational(1, 3) / (_t * jet + 1)))
+    assert derive(e, {_t: 1}) == normalize(sp.diff(e, _t))
+
+
 def test_atom_image_is_computed_once(monkeypatch):
     """Two derivations that share an atom and the images of its free
     symbols compute the atom's chain-rule image once."""
@@ -268,7 +279,7 @@ def test_normalize_cancels_non_plain(monkeypatch):
     monkeypatch.setattr(sp, "cancel", lambda f, *a, **k: calls.append(f) or cancel(f, *a, **k))
     for e, rational in cases:
         calls.clear()
-        assert (_terms(sp.expand(e))[1] != [(1, {})]) is rational
+        assert bool(_read(sp.expand(e))[1]) is rational
         assert normalize(e) == cancel(sp.expand(e))
         assert calls == [], e
     for e, form in forms.items():
@@ -312,7 +323,7 @@ _shared = st.builds(lambda p, q, m, g: sp.expand(p * (m + g)) / sp.expand(q * (m
 def test_normalize_reader_matches_tree(e):
     """normalize, which reads trees straight into the ring's pairs, gives
     the tree path's form (canonical derivatives, kernel arguments,
-    sympy.expand, _terms, sympy.cancel) node for node."""
+    sympy.expand, _read, sympy.cancel) node for node."""
     assert _normal_or_error(normalize, e) == _normal_or_error(_tree_normalize, e)
 
 
@@ -333,6 +344,41 @@ def test_reader_leaves_expand_shaped_input_to_the_tree_path():
               sp.exp(_x1 + 1), sp.exp(-_x1 - sp.Rational(1, 3)) + _u]:
         assert _read(e) is not None
         assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e))
+
+
+# inputs on which the ring's two former readers disagreed: exp(sqrt(x)),
+# log(4*x*y) and u*sin(sqrt(x)) were read by one, exp(x + 1), exp(x*(u + 1))
+# and (u + 1)*(x + 1) by the other
+_DISAGREED = [sp.exp(sp.sqrt(_x1)), sp.log(4 * _x1 * _t), _u * sp.sin(sp.sqrt(_x1)),
+              sp.exp(_x1 + 1), sp.exp(_x1 * (_u + 1)), (_u + 1) * (_x1 + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_plain, _laurent, _rational, st.sampled_from(_DISAGREED)))
+@example(_DISAGREED[0])
+@example(_DISAGREED[1])
+@example(_DISAGREED[2])
+@example(_DISAGREED[3])
+@example(_DISAGREED[4])
+@example(_DISAGREED[5])
+def test_ring_reads_normal_forms_back(e):
+    """A normal form the ring reads converts back from the ring to itself,
+    node for node."""
+    n = normalize(e)
+    value = _read(n)
+    if value is not None:
+        assert sp.srepr(_as_expr(*_ring_elements([value])[0][0])) == sp.srepr(n)
+
+
+def test_nonzero_residuals_off_the_ring_stay_structural():
+    """exp of a rational power is read, and a numerator is read without its
+    denominator, which may be off the ring: each residual is a nonzero ring
+    element over independent atoms."""
+    lam, jet = _PLAIN_WS.parameters["lam"], _PLAIN_WS.parse("u_{t,x1}")
+    for e in [sp.exp(sp.sqrt(_x1)) - 1, _u * sp.exp(sp.sqrt(_x1)) + _x1,
+              sp.exp(-3 * sp.sqrt(lam)) / (jet * sp.sqrt(_x1) + 1)]:
+        r = zero_verdict(e)
+        assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, "structural"), e
 
 
 def test_loading_problems_calls_neither_expand_nor_cancel(monkeypatch):

@@ -135,6 +135,22 @@ def test_pivots_decide_constants_without_normalize(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("entry", [
+    lambda x, u: sp.exp(sp.sqrt(2)),
+    lambda x, u: x / (sp.sqrt(u) + 1),
+    lambda x, u: normalize((4 * sp.exp(u / 2) + 3 * sp.exp(2) * sp.cosh(x)) * sp.exp(-2) / 4),
+], ids=["constant-exponential", "quotient-off-the-ring", "beside-an-unreadable-entry"])
+def test_elimination_of_an_unreadable_entry(entry):
+    """An entry the ring cannot read, an exponential or a quotient with its
+    denominator off the ring, is one generator of integer exponent beside
+    the entries it reads, integers included."""
+    x, u = sp.symbols("x u", real=True)
+    rows = [[entry(x, u), sp.sqrt(x)], [1, u]]
+    elimination = algebra.Elimination(rows)
+    assert (elimination.rows, elimination.cols) == ([0, 1], [0, 1])
+    assert elimination.minor(2) == normalize(sp.Matrix(rows).det())
+
+
 @pytest.mark.parametrize("rows", [
     lambda x, u: [[sp.sin(u) ** 2 + sp.cos(u) ** 2 - 1, ONE], [ZERO, ONE]],
     lambda x, u: [[sp.sqrt(u), u], [ONE, sp.sqrt(u)]],

@@ -92,11 +92,12 @@ HEADER = "[variables]\nindependent = x t\ndependent = u\n[pde]\np = \"u_{x}\"\n"
     ("[fields]\nY = \"1\" ; \"0\"\n", 7),
     ("[candidates]\nk = \"1\" @ pdf\n", 7),
     ("[candidates]\nk = \"1\" | \"2\"\n", 7),
+    ("[parameters]\nnames = a b\n[instance]\na = \"b\"\nb = \"a\"\n", 9),
 ], ids=["order-not-int", "order-zero", "degree-not-int", "degree-negative",
         "unknown-family", "duplicate-section", "empty-fields", "missing-key",
         "misspelled-key", "unknown-section", "key-of-another-family", "unknown-option",
         "jet-valued-binding", "binding-of-no-name", "field-entry-count",
-        "candidate-target", "candidate-count"])
+        "candidate-target", "candidate-count", "cyclic-binding"])
 def test_malformed_problem_reports_its_line(capsys, tmp_path, body, line):
     """Malformed numbers, sections, keys and lines exit 3 with FILE:LINE
     and no traceback."""
@@ -125,6 +126,7 @@ def test_unknown_field_group_is_an_error(capsys):
                            "--fields", "nope")
     assert rc == 3
     assert "no field group named 'nope'" in err
+    assert ":0:" not in err
     assert "Traceback" not in out + err
 
 
