@@ -20,7 +20,10 @@ cancelling and convert back once (``_as_expr``).  ``normalize``,
 ``normal_forms``, the zero test's structural certificate and
 ``Elimination`` compute there; symbolic and fractional powers, other
 constant kernels and a log that ``sympy.expand_log`` splits take sympy's
-trees and ``sympy.cancel``.
+trees and ``sympy.cancel``.  For the zero test and family collection,
+``euler`` rewrites sin, cos, sinh and cosh through Euler's formula over the
+Gaussian rationals QQ_I, so that their identities cancel in the ring;
+normal forms stay in sin and cos.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from sympy.core.evalf import PrecisionExhausted
 from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.numbers import ilcm
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.polyerrors import PolynomialError
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
@@ -97,18 +100,25 @@ def _normal_kernel(k):
             type(n) is sp.log and sp.expand_log(n, deep=False) != n):
         return n, None
     if value is None or not _plain(value):
-        n = type(k)(sp.expand(n.args[0]))
+        n = type(k)(sp.Add(*map(normalize, sp.Add.make_args(sp.expand(n.args[0])))))
         if type(n) is not type(k):
             return n, None
     if type(n) is not sp.exp:
         return n, ({frozenset({(n, 1)}): QQ.one}, {}) if n.free_symbols else None
+    m = _exponent(n.args[0])
+    return n, None if m is None else ({m: QQ.one}, {})
+
+
+def _exponent(a):
+    """The monomial {exp(t): c} of exp(a), the product of exp(c*t) over the
+    terms c*t of a (``_direction``); None when a term has no direction."""
     monomial = {}
-    for t in sp.Add.make_args(n.args[0]):
+    for t in sp.Add.make_args(a):
         if (direction := _direction(t)) is None:
-            return n, None
+            return None
         g, c = direction
         monomial[g] = monomial.get(g, 0) + c
-    return n, ({frozenset((g, c) for g, c in monomial.items() if c): QQ.one}, {})
+    return frozenset((g, c) for g, c in monomial.items() if c)
 
 
 def _normalize_kernel_args(e):
@@ -125,15 +135,49 @@ _KERNEL_ATOMS = tuple(_KERNEL_PARTIALS)
 
 def _independent(atoms):
     """True for algebraically independent ring atoms: symbols, jets, unknown
-    functions and their derivatives, and exp(t) with t a rational times a
-    product of rational powers of those.  Distinct such directions are
-    Q-linearly independent modulo constants, so their exponentials are
-    algebraically independent (Ax, Ann. Math. 1971), and e is transcendental
-    (t = 1).  Not sin/cos, sinh/cosh or log, and not exp(t) for other t:
+    functions and their derivatives, and exp(t) and exp(i*t) (``euler``)
+    with t a rational times a product of rational powers of those.  Distinct
+    such directions t and i*t are Q-linearly independent modulo constants,
+    so their exponentials are algebraically independent (Ax, Ann. Math.
+    1971); e and e^i (t = 1) are algebraically independent over Q, since 1
+    and i are (Lindemann-Weierstrass).  Not sin/cos, sinh/cosh or log, which
+    ``euler`` rewrites or keeps, and not exp(t) for other t:
     exp(u/(x + 1))*exp(u*x/(x + 1)) is exp(u)."""
     return all(isinstance(g, _GENERATORS) or type(g) is sp.exp and all(
-        f.is_Rational or isinstance(base, _GENERATORS) and k.is_Rational
+        f.is_Rational or f is sp.I or isinstance(base, _GENERATORS) and k.is_Rational
         for f in sp.Mul.make_args(g.args[0]) for base, k in [f.as_base_exp()]) for g in atoms)
+
+
+# Euler's formula: sin, cos, sinh and cosh of a as c*E + c'/E, with
+# E = exp(i*a) for sin and cos and E = exp(a) for sinh and cosh
+_EULER = {sp.sin: (QQ_I(0, QQ(-1, 2)), QQ_I(0, QQ(1, 2))), sp.cos: (QQ(1, 2), QQ(1, 2)),
+          sp.sinh: (QQ(1, 2), QQ(-1, 2)), sp.cosh: (QQ(1, 2), QQ(1, 2))}
+
+
+@cacheit
+def _euler(g, k):
+    """g**k as a ``_read`` sum over QQ_I, through Euler's formula for a ring
+    atom g in ``_EULER`` whose argument a has an ``_exponent``: E = exp(a)
+    is a monomial in the generators exp(t) that exp(a) reads, and
+    E = exp(i*a) one in atoms exp(i*t).  {g: k} for any other atom."""
+    if type(g) not in _EULER or (m := _exponent(g.args[0])) is None:
+        return {frozenset({(g, k)}): QQ.one}
+    if type(g) in (sp.sin, sp.cos):
+        m = frozenset((sp.exp(sp.I * t.args[0], evaluate=False), j) for t, j in m)
+    c, c_inverse = _EULER[type(g)]
+    return reduce(_times, [{m: c, frozenset((t, -j) for t, j in m): c_inverse}] * k)
+
+
+def euler(terms):
+    """A ``_read`` sum {monomial: c} with each atom power replaced by its
+    ``_euler`` image: equal as a function, and 0 exactly when the sum is 0
+    where the atoms left are algebraically independent (``_independent``).
+    Zero terms are dropped."""
+    out = {}
+    for m, c in terms.items():
+        for m2, c2 in reduce(_times, [_euler(g, k) for g, k in m], {frozenset(): c}).items():
+            out[m2] = out[m2] + c2 if m2 in out else c2
+    return {m: c for m, c in out.items() if c}
 
 
 # the atom of the direction t = 1, unevaluated since exp(1) is E
@@ -717,10 +761,13 @@ def zero_verdict(e, seed=None):
 
     Zero, structural, when n is 0.  Unknown, opaque, when n holds an
     unknown function, a Derivative or an Integral; the first is the witness.
-    NonZero, structural, when the factors of n but its negative powers and
-    exponentials are a nonzero ring element over algebraically independent
-    atoms (``_independent``), or for a constant whose value to 40
-    significant digits is not 0.  Any other n is a straight-line
+    The factors of n but its negative powers and exponentials are read in
+    the ring and sin, cos, sinh and cosh rewritten through Euler's formula
+    (``euler``): Zero, structural, when that is 0, and NonZero, structural,
+    when it is not and its atoms are algebraically independent
+    (``_independent``).  A constant is NonZero, structural, when its value
+    to 40 significant digits is not 0.  Any other n -- a log, a direction
+    that is no monomial, a constant kernel -- is a straight-line
     program (``_program``) enclosed in interval arithmetic (Moore, 1966) at
     53, 212 and 848 bits, at exact-rational points from ``sample_points``:
     an interval that excludes 0 certifies NonZero (``interval``, witness
@@ -737,12 +784,16 @@ def zero_verdict(e, seed=None):
                    if isinstance(s, (AppliedUndef, sp.Derivative, sp.Integral))), None)
     if opaque is not None:
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", witness=opaque, seed=seed)
-    # negative powers and exponentials are nonzero where n is defined, and
-    # the other factors' terms have distinct monomials: a nonzero element
+    # negative powers and exponentials are nonzero where n is defined, so n
+    # is 0 exactly when the numerator of the other factors is
     value = _read(sp.Mul(*[f for f in sp.Mul.make_args(n) if not (
         type(f) is sp.exp or f.is_Pow and f.exp.could_extract_minus_sign())]))
-    if value is not None and _independent(g for m, c in value[0].items() if c for g, _ in m):
-        return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+    if value is not None:
+        terms = euler(value[0])
+        if not terms:
+            return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
+        if _independent(g for m in terms for g, _ in m):
+            return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
     if not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
         # none settles a constant such as sin(1)**2 + cos(1)**2 - 1

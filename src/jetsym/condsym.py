@@ -34,13 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PdeSystem:
-    """Delta^mu = 0: the target system of PDEs on the jet chart."""
+    """Delta^mu = 0: the target system of PDEs on the jet chart.  Each
+    Delta is a normal form (the output of ``parse``, ``normalize`` or an
+    engine operation), which is not normalized again."""
 
     ws: object
     deltas: tuple  # ordered (name, Expr) pairs
 
     def __post_init__(self):
-        deltas = tuple((name, normalize(e)) for name, e in self.deltas)
+        deltas = tuple(self.deltas)
         if not deltas:
             raise ValueError("a PDE system needs at least one equation")
         for name, e in deltas:

@@ -9,7 +9,9 @@ and linear combinations, which is what makes coefficient collection of
 the determining equations possible.  Collection reads a normal form with
 the ring's one reader and sums QQ coefficients over x-monomials per key
 (``algebra.split_monomials``); off the ring, and in the closure check,
-``algebra.split_terms`` splits its terms into x-parts and u-monomials.
+``algebra.split_terms`` splits its terms into x-parts and u-monomials.  A
+product of sin and cos, or of sinh, cosh and exp, goes to the basis
+through Euler's formula (``algebra.euler``).
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.simplify.fu import TR8
+from sympy.polys.domains import QQ, QQ_I
 
-from .algebra import (derive, monomial_expr, normal_forms, normalize, split_monomials,
-                      split_terms)
+from .algebra import (derive, euler, monomial_expr, normal_forms, normalize,
+                      split_monomials, split_terms)
 from .errors import FamilyNotClosed, NotInFamily
 
 POLYNOMIAL = "polynomial"
@@ -88,19 +89,12 @@ class AnsatzFamily:
 
     def key(self, monomial, deps):
         """The key of a u-monomial {atom: k} as ``algebra.split_terms`` reads it,
-        or None when it is no single element of the family closure."""
+        or None when it is no single element of the family closure; a
+        trigonometric family reads its monomials through ``_fourier``."""
         if self.kind == POLYNOMIAL:
             if monomial.keys() <= set(deps):
                 return tuple(monomial.get(d, 0) for d in deps)
             return None
-        if self.kind == TRIGONOMETRIC:
-            if not monomial:
-                return ("one", 0)
-            (g, k), *rest = monomial.items()
-            if rest or k != 1 or not isinstance(g, (sp.sin, sp.cos)):
-                return None
-            n = g.args[0] / deps[0]
-            return (type(g).__name__, int(n)) if n.is_Integer and n > 0 else None
         den = 2 if self.kind == EXPONENTIAL else 1
         key = [0] * len(deps)
         for g, k in monomial.items():
@@ -110,24 +104,40 @@ class AnsatzFamily:
         return tuple(key)
 
 
-# rewrites a u-monomial that is no single basis element into a sum of them
-_REWRITES = {TRIGONOMETRIC: TR8,
-             HYPERBOLIC: lambda m: m.rewrite((sp.sinh, sp.cosh), sp.exp)}
-
-
 def _family_terms(monomial, family, deps):
     """[(r, key)] with sum r * basis element = the u-monomial; NotInFamily
-    when there is none.  A u-part outside the ring, which ``split_terms``
+    when there is none.  A u-monomial that is no single basis element is
+    rewritten through Euler's formula (``algebra.euler``): sinh and cosh
+    into exponentials of u, and sin and cos into powers of exp(i*u), which
+    ``_fourier`` reads.  A u-part outside the ring, which ``split_terms``
     keeps as one atom, has no key."""
-    key = family.key(monomial, deps)
-    if key is not None:
+    trigonometric = family.kind == TRIGONOMETRIC
+    if not trigonometric and (key := family.key(monomial, deps)) is not None:
         return [(1, key)]
-    m = monomial_expr(monomial)
-    rewrite = _REWRITES.get(family.kind, lambda expr: expr)
-    out = [(c, family.key(u, deps)) for c, u in split_terms(sp.expand(rewrite(m)), deps)]
-    if any(key is None for _, key in out):
-        raise NotInFamily(m, family.kind)
+    terms = euler({frozenset(monomial.items()): QQ.one})
+    terms = (_fourier(terms, deps[0]) if trigonometric
+             else {family.key(dict(m), deps): c for m, c in terms.items()})
+    out = [(QQ.to_sympy(c.x), key) for key, c in terms.items() for c in [QQ_I.convert(c)]
+           if key is not None and not c.y]
+    if len(out) < len(terms):
+        raise NotInFamily(monomial_expr(monomial), family.kind)
     return out
+
+
+def _fourier(terms, u):
+    """{key: c} of a sum over E = exp(i*u), where c*E**n is
+    c*cos(n*u) + i*c*sin(n*u); {None: 1} when a term holds another atom or a
+    power of E that is not an integer."""
+    E, out = sp.exp(sp.I * u), {}
+    for m, c in terms.items():
+        n = sp.S(dict(m).get(E, 0))
+        if not (m <= {(E, n)} and n.is_Integer):
+            return {None: 1}
+        k = abs(int(n))
+        for key, r in ([(("one", 0), c)] if n == 0 else
+                       [(("cos", k), c), (("sin", k), c * QQ_I(0, 1 if n > 0 else -1))]):
+            out[key] = out[key] + r if key in out else r
+    return {key: c for key, c in out.items() if c}
 
 
 def collect_family(e, family, deps):

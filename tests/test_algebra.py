@@ -1,5 +1,6 @@
 import random
 import sys
+from unittest import mock
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -534,13 +535,15 @@ def test_zero_verdict_confidence_and_seed(ws2):
     u = ws2.dependent[0]
     r = zero_verdict(u - u)
     assert r.confidence == "structural"
-    # a true identity that is not structurally zero for the normalizer
+    # a true identity that the normalizer leaves, decided through Euler's
+    # formula
     e = sp.cos(2 * u) - sp.cos(u) ** 2 + sp.sin(u) ** 2
+    assert normalize(e) != 0
     r2 = zero_verdict(e)
-    assert r2.verdict is ZeroVerdict.ZERO and r2.confidence == "probabilistic"
+    assert r2.verdict is ZeroVerdict.ZERO and r2.confidence == "structural"
     assert r2.seed is not None
     r3 = zero_verdict(e, seed=0xBEEF)
-    assert r3.verdict is ZeroVerdict.ZERO and r3.seed == 0xBEEF
+    assert (r3.verdict, r3.confidence, r3.seed) == (ZeroVerdict.ZERO, "structural", 0xBEEF)
 
 
 def test_nonzero_rational_constant_is_structurally_nonzero(ws2):
@@ -594,7 +597,9 @@ def test_sampled_zero_evaluates_once_per_point(ws2, monkeypatch):
                         calls.append((tuple(point.items()), ctx.prec))
                         or real(program, point, ctx))
     monkeypatch.setattr(algebra, "evaluate_at", lambda *a: calls.append(a))
-    r = zero_verdict((sp.sin(x1) ** 2 + sp.cos(x1) ** 2 - 1) * (x1 + u))
+    # exponentials of dependent directions, which the ring cannot decide
+    r = zero_verdict((sp.exp(u / (x1 ** 2 + 1)) * sp.exp(u * x1 ** 2 / (x1 ** 2 + 1))
+                      - sp.exp(u)) * (x1 + u))
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
     points = list(dict.fromkeys(point for point, _ in calls))
     assert len(points) == algebra.ZERO_SAMPLES
@@ -611,19 +616,94 @@ def _epsilon_residual(e):
 
 @pytest.mark.parametrize("e, confidence", [
     (sp.exp(_X + sp.Rational(1, 10 ** 12)) - sp.exp(_X), "structural"),
-    (sp.sin(_Y + sp.Rational(1, 10 ** 10)) - sp.sin(_Y), "interval"),
+    (sp.sin(_Y + sp.Rational(1, 10 ** 10)) - sp.sin(_Y), "structural"),
     (_epsilon_residual(8), "interval"), (_epsilon_residual(12), "interval"),
     (_epsilon_residual(13), "interval")])
 def test_tiny_differences_are_nonzero(e, confidence):
     """Residuals that a relative float tolerance read as Zero: an
     exponential or a sine shifted by a tiny rational, and a log identity
-    times a polynomial plus exp(x - 1)/10^k.  The ring settles the first;
-    an interval that excludes 0 certifies the others."""
+    times a polynomial plus exp(x - 1)/10^k.  The ring settles the first
+    two, the sine through Euler's formula; an interval that excludes 0
+    certifies the others."""
     r = zero_verdict(e)
     assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, confidence)
     if confidence == "interval":
         point, bits = r.witness
         assert set(point) == e.free_symbols and bits in (53, 212, 848)
+
+
+def test_hyperbolic_identity_is_structurally_zero():
+    """cosh reads as (E + 1/E)/2 over the generator exp(x) that exp(x) and
+    exp(-x) use, so the identity cancels in the ring."""
+    e = sp.cosh(_X) - (sp.exp(_X) + sp.exp(-_X)) / 2
+    assert normalize(e) != 0
+    r = zero_verdict(e)
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
+
+
+def test_log_identity_stays_sampled():
+    """log(x*y) = log(x) + log(y) holds only where the logs are real, and
+    Euler's formula does not touch log: the identity is sampled."""
+    r = zero_verdict(_LOG_IDENTITY)
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
+
+
+# identities in sin, cos, sinh, cosh and exp of two arguments
+_EULER_IDENTITIES = [
+    lambda a, b: sp.sin(a) ** 2 + sp.cos(a) ** 2 - 1,
+    lambda a, b: sp.cosh(a) ** 2 - sp.sinh(a) ** 2 - 1,
+    lambda a, b: sp.sin(2 * a) - 2 * sp.sin(a) * sp.cos(a),
+    lambda a, b: sp.cos(a + b) - sp.cos(a) * sp.cos(b) + sp.sin(a) * sp.sin(b),
+    lambda a, b: sp.sinh(a + b) - sp.sinh(a) * sp.cosh(b) - sp.cosh(a) * sp.sinh(b),
+    lambda a, b: sp.cosh(a) - (sp.exp(a) + sp.exp(-a)) / 2,
+]
+_small = st.sampled_from([-3, -2, -1, 1, 2, 3])
+# a holds x and b does not, so that a + b is not a constant, which the ring
+# does not read
+_arguments = st.builds(lambda c, d, e: c * _X + d * _Y + e, _small, st.integers(-3, 3),
+                       st.integers(-3, 3))
+_y_arguments = st.builds(lambda d, e: d * _Y + e, _small, st.integers(-3, 3))
+_multipliers = st.builds(lambda c, i, j, d: c * _X ** i * _Y ** j + d,
+                         _small, st.integers(1, 2), st.integers(0, 2), _small)
+_epsilon_terms = st.one_of(st.just(0), st.builds(
+    lambda k, c, d: sp.exp(c * _X + d) / 10 ** k, st.integers(0, 15), st.integers(-2, 2),
+    st.integers(-2, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_EULER_IDENTITIES), _arguments, _y_arguments, _multipliers,
+       _epsilon_terms)
+def test_euler_verdict_matches_the_interval_verdict(identity, a, b, multiplier, epsilon):
+    """A trigonometric or hyperbolic identity times a polynomial, plus
+    eps*exp(c*x + d) or not: the structural verdict through Euler's formula
+    is the verdict of the interval test, which decides when the map is
+    switched off."""
+    e = identity(a, b) * multiplier + epsilon
+    r = zero_verdict(e)
+    with mock.patch.object(algebra, "euler", lambda terms: terms):
+        sampled = zero_verdict(e)
+    assert r.confidence == "structural" and sampled.confidence != "structural"
+    assert r.verdict is sampled.verdict is (ZeroVerdict.NONZERO if epsilon else ZeroVerdict.ZERO)
+
+
+def test_normalize_reduces_each_term_of_a_kernel_argument():
+    """exp(P/Q) splits into the exponentials of the terms p_i/Q of P/Q, each
+    in lowest terms, so that normalizing is idempotent and the tree and the
+    parser give one form."""
+    ws = Workspace(["t"], ["u"], order_cap=2)
+    ws.add_parameter("lam")
+    ws.add_function("h")
+    (t,), lam, h, ut = ws.independent, ws.parameters["lam"], ws.functions["h"], ws.jet(0, (1,))
+    tree = sp.exp(-lam / (t * sp.Derivative(h, t) + 1) + 2 - 1 / (3 * (t * ut + 1)))
+    n = normalize(tree)
+    assert normalize(n) == n
+    assert parse("exp(-lam/(t*D(h(t),t) + 1) + 2 - 1/(3*(t*u_{t} + 1)))", ws) == n
+    assert sp.exp(2 * t * ut / (t ** 2 * ut * sp.Derivative(h, t) + t * ut
+                                + t * sp.Derivative(h, t) + 1)) in sp.Mul.make_args(n)
+    x = sp.Symbol("x", real=True)
+    for e in [sp.exp((6 * x + 5) / (3 * x + 3)), sp.exp((6 * sp.sqrt(x) + 5) / (3 * x + 3)),
+              sp.sin((6 * x + 5) / (3 * x + 3))]:
+        assert normalize(normalize(e)) == normalize(e)
 
 
 def test_epsilon_residual_needs_neither_cancel_nor_float_values(monkeypatch):
@@ -639,9 +719,13 @@ def test_epsilon_residual_needs_neither_cancel_nor_float_values(monkeypatch):
 
 
 def test_residual_without_a_real_point_is_sampling_blocked():
-    """log(-x^2 - 1) is real at no point, so every point is rejected."""
-    r = zero_verdict(sp.log(-_X ** 2 - 1) * (sp.sin(_X) ** 2 + sp.cos(_X) ** 2 - 1))
+    """log(-x^2 - 1) is real at no point, so every point is rejected when
+    the ring cannot decide the residual, as for a log identity; a
+    Pythagorean factor it decides through Euler's formula."""
+    r = zero_verdict(sp.log(-_X ** 2 - 1) * (sp.log(_X * _Y) - sp.log(_X) - sp.log(_Y)))
     assert (r.verdict, r.confidence) == (ZeroVerdict.UNKNOWN, "sampling-blocked")
+    r = zero_verdict(sp.log(-_X ** 2 - 1) * (sp.sin(_X) ** 2 + sp.cos(_X) ** 2 - 1))
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
 
 
 def test_opaque_verdict_names_its_subterm():

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
+from sympy.simplify.fu import TR8
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,11 @@ def test_collect_not_in_family(ws2):
         collect_family(sp.exp(u / 3), AnsatzFamily(EXPONENTIAL, 1), [u])
     with pytest.raises(NotInFamily):
         collect_family(sp.sin(u + ws2.independent[0]), AnsatzFamily(TRIGONOMETRIC, 1), [u])
+    # Euler's formula leaves an atom other than exp(i*u), or a power of it
+    # that is not an integer
+    for e in [u * sp.sin(u), sp.sin(u / 3) * sp.cos(u), sp.sin(u) * sp.cosh(u)]:
+        with pytest.raises(NotInFamily):
+            collect_family(normalize(e), AnsatzFamily(TRIGONOMETRIC, 3), [u])
     with pytest.raises(NotInFamily):
         collect_family(u * sp.exp(u), AnsatzFamily(HYPERBOLIC, 1), [u])
 
@@ -168,6 +174,51 @@ def test_collect_family_matches_split_and_normalize(kind, data):
     out, reference = collect_family(e, family, [_U]), _collect_reference(e, family, (_U,))
     assert ([(sp.srepr(m), sp.srepr(c)) for m, c in out.items()]
             == [(sp.srepr(m), sp.srepr(c)) for m, c in reference.items()])
+
+
+# u-factors that take the Euler rewrite of _family_terms, and the sympy
+# rewrite that each family used before it: TR8 for products of sin and cos,
+# rewrite(exp) for sinh and cosh
+_EULER_FACTORS = {
+    TRIGONOMETRIC: ([sp.sin(n * _U / 2) for n in (1, 2, 4, 6)]
+                    + [sp.cos(n * _U / 2) for n in (2, 3, 4)], TR8),
+    HYPERBOLIC: ([sp.sinh(_U), sp.cosh(_U), sp.sinh(2 * _U), sp.cosh(3 * _U), sp.exp(-_U)],
+                 lambda m: m.rewrite((sp.sinh, sp.cosh), sp.exp)),
+}
+
+
+def _trigonometric_key(monomial):
+    """The key of 1, sin(n*u) or cos(n*u) with n a positive integer."""
+    if not monomial:
+        return ("one", 0)
+    if len(monomial) > 1:
+        return None
+    ((g, k),) = monomial.items()
+    n = g.args[0] / _U
+    return (type(g).__name__, int(n)) if k == 1 and n.is_Integer and n > 0 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(_EULER_FACTORS)), st.data())
+def test_family_terms_match_the_sympy_rewrites(kind, data):
+    """Products of up to three trigonometric or hyperbolic factors give the
+    (r, key) terms that sympy's rewrite and expansion give, or both leave
+    the family."""
+    factors, rewrite = _EULER_FACTORS[kind]
+    family = AnsatzFamily(kind, 3)
+    m = sp.Mul(*data.draw(st.lists(st.sampled_from(factors), min_size=1, max_size=3)))
+    ((_, _, monomial),) = algebra.split_monomials(m, (_U,))
+    terms = [(c, family.key(u, (_U,)) if kind == HYPERBOLIC else _trigonometric_key(u))
+             for c, u in split_terms(sp.expand(rewrite(m)), (_U,))]
+    if any(key is None for _, key in terms):
+        with pytest.raises(NotInFamily):
+            _family_terms(monomial, family, (_U,))
+        return
+    reference = {}
+    for c, key in terms:
+        reference[key] = reference.get(key, 0) + c
+    assert ({key: r for r, key in _family_terms(monomial, family, (_U,))}
+            == {key: c for key, c in reference.items() if c})
 
 
 def test_determining_steps_stay_in_the_ring(monkeypatch):

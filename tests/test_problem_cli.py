@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetsym import condsym
+from jetsym import algebra, condsym
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import NotSeparable, SchemaError
 from jetsym.problem import load_problem
@@ -297,6 +297,27 @@ def test_route_a_error_falls_back_to_route_b(capsys, tmp_path, monkeypatch):
     assert "route B" in data["verdicts"][0]["justification"]
     assert ("route A unavailable: term forced does not separate into (x-part)*(u-part)"
             in data["notes"])
+
+
+def test_load_problem_normalizes_each_equation_once_per_side(monkeypatch, tmp_path):
+    """An equation is normalized by the parser, and once more only where an
+    [instance] binding changes it; neither the one-line system that checks
+    it at its own line nor the combined system normalizes it again."""
+    path = tmp_path / "two.jetsym"
+    path.write_text("[variables]\nindependent = x1 x2\ndependent = u\n"
+                    "[parameters]\nnames = c\n"
+                    '[pde]\nwave = "u_{x1,x2} - c*u^3"\nheat = "u_{x1} - u_{x2,x2}"\n'
+                    '[instance]\nc = "2"\n')
+    calls = []
+    for module in (algebra, condsym):
+        real = module.normalize
+        monkeypatch.setattr(module, "normalize",
+                            lambda e, real=real: calls.append(e) or real(e))
+    problem = load_problem(path)
+    # two equations and one binding parsed, and one equation bound
+    assert len(calls) == 4
+    assert [str(e) for _, e in problem.bound.pde.items()] == [
+        "-2*u**3 + u_{x1,x2}", "u_{x1} - u_{x2,x2}"]
 
 
 def test_force_direct_flag(capsys):
