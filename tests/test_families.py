@@ -176,8 +176,8 @@ def test_collect_family_matches_split_and_normalize(kind, data):
             == [(sp.srepr(m), sp.srepr(c)) for m, c in reference.items()])
 
 
-# u-factors that take the Euler rewrite of _family_terms, and the sympy
-# rewrite that each family used before it: TR8 for products of sin and cos,
+# u-factors that take the Euler rewrite of _family_terms, and sympy's
+# rewrite that is the reference for it: TR8 for products of sin and cos,
 # rewrite(exp) for sinh and cosh
 _EULER_FACTORS = {
     TRIGONOMETRIC: ([sp.sin(n * _U / 2) for n in (1, 2, 4, 6)]
