@@ -648,14 +648,14 @@ def _tree_normalize(e):
 
 
 def diff(e, s, ws=None):
-    """Partial derivative treating every jet coordinate as an independent symbol."""
+    """Partial derivative, jet coordinates as independent symbols: ``derive`` with s -> 1."""
     if ws is not None and ws.kind(s) is None and not (
             isinstance(s, sp.Symbol) and s in sp.sympify(e).free_symbols):
         raise UnknownSymbol(str(s))
-    return normalize(sp.diff(sp.sympify(e), s))
+    return derive(e, {s: sp.S.One})
 
 
-def substitute(e, bindings, ws=None):
+def substitute(e, bindings):
     """Simultaneous substitution followed by normalization.
 
     Keys may be symbols or applied unknown functions; pending formal

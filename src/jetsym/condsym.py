@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .algebra import TriBool, ZeroVerdict, normalize, sum_of_products, zero_verdict
+from .algebra import TriBool, ZeroVerdict, derive, normalize, sum_of_products, zero_verdict
 from .errors import JetsymError, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, rectify
@@ -127,7 +127,7 @@ class AnsatzSystem:
     @classmethod
     def from_explicit(cls, family, ws, rhs_map):
         """Wrap explicit right-hand sides; unknowns are the functions they use."""
-        rhs = {k: normalize(v) for k, v in rhs_map.items()}
+        rhs = dict(rhs_map)
         unknowns = dict.fromkeys(f for e in rhs.values()
                                  for f in sorted(e.atoms(AppliedUndef), key=str))
         return cls(ws, family, rhs, tuple(unknowns))
@@ -288,11 +288,11 @@ def _solve_for_leading_jet(e, ws, mapping, assumptions):
     if lead is None:
         return False
     s = lead[0]
-    A = sp.diff(e, s)
+    A = derive(e, {s: sp.S.One})
     if A == 0 or A.has(s):
         return False
     mapping[s] = normalize(s - e / A)
-    if (A := normalize(A)).free_symbols:
+    if A.free_symbols:
         assumptions.append(f"nonvanishing coefficient: {print_expr(A)}")
     return True
 

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import sympy as sp
 
-from .algebra import Elimination, TriBool, ZeroVerdict, derive, zero_verdict
+from .algebra import Elimination, TriBool, ZeroVerdict, derive, difference, zero_verdict
 from .errors import PreconditionFailed
 from .grammar import print_expr
 from .jets import NormalFormSystem, VectorField, compatibility_residuals
@@ -45,14 +45,14 @@ class VectorFieldFamily:
 
 def lie_bracket(Y, Z):
     """[Y, Z] on J0: the commutator of first-order operators, whose
-    coefficients are Y(Z^c) - Z(Y^c), each applied through ``derive``."""
+    coefficients are the normal forms Y(Z^c) - Z(Y^c), through ``derive``."""
     ws = Y.ws
     if ws is not Z.ws:
         raise ValueError("vector fields live on different workspaces")
     chart = ws.independent + ws.dependent
     ys, zs = Y.coefficient_row(), Z.coefficient_row()
     y_images, z_images = dict(zip(chart, ys)), dict(zip(chart, zs))
-    out = [derive(zc, y_images) - derive(yc, z_images) for yc, zc in zip(ys, zs)]
+    out = [difference(derive(zc, y_images), derive(yc, z_images)) for yc, zc in zip(ys, zs)]
     return VectorField(ws, tuple(out[:ws.p]), tuple(out[ws.p:]))
 
 

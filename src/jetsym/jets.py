@@ -25,7 +25,8 @@ ROUTE_LIMIT = 128  # jet resolution routes that restrict_routes enumerates at mo
 
 @dataclass(frozen=True)
 class VectorField:
-    """First-order operator xi^i d/dx^i + phi^a d/du^a with coefficients on J0."""
+    """First-order operator xi^i d/dx^i + phi^a d/du^a with coefficients on J0:
+    normal forms (from ``parse``, ``normalize`` or the engine), checked, not normalized."""
 
     ws: object
     xi: tuple
@@ -33,8 +34,8 @@ class VectorField:
 
     def __post_init__(self):
         ws = self.ws
-        xi = tuple(normalize(e) for e in self.xi)
-        phi = tuple(normalize(e) for e in self.phi)
+        xi = tuple(map(sp.sympify, self.xi))
+        phi = tuple(map(sp.sympify, self.phi))
         if len(xi) != ws.p or len(phi) != ws.q:
             raise ValueError("coefficient count does not match workspace dimensions")
         for e in xi + phi:
@@ -189,7 +190,8 @@ class NormalFormSystem:
     """First-order constraints u^a_{x_i} = phi^a_i(x, u): the computational
     face of a characteristic-system section.
 
-    Each jet value on the section is derived once, when first read.
+    Each phi^a_i is a normal form (from ``parse``, ``normalize`` or the
+    engine), checked, not normalized.  Each jet value is derived once, when first read.
     """
 
     ws: object
@@ -203,7 +205,7 @@ class NormalFormSystem:
             for i in range(ws.p):
                 if (a, i) not in self.rhs:
                     raise ValueError(f"normal form is missing slot (alpha={a}, i={i})")
-                e = normalize(self.rhs[(a, i)])
+                e = sp.sympify(self.rhs[(a, i)])
                 if ws.max_jet_order(e) >= 1:
                     raise ValueError(f"normal-form rhs {e} contains jet symbols")
                 rhs[(a, i)] = e

@@ -119,8 +119,7 @@ def u_bracket(X, Y, deps):
 class VGAlgebra:
     generators: tuple            # q-tuples of u-only expressions
     structure_constants: dict    # (i, j) with i < j -> tuple of rationals
-    coordinates: tuple           # each generator's coordinates (``_coordinates``)
-    pieces: dict                 # the separation of the normal form (``separate``)
+    pieces: dict                 # slot j -> [(x-coefficient, coordinates)], per ``separate``
 
     @property
     def dimension(self):
@@ -150,20 +149,19 @@ def _check_jacobi(vg):
 def vg_closure(nf, cap=10):
     """Close the u-only factors of a separable normal form under brackets.
 
-    Returns the algebra with exact rational structure constants, or raises
-    NotSeparable / CapExceeded (no finite structure found up to the cap).
-    Each round of brackets adds a generator or ends the closure, so the cap
-    bounds the rounds too.  Each pair is bracketed once; as the generators
-    stay independent, a pair solved in an earlier round keeps its
-    coordinates, padded with zeros.
+    Returns the algebra with exact rational structure constants and the
+    pieces' coordinates, or raises NotSeparable / CapExceeded (no finite
+    structure found up to the cap).  Each round of brackets adds a generator
+    or ends the closure, so the cap bounds the rounds too.  Each piece and
+    each pair's bracket is solved once; as the generators stay independent,
+    its coordinates keep, padded with zeros.
     """
     deps = nf.ws.dependent
-    pieces = separate(nf)
     gens, gen_coords = [], []
 
-    def try_add(coords):
-        """The u-field's coordinates over the generators, or None when it
-        is outside their span and joins them."""
+    def solve(coords):
+        """The u-field's coordinates over the generators; outside their span
+        it joins them, and is a multiple of the new last generator."""
         existing = _solve_rational(gen_coords, coords)
         if existing is not None:
             return tuple(existing)
@@ -178,22 +176,22 @@ def vg_closure(nf, cap=10):
             content = -content
         gen_coords.append({k: v / content for k, v in coords.items()})
         gens.append(_field(gen_coords[-1], nf.ws.q))
-        return None
+        return (sp.Integer(0),) * (len(gens) - 1) + (content,)
 
-    for j in sorted(pieces):
-        for _, coords in pieces[j]:
-            try_add(coords)
-    brackets, structure, size = {}, {}, None
+    pieces = {j: [(c, solve(coords)) for c, coords in pairs] for j, pairs in separate(nf).items()}
+    structure, size = {}, None
     while size != len(gens):
         size = len(gens)
         for i, j in combinations(range(size), 2):
-            if structure.get((i, j)) is None:
-                if (i, j) not in brackets:
-                    brackets[(i, j)] = _coordinates(u_bracket(gens[i], gens[j], deps), deps)
-                structure[(i, j)] = try_add(brackets[(i, j)])
-    structure = {pair: structure[pair] + (sp.Integer(0),) * (size - len(structure[pair]))
-                 for pair in combinations(range(size), 2)}
-    vg = VGAlgebra(tuple(gens), structure, tuple(gen_coords), pieces)
+            if (i, j) not in structure:
+                structure[(i, j)] = solve(_coordinates(u_bracket(gens[i], gens[j], deps), deps))
+
+    def padded(c):
+        return c + (sp.Integer(0),) * (size - len(c))
+
+    vg = VGAlgebra(tuple(gens),
+                   {pair: padded(structure[pair]) for pair in combinations(range(size), 2)},
+                   {j: [(c, padded(x)) for c, x in pairs] for j, pairs in pieces.items()})
     _check_jacobi(vg)
     return vg
 
@@ -213,8 +211,7 @@ def build_pde_lie_system(nf, cap=10, seed=None):
     b = {(j, beta): sp.Integer(0) for j in range(ws.p) for beta in range(vg.dimension)}
     for j, pairs in vg.pieces.items():
         for c, coords in pairs:
-            # every piece lies in the span that vg_closure grew from it
-            for beta, r in enumerate(_solve_rational(vg.coordinates, coords)):
+            for beta, r in enumerate(coords):
                 b[(j, beta)] = normalize(b[(j, beta)] + r * c)
     # decomposition exactness
     for j in range(ws.p):
@@ -322,7 +319,7 @@ def _potential(coeffs, ws):
     P = sp.Integer(0)
     unresolved = False
     for j, x in enumerate(ws.independent):
-        r = normalize(coeffs[j] - sp.diff(P, x))
+        r = difference(coeffs[j], derive(P, {x: sp.S.One}))
         if r == 0:
             continue
         g = sp.integrate(r, x)
@@ -330,7 +327,7 @@ def _potential(coeffs, ws):
             unresolved = True
         P = normalize(P + g)
     for j, x in enumerate(ws.independent):
-        res = normalize(sp.diff(P, x) - coeffs[j])
+        res = difference(derive(P, {x: sp.S.One}), coeffs[j])
         if res != 0 and not unresolved:
             v = zero_verdict(res).verdict
             if v is ZeroVerdict.NONZERO:
@@ -356,7 +353,7 @@ def solve_solvable_q1(sys, seed=None):
         dwdu = sp.diff(w_of_u, u)
         ok = True
         for gen in sys.vg.generators:
-            transformed = substitute(normalize(dwdu * gen[0]), {u: u_of_w})
+            transformed = substitute(dwdu * gen[0], {u: u_of_w})
             if _affine_coefficients(transformed, w) is None:
                 ok = False
                 last_reason = f"{label}: generator {print_expr(gen[0])} not affine"
@@ -365,7 +362,7 @@ def solve_solvable_q1(sys, seed=None):
             continue
         cs, ds = [], []
         for j in range(ws.p):
-            transformed = substitute(normalize(dwdu * nf.rhs[(0, j)]), {u: u_of_w})
+            transformed = substitute(dwdu * nf.rhs[(0, j)], {u: u_of_w})
             cd = _affine_coefficients(transformed, w)
             if cd is None:
                 ok = False

@@ -81,12 +81,13 @@ def add_fields(*fields):
     ws = fields[0].ws
     if any(f.ws is not ws for f in fields):
         raise ValueError("vector fields live on different workspaces")
-    return VectorField(ws, tuple(map(sp.Add, *(f.xi for f in fields))),
-                       tuple(map(sp.Add, *(f.phi for f in fields))))
+    return VectorField(ws, tuple(normalize(sp.Add(*es)) for es in zip(*(f.xi for f in fields))),
+                       tuple(normalize(sp.Add(*es)) for es in zip(*(f.phi for f in fields))))
 
 
 def linear_combination(fields, coeffs):
-    return add_fields(*(VectorField(f.ws, tuple(c * e for e in f.xi), tuple(c * e for e in f.phi))
+    return add_fields(*(VectorField(f.ws, tuple(normalize(c * e) for e in f.xi),
+                                    tuple(normalize(c * e) for e in f.phi))
                         for f, c in zip(fields, coeffs)))
 
 

@@ -266,8 +266,8 @@ def test_criterion_8a_compatibility_iff_abelian():
         if per_class[True] < 10 and rng.random() < 0.5:
             G = random_poly(rng, [x1, x2], degree=2, terms=3)
             psi = random_poly(rng, [u], degree=2, terms=2)
-            nf = NormalFormSystem(ws, {(0, 0): sp.diff(G, x1) * psi,
-                                       (0, 1): sp.diff(G, x2) * psi})
+            nf = NormalFormSystem(ws, {(0, 0): normalize(sp.diff(G, x1) * psi),
+                                       (0, 1): normalize(sp.diff(G, x2) * psi)})
         else:
             nf = NormalFormSystem(ws, {(0, 0): random_poly(rng, [x1, x2, u], 2, 3),
                                        (0, 1): random_poly(rng, [x1, x2, u], 2, 3)})

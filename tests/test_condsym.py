@@ -88,8 +88,8 @@ def test_compatibility_iff_abelian_random(rng):
             # integrable class: phi_j = dG/dx_j * psi(u) is always compatible
             G = random_poly(rng, [x1, x2], degree=2, terms=3)
             psi = random_poly(rng, [u], degree=2, terms=2)
-            nf = NormalFormSystem(ws, {(0, 0): sp.diff(G, x1) * psi,
-                                       (0, 1): sp.diff(G, x2) * psi})
+            nf = NormalFormSystem(ws, {(0, 0): normalize(sp.diff(G, x1) * psi),
+                                       (0, 1): normalize(sp.diff(G, x2) * psi)})
         else:
             nf = NormalFormSystem(ws, {(0, 0): random_poly(rng, [x1, x2, u], 2, 3),
                                        (0, 1): random_poly(rng, [x1, x2, u], 2, 3)})
@@ -294,7 +294,7 @@ def test_verify_symmetry_wave_rectifiable_family():
     u = ws.dependent[0]
     x2 = ws.independent[1]
     f = sp.exp(x2 + 1 / u)
-    Y2 = VectorField(ws, (ZERO, f), (u ** 2 * f,))
+    Y2 = VectorField(ws, (ZERO, normalize(f)), (normalize(u ** 2 * f),))
     F2 = VectorFieldFamily(ws, (F.members[0], Y2))
     report = verify_conditional_symmetry(pde, F2, n=2)
     assert report.route == "A"

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetsym import TriBool, Workspace, ZeroVerdict, algebra, geometry, is_zero, normalize
+from jetsym import TriBool, Workspace, ZeroVerdict, algebra, diff, geometry, is_zero, normalize
 from jetsym.cli import main
 from jetsym.errors import PreconditionFailed
 from jetsym.geometry import (VectorFieldFamily, analyze_distribution,
@@ -44,7 +46,7 @@ def wave_rectifiable(ws2):
     x2 = ws2.independent[1]
     f = sp.exp(x2 + 1 / u)
     Y1 = VectorField(ws2, (ONE, ZERO), (u ** 2,))
-    Y2 = VectorField(ws2, (ZERO, f), (u ** 2 * f,))
+    Y2 = VectorField(ws2, (ZERO, normalize(f)), (normalize(u ** 2 * f),))
     return VectorFieldFamily(ws2, (Y1, Y2))
 
 
@@ -70,6 +72,33 @@ def test_bracket_antisymmetry_and_jacobi(ws2, rng):
         jac = add_fields(lie_bracket(Y, lie_bracket(Z, W)), lie_bracket(Z, lie_bracket(W, Y)),
                          lie_bracket(W, lie_bracket(Y, Z)))
         assert all(is_zero(c) is ZeroVerdict.ZERO for c in jac.coefficient_row())
+
+
+_J0 = Workspace(["x1", "x2"], ["u"], order_cap=1)
+_J0_CHART = _J0.independent + _J0.dependent
+_j0_terms = st.builds(
+    lambda c, powers, exps: c * sp.Mul(*(g ** k for g, k in powers)) * sp.Mul(*exps),
+    st.sampled_from([sp.Rational(k, 2) for k in (-4, -3, -1, 1, 2, 3)]),
+    st.lists(st.tuples(st.sampled_from(_J0_CHART), st.integers(1, 2)), max_size=2),
+    st.lists(st.builds(lambda c, g: sp.exp(c * g),
+                       st.sampled_from([-1, sp.Rational(-1, 2), sp.Rational(1, 2), 1]),
+                       st.sampled_from(_J0_CHART)), max_size=1))
+_j0_polynomial = st.lists(_j0_terms.filter(lambda e: not e.has(sp.exp)), max_size=3)
+_j0_coefficients = st.builds(lambda terms: normalize(sp.Add(*terms)),
+                             st.one_of(_j0_polynomial, st.lists(_j0_terms, max_size=3)))
+_j0_fields = st.builds(lambda xi, phi: VectorField(_J0, tuple(xi), (phi,)),
+                       st.lists(_j0_coefficients, min_size=2, max_size=2), _j0_coefficients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_j0_fields, _j0_fields)
+def test_bracket_and_diff_return_normal_forms(Y, Z):
+    """lie_bracket's coefficients and algebra.diff's partials of polynomial
+    and exponential fields are normal forms: normalize returns each of them
+    unchanged, to the srepr."""
+    out = list(lie_bracket(Y, Z).coefficient_row())
+    out += [diff(c, s) for c in Y.coefficient_row() for s in _J0_CHART]
+    assert [sp.srepr(normalize(e)) for e in out] == [sp.srepr(e) for e in out]
 
 
 def test_bracket_wave_rectifiable_pair(wave_rectifiable):
@@ -317,7 +346,7 @@ def _random_z_family(rng, p, q, kind):
     else:
         phi = [[term(xs + us) + term(xs + us) for _ in us] for _ in xs]
     members = [VectorField(ws, tuple(ONE if i == j else ZERO for i in range(p)),
-                           tuple(phi[j])) for j in range(p)]
+                           tuple(map(normalize, phi[j]))) for j in range(p)]
     order = list(range(p))
     while order == sorted(order):
         rng.shuffle(order)

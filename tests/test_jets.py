@@ -4,9 +4,11 @@ import warnings
 import pytest
 import sympy as sp
 
-from jetsym import MultiIndex, Workspace, ZeroVerdict, is_zero, normalize, parse
-from jetsym.condsym import characteristic_system
+from jetsym import (MultiIndex, Workspace, ZeroVerdict, algebra, condsym, is_zero, jets,
+                    normalize, parse)
+from jetsym.condsym import AnsatzSystem, characteristic_system
 from jetsym.errors import HardJetLimitExceeded, JetOrderExceeded, PreconditionFailed
+from jetsym.families import AnsatzFamily
 from jetsym.geometry import VectorFieldFamily
 from jetsym.jets import (NormalFormSystem, ProlongedVectorField, VectorField,
                          characteristic, contract_contact, prolong,
@@ -17,6 +19,40 @@ from jetsym.multiindex import indices_up_to
 
 from conftest import (evaluable_points, field_from_strings, linear_combination,
                       random_expr, random_poly)
+
+
+def test_vector_field_checks_its_coefficients(ws2):
+    u, ux1 = ws2.dependent[0], ws2.jet(0, (1, 0))
+    with pytest.raises(ValueError, match="coefficient count does not match"):
+        VectorField(ws2, (sp.S.One,), (u,))
+    with pytest.raises(ValueError, match="contains jet symbols"):
+        VectorField(ws2, (sp.S.One, ux1), (u,))
+
+
+def test_normal_form_system_checks_its_rhs(ws2):
+    u, ux1 = ws2.dependent[0], ws2.jet(0, (1, 0))
+    with pytest.raises(ValueError, match=r"missing slot \(alpha=0, i=1\)"):
+        NormalFormSystem(ws2, {(0, 0): u})
+    with pytest.raises(ValueError, match="rhs u_{x1} contains jet symbols"):
+        NormalFormSystem(ws2, {(0, 0): u, (0, 1): ux1})
+
+
+def test_constructors_take_normal_forms_as_given(ws2, monkeypatch):
+    """VectorField, NormalFormSystem and AnsatzSystem.from_explicit check
+    their entries without normalizing them: input that is no normal form is
+    stored as written."""
+    calls = []
+    for module in (algebra, jets, condsym):
+        monkeypatch.setattr(module, "normalize", lambda e: calls.append(e) or e)
+    x1, u = ws2.independent[0], ws2.dependent[0]
+    raw = (1 + u) ** 2 * x1
+    Y = VectorField(ws2, (sp.S.One, raw), (raw,))
+    rhs = {(0, 0): raw, (0, 1): u}
+    nf = NormalFormSystem(ws2, rhs)
+    ansatz = AnsatzSystem.from_explicit(AnsatzFamily("polynomial", 2), ws2, rhs)
+    assert calls == []
+    assert Y.xi[1] is raw and Y.phi[0] is raw
+    assert nf.rhs == rhs and ansatz.rhs == rhs and nf.rhs[(0, 0)] is raw
 
 
 def test_total_derivative_basics(ws2):

@@ -42,8 +42,8 @@ def test_vg_closure_gauss_codazzi_style():
     ws = Workspace(["x1", "x2"], ["u"], order_cap=2)
     x1, x2 = ws.independent
     u = ws.dependent[0]
-    rhs1 = x1 + x2 * sp.exp(-u / 2) + sp.exp(u / 2)
-    rhs2 = 1 + sp.exp(-u / 2)
+    rhs1 = normalize(x1 + x2 * sp.exp(-u / 2) + sp.exp(u / 2))
+    rhs2 = normalize(1 + sp.exp(-u / 2))
     nf = NormalFormSystem(ws, {(0, 0): rhs1, (0, 1): rhs2})
     vg = vg_closure(nf, cap=10)
     assert vg.dimension == 3
@@ -95,6 +95,25 @@ def test_build_pde_lie_system_separates_once(monkeypatch):
     ws, nf = wave_style_nf()
     build_pde_lie_system(nf)
     assert calls == [nf]
+
+
+def test_build_pde_lie_system_solves_each_piece_once(monkeypatch):
+    """The closure solves each piece and each bracket once, also a bracket
+    that joins the generators (u d/du here), and the decomposition reads the
+    pieces' coordinates off the closure."""
+    ws = Workspace(["x1", "x2"], ["u"], order_cap=1)
+    x1, x2 = ws.independent
+    u = ws.dependent[0]
+    nf = NormalFormSystem(ws, {(0, 0): x1, (0, 1): x2 * u ** 2})
+    calls = []
+    monkeypatch.setattr(liesys, "_solve_rational",
+                        lambda *args: calls.append(args) or _solve_rational(*args))
+    vg = vg_closure(nf)
+    assert len(calls) == 2 + 3      # two pieces, three pairs of generators
+    sys = build_pde_lie_system(nf)
+    assert len(calls) == 2 * 5
+    assert sys.b == {(0, 0): x1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): x2, (1, 2): 0}
+    assert vg.pieces == {0: [(x1, (1, 0, 0))], 1: [(x2, (0, 1, 0))]}
 
 
 def test_recognize_riccati_scalar():
@@ -313,10 +332,11 @@ def test_vg_closure_outside_the_ring():
 
 def test_separate_factors_a_product_denominator():
     """1/((1 + x1)*(1 + u)) normalizes to one fraction over an expanded
-    denominator; factoring it separates the term again."""
+    denominator; factoring it separates the term again.  The constructor
+    takes normal forms, so the test normalizes its input."""
     ws = Workspace(["x1"], ["u"], order_cap=1)
     x1, u = ws.independent[0], ws.dependent[0]
-    nf = NormalFormSystem(ws, {(0, 0): 1 / ((1 + x1) * (1 + u))})
+    nf = NormalFormSystem(ws, {(0, 0): normalize(1 / ((1 + x1) * (1 + u)))})
     assert nf.rhs[(0, 0)] == 1 / (u * x1 + u + x1 + 1)
     sys = build_pde_lie_system(nf)
     assert sys.vg.generators == ((1 / (1 + u),),)
