@@ -37,6 +37,7 @@ from itertools import combinations, islice
 
 import sympy as sp
 from mpmath.ctx_iv import MPIntervalContext
+from sympy.core.basic import _args_sortkey
 from sympy.core.cache import cacheit
 from sympy.core.evalf import PrecisionExhausted
 from sympy.core.exprtools import decompose_power
@@ -203,10 +204,27 @@ def _direction(arg):
     return (g, c * c2) if isinstance(g, sp.exp) else None
 
 
+@cacheit
+def _tree(terms):
+    """The sum of c * prod(g**k) over (monomial, c) pairs, a monomial being
+    (atom, k) pairs and exp(t)**k standing for exp(k*t), as ``sympy.Add``
+    and ``sympy.Mul`` build it but without their ``flatten``: factors and
+    terms sorted by sympy's private ``_args_sortkey``, c first, and joined
+    by ``AssocOp._from_args``.  Exact for distinct ring atoms with one
+    constant exp at most, whose products ``flatten`` only sorts.  Cached,
+    like the constructors, on monomials and coefficients, which hold no ring."""
+    out, constant = [], []
+    for monomial, c in terms:
+        factors = sorted((sp.exp(sp.Mul(k, g.args[0])) if type(g) is sp.exp else g if k == 1
+                          else sp.Pow(g, k) for g, k in monomial if k), key=_args_sortkey)
+        term = sp.Mul._from_args(factors if c is sp.S.One else [c, *factors], True)
+        (out if factors else constant).append(term)
+    return sp.Add._from_args(constant + sorted(out, key=_args_sortkey), True)
+
+
 def monomial_expr(monomial):
     """The product of a monomial {atom: k}, where exp(t) stands for exp(k*t)."""
-    return sp.Mul(*[sp.exp(k * g.args[0]) if type(g) is sp.exp else g ** k
-                    for g, k in monomial.items()])
+    return _tree(((tuple(monomial.items()), sp.S.One),))
 
 
 def split_monomials(e, deps):
@@ -243,7 +261,7 @@ def split_terms(e, deps):
                 yield QQ.to_sympy(c) * x, dict(m)
         return
     for c, x, u in split:
-        yield QQ.to_sympy(c) * monomial_expr(dict(x)), u
+        yield _tree(((x, QQ.to_sympy(c)),)), u
 
 
 def _atoms(values):
@@ -319,20 +337,21 @@ def _sum(pairs, ring):
 
 
 def _as_expr(n, d):
-    """N / D as ``P.as_expr() / Q.as_expr()`` with (P, Q) =
+    """N / D as ``P.as_expr() / Q.as_expr()``, built by ``_tree``, with (P, Q) =
     ``PolyElement.cancel(N, D)`` and the sign that ``sympy.cancel`` gives:
     Q's leading coefficient is positive in lex order of sympy's sorted
     generators (``decompose_power`` of each factor).  N itself when D = 1."""
-    if d == 1:
-        return n.as_expr()
-    p, q = n.cancel(d)
+    p, q = (n, n.ring.one) if d == 1 else n.cancel(d)
     if len(q) > 1:
         terms = [(dict(decompose_power(g ** k) for g, k in zip(q.ring.symbols, monom) if k), c)
                  for monom, c in q.terms()]
         order = _sort_gens({g for powers, _ in terms for g in powers})
         if max(terms, key=lambda term: [term[0].get(g, 0) for g in order])[1] < 0:
             p, q = -p, -q
-    return p.as_expr() / q.as_expr()
+    to_sympy, gens = n.ring.domain.to_sympy, n.ring.symbols
+    p, q = (_tree(tuple((tuple((g, k) for g, k in zip(gens, monom) if k), to_sympy(c))
+                        for monom, c in f.items())) for f in (p, q))
+    return p if q is sp.S.One else p / q
 
 
 def _derivation(p, images):
@@ -421,9 +440,8 @@ def difference(a, b):
 
 
 def normal_forms(sums):
-    """``normalize`` of each ``_read`` sum {monomial: c}, converted from one
-    sparse ring."""
-    return [_as_expr(*pair) for pair in _ring_elements([(s, {}) for s in sums])[0]]
+    """``normalize`` of each ``_read`` sum {monomial: c}."""
+    return [_normal_form(None, (s, {})) for s in sums]
 
 
 def substitutions(e, combos):
@@ -612,14 +630,17 @@ def normalize(e):
 
 
 def _normal_form(e, value):
-    """``normalize(e)`` given ``_read(e)``; e itself when it is normal."""
+    """``normalize(e)`` given ``_read(e)``, e itself when it is normal; the
+    form of the value for e None.  A polynomial is built at once
+    (``_tree``), any other value converted from its sparse ring."""
     if value is None:
         return _tree_normalize(e)
     if _plain(value):
-        out = sp.Add(*[QQ.to_sympy(c) * monomial_expr(dict(m)) for m, c in value[0].items() if c])
-        return e if out == e else out
-    (pair,), _, _ = _ring_elements([value])
-    return _as_expr(*pair)
+        out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in value[0].items() if c))
+    else:
+        (pair,), _, _ = _ring_elements([value])
+        out = _as_expr(*pair)
+    return e if e is not None and out == e else out
 
 
 def _tree_normalize(e):
@@ -642,8 +663,7 @@ def _tree_normalize(e):
             raise DivisionByZero(f"undefined constant while normalizing {e}")
         value = _read(e)
     if value is not None and not _plain(value):
-        (pair,), _, _ = _ring_elements([value])
-        e = _as_expr(*pair)
+        e = _normal_form(None, value)
     return e
 
 

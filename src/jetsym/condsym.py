@@ -363,9 +363,9 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
 # ---------------------------------------------------------------------------
 
 def verify_solution(systems, candidate, ws, seed=None):
-    """Substitute jets by actual partial derivatives of the candidate and test
-    each equation for zero.  The candidate maps dependent symbols to jet-free
-    expressions in x and parameters (opaque unknown functions allowed)."""
+    """Substitute jets by the candidate's partial derivatives (``derive``)
+    and test each equation for zero.  The candidate maps dependent symbols to
+    jet-free expressions in x and parameters (opaque unknown functions allowed)."""
     candidate = {ws.resolve(k) if isinstance(k, str) else k: normalize(v)
                  for k, v in candidate.items()}
     for u, e in candidate.items():
@@ -388,11 +388,7 @@ def verify_solution(systems, candidate, ws, seed=None):
             val = candidate.get(ws.dependent[a])
             if val is None:
                 raise ValueError(f"candidate missing dependent {ws.dependent[a]}")
-            mapping[s] = sp.diff(val, *[x for x, count in zip(ws.independent, K.counts)
-                                         for _ in range(count)])
-
-    out = []
-    for label, e in equations:
-        residual = normalize(e.xreplace(mapping))
-        out.append((label, zero_verdict(residual, seed=seed)))
-    return out
+            for i in K.slots():
+                val = derive(val, {ws.independent[i]: 1})
+            mapping[s] = val
+    return [(label, zero_verdict(e.xreplace(mapping), seed=seed)) for label, e in equations]

@@ -23,8 +23,8 @@ from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .algebra import (ZeroVerdict, derive, difference, is_zero, monomial_expr, normalize,
-                      split_terms, substitute, zero_verdict)
+from .algebra import (ZeroVerdict, derive, difference, is_zero, monomial_expr, normal_forms,
+                      normalize, split_monomials, split_terms, substitute, zero_verdict)
 from .condsym import compatibility_residuals, verify_solution
 from .errors import CapExceeded, NotSeparable, NotSolvableShape, PreconditionFailed
 from .grammar import print_expr
@@ -83,8 +83,21 @@ def _field(coords, q):
     """The u-field, a q-tuple of normal forms, with the given coordinates."""
     comps = [[] for _ in range(q)]
     for (a, m), r in coords.items():
-        comps[a].append(r * m)
-    return tuple(normalize(sp.Add(*c)) for c in comps)
+        comps[a].append((r, m))
+    return tuple(map(_combination, comps))
+
+
+def _combination(pairs):
+    """sum r * e over (r, e) pairs, r rational and e a normal form, from the
+    ``split_monomials`` terms of the e; normalized when one is off the ring."""
+    splits = [split_monomials(e, ()) for _, e in pairs]
+    if None in splits:
+        return normalize(sp.Add(*[r * e for r, e in pairs]))
+    terms = {}
+    for (r, _), split in zip(pairs, splits):
+        for c, x, _ in split:
+            terms[x] = terms.get(x, QQ.zero) + QQ.convert(r) * c
+    return normal_forms([terms])[0]
 
 
 def _solve_rational(generators_coords, target_coords):
@@ -208,11 +221,8 @@ def build_pde_lie_system(nf, cap=10, seed=None):
     """Detect VG structure and express the rhs as sum_b b_j^b(x) X_b."""
     ws = nf.ws
     vg = vg_closure(nf, cap=cap)
-    b = {(j, beta): sp.Integer(0) for j in range(ws.p) for beta in range(vg.dimension)}
-    for j, pairs in vg.pieces.items():
-        for c, coords in pairs:
-            for beta, r in enumerate(coords):
-                b[(j, beta)] = normalize(b[(j, beta)] + r * c)
+    b = {(j, beta): _combination([(coords[beta], c) for c, coords in vg.pieces[j]])
+         for j in range(ws.p) for beta in range(vg.dimension)}
     # decomposition exactness
     for j in range(ws.p):
         for a in range(ws.q):
@@ -310,8 +320,8 @@ def _affine_coefficients(expr, w):
     for x, monomial in split_terms(expr, (w,)):
         if not monomial.keys() <= {w} or monomial.get(w, 0) > 1:
             return None
-        parts[monomial.get(w, 0)].append(x)
-    return tuple(normalize(sp.Add(*p)) for p in reversed(parts))
+        parts[monomial.get(w, 0)].append((1, x))
+    return tuple(map(_combination, reversed(parts)))
 
 
 def _potential(coeffs, ws):

@@ -9,15 +9,19 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing
 
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
-from jetsym.algebra import (_as_expr, _read, _ring_elements, _tree_normalize, derive,
-                            evaluate_at, substitutions, sum_of_products)
+from jetsym.algebra import (_E, _as_expr, _read, _ring_elements, _tree, _tree_normalize,
+                            derive, evaluate_at, substitutions, sum_of_products)
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import CyclicBinding, DivisionByZero
+from jetsym.geometry import lie_bracket
 from jetsym.grammar import KERNEL_CLASSES
+from jetsym.jets import VectorField, prolong
 from jetsym.problem import load_problem
 
 from conftest import evaluable_points, proportional, random_expr
@@ -369,6 +373,117 @@ def test_ring_reads_normal_forms_back(e):
     value = _read(n)
     if value is not None:
         assert sp.srepr(_as_expr(*_ring_elements([value])[0][0])) == sp.srepr(n)
+
+
+# The atoms of a ring as ``_ring_elements`` builds it: exponentials on two or
+# three directions and on the constant direction t = 1, then symbols, jets,
+# h(t), its canonical derivative and sin/cos/sinh/cosh/log atoms.
+_DIRECTIONS = st.lists(st.sampled_from([_t, _x1, _u, _h]), min_size=2, max_size=3, unique=True)
+_ATOMS = st.lists(st.sampled_from(_PLAIN_GENERATORS + _KERNELS), max_size=4, unique=True)
+_coefficients = st.builds(QQ, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+_powers = st.one_of(st.just(0), st.integers(1, 6))
+
+
+@st.composite
+def _ring_values(draw):
+    """A ring element whose exponential generators are exp(t/d)."""
+    directions = draw(_DIRECTIONS) + [sp.S.One]
+    gens = [sp.exp(t / draw(st.integers(1, 3))) for t in directions] + draw(_ATOMS)
+    ring = PolyRing(tuple(gens), QQ)
+    monomials = st.tuples(*[_powers] * ring.ngens)
+    return ring.from_dict(draw(st.dictionaries(monomials, _coefficients, max_size=5)))
+
+
+@st.composite
+def _read_sums(draw):
+    """A ``_read`` sum: exp(t) atoms with rational exponents of either sign,
+    the other atoms with positive integer ones."""
+    gens = [sp.exp(t) for t in draw(_DIRECTIONS)] + [_E] + draw(_ATOMS)
+    n = sum(type(g) is sp.exp for g in gens)
+    exponents = st.tuples(*[st.builds(sp.Rational, st.integers(-6, 6), st.integers(1, 3))] * n,
+                          *[_powers] * (len(gens) - n))
+    monomials = st.builds(lambda ks: frozenset((g, k) for g, k in zip(gens, ks) if k), exponents)
+    return draw(st.dictionaries(monomials, _coefficients, max_size=5))
+
+
+def _same_tree(a, b):
+    """a and b node for node: srepr shows each node's class and assumptions
+    but prints the arguments of a sum or product in its own order, and ==
+    compares them in stored order."""
+    return sp.srepr(a) == sp.srepr(b) and a == b
+
+
+_RING = PolyRing((sp.exp(_x1 / 2), sp.exp(sp.Rational(1, 3)), _u, sp.sin(_u)), QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_values())
+@example(_RING.zero)
+@example(_RING(QQ(-7, 2)))
+@example(_RING.from_dict({(3, 2, 6, 1): QQ(-5, 3)}))
+@example(_RING.from_dict({(0, 0, 0, 0): QQ(1, 2), (1, 0, 2, 0): QQ(-3)}))
+def test_ring_element_tree_is_as_expr(p):
+    """A ring element converts (``_as_expr`` with D = 1, which is ``_tree``
+    of its terms) to the tree ``PolyElement.as_expr`` builds, node for
+    node."""
+    assert _same_tree(_as_expr(p, 1), p.as_expr())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_read_sums())
+@example({})
+@example({frozenset(): QQ(3, 4)})
+@example({frozenset(): QQ(3, 4), frozenset({(_u, 2)}): QQ(-1)})
+@example({frozenset({(_E, sp.Rational(-1, 2)), (sp.exp(_u), 2), (_h, 6)}): QQ(-2)})
+def test_read_sum_tree_is_the_constructors_tree(terms):
+    """``_tree`` of a ``_read`` sum is the tree sympy's constructors build
+    from its terms, node for node."""
+    reference = sp.Add(*[QQ.to_sympy(c) * sp.Mul(*[
+        sp.exp(k * g.args[0]) if type(g) is sp.exp else g ** k for g, k in m])
+        for m, c in terms.items()])
+    assert _same_tree(_tree(tuple((m, QQ.to_sympy(c)) for m, c in terms.items())), reference)
+
+
+def test_tree_needs_distinct_ring_atoms():
+    """``_tree`` only sorts, which is all ``flatten`` does to products of
+    ring atoms.  A generator that is a sum, which ``Elimination`` allows for
+    an unreadable entry, is distributed over by ``flatten``, and two
+    constant exponentials combine; so ``Elimination`` keeps ``as_expr``."""
+    p = PolyRing((_x1 + _u,), QQ).from_dict({(1,): QQ(2)})
+    assert p.as_expr() == 2 * _x1 + 2 * _u
+    assert _as_expr(p, 1) == sp.Mul(2, _x1 + _u, evaluate=False)
+    constants = (sp.exp(sp.Rational(1, 2)), sp.exp(sp.Rational(1, 3)))
+    q = PolyRing(constants, QQ).from_dict({(1, 1): QQ(1)})
+    assert q.as_expr() == sp.exp(sp.Rational(5, 6))
+    assert _as_expr(q, 1) == sp.Mul(*constants, evaluate=False)
+
+
+def test_hot_path_builds_no_tree_with_as_expr(monkeypatch, capsys):
+    """Ring values become trees through ``_tree``, never through
+    ``PolyElement.as_expr`` and sympy's ``flatten``: a derive-determining
+    ladder rung and a prolongation-bracket check call it 0 times from a cold
+    cache.  On the problem fixtures the only calls left are those of
+    ``Elimination.minor`` and ``Elimination.solution``, which keep it for
+    their opaque generators, and those inside sympy's own ``cancel`` and
+    ``integrate``."""
+    calls = []
+    real = PolyElement.as_expr
+    monkeypatch.setattr(PolyElement, "as_expr", lambda p, *a: calls.append(p) or real(p, *a))
+    root = Path(__file__).resolve().parent.parent
+    sp.core.cache.clear_cache()
+    main(["derive-determining", str(root / "perfbench" / "problems" / "sine-gordon-n2.jetsym"),
+          "--format", "json"])
+    capsys.readouterr()
+    ws = _PLAIN_WS
+    t, x1, u = ws.independent + ws.dependent
+    Y = VectorField(ws, (1 + 2 * x1, 3 - t), (u ** 2 - t,))
+    Z = VectorField(ws, (2 + u, 1 - 3 * u), (x1 * u + 4,))
+    sp.core.cache.clear_cache()
+    PB, PY, PZ = prolong(lie_bracket(Y, Z), 2), prolong(Y, 2), prolong(Z, 2)
+    for K in [(0, 0), (1, 0), (1, 1), (0, 2)]:
+        lhs = PY.apply_to(PZ.coefficient(0, K)) - PZ.apply_to(PY.coefficient(0, K))
+        assert is_zero(lhs - PB.coefficient(0, K)) is ZeroVerdict.ZERO
+    assert calls == []
 
 
 def test_nonzero_residuals_off_the_ring_stay_structural():
