@@ -5,25 +5,24 @@ pins down the canonical form and the engine-wide three-valued zero test.
 Exact rational arithmetic throughout; the zero test encloses values in
 interval arithmetic, and no float decides a verdict.
 
-The hot path is one sparse ring over QQ (``sympy.polys.rings.PolyRing``),
-built per call on the atoms of its input (``_ring_elements``).  Its
-generators are symbols, applied unknown functions, canonical Derivatives,
-non-constant sin/cos/sinh/cosh/log atoms and, for each direction t of an
-exponential exp(c*t) with c rational (t = 1 for a rational constant), one
-generator exp(t/d), d the lcm of t's exponent denominators.  One reader,
-``_read``, turns a tree into ring terms, for every operation below.  A
-value is a pair (N, D) that stands for N / D: D is 1 for a polynomial, a
-monomial in the exponential generators for a sum with negative exponents,
-and any element for a rational function.  Pairs combine without
-cancelling and convert back once (``_as_expr``).  ``normalize``,
-``derive``, ``sum_of_products`` and ``difference``, ``substitutions``,
-``normal_forms``, the zero test's structural certificate and
-``Elimination`` compute there; symbolic and fractional powers, other
-constant kernels and a log that ``sympy.expand_log`` splits take sympy's
-trees and ``sympy.cancel``.  For the zero test and family collection,
+The hot path runs on the values of one reader, ``_read``, which turns a
+tree into sums of monomials over QQ.  Atoms are symbols, applied unknown
+functions, canonical Derivatives, non-constant sin/cos/sinh/cosh/log atoms
+and, for each direction t of an exponential exp(c*t) with c rational (t = 1
+for a rational constant), one atom exp(t) with rational exponents.  A value
+is a pair (N, D) that stands for N / D, D a product of sums: empty for a
+polynomial.  ``derive``, ``sum_of_products`` and ``difference`` and
+``substitutions`` multiply and add values without cancelling
+(``_product``, ``_plus``, ``_derivation``) and put the result in normal
+form once (``_normal_form``): a polynomial is built as a tree at once.  A
+sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to cancel
+a quotient or a sum with negative exponents (``_ring_elements``,
+``_as_expr``), and in ``Elimination``.  Symbolic and fractional powers,
+other constant kernels and a log that ``sympy.expand_log`` splits take
+sympy's trees and ``sympy.cancel``.  For the zero test and family collection,
 ``euler`` rewrites sin, cos, sinh and cosh through Euler's formula over the
-Gaussian rationals QQ_I, so that their identities cancel in the ring;
-normal forms stay in sin and cos.
+Gaussian rationals QQ_I, so that their identities cancel as sums; normal
+forms stay in sin and cos.
 """
 
 from __future__ import annotations
@@ -278,8 +277,7 @@ def _atoms(values):
 
 def _ring_elements(values):
     """``_read`` values (N, D) as pairs of one sparse ring over QQ on their
-    atoms, each factor of D multiplied in the ring; also each atom's
-    generator index and the denominator d of each exp(t).
+    atoms, each factor of D multiplied in the ring.
 
     The generator of exp(t) is exp(t/d), d the lcm of t's exponent
     denominators, so its exponents are integers.  A sum with negative
@@ -316,24 +314,7 @@ def _ring_elements(values):
             b, t = pair(f)
             a, s = a * t ** k, s * b ** k
         elements.append((a, s))
-    return elements, index, dens
-
-
-def _sum(pairs, ring):
-    """The sum of pairs (N, D), over the lcm of their denominators: no
-    numerator is cancelled."""
-    n, d = ring.zero, 1
-    for a, b in pairs:
-        if not a:
-            continue
-        if not n:
-            n, d = a, b
-        elif b == d:
-            n = n + a
-        else:
-            _, p, q = ring(d).cofactors(ring(b))
-            n, d = n * q + a * p, d * q
-    return n, d
+    return elements
 
 
 def _as_expr(n, d):
@@ -354,11 +335,30 @@ def _as_expr(n, d):
     return p if q is sp.S.One else p / q
 
 
-def _derivation(p, images):
-    """X(p) = sum_i dp/dg_i * X(g_i) for a ring element p, given the pairs
-    X(g_i) by generator index."""
-    used = [any(column) for column in zip(*p)]
-    return _sum(((p.diff(i) * a, b) for i, (a, b) in images.items() if used[i]), p.ring)
+def _derivation(value, images):
+    """X(N / D) for a ``_read`` value, given the values X(g) of its atoms g
+    by atom (X(t) for g = exp(t)); an atom without one has X(g) = 0.  The
+    product rule on each monomial, where g**k gives k g**(k - 1) X(g) and
+    exp(t)**k gives k X(t) exp(k t), and the quotient rule on each factor
+    f**k of D: X(N / D) = X(N) / D - sum k N X(f) / (f D).  Nothing is
+    cancelled."""
+    num, den = value
+    partials = {}
+    for m, c in num.items():
+        for g, k in m:
+            if g in images and c:
+                if type(g) is sp.exp:
+                    rest, c2 = m, c * QQ(k.p, k.q)
+                else:
+                    rest, c2 = m - {(g, k)} | ({(g, k - 1)} if k > 1 else set()), c * k
+                partial = partials.setdefault(g, {})
+                partial[rest] = partial[rest] + c2 if rest in partial else c2
+    out = _plus(_product((partial, {}), images[g]) for g, partial in partials.items())
+    if not den:
+        return out
+    return _plus([_product(out, (_ONE, den)), *(
+        _product(({m: -k * c for m, c in num.items()}, {**den, key: (f, k + 1)}),
+                 _derivation((f, {}), images)) for key, (f, k) in den.items())])
 
 
 def derive(e, images):
@@ -370,12 +370,11 @@ def derive(e, images):
     X(exp(c t)) = c X(t) exp(c t).
 
     e and the images are normal forms.  When ``_read`` reads them and the
-    atoms' images, X runs on pairs of one sparse ring over QQ
-    (``_ring_elements``): X(N / D) = (X(N) D - N X(D)) / D**2, where a
-    generator E = exp(t / d) has the image E X(t) / d.  Otherwise it is
-    ``sp.diff`` on the expression tree, summed and normalized.  Both give
-    the same normal form, which sympy's cache keeps, as it keeps
-    ``sp.diff``'s.
+    atoms' images, X runs on the values themselves (``_derivation``) and the
+    result is put in normal form once (``_normal_form``), which builds a ring
+    only to cancel a quotient.  Otherwise it is ``sp.diff`` on the expression
+    tree, summed and normalized.  Both give the same normal form, which
+    sympy's cache keeps, as it keeps ``sp.diff``'s.
     """
     return _derive(sp.sympify(e), tuple(images.items()))
 
@@ -395,24 +394,15 @@ def _derive(e, images):
                 if own:
                     needed[g] = _read(_image(g, own))
         if None not in needed.values():
-            ((n, d), *values), index, dens = _ring_elements([value, *needed.values()])
-            gens, x = n.ring.gens, {}
-            for g, (a, b) in zip(needed, values):
-                i = index[g]
-                x[i] = (a * gens[i] * QQ(1, dens[g]), b) if g in dens else (a, b)
-            (a, b), (c, f) = _derivation(n, x), _derivation(n.ring(d), x)
-            if not c:
-                return _as_expr(a, b * d)
-            m, k = _sum([(a * d, b), (n * -c, f)], n.ring)
-            return _as_expr(m, k * d ** 2)
+            return _normal_form(None, _derivation(value, needed))
     return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
 
 
 @cacheit
 def _image(g, images):
-    """X(g) for an atom g of the ring that is not a chart symbol, given the
-    images of its own free symbols: computed once per atom and images, in
-    the ring where ``sum_of_products`` can.  For g = exp(t) it is X(t)."""
+    """X(g) for an atom g of a ``_read`` value that is not a chart symbol,
+    given the images of its own free symbols: computed once per atom and
+    images.  For g = exp(t) it is X(t)."""
     images = dict(images)
     if isinstance(g, sp.exp):
         return derive(g.args[0], images)
@@ -423,19 +413,18 @@ def _image(g, images):
 
 
 def sum_of_products(pairs):
-    """sum a * b over the (a, b) pairs, normalized; in the sparse ring of
-    ``derive`` when ``_read`` reads every factor."""
+    """sum a * b over the (a, b) pairs, normalized: on their ``_read``
+    values (``_product``, ``_plus``) when it reads every factor, put in
+    normal form once."""
     values = [_read(sp.sympify(f)) for pair in pairs for f in pair]
     if None in values:
         return normalize(sp.Add(*[a * b for a, b in pairs]))
-    values, _, _ = _ring_elements(values)
-    return _as_expr(*_sum(((a * c, b * d) for (a, b), (c, d) in zip(values[::2], values[1::2])),
-                          values[0][0].ring))
+    return _normal_form(None, _plus(map(_product, values[::2], values[1::2])))
 
 
 def difference(a, b):
-    """a - b for normal forms, normalized: 0 when they are equal, which
-    needs no ring, else in the ring of ``sum_of_products``."""
+    """a - b for normal forms, normalized: 0 when they are equal, else
+    ``sum_of_products``."""
     return sp.S.Zero if a == b else sum_of_products([(1, a), (-1, b)])
 
 
@@ -449,8 +438,8 @@ def substitutions(e, combos):
     symbols to normal forms.  When ``_read`` reads e = N / D and the
     values, no atom of D and no other atom of N meets the symbols, N's terms
     are grouped by their monomial in the symbols, and each combo is the sum
-    of the groups' coefficients times the values' powers, over D, in one
-    ring that holds them all.
+    of the groups' coefficients times the values' powers, over D, computed
+    on ``_read`` values and put in normal form once.
     """
     e = sp.sympify(e)
     symbols = set().union(*combos)
@@ -464,20 +453,10 @@ def substitutions(e, combos):
     for m, c in reads[0][0].items():
         inner = frozenset((g, k) for g, k in m if g in symbols)
         groups.setdefault(inner, {})[m - inner] = c
-    elements, _, _ = _ring_elements([*((group, {}) for group in groups.values()),
-                                     (_ONE, reads[0][1]), *reads[1:]])
-    (s, d), value_of = elements[len(groups)], dict(zip(values, elements[len(groups) + 1:]))
-    out = []
-    for combo in combos:
-        parts = []
-        for inner, (a, b) in zip(groups, elements):
-            for g, k in inner:
-                value, den = value_of[combo[g]]
-                a, b = a * value ** k, b * den ** k
-            parts.append((a, b))
-        a, b = _sum(parts, s.ring)
-        out.append(_as_expr(a * s, b * d))
-    return out
+    value_of = dict(zip(values, reads[1:]))
+    return [_normal_form(None, _product((_ONE, reads[0][1]), _plus(
+        reduce(_product, [value_of[combo[g]] for g, k in inner for _ in range(k)], (group, {}))
+        for inner, group in groups.items()))) for combo in combos]
 
 
 def _times(a, b):
@@ -495,6 +474,39 @@ def _times(a, b):
             m = frozenset((g, k) for g, k in m.items() if k)
             out[m] = out.get(m, QQ.zero) + ca * cb
     return out
+
+
+def _product(a, b):
+    """The product of two ``_read`` values (N, D): ``_times`` of the
+    numerators over the product of the denominators, equal factors merged."""
+    (n, d), (m, e) = a, b
+    if d and e:
+        e = {**d, **{key: (f, d[key][1] + k) if key in d else (f, k)
+                     for key, (f, k) in e.items()}}
+    return _times(n, m), e or d
+
+
+def _plus(values):
+    """The sum of ``_read`` values (N, D): the numerators summed over each
+    distinct denominator, and the sums over the least common multiple of
+    their factors.  No numerator is cancelled; a value 0 is left out."""
+    groups = {}     # the numerators summed over each distinct denominator
+    for n, d in values:
+        if not any(n.values()):
+            continue
+        group = groups.setdefault(frozenset((key, k) for key, (_, k) in d.items()) if d
+                                  else None, ({}, d))[0]
+        for m, c in n.items():
+            group[m] = group[m] + c if m in group else c
+    if len(groups) == 1:
+        return next(iter(groups.values()))
+    num, lcm = {}, {}
+    for _, d in groups.values():
+        lcm.update((key, (g, k)) for key, (g, k) in d.items() if k > lcm.get(key, (g, 0))[1])
+    for n, d in groups.values():
+        for m, c in _scaled(n, d, lcm).items():
+            num[m] = num[m] + c if m in num else c
+    return num, lcm
 
 
 def _scaled(num, den, lcm):
@@ -529,24 +541,8 @@ def _read(e):
     multiply into one monomial.  Cached, since the engine reads the same
     normal forms again and again; no caller changes a value."""
     if e.is_Add:
-        groups = {}     # the numerators summed over each distinct denominator
-        for f in e.args:
-            if (value := _read(f)) is None:
-                return None
-            n, d = value
-            group = groups.setdefault(frozenset((key, k) for key, (_, k) in d.items()) if d
-                                      else None, ({}, d))[0]
-            for m, c in n.items():
-                group[m] = group[m] + c if m in group else c
-        if len(groups) == 1:
-            return next(iter(groups.values()))
-        num, lcm = {}, {}
-        for _, d in groups.values():
-            lcm.update((key, (g, k)) for key, (g, k) in d.items() if k > lcm.get(key, (g, 0))[1])
-        for n, d in groups.values():
-            for m, c in _scaled(n, d, lcm).items():
-                num[m] = num[m] + c if m in num else c
-        return num, lcm
+        values = [_read(f) for f in e.args]
+        return None if None in values else _plus(values)
     if e.is_Mul:
         c, monomial, num, den = sp.S.One, {}, _ONE, {}
         for f in e.args:
@@ -566,9 +562,7 @@ def _read(e):
                     for g, k in m:
                         monomial[g] = monomial[g] + k if g in monomial else k
                     continue
-            num = _times(num, n)
-            for key, (g, k) in d.items():
-                den[key] = (g, den[key][1] + k) if key in den else (g, k)
+            num, den = _product((num, den), value)
         m = frozenset((g, k) for g, k in monomial.items() if k)
         return _times(num, {m: QQ.dtype(c.p, c.q)}), den
     if e.is_Pow:
@@ -623,7 +617,8 @@ def normalize(e):
     path keeps a log that ``sympy.expand_log`` changes: symbols are real,
     so log(4*x1*x2) expands to log(x1*x2) + 2*log(2).
 
-    ``derive`` and ``sum_of_products`` return this form from the ring.
+    ``derive``, ``sum_of_products`` and ``substitutions`` return this form
+    of the values they compute.
     """
     e = sp.sympify(e)
     return _normal_form(e, _read(e))
@@ -632,14 +627,13 @@ def normalize(e):
 def _normal_form(e, value):
     """``normalize(e)`` given ``_read(e)``, e itself when it is normal; the
     form of the value for e None.  A polynomial is built at once
-    (``_tree``), any other value converted from its sparse ring."""
+    (``_tree``); any other value is cancelled in its sparse ring."""
     if value is None:
         return _tree_normalize(e)
     if _plain(value):
         out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in value[0].items() if c))
     else:
-        (pair,), _, _ = _ring_elements([value])
-        out = _as_expr(*pair)
+        out = _as_expr(*_ring_elements([value])[0])
     return e if e is not None and out == e else out
 
 
@@ -866,8 +860,8 @@ class Elimination:
         entries = [sp.sympify(e) for row in matrix for e in row]
         values = [_read(e) for e in entries]
         opaque = {e for e, value in zip(entries, values) if value is None}
-        elements, _, _ = _ring_elements([({frozenset({(e, 1)}): QQ.one}, {}) if value is None
-                                         else value for e, value in zip(entries, values)])
+        elements = _ring_elements([({frozenset({(e, 1)}): QQ.one}, {}) if value is None
+                                   else value for e, value in zip(entries, values)])
         ring = elements[0][0].ring
         field = ring.to_domain().get_field().field
 

@@ -89,9 +89,17 @@ _laurent_monomials = st.builds(
     st.lists(_exps, max_size=2))
 _laurent_sums = st.builds(lambda terms: sp.Add(*terms), st.lists(_laurent_monomials, max_size=4))
 _laurent = st.one_of(_laurent_sums, st.builds(lambda a, b: a * b, _laurent_sums, _laurent_sums))
-# Laurent sums over 1 + g*s, which no polynomial g*s makes 0
-_rational = st.builds(lambda a, g, s: a / (1 + g * s), _laurent_sums,
-                      st.sampled_from(_PLAIN_GENERATORS), _sums)
+# Laurent sums over 1 + g*s, which no polynomial g*s makes 0, or over
+# (1 + g*s)**k * (1 + g'*s') for generators s and s', so that a sum and a
+# derivative meet several denominator factors and powers.  Images and
+# substituted values keep one factor: a value over (1 + g*s)**2 raised to a
+# jet's fourth power makes the reference's gcd take seconds.
+_generator = st.sampled_from(_PLAIN_GENERATORS)
+_quotient = st.builds(lambda a, g, s: a / (1 + g * s), _laurent_sums, _generator, _sums)
+_rational = st.one_of(
+    _quotient,
+    st.builds(lambda a, g, s, k, g2, s2: a / ((1 + g * s) ** k * (1 + g2 * s2)),
+              _laurent_sums, _generator, _generator, st.integers(1, 2), _generator, _generator))
 
 
 def _exponents(n):
@@ -134,6 +142,13 @@ def test_laurent_normal_form_shifts_minimally():
     assert sp.exp(-2 * _u) in sp.Mul.make_args(sp.cancel(e))
 
 
+def _same_tree(a, b):
+    """a and b node for node: srepr shows each node's class and assumptions
+    but prints the arguments of a sum or product in its own order, and ==
+    compares them in stored order."""
+    return sp.srepr(a) == sp.srepr(b) and a == b
+
+
 def _tree_derive(e, images):
     """The expression-tree formula that ``derive`` falls back to."""
     return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
@@ -144,7 +159,7 @@ _CHART = [g for g in _PLAIN_GENERATORS if g.is_Symbol]
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_plain, _laurent, _rational),
-       st.dictionaries(st.sampled_from(_CHART), st.one_of(_sums, _laurent_sums, _rational),
+       st.dictionaries(st.sampled_from(_CHART), st.one_of(_sums, _laurent_sums, _quotient),
                        min_size=1))
 def test_derive_ring_matches_tree(e, images):
     """On the ring -- polynomials, kernels, Laurent exponentials and
@@ -155,9 +170,7 @@ def test_derive_ring_matches_tree(e, images):
     images = {s: normalize(v) for s, v in images.items()}
     assert _read(e) is not None
     assert all(_read(v) is not None for v in images.values())
-    out, reference = derive(e, images), _tree_derive(e, images)
-    assert out == reference
-    assert sp.srepr(out) == sp.srepr(reference)
+    assert _same_tree(derive(e, images), _tree_derive(e, images))
 
 
 # a u^(1/2) factor is off the ring: sum_of_products falls back to normalize
@@ -171,9 +184,7 @@ _off_ring = st.builds(lambda a: a * sp.sqrt(_u), _sums)
 @example([(sp.sqrt(_u), _x1)])
 def test_sum_of_products_ring_matches_tree(pairs):
     pairs = [(normalize(a), normalize(b)) for a, b in pairs]
-    out = sum_of_products(pairs)
-    reference = normalize(sp.Add(*[a * b for a, b in pairs]))
-    assert sp.srepr(out) == sp.srepr(reference)
+    assert _same_tree(sum_of_products(pairs), normalize(sp.Add(*[a * b for a, b in pairs])))
 
 
 _JETS = [_PLAIN_WS.parse(text) for text in ("u_{x1}", "u_{t,x1}")]
@@ -181,7 +192,7 @@ _JETS = [_PLAIN_WS.parse(text) for text in ("u_{x1}", "u_{t,x1}")]
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_laurent, _rational),
-       st.lists(st.fixed_dictionaries({s: st.one_of(_sums, _laurent_sums, _rational)
+       st.lists(st.fixed_dictionaries({s: st.one_of(_sums, _laurent_sums, _quotient)
                                        for s in _JETS}),
                 min_size=1, max_size=3),
        st.sets(st.sampled_from(_JETS), min_size=1))
@@ -193,7 +204,8 @@ def test_substitutions_ring_matches_tree(e, combos, symbols):
     combos = [{s: normalize(v) for s, v in combo.items() if s in symbols} for combo in combos]
     assert _read(e) is not None
     out = substitutions(e, combos)
-    assert [sp.srepr(n) for n in out] == [sp.srepr(normalize(e.xreplace(c))) for c in combos]
+    assert len(out) == len(combos)
+    assert all(_same_tree(n, normalize(e.xreplace(c))) for n, c in zip(out, combos))
 
 
 def test_substitutions_fall_back_off_the_ring(monkeypatch):
@@ -311,10 +323,12 @@ _trees = st.recursive(
 
 
 def _normal_or_error(f, e):
+    """f(e) with its srepr, which == then compares in stored argument order."""
     try:
-        return sp.srepr(f(e))
+        out = f(e)
     except DivisionByZero:
         return "DivisionByZero"
+    return sp.srepr(out), out
 
 
 # quotients whose numerator and denominator share a factor G, expanded so
@@ -372,7 +386,7 @@ def test_ring_reads_normal_forms_back(e):
     n = normalize(e)
     value = _read(n)
     if value is not None:
-        assert sp.srepr(_as_expr(*_ring_elements([value])[0][0])) == sp.srepr(n)
+        assert _same_tree(_as_expr(*_ring_elements([value])[0]), n)
 
 
 # The atoms of a ring as ``_ring_elements`` builds it: exponentials on two or
@@ -404,13 +418,6 @@ def _read_sums(draw):
                           *[_powers] * (len(gens) - n))
     monomials = st.builds(lambda ks: frozenset((g, k) for g, k in zip(gens, ks) if k), exponents)
     return draw(st.dictionaries(monomials, _coefficients, max_size=5))
-
-
-def _same_tree(a, b):
-    """a and b node for node: srepr shows each node's class and assumptions
-    but prints the arguments of a sum or product in its own order, and ==
-    compares them in stored order."""
-    return sp.srepr(a) == sp.srepr(b) and a == b
 
 
 _RING = PolyRing((sp.exp(_x1 / 2), sp.exp(sp.Rational(1, 3)), _u, sp.sin(_u)), QQ)
@@ -465,25 +472,34 @@ def test_hot_path_builds_no_tree_with_as_expr(monkeypatch, capsys):
     cache.  On the problem fixtures the only calls left are those of
     ``Elimination.minor`` and ``Elimination.solution``, which keep it for
     their opaque generators, and those inside sympy's own ``cancel`` and
-    ``integrate``."""
-    calls = []
+    ``integrate``.
+
+    Derivatives, sums and substitutions run on ``_read`` values, and a ring
+    is built only to cancel a quotient or a sum with negative exponents
+    (``_normal_form``) and in ``Elimination``: the bracket check, all
+    polynomial, builds none, and the rung at most one."""
+    calls, rings = [], []
     real = PolyElement.as_expr
     monkeypatch.setattr(PolyElement, "as_expr", lambda p, *a: calls.append(p) or real(p, *a))
+    monkeypatch.setattr(algebra, "PolyRing", lambda *a: rings.append(a) or PolyRing(*a))
     root = Path(__file__).resolve().parent.parent
     sp.core.cache.clear_cache()
     main(["derive-determining", str(root / "perfbench" / "problems" / "sine-gordon-n2.jetsym"),
           "--format", "json"])
     capsys.readouterr()
+    assert len(rings) <= 1
     ws = _PLAIN_WS
     t, x1, u = ws.independent + ws.dependent
     Y = VectorField(ws, (1 + 2 * x1, 3 - t), (u ** 2 - t,))
     Z = VectorField(ws, (2 + u, 1 - 3 * u), (x1 * u + 4,))
     sp.core.cache.clear_cache()
+    rings.clear()
     PB, PY, PZ = prolong(lie_bracket(Y, Z), 2), prolong(Y, 2), prolong(Z, 2)
     for K in [(0, 0), (1, 0), (1, 1), (0, 2)]:
         lhs = PY.apply_to(PZ.coefficient(0, K)) - PZ.apply_to(PY.coefficient(0, K))
         assert is_zero(lhs - PB.coefficient(0, K)) is ZeroVerdict.ZERO
     assert calls == []
+    assert rings == []
 
 
 def test_nonzero_residuals_off_the_ring_stay_structural():
