@@ -7,19 +7,19 @@ interval arithmetic, and no float decides a verdict.
 
 The hot path runs on the values of one reader, ``_read``, which turns a
 tree into sums of monomials over QQ.  Atoms are symbols, applied unknown
-functions, canonical Derivatives, non-constant sin/cos/sinh/cosh/log atoms
-and, for each direction t of an exponential exp(c*t) with c rational (t = 1
-for a rational constant), one atom exp(t) with rational exponents.  A value
-is a pair (N, D) that stands for N / D, D a product of sums: empty for a
-polynomial.  ``derive``, ``sum_of_products`` and ``difference`` and
-``substitutions`` multiply and add values without cancelling
-(``_product``, ``_plus``, ``_derivation``) and put the result in normal
-form once (``_normal_form``): a polynomial is built as a tree at once.  A
-sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to cancel
-a quotient or a sum with negative exponents (``_ring_elements``,
-``_as_expr``), and in ``Elimination``.  Symbolic and fractional powers,
-other constant kernels and a log that ``sympy.expand_log`` splits take
-sympy's trees and ``sympy.cancel``.  For the zero test and family collection,
+functions, canonical Derivatives, non-constant sin/cos/sinh/cosh/log atoms,
+logs of positive rationals and, for each direction t of an exponential
+exp(c*t) with c rational (t = 1 for a rational constant), one atom exp(t)
+with rational exponents; a log that ``sympy.expand_log`` splits reads as
+its split.  A value is a pair (N, D) that stands for N / D, D a product of
+sums: empty for a polynomial.  ``derive``, ``sum_of_products``,
+``difference`` and ``substitutions`` multiply and add values without
+cancelling (``_product``, ``_plus``, ``_derivation``) and put the result in
+normal form once (``_normal_form``), a tree built at once for a value
+without a denominator.  A sparse ring over QQ (``sympy.polys.rings.PolyRing``)
+is built only to cancel a quotient (``_ring_elements``, ``_as_expr``), and in
+``Elimination``.  Symbolic and fractional powers and other constant kernels
+take sympy's trees and ``sympy.cancel``.  For the zero test and family collection,
 ``euler`` rewrites sin, cos, sinh and cosh through Euler's formula over the
 Gaussian rationals QQ_I, so that their identities cancel as sums; normal
 forms stay in sin and cos.
@@ -75,10 +75,6 @@ class ZeroResult:
 _BAD_CONSTANTS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
-def _canonical_derivatives(e):
-    return e.replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.canonical)
-
-
 @cacheit
 def _normal_kernel(k):
     """The kernel k with its argument normalized (k itself when the argument
@@ -86,25 +82,29 @@ def _normal_kernel(k):
     is not a polynomial stands expanded, as on the tree path, and exp(a)
     reads as the product of exp(t) over the terms t of a, as
     ``sympy.expand`` splits it: exp(x2 + 1/u) is exp(x2)*exp(1/u), and
-    exp(sqrt(x)) is read although sqrt(x) is off the ring.  The value is
-    None for a constant kernel other than exp of a Rational, exp of a term
-    with no ``_direction``, another kernel of an argument off the ring and a
-    log that ``sympy.expand_log`` changes."""
+    exp(sqrt(x)) is read although sqrt(x) is off the ring.  A log that
+    ``sympy.expand_log`` splits reads as its split, log(4*x) as
+    log(x) + 2*log(2), and a log of a positive rational it leaves whole is
+    an atom.  The value is None for any other constant kernel but exp of a
+    Rational, exp of a term with no ``_direction`` and another kernel of an
+    argument off the ring."""
     a = k.args[0]
     value = _read(a)
     n = _normal_form(a, value)
     n = k if n is a else type(k)(n)
     if type(n) is not type(k):
         return n, _read(n)
-    if value is None and type(n) is not sp.exp or (
-            type(n) is sp.log and sp.expand_log(n, deep=False) != n):
+    if type(n) is sp.log and (split := sp.expand_log(n, deep=False)) != n:
+        return n, _read(split)
+    if value is None and type(n) is not sp.exp:
         return n, None
     if value is None or not _plain(value):
         n = type(k)(sp.Add(*map(normalize, sp.Add.make_args(sp.expand(n.args[0])))))
         if type(n) is not type(k):
             return n, None
     if type(n) is not sp.exp:
-        return n, ({frozenset({(n, 1)}): QQ.one}, {}) if n.free_symbols else None
+        atom = n.free_symbols or type(n) is sp.log and n.args[0].is_Rational
+        return n, ({frozenset({(n, 1)}): QQ.one}, {}) if atom else None
     m = _exponent(n.args[0])
     return n, None if m is None else ({m: QQ.one}, {})
 
@@ -119,10 +119,6 @@ def _exponent(a):
         g, c = direction
         monomial[g] = monomial.get(g, 0) + c
     return frozenset((g, c) for g, c in monomial.items() if c)
-
-
-def _normalize_kernel_args(e):
-    return e.replace(lambda n: isinstance(n, KERNEL_CLASSES), lambda k: _normal_kernel(k)[0])
 
 
 _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
@@ -592,31 +588,29 @@ def normalize(e):
 
     Kernel arguments are normalized first; sympy's construction rules
     apply the parity of sin/cos/sinh/cosh and write exp(u)*exp(-u/2) as
-    exp(u/2), and exp(a + b) is split into exp(a)*exp(b) as
-    ``sympy.expand`` splits it.  No Pythagorean or other identity rewriting
-    takes place.  The form is idempotent and exact:
+    exp(u/2), and exp(a + b) and logs are split as ``sympy.expand`` splits
+    them: symbols are real, so log(4*x1*x2) is log(x1*x2) + 2*log(2).  No
+    Pythagorean or other identity rewriting takes place.  The form is
+    idempotent and exact:
 
-    - When the ring reads e as a polynomial with no negative exponent,
-      the expanded sum is the form, as ``sympy.cancel`` would return it.
-    - When it reads e as a pair (N, D), the form is ``_as_expr(N, D)``,
-      ``sympy.cancel``'s form of a rational function such as 1/(1 + u).
-      Each direction t of an exponential exp(c*t) is one generator
-      E = exp(t/d), d the lcm of t's exponent denominators, so a sum with
-      negative exponents is over the smallest monomial in the E that
-      clears them.  ``sympy.cancel`` can shift further, because it reads
-      exp(t) and exp(t/2) as unrelated generators:
+    - A polynomial with no negative exponent is the expanded sum, as
+      ``sympy.cancel`` would return it.
+    - A sum N with negative exponents is N*S / S, ``sympy.cancel``'s form,
+      with S the smallest monomial that clears them times the lcm of the
+      coefficients' denominators.  Each direction t of an exponential
+      exp(c*t) counts as one generator, so ``sympy.cancel``, which reads
+      exp(t) and exp(t/2) as unrelated, can shift further:
       a*exp(-u/2) + b*exp(-3*u/2) + x is
       (a*exp(u) + b + x*exp(3*u/2))*exp(-3*u/2) here and
       (a*exp(3*u/2) + b*exp(u/2) + x*exp(2*u))*exp(-2*u) there.
+    - A quotient (N, D) is ``_as_expr(N, D)``, ``sympy.cancel``'s form of
+      a rational function such as 1/(1 + u).
     - Any other input -- symbolic or fractional powers, constants such as
-      sin(1) -- is put in ``sympy.cancel``'s form.
+      sin(1) -- is put in ``sympy.cancel``'s form (``_tree_normalize``).
 
-    The pair is read off the input tree (``_read``), multiplied out in QQ
+    The value is read off the input tree (``_read``), multiplied out in QQ
     and converted once, with no ``sympy.expand`` or ``sympy.cancel``;
-    exp(c*x + c0) with c0 rational reads as exp(c0)*exp(c*x).  The tree
-    path keeps a log that ``sympy.expand_log`` changes: symbols are real,
-    so log(4*x1*x2) expands to log(x1*x2) + 2*log(2).
-
+    exp(c*x + c0) with c0 rational reads as exp(c0)*exp(c*x).
     ``derive``, ``sum_of_products`` and ``substitutions`` return this form
     of the values they compute.
     """
@@ -626,26 +620,36 @@ def normalize(e):
 
 def _normal_form(e, value):
     """``normalize(e)`` given ``_read(e)``, e itself when it is normal; the
-    form of the value for e None.  A polynomial is built at once
-    (``_tree``); any other value is cancelled in its sparse ring."""
+    form of the value for e None.  A value without a denominator is built
+    at once (``_tree``), with no ring; a quotient is cancelled in its
+    sparse ring."""
     if value is None:
         return _tree_normalize(e)
     if _plain(value):
         out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in value[0].items() if c))
-    else:
+    elif value[1]:
         out = _as_expr(*_ring_elements([value])[0])
+    else:
+        # N*S / S for negative exponents, S = L*prod g**s_g with least shifts
+        # s_g and L the lcm of the denominators: coprime, as PolyElement.cancel finds
+        num, shift = value[0], {}
+        for m, c in num.items():
+            shift.update((g, -k) for g, k in m if c and k < -shift.get(g, 0))
+        s = {frozenset(shift.items()): QQ(reduce(ilcm, (c.denominator for c in num.values())))}
+        out = _normal_form(None, (_times(num, s), {})) / _normal_form(None, (s, {}))
     return e if e is not None and out == e else out
 
 
 def _tree_normalize(e):
-    """``normalize`` on sympy's trees, for input ``_read`` rejects:
-    ``sympy.expand``, ``sympy.cancel`` unless the ring reads a polynomial,
-    and a quotient the ring reads converted through it, whose exponential
-    generators can cancel further than ``sympy.cancel``'s."""
+    """``normalize`` on sympy's trees, for input ``_read`` rejects
+    (symbolic or fractional powers, other constant kernels): ``sympy.expand``,
+    ``sympy.cancel`` unless the ring reads a polynomial, and a value the
+    ring reads after that put in its form (``_normal_form``), whose
+    exponential generators can cancel further than ``sympy.cancel``'s."""
     if e.has(*_BAD_CONSTANTS):
         raise DivisionByZero(f"undefined constant while normalizing {e}")
-    e = _canonical_derivatives(e)
-    e = _normalize_kernel_args(e)
+    e = e.replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.canonical).replace(
+        lambda n: isinstance(n, KERNEL_CLASSES), lambda k: _normal_kernel(k)[0])
     e = sp.expand(e)
     value = _read(e)
     if value is None or value[1]:

@@ -8,15 +8,17 @@ shapes are read by the ring's x/u splitter (``algebra.split_terms``), and a
 u-field's coordinates over the generators come from one exact reduction over
 QQ (``DomainMatrix.rref``).  For q = 1 and an algebra that a catalogued change of variable
 maps into the affine algebra <d/dw, w d/dw>, the system integrates by the
-homogeneous-times-particular quadrature scheme; antiderivatives that resist
-elementary integration stay as formal integral nodes and downgrade the
-verification verdict to Unknown.
+homogeneous-times-particular quadrature scheme, with potentials integrated
+term by term (``_antiderivative``); an integrand of another shape takes
+``sympy.integrate``, and one that resists elementary integration stays a
+formal integral node and downgrades the verification verdict to Unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import perm
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
@@ -24,7 +26,8 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .algebra import (ZeroVerdict, derive, difference, is_zero, monomial_expr, normal_forms,
-                      normalize, split_monomials, split_terms, substitute, zero_verdict)
+                      normalize, split_monomials, split_terms, substitute, sum_of_products,
+                      zero_verdict)
 from .condsym import compatibility_residuals, verify_solution
 from .errors import CapExceeded, NotSeparable, NotSolvableShape, PreconditionFailed
 from .grammar import print_expr
@@ -324,18 +327,40 @@ def _affine_coefficients(expr, w):
     return tuple(map(_combination, reversed(parts)))
 
 
+def _antiderivative(e, x):
+    """F with dF/dx = e, term by term as ``_read`` reads e, in normal form:
+    a factor free of x stays, x**k gives x**(k + 1)/(k + 1), x**k*exp(a*x)
+    the sum that integration by parts gives and D(h, x) gives h.  None for
+    a quotient or a term of another shape."""
+    split, out = split_monomials(e, (x,)), {}
+    for c, rest, m in split or ():
+        k, a, d = m.pop(x, 0), m.pop(sp.exp(x), 0), next(iter(m), None)
+        if m and (k or a or m != {d: 1} or not isinstance(d, sp.Derivative)
+                  or d.variable_count != ((x, 1),)):
+            return None
+        parts = [({d.expr: 1}, 1)] if m else [({x: k + 1}, sp.Rational(1, k + 1))] if not a else [
+            ({x: k - i, sp.exp(x): a}, (-1) ** i * perm(k, i) / a ** (i + 1)) for i in range(k + 1)]
+        for powers, q in parts:
+            key = rest | {(f, i) for f, i in powers.items() if i}
+            out[key] = out.get(key, QQ.zero) + c * QQ.convert(q)
+    return None if split is None else normal_forms([out])[0]
+
+
 def _potential(coeffs, ws):
-    """P with dP/dx_j = coeffs[j], built by iterated antiderivatives."""
+    """P with dP/dx_j = coeffs[j], built by iterated antiderivatives
+    (``_antiderivative``); ``sympy.integrate`` takes an integrand of another
+    shape, and a formal integral that it leaves sets unresolved."""
     P = sp.Integer(0)
     unresolved = False
     for j, x in enumerate(ws.independent):
         r = difference(coeffs[j], derive(P, {x: sp.S.One}))
         if r == 0:
             continue
-        g = sp.integrate(r, x)
-        if g.has(sp.Integral):
-            unresolved = True
-        P = normalize(P + g)
+        g = _antiderivative(r, x)
+        if g is None:
+            g = sp.integrate(r, x)
+            unresolved = unresolved or g.has(sp.Integral)
+        P = sum_of_products([(1, P), (1, g)])
     for j, x in enumerate(ws.independent):
         res = difference(derive(P, {x: sp.S.One}), coeffs[j])
         if res != 0 and not unresolved:

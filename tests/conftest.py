@@ -16,6 +16,13 @@ settings.register_profile("jetsym", derandomize=True, deadline=None, database=No
 settings.load_profile("jetsym")
 
 
+def same_tree(a, b):
+    """a and b node for node: srepr shows each node's class and assumptions
+    but prints the arguments of a sum or product in its own order, and ==
+    compares them in stored order."""
+    return sp.srepr(a) == sp.srepr(b) and a == b
+
+
 @pytest.fixture
 def ws2():
     """p=2, q=1 workspace in the wave-equation style."""

@@ -15,8 +15,9 @@ from sympy.polys.rings import PolyElement, PolyRing
 from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
-from jetsym.algebra import (_E, _as_expr, _read, _ring_elements, _tree, _tree_normalize,
-                            derive, evaluate_at, substitutions, sum_of_products)
+from jetsym.algebra import (_E, _as_expr, _normal_form, _read, _ring_elements, _tree,
+                            _tree_normalize, derive, evaluate_at, substitutions,
+                            sum_of_products)
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import CyclicBinding, DivisionByZero
 from jetsym.geometry import lie_bracket
@@ -24,7 +25,7 @@ from jetsym.grammar import KERNEL_CLASSES
 from jetsym.jets import VectorField, prolong
 from jetsym.problem import load_problem
 
-from conftest import evaluable_points, proportional, random_expr
+from conftest import evaluable_points, proportional, random_expr, same_tree as _same_tree
 
 
 def test_normalize_constant_folding(ws2):
@@ -140,13 +141,6 @@ def test_laurent_normal_form_shifts_minimally():
     n = normalize(e)
     assert n == (a * sp.exp(_u) + b + x * sp.exp(3 * _u / 2)) / sp.exp(3 * _u / 2)
     assert sp.exp(-2 * _u) in sp.Mul.make_args(sp.cancel(e))
-
-
-def _same_tree(a, b):
-    """a and b node for node: srepr shows each node's class and assumptions
-    but prints the arguments of a sum or product in its own order, and ==
-    compares them in stored order."""
-    return sp.srepr(a) == sp.srepr(b) and a == b
 
 
 def _tree_derive(e, images):
@@ -346,15 +340,16 @@ def test_normalize_reader_matches_tree(e):
     assert _normal_or_error(normalize, e) == _normal_or_error(_tree_normalize, e)
 
 
-def test_reader_leaves_expand_shaped_input_to_the_tree_path():
+def test_reader_reads_expand_shaped_input():
     """sympy.expand splits log(4*x1*x2), since the symbols are real: the
-    reader leaves it, and normalize gives the tree path's form.  Sums,
-    products, powers, exponentials of sums and exponentials with a rational
-    constant term, which sympy.expand writes as E*exp(x1), are read."""
+    reader splits it as sympy.expand_log does, with log(2) a constant atom,
+    and normalize gives the tree path's form.  Sums, products, powers,
+    exponentials of sums and exponentials with a rational constant term,
+    which sympy.expand writes as E*exp(x1), are read."""
     lam = _PLAIN_WS.parameters["lam"]
     x2 = sp.Symbol("x2", real=True)
     e = _t + sp.log(4 * _x1 * x2)
-    assert _read(e) is None
+    assert _read(e) is not None
     assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e)) == sp.srepr(
         _t + sp.log(_x1 * x2) + 2 * sp.log(2))
     assert sp.srepr(normalize(sp.exp(_x1 + 1))) == sp.srepr(sp.E * sp.exp(_x1))
@@ -363,6 +358,28 @@ def test_reader_leaves_expand_shaped_input_to_the_tree_path():
               sp.exp(_x1 + 1), sp.exp(-_x1 - sp.Rational(1, 3)) + _u]:
         assert _read(e) is not None
         assert sp.srepr(normalize(e)) == sp.srepr(_tree_normalize(e))
+
+
+@pytest.mark.parametrize("e, form", [
+    (sp.log(-4 * _x1), sp.log(-_x1) + 2 * sp.log(2)),
+    (sp.log(6 * _x1), sp.log(_x1) + sp.log(6)),
+    (sp.log(sp.exp(_x1) * _u), _x1 + sp.log(_u)),
+    (sp.log(_x1 / 3), sp.log(_x1) - sp.log(3))])
+def test_log_reads_as_sympy_expand_splits_it(e, form):
+    """A log that sympy.expand_log splits is read as its split, and a log
+    of a positive rational that it leaves whole is a constant atom: the
+    normal form is sympy.expand's, which the tree path gave, without it."""
+    sp.core.cache.clear_cache()
+    with mock.patch.object(algebra, "_tree_normalize", side_effect=AssertionError):
+        n = normalize(e)
+    assert _same_tree(n, form) and _same_tree(n, sp.expand(e))
+    assert _same_tree(normalize(n), n)
+
+
+def test_log_of_opposite_signs_stays_sampling_blocked():
+    """log(x) and log(-x) are never both real, so no point is accepted."""
+    r = zero_verdict(sp.log(_x1) - sp.log(-_x1))
+    assert (r.verdict, r.confidence) == (ZeroVerdict.UNKNOWN, "sampling-blocked")
 
 
 # inputs on which the ring's two former readers disagreed: exp(sqrt(x)),
@@ -391,9 +408,12 @@ def test_ring_reads_normal_forms_back(e):
 
 # The atoms of a ring as ``_ring_elements`` builds it: exponentials on two or
 # three directions and on the constant direction t = 1, then symbols, jets,
-# h(t), its canonical derivative and sin/cos/sinh/cosh/log atoms.
+# h(t), its canonical derivative, sin/cos/sinh/cosh/log atoms and constant
+# logs.
 _DIRECTIONS = st.lists(st.sampled_from([_t, _x1, _u, _h]), min_size=2, max_size=3, unique=True)
-_ATOMS = st.lists(st.sampled_from(_PLAIN_GENERATORS + _KERNELS), max_size=4, unique=True)
+_CONSTANT_LOGS = [sp.log(2), sp.log(6)]
+_ATOMS = st.lists(st.sampled_from(_PLAIN_GENERATORS + _KERNELS + _CONSTANT_LOGS), max_size=4,
+                  unique=True)
 _coefficients = st.builds(QQ, st.integers(-9, 9).filter(bool), st.integers(1, 6))
 _powers = st.one_of(st.just(0), st.integers(1, 6))
 
@@ -420,15 +440,15 @@ def _read_sums(draw):
     return draw(st.dictionaries(monomials, _coefficients, max_size=5))
 
 
-_RING = PolyRing((sp.exp(_x1 / 2), sp.exp(sp.Rational(1, 3)), _u, sp.sin(_u)), QQ)
+_RING = PolyRing((sp.exp(_x1 / 2), sp.exp(sp.Rational(1, 3)), _u, sp.sin(_u), sp.log(2)), QQ)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_ring_values())
 @example(_RING.zero)
 @example(_RING(QQ(-7, 2)))
-@example(_RING.from_dict({(3, 2, 6, 1): QQ(-5, 3)}))
-@example(_RING.from_dict({(0, 0, 0, 0): QQ(1, 2), (1, 0, 2, 0): QQ(-3)}))
+@example(_RING.from_dict({(3, 2, 6, 1, 0): QQ(-5, 3)}))
+@example(_RING.from_dict({(0, 0, 0, 0, 0): QQ(1, 2), (1, 0, 2, 0, 2): QQ(-3)}))
 def test_ring_element_tree_is_as_expr(p):
     """A ring element converts (``_as_expr`` with D = 1, which is ``_tree``
     of its terms) to the tree ``PolyElement.as_expr`` builds, node for
@@ -451,6 +471,23 @@ def test_read_sum_tree_is_the_constructors_tree(terms):
     assert _same_tree(_tree(tuple((m, QQ.to_sympy(c)) for m, c in terms.items())), reference)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_read_sums())
+@example({frozenset({(sp.exp(_u), sp.Rational(-2))}): QQ(0),
+          frozenset({(sp.exp(_u), sp.Rational(-1, 2)), (_E, sp.Rational(1, 3))}): QQ(1, 2),
+          frozenset({(_x1, 1)}): QQ(2, 3)})
+@example({frozenset({(_E, sp.Rational(-1)), (sp.log(2), 1)}): QQ(5, 4)})
+def test_laurent_form_is_the_rings_cancel(terms):
+    """A sum with negative exponents -- over exp(t) on several directions,
+    t = 1 among them, with symbols, jets, h(t), kernels and constant logs
+    and coefficients of mixed denominators -- is put in normal form without
+    a ring, as the ring's ``PolyElement.cancel`` of N*S over S gives it
+    (``_as_expr``), node for node.  A term 0 shifts nothing."""
+    with mock.patch.object(algebra, "_ring_elements", side_effect=AssertionError):
+        out = _normal_form(None, (terms, {}))
+    assert _same_tree(out, _as_expr(*_ring_elements([(terms, {})])[0]))
+
+
 def test_tree_needs_distinct_ring_atoms():
     """``_tree`` only sorts, which is all ``flatten`` does to products of
     ring atoms.  A generator that is a sum, which ``Elimination`` allows for
@@ -471,13 +508,11 @@ def test_hot_path_builds_no_tree_with_as_expr(monkeypatch, capsys):
     ladder rung and a prolongation-bracket check call it 0 times from a cold
     cache.  On the problem fixtures the only calls left are those of
     ``Elimination.minor`` and ``Elimination.solution``, which keep it for
-    their opaque generators, and those inside sympy's own ``cancel`` and
-    ``integrate``.
+    their opaque generators.
 
     Derivatives, sums and substitutions run on ``_read`` values, and a ring
-    is built only to cancel a quotient or a sum with negative exponents
-    (``_normal_form``) and in ``Elimination``: the bracket check, all
-    polynomial, builds none, and the rung at most one."""
+    is built only to cancel a quotient (``_normal_form``) and in
+    ``Elimination``: neither the rung nor the bracket check builds one."""
     calls, rings = [], []
     real = PolyElement.as_expr
     monkeypatch.setattr(PolyElement, "as_expr", lambda p, *a: calls.append(p) or real(p, *a))
@@ -487,7 +522,7 @@ def test_hot_path_builds_no_tree_with_as_expr(monkeypatch, capsys):
     main(["derive-determining", str(root / "perfbench" / "problems" / "sine-gordon-n2.jetsym"),
           "--format", "json"])
     capsys.readouterr()
-    assert len(rings) <= 1
+    assert rings == []
     ws = _PLAIN_WS
     t, x1, u = ws.independent + ws.dependent
     Y = VectorField(ws, (1 + 2 * x1, 3 - t), (u ** 2 - t,))
@@ -533,19 +568,32 @@ def test_loading_problems_calls_neither_expand_nor_cancel(monkeypatch):
 
 
 def test_fixture_commands_call_no_cancel(monkeypatch, capsys):
-    """The seven commands on the wave and gauss-codazzi fixtures, each from
-    a cold cache, put their rational functions -- the kink
-    -1/(x1 + x2 + lam), exp(x2 + 1/u) and the Gauss-Codazzi residual over
-    (lam + x1/2)^2 -- in normal form without sympy.cancel."""
+    """The seven commands on the six fixtures, each from a cold cache, put
+    their rational functions -- the kink -1/(x1 + x2 + lam), exp(x2 + 1/u),
+    the Gauss-Codazzi residual over (lam + x1/2)^2 and liouville's
+    log(4*x1*x2) -- in normal form without sympy.cancel or the tree path,
+    and integrate their potentials without sympy.integrate.  A ring is
+    built only to cancel a quotient, and in ``Elimination``."""
     root = Path(__file__).resolve().parent.parent / "problems"
     calls = []
-    real = sp.cancel
-    monkeypatch.setattr(sp, "cancel", lambda *a, **k: calls.append(a) or real(*a, **k))
-    for fixture in ("wave", "gauss-codazzi"):
+    for module, name in [(sp, "cancel"), (sp, "integrate"), (algebra, "_tree_normalize")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
+    real_elements = _ring_elements
+
+    def ring_elements(values):
+        if sys._getframe(1).f_code is not algebra.Elimination.__init__.__code__:
+            assert all(den for _, den in values)
+        return real_elements(values)
+    monkeypatch.setattr(algebra, "_ring_elements", ring_elements)
+    fixtures = sorted(root.glob("*.jetsym"))
+    for fixture in fixtures:
         for command in COMMANDS:
             sp.core.cache.clear_cache()
-            main([command, str(root / f"{fixture}.jetsym"), "--format", "json"])
+            main([command, str(fixture), "--format", "json"])
     capsys.readouterr()
+    assert len(fixtures) == 6
     assert calls == []
 
 

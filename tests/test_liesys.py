@@ -6,15 +6,20 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetsym import Workspace, ZeroVerdict, is_zero, liesys, normalize
+from jetsym.algebra import derive
 from jetsym.cli import main
 from jetsym.errors import CapExceeded, NotSeparable, NotSolvableShape
 from jetsym.grammar import parse
 from jetsym.jets import NormalFormSystem
-from jetsym.liesys import (PDELieSystem, _solve_rational, build_pde_lie_system,
-                           recognize_riccati, solve_solvable_q1, u_bracket,
-                           vg_closure)
+from jetsym.liesys import (PDELieSystem, _antiderivative, _solve_rational,
+                           build_pde_lie_system, recognize_riccati, solve_solvable_q1,
+                           u_bracket, vg_closure)
+
+from conftest import same_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -234,6 +239,47 @@ def test_solve_not_solvable_shape():
     sys = build_pde_lie_system(nf)
     with pytest.raises(NotSolvableShape):
         solve_solvable_q1(sys)
+
+
+_WS = Workspace(["t", "x1"], ["u"], order_cap=2)
+_WS.add_parameter("lam")
+_WS.add_function("h", args=["t"])
+_T, _H, _DH = (_WS.parse(text) for text in ("t", "h(t)", "D(h(t),t)"))
+# factors free of t: symbols, jets, a parameter, kernels, an exponential
+# and a constant log
+_FREE = [_WS.parse(text) for text in (
+    "x1", "u", "u_{x1}", "u_{t,x1}", "lam", "sin(u)", "cosh(u + x1)", "log(lam)", "exp(-u/2)")]
+_rationals = st.builds(sp.Rational, st.integers(-9, 9), st.integers(1, 6))
+_shapes = st.one_of(
+    st.builds(lambda k: _T ** k, st.integers(0, 3)),
+    st.builds(lambda k, a: _T ** k * sp.exp(a * _T), st.integers(0, 3),
+              st.sampled_from([sp.Rational(k, 2) for k in (-3, -2, -1, 1, 2, 3)])),
+    st.just(_DH))
+_terms = st.builds(lambda c, factors, shape: c * sp.Mul(*factors) * shape, _rationals,
+                   st.lists(st.sampled_from(_FREE + [sp.log(2)]), max_size=2), _shapes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=3))
+@example([-_DH / 2])
+@example([_T ** 3 * sp.exp(-_T / 2) * _FREE[0], _T / 3])
+def test_antiderivative_is_sympy_integrate(terms):
+    """A sum of powers of t, powers of t times exp(a*t) and D(h(t),t),
+    times factors free of t, integrates term by term to the sum of
+    sympy.integrate's antiderivatives of its terms, and derives back to the
+    integrand, node for node.  (sympy.integrate of the whole normal form, a
+    product with exp(-3*t/2), took over 5 s on one draw.)"""
+    e = normalize(sp.Add(*terms))
+    F = _antiderivative(e, _T)
+    assert same_tree(derive(F, {_T: 1}), e)
+    assert same_tree(F, normalize(sp.Add(*[sp.integrate(t, _T) for t in terms])))
+
+
+def test_antiderivative_leaves_other_shapes():
+    """A quotient, an opaque function or a derivative times t, and an
+    exponential whose direction is not t itself take sympy.integrate."""
+    for e in [_T / (_T + 1), _T * _H, _T * _DH, sp.exp(_T * _FREE[0]), sp.exp(_T ** 2)]:
+        assert _antiderivative(normalize(e), _T) is None, e
 
 
 def test_solve_with_unresolved_integral():
