@@ -223,40 +223,35 @@ def monomial_expr(monomial):
 
 
 def split_monomials(e, deps):
-    """[(c, x-monomial, u-monomial {atom: k})] for the terms of e as ``_read``
-    reads them, c in QQ, the x-monomial a frozenset of (atom, k) none of
-    whose atoms meets deps, and every atom of the u-monomial meeting them;
-    None when e is not a sum the ring reads."""
+    """[(c, x-monomial, u-monomial {atom: k})] with sum c * x * u = e, c in QQ
+    and not 0, the x-monomial a frozenset of (atom, k) none of whose atoms
+    meets deps, and every atom of the u-monomial meeting them.  A sum is split
+    as ``_read`` reads it; any other e, term by term of ``sympy.expand`` by
+    ``as_independent``, after factoring the denominator of a u-part that meets
+    other symbols (1/(u*x + u + x + 1) is 1/(x + 1) times 1/(u + 1)), and a
+    part that is no ring monomial, such as 1/(x + 1), stands as one atom."""
     value = _read(e)
-    return None if value is None or value[1] else [
-        (c, frozenset((g, k) for g, k in m if g.free_symbols.isdisjoint(deps)),
-         {g: k for g, k in m if not g.free_symbols.isdisjoint(deps)})
-        for m, c in value[0].items() if c]
-
-
-def split_terms(e, deps):
-    """(x-part, u-monomial {atom: k}) for each term of e, the x-part free of
-    deps and every atom of the u-monomial meeting them.  Where the ring cannot
-    read e as a sum, its expanded terms are split by sympy: an x-part such as
-    1/(1 + x) is kept, and a u-part outside the ring stands as one atom, after
-    factoring its denominator if it meets other symbols: 1/(u*x + u + x + 1)
-    splits as 1/(x + 1) times 1/(u + 1).  A zero term is not yielded."""
-    split = split_monomials(e, deps)
-    if split is None:
+    if value is not None and not value[1]:
+        terms = value[0]
+    else:
+        terms = {}
         for term in sp.Add.make_args(sp.expand(e)):
-            x, u = term.as_independent(*deps, as_Add=False)
-            if u.free_symbols - set(deps):
+            parts = term.as_independent(*deps, as_Add=False)
+            if parts[1].free_symbols - set(deps):
                 numerator, denominator = sp.fraction(term)
-                x, u = (numerator / sp.factor(denominator)).as_independent(*deps, as_Add=False)
-            value = _read(u)
-            if value is None or len(value[0]) != 1 or value[1]:
-                yield x, {u: 1}
-            else:
-                (m, c), = value[0].items()
-                yield QQ.to_sympy(c) * x, dict(m)
-        return
-    for c, x, u in split:
-        yield _tree(((x, QQ.to_sympy(c)),)), u
+                parts = (numerator / sp.factor(denominator)).as_independent(*deps, as_Add=False)
+            product = _ONE
+            for part in parts:
+                r, rest = part.as_coeff_Mul(rational=True)
+                read = _read(rest)
+                if read is None or read[1] or len(read[0]) != 1:
+                    read = ({frozenset({(rest, 1)}): QQ.one}, {})
+                product = _times(product, {m: c * QQ(r.p, r.q) for m, c in read[0].items()})
+            (m, c), = product.items()
+            terms[m] = terms[m] + c if m in terms else c
+    return [(c, frozenset((g, k) for g, k in m if g.free_symbols.isdisjoint(deps)),
+             {g: k for g, k in m if not g.free_symbols.isdisjoint(deps)})
+            for m, c in terms.items() if c]
 
 
 def _atoms(values):
@@ -425,8 +420,13 @@ def difference(a, b):
 
 
 def normal_forms(sums):
-    """``normalize`` of each ``_read`` sum {monomial: c}."""
-    return [_normal_form(None, (s, {})) for s in sums]
+    """``normalize`` of each sum {monomial: c} of ``split_monomials`` terms; a
+    product, sum or power atom, which only its split off the ring makes,
+    takes ``normalize``, which joins 1/(x + 1) + 1/(x + 2), and ``_tree`` not."""
+    return [normalize(sp.Add(*[sp.Mul(QQ.to_sympy(c), *[monomial_expr({g: k}) for g, k in m])
+                               for m, c in s.items()]))
+            if any(g.is_Add or g.is_Mul or g.is_Pow for m in s for g, _ in m)
+            else _normal_form(None, (s, {})) for s in sums]
 
 
 def substitutions(e, combos):

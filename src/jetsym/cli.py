@@ -1,7 +1,8 @@
 """The jetsym command-line interface.
 
 Exit status: 0 when every verdict is affirmative/Zero, 1 when any verdict is
-negative, 2 when any verdict is Unknown, 3 on errors.
+negative, 2 when any verdict is Unknown, 3 on errors, a malformed command
+line among them.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .algebra import TriBool, zero_verdict
@@ -26,6 +28,13 @@ from .report import Report
 from .workspace import DEFAULT_SEED
 
 
+def _seed(text):
+    """The value of a non-negative hex literal, with or without 0x."""
+    if not re.fullmatch(r"(0[xX])?[0-9a-fA-F]+", text):
+        raise argparse.ArgumentTypeError(f"not a non-negative hex literal: {text!r}")
+    return int(text, 16)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jetsym",
@@ -34,7 +43,7 @@ def build_parser():
     parser.add_argument("problem", help="problem file (.jetsym)")
     parser.add_argument("--order", type=int, default=None,
                         help="jet order n (default: problem file, else 2)")
-    parser.add_argument("--seed", default=None,
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="hex RNG seed for probabilistic checks")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--force-direct", action="store_true",
@@ -224,7 +233,7 @@ BOUND_COMMANDS = frozenset({"verify-symmetry", "verify-solution", "solve-liesys"
 
 
 def run(args):
-    seed = int(args.seed, 16) if args.seed else DEFAULT_SEED
+    seed = args.seed
     problem = load_problem(args.problem, order=args.order)
     if args.command in BOUND_COMMANDS:
         problem = problem.bound
@@ -242,7 +251,10 @@ def run(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:      # a usage error: 3, not the 2 of an Unknown verdict
+        return 3 if stop.code else 0
     try:
         report = run(args)
     except JetsymError as err:

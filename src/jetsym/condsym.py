@@ -50,10 +50,6 @@ class PdeSystem:
                 raise ValueError(f"equation {name} is constant")
         object.__setattr__(self, "deltas", deltas)
 
-    @property
-    def order(self):
-        return max(max(self.ws.max_jet_order(e) for _, e in self.deltas), 1)
-
     def items(self):
         return self.deltas
 
@@ -197,8 +193,7 @@ def determining_system(pde, ansatz):
     def equations(residuals):
         eqs = {}   # insertion-ordered, structurally deduplicated
         for res in residuals:
-            for _, coeff in sorted(collect_family(res, family, ws.dependent).items(),
-                                   key=lambda kv: sp.default_sort_key(kv[0])):
+            for coeff in collect_family(res, family, ws.dependent).values():
                 if (eq := _canonical_equation(coeff)) != 0:
                     eqs.setdefault(eq)
         return list(eqs)
@@ -233,12 +228,11 @@ class SymmetryReport:
         return TriBool.YES
 
 
-def verify_conditional_symmetry(pde, F, n=None, force_direct=False, seed=None):
+def verify_conditional_symmetry(pde, F, n, force_direct=False, seed=None):
     """Route A: rectify and restrict each Delta to the section (sufficient by
     the tangency theorem for rectified families; rectifiability transfers the
     verdict).  Route B: direct prolonged-tangency check modulo the constraint
     set, used as the fallback or on request."""
-    n = n if n is not None else pde.order
     notes = []
     if not force_direct:
         try:

@@ -6,12 +6,12 @@ half-integer exponentials exp(k*u/2), trigonometric combinations
 1/sin(n*u)/cos(n*u), or integer exponentials exp(k*u) (the hyperbolic
 basis in exponential form).  Families are closed under d/du, products,
 and linear combinations, which is what makes coefficient collection of
-the determining equations possible.  Collection reads a normal form with
-the ring's one reader and sums QQ coefficients over x-monomials per key
-(``algebra.split_monomials``); off the ring, and in the closure check,
-``algebra.split_terms`` splits its terms into x-parts and u-monomials.  A
-product of sin and cos, or of sinh, cosh and exp, goes to the basis
-through Euler's formula (``algebra.euler``).
+the determining equations possible.  Collection and the closure check
+split a normal form into QQ coefficients times x-monomials times
+u-monomials with the one x/u splitter (``algebra.split_monomials``), and
+collection sums the coefficients over x-monomials per key.  A product of
+sin and cos, or of sinh, cosh and exp, goes to the basis through Euler's
+formula (``algebra.euler``).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import sympy as sp
 from sympy.polys.domains import QQ, QQ_I
 
-from .algebra import (derive, euler, monomial_expr, normal_forms, normalize,
-                      split_monomials, split_terms)
+from .algebra import derive, euler, monomial_expr, normal_forms, normalize, split_monomials
 from .errors import FamilyNotClosed, NotInFamily
 
 POLYNOMIAL = "polynomial"
@@ -88,7 +87,7 @@ class AnsatzFamily:
         return sp.exp(sp.Add(*[sp.Rational(k, den) * d for d, k in zip(deps, key)]))
 
     def key(self, monomial, deps):
-        """The key of a u-monomial {atom: k} as ``algebra.split_terms`` reads it,
+        """The key of a u-monomial {atom: k} as ``algebra.split_monomials`` reads it,
         or None when it is no single element of the family closure; a
         trigonometric family reads its monomials through ``_fourier``."""
         if self.kind == POLYNOMIAL:
@@ -109,8 +108,8 @@ def _family_terms(monomial, family, deps):
     when there is none.  A u-monomial that is no single basis element is
     rewritten through Euler's formula (``algebra.euler``): sinh and cosh
     into exponentials of u, and sin and cos into powers of exp(i*u), which
-    ``_fourier`` reads.  A u-part outside the ring, which ``split_terms``
-    keeps as one atom, has no key."""
+    ``_fourier`` reads.  A u-part outside the ring, which
+    ``split_monomials`` keeps as one atom, has no key."""
     trigonometric = family.kind == TRIGONOMETRIC
     if not trigonometric and (key := family.key(monomial, deps)) is not None:
         return [(1, key)]
@@ -145,31 +144,24 @@ def collect_family(e, family, deps):
 
     ``e`` must be a normal form (the output of ``normalize`` or of an engine
     operation), which is not normalized again here.  Each distinct
-    u-monomial of its terms is read into family keys once.  The x-parts are
-    gathered per key, on the ring as QQ coefficients over x-monomials
-    converted together (``normal_forms``), off it summed and normalized.  A
-    u-monomial that cannot be matched raises NotInFamily.
+    u-monomial of its ``split_monomials`` terms is read into family keys
+    once, the QQ coefficients are summed over x-monomials per key, and the
+    sums are built together (``normal_forms``), in ``default_sort_key``
+    order of the basis monomials.  A u-monomial that cannot be matched
+    raises NotInFamily.
     """
     deps = tuple(deps)
-    e = sp.sympify(e)
-    split = split_monomials(e, deps)
-    pieces = split_terms(e, deps) if split is None else (((c, x), u) for c, x, u in split)
     read, acc = {}, {}
-    for x, monomial in pieces:
+    for c, x, monomial in split_monomials(sp.sympify(e), deps):
         u = frozenset(monomial.items())
         if u not in read:
-            read[u] = [(r if split is None else QQ.convert(r), key)
-                       for r, key in _family_terms(monomial, family, deps)]
+            read[u] = [(QQ.convert(r), key) for r, key in _family_terms(monomial, family, deps)]
         for r, key in read[u]:
-            if split is None:
-                acc.setdefault(key, []).append(r * x)
-            else:
-                group, (c, m) = acc.setdefault(key, {}), x
-                group[m] = group[m] + r * c if m in group else r * c
-    coeffs = (normal_forms(list(acc.values())) if split is not None
-              else [normalize(sp.Add(*parts)) for parts in acc.values()])
-    return {family.monomial(key, deps): coeff
-            for key, coeff in zip(acc, coeffs) if coeff != 0}
+            group = acc.setdefault(key, {})
+            group[x] = group[x] + r * c if x in group else r * c
+    return dict(sorted(((family.monomial(key, deps), coeff) for key, coeff
+                        in zip(acc, normal_forms(acc.values())) if coeff != 0),
+                       key=lambda kv: sp.default_sort_key(kv[0])))
 
 
 def check_closure(basis, deps):
@@ -179,12 +171,13 @@ def check_closure(basis, deps):
     span = set(basis)
     for b in basis:
         for d in deps:
-            for coeff, monomial in split_terms(derive(b, {d: 1}), deps):
+            for c, x, monomial in split_monomials(derive(b, {d: 1}), deps):
+                term = QQ.to_sympy(c) * monomial_expr(dict(x))
+                if x:
+                    raise FamilyNotClosed(
+                        f"d/d{d} of {b} produced non-constant coefficient {term}")
                 mono = monomial_expr(monomial)
-                if not coeff.is_Rational:
+                if normalize(mono) not in span:
                     raise FamilyNotClosed(
-                        f"d/d{d} of {b} produced non-constant coefficient {coeff}")
-                if coeff != 0 and normalize(mono) not in span:
-                    raise FamilyNotClosed(
-                        f"d/d{d} of {b} leaves the basis span (term {coeff * mono})")
+                        f"d/d{d} of {b} leaves the basis span (term {term * mono})")
     return True

@@ -55,11 +55,10 @@ def _as_index(K):
     return K if isinstance(K, MultiIndex) else MultiIndex(tuple(K))
 
 
-def total_derivative(e, slot, ws):
-    """D_i e = de/dx_i + sum u^a_{K,i} de/du^a_K: ``derive`` with x_i -> 1 and
-    u^a_K -> u^a_{K,i}.  The jets of order |K| + 1 it needs are created up
-    to the hard cap; the order cap stays as it is."""
-    i = slot if isinstance(slot, int) else ws.slot(slot)
+def total_derivative(e, i, ws):
+    """D_i e = de/dx_i + sum u^a_{K,i} de/du^a_K, i a 0-based slot: ``derive``
+    with x_i -> 1 and u^a_K -> u^a_{K,i}.  The jets of order |K| + 1 it needs
+    are created up to the hard cap; the order cap stays as it is."""
     e = sp.sympify(e)
     images = {s: ws.jet(a, K.inc(i), auto_raise=True) for s, a, K in ws.dependent_atoms(e)}
     images[ws.independent[i]] = sp.S.One
@@ -249,11 +248,10 @@ class NormalFormSystem:
         return rows
 
 
-def section_derivative(e, slot, nf):
-    """D-tilde_i = d/dx_i + sum_b phi^b_i d/du^b acting on a J0 expression:
-    ``derive`` with x_i -> 1 and u^b -> phi^b_i."""
+def section_derivative(e, i, nf):
+    """D-tilde_i = d/dx_i + sum_b phi^b_i d/du^b acting on a J0 expression,
+    i a 0-based slot: ``derive`` with x_i -> 1 and u^b -> phi^b_i."""
     ws = nf.ws
-    i = slot if isinstance(slot, int) else ws.slot(slot)
     images = {u: nf.rhs[(b, i)] for b, u in enumerate(ws.dependent)}
     images[ws.independent[i]] = sp.S.One
     return derive(e, images)

@@ -4,7 +4,9 @@ integration of solvable single-dependent-variable systems.
 A normal form whose right-hand sides split as x-dependent coefficients times
 u-only vector fields closing into a finite-dimensional Lie algebra is a PDE
 Lie system.  The split, the u-fields' coordinates and the Riccati and affine
-shapes are read by the ring's x/u splitter (``algebra.split_terms``), and a
+shapes are read off the QQ coefficients, x-monomials and u-monomials of the
+one x/u splitter (``algebra.split_monomials``); the sums formed from them
+are built by ``algebra.normal_forms`` and ``algebra.sum_of_products``, and a
 u-field's coordinates over the generators come from one exact reduction over
 QQ (``DomainMatrix.rref``).  For q = 1 and an algebra that a catalogued change of variable
 maps into the affine algebra <d/dw, w d/dw>, the system integrates by the
@@ -26,8 +28,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .algebra import (ZeroVerdict, derive, difference, is_zero, monomial_expr, normal_forms,
-                      normalize, split_monomials, split_terms, substitute, sum_of_products,
-                      zero_verdict)
+                      normalize, split_monomials, substitute, sum_of_products, zero_verdict)
 from .condsym import compatibility_residuals, verify_solution
 from .errors import CapExceeded, NotSeparable, NotSolvableShape, PreconditionFailed
 from .grammar import print_expr
@@ -56,13 +57,12 @@ def separate(nf):
     for j in range(ws.p):
         groups = {}
         for a in range(ws.q):
-            for x, monomial in split_terms(nf.rhs[(a, j)], deps):
-                m = monomial_expr(monomial)
+            for c, x, monomial in split_monomials(nf.rhs[(a, j)], deps):
+                key, m = monomial_expr(dict(x)), monomial_expr(monomial)
                 if any(g.free_symbols & xs or g.atoms(AppliedUndef) for g in monomial):
-                    raise NotSeparable(print_expr(x * m))
-                r, key = x.as_coeff_Mul(rational=True)
+                    raise NotSeparable(print_expr(QQ.to_sympy(c) * key * m))
                 coords = groups.setdefault(key, {})
-                coords[(a, m)] = coords.get((a, m), 0) + r
+                coords[(a, m)] = coords.get((a, m), 0) + QQ.to_sympy(c)
         out[j] = [(key, nonzero) for key, coords in
                   sorted(groups.items(), key=lambda kv: sp.default_sort_key(kv[0]))
                   if (nonzero := {k: v for k, v in coords.items() if v != 0})]
@@ -75,10 +75,9 @@ def _coordinates(ufield, deps):
     in the u-monomial."""
     coords = {}
     for a, comp in enumerate(ufield):
-        for x, monomial in split_terms(comp, deps):
-            r, rest = x.as_coeff_Mul(rational=True)
-            key = (a, rest * monomial_expr(monomial))
-            coords[key] = coords.get(key, 0) + r
+        for c, x, monomial in split_monomials(comp, deps):
+            key = (a, monomial_expr(dict(x)) * monomial_expr(monomial))
+            coords[key] = coords.get(key, 0) + QQ.to_sympy(c)
     return {k: v for k, v in coords.items() if v != 0}
 
 
@@ -87,20 +86,7 @@ def _field(coords, q):
     comps = [[] for _ in range(q)]
     for (a, m), r in coords.items():
         comps[a].append((r, m))
-    return tuple(map(_combination, comps))
-
-
-def _combination(pairs):
-    """sum r * e over (r, e) pairs, r rational and e a normal form, from the
-    ``split_monomials`` terms of the e; normalized when one is off the ring."""
-    splits = [split_monomials(e, ()) for _, e in pairs]
-    if None in splits:
-        return normalize(sp.Add(*[r * e for r, e in pairs]))
-    terms = {}
-    for (r, _), split in zip(pairs, splits):
-        for c, x, _ in split:
-            terms[x] = terms.get(x, QQ.zero) + QQ.convert(r) * c
-    return normal_forms([terms])[0]
+    return tuple(map(sum_of_products, comps))
 
 
 def _solve_rational(generators_coords, target_coords):
@@ -224,7 +210,7 @@ def build_pde_lie_system(nf, cap=10, seed=None):
     """Detect VG structure and express the rhs as sum_b b_j^b(x) X_b."""
     ws = nf.ws
     vg = vg_closure(nf, cap=cap)
-    b = {(j, beta): _combination([(coords[beta], c) for c, coords in vg.pieces[j]])
+    b = {(j, beta): sum_of_products([(coords[beta], c) for c, coords in vg.pieces[j]])
          for j in range(ws.p) for beta in range(vg.dimension)}
     # decomposition exactness
     for j in range(ws.p):
@@ -272,18 +258,20 @@ def recognize_riccati(sys):
 
     A, B, D = {}, {}, {}
     for j in range(ws.p):
-        parts = [{} for _ in range(q)]     # per component: exponents -> x-parts
+        parts = [{} for _ in range(q)]     # per component: exponents -> {x-monomial: c}
         for a in range(q):
-            for x, monomial in split_terms(sys.nf.rhs[(a, j)], deps):
+            for c, x, monomial in split_monomials(sys.nf.rhs[(a, j)], deps):
                 if not monomial.keys() <= set(deps) or sum(monomial.values()) > 2:
-                    return None, print_expr(x * monomial_expr(monomial))
-                parts[a].setdefault(tuple(monomial.get(d, 0) for d in deps), []).append(x)
-        coeff = [{m: normalize(sp.Add(*xs)) for m, xs in p.items()} for p in parts]
+                    return None, print_expr(
+                        QQ.to_sympy(c) * monomial_expr(dict(x)) * monomial_expr(monomial))
+                group = parts[a].setdefault(tuple(monomial.get(d, 0) for d in deps), {})
+                group[x] = group.get(x, QQ.zero) + c
+        coeff = [dict(zip(p, normal_forms(p.values()))) for p in parts]
         d_row = tuple(coeff[b].get(mono(b, b), sp.Integer(0)) for b in range(q))
         for a in range(q):
             expected = {mono(a, b): d_row[b] for b in range(q)}
             for m in sorted({m for m in coeff[a] if sum(m) == 2} | set(expected)):
-                rest = normalize(coeff[a].get(m, 0) - expected.get(m, 0))
+                rest = difference(coeff[a].get(m, sp.S.Zero), expected.get(m, sp.S.Zero))
                 if rest != 0:
                     return None, print_expr(rest * monomial_expr(dict(zip(deps, m))))
         A[j] = tuple(c.get(mono(), sp.Integer(0)) for c in coeff)
@@ -319,21 +307,22 @@ def _transform_catalog(ws):
 
 def _affine_coefficients(expr, w):
     """(c, d) with expr = c*w + d, c and d free of w, or None."""
-    parts = ([], [])
-    for x, monomial in split_terms(expr, (w,)):
+    parts = ({}, {})
+    for c, x, monomial in split_monomials(expr, (w,)):
         if not monomial.keys() <= {w} or monomial.get(w, 0) > 1:
             return None
-        parts[monomial.get(w, 0)].append((1, x))
-    return tuple(map(_combination, reversed(parts)))
+        group = parts[monomial.get(w, 0)]
+        group[x] = group.get(x, QQ.zero) + c
+    return tuple(normal_forms(reversed(parts)))
 
 
 def _antiderivative(e, x):
-    """F with dF/dx = e, term by term as ``_read`` reads e, in normal form:
-    a factor free of x stays, x**k gives x**(k + 1)/(k + 1), x**k*exp(a*x)
-    the sum that integration by parts gives and D(h, x) gives h.  None for
-    a quotient or a term of another shape."""
-    split, out = split_monomials(e, (x,)), {}
-    for c, rest, m in split or ():
+    """F with dF/dx = e, term by term as ``split_monomials`` splits e, in
+    normal form: a factor free of x stays, 1/(1 + y) too, x**k gives
+    x**(k + 1)/(k + 1), x**k*exp(a*x) the sum that integration by parts gives
+    and D(h, x) gives h.  None for a term of another shape, or a quotient in x."""
+    out = {}
+    for c, rest, m in split_monomials(e, (x,)):
         k, a, d = m.pop(x, 0), m.pop(sp.exp(x), 0), next(iter(m), None)
         if m and (k or a or m != {d: 1} or not isinstance(d, sp.Derivative)
                   or d.variable_count != ((x, 1),)):
@@ -343,7 +332,7 @@ def _antiderivative(e, x):
         for powers, q in parts:
             key = rest | {(f, i) for f, i in powers.items() if i}
             out[key] = out.get(key, QQ.zero) + c * QQ.convert(q)
-    return None if split is None else normal_forms([out])[0]
+    return normal_forms([out])[0]
 
 
 def _potential(coeffs, ws):

@@ -148,13 +148,6 @@ class Workspace:
         entry = self._names.get(getattr(sym, "name", None))
         return entry[0] if entry else None
 
-    def slot(self, sym):
-        """0-based slot of an independent symbol."""
-        entry = self._names.get(getattr(sym, "name", None))
-        if entry is None or entry[0] is not SymbolKind.INDEPENDENT:
-            raise ValueError(f"{sym} is not an independent variable")
-        return entry[1]
-
     def resolve(self, name):
         entry = self._names.get(name)
         if entry is None:

@@ -16,8 +16,8 @@ from jetsym import algebra
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
 from jetsym.algebra import (_E, _as_expr, _normal_form, _read, _ring_elements, _tree,
-                            _tree_normalize, derive, evaluate_at, substitutions,
-                            sum_of_products)
+                            _tree_normalize, derive, evaluate_at, monomial_expr, normal_forms,
+                            split_monomials, substitutions, sum_of_products)
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import CyclicBinding, DivisionByZero
 from jetsym.geometry import lie_bracket
@@ -179,6 +179,45 @@ _off_ring = st.builds(lambda a: a * sp.sqrt(_u), _sums)
 def test_sum_of_products_ring_matches_tree(pairs):
     pairs = [(normalize(a), normalize(b)) for a, b in pairs]
     assert _same_tree(sum_of_products(pairs), normalize(sp.Add(*[a * b for a, b in pairs])))
+
+
+_SPLIT_WS = Workspace(["x1", "x2"], ["u"], order_cap=1)
+_SX1, _SX2 = _SPLIT_WS.independent
+_SU = _SPLIT_WS.dependent[0]
+# x-parts and u-parts on and off the ring; the last u-part is one fraction
+# over a denominator that mixes x1 and u
+_SPLIT_X = [sp.Integer(1), _SX1, 1 / (1 + _SX2), sp.sqrt(_SX1),
+            _SPLIT_WS.add_function("f", args=["x1"])]
+_SPLIT_U = [sp.Integer(1), _SU, sp.exp(_SU / 2), 1 / (1 + _SU),
+            normalize(1 / ((1 + _SX1) * (1 + _SU)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(lambda c, x, u: c * x * u, _rationals, st.sampled_from(_SPLIT_X),
+                          st.sampled_from(_SPLIT_U)), min_size=1, max_size=4))
+def test_split_monomials_adds_up_to_its_input(terms):
+    """On the ring and off it, the split of a normal form has no zero
+    coefficient, keeps the atoms that meet u out of the x-monomials and in
+    the u-monomials, and its terms c * x * u normalize back to the input."""
+    e = normalize(sp.Add(*terms))
+    split = split_monomials(e, (_SU,))
+    assert all(c for c, _, _ in split)
+    assert all(_SU not in g.free_symbols for _, x, _ in split for g, _ in x)
+    assert all(_SU in g.free_symbols for _, _, u in split for g in u)
+    assert normalize(sp.Add(*[QQ.to_sympy(c) * monomial_expr(dict(x)) * monomial_expr(u)
+                              for c, x, u in split])) == e
+
+
+def test_normal_forms_joins_the_atoms_of_the_split_off_the_ring():
+    """1/(x2 + 1) and 1/(x2 + 2) stand as two atoms of the split, which
+    normal_forms joins into normalize's quotient; _tree would keep them as
+    two terms."""
+    e = 1 / (_SX2 + 1) + 1 / (_SX2 + 2)
+    split = split_monomials(e, ())
+    assert len(split) == 2
+    (out,) = normal_forms([{x: c for c, x, _ in split}])
+    assert _same_tree(out, normalize(e))
+    assert out == (2 * _SX2 + 3) / (_SX2 ** 2 + 3 * _SX2 + 2)
 
 
 _JETS = [_PLAIN_WS.parse(text) for text in ("u_{x1}", "u_{t,x1}")]

@@ -5,9 +5,9 @@ import sympy as sp
 from sympy.simplify.fu import TR8
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from jetsym import Workspace, ZeroVerdict, algebra, condsym, families, is_zero, jets, normalize, parse
-from jetsym.algebra import split_terms
 from jetsym.cli import main
 from jetsym.condsym import build_ansatz
 from jetsym.errors import FamilyNotClosed, NotInFamily
@@ -140,14 +140,34 @@ def test_collect_reassembly_random(ws2, rng, kind):
         assert is_zero(residual) is ZeroVerdict.ZERO
 
 
+def split_terms(e, deps):
+    """(x-part, u-monomial {atom: k}) for each term of e, split by sympy
+    alone: the terms of ``sympy.expand``, each cut by ``as_independent``
+    (after factoring its denominator when the u-part meets other symbols),
+    and the u-part read by ``_read`` when it is one monomial, else kept as
+    one atom.  The reference for ``algebra.split_monomials``."""
+    for term in sp.Add.make_args(sp.expand(e)):
+        x, u = term.as_independent(*deps, as_Add=False)
+        if u.free_symbols - set(deps):
+            numerator, denominator = sp.fraction(term)
+            x, u = (numerator / sp.factor(denominator)).as_independent(*deps, as_Add=False)
+        value = algebra._read(u)
+        if value is None or len(value[0]) != 1 or value[1]:
+            yield x, {u: 1}
+        else:
+            (m, c), = value[0].items()
+            yield QQ.to_sympy(c) * x, dict(m)
+
+
 def _collect_reference(e, family, deps):
     """Collection by sympy: the x-parts of each key summed and normalized."""
     acc = {}
     for x, monomial in split_terms(e, deps):
         for r, key in _family_terms(monomial, family, deps):
             acc.setdefault(key, []).append(r * x)
-    return {family.monomial(key, deps): c for key, parts in acc.items()
-            if (c := normalize(sp.Add(*parts))) != 0}
+    return dict(sorted(((family.monomial(key, deps), c) for key, parts in acc.items()
+                        if (c := normalize(sp.Add(*parts))) != 0),
+                       key=lambda kv: sp.default_sort_key(kv[0])))
 
 
 _WS = Workspace(["x1", "x2"], ["u"], order_cap=2)

@@ -165,6 +165,25 @@ def test_cli_exit_codes(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "xyz"), ("--seed", "-5"), ("--seed", "0x"),
+                                        ("--order", "abc"), ("--cap", "abc")])
+def test_malformed_flag_exits_3(capsys, flag, value):
+    """A flag value that does not parse ends in exit 3, the error code, with a
+    message that names the flag: no traceback, and not 1 or 2, the codes of
+    a verdict.  A negative seed is refused, not run as its absolute value."""
+    rc, out, err = run_cli(capsys, "charsys", PROBLEMS / "wave.jetsym", flag, value)
+    assert rc == 3 and out == ""
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
+def test_seed_flag_takes_hex_literals(capsys):
+    for value, echo in [("0x1F", "0x1F"), ("1f", "0x1F"), ("BEEF", "0xBEEF")]:
+        rc, data = run_json(capsys, "charsys", PROBLEMS / "wave.jetsym", "--seed", value)
+        assert rc == 0 and data["options"]["seed"] == echo
+    rc, out, _ = run_cli(capsys, "--help")
+    assert rc == 0 and out.startswith("usage: jetsym")
+
+
 def test_cli_error_reports_are_wrapped(capsys, tmp_path):
     bad = tmp_path / "bad.jetsym"
     bad.write_text("[variables]\nindependent = x\ndependent = u\n")
