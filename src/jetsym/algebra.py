@@ -393,14 +393,25 @@ def _derive(e, images):
 def _image(g, images):
     """X(g) for an atom g of a ``_read`` value that is not a chart symbol,
     given the images of its own free symbols: computed once per atom and
-    images.  For g = exp(t) it is X(t)."""
+    images.  For g = exp(t) it is X(t); for any other atom it sums
+    ``_partial(g, s)`` times the image of s."""
     images = dict(images)
     if isinstance(g, sp.exp):
         return derive(g.args[0], images)
     if isinstance(g, _KERNEL_ATOMS):
         a = g.args[0]
         return sum_of_products([(_KERNEL_PARTIALS[type(g)](a), derive(a, images))])
-    return sum_of_products([(v, sp.diff(g, s)) for s, v in images.items()])
+    return sum_of_products([(v, _partial(g, s)) for s, v in images.items()])
+
+
+def _partial(g, s):
+    """``sp.diff(g, s)``, built directly for an unknown function of symbols
+    f(x1, ...) or a Derivative of one: 0 when s is not an argument of f, else
+    the canonical Derivative with s counted once more."""
+    f, counts = (g.expr, g.variable_count) if isinstance(g, sp.Derivative) else (g, ())
+    if not (isinstance(f, AppliedUndef) and all(a.is_Symbol for a in f.args)):
+        return sp.diff(g, s)
+    return sp.Derivative(f, *counts, (s, 1), evaluate=False).canonical if s in f.args else sp.S.Zero
 
 
 def sum_of_products(pairs):

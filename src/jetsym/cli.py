@@ -35,8 +35,13 @@ def _seed(text):
     return int(text, 16)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # main reports it, in the format asked for
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetsym",
         description="Jet-bundle calculus and Clairin conditional symmetries")
     parser.add_argument("command", choices=COMMANDS)
@@ -116,10 +121,8 @@ def cmd_compatibility(report, problem, args, seed):
         v = zero_verdict(res, seed=seed)
         if v.verdict.value != "Zero":
             all_zero = False
-        name = (f"D_{ws.independent[j].name}(phi^{ws.dependent[a].name}"
-                f"_{ws.independent[k].name}) - "
-                f"D_{ws.independent[k].name}(phi^{ws.dependent[a].name}"
-                f"_{ws.independent[j].name})")
+        x, u = ws.independent, ws.dependent[a]
+        name = f"D_{x[j]}(phi^{u}_{x[k]}) - D_{x[k]}(phi^{u}_{x[j]})"
         report.add(name, v.verdict.value, confidence=v.confidence,
                    detail=print_expr(res))
     abelian = is_abelian(VectorFieldFamily(ws, tuple(nf.fields())), seed=seed)
@@ -135,10 +138,8 @@ def cmd_derive_determining(report, problem, args, seed):
                                  "derive-determining needs an [ansatz] section")
     pde = _pde_system(problem)
     spec = problem.ansatz
-    if spec.explicit_rhs is not None:
-        ansatz = AnsatzSystem.from_explicit(spec.family, ws, spec.explicit_rhs)
-    else:
-        ansatz = build_ansatz(spec.family, ws)
+    ansatz = (build_ansatz(spec.family, ws) if spec.explicit_rhs is None
+              else AnsatzSystem.from_explicit(spec.family, ws, spec.explicit_rhs))
     dsys = determining_system(pde, ansatz)
     for eq in dsys.compatibility_eqs:
         report.equations.append(f"compatibility: {print_expr(eq)} = 0")
@@ -250,21 +251,40 @@ def run(args):
     return report
 
 
+def _error(command, message, fmt):
+    """Exit 3: the message on stderr, or under --format json an error object."""
+    if fmt == "json":
+        print(json.dumps({"command": command, "error": message, "exit_code": 3},
+                         sort_keys=True, indent=2))
+    else:
+        print(f"jetsym{f' {command}' if command else ''}: error: {message}", file=sys.stderr)
+    return 3
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as stop:      # a usage error: 3, not the 2 of an Unknown verdict
-        return 3 if stop.code else 0
+        args = parser.parse_args(argv)
+    except SystemExit:              # --help
+        return 0
+    except argparse.ArgumentError as err:
+        # a usage error exits 3, not argparse's 2, the code of an Unknown
+        # verdict; --format is read from what parses of the command line
+        asked = _Parser(add_help=False)
+        asked.add_argument("--format")
+        try:
+            fmt = asked.parse_known_args(argv)[0].format
+        except argparse.ArgumentError:
+            fmt = None
+        if fmt == "json":
+            return _error(next((a for a in argv if a in COMMANDS), None), str(err), fmt)
+        parser.print_usage(sys.stderr)
+        return _error(None, str(err), fmt)
     try:
         report = run(args)
     except JetsymError as err:
-        message = f"jetsym {args.command}: error: {err}"
-        if args.format == "json":
-            print(json.dumps({"command": args.command, "error": str(err),
-                              "exit_code": 3}, sort_keys=True, indent=2))
-        else:
-            print(message, file=sys.stderr)
-        return 3
+        return _error(args.command, str(err), args.format)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:

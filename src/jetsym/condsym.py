@@ -19,7 +19,7 @@ from .algebra import TriBool, ZeroVerdict, derive, normalize, sum_of_products, z
 from .errors import JetsymError, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, rectify
-from .grammar import print_expr
+from .grammar import ordered_terms, print_expr
 from .jets import (NormalFormSystem, ProlongedVectorField, compatibility_residuals,
                    restrict_routes, restrict_to_section)
 from .multiindex import MultiIndex, indices_up_to
@@ -161,7 +161,7 @@ def build_ansatz(family, ws):
 def _canonical_equation(e):
     """Fix the overall sign so structurally equal equations deduplicate: an
     expanded sum negates to its normal form, a Laurent form in the ring."""
-    if e != 0 and e.as_ordered_terms()[0].could_extract_minus_sign():
+    if e != 0 and ordered_terms(e)[0].could_extract_minus_sign():
         return -e if e.is_Add else sum_of_products([(-1, e)])
     return e
 

@@ -18,8 +18,9 @@ derivatives of unknown functions and ``Int(f,x1)`` for formal
 antiderivatives (these make every normalized expression printable and
 re-parseable; the bare grammar above has no derivative syntax).
 
-The printer emits this same grammar with a deterministic term order, so
-``parse(print(e))`` reproduces ``e`` for every normalized expression.
+The printer emits this same grammar, a sum's terms in the order of sympy's
+``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
+``e`` for every normalized expression.
 """
 
 from __future__ import annotations
@@ -27,21 +28,17 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import sympy as sp
+from sympy.core.cache import cacheit
+from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
+from sympy.core.sorting import default_sort_key
 
 from .errors import DivisionByZero, ExprSyntaxError, UnknownSymbol
 from .multiindex import MultiIndex
 from .workspace import SymbolKind
 
-KERNELS = {
-    "exp": sp.exp,
-    "log": sp.log,
-    "sin": sp.sin,
-    "cos": sp.cos,
-    "sinh": sp.sinh,
-    "cosh": sp.cosh,
-}
 KERNEL_CLASSES = (sp.exp, sp.log, sp.sin, sp.cos, sp.sinh, sp.cosh)
+KERNELS = {k.__name__: k for k in KERNEL_CLASSES}
 
 
 class Token(NamedTuple):
@@ -158,12 +155,10 @@ class _Parser:
         return sp.Integer(self._signed_integer())
 
     def _signed_integer(self):
-        sign = 1
-        if self.peek().kind == "-":
+        sign = -1 if self.peek().kind == "-" else 1
+        if sign < 0:
             self.advance()
-            sign = -1
-        tok = self.expect("NUMBER")
-        return sign * int(tok.text)
+        return sign * int(self.expect("NUMBER").text)
 
     def atom(self):
         tok = self.peek()
@@ -225,10 +220,8 @@ class _Parser:
             if len(args) != 1:
                 raise ExprSyntaxError(f"kernel {name} takes one argument", head.pos)
             return KERNELS[name](args[0])
-        if name == "D":
-            return self._formal_derivative(head, args)
-        if name == "Int":
-            return self._formal_integral(head, args)
+        if name in ("D", "Int"):
+            return self._formal(head, args)
         if name in self.ws.functions:
             template = self.ws.functions[name]
             if tuple(args) != template.args:
@@ -239,28 +232,19 @@ class _Parser:
             return template
         raise UnknownSymbol(name, head.pos)
 
-    def _formal_derivative(self, head, args):
+    def _formal(self, head, args):
+        """D(f, x, ...), f an unknown-function call or a D of one, as its
+        canonical Derivative; Int(f, x, ...) as a formal antiderivative."""
         if len(args) < 2:
-            raise ExprSyntaxError("D(f(...), var, ...) needs a target and variables",
+            raise ExprSyntaxError(f"{head.text}(f, var, ...) needs a target and variables",
                                   head.pos)
-        target = args[0]
-        if not isinstance(target, (AppliedUndef, sp.Derivative)):
-            raise ExprSyntaxError(
-                "D applies to unknown-function calls only", head.pos)
+        if head.text == "D" and not isinstance(args[0], (AppliedUndef, sp.Derivative)):
+            raise ExprSyntaxError("D applies to unknown-function calls only", head.pos)
         for v in args[1:]:
             if self.ws.kind(v) is not SymbolKind.INDEPENDENT:
-                raise ExprSyntaxError(
-                    f"derivative variable {v} is not independent", head.pos)
-        return sp.Derivative(target, *args[1:]).canonical
-
-    def _formal_integral(self, head, args):
-        if len(args) < 2:
-            raise ExprSyntaxError("Int(f, var, ...) needs an integrand and variables",
-                                  head.pos)
-        for v in args[1:]:
-            if self.ws.kind(v) is not SymbolKind.INDEPENDENT:
-                raise ExprSyntaxError(
-                    f"integration variable {v} is not independent", head.pos)
+                raise ExprSyntaxError(f"{head.text} variable {v} is not independent", head.pos)
+        if head.text == "D":
+            return sp.Derivative(args[0], *args[1:]).canonical
         return sp.Integral(args[0], *args[1:])
 
 
@@ -277,90 +261,121 @@ def parse(text, ws):
 _ADD, _MUL, _POW, _ATOM = 1, 2, 3, 4
 
 
-def _wrap(text, level, need):
-    return f"({text})" if level < need else text
+@cacheit
+def _sort_key(e):
+    """``default_sort_key(e)``, as ``Expr.sort_key`` computes it, but with the
+    terms of each sum in e ordered by ``ordered_terms``."""
+    if not isinstance(e, sp.Expr) or e.is_Atom:
+        return default_sort_key(e)
+    coeff, expr = e.as_coeff_Mul()
+    exp = sp.S.One
+    if expr.is_Pow:
+        expr, exp = expr.as_base_exp()
+        if expr is sp.S.Exp1:
+            expr, exp = sp.Function("exp")(exp), sp.S.One
+    if expr.is_Atom:
+        args = (expr.sort_key(),) if expr.is_Dummy else (str(expr),)
+    else:
+        args = tuple(map(_sort_key, ordered_terms(expr) if expr.is_Add else
+                         sorted(expr.args, key=_sort_key) if expr.is_Mul else expr.args))
+    return expr.class_key(), (len(args), args), _sort_key(exp), coeff
+
+
+@cacheit
+def _factor(f):
+    """(value, None, 0) of a number factor of a term, (1, base, exponent) of
+    any other, as ``Expr.as_terms`` reads them."""
+    if f.is_number:
+        try:
+            return complex(f), None, 0
+        except (TypeError, ValueError):
+            pass
+    return 1, *decompose_power(f)
+
+
+@cacheit
+def ordered_terms(e):
+    """``e.as_ordered_terms()``, as a tuple, for commutative e: sympy's key,
+    with each factor of a term valued (``complex`` of a number, which runs
+    ``evalf``) or split (``decompose_power``) once, and each base's
+    ``_sort_key`` computed once."""
+    terms = sp.Add.make_args(e)
+    if len(terms) == 2:             # sympy's special case: c - k*x, c, k > 0, stays as it is
+        c, t = sorted(terms, key=lambda t: not isinstance(t, (sp.Number, sp.NumberSymbol)))
+        if isinstance(c, (sp.Number, sp.NumberSymbol)) and c.is_positive and t.is_Mul \
+                and t.as_coeff_Mul()[0].is_negative and not t.as_coeff_Mul()[1].is_Mul:
+            return c, t
+    data = []
+    for t in terms:
+        value, powers = 1, {}
+        for v, base, k in map(_factor, sp.Mul.make_args(t)):
+            if base is None:
+                value *= v
+            else:
+                powers[base] = k
+        data.append((t, value, powers))
+    gens = sorted({g for *_, powers in data for g in powers}, key=_sort_key)
+    return tuple(t for t, *_ in sorted(data, key=lambda d: (
+        tuple(-d[2].get(g, 0) for g in gens), ((bool(d[1].imag), d[1].imag), d[1].real))))
 
 
 def _print(e, need):
     text, level = _render(e)
-    return _wrap(text, level, need)
+    return f"({text})" if level < need else text
 
 
 def _render(e):
     if e is sp.S.Exp1:
         return "exp(1)", _ATOM
     if e.is_Integer:
-        if e < 0:
-            return str(e), _ADD
-        return str(e), _ATOM
+        return str(e), _ADD if e < 0 else _ATOM
     if e.is_Rational:
         return f"{e.p}/{e.q}", _ADD if e.p < 0 else _MUL
     if e.is_Symbol:
         return e.name, _ATOM
-    if isinstance(e, sp.exp):
-        return f"exp({_print(e.args[0], _ADD)})", _ATOM
-    if isinstance(e, KERNEL_CLASSES):
-        return f"{type(e).__name__}({_print(e.args[0], _ADD)})", _ATOM
-    if isinstance(e, AppliedUndef):
+    if isinstance(e, sp.Function):
+        # kernels, unknown functions, and a best effort for other function
+        # nodes (e.g. from integration)
         args = ",".join(_print(a, _ADD) for a in e.args)
         return f"{type(e).__name__}({args})", _ATOM
     if isinstance(e, sp.Derivative):
         e = e.canonical
-        parts = [_print(e.expr, _ADD)]
-        for v, k in e.variable_count:
-            parts.extend([_print(v, _ADD)] * int(k))
-        return f"D({','.join(parts)})", _ATOM
+        return f"D({','.join(_print(a, _ADD) for a in (e.expr, *e.variables))})", _ATOM
     if isinstance(e, sp.Integral):
-        parts = [_print(e.function, _ADD)]
-        for limit in e.limits:
-            parts.append(_print(limit[0], _ADD))
-        return f"Int({','.join(parts)})", _ATOM
+        return f"Int({','.join(_print(a, _ADD) for a in (e.function, *e.variables))})", _ATOM
     if e.is_Add:
-        terms = e.as_ordered_terms()
-        out = _print(terms[0], _ADD)
-        for t in terms[1:]:
-            if t.could_extract_minus_sign():
-                out += f" - {_print(-t, _MUL)}"
-            else:
-                out += f" + {_print(t, _MUL)}"
-        return out, _ADD
-    if e.is_Mul:
+        first, *rest = ordered_terms(e)
+        return _print(first, _ADD) + "".join(
+            f" - {_print(-t, _MUL)}" if t.could_extract_minus_sign() else f" + {_print(t, _MUL)}"
+            for t in rest), _ADD
+    if e.is_Mul or e.is_Pow and e.exp.is_Rational and e.exp < 0 and e.base is not sp.S.Exp1:
         return _render_mul(e)
     if e.is_Pow:
         return _render_pow(e)
-    if isinstance(e, sp.Function):
-        # best effort for nodes outside the grammar (e.g. from integration)
-        args = ",".join(_print(a, _ADD) for a in e.args)
-        return f"{type(e).__name__}({args})", _ATOM
     raise ValueError(f"cannot print expression node {sp.srepr(e)}")
 
 
 def _render_mul(e):
+    """A product, or a negative power as 1 over its inverse."""
     coeff, _ = e.as_coeff_Mul()
     if coeff.is_Rational and coeff < 0:
         inner, _ = _render(-e)
         return f"-{inner}", _ADD
     num, den = [], []
-    for f in e.as_ordered_factors():
+    for f in sorted(sp.Mul.make_args(e), key=_sort_key):
         if f.is_Rational and not f.is_Integer:
             if f.p != 1:
                 num.append(sp.Integer(f.p))
             den.append(sp.Integer(f.q))
-        elif f.is_Pow and f.exp.is_Rational and f.exp < 0 and not isinstance(f, sp.exp) \
-                and f.base is not sp.S.Exp1:
+        elif f.is_Pow and f.exp.is_Rational and f.exp < 0 and f.base is not sp.S.Exp1:
             den.append(sp.Pow(f.base, -f.exp))
         else:
             num.append(f)
-    if not num:
-        num_text = "1"
-    else:
-        num_text = "*".join(_print(f, _POW) for f in num)
+    num_text = "*".join(_print(f, _POW) for f in num) or "1"
     if not den:
         return num_text, _MUL
-    if len(den) == 1:
-        return f"{num_text}/{_print(den[0], _POW)}", _MUL
     den_text = "*".join(_print(f, _POW) for f in den)
-    return f"{num_text}/({den_text})", _MUL
+    return f"{num_text}/{den_text if len(den) == 1 else f'({den_text})'}", _MUL
 
 
 def _render_pow(e):
@@ -368,19 +383,13 @@ def _render_pow(e):
     if base is sp.S.Exp1:
         return f"exp({_print(ex, _ADD)})", _ATOM
     if ex.is_Integer:
-        if ex < 0:
-            inner = _print(base if ex == -1 else sp.Pow(base, -ex), _POW)
-            return f"1/{inner}", _MUL
         return f"{_print(base, _ATOM)}^{int(ex)}", _POW
     if ex.is_Rational:
-        if ex < 0:
-            return f"1/{_print(sp.Pow(base, -ex), _POW)}", _MUL
         return f"{_print(base, _ATOM)}^({ex.p}/{ex.q})", _POW
     raise ValueError(f"cannot print symbolic exponent in {e}")
 
 
 def print_expr(e):
-    """Render an expression in the shared grammar, deterministically ordered."""
-    e = sp.sympify(e)
-    text, _ = _render(e)
-    return text
+    """Render an expression in the shared grammar, a sum's terms in the order
+    of ``ordered_terms``."""
+    return _render(sp.sympify(e))[0]

@@ -167,25 +167,15 @@ class Workspace:
 
     def jet_atoms(self, expr):
         """[(symbol, alpha, K)] for every jet symbol of order >= 1 in expr."""
-        out = []
-        for s in expr.free_symbols:
-            info = self.jet_info(s)
-            if info is not None and info[1].order >= 1:
-                out.append((s, info[0], info[1]))
-        return out
+        return [atom for atom in self.dependent_atoms(expr) if atom[2].order >= 1]
 
     def dependent_atoms(self, expr):
         """[(symbol, alpha, K)] for jet AND dependent symbols in expr."""
-        out = []
-        for s in expr.free_symbols:
-            info = self.jet_info(s)
-            if info is not None:
-                out.append((s, info[0], info[1]))
-        return out
+        return [(s, *info) for s in expr.free_symbols
+                if (info := self.jet_info(s)) is not None]
 
     def max_jet_order(self, expr):
-        orders = [K.order for _, _, K in self.dependent_atoms(expr)]
-        return max(orders, default=0) if orders else 0
+        return max((K.order for _, _, K in self.dependent_atoms(expr)), default=0)
 
     def parse(self, text):
         from .grammar import parse

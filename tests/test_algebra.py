@@ -9,10 +9,11 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.core.sorting import default_sort_key
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement, PolyRing
 
-from jetsym import algebra
+from jetsym import algebra, grammar
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
 from jetsym.algebra import (_E, _as_expr, _normal_form, _read, _ring_elements, _tree,
@@ -21,7 +22,7 @@ from jetsym.algebra import (_E, _as_expr, _normal_form, _read, _ring_elements, _
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import CyclicBinding, DivisionByZero
 from jetsym.geometry import lie_bracket
-from jetsym.grammar import KERNEL_CLASSES
+from jetsym.grammar import KERNEL_CLASSES, ordered_terms
 from jetsym.jets import VectorField, prolong
 from jetsym.problem import load_problem
 
@@ -299,8 +300,8 @@ def test_atom_image_is_computed_once(monkeypatch):
     h = ws.parse("h(t)")
     sp.core.cache.clear_cache()
     calls = []
-    real = sp.diff
-    monkeypatch.setattr(sp, "diff", lambda f, *a, **k: calls.append(f) or real(f, *a, **k))
+    real = algebra._partial
+    monkeypatch.setattr(algebra, "_partial", lambda g, s: calls.append(g) or real(g, s))
     first = derive(x1 * h, {t: 1, x1: 1})
     second = derive(u * sp.sin(h) * h ** 2, {t: 1, u: x1})
     assert first == h + x1 * ws.parse("D(h(t),t)")
@@ -527,6 +528,41 @@ def test_laurent_form_is_the_rings_cancel(terms):
     assert _same_tree(out, _as_expr(*_ring_elements([(terms, {})])[0]))
 
 
+# negative and rational powers of the atoms, which ``_read`` sums do not hold
+# and ``decompose_power`` splits into a base and an integer exponent
+_EXPONENT_SCALES = st.sampled_from([1, 1, -1, sp.Rational(1, 2), sp.Rational(-3, 2)])
+
+
+@st.composite
+def _sums_to_order(draw):
+    """A sum sympy's constructors build from the terms of a ``_read`` sum,
+    exp(r) and constant logs among their number factors and each other atom
+    raised to a power scaled by -1, 1/2 or -3/2 at times; or c - k*x, the
+    two-term sum that sympy's key leaves as it is when c and k are positive."""
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(st.sampled_from([sp.Rational(3, 2), sp.Integer(2), sp.E, sp.log(2)]))
+        x = sp.Mul(*draw(st.lists(st.sampled_from(_PLAIN_GENERATORS), min_size=1, max_size=2)))
+        return c - draw(_rationals.filter(bool)) * x
+    return sp.Add(*[QQ.to_sympy(c) * sp.Mul(*[
+        sp.exp(k * g.args[0]) if type(g) is sp.exp else g ** (k * draw(_EXPONENT_SCALES))
+        for g, k in m]) for m, c in draw(_read_sums()).items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sums_to_order())
+@example(2 - 3 * _x1)
+@example(sp.E - _u / 2)
+@example(sp.log(2) * _u - 3 * _u + sp.E * _u)
+@example(sp.Rational(-400, 11) * _u + sp.log(2) * _u / 5)
+def test_ordered_terms_is_as_ordered_terms(e):
+    """``ordered_terms`` gives sympy's ``as_ordered_terms``, node for node,
+    and ``_sort_key``, which orders the bases of its monomials, is
+    ``default_sort_key``."""
+    out, reference = ordered_terms(e), e.as_ordered_terms()
+    assert len(out) == len(reference) and all(map(_same_tree, out, reference))
+    assert grammar._sort_key(e) == default_sort_key(e)
+
+
 def test_tree_needs_distinct_ring_atoms():
     """``_tree`` only sorts, which is all ``flatten`` does to products of
     ring atoms.  A generator that is a sum, which ``Elimination`` allows for
@@ -574,6 +610,53 @@ def test_hot_path_builds_no_tree_with_as_expr(monkeypatch, capsys):
         assert is_zero(lhs - PB.coefficient(0, K)) is ZeroVerdict.ZERO
     assert calls == []
     assert rings == []
+
+
+_F_WS = Workspace(["x1", "x2"], ["u"], order_cap=2)
+_F_WS.add_function("f", args=["x1", "x2"])
+_F_WS.add_function("g", args=["x2"])
+_F, _G = _F_WS.parse("f(x1,x2)"), _F_WS.parse("g(x2)")
+
+
+@st.composite
+def _partials(draw):
+    """(g, s): an unknown function, a Derivative of one in variables drawn
+    with repeats and in any order, or an atom of another kind; s a symbol
+    that is or is not among the function's arguments."""
+    f = draw(st.sampled_from([_F, _G]))
+    variables = draw(st.lists(st.sampled_from(f.args), max_size=4))
+    g = draw(st.sampled_from([sp.Derivative(f, *variables) if variables else f, f ** 2,
+                              sp.sin(f)]))
+    return g, draw(st.sampled_from(_F_WS.independent + _F_WS.dependent))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_partials())
+@example((_F, _F_WS.dependent[0]))
+@example((_F_WS.parse("D(f(x1,x2),x1,x1,x2)"), _F_WS.independent[1]))
+@example((sp.Derivative(_F, *_F_WS.independent[::-1], _F_WS.independent[1]),
+          _F_WS.independent[0]))
+def test_partial_is_sympy_diff(case):
+    """``_partial`` builds the tree ``sp.diff`` returns, node for node."""
+    g, s = case
+    assert _same_tree(algebra._partial(g, s), sp.diff(g, s))
+
+
+def test_determining_systems_skip_sympys_term_order_and_diff(capsys):
+    """A cold derive-determining run orders every sum it prints or signs by
+    ``ordered_terms`` and takes each partial of an unknown function by
+    ``_partial``: on wave.jetsym and on a ladder rung neither
+    ``Expr.as_ordered_terms`` nor ``sympy.diff`` is called."""
+    root = Path(__file__).resolve().parent.parent
+    with mock.patch.object(sp.Expr, "as_ordered_terms", autospec=True,
+                           side_effect=sp.Expr.as_ordered_terms) as terms, \
+            mock.patch.object(sp, "diff", wraps=sp.diff) as diffs:
+        for path in (root / "problems" / "wave.jetsym",
+                     root / "perfbench" / "problems" / "kdv-deg2.jetsym"):
+            sp.core.cache.clear_cache()
+            assert main(["derive-determining", str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert (terms.call_count, diffs.call_count) == (0, 0)
 
 
 def test_nonzero_residuals_off_the_ring_stay_structural():

@@ -176,6 +176,19 @@ def test_malformed_flag_exits_3(capsys, flag, value):
     assert f"error: argument {flag}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "xyz"), ("--seed", "-5"), ("--seed", "0x"),
+                                        ("--order", "abc"), ("--cap", "abc")])
+def test_malformed_flag_under_json_prints_the_error_object(capsys, flag, value):
+    """Under --format json a flag value that does not parse prints the
+    object every other exit-3 error prints, and nothing on stderr."""
+    rc, out, err = run_cli(capsys, "charsys", PROBLEMS / "wave.jetsym", flag, value,
+                           "--format", "json")
+    assert rc == 3 and err == ""
+    data = json.loads(out)
+    assert data == {"command": "charsys", "error": data["error"], "exit_code": 3}
+    assert data["error"].startswith(f"argument {flag}: ")
+
+
 def test_seed_flag_takes_hex_literals(capsys):
     for value, echo in [("0x1F", "0x1F"), ("1f", "0x1F"), ("BEEF", "0xBEEF")]:
         rc, data = run_json(capsys, "charsys", PROBLEMS / "wave.jetsym", "--seed", value)
