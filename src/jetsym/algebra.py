@@ -22,7 +22,7 @@ is built only to cancel a quotient (``_ring_elements``, ``_as_expr``), and in
 take sympy's trees and ``sympy.cancel``.  For the zero test and family collection,
 ``euler`` rewrites sin, cos, sinh and cosh through Euler's formula over the
 Gaussian rationals QQ_I, so that their identities cancel as sums; normal
-forms stay in sin and cos.
+forms stay in sin and cos; the zero test alone reads logs (``_log_read``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, islice
 
 import sympy as sp
@@ -169,11 +169,35 @@ def euler(terms):
     ``_euler`` image: equal as a function, and 0 exactly when the sum is 0
     where the atoms left are algebraically independent (``_independent``).
     Zero terms are dropped."""
-    out = {}
-    for m, c in terms.items():
-        for m2, c2 in reduce(_times, [_euler(g, k) for g, k in m], {frozenset(): c}).items():
-            out[m2] = out[m2] + c2 if m2 in out else c2
+    return _mapped(terms, _euler)
+
+
+def _mapped(terms, image):
+    """A ``_read`` sum with each atom power g**k replaced by the sum image(g, k)."""
+    out, _ = _plus([(reduce(_times, [image(g, k) for g, k in m], {frozenset(): c}), {})
+                    for m, c in terms.items()])
     return {m: c for m, c in out.items() if c}
+
+
+@cacheit
+def _log_read(g, k):
+    """log(a)**k, for a log atom g = log(a), as a sum over QQ in atoms |p|
+    that stand for log|p|: a = c*prod p**j, p the primes of the rational c
+    and a's primitive factors of normalized sign, read off ``_read`` for a
+    quotient of monomials, else by ``sympy.factor_list``.  {g: k} otherwise."""
+    if type(g) is not sp.log:
+        return {frozenset({(g, k)}): QQ.one}
+    num, den = _read(g.args[0])
+    if len(num) == 1 and all(len(f) == 1 for f, _ in den.values()):
+        (m, c), = reduce(_times, [{frozenset((h, -i * j) for h, i in m2): 1 / c2 ** j}
+                                  for f, j in den.values() for m2, c2 in f.items()], num).items()
+        factors, c = [*m], QQ.to_sympy(c)
+    else:
+        c, numer, denom = sp.factor_list(g.args[0], frac=True)
+        factors = numer + [(p, -j) for p, j in denom]
+    terms, _ = _plus([({frozenset({(sp.Abs(p, evaluate=False), 1)}): QQ.convert(j)}, {})
+                      for p, j in [*factors, *sp.factorrat(abs(c)).items()]])
+    return reduce(_times, [terms] * k)
 
 
 # the atom of the direction t = 1, unevaluated since exp(1) is E
@@ -785,25 +809,34 @@ def _enclose(program, point, ctx):
     return values[-1]
 
 
+def _positive(logs, point):
+    """The argument of each log is > 0 at point: exactly if rational, else at 53 bits."""
+    return all(v > 0 if (v := g.args[0].xreplace(point)).is_Rational
+               else _enclose(_program(g.args[0]), point, _LADDER[0][1]) > 0 for g in logs)
+
+
 def zero_verdict(e, seed=None):
     """Three-valued zero test of the normal form n of e.
 
-    Zero, structural, when n is 0.  Unknown, opaque, when n holds an
-    unknown function, a Derivative or an Integral; the first is the witness.
-    The factors of n but its negative powers and exponentials are read in
-    the ring and sin, cos, sinh and cosh rewritten through Euler's formula
+    Zero, structural, when n is 0.  Unknown, opaque, when n holds an unknown
+    function, a Derivative or an Integral; the first is the witness.  The
+    factors of n but its negative powers and exponentials are read in the
+    ring and sin, cos, sinh and cosh rewritten through Euler's formula
     (``euler``): Zero, structural, when that is 0, and NonZero, structural,
     when it is not and its atoms are algebraically independent
-    (``_independent``).  A constant is NonZero, structural, when its value
-    to 40 significant digits is not 0.  Any other n -- a log, a direction
-    that is no monomial, a constant kernel -- is a straight-line
-    program (``_program``) enclosed in interval arithmetic (Moore, 1966) at
-    53, 212 and 848 bits, at exact-rational points from ``sample_points``:
-    an interval that excludes 0 certifies NonZero (``interval``, witness
-    (point, bits)), a point where one leaves the real domain is rejected,
-    and Zero, probabilistic, needs 0 in every precision's interval at
-    ``ZERO_SAMPLES`` accepted points, since no test decides every residual
-    (Richardson, 1968).  Unknown, sampling-blocked, when none is accepted.
+    (``_independent``).  Then logs are read as sums of log|p|
+    (``_log_read``): an image 0 is Zero, structural, with a point where each
+    log argument is > 0 (``_positive``) as witness.  A constant is NonZero,
+    structural, when its value to 40 significant digits is not 0.  Any other
+    n -- a nonzero log read, a direction that is no monomial, a constant
+    kernel -- is a straight-line program (``_program``) enclosed in interval
+    arithmetic (Moore, 1966) at 53, 212 and 848 bits, at exact-rational
+    points from ``sample_points``: an interval that excludes 0 certifies
+    NonZero (``interval``, witness (point, bits)), a point where one leaves
+    the real domain is rejected, and Zero, probabilistic, needs 0 in every
+    precision's interval at ``ZERO_SAMPLES`` accepted points, since no test
+    decides every residual (Richardson, 1968).  Unknown, sampling-blocked,
+    when none is accepted.
     """
     seed = DEFAULT_SEED if seed is None else seed
     n = normalize(e)
@@ -823,6 +856,12 @@ def zero_verdict(e, seed=None):
             return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
         if _independent(g for m in terms for g, _ in m):
             return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+        if not _mapped(terms, _log_read):
+            syms = sorted(n.free_symbols, key=lambda s: s.name)
+            draws = sample_points(syms, random.Random(seed), partial(_positive, n.atoms(sp.log)),
+                                  ZERO_SAMPLES * 40)
+            if (point := next((p for p, positive in draws if positive), None)) is not None:
+                return ZeroResult(ZeroVerdict.ZERO, "structural", witness=point, seed=seed)
     if not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
         # none settles a constant such as sin(1)**2 + cos(1)**2 - 1

@@ -260,7 +260,7 @@ def verify_conditional_symmetry(pde, F, n, force_direct=False, seed=None):
                 f"route A verdict Unknown; direct route B says "
                 f"{route_b.overall().value}")
             route_a.verdicts.extend(route_b.verdicts)
-            route_a.assumptions.extend(route_b.assumptions)
+            route_a.assumptions += [a for a in route_b.assumptions if a not in route_a.assumptions]
             route_a.route = "A+B"
             return route_a
         except JetsymError as err:
@@ -277,7 +277,7 @@ def _leading_jet(e, ws):
 
 def _solve_for_leading_jet(e, ws, mapping, assumptions):
     """e = A*jet + B: map the leading jet to -B/A and note a non-constant A
-    as an assumption; False when e is not affine in its leading jet."""
+    as an assumption, once; False when e is not affine in its leading jet."""
     lead = _leading_jet(e, ws)
     if lead is None:
         return False
@@ -286,8 +286,8 @@ def _solve_for_leading_jet(e, ws, mapping, assumptions):
     if A == 0 or A.has(s):
         return False
     mapping[s] = normalize(s - e / A)
-    if A.free_symbols:
-        assumptions.append(f"nonvanishing coefficient: {print_expr(A)}")
+    if A.free_symbols and (note := f"nonvanishing coefficient: {print_expr(A)}") not in assumptions:
+        assumptions.append(note)
     return True
 
 

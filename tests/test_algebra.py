@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.core.sorting import default_sort_key
 from sympy.polys.domains import QQ
@@ -942,11 +942,34 @@ def test_hyperbolic_identity_is_structurally_zero():
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
 
 
-def test_log_identity_stays_sampled():
-    """log(x*y) = log(x) + log(y) holds only where the logs are real, and
-    Euler's formula does not touch log: the identity is sampled."""
+def test_log_identity_is_structurally_zero():
+    """log(x*y) = log(x) + log(y) holds wherever the logs are real: the log
+    read cancels it, and its witness is a point where x*y, x and y are > 0."""
     r = zero_verdict(_LOG_IDENTITY)
-    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
+    assert all(a.xreplace(r.witness) > 0 for a in (_X * _Y, _X, _Y))
+
+
+@pytest.mark.parametrize("e, factored", [
+    (sp.log(_X ** 2 - 1) - sp.log(_X - 1) - sp.log(_X + 1), 3),
+    (sp.log(4 * _x1 + 4 * _u) - sp.log(_x1 + _u) - 2 * sp.log(2), 2),
+    (_LOG_IDENTITY, 0)])
+def test_log_read_samples_no_residual(e, factored, monkeypatch):
+    """A log identity is Zero, structural, after one draw of
+    ``sample_points`` for a point where every log argument is > 0; the
+    residual itself is neither sampled nor enclosed.  Only the sum
+    arguments are factored, and the rational content of log(4*x1 + 4*u)
+    reads as 2*log(2)."""
+    draws, enclosed, factors = [], [], []
+    sample_points, enclose, factor_list = algebra.sample_points, algebra._enclose, sp.factor_list
+    monkeypatch.setattr(algebra, "sample_points", lambda *a: draws.append(a) or sample_points(*a))
+    monkeypatch.setattr(algebra, "_enclose", lambda *a: enclosed.append(a) or enclose(*a))
+    monkeypatch.setattr(sp, "factor_list", lambda f, **k: factors.append(f) or factor_list(f, **k))
+    sp.core.cache.clear_cache()
+    r = zero_verdict(e)
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
+    assert (len(draws), enclosed, len(factors)) == (1, [], factored)
+    assert all(g.args[0].xreplace(r.witness) > 0 for g in e.atoms(sp.log))
 
 
 # identities in sin, cos, sinh, cosh and exp of two arguments
@@ -985,6 +1008,38 @@ def test_euler_verdict_matches_the_interval_verdict(identity, a, b, multiplier, 
         sampled = zero_verdict(e)
     assert r.confidence == "structural" and sampled.confidence != "structural"
     assert r.verdict is sampled.verdict is (ZeroVerdict.NONZERO if epsilon else ZeroVerdict.ZERO)
+
+
+_LOG_BASES = [_X, _Y, _X + 1, 1 - _X, _X - _Y, _X ** 2 + 1]
+_log_factors = st.lists(st.tuples(st.sampled_from(_LOG_BASES), st.sampled_from([-2, -1, 1, 2, 3])),
+                        min_size=1, max_size=3, unique_by=lambda factor: factor[0])
+_contents = st.sampled_from([sp.Integer(4), sp.Rational(1, 3), sp.Integer(6), sp.Rational(9, 8)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_contents, _log_factors, _multipliers, _epsilon_terms)
+@example(sp.Integer(4), [(1 - _X, 2)], _Y + 1, 0)
+@example(sp.Rational(1, 3), [(_X - _Y, -1), (_Y, 1)], _X, sp.exp(_X) / 10 ** 15)
+def test_log_read_matches_the_interval_verdict(c, factors, multiplier, epsilon):
+    """log(c*prod p**k) - sum k*log(p) - log(c), times a polynomial, plus
+    eps*exp(c*x + d) or not: the log read's structural Zero is the verdict
+    of the interval test, which decides when the read is switched off, and
+    a residual that it does not cancel takes the interval test unchanged."""
+    identity = (sp.log(c * sp.Mul(*[p ** k for p, k in factors])) - sp.log(c)
+                - sp.Add(*[k * sp.log(p) for p, k in factors]))
+    # normalize itself cancels log(4*x) - log(x) - log(4), with no read
+    assume(normalize(identity) != 0)
+    e = identity * multiplier + epsilon
+    r = zero_verdict(e)
+    with mock.patch.object(algebra, "_log_read", lambda g, k: {frozenset({(g, k)}): QQ.one}):
+        sampled = zero_verdict(e)
+    assert sampled.verdict is (ZeroVerdict.NONZERO if epsilon else ZeroVerdict.ZERO)
+    assert sampled.confidence != "structural"
+    if epsilon:
+        assert r == sampled
+    else:
+        assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
+        assert all(g.args[0].xreplace(r.witness) > 0 for g in e.atoms(sp.log))
 
 
 def test_normalize_reduces_each_term_of_a_kernel_argument():

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -394,3 +395,25 @@ def test_solutions_satisfy_higher_order_consequences(rng):
     pde = PdeSystem(ws, tuple(consequences))
     results = verify_solution([pde], candidate, ws)
     assert all(r.verdict is ZeroVerdict.ZERO for _, r in results)
+
+
+def test_route_b_lists_each_assumption_once(tmp_path, capsys):
+    """Route B solves three constraints of the scaled family for leading jets
+    with the coefficient -x1^2 - 1: the report lists that assumption once."""
+    path = tmp_path / "scaled.jetsym"
+    path.write_text("""[variables]
+independent = x1 x2
+dependent = u
+[options]
+order = 2
+[pde]
+wave = "u_{x1,x2} - 2*u^3 - u^2"
+[fields]
+Z1 = "x1^2 + 1" | "0" ; "(x1^2 + 1)*u^2"
+Z2 = "0" | "1" ; "u^2"
+""")
+    argv = ["verify-symmetry", str(path), "--force-direct", "--format", "json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["assumptions"] == ["nonvanishing coefficient: -x1^2 - 1"]
+    assert report["verdicts"][0]["verdict"] == "No"
