@@ -31,7 +31,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations, islice
 
 import sympy as sp
@@ -43,7 +43,7 @@ from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.numbers import ilcm
 from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.polyerrors import PolynomialError
+from sympy.polys.polyerrors import BasePolynomialError, PolynomialError
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
@@ -809,12 +809,6 @@ def _enclose(program, point, ctx):
     return values[-1]
 
 
-def _positive(logs, point):
-    """The argument of each log is > 0 at point: exactly if rational, else at 53 bits."""
-    return all(v > 0 if (v := g.args[0].xreplace(point)).is_Rational
-               else _enclose(_program(g.args[0]), point, _LADDER[0][1]) > 0 for g in logs)
-
-
 def zero_verdict(e, seed=None):
     """Three-valued zero test of the normal form n of e.
 
@@ -825,18 +819,19 @@ def zero_verdict(e, seed=None):
     (``euler``): Zero, structural, when that is 0, and NonZero, structural,
     when it is not and its atoms are algebraically independent
     (``_independent``).  Then logs are read as sums of log|p|
-    (``_log_read``): an image 0 is Zero, structural, with a point where each
-    log argument is > 0 (``_positive``) as witness.  A constant is NonZero,
-    structural, when its value to 40 significant digits is not 0.  Any other
-    n -- a nonzero log read, a direction that is no monomial, a constant
-    kernel -- is a straight-line program (``_program``) enclosed in interval
-    arithmetic (Moore, 1966) at 53, 212 and 848 bits, at exact-rational
-    points from ``sample_points``: an interval that excludes 0 certifies
-    NonZero (``interval``, witness (point, bits)), a point where one leaves
-    the real domain is rejected, and Zero, probabilistic, needs 0 in every
-    precision's interval at ``ZERO_SAMPLES`` accepted points, since no test
-    decides every residual (Richardson, 1968).  Unknown, sampling-blocked,
-    when none is accepted.
+    (``_log_read``): an image 0 is Zero, structural, witness the first point
+    from ``sample_points`` where n's 53-bit enclosure succeeds (n is real
+    there, each log argument > 0), else Unknown, sampling-blocked.  A
+    constant is NonZero, structural, when its value to 40 significant digits
+    is not 0.  Any other n -- a nonzero log read, a direction that is no
+    monomial, a constant kernel -- is a straight-line program (``_program``)
+    enclosed in interval arithmetic (Moore, 1966) at 53, 212 and 848 bits,
+    at exact-rational points from ``sample_points``: an interval that
+    excludes 0 certifies NonZero (``interval``, witness (point, bits)), a
+    point where one leaves the real domain is rejected, and Zero,
+    probabilistic, needs 0 in every precision's interval at ``ZERO_SAMPLES``
+    accepted points, since no test decides every residual (Richardson,
+    1968).  Unknown, sampling-blocked, when none is accepted.
     """
     seed = DEFAULT_SEED if seed is None else seed
     n = normalize(e)
@@ -846,6 +841,7 @@ def zero_verdict(e, seed=None):
                    if isinstance(s, (AppliedUndef, sp.Derivative, sp.Integral))), None)
     if opaque is not None:
         return ZeroResult(ZeroVerdict.UNKNOWN, "opaque", witness=opaque, seed=seed)
+    syms = sorted(n.free_symbols, key=lambda s: s.name)
     # negative powers and exponentials are nonzero where n is defined, so n
     # is 0 exactly when the numerator of the other factors is
     value = _read(sp.Mul(*[f for f in sp.Mul.make_args(n) if not (
@@ -856,12 +852,18 @@ def zero_verdict(e, seed=None):
             return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
         if _independent(g for m in terms for g, _ in m):
             return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
-        if not _mapped(terms, _log_read):
-            syms = sorted(n.free_symbols, key=lambda s: s.name)
-            draws = sample_points(syms, random.Random(seed), partial(_positive, n.atoms(sp.log)),
-                                  ZERO_SAMPLES * 40)
-            if (point := next((p for p, positive in draws if positive), None)) is not None:
-                return ZeroResult(ZeroVerdict.ZERO, "structural", witness=point, seed=seed)
+        try:
+            cancels = not _mapped(terms, _log_read)
+        except (BasePolynomialError, NotImplementedError, AttributeError):
+            cancels = False   # factorrat raises AttributeError on irrational content
+        if cancels:
+            # the interval path, on the same draws, accepts only points where this succeeds
+            program = _program(n)
+            point = next((p for p, _ in sample_points(syms, random.Random(seed), lambda p: _enclose(
+                program, p, _LADDER[0][1]), ZERO_SAMPLES * 40)), None)
+            if point is None:
+                return ZeroResult(ZeroVerdict.UNKNOWN, "sampling-blocked", seed=seed)
+            return ZeroResult(ZeroVerdict.ZERO, "structural", witness=point, seed=seed)
     if not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
         # none settles a constant such as sin(1)**2 + cos(1)**2 - 1
@@ -878,7 +880,6 @@ def zero_verdict(e, seed=None):
         return next((bits for bits, ctx in _LADDER
                      if (v := _enclose(program, point, ctx)) > 0 or v < 0), None)
 
-    syms = sorted(n.free_symbols, key=lambda s: s.name)
     point = None
     for point, bits in islice(sample_points(syms, random.Random(seed), certify,
                                             ZERO_SAMPLES * 40), ZERO_SAMPLES):

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.core.sorting import default_sort_key
 from sympy.polys.domains import QQ
+from sympy.polys.polyerrors import PolynomialError
 from sympy.polys.rings import PolyElement, PolyRing
 
 from jetsym import algebra, grammar
@@ -416,10 +417,14 @@ def test_log_reads_as_sympy_expand_splits_it(e, form):
     assert _same_tree(normalize(n), n)
 
 
-def test_log_of_opposite_signs_stays_sampling_blocked():
-    """log(x) and log(-x) are never both real, so no point is accepted."""
+def test_log_of_opposite_signs_stays_sampling_blocked(monkeypatch):
+    """log(x) and log(-x) are never both real, so no point is accepted, and
+    the log read, which cancels them, draws the points once."""
+    draws, sample_points = [], algebra.sample_points
+    monkeypatch.setattr(algebra, "sample_points", lambda *a: draws.append(a) or sample_points(*a))
     r = zero_verdict(sp.log(_x1) - sp.log(-_x1))
     assert (r.verdict, r.confidence) == (ZeroVerdict.UNKNOWN, "sampling-blocked")
+    assert len(draws) == 1
 
 
 # inputs on which the ring's two former readers disagreed: exp(sqrt(x)),
@@ -954,12 +959,12 @@ def test_log_identity_is_structurally_zero():
     (sp.log(_X ** 2 - 1) - sp.log(_X - 1) - sp.log(_X + 1), 3),
     (sp.log(4 * _x1 + 4 * _u) - sp.log(_x1 + _u) - 2 * sp.log(2), 2),
     (_LOG_IDENTITY, 0)])
-def test_log_read_samples_no_residual(e, factored, monkeypatch):
+def test_log_identity_is_enclosed_only_at_53_bits(e, factored, monkeypatch):
     """A log identity is Zero, structural, after one draw of
-    ``sample_points`` for a point where every log argument is > 0; the
-    residual itself is neither sampled nor enclosed.  Only the sum
-    arguments are factored, and the rational content of log(4*x1 + 4*u)
-    reads as 2*log(2)."""
+    ``sample_points``: the residual is enclosed at 53 bits only, at each
+    point until the first where that succeeds, which is the witness.  Only
+    the sum arguments are factored, and the rational content of
+    log(4*x1 + 4*u) reads as 2*log(2)."""
     draws, enclosed, factors = [], [], []
     sample_points, enclose, factor_list = algebra.sample_points, algebra._enclose, sp.factor_list
     monkeypatch.setattr(algebra, "sample_points", lambda *a: draws.append(a) or sample_points(*a))
@@ -968,8 +973,21 @@ def test_log_read_samples_no_residual(e, factored, monkeypatch):
     sp.core.cache.clear_cache()
     r = zero_verdict(e)
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
-    assert (len(draws), enclosed, len(factors)) == (1, [], factored)
+    assert len(draws) == 1 and enclosed[-1][1] == r.witness
+    assert {ctx for _, _, ctx in enclosed} == {algebra._LADDER[0][1]}
+    assert len(factors) == factored
     assert all(g.args[0].xreplace(r.witness) > 0 for g in e.atoms(sp.log))
+
+
+@pytest.mark.parametrize("name, error", [("factor_list", PolynomialError),
+                                         ("factorrat", AttributeError)])
+def test_log_read_that_fails_leaves_the_interval_path(name, error):
+    """A log argument that sympy cannot factor, or whose content is not
+    rational, leaves the residual to the interval path, as with no read."""
+    sp.core.cache.clear_cache()
+    with mock.patch.object(sp, name, side_effect=error):
+        r = zero_verdict(sp.log(_X ** 2 - 1) - sp.log(_X - 1) - sp.log(_X + 1))
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
 
 
 # identities in sin, cos, sinh, cosh and exp of two arguments
@@ -1076,9 +1094,13 @@ def test_epsilon_residual_needs_neither_cancel_nor_float_values(monkeypatch):
 
 def test_residual_without_a_real_point_is_sampling_blocked():
     """log(-x^2 - 1) is real at no point, so every point is rejected when
-    the ring cannot decide the residual, as for a log identity; a
-    Pythagorean factor it decides through Euler's formula."""
+    the ring cannot decide the residual, as for a log identity, and so is
+    every point of a log identity over a root that is real only where its
+    logs are not; a Pythagorean factor it decides through Euler's formula."""
     r = zero_verdict(sp.log(-_X ** 2 - 1) * (sp.log(_X * _Y) - sp.log(_X) - sp.log(_Y)))
+    assert (r.verdict, r.confidence) == (ZeroVerdict.UNKNOWN, "sampling-blocked")
+    # the logs need x > 0 and the root x < -1: a cancelled log read has no witness
+    r = zero_verdict((sp.log(_X * _Y) - sp.log(_X) - sp.log(_Y)) / sp.sqrt(-_X - 1))
     assert (r.verdict, r.confidence) == (ZeroVerdict.UNKNOWN, "sampling-blocked")
     r = zero_verdict(sp.log(-_X ** 2 - 1) * (sp.sin(_X) ** 2 + sp.cos(_X) ** 2 - 1))
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
