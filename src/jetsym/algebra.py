@@ -16,10 +16,13 @@ sums: empty for a polynomial.  ``derive``, ``sum_of_products``,
 ``difference`` and ``substitutions`` multiply and add values without
 cancelling (``_product``, ``_plus``, ``_derivation``) and put the result in
 normal form once (``_normal_form``), a tree built at once for a value
-without a denominator.  A sparse ring over QQ (``sympy.polys.rings.PolyRing``)
-is built only to cancel a quotient (``_ring_elements``, ``_as_expr``), and in
-``Elimination``.  Symbolic and fractional powers and other constant kernels
-take sympy's trees and ``sympy.cancel``.  For the zero test and family collection,
+without a denominator; the parser builds values too (``grammar.parse``).  A
+sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to cancel
+a quotient (``_ring_elements``, ``_as_expr``), and in ``Elimination``; a
+quotient without exp atoms cancels without one when N is 0, D one term or N
+one term over a D without monomial content (``_laurent``, ``_over_sum``).
+Symbolic and fractional powers and other constant kernels take sympy's
+trees and ``sympy.cancel``.  For the zero test and family collection,
 ``euler`` rewrites sin, cos, sinh and cosh through Euler's formula over the
 Gaussian rationals QQ_I, so that their identities cancel as sums; normal
 forms stay in sin and cos; the zero test alone reads logs (``_log_read``).
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import combinations, islice
+from math import gcd
 
 import sympy as sp
 from mpmath.ctx_iv import MPIntervalContext
@@ -184,18 +188,27 @@ def _log_read(g, k):
     """log(a)**k, for a log atom g = log(a), as a sum over QQ in atoms |p|
     that stand for log|p|: a = c*prod p**j, p the primes of the rational c
     and a's primitive factors of normalized sign, read off ``_read`` for a
-    quotient of monomials, else by ``sympy.factor_list``.  {g: k} otherwise."""
+    quotient of monomials, else by ``sympy.factor_list`` over the generators
+    exp(t/d) of ``_ring_elements``.  A factor exp(s)**j reads as j*s, since
+    log|exp(s)| = s for real s.  {g: k} otherwise."""
     if type(g) is not sp.log:
         return {frozenset({(g, k)}): QQ.one}
-    num, den = _read(g.args[0])
-    if len(num) == 1 and all(len(f) == 1 for f, _ in den.values()):
-        (m, c), = reduce(_times, [{frozenset((h, -i * j) for h, i in m2): 1 / c2 ** j}
-                                  for f, j in den.values() for m2, c2 in f.items()], num).items()
+    value = _read(a := g.args[0])
+    laurent = _laurent(*value)
+    if laurent is not None and len(laurent) == 1:
+        (m, c), = laurent.items()
         factors, c = [*m], QQ.to_sympy(c)
     else:
-        c, numer, denom = sp.factor_list(g.args[0], frac=True)
-        factors = numer + [(p, -j) for p, j in denom]
-    terms, _ = _plus([({frozenset({(sp.Abs(p, evaluate=False), 1)}): QQ.convert(j)}, {})
+        gens = {h: (sp.Dummy(), d) for h, d in _atoms([value]).items() if type(h) is sp.exp}
+        powers = {n: _exponent(n.args[0]) for n in a.atoms(sp.exp)}
+        c, numer, denom = sp.factor_list(a.xreplace({
+            n: sp.Mul(*[gens[h][0] ** (j * gens[h][1]) for h, j in m])
+            for n, m in powers.items() if m and all(h in gens for h, _ in m)}), frac=True)
+        back = {z: sp.exp(h.args[0] / d) for h, (z, d) in gens.items()}
+        factors = [(p.xreplace(back), j) for p, j in numer + [(p, -j) for p, j in denom]]
+    # j*log|exp(s)| is j*s when that reads without a denominator
+    terms, _ = _plus([v if type(p) is sp.exp and (v := _read(j * p.args[0])) and not v[1] else
+                      ({frozenset({(sp.Abs(p, evaluate=False), 1)}): QQ.convert(j)}, {})
                       for p, j in [*factors, *sp.factorrat(abs(c)).items()]])
     return reduce(_times, [terms] * k)
 
@@ -338,16 +351,40 @@ def _as_expr(n, d):
     Q's leading coefficient is positive in lex order of sympy's sorted
     generators (``decompose_power`` of each factor).  N itself when D = 1."""
     p, q = (n, n.ring.one) if d == 1 else n.cancel(d)
-    if len(q) > 1:
-        terms = [(dict(decompose_power(g ** k) for g, k in zip(q.ring.symbols, monom) if k), c)
-                 for monom, c in q.terms()]
-        order = _sort_gens({g for powers, _ in terms for g in powers})
-        if max(terms, key=lambda term: [term[0].get(g, 0) for g in order])[1] < 0:
-            p, q = -p, -q
+    if len(q) > 1 and _negative_lead([(dict(decompose_power(g ** k) for g, k in zip(
+            q.ring.symbols, monom) if k), c) for monom, c in q.terms()]):
+        p, q = -p, -q
     to_sympy, gens = n.ring.domain.to_sympy, n.ring.symbols
     p, q = (_tree(tuple((tuple((g, k) for g, k in zip(gens, monom) if k), to_sympy(c))
                         for monom, c in f.items())) for f in (p, q))
     return p if q is sp.S.One else p / q
+
+
+def _negative_lead(terms):
+    """True when the leading term of a sum of (powers {g: k}, c) terms, in lex
+    order of sympy's sorted generators, has c < 0."""
+    order = _sort_gens({g for powers, _ in terms for g in powers})
+    return max(terms, key=lambda term: [term[0].get(g, 0) for g in order])[1] < 0
+
+
+def _over_sum(num, den):
+    """N / D as ``_as_expr`` of its ring elements, without a ring, for N one
+    term c*m over a D whose terms, multiplied out, share no atom: gcd(N, D)
+    is a number, so ``PolyElement.cancel`` scales c*m and D to integer
+    coefficients with coprime contents, by lcm(denominators) /
+    gcd(numerators), and D's leading term takes a positive sign.  None for
+    any other N / D."""
+    terms = [(m, c) for m, c in num.items() if c]
+    d = {m: c for m, c in _scaled(_ONE, {}, den).items() if c}
+    if len(terms) != 1 or frozenset.intersection(*(frozenset(g for g, _ in m) for m in d)):
+        return None
+    (m, c), = terms
+    scale = QQ(reduce(ilcm, (q.denominator for q in [c, *d.values()])),
+               gcd(*(q.numerator for q in [c, *d.values()])))
+    if _negative_lead([(dict(m2), q) for m2, q in d.items()]):
+        scale = -scale
+    return _tree(((tuple(m), QQ.to_sympy(c * scale)),)) / _tree(
+        tuple((tuple(m2), QQ.to_sympy(q * scale)) for m2, q in d.items()))
 
 
 def _derivation(value, images):
@@ -599,12 +636,7 @@ def _read(e):
     if e.is_Pow:
         if not e.exp.is_Integer or (value := _read(e.base)) is None:
             return None
-        (num, den), k = value, int(e.exp)
-        if k < 0:
-            if not any(num.values()):
-                return None     # 1/0, which the tree path reports
-            num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
-        return reduce(_times, [num] * k), {key: (g, j * k) for key, (g, j) in den.items()}
+        return _power(value, int(e.exp))
     if e.is_Rational:
         return {frozenset(): QQ(e.p, e.q)}, {}
     f = e
@@ -615,6 +647,31 @@ def _read(e):
     if e is sp.E:
         e = _E
     return _normal_kernel(e)[1] if isinstance(e, KERNEL_CLASSES) else None
+
+
+def _power(value, k):
+    """value**k for an integer k, as ``_read`` reads a power: (N / D)**-1 is
+    D / N, N one factor, but 1/c times exp(-j*t) for each exp(t)**j when N
+    is one such term, as sympy's ``Pow`` evaluates it; None for 1/0."""
+    num, den = value
+    if k < 0:
+        terms = [(m, c) for m, c in num.items() if c]
+        if not terms:
+            return None     # 1/0, which the tree path reports
+        (m, c), *rest = terms
+        inverse = not rest and all(type(g) is sp.exp for g, _ in m)
+        num, den, k = (_scaled({frozenset((g, -j) for g, j in m): 1 / c} if inverse else _ONE, {}, den),
+                       {} if inverse else {frozenset(num.items()): (num, 1)}, -k)
+    return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items()}
+
+
+def _laurent(num, den):
+    """N / D as one sum, with negative exponents, when each factor of D is
+    one term; else None."""
+    if any(len(f) != 1 for f, _ in den.values()):
+        return None
+    return reduce(_times, [{frozenset((g, -i * j) for g, i in m): 1 / c ** j}
+                           for f, j in den.values() for m, c in f.items()], num)
 
 
 def normalize(e):
@@ -628,8 +685,8 @@ def normalize(e):
     Pythagorean or other identity rewriting takes place.  The form is
     idempotent and exact:
 
-    - A polynomial with no negative exponent is the expanded sum, as
-      ``sympy.cancel`` would return it.
+    - A polynomial with no negative exponent, or one term, is the expanded
+      sum, as ``sympy.cancel`` would return it.
     - A sum N with negative exponents is N*S / S, ``sympy.cancel``'s form,
       with S the smallest monomial that clears them times the lcm of the
       coefficients' denominators.  Each direction t of an exponential
@@ -639,7 +696,8 @@ def normalize(e):
       (a*exp(u) + b + x*exp(3*u/2))*exp(-3*u/2) here and
       (a*exp(3*u/2) + b*exp(u/2) + x*exp(2*u))*exp(-2*u) there.
     - A quotient (N, D) is ``_as_expr(N, D)``, ``sympy.cancel``'s form of
-      a rational function such as 1/(1 + u).
+      a rational function such as 1/(1 + u); N over a one-term D without
+      exp atoms is the sum N/D.
     - Any other input -- symbolic or fractional powers, constants such as
       sin(1) -- is put in ``sympy.cancel``'s form (``_tree_normalize``).
 
@@ -656,18 +714,27 @@ def normalize(e):
 def _normal_form(e, value):
     """``normalize(e)`` given ``_read(e)``, e itself when it is normal; the
     form of the value for e None.  A value without a denominator is built
-    at once (``_tree``), with no ring; a quotient is cancelled in its
-    sparse ring."""
+    at once (``_tree``), with no ring; so is a quotient that cancels without
+    one (see the module docstring), and any other in its sparse ring."""
     if value is None:
         return _tree_normalize(e)
-    if _plain(value):
-        out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in value[0].items() if c))
-    elif value[1]:
-        out = _as_expr(*_ring_elements([value])[0])
+    num, den = value
+    if den and not any(num.values()):
+        num, den = {}, {}
+    # without exp atoms, N over a one-term D is a Laurent sum, and a one-term
+    # N over a D without monomial content cancels by contents (_over_sum)
+    exps = den and any(type(g) is sp.exp for g in _atoms([value]))
+    if den and not exps and (laurent := _laurent(num, den)) is not None:
+        num, den = laurent, {}
+    if _plain((num, den)) or not den and sum(map(bool, num.values())) == 1:
+        # a polynomial, or one term with negative exponents, as it stands
+        out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in num.items() if c))
+    elif den:
+        out = not exps and _over_sum(num, den) or _as_expr(*_ring_elements([value])[0])
     else:
         # N*S / S for negative exponents, S = L*prod g**s_g with least shifts
         # s_g and L the lcm of the denominators: coprime, as PolyElement.cancel finds
-        num, shift = value[0], {}
+        shift = {}
         for m, c in num.items():
             shift.update((g, -k) for g, k in m if c and k < -shift.get(g, 0))
         s = {frozenset(shift.items()): QQ(reduce(ilcm, (c.denominator for c in num.values())))}

@@ -18,6 +18,10 @@ derivatives of unknown functions and ``Int(f,x1)`` for formal
 antiderivatives (these make every normalized expression printable and
 re-parseable; the bare grammar above has no derivative syntax).
 
+``parse`` reads text into ``algebra._read`` values, which it puts in normal
+form once; text with a rational power, an ``Int(...)`` or a constant kernel
+is built as a sympy tree and normalized instead.
+
 The printer emits this same grammar, a sum's terms in the order of sympy's
 ``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
 ``e`` for every normalized expression.
@@ -25,6 +29,8 @@ The printer emits this same grammar, a sum's terms in the order of sympy's
 
 from __future__ import annotations
 
+import operator
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import sympy as sp
@@ -33,6 +39,7 @@ from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.sorting import default_sort_key
 
+from . import algebra  # partly initialized here, as it imports this module: read at call time
 from .errors import DivisionByZero, ExprSyntaxError, UnknownSymbol
 from .multiindex import MultiIndex
 from .workspace import SymbolKind
@@ -83,10 +90,37 @@ def tokenize(text):
     return out
 
 
+class _Unreadable(Exception):
+    """A node that no ``_read`` value reads: the text takes the tree path."""
+
+
+def _readable(value):
+    if value is None:
+        raise _Unreadable
+    return value
+
+
+# The parser's operations: on sympy trees, which sympy's constructors evaluate
+# as they build them, and on ``algebra._read`` values (N, D), which combine as
+# ``_read`` reads the tree they stand for.  A leaf is a number, a symbol or a
+# call, whose arguments are trees on both; a call or power that ``_read``
+# cannot read (``Int(...)``, a constant kernel, a rational exponent, 1/0)
+# raises ``_Unreadable``.
+_TREES = SimpleNamespace(leaf=lambda node: node, neg=lambda e: -1 * e, add=lambda terms: sp.Add(*terms),
+                         mul=operator.mul, div=lambda e, rhs: e * sp.Pow(rhs, -1), pow=sp.Pow)
+_VALUES = SimpleNamespace(
+    leaf=lambda node: _readable(algebra._read(node)),
+    neg=lambda e: ({m: -c for m, c in e[0].items()}, e[1]),
+    add=lambda terms: algebra._plus(terms), mul=lambda a, b: algebra._product(a, b),
+    div=lambda e, rhs: algebra._product(e, _readable(algebra._power(rhs, -1))),
+    pow=lambda e, k: _readable(algebra._power(e, int(k)) if k.is_Integer else None))
+
+
 class _Parser:
-    def __init__(self, text, ws):
+    def __init__(self, text, ws, ops):
         self.tokens = tokenize(text)
         self.ws = ws
+        self.ops = ops
         self.i = 0
 
     def peek(self):
@@ -111,34 +145,30 @@ class _Parser:
         return e
 
     def expr(self):
-        terms = []
-        sign = 1
+        negative = self.peek().kind == "-"
         if self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-        terms.append(sign * self.term())
+            self.advance()
+        terms = [self.ops.neg(self.term()) if negative else self.term()]
         while self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-            terms.append(sign * self.term())
-        return sp.Add(*terms)
+            negative = self.advance().kind == "-"
+            terms.append(self.ops.neg(self.term()) if negative else self.term())
+        return self.ops.add(terms)
 
     def term(self):
         e = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
-            if op.kind == "/":
-                if rhs == 0:
-                    raise DivisionByZero(f"literal division by zero at offset {op.pos}")
-                e = e * sp.Pow(rhs, -1)
-            else:
-                e = e * rhs
+            if op.kind == "/" and rhs == 0:    # a value 0 takes the tree path, which raises this
+                raise DivisionByZero(f"literal division by zero at offset {op.pos}")
+            e = self.ops.div(e, rhs) if op.kind == "/" else self.ops.mul(e, rhs)
         return e
 
     def factor(self):
         e = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            e = sp.Pow(e, self.exponent())
+            e = self.ops.pow(e, self.exponent())
         return e
 
     def exponent(self):
@@ -164,7 +194,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return sp.Integer(int(tok.text))
+            return self.ops.leaf(sp.Integer(int(tok.text)))
         if tok.kind == "(":
             self.advance()
             e = self.expr()
@@ -173,11 +203,11 @@ class _Parser:
         if tok.kind == "IDENT":
             self.advance()
             if self.peek().kind == "JETOPEN":
-                return self.jet(tok)
+                return self.ops.leaf(self.jet(tok))
             if self.peek().kind == "(":
-                return self.call(tok)
+                return self.ops.leaf(self.call(tok))
             try:
-                return self.ws.resolve(tok.text)
+                return self.ops.leaf(self.ws.resolve(tok.text))
             except UnknownSymbol:
                 raise UnknownSymbol(tok.text, tok.pos) from None
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
@@ -209,12 +239,14 @@ class _Parser:
         return info[1]
 
     def call(self, head):
+        ops, self.ops = self.ops, _TREES   # the arguments are trees, as on the tree path
         self.expect("(")
         args = [self.expr()]
         while self.peek().kind == ",":
             self.advance()
             args.append(self.expr())
         self.expect(")")
+        self.ops = ops
         name = head.text
         if name in KERNELS:
             if len(args) != 1:
@@ -249,9 +281,14 @@ class _Parser:
 
 
 def parse(text, ws):
-    """Parse expression text against a workspace, normalized."""
-    from .algebra import normalize
-    return normalize(_Parser(text, ws).run())
+    """Parse expression text against a workspace, normalized: read into a
+    ``_read`` value (``_VALUES``) and put in normal form once; text with a
+    node that no value reads is built as a sympy tree (``_TREES``) and
+    normalized, so that every text has the normal form of its tree."""
+    try:
+        return algebra._normal_form(None, _Parser(text, ws, _VALUES).run())
+    except _Unreadable:
+        return algebra.normalize(_Parser(text, ws, _TREES).run())
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import re
+
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetsym import MultiIndex, Workspace, normalize, parse, print_expr
+from jetsym import MultiIndex, Workspace, grammar, normalize, parse, print_expr
 from jetsym.errors import (DivisionByZero, ExprSyntaxError, JetOrderExceeded,
-                           UnknownSymbol)
+                           JetsymError, UnknownSymbol)
+from jetsym.grammar import KERNELS
 
-from conftest import random_expr
+from conftest import random_expr, same_tree
 
 
 def test_parse_wave_equation(ws2):
@@ -132,3 +135,64 @@ def test_print_parse_round_trip_fuzz(e):
     lam, h(t), D(h(t),t), kernels and exp(c*t), Laurent forms included."""
     n = normalize(e)
     assert sp.srepr(parse(print_expr(n), _WS)) == sp.srepr(n)
+
+
+# grammar strings over jets, lam, h(t) and D(h(t),t): sums, differences,
+# products, quotients and integer powers of leaves, kernel calls of such
+# strings, and the input only the tree path reads -- rational powers and
+# Int(...), never inside a kernel argument
+def _operations(children):
+    return st.one_of(
+        st.builds("{} {} {}".format, children, st.sampled_from("+-*/"), children),
+        st.builds("(-{})".format, children),
+        st.builds("({})^{}".format, children, st.sampled_from(["2", "-1", "0", "(4/2)"])))
+
+
+_SIMPLE = st.recursive(st.sampled_from(
+    ["x1", "u", "u_{x1}", "u_{t,x1}", "lam", "h(t)", "D(h(t),t)", "3", "0", "(2/3)"]),
+    _operations, max_leaves=4)
+_TREE_ONLY = st.one_of(st.builds("({})^({})".format, _SIMPLE, st.sampled_from(["1/2", "-3/2"])),
+                       st.builds("Int({},t)".format, _SIMPLE))
+_TEXTS = st.recursive(st.one_of(
+    _SIMPLE, st.builds("{}({})".format, st.sampled_from(sorted(KERNELS)), _SIMPLE), _TREE_ONLY),
+    _operations, max_leaves=5)
+
+
+def _tree_parse(text, ws):
+    """The tree build of text, normalized: ``parse``'s reference."""
+    return normalize(grammar._Parser(text, ws, grammar._TREES).run())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_TEXTS)
+@example("exp(u/2)*exp(-u/2) + 1/(x1 - x1 + 2*u) - (u + 1)^2/(u + 1)")
+@example("-1/(x1 + lam) + h(t)^2/(2*h(t)*x1) - 3/(4*u_{x1} - 2*lam)")
+@example("log(4*x1*u) - exp(t + 1/u)*(2/3)^-1 + sin(-u)/(h(t) + u)^2")
+def test_value_parse_is_the_tree_parse(text):
+    """``parse`` reads text into values and gives the normal form of its
+    tree, node for node, or raises the tree path's error; text with a
+    rational power or an Int(...) takes the tree path."""
+    try:
+        expected = _tree_parse(text, _WS)
+    except JetsymError as error:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            parse(text, _WS)
+        return
+    assert same_tree(parse(text, _WS), expected)
+    if "^(" in text.replace("^(4/2)", "") or "Int(" in text:    # 4/2 is an integer
+        with pytest.raises(grammar._Unreadable):
+            grammar._Parser(text, _WS, grammar._VALUES).run()
+
+
+@pytest.mark.parametrize("text, error, offset", [
+    ("x1 + 1/0", DivisionByZero, None), ("u^(1/0)", DivisionByZero, None),
+    ("2*x1_{x1}", ExprSyntaxError, 2), ("u + sin(u, x1)", ExprSyntaxError, 4)])
+def test_value_parse_raises_the_tree_parse_errors(text, error, offset):
+    """A literal 1/0, a zero exponent denominator, a jet of a non-dependent
+    base and a kernel of two arguments raise the tree path's error, with its
+    message and offset."""
+    with pytest.raises(error) as expected:
+        _tree_parse(text, _WS)
+    with pytest.raises(error, match=re.escape(str(expected.value))) as raised:
+        parse(text, _WS)
+    assert getattr(raised.value, "offset", None) == offset

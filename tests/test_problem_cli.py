@@ -332,22 +332,23 @@ def test_route_a_error_falls_back_to_route_b(capsys, tmp_path, monkeypatch):
 
 
 def test_load_problem_normalizes_each_equation_once_per_side(monkeypatch, tmp_path):
-    """An equation is normalized by the parser, and once more only where an
-    [instance] binding changes it; neither the one-line system that checks
-    it at its own line nor the combined system normalizes it again."""
+    """An equation is put in normal form by the parser, and once more only
+    where an [instance] binding changes it; neither the one-line system that
+    checks it at its own line nor the combined system normalizes it again."""
     path = tmp_path / "two.jetsym"
     path.write_text("[variables]\nindependent = x1 x2\ndependent = u\n"
                     "[parameters]\nnames = c\n"
                     '[pde]\nwave = "u_{x1,x2} - c*u^3"\nheat = "u_{x1} - u_{x2,x2}"\n'
                     '[instance]\nc = "2"\n')
     calls = []
-    for module in (algebra, condsym):
-        real = module.normalize
-        monkeypatch.setattr(module, "normalize",
-                            lambda e, real=real: calls.append(e) or real(e))
+    real_form, real_normalize = algebra._normal_form, condsym.normalize
+    # the parser puts a value in normal form (e None), substitute a tree
+    monkeypatch.setattr(algebra, "_normal_form", lambda e, value: calls.append(
+        "parse" if e is None else "substitute") or real_form(e, value))
+    monkeypatch.setattr(condsym, "normalize", lambda e: calls.append("condsym") or real_normalize(e))
     problem = load_problem(path)
-    # two equations and one binding parsed, and one equation bound
-    assert len(calls) == 4
+    # the binding parsed, then each equation parsed and the first one bound
+    assert calls == ["parse", "parse", "substitute", "parse"]
     assert [str(e) for _, e in problem.bound.pde.items()] == [
         "-2*u**3 + u_{x1,x2}", "u_{x1} - u_{x2,x2}"]
 
