@@ -19,8 +19,11 @@ normal form once (``_normal_form``), a tree built at once for a value
 without a denominator; the parser builds values too (``grammar.parse``).  A
 sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to cancel
 a quotient (``_ring_elements``, ``_as_expr``), and in ``Elimination``; a
-quotient without exp atoms cancels without one when N is 0, D one term or N
-one term over a D without monomial content (``_laurent``, ``_over_sum``).
+quotient cancels without one when N is 0 or D one term (``_laurent``) and,
+without exp atoms, when N is one term over a D without monomial content
+(``_over_sum``).  Trees are built without sympy's ``flatten`` and ``eval``:
+``_tree`` sorts factors and terms, N*S/S among them, and ``_kernel`` builds
+exp and log atoms unevaluated where evaluation is the identity.
 Symbolic and fractional powers and other constant kernels take sympy's
 trees and ``sympy.cancel``.  For the zero test and family collection,
 ``euler`` rewrites sin, cos, sinh and cosh through Euler's formula over the
@@ -46,6 +49,7 @@ from sympy.core.evalf import PrecisionExhausted
 from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.numbers import ilcm
+from sympy.ntheory import perfect_power
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.polyerrors import BasePolynomialError, PolynomialError
 from sympy.polys.polyutils import _sort_gens
@@ -89,28 +93,59 @@ def _normal_kernel(k):
     exp(sqrt(x)) is read although sqrt(x) is off the ring.  A log that
     ``sympy.expand_log`` splits reads as its split, log(4*x) as
     log(x) + 2*log(2), and a log of a positive rational it leaves whole is
-    an atom.  The value is None for any other constant kernel but exp of a
-    Rational, exp of a term with no ``_direction`` and another kernel of an
-    argument off the ring."""
+    an atom; the split is made here, with no ``eval``, of a sum without a
+    log, which stays whole, and of c*m with no factor of m of known sign:
+    log|c| + log(sign(c)*m), log(p/q) = log(p) - log(q) and log(b**e) =
+    e*log(b), e the largest.  The value is None for any other
+    constant kernel but exp of a Rational, exp of a term with no
+    ``_direction`` and another kernel of an argument off the ring."""
     a = k.args[0]
     value = _read(a)
     n = _normal_form(a, value)
-    n = k if n is a else type(k)(n)
+    n = k if n is a else _kernel(type(k), n)
     if type(n) is not type(k):
         return n, _read(n)
-    if type(n) is sp.log and (split := sp.expand_log(n, deep=False)) != n:
-        return n, _read(split)
+    if type(n) is sp.log:    # expand_log rewrites a log quotient inside a sum
+        c, m = n.args[0].as_coeff_Mul(rational=True)
+        if value is None or (m.has(sp.log) if m.is_Add else any(
+                f.is_positive or f.is_negative for f in sp.Mul.make_args(m) if f is not sp.S.One)):
+            if (split := sp.expand_log(n, deep=False)) != n:
+                return n, _read(split)
+        elif abs(c) != 1:
+            return n, _plus([({frozenset({(_kernel(sp.log, sp.Integer(b)), 1)}): QQ(s * e)}, {})
+                             for p, s in ((abs(c.p), 1), (c.q, -1)) if p > 1
+                             for b, e in [perfect_power(p) or (p, 1)]]
+                            + ([] if m is sp.S.One else [_read(_kernel(sp.log, m if c > 0 else -m))]))
     if value is None and type(n) is not sp.exp:
         return n, None
     if value is None or not _plain(value):
-        n = type(k)(sp.Add(*map(normalize, sp.Add.make_args(sp.expand(n.args[0])))))
+        n = _kernel(type(k), sp.Add(*map(normalize, sp.Add.make_args(sp.expand(n.args[0])))))
         if type(n) is not type(k):
             return n, None
     if type(n) is not sp.exp:
-        atom = n.free_symbols or type(n) is sp.log and n.args[0].is_Rational
-        return n, ({frozenset({(n, 1)}): QQ.one}, {}) if atom else None
+        return n, ({frozenset({(n, 1)}): QQ.one}, {}) if n.free_symbols else None
     m = _exponent(n.args[0])
     return n, None if m is None else ({m: QQ.one}, {})
+
+
+@cacheit
+def _kernel(cls, a):
+    """cls(a), built without sympy's ``eval`` where that provably returns
+    nothing, since its assumption queries on a fresh tree cost up to a
+    millisecond: exp or log of a non-number each of whose terms is a nonzero
+    Rational or a Rational times integer powers of symbols, unknown functions
+    and Derivatives (no branch of ``eval`` matches: no pi*I or log factor,
+    nothing comparable, and a nonzero Laurent polynomial is never zero); log
+    of a sum that is no number, whose ``eval`` asks is_zero only, which no
+    nonzero normal form answers True; and log of an integer > 1.  Cached, as
+    sympy caches cls(a)."""
+    if cls is sp.log and a.is_Integer and a > 1 or not a.is_number and (
+            cls is sp.log and a.is_Add or cls in (sp.exp, sp.log) and all(
+                f.is_Rational and f.p or isinstance(f.as_base_exp()[0], _GENERATORS)
+                and f.as_base_exp()[1].is_Integer
+                for t in sp.Add.make_args(a) for f in sp.Mul.make_args(t))):
+        return cls(a, evaluate=False)
+    return cls(a)
 
 
 def _exponent(a):
@@ -184,13 +219,14 @@ def _mapped(terms, image):
 
 
 @cacheit
-def _log_read(g, k):
+def _log_read(g, k, *gens):
     """log(a)**k, for a log atom g = log(a), as a sum over QQ in atoms |p|
     that stand for log|p|: a = c*prod p**j, p the primes of the rational c
     and a's primitive factors of normalized sign, read off ``_read`` for a
     quotient of monomials, else by ``sympy.factor_list`` over the generators
-    exp(t/d) of ``_ring_elements``.  A factor exp(s)**j reads as j*s, since
-    log|exp(s)| = s for real s.  {g: k} otherwise."""
+    exp(t/d), one for each pair (exp(t), d) in gens, which cover a's exp
+    atoms.  A factor exp(s)**j reads as j*s, since log|exp(s)| = s for real
+    s.  {g: k} otherwise."""
     if type(g) is not sp.log:
         return {frozenset({(g, k)}): QQ.one}
     value = _read(a := g.args[0])
@@ -199,7 +235,7 @@ def _log_read(g, k):
         (m, c), = laurent.items()
         factors, c = [*m], QQ.to_sympy(c)
     else:
-        gens = {h: (sp.Dummy(), d) for h, d in _atoms([value]).items() if type(h) is sp.exp}
+        gens = {h: (sp.Dummy(), d) for h, d in gens}
         powers = {n: _exponent(n.args[0]) for n in a.atoms(sp.exp)}
         c, numer, denom = sp.factor_list(a.xreplace({
             n: sp.Mul(*[gens[h][0] ** (j * gens[h][1]) for h, j in m])
@@ -232,7 +268,7 @@ def _direction(arg):
         return _E, c * c2
     if not t.free_symbols or any(f.is_Add for f in sp.Mul.make_args(t)):
         return None
-    g = sp.exp(t)
+    g = _kernel(sp.exp, t)
     return (g, c * c2) if isinstance(g, sp.exp) else None
 
 
@@ -242,13 +278,15 @@ def _tree(terms):
     (atom, k) pairs and exp(t)**k standing for exp(k*t), as ``sympy.Add``
     and ``sympy.Mul`` build it but without their ``flatten``: factors and
     terms sorted by sympy's private ``_args_sortkey``, c first, and joined
-    by ``AssocOp._from_args``.  Exact for distinct ring atoms with one
-    constant exp at most, whose products ``flatten`` only sorts.  Cached,
-    like the constructors, on monomials and coefficients, which hold no ring."""
+    by ``AssocOp._from_args``; exp atoms by ``_kernel``.  Exact for distinct
+    ring atoms with one constant exp at most, and one sum among them besides
+    another atom, whose products ``flatten`` only sorts.  Cached, like the
+    constructors, on monomials and coefficients, which hold no ring."""
     out, constant = [], []
     for monomial, c in terms:
-        factors = sorted((sp.exp(sp.Mul(k, g.args[0])) if type(g) is sp.exp else g if k == 1
-                          else sp.Pow(g, k) for g, k in monomial if k), key=_args_sortkey)
+        factors = sorted((_kernel(sp.exp, sp.Mul(k, g.args[0])) if type(g) is sp.exp
+                          else g if k == 1 else sp.Pow(g, k) for g, k in monomial if k),
+                         key=_args_sortkey)
         term = sp.Mul._from_args(factors if c is sp.S.One else [c, *factors], True)
         (out if factors else constant).append(term)
     return sp.Add._from_args(constant + sorted(out, key=_args_sortkey), True)
@@ -651,17 +689,12 @@ def _read(e):
 
 def _power(value, k):
     """value**k for an integer k, as ``_read`` reads a power: (N / D)**-1 is
-    D / N, N one factor, but 1/c times exp(-j*t) for each exp(t)**j when N
-    is one such term, as sympy's ``Pow`` evaluates it; None for 1/0."""
+    D / N, N one factor; None for 1/0."""
     num, den = value
     if k < 0:
-        terms = [(m, c) for m, c in num.items() if c]
-        if not terms:
+        if not any(num.values()):
             return None     # 1/0, which the tree path reports
-        (m, c), *rest = terms
-        inverse = not rest and all(type(g) is sp.exp for g, _ in m)
-        num, den, k = (_scaled({frozenset((g, -j) for g, j in m): 1 / c} if inverse else _ONE, {}, den),
-                       {} if inverse else {frozenset(num.items()): (num, 1)}, -k)
+        num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
     return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items()}
 
 
@@ -696,8 +729,8 @@ def normalize(e):
       (a*exp(u) + b + x*exp(3*u/2))*exp(-3*u/2) here and
       (a*exp(3*u/2) + b*exp(u/2) + x*exp(2*u))*exp(-2*u) there.
     - A quotient (N, D) is ``_as_expr(N, D)``, ``sympy.cancel``'s form of
-      a rational function such as 1/(1 + u); N over a one-term D without
-      exp atoms is the sum N/D.
+      a rational function such as 1/(1 + u); N over a one-term D is the
+      sum N/D.
     - Any other input -- symbolic or fractional powers, constants such as
       sin(1) -- is put in ``sympy.cancel``'s form (``_tree_normalize``).
 
@@ -714,31 +747,34 @@ def normalize(e):
 def _normal_form(e, value):
     """``normalize(e)`` given ``_read(e)``, e itself when it is normal; the
     form of the value for e None.  A value without a denominator is built
-    at once (``_tree``), with no ring; so is a quotient that cancels without
-    one (see the module docstring), and any other in its sparse ring."""
+    at once (``_tree``), with no ring, N*S/S as one term with P = N*S a
+    factor; so is a quotient that cancels without one (see the module
+    docstring), and any other in its sparse ring."""
     if value is None:
         return _tree_normalize(e)
     num, den = value
     if den and not any(num.values()):
         num, den = {}, {}
-    # without exp atoms, N over a one-term D is a Laurent sum, and a one-term
+    # N over a one-term D is a Laurent sum, and without exp atoms a one-term
     # N over a D without monomial content cancels by contents (_over_sum)
-    exps = den and any(type(g) is sp.exp for g in _atoms([value]))
-    if den and not exps and (laurent := _laurent(num, den)) is not None:
+    if den and (laurent := _laurent(num, den)) is not None:
         num, den = laurent, {}
     if _plain((num, den)) or not den and sum(map(bool, num.values())) == 1:
         # a polynomial, or one term with negative exponents, as it stands
         out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in num.items() if c))
     elif den:
+        exps = any(type(g) is sp.exp for g in _atoms([value]))
         out = not exps and _over_sum(num, den) or _as_expr(*_ring_elements([value])[0])
     else:
         # N*S / S for negative exponents, S = L*prod g**s_g with least shifts
-        # s_g and L the lcm of the denominators: coprime, as PolyElement.cancel finds
+        # s_g and L the lcm of the denominators: coprime, as PolyElement.cancel
+        # finds; P / S is the term P/L*prod g**-s_g, P = N*S a sum of 2 terms or more
         shift = {}
         for m, c in num.items():
             shift.update((g, -k) for g, k in m if c and k < -shift.get(g, 0))
-        s = {frozenset(shift.items()): QQ(reduce(ilcm, (c.denominator for c in num.values())))}
-        out = _normal_form(None, (_times(num, s), {})) / _normal_form(None, (s, {}))
+        lcm = QQ(reduce(ilcm, (c.denominator for c in num.values())))
+        p = _normal_form(None, (_times(num, {frozenset(shift.items()): lcm}), {}))
+        out = _tree(((((p, 1), *((g, -k) for g, k in shift.items())), QQ.to_sympy(1 / lcm)),))
     return e if e is not None and out == e else out
 
 
@@ -919,8 +955,11 @@ def zero_verdict(e, seed=None):
             return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
         if _independent(g for m in terms for g, _ in m):
             return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+        # exp(t/d) per direction t, d the lcm over all logs, so that their factors meet
+        gens = [(h, d) for h, d in _atoms([_read(g.args[0]) for m in terms for g, _ in m
+                                           if type(g) is sp.log]).items() if type(h) is sp.exp]
         try:
-            cancels = not _mapped(terms, _log_read)
+            cancels = not _mapped(terms, lambda g, k: _log_read(g, k, *gens))
         except (BasePolynomialError, NotImplementedError, AttributeError):
             cancels = False   # factorrat raises AttributeError on irrational content
         if cancels:

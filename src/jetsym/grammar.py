@@ -19,8 +19,8 @@ antiderivatives (these make every normalized expression printable and
 re-parseable; the bare grammar above has no derivative syntax).
 
 ``parse`` reads text into ``algebra._read`` values, which it puts in normal
-form once; text with a rational power, an ``Int(...)`` or a constant kernel
-is built as a sympy tree and normalized instead.
+form once, a call's kernel built by ``algebra._kernel``; text with a rational
+power, an ``Int(...)`` or a constant kernel is built as a tree instead.
 
 The printer emits this same grammar, a sum's terms in the order of sympy's
 ``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
@@ -251,7 +251,7 @@ class _Parser:
         if name in KERNELS:
             if len(args) != 1:
                 raise ExprSyntaxError(f"kernel {name} takes one argument", head.pos)
-            return KERNELS[name](args[0])
+            return algebra._kernel(KERNELS[name], args[0])
         if name in ("D", "Int"):
             return self._formal(head, args)
         if name in self.ws.functions:

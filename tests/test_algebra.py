@@ -527,24 +527,33 @@ def test_laurent_form_is_the_rings_cancel(terms):
     t = 1 among them, with symbols, jets, h(t), kernels and constant logs
     and coefficients of mixed denominators -- is put in normal form without
     a ring, as the ring's ``PolyElement.cancel`` of N*S over S gives it
-    (``_as_expr``), node for node.  A term 0 shifts nothing."""
+    (``_as_expr``), node for node.  A term 0 shifts nothing.  The one term
+    built for N*S/S, with its sum factor P = N*S, is P / S as sympy's ``/``
+    builds it, S = P / (N*S/S) in sympy's own form."""
     with mock.patch.object(algebra, "_ring_elements", side_effect=AssertionError):
         out = _normal_form(None, (terms, {}))
     assert _same_tree(out, _as_expr(*_ring_elements([(terms, {})])[0]))
+    p = next((f for f in sp.Mul.make_args(out) if f.is_Add), None)
+    if p is not None:
+        assert _same_tree(out, p / (p / out))
 
 
 @st.composite
 def _quotients(draw):
-    """A ``_read`` value N / D without exp atoms, and whether it cancels
-    without a ring: N = 0, a D whose factors are each one term, or N one
-    term over a D whose terms, multiplied out, share no atom; else N one term
-    over a D with monomial content, or N and D sums.  The atoms are symbols,
-    jets, h(t), D(h(t),t), kernels and constant logs; coefficients have
-    either sign."""
-    atoms = draw(st.lists(st.sampled_from(_PLAIN_GENERATORS + _KERNELS + _CONSTANT_LOGS),
-                          min_size=1, max_size=4, unique=True))
+    """A ``_read`` value N / D, and whether it cancels without a ring: N = 0,
+    a D whose factors are each one term, or N one term over a D without exp
+    atoms whose terms, multiplied out, share no atom; else N one term over a
+    D with monomial content or exp atoms, or N and D sums.  The atoms are
+    exp(t) with rational exponents of either sign, symbols, jets, h(t),
+    D(h(t),t), kernels and constant logs; coefficients have either sign."""
+    exps = [sp.exp(t) for t in draw(st.lists(st.sampled_from([_t, _x1, _u, _h]), max_size=2,
+                                             unique=True))]
+    atoms = exps + draw(st.lists(st.sampled_from(_PLAIN_GENERATORS + _KERNELS + _CONSTANT_LOGS),
+                                 min_size=1, max_size=4, unique=True))
     monomials = st.builds(lambda ks: frozenset((g, k) for g, k in zip(atoms, ks) if k),
-                          st.tuples(*[_powers] * len(atoms)))
+                          st.tuples(*[st.builds(sp.Rational, st.integers(-4, 4),
+                                                st.integers(1, 2))] * len(exps),
+                                    *[_powers] * (len(atoms) - len(exps))))
     kind = draw(st.sampled_from(["monomial N", "monomial D", "zero", "ring"]))
     size = (1, 1) if kind == "monomial D" else (2, 4)
     factors = draw(st.lists(st.tuples(st.dictionaries(monomials, _coefficients, min_size=size[0],
@@ -559,7 +568,9 @@ def _quotients(draw):
         assume(not content)
     if kind == "ring":
         assume(content or len(num) > 1)
-    return ({m: 0 * c for m, c in num.items()} if kind == "zero" else num), den, kind != "ring"
+    with_exps = any(type(g) is sp.exp for g in algebra._atoms([(num, den)]))
+    return (({m: 0 * c for m, c in num.items()} if kind == "zero" else num), den,
+            kind in ("monomial D", "zero") or kind == "monomial N" and not with_exps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -572,10 +583,16 @@ def _quotients(draw):
           {1: ({frozenset({(_u, 1)}): QQ(-4)}, 1)}, True))
 @example(({frozenset({(_x1, 1)}): QQ(2)}, {1: ({frozenset({(_x1, 1), (_u, 1)}): QQ(4),
                                                 frozenset({(_x1, 2)}): QQ(-2)}, 1)}, False))
+@example(({frozenset(): QQ(1)}, {1: ({frozenset({(_u, 1), (sp.exp(_u), sp.S.One)}): QQ(1)}, 1)},
+          True))
+@example(({frozenset({(_x1, 1)}): QQ(2, 3), frozenset({(sp.exp(_u), sp.Rational(1, 2))}): QQ(-1)},
+          {1: ({frozenset({(_u, 2), (sp.exp(_u), sp.Rational(-3, 2)), (_h, 1)}): QQ(-4, 5)}, 2)},
+          True))
 def test_quotients_cancel_without_a_ring(case):
-    """N = 0, N over a one-term D, and a one-term N over a D without
-    monomial content are put in normal form without a ring; every quotient
-    without exp atoms is ``_as_expr`` of its ring elements, node for node."""
+    """N = 0, N over a one-term D, exp atoms and plain atoms mixed in it
+    (1/(u*exp(u)) among them), and a one-term N over a D without exp atoms
+    or monomial content are put in normal form without a ring; every
+    quotient is ``_as_expr`` of its ring elements, node for node."""
     num, den, ring_free = case
     with mock.patch.object(algebra, "_ring_elements", side_effect=AssertionError
                            if ring_free else _ring_elements):
@@ -583,19 +600,80 @@ def test_quotients_cancel_without_a_ring(case):
     assert _same_tree(out, _as_expr(*_ring_elements([(num, den)])[0]))
 
 
+_FIXTURES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.jetsym"))
+
+
 def test_loading_the_fixtures_builds_no_ring(monkeypatch):
     """Each problem fixture loads from a cold cache without a ``PolyRing``:
     its quotients, such as -1/(x1 + x2 + lam) and the 1/u of exp(x2 + 1/u),
-    cancel without a ring."""
+    cancel without a ring, and so does 1/(u*exp(u)), parsed or normalized."""
     rings = []
     real = PolyRing.__new__
     monkeypatch.setattr(PolyRing, "__new__", lambda cls, *a, **k: rings.append(a) or real(cls, *a, **k))
-    fixtures = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.jetsym"))
-    for path in fixtures:
+    for path in _FIXTURES:
         sp.core.cache.clear_cache()
         load_problem(path)
-    assert len(fixtures) == 6
+    sp.core.cache.clear_cache()
+    assert _PLAIN_WS.parse("1/(u*exp(u))") == normalize(1 / (_u * sp.exp(_u))) == sp.exp(-_u) / _u
+    assert len(_FIXTURES) == 6
     assert rings == []
+
+
+def test_loading_the_fixtures_evaluates_no_kernel(monkeypatch):
+    """Each problem fixture loads from a cold cache without a log ``eval``,
+    and with an exp ``eval`` only on an argument that ``_kernel`` does not
+    build unevaluated, such as (u*x2 + 1)/u, the normal form in
+    exp(x2 + 1/u)."""
+    calls = {sp.exp: [], sp.log: []}
+    for cls, seen in calls.items():
+        monkeypatch.setattr(cls, "eval", classmethod(
+            lambda c, a, *r, real=cls.eval.__func__, seen=seen: seen.append(a) or real(c, a, *r)))
+    for path in _FIXTURES:
+        sp.core.cache.clear_cache()
+        load_problem(path)
+    assert len(_FIXTURES) == 6 and calls[sp.log] == [] and calls[sp.exp]
+    for a in list(calls[sp.exp]):
+        sp.core.cache.clear_cache()
+        before = len(calls[sp.exp])
+        algebra._kernel(sp.exp, a)
+        assert len(calls[sp.exp]) > before
+
+
+def test_log_quotient_in_a_log_sum_is_split_as_expand_log_splits_it():
+    """``_normal_kernel`` splits logs without ``sympy.expand_log`` but for a
+    sum that holds a log: expand_log's first step rewrites the quotient
+    log(12)/log(2) in it, and the normal form keeps that rewrite."""
+    n = _PLAIN_WS.parse("log(x1 + sin(u*log(12)/log(2)))")
+    assert _same_tree(n, sp.log(_x1 + sp.sin(2 * _u + _u * sp.log(3) / sp.log(2))))
+
+
+# kernel arguments: Laurent monomials and their sums over symbols, jets, h(t)
+# and D(h(t),t), which exp and log leave as they are, and shapes that they
+# evaluate or that ``_kernel`` leaves to them
+_NOT_INERT = [sp.S.Zero, sp.S.One, sp.S.NegativeOne, sp.S.Half, sp.Integer(4), _x1 + sp.log(_u),
+              sp.log(_x1) * _u, sp.exp(_x1) + _u, sp.I * _x1, (_u * _x1 + 1) / _u]
+_laurent_monomials_of_generators = st.builds(
+    lambda c, powers: c * sp.Mul(*(g ** k for g, k in powers)), _rationals,
+    st.lists(st.tuples(st.sampled_from(_PLAIN_GENERATORS), st.integers(-3, 3).filter(bool)),
+             max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_CLASSES), st.one_of(
+    _laurent_monomials_of_generators, st.sampled_from(_NOT_INERT),
+    st.builds(lambda terms: sp.Add(*terms), st.lists(_laurent_monomials_of_generators, max_size=4))))
+@example(sp.exp, sp.S.One)
+@example(sp.log, sp.S.Half)
+@example(sp.exp, _x1 + sp.log(_u))
+@example(sp.exp, sp.log(_x1) * _u)
+@example(sp.log, sp.Integer(4))
+@example(sp.exp, (_u * _x1 + 1) / _u)
+@example(sp.log, _x1 ** 2 - _u + _PLAIN_GENERATORS[-1] / 2)
+def test_kernel_is_the_constructor(cls, a):
+    """``_kernel(cls, a)``, which skips sympy's ``eval`` where it returns
+    nothing, is cls(a), node for node, for exp, log, sin, cos, sinh and
+    cosh."""
+    assert _same_tree(algebra._kernel(cls, a), cls(a))
 
 
 # negative and rational powers of the atoms, which ``_read`` sums do not hold
@@ -1024,14 +1102,20 @@ def test_log_identity_is_structurally_zero():
     sp.log(sp.exp(_X / 2) + sp.exp(_X)) - sp.log(sp.exp(_X / 2) + 1) - _X / 2,
     sp.log(sp.exp(_X) + 1) - sp.log(sp.exp(-_X) + 1) - _X,
     sp.log(_Y * sp.exp(2 * _X * _Y) + _Y * sp.exp(_X * _Y)) - _X * _Y
-    - sp.log(_Y) - sp.log(sp.exp(_X * _Y) + 1)])
+    - sp.log(_Y) - sp.log(sp.exp(_X * _Y) + 1),
+    sp.log(sp.exp(_X) - 1) - sp.log(sp.exp(_X / 2) - 1) - sp.log(sp.exp(_X / 2) + 1)])
 def test_log_of_exponential_sum_is_structurally_zero(e):
     """A log argument with exponentials is factored over the generators
-    exp(t/d), and a factor exp(s) reads as s: log(exp(x/2) + exp(x)) is
-    x/2 + log(exp(x/2) + 1), and log(exp(-x) + 1) normalizes to
-    log(exp(x) + 1) - x."""
+    exp(t/d), one per direction t for all the logs of the residual, and a
+    factor exp(s) reads as s: log(exp(x/2) + exp(x)) is
+    x/2 + log(exp(x/2) + 1), log(exp(-x) + 1) normalizes to
+    log(exp(x) + 1) - x, and exp(x) - 1 factors over exp(x/2), which the
+    other logs need.  Where the read decides, its witness is a point where
+    the residual's 53-bit enclosure succeeds."""
     r = zero_verdict(e)
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
+    if normalize(e) != 0:
+        algebra._enclose(algebra._program(normalize(e)), r.witness, algebra._LADDER[0][1])
 
 
 @pytest.mark.parametrize("e, factored", [
