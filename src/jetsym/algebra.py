@@ -16,7 +16,7 @@ sums: empty for a polynomial.  ``derive``, ``sum_of_products``,
 ``difference`` and ``substitutions`` multiply and add values without
 cancelling (``_product``, ``_plus``, ``_derivation``) and put the result in
 normal form once (``_normal_form``), a tree built at once for a value
-without a denominator; the parser builds values too (``grammar.parse``).  A
+without a denominator; ``grammar.parse`` reads its unevaluated tree.  A
 sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to cancel
 a quotient (``_ring_elements``, ``_as_expr``), and in ``Elimination``; a
 quotient cancels without one when N is 0 or D one term (``_laurent``) and,
@@ -56,7 +56,6 @@ from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
 from .errors import CyclicBinding, DivisionByZero, PreconditionFailed, UnknownSymbol
-from .grammar import KERNEL_CLASSES
 from .workspace import DEFAULT_SEED
 
 
@@ -80,6 +79,7 @@ class ZeroResult:
     seed: int = None
 
 
+KERNEL_CLASSES = (sp.exp, sp.log, sp.sin, sp.cos, sp.sinh, sp.cosh)
 _BAD_CONSTANTS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
@@ -674,7 +674,12 @@ def _read(e):
     if e.is_Pow:
         if not e.exp.is_Integer or (value := _read(e.base)) is None:
             return None
-        return _power(value, int(e.exp))
+        (num, den), k = value, int(e.exp)
+        if k < 0:   # (N / D)**-1 is D / N, N one factor
+            if not any(num.values()):
+                return None     # 1/0, which sympy's tree reports
+            num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
+        return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items()}
     if e.is_Rational:
         return {frozenset(): QQ(e.p, e.q)}, {}
     f = e
@@ -685,17 +690,6 @@ def _read(e):
     if e is sp.E:
         e = _E
     return _normal_kernel(e)[1] if isinstance(e, KERNEL_CLASSES) else None
-
-
-def _power(value, k):
-    """value**k for an integer k, as ``_read`` reads a power: (N / D)**-1 is
-    D / N, N one factor; None for 1/0."""
-    num, den = value
-    if k < 0:
-        if not any(num.values()):
-            return None     # 1/0, which the tree path reports
-        num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
-    return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items()}
 
 
 def _laurent(num, den):
@@ -949,6 +943,7 @@ def zero_verdict(e, seed=None):
     # is 0 exactly when the numerator of the other factors is
     value = _read(sp.Mul(*[f for f in sp.Mul.make_args(n) if not (
         type(f) is sp.exp or f.is_Pow and f.exp.could_extract_minus_sign())]))
+    cancels = False
     if value is not None:
         terms = euler(value[0])
         if not terms:
@@ -961,16 +956,8 @@ def zero_verdict(e, seed=None):
         try:
             cancels = not _mapped(terms, lambda g, k: _log_read(g, k, *gens))
         except (BasePolynomialError, NotImplementedError, AttributeError):
-            cancels = False   # factorrat raises AttributeError on irrational content
-        if cancels:
-            # the interval path, on the same draws, accepts only points where this succeeds
-            program = _program(n)
-            point = next((p for p, _ in sample_points(syms, random.Random(seed), lambda p: _enclose(
-                program, p, _LADDER[0][1]), ZERO_SAMPLES * 40)), None)
-            if point is None:
-                return ZeroResult(ZeroVerdict.UNKNOWN, "sampling-blocked", seed=seed)
-            return ZeroResult(ZeroVerdict.ZERO, "structural", witness=point, seed=seed)
-    if not n.free_symbols:
+            pass   # factorrat raises AttributeError on irrational content
+    if not cancels and not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
         # none settles a constant such as sin(1)**2 + cos(1)**2 - 1
         try:
@@ -982,13 +969,16 @@ def zero_verdict(e, seed=None):
     program = _program(n)
 
     def certify(point):
-        """The first precision whose enclosure excludes 0, else None."""
-        return next((bits for bits, ctx in _LADDER
+        """The first precision whose enclosure excludes 0, else None; 53 bits
+        only for a cancelled log read, whose first accepted point is its witness."""
+        return next((bits for bits, ctx in (_LADDER[:1] if cancels else _LADDER)
                      if (v := _enclose(program, point, ctx)) > 0 or v < 0), None)
 
     point = None
     for point, bits in islice(sample_points(syms, random.Random(seed), certify,
                                             ZERO_SAMPLES * 40), ZERO_SAMPLES):
+        if cancels:
+            return ZeroResult(ZeroVerdict.ZERO, "structural", witness=point, seed=seed)
         if bits is not None:
             return ZeroResult(ZeroVerdict.NONZERO, "interval", witness=(point, bits), seed=seed)
     if point is None:

@@ -18,9 +18,12 @@ derivatives of unknown functions and ``Int(f,x1)`` for formal
 antiderivatives (these make every normalized expression printable and
 re-parseable; the bare grammar above has no derivative syntax).
 
-``parse`` reads text into ``algebra._read`` values, which it puts in normal
-form once, a call's kernel built by ``algebra._kernel``; text with a rational
-power, an ``Int(...)`` or a constant kernel is built as a tree instead.
+``parse`` walks the text once into an unevaluated tree (no ``flatten`` or
+``eval``), reads it (``algebra._read``) and puts the value in normal
+form once; a tree that no value reads (a rational power, ``Int(...)``, 1/0)
+is ``_evaluated``, built as sympy's constructors build the text, and
+normalized.  So are a call's arguments; a call outside any other is read
+where it is built, and a divisor whose value is 0 or None and tree 0 raises.
 
 The printer emits this same grammar, a sum's terms in the order of sympy's
 ``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
@@ -29,8 +32,6 @@ The printer emits this same grammar, a sum's terms in the order of sympy's
 
 from __future__ import annotations
 
-import operator
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import sympy as sp
@@ -39,12 +40,12 @@ from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.sorting import default_sort_key
 
-from . import algebra  # partly initialized here, as it imports this module: read at call time
+from . import algebra
+from .algebra import KERNEL_CLASSES
 from .errors import DivisionByZero, ExprSyntaxError, UnknownSymbol
 from .multiindex import MultiIndex
 from .workspace import SymbolKind
 
-KERNEL_CLASSES = (sp.exp, sp.log, sp.sin, sp.cos, sp.sinh, sp.cosh)
 KERNELS = {k.__name__: k for k in KERNEL_CLASSES}
 
 
@@ -90,37 +91,20 @@ def tokenize(text):
     return out
 
 
-class _Unreadable(Exception):
-    """A node that no ``_read`` value reads: the text takes the tree path."""
-
-
-def _readable(value):
-    if value is None:
-        raise _Unreadable
-    return value
-
-
-# The parser's operations: on sympy trees, which sympy's constructors evaluate
-# as they build them, and on ``algebra._read`` values (N, D), which combine as
-# ``_read`` reads the tree they stand for.  A leaf is a number, a symbol or a
-# call, whose arguments are trees on both; a call or power that ``_read``
-# cannot read (``Int(...)``, a constant kernel, a rational exponent, 1/0)
-# raises ``_Unreadable``.
-_TREES = SimpleNamespace(leaf=lambda node: node, neg=lambda e: -1 * e, add=lambda terms: sp.Add(*terms),
-                         mul=operator.mul, div=lambda e, rhs: e * sp.Pow(rhs, -1), pow=sp.Pow)
-_VALUES = SimpleNamespace(
-    leaf=lambda node: _readable(algebra._read(node)),
-    neg=lambda e: ({m: -c for m, c in e[0].items()}, e[1]),
-    add=lambda terms: algebra._plus(terms), mul=lambda a, b: algebra._product(a, b),
-    div=lambda e, rhs: algebra._product(e, _readable(algebra._power(rhs, -1))),
-    pow=lambda e, k: _readable(algebra._power(e, int(k)) if k.is_Integer else None))
+@cacheit
+def _evaluated(e):
+    """The parser's tree e as sympy's constructors build it: each sum,
+    product and power rebuilt, its arguments first."""
+    if e.is_Add or e.is_Mul or e.is_Pow:
+        return e.func(*map(_evaluated, e.args))
+    return e
 
 
 class _Parser:
-    def __init__(self, text, ws, ops):
+    def __init__(self, text, ws):
         self.tokens = tokenize(text)
         self.ws = ws
-        self.ops = ops
+        self.depth = 0      # the number of calls whose arguments are being read
         self.i = 0
 
     def peek(self):
@@ -148,27 +132,29 @@ class _Parser:
         negative = self.peek().kind == "-"
         if self.peek().kind in ("+", "-"):
             self.advance()
-        terms = [self.ops.neg(self.term()) if negative else self.term()]
+        terms = [self.term(negative)]
         while self.peek().kind in ("+", "-"):
-            negative = self.advance().kind == "-"
-            terms.append(self.ops.neg(self.term()) if negative else self.term())
-        return self.ops.add(terms)
+            terms.append(self.term(self.advance().kind == "-"))
+        return terms[0] if len(terms) == 1 else sp.Add._from_args(terms, True)
 
-    def term(self):
+    def term(self, negative):
         e = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
-            if op.kind == "/" and rhs == 0:    # a value 0 takes the tree path, which raises this
-                raise DivisionByZero(f"literal division by zero at offset {op.pos}")
-            e = self.ops.div(e, rhs) if op.kind == "/" else self.ops.mul(e, rhs)
-        return e
+            if op.kind == "/":
+                if (self.depth or (value := algebra._read(rhs)) is None or not any(
+                        value[0].values())) and _evaluated(rhs) == 0:
+                    raise DivisionByZero(f"literal division by zero at offset {op.pos}")
+                rhs = sp.Pow(rhs, -1, evaluate=False)
+            e = sp.Mul._from_args((e, rhs), True)
+        return sp.Mul._from_args((sp.S.NegativeOne, e), True) if negative else e
 
     def factor(self):
         e = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            e = self.ops.pow(e, self.exponent())
+            e = sp.Pow(e, self.exponent(), evaluate=False)
         return e
 
     def exponent(self):
@@ -194,7 +180,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return self.ops.leaf(sp.Integer(int(tok.text)))
+            return sp.Integer(int(tok.text))
         if tok.kind == "(":
             self.advance()
             e = self.expr()
@@ -203,11 +189,14 @@ class _Parser:
         if tok.kind == "IDENT":
             self.advance()
             if self.peek().kind == "JETOPEN":
-                return self.ops.leaf(self.jet(tok))
+                return self.jet(tok)
             if self.peek().kind == "(":
-                return self.ops.leaf(self.call(tok))
+                node = self.call(tok)
+                if not self.depth:      # a kernel of a non-finite argument raises here
+                    algebra._read(node)
+                return node
             try:
-                return self.ops.leaf(self.ws.resolve(tok.text))
+                return self.ws.resolve(tok.text)
             except UnknownSymbol:
                 raise UnknownSymbol(tok.text, tok.pos) from None
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
@@ -239,14 +228,14 @@ class _Parser:
         return info[1]
 
     def call(self, head):
-        ops, self.ops = self.ops, _TREES   # the arguments are trees, as on the tree path
+        self.depth += 1
         self.expect("(")
-        args = [self.expr()]
+        args = [_evaluated(self.expr())]
         while self.peek().kind == ",":
             self.advance()
-            args.append(self.expr())
+            args.append(_evaluated(self.expr()))
         self.expect(")")
-        self.ops = ops
+        self.depth -= 1
         name = head.text
         if name in KERNELS:
             if len(args) != 1:
@@ -281,14 +270,13 @@ class _Parser:
 
 
 def parse(text, ws):
-    """Parse expression text against a workspace, normalized: read into a
-    ``_read`` value (``_VALUES``) and put in normal form once; text with a
-    node that no value reads is built as a sympy tree (``_TREES``) and
-    normalized, so that every text has the normal form of its tree."""
-    try:
-        return algebra._normal_form(None, _Parser(text, ws, _VALUES).run())
-    except _Unreadable:
-        return algebra.normalize(_Parser(text, ws, _TREES).run())
+    """Parse expression text against a workspace, normalized: the text's
+    unevaluated tree is read (``algebra._read``) and its value put in
+    normal form once; a tree that no value reads is ``_evaluated`` and
+    normalized, so that every text has the normal form of sympy's tree."""
+    tree = _Parser(text, ws).run()
+    value = algebra._read(tree)
+    return algebra.normalize(_evaluated(tree)) if value is None else algebra._normal_form(None, value)
 
 
 # ---------------------------------------------------------------------------

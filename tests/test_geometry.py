@@ -276,6 +276,18 @@ def test_is_involutive_single_field(ws2):
     assert is_involutive(F).verdict is TriBool.YES
 
 
+def test_is_involutive_commuting_fields(ws2):
+    """{dx1, dx2, u du} commute: each bracket is the zero field, with
+    structure functions 0 over the whole subset."""
+    u = ws2.dependent[0]
+    F = VectorFieldFamily(ws2, (VectorField(ws2, (ONE, ZERO), (ZERO,)),
+                                VectorField(ws2, (ZERO, ONE), (ZERO,)),
+                                VectorField(ws2, (ZERO, ZERO), (u,))))
+    report = is_involutive(F)
+    assert report.verdict is TriBool.YES
+    assert report.structure_functions == {pair: (0, 0, 0) for pair in [(0, 1), (0, 2), (1, 2)]}
+
+
 def test_is_involutive_wave_rectifiable(wave_rectifiable):
     report = is_involutive(wave_rectifiable)
     assert report.verdict is TriBool.YES

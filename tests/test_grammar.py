@@ -5,7 +5,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetsym import MultiIndex, Workspace, grammar, normalize, parse, print_expr
+from jetsym import MultiIndex, Workspace, algebra, grammar, normalize, parse, print_expr
 from jetsym.errors import (DivisionByZero, ExprSyntaxError, JetOrderExceeded,
                            JetsymError, UnknownSymbol)
 from jetsym.grammar import KERNELS
@@ -159,8 +159,8 @@ _TEXTS = st.recursive(st.one_of(
 
 
 def _tree_parse(text, ws):
-    """The tree build of text, normalized: ``parse``'s reference."""
-    return normalize(grammar._Parser(text, ws, grammar._TREES).run())
+    """sympy's tree of text, normalized: ``parse``'s reference."""
+    return normalize(grammar._evaluated(grammar._Parser(text, ws).run()))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -169,9 +169,9 @@ def _tree_parse(text, ws):
 @example("-1/(x1 + lam) + h(t)^2/(2*h(t)*x1) - 3/(4*u_{x1} - 2*lam)")
 @example("log(4*x1*u) - exp(t + 1/u)*(2/3)^-1 + sin(-u)/(h(t) + u)^2")
 def test_value_parse_is_the_tree_parse(text):
-    """``parse`` reads text into values and gives the normal form of its
-    tree, node for node, or raises the tree path's error; text with a
-    rational power or an Int(...) takes the tree path."""
+    """``parse`` reads the text's unevaluated tree and gives the normal form
+    of sympy's tree of the text, node for node, or raises its error; no
+    value reads text with a rational power or an Int(...)."""
     try:
         expected = _tree_parse(text, _WS)
     except JetsymError as error:
@@ -180,19 +180,43 @@ def test_value_parse_is_the_tree_parse(text):
         return
     assert same_tree(parse(text, _WS), expected)
     if "^(" in text.replace("^(4/2)", "") or "Int(" in text:    # 4/2 is an integer
-        with pytest.raises(grammar._Unreadable):
-            grammar._Parser(text, _WS, grammar._VALUES).run()
+        assert algebra._read(grammar._Parser(text, _WS).run()) is None
 
 
-@pytest.mark.parametrize("text, error, offset", [
-    ("x1 + 1/0", DivisionByZero, None), ("u^(1/0)", DivisionByZero, None),
-    ("2*x1_{x1}", ExprSyntaxError, 2), ("u + sin(u, x1)", ExprSyntaxError, 4)])
-def test_value_parse_raises_the_tree_parse_errors(text, error, offset):
+_ZERO = "((x1+1)^2 - x1^2 - 2*x1 - 1)"     # 0, which sympy's tree does not show
+_PARSE_ERRORS = [
+    ("x1 + 1/0", DivisionByZero, "literal division by zero at offset 6", None),
+    ("u^(1/0)", DivisionByZero, "zero denominator in exponent at offset 2", None),
+    ("2*x1_{x1}", ExprSyntaxError, "jet base 'x1' is not a dependent variable (at offset 2)", 2),
+    ("u + sin(u, x1)", ExprSyntaxError, "kernel sin takes one argument (at offset 4)", 4),
+    ("u/(x1 - x1)", DivisionByZero, "literal division by zero at offset 1", None),
+    ("u/(-0)", DivisionByZero, "literal division by zero at offset 1", None),
+    ("u/(2/2 - 1)", DivisionByZero, "literal division by zero at offset 1", None),
+    ("u^(1/2)/(x1 - x1)", DivisionByZero, "literal division by zero at offset 7", None),
+    (f"u/{_ZERO}", DivisionByZero, "undefined constant while normalizing zoo*u", None),
+    (f"sin(1/{_ZERO}) + )", DivisionByZero, "undefined constant while normalizing zoo", None)]
+
+
+@pytest.mark.parametrize("text, error, message, offset", _PARSE_ERRORS,
+                         ids=[f"{t}-{e.__name__}-{o}" for t, e, _, o in _PARSE_ERRORS])
+def test_value_parse_raises_the_tree_parse_errors(text, error, message, offset):
     """A literal 1/0, a zero exponent denominator, a jet of a non-dependent
-    base and a kernel of two arguments raise the tree path's error, with its
-    message and offset."""
-    with pytest.raises(error) as expected:
-        _tree_parse(text, _WS)
-    with pytest.raises(error, match=re.escape(str(expected.value))) as raised:
+    base, a kernel of two arguments, a divisor whose tree is 0 (whose value
+    is 0 else), and a call whose argument is not finite before a syntax
+    error raise the error, message and offset of sympy's tree of the text."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
         parse(text, _WS)
     assert getattr(raised.value, "offset", None) == offset
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("((x1+1)*(x1+1))^(1/2)", "Abs(Add(Symbol('x1', real=True), Integer(1)))"),
+    ("exp(log(x1))*u", "Mul(Symbol('u', real=True), Symbol('x1', real=True))"),
+    ("-(u)^2 - 3/(4*u_{x1} - 2*t)", "Add(Mul(Integer(-1), Pow(Symbol('u', real=True), Integer(2))), "
+     "Mul(Integer(-1), Integer(3), Pow(Add(Mul(Integer(-1), Integer(2), Symbol('t', real=True)), "
+     "Mul(Integer(4), Symbol('u_{x1}', real=True))), Integer(-1))))")])
+def test_evaluated_is_sympys_tree(text, expected):
+    """``_evaluated`` builds the parse tree as sympy's constructors build the
+    text's operations, one after another: a power evaluates, a call
+    evaluates, and -1 times a quotient keeps its two coefficients."""
+    assert sp.srepr(grammar._evaluated(grammar._Parser(text, _WS).run())) == expected

@@ -241,6 +241,15 @@ def test_solve_not_solvable_shape():
         solve_solvable_q1(sys)
 
 
+def test_potential_of_a_non_gradient_is_not_solvable(ws2):
+    """Slot coefficients (x2, 0) are no gradient: the potential x1*x2 of
+    the first, corrected to 0 by the second, leaves the residual -x2."""
+    x2 = ws2.independent[1]
+    with pytest.raises(NotSolvableShape,
+                       match=r"^slot coefficients are not a closed form: residual -x2$"):
+        liesys._potential([x2, sp.Integer(0)], ws2)
+
+
 _WS = Workspace(["t", "x1"], ["u"], order_cap=2)
 _WS.add_parameter("lam")
 _WS.add_function("h", args=["t"])

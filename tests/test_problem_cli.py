@@ -360,6 +360,30 @@ def test_force_direct_flag(capsys):
     assert any("route B" in row["justification"] for row in data["verdicts"])
 
 
+def test_charsys_of_a_constant_field_is_inconsistent(capsys, tmp_path):
+    """Y1 = du alone: its characteristic equation Q^u = 1 has no solution."""
+    path = tmp_path / "constant.jetsym"
+    path.write_text("[variables]\nindependent = x1 x2\ndependent = u\n"
+                    "[fields]\nY1 = \"0\" | \"0\" ; \"1\"\n")
+    rc, data = run_json(capsys, "charsys", path)
+    assert rc == 1
+    assert [(v["name"], v["verdict"]) for v in data["verdicts"]] == [("consistent", "No")]
+    assert "member 0, D_(0, 0) Q^u: 1 = 0" in data["equations"]
+
+
+def test_direct_route_needs_a_solvable_leading_jet(capsys, tmp_path):
+    """Route B solves each equation for its leading jet; the eikonal
+    equation is quadratic in it, which is a typed error, exit 3."""
+    path = tmp_path / "eikonal.jetsym"
+    path.write_text("[variables]\nindependent = x1 x2\ndependent = u\n[options]\norder = 1\n"
+                    "[pde]\nq = \"u_{x1}^2 + u_{x2}^2 - 1\"\n[fields]\n"
+                    "Z1 = \"1\" | \"0\" ; \"u\"\nZ2 = \"0\" | \"1\" ; \"u\"\n")
+    rc, _, err = run_cli(capsys, "verify-symmetry", path, "--force-direct")
+    assert rc == 3
+    assert err.strip() == ("jetsym verify-symmetry: error: "
+                           "cannot solve q for its leading jet: u_{x1}^2 + u_{x2}^2 - 1")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "jetsym.cli", "charsys",
