@@ -3,9 +3,10 @@
 Each file in ``tests/golden/`` is the ``--format json`` stdout of one
 ``jetsym COMMAND problems/FIXTURE.jetsym`` run at the default seed, error
 reports (exit 3) included; the exit code is the report's ``exit_code``.
-Three flag variants that take other code paths (route B through
-``--force-direct``, a second ``[fields]`` group under verify-symmetry and
-analyze-distribution) have their own files, named after the flags.  The rungs of the benchmark's determining ladder,
+Five flag variants that take other code paths (route B through
+``--force-direct`` on three fixtures, a second ``[fields]`` group under
+verify-symmetry and analyze-distribution) have their own files, named after
+the flags.  The rungs of the benchmark's determining ladder,
 ``perfbench/problems/RUNG.jetsym``, have one ``derive-determining`` file
 each, so their determining equations are locked as well as counted.
 The files change only with an intended report change.  Rewrite them with
@@ -34,6 +35,8 @@ RUNGS = sorted(p.stem for p in LADDER.glob("*.jetsym"))
 CASES = ([(fixture, command) for fixture in FIXTURES for command in COMMANDS]
          + [(rung, "derive-determining") for rung in RUNGS])
 VARIANTS = [("liouville", "verify-symmetry", ("--force-direct",)),
+            ("wave", "verify-symmetry", ("--force-direct",)),
+            ("gauss-codazzi", "verify-symmetry", ("--force-direct",)),
             ("wave", "verify-symmetry", ("--fields", "rectifiable")),
             ("wave", "analyze-distribution", ("--fields", "rectifiable"))]
 
@@ -52,12 +55,14 @@ def golden_path(fixture, command, extra=()):
 
 
 # golden reports of jobs that the benchmark's CLI table does not run
-UNBENCHED = [golden_path("wave", "analyze-distribution", ("--fields", "rectifiable"))]
+UNBENCHED = [golden_path("wave", "analyze-distribution", ("--fields", "rectifiable")),
+             golden_path("wave", "verify-symmetry", ("--force-direct",)),
+             golden_path("gauss-codazzi", "verify-symmetry", ("--force-direct",))]
 
 
 def test_golden_set_is_complete():
     assert len(SOURCES) == len(FIXTURES) + len(RUNGS)
-    assert len(CASES) + len(VARIANTS) == 57
+    assert len(CASES) + len(VARIANTS) == 59
     assert sorted(GOLDEN.glob("*.json")) == sorted(
         golden_path(*c) for c in CASES + VARIANTS)
 
