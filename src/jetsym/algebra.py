@@ -12,11 +12,12 @@ logs of positive rationals and, for each direction t of an exponential
 exp(c*t) with c rational (t = 1 for a rational constant), one atom exp(t)
 with rational exponents; a log that ``sympy.expand_log`` splits reads as
 its split.  A value is a pair (N, D) that stands for N / D, D a product of
-sums: empty for a polynomial.  ``derive``, ``sum_of_products``,
-``difference`` and ``substitutions`` multiply and add values without
-cancelling (``_product``, ``_plus``, ``_derivation``) and put the result in
-normal form once (``_normal_form``), a tree built at once for a value
-without a denominator; ``grammar.parse`` reads its unevaluated tree.  A
+sums: empty for a polynomial.  ``derive``, ``sum_of_products`` and
+``difference`` multiply and add values without cancelling (``_product``,
+``_plus``, ``_derivation``) and put the result in normal form once
+(``_normal_form``), a tree built at once for a value without a
+denominator; ``grammar.parse`` reads its unevaluated tree, and every
+substitution is one cached map of values (``_substitute``).  A
 sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to cancel
 a quotient (``_ring_elements``, ``_as_expr``), and in ``Elimination``; a
 quotient cancels without one when N is 0 or D one term (``_laurent``) and,
@@ -37,7 +38,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, islice
 from math import gcd
 
@@ -208,14 +209,18 @@ def euler(terms):
     ``_euler`` image: equal as a function, and 0 exactly when the sum is 0
     where the atoms left are algebraically independent (``_independent``).
     Zero terms are dropped."""
-    return _mapped(terms, _euler)
+    return {m: c for m, c in _mapped(terms, lambda g, k: (_euler(g, k), {}))[0].items() if c}
 
 
 def _mapped(terms, image):
-    """A ``_read`` sum with each atom power g**k replaced by the sum image(g, k)."""
-    out, _ = _plus([(reduce(_times, [image(g, k) for g, k in m], {frozenset(): c}), {})
-                    for m, c in terms.items()])
-    return {m: c for m, c in out.items() if c}
+    """The value of a ``_read`` sum with each atom power g**k replaced by the
+    value image(g, k); None when an image is None."""
+    products = []
+    for m, c in terms.items():
+        if None in (images := [image(g, k) for g, k in m]):
+            return None
+        products.append(reduce(_product, images, ({frozenset(): c}, {})))
+    return _plus(products)
 
 
 @cacheit
@@ -539,32 +544,6 @@ def normal_forms(sums):
             else _normal_form(None, (s, {})) for s in sums]
 
 
-def substitutions(e, combos):
-    """normalize(e.xreplace(combo)) for each combo, a map from the same
-    symbols to normal forms.  When ``_read`` reads e = N / D and the
-    values, no atom of D and no other atom of N meets the symbols, N's terms
-    are grouped by their monomial in the symbols, and each combo is the sum
-    of the groups' coefficients times the values' powers, over D, computed
-    on ``_read`` values and put in normal form once.
-    """
-    e = sp.sympify(e)
-    symbols = set().union(*combos)
-    values = list(dict.fromkeys(v for combo in combos for v in combo.values()))
-    reads = [_read(e), *(_read(sp.sympify(v)) for v in values)]
-    if None in reads or any(g not in symbols and not g.free_symbols.isdisjoint(symbols)
-                            for g in _atoms(reads[:1])) or any(
-            g in symbols for g in _atoms([(_ONE, reads[0][1])])):
-        return [normalize(e.xreplace(combo)) for combo in combos]
-    groups = {}
-    for m, c in reads[0][0].items():
-        inner = frozenset((g, k) for g, k in m if g in symbols)
-        groups.setdefault(inner, {})[m - inner] = c
-    value_of = dict(zip(values, reads[1:]))
-    return [_normal_form(None, _product((_ONE, reads[0][1]), _plus(
-        reduce(_product, [value_of[combo[g]] for g, k in inner for _ in range(k)], (group, {}))
-        for inner, group in groups.items()))) for combo in combos]
-
-
 def _times(a, b):
     """The product of two sums of ``_read`` terms."""
     if a is _ONE:
@@ -674,12 +653,7 @@ def _read(e):
     if e.is_Pow:
         if not e.exp.is_Integer or (value := _read(e.base)) is None:
             return None
-        (num, den), k = value, int(e.exp)
-        if k < 0:   # (N / D)**-1 is D / N, N one factor
-            if not any(num.values()):
-                return None     # 1/0, which sympy's tree reports
-            num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
-        return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items()}
+        return _power(value, int(e.exp))
     if e.is_Rational:
         return {frozenset(): QQ(e.p, e.q)}, {}
     f = e
@@ -690,6 +664,17 @@ def _read(e):
     if e is sp.E:
         e = _E
     return _normal_kernel(e)[1] if isinstance(e, KERNEL_CLASSES) else None
+
+
+def _power(value, k):
+    """A ``_read`` value N / D to the integer power k, (N / D)**-1 being
+    D / N with N one factor; None for 0**k with k < 0, a division by 0."""
+    num, den = value
+    if k < 0:
+        if not any(num.values()):
+            return None
+        num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
+    return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items()}
 
 
 def _laurent(num, den):
@@ -731,7 +716,7 @@ def normalize(e):
     The value is read off the input tree (``_read``), multiplied out in QQ
     and converted once, with no ``sympy.expand`` or ``sympy.cancel``;
     exp(c*x + c0) with c0 rational reads as exp(c0)*exp(c*x).
-    ``derive``, ``sum_of_products`` and ``substitutions`` return this form
+    ``derive``, ``sum_of_products`` and ``_substitute`` return this form
     of the values they compute.
     """
     e = sp.sympify(e)
@@ -806,20 +791,46 @@ def diff(e, s, ws=None):
 
 
 def substitute(e, bindings):
-    """Simultaneous substitution followed by normalization.
-
-    Keys may be symbols or applied unknown functions; pending formal
-    derivatives of substituted functions are evaluated.
-    """
-    e = sp.sympify(e)
-    bindings = {sp.sympify(k): sp.sympify(v) for k, v in bindings.items()}
-    keys = list(bindings)
-    for v in bindings.values():
-        if v.has(*keys):
+    """Simultaneous substitution of symbols or applied unknown functions,
+    pending formal derivatives evaluated, then normalization (``_substitute``);
+    a value that mentions a key raises ``CyclicBinding``."""
+    bindings = tuple((sp.sympify(k), sp.sympify(v)) for k, v in bindings.items())
+    for _, v in bindings:
+        if v.has(*(k for k, _ in bindings)):
             raise CyclicBinding(f"replacement {v} mentions a bound symbol")
-    out = e.xreplace(bindings)
-    out = out.replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.doit())
-    return normalize(out)
+    return _substitute(sp.sympify(e), bindings)
+
+
+@cacheit
+def _substitute(e, bindings):
+    """normalize(e.xreplace(dict(bindings))), Derivatives evaluated: the one
+    substitution, of (key, value) pairs at once, keys symbols or applied
+    unknown functions, on e's ``_read`` value N / D.  An atom power g**k
+    becomes the value of g to the power k where g is a key (``_power``), and
+    where g meets one (a kernel, an exponential, a Derivative of a bound
+    function) its own one-atom tree, substituted and read back; N and each
+    factor of D are mapped so (``_mapped``) and put in normal form once.  The
+    whole tree is substituted only where ``_read`` rejects e or an image, or
+    a factor of D maps to 0.  Cached: route B reduces the same residuals."""
+    bound, value = dict(bindings), _read(e)
+
+    def replaced(t):    # t.xreplace(bound), its Derivatives evaluated
+        return t.xreplace(bound).replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.doit())
+
+    @cache
+    def image(g, k):
+        if g in bound:
+            return (v := _read(bound[g])) and _power(v, k)
+        if not g.is_Symbol and g.has(*bound):
+            return _read(replaced(monomial_expr({g: k})))
+        return {frozenset({(g, k)}): QQ.one}, {}
+
+    if value is not None:
+        parts = [_mapped(value[0], image), *(
+            (f := _mapped(d, image)) and _power(f, -k) for d, k in value[1].values())]
+        if None not in parts:
+            return _normal_form(None, reduce(_product, parts))
+    return normalize(replaced(e))
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +965,8 @@ def zero_verdict(e, seed=None):
         gens = [(h, d) for h, d in _atoms([_read(g.args[0]) for m in terms for g, _ in m
                                            if type(g) is sp.log]).items() if type(h) is sp.exp]
         try:
-            cancels = not _mapped(terms, lambda g, k: _log_read(g, k, *gens))
+            read, _ = _mapped(terms, lambda g, k: (_log_read(g, k, *gens), {}))
+            cancels = not any(read.values())
         except (BasePolynomialError, NotImplementedError, AttributeError):
             pass   # factorrat raises AttributeError on irrational content
     if not cancels and not n.free_symbols:

@@ -93,7 +93,10 @@ def cmd_analyze(report, problem, args, seed):
         report.assumptions.extend(result.assumptions)
         report.notes.extend(result.notes)
     except JetsymError as err:
-        report.add("rectifiable", "No", detail=str(err))
+        # rank and projection held, so undetermined involutivity is the only cause
+        undecided = (dist.involutive is TriBool.UNKNOWN
+                     and getattr(err, "check", None) == "involutivity")
+        report.add("rectifiable", "Unknown" if undecided else "No", detail=str(err))
 
 
 def cmd_charsys(report, problem, args, seed):
@@ -178,7 +181,8 @@ def cmd_verify_solution(report, problem, args, seed):
     if not problem.candidates:
         raise PreconditionFailed("candidates section",
                                  "verify-solution needs a [candidates] section")
-    nf = rectify(problem.fields(args.fields), seed=seed).nf if problem.field_groups else None
+    dc = problem.field_groups and any(c.target in ("dc", "both") for c in problem.candidates)
+    nf = rectify(problem.fields(args.fields), seed=seed).nf if dc else None
     for cand in problem.candidates:
         systems = []
         if cand.target in ("pde", "both") and problem.pde is not None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .algebra import TriBool, ZeroVerdict, derive, normalize, sum_of_products, zero_verdict
+from .algebra import (TriBool, ZeroVerdict, _substitute, derive, normalize, sum_of_products,
+                      zero_verdict)
 from .errors import JetsymError, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, rectify
@@ -293,11 +294,11 @@ def _solve_for_leading_jet(e, ws, mapping, assumptions):
 
 def _reduce(e, mapping):
     """Rewrite a normalized e with mapping until no mapped jet is left."""
-    out = e
+    out, bindings = e, tuple(mapping.items())
     for _ in range(10):
         if not out.free_symbols & mapping.keys():
             break
-        out = normalize(out.xreplace(mapping))
+        out = _substitute(out, bindings)
     return out
 
 
@@ -325,9 +326,7 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
     # joint-consistency: the constraints must admit common points at all
     unsat = []
     for key, res in char.residuals.items():
-        red = _reduce(res, delta_map)
-        red = _reduce(red, char_map)
-        if _nonzero_constant(red, ws, seed):
+        if _nonzero_constant(_reduce(_reduce(res, delta_map), char_map), ws, seed):
             unsat.append(print_expr(res))
     if char.inconsistent:
         unsat.extend(print_expr(char.residuals[k]) for k in char.inconsistent)
@@ -340,13 +339,11 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
                               unsatisfiable=True, assumptions=assumptions,
                               notes=notes)
 
-    mapping = dict(char_map)
-    mapping.update(delta_map)
+    mapping = {**char_map, **delta_map}
     verdicts = []
     for j, P in enumerate(char.prolonged):
         for name, delta in pde.items():
-            e = P.apply_to(delta)
-            e = _reduce(e, mapping)
+            e = _reduce(P.apply_to(delta), mapping)
             verdicts.append((f"j^{n}Z_{j + 1}({name})", zero_verdict(e, seed=seed)))
     return SymmetryReport("B", "direct tangency check (Def. 7.1)", verdicts,
                           assumptions=assumptions, notes=notes)
@@ -374,15 +371,14 @@ def verify_solution(systems, candidate, ws, seed=None):
         else:
             raise TypeError(f"cannot verify against {type(system).__name__}")
 
-    mapping = dict(candidate)
+    mapping = dict(candidate)     # derive is cached: a repeated jet costs a lookup
     for _, e in equations:
         for s, a, K in ws.jet_atoms(e):
-            if s in mapping:
-                continue
             val = candidate.get(ws.dependent[a])
             if val is None:
                 raise ValueError(f"candidate missing dependent {ws.dependent[a]}")
             for i in K.slots():
                 val = derive(val, {ws.independent[i]: 1})
             mapping[s] = val
-    return [(label, zero_verdict(e.xreplace(mapping), seed=seed)) for label, e in equations]
+    bindings = tuple(mapping.items())
+    return [(label, zero_verdict(_substitute(e, bindings), seed=seed)) for label, e in equations]

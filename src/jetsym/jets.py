@@ -15,7 +15,7 @@ from itertools import product
 
 import sympy as sp
 
-from .algebra import derive, difference, normalize, substitutions, sum_of_products
+from .algebra import _substitute, derive, difference, normalize, sum_of_products
 from .errors import HardJetLimitExceeded, PreconditionFailed
 from .grammar import print_expr
 from .multiindex import MultiIndex, indices_up_to
@@ -276,8 +276,7 @@ def restrict_to_section(e, nf):
     normal form all routes agree because total derivatives commute.
     """
     e = sp.sympify(e)
-    return substitutions(
-        e, [{s: nf.jet_value(a, K.slots()) for s, a, K in nf.ws.jet_atoms(e)}])[0]
+    return _substitute(e, tuple((s, nf.jet_value(a, K.slots())) for s, a, K in nf.ws.jet_atoms(e)))
 
 
 def restrict_routes(e, nf):
@@ -285,8 +284,7 @@ def restrict_routes(e, nf):
 
     Off an integrable section the peel order matters; the determining
     machinery collects coefficients from every route so that no condition
-    implied by a resolution order is lost.  The routes are evaluated
-    together (``algebra.substitutions``).
+    implied by a resolution order is lost.
     """
     e = sp.sympify(e)
     atoms = sorted(nf.ws.jet_atoms(e), key=lambda t: t[0].name)
@@ -298,6 +296,5 @@ def restrict_routes(e, nf):
             "route enumeration", f"{combos} jet resolution routes exceed limit {ROUTE_LIMIT}")
     # the first atom varies slowest, each over its distinct values last-first
     symbols = [s for s, _, _ in atoms]
-    return list(dict.fromkeys(substitutions(
-        e, [dict(zip(symbols, combo))
-            for combo in product(*(values[::-1] for values in alternatives))])))
+    return list(dict.fromkeys(_substitute(e, tuple(zip(symbols, combo)))
+                              for combo in product(*(values[::-1] for values in alternatives))))

@@ -27,8 +27,8 @@ from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .algebra import (ZeroVerdict, derive, difference, is_zero, monomial_expr, normal_forms,
-                      normalize, split_monomials, substitute, sum_of_products, zero_verdict)
+from .algebra import (ZeroVerdict, _substitute, derive, difference, is_zero, monomial_expr,
+                      normal_forms, normalize, split_monomials, sum_of_products, zero_verdict)
 from .condsym import compatibility_residuals, verify_solution
 from .errors import CapExceeded, NotSeparable, NotSolvableShape, PreconditionFailed
 from .grammar import print_expr
@@ -375,27 +375,17 @@ def solve_solvable_q1(sys, seed=None):
     last_reason = None
     for label, w, w_of_u, u_of_w in _transform_catalog(ws):
         dwdu = sp.diff(w_of_u, u)
-        ok = True
-        for gen in sys.vg.generators:
-            transformed = substitute(dwdu * gen[0], {u: u_of_w})
-            if _affine_coefficients(transformed, w) is None:
-                ok = False
-                last_reason = f"{label}: generator {print_expr(gen[0])} not affine"
+        # each generator, then each slot's rhs, pushed forward to w: affine in w
+        affine = []
+        for what, f in [*((f"generator {print_expr(g[0])}", g[0]) for g in sys.vg.generators),
+                        *((f"slot {j} rhs", nf.rhs[(0, j)]) for j in range(ws.p))]:
+            affine.append(_affine_coefficients(_substitute(dwdu * f, ((u, u_of_w),)), w))
+            if affine[-1] is None:
+                last_reason = f"{label}: {what} not affine"
                 break
-        if not ok:
+        if affine[-1] is None:
             continue
-        cs, ds = [], []
-        for j in range(ws.p):
-            transformed = substitute(dwdu * nf.rhs[(0, j)], {u: u_of_w})
-            cd = _affine_coefficients(transformed, w)
-            if cd is None:
-                ok = False
-                last_reason = f"{label}: slot {j} rhs not affine"
-                break
-            cs.append(cd[0])
-            ds.append(cd[1])
-        if not ok:
-            continue
+        cs, ds = zip(*affine[len(sys.vg.generators):])
         P, unresolved_h = _potential(cs, ws)
         w_h = normalize(sp.exp(P))
         quotients = [normalize(d * sp.exp(-P)) for d in ds]
@@ -405,7 +395,7 @@ def solve_solvable_q1(sys, seed=None):
         if lam is None:
             lam = ws.add_parameter("lam")
         w_expr = normalize(w_h * (w_n + lam))
-        u_sol = normalize(u_of_w.xreplace({w: w_expr}))
+        u_sol = _substitute(u_of_w, ((w, w_expr),))
         verdicts = verify_solution([nf], {u: u_sol}, ws, seed=seed)
         assumptions = ["integration parameter: lam"]
         if unresolved:

@@ -17,9 +17,9 @@ from sympy.polys.rings import PolyElement, PolyRing
 from jetsym import algebra, grammar
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
-from jetsym.algebra import (_E, _as_expr, _normal_form, _read, _ring_elements, _tree,
-                            _tree_normalize, derive, evaluate_at, monomial_expr, normal_forms,
-                            split_monomials, substitutions, sum_of_products)
+from jetsym.algebra import (_E, _as_expr, _normal_form, _read, _ring_elements, _substitute,
+                            _tree, _tree_normalize, derive, evaluate_at, monomial_expr,
+                            normal_forms, split_monomials, sum_of_products)
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import CyclicBinding, DivisionByZero
 from jetsym.geometry import lie_bracket
@@ -223,40 +223,68 @@ def test_normal_forms_joins_the_atoms_of_the_split_off_the_ring():
 
 
 _JETS = [_PLAIN_WS.parse(text) for text in ("u_{x1}", "u_{t,x1}")]
+_KEYS = _JETS + [_h]
+# kernels and exponentials of the keys, and a denominator that meets one
+_KEY_ATOMS = [sp.sin(_JETS[0]), sp.cos(_JETS[1] + _u), sp.exp(_JETS[0] / 2), sp.exp(-_h),
+              sp.sinh(_h), _PLAIN_WS.parse("D(h(t),t)")]
+_meets_keys = st.builds(lambda a, g, k, b, s: a * g ** k + b / (1 + s * _JETS[0]),
+                        _laurent_sums, st.sampled_from(_KEY_ATOMS), st.integers(1, 2),
+                        _laurent_sums, st.sampled_from(_KEYS))
+
+
+def _replaced(e, combo):
+    """``e.xreplace(combo)`` with its Derivatives evaluated, as ``substitute``
+    documents it: D(h(t),t) with h(t) bound to v is dv/dt."""
+    return e.xreplace(combo).replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.doit())
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_laurent, _rational),
+@given(st.one_of(_laurent, _rational, _meets_keys),
        st.lists(st.fixed_dictionaries({s: st.one_of(_sums, _laurent_sums, _quotient)
-                                       for s in _JETS}),
+                                       for s in _KEYS}),
                 min_size=1, max_size=3),
-       st.sets(st.sampled_from(_JETS), min_size=1))
+       st.sets(st.sampled_from(_KEYS), min_size=1))
 def test_substitutions_ring_matches_tree(e, combos, symbols):
-    """Jet values substituted in the ring -- into polynomials, kernels,
-    Laurent exponentials, quotients and h(t) -- give normalize's form of
-    the substituted expression, node for node."""
+    """Values substituted on ``_read`` values -- into polynomials, kernels,
+    Laurent exponentials, quotients whose denominators meet a key, and h(t)
+    with D(h(t),t) -- give normalize's form of the substituted expression,
+    node for node."""
     e = normalize(e)
     combos = [{s: normalize(v) for s, v in combo.items() if s in symbols} for combo in combos]
     assert _read(e) is not None
-    out = substitutions(e, combos)
-    assert len(out) == len(combos)
-    assert all(_same_tree(n, normalize(e.xreplace(c))) for n, c in zip(out, combos))
+    for combo in combos:
+        assert _same_tree(_substitute(e, tuple(combo.items())), normalize(_replaced(e, combo)))
 
 
 def test_substitutions_fall_back_off_the_ring(monkeypatch):
-    """A rational function in e or in a value stays in the ring; an atom of
-    e that meets a substituted symbol takes the tree path.  Both give
-    normalize's answer."""
+    """A rational function in e or in a value stays on values; an atom of e
+    that meets a key, sin(u_{x1}), is substituted on its own tree and read
+    back, and only where a factor of D maps to 0 does the whole tree take the
+    tree path, which reports the division.  All give normalize's answer."""
     ws = _PLAIN_WS
     t, u, jet = ws.independent[0], ws.dependent[0], ws.parse("u_{x1}")
     cases = [(normalize(e), value) for e, value in [
         (t / (1 + u) * jet, t * u), (t * jet ** 2, t / (1 + u)), (sp.sin(jet) + jet, t)]]
     expected = [normalize(e.xreplace({jet: value})) for e, value in cases]
-    calls = []
-    monkeypatch.setattr(algebra, "normalize", lambda e: calls.append(e) or normalize(e))
+    calls, depth = [], [0]
+    real = sp.Basic.xreplace
+
+    def xreplace(self, *args):
+        if not depth[0]:
+            calls.append(self)
+        depth[0] += 1
+        try:
+            return real(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sp.Basic, "xreplace", xreplace)
     for (e, value), reference in zip(cases, expected):
-        assert substitutions(e, [{jet: value}]) == [reference]
-    assert calls == [cases[2][0].xreplace({jet: t})]
+        assert _substitute(e, ((jet, value),)) == reference
+    assert calls == [sp.sin(jet)]
+    with pytest.raises(DivisionByZero):
+        substitute(normalize(t / (u - jet)), {jet: u})
+    assert calls[1:] == [normalize(t / (u - jet))]
 
 
 def test_derive_falls_back_off_the_ring(monkeypatch):

@@ -8,10 +8,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetsym import algebra, condsym
+from jetsym import problem as problem_module
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import NotSeparable, SchemaError
 from jetsym.problem import load_problem
@@ -340,17 +342,60 @@ def test_load_problem_normalizes_each_equation_once_per_side(monkeypatch, tmp_pa
                     "[parameters]\nnames = c\n"
                     '[pde]\nwave = "u_{x1,x2} - c*u^3"\nheat = "u_{x1} - u_{x2,x2}"\n'
                     '[instance]\nc = "2"\n')
-    calls = []
+    calls, label = [], ["parse"]
     real_form, real_normalize = algebra._normal_form, condsym.normalize
-    # the parser puts a value in normal form (e None), substitute a tree
-    monkeypatch.setattr(algebra, "_normal_form", lambda e, value: calls.append(
-        "parse" if e is None else "substitute") or real_form(e, value))
+    real_substitute = problem_module.substitute
+
+    def substitute(e, bindings):
+        label[0] = "substitute"
+        try:
+            return real_substitute(e, bindings)
+        finally:
+            label[0] = "parse"
+
+    # a normal form is labelled by the step it runs in: inside substitute
+    # or, outside it, the parser
+    monkeypatch.setattr(algebra, "_normal_form", lambda e, value: calls.append(label[0])
+                        or real_form(e, value))
+    monkeypatch.setattr(problem_module, "substitute", substitute)
     monkeypatch.setattr(condsym, "normalize", lambda e: calls.append("condsym") or real_normalize(e))
     problem = load_problem(path)
     # the binding parsed, then each equation parsed and the first one bound
     assert calls == ["parse", "parse", "substitute", "parse"]
     assert [str(e) for _, e in problem.bound.pde.items()] == [
         "-2*u**3 + u_{x1,x2}", "u_{x1} - u_{x2,x2}"]
+
+
+def test_substituting_commands_make_no_xreplace_call(monkeypatch, capsys):
+    """Route B on wave, and verify-solution and solve-liesys on liouville,
+    substitute on values: no outermost ``xreplace`` call comes from
+    condsym, liesys, jets or problem, and the substitution itself makes one
+    only on a one-atom tree that meets a key, exp(u/2) or log(w) here."""
+    calls, depth = [], [0]
+    real = sp.Basic.xreplace
+
+    def xreplace(self, *args, **kwargs):
+        if not depth[0]:
+            frame = sys._getframe(1)
+            calls.append((frame.f_globals["__name__"], frame.f_code.co_name, self))
+        depth[0] += 1
+        try:
+            return real(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sp.Basic, "xreplace", xreplace)
+    sp.core.cache.clear_cache()
+    for command, fixture, extra in [("verify-symmetry", "wave", ["--force-direct"]),
+                                    ("verify-solution", "liouville", []),
+                                    ("solve-liesys", "liouville", [])]:
+        rc, _ = run_json(capsys, command, PROBLEMS / f"{fixture}.jetsym", *extra)
+        assert rc == 0
+    assert not {name for name, _, _ in calls} & {
+        "jetsym.condsym", "jetsym.liesys", "jetsym.jets", "jetsym.problem"}
+    substituted = [tree for name, f, tree in calls if name == "jetsym.algebra" and f == "replaced"]
+    assert substituted
+    assert all(type(tree) in (sp.exp, sp.log) for tree in substituted)
 
 
 def test_force_direct_flag(capsys):
@@ -471,3 +516,43 @@ def test_mutated_problem_files_end_in_a_verdict_or_a_typed_error(problem, comman
     assert rc in (0, 1, 2, 3)
     if rc == 3:
         assert err.getvalue().startswith(f"jetsym {command}: error: ")
+
+
+# [Z1, Z2] = h''(x1)*u^2 d/du: involutive, Abelian and rectifiable exactly
+# when h'' = 0, which an opaque h leaves undetermined
+_KINK = ("[variables]\nindependent = x1 x2\ndependent = u\n"
+         "[parameters]\nnames = lam\n[functions]\ndecl = h(x1)\n[options]\norder = 2\n"
+         '[pde]\nwave = "u_{x1,x2} - 2*u^3"\n'
+         '[fields]\nZ1 = "1" | "0" ; "u^2"\nZ2 = "0" | "1" ; "PHI"\n'
+         '[candidates]\nkink = "-1/(x1 + x2 + lam)" @ pde\n')
+
+
+def test_verify_solution_rectifies_only_for_a_dc_candidate(capsys, tmp_path):
+    """A candidate checked against the PDE alone is checked whatever the
+    family is: undetermined involutivity no longer stops it."""
+    path = tmp_path / "kink.jetsym"
+    path.write_text(_KINK.replace("PHI", "D(h(x1),x1)*u^2"))
+    rc, data = run_json(capsys, "verify-solution", path)
+    assert rc == 0
+    assert [(v["name"], v["verdict"], v["confidence"]) for v in data["verdicts"]] == [
+        ("kink: wave", "Zero", "structural")]
+    # a candidate on the rectified constraints still needs the rectification
+    path.write_text(_KINK.replace("PHI", "D(h(x1),x1)*u^2").replace("@ pde", "@ both"))
+    rc, data = run_json(capsys, "verify-solution", path)
+    assert rc == 3
+    assert "involutivity undetermined" in data["error"]
+
+
+@pytest.mark.parametrize("phi,verdict,rc", [("D(h(x1),x1)*u^2", "Unknown", 2),
+                                            ("x1*u^2", "No", 1)])
+def test_rectifiable_is_unknown_when_involutivity_is(capsys, tmp_path, phi, verdict, rc):
+    """rectify's failure on undetermined involutivity leaves ``rectifiable``
+    Unknown; on a bracket that escapes the span it stays No."""
+    path = tmp_path / "kink.jetsym"
+    path.write_text(_KINK.replace("PHI", phi))
+    code, data = run_json(capsys, "analyze-distribution", path)
+    verdicts = {v["name"]: v for v in data["verdicts"]}
+    assert verdicts["involutive"]["verdict"] == ("Unknown" if verdict == "Unknown" else "No")
+    assert verdicts["rectifiable"]["verdict"] == verdict
+    assert verdicts["rectifiable"]["detail"].startswith("precondition failed (involutivity)")
+    assert code == rc
