@@ -5,31 +5,32 @@ pins down the canonical form and the engine-wide three-valued zero test.
 Exact rational arithmetic throughout; the zero test encloses values in
 interval arithmetic, and no float decides a verdict.
 
-The hot path runs on the values of one reader, ``_read``, which turns a
-tree into sums of monomials over QQ.  Atoms are symbols, applied unknown
-functions, canonical Derivatives, non-constant sin/cos/sinh/cosh/log atoms,
-logs of positive rationals and, for each direction t of an exponential
-exp(c*t) with c rational (t = 1 for a rational constant), one atom exp(t)
-with rational exponents; a log that ``sympy.expand_log`` splits reads as
-its split.  A value is a pair (N, D) that stands for N / D, D a product of
-sums: empty for a polynomial.  ``derive``, ``sum_of_products`` and
-``difference`` multiply and add values without cancelling (``_product``,
-``_plus``, ``_derivation``) and put the result in normal form once
-(``_normal_form``), a tree built at once for a value without a
-denominator; ``grammar.parse`` reads its unevaluated tree, and every
-substitution is one cached map of values (``_substitute``).  A
-sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to cancel
-a quotient (``_ring_elements``, ``_as_expr``), and in ``Elimination``; a
-quotient cancels without one when N is 0 or D one term (``_laurent``) and,
-without exp atoms, when N is one term over a D without monomial content
-(``_over_sum``).  Trees are built without sympy's ``flatten`` and ``eval``:
-``_tree`` sorts factors and terms, N*S/S among them, and ``_kernel`` builds
-exp and log atoms unevaluated where evaluation is the identity.
-Symbolic and fractional powers and other constant kernels take sympy's
-trees and ``sympy.cancel``.  For the zero test and family collection,
-``euler`` rewrites sin, cos, sinh and cosh through Euler's formula over the
-Gaussian rationals QQ_I, so that their identities cancel as sums; normal
-forms stay in sin and cos; the zero test alone reads logs (``_log_read``).
+Every operation runs on the values of one reader, ``_read``, which turns
+any finite tree into sums of monomials over QQ.  Atoms are symbols,
+applied unknown functions and canonical Derivatives, with rational
+exponents; sin/cos/sinh/cosh/log atoms, constants such as sin(1) among
+them, and logs of positive rationals; for each direction t of an
+exponential exp(c*t) with c rational (t = 1 for a rational constant), one
+atom exp(t) with rational exponents; and any other node, Int(...), |x| or
+the base b of b**(1/2), as one opaque atom.  A log that
+``sympy.expand_log`` splits reads as its split.  A value is a pair (N, D)
+that stands for N / D, D a product of sums: empty for a polynomial.
+``derive``, ``sum_of_products``, ``difference`` and ``_substitute``
+multiply and add values without cancelling (``_product``, ``_plus``,
+``_derivation``) and put the result in normal form once (``_normal_form``),
+a tree built at once for a value without a denominator; ``grammar.parse``
+reads its unevaluated tree.  A sparse ring over QQ
+(``sympy.polys.rings.PolyRing``) is built only to cancel a quotient
+(``_ring_elements``, ``_as_expr``), and in ``Elimination``; a quotient
+cancels without one when N is 0 or D one term (``_laurent``) and, without
+exp atoms or rational exponents, when N is one term over a D without
+monomial content (``_over_sum``).  Trees are built without sympy's
+``flatten`` and ``eval``: ``_tree`` sorts factors and terms, N*S/S among
+them, and ``_kernel`` builds exp and log atoms unevaluated where evaluation
+is the identity.  For the zero test and family collection, ``euler``
+rewrites sin, cos, sinh and cosh through Euler's formula over the Gaussian
+rationals QQ_I, so that their identities cancel as sums; normal forms stay
+in sin and cos; the zero test alone reads logs (``_log_read``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from sympy.core.function import AppliedUndef
 from sympy.core.numbers import ilcm
 from sympy.ntheory import perfect_power
 from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.polyerrors import BasePolynomialError, PolynomialError
+from sympy.polys.polyerrors import BasePolynomialError
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
@@ -88,18 +89,16 @@ _BAD_CONSTANTS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 def _normal_kernel(k):
     """The kernel k with its argument normalized (k itself when the argument
     is normal) and its ``_read`` value, once per kernel.  An argument that
-    is not a polynomial stands expanded, as on the tree path, and exp(a)
-    reads as the product of exp(t) over the terms t of a, as
-    ``sympy.expand`` splits it: exp(x2 + 1/u) is exp(x2)*exp(1/u), and
-    exp(sqrt(x)) is read although sqrt(x) is off the ring.  A log that
+    is not a polynomial stands expanded, and exp(a) reads as the product of
+    exp(t) over the terms t of a, as ``sympy.expand`` splits it:
+    exp(x2 + 1/u) is exp(x2)*exp(1/u).  A log that
     ``sympy.expand_log`` splits reads as its split, log(4*x) as
     log(x) + 2*log(2), and a log of a positive rational it leaves whole is
     an atom; the split is made here, with no ``eval``, of a sum without a
     log, which stays whole, and of c*m with no factor of m of known sign:
     log|c| + log(sign(c)*m), log(p/q) = log(p) - log(q) and log(b**e) =
-    e*log(b), e the largest.  The value is None for any other
-    constant kernel but exp of a Rational, exp of a term with no
-    ``_direction`` and another kernel of an argument off the ring."""
+    e*log(b), e the largest.  Any other kernel is one atom, constants such
+    as sin(1) and exp(pi) among them."""
     a = k.args[0]
     value = _read(a)
     n = _normal_form(a, value)
@@ -108,8 +107,8 @@ def _normal_kernel(k):
         return n, _read(n)
     if type(n) is sp.log:    # expand_log rewrites a log quotient inside a sum
         c, m = n.args[0].as_coeff_Mul(rational=True)
-        if value is None or (m.has(sp.log) if m.is_Add else any(
-                f.is_positive or f.is_negative for f in sp.Mul.make_args(m) if f is not sp.S.One)):
+        if m.has(sp.log) if m.is_Add else any(
+                f.is_positive or f.is_negative for f in sp.Mul.make_args(m) if f is not sp.S.One):
             if (split := sp.expand_log(n, deep=False)) != n:
                 return n, _read(split)
         elif abs(c) != 1:
@@ -117,16 +116,12 @@ def _normal_kernel(k):
                              for p, s in ((abs(c.p), 1), (c.q, -1)) if p > 1
                              for b, e in [perfect_power(p) or (p, 1)]]
                             + ([] if m is sp.S.One else [_read(_kernel(sp.log, m if c > 0 else -m))]))
-    if value is None and type(n) is not sp.exp:
-        return n, None
-    if value is None or not _plain(value):
+    if not _plain(value):
         n = _kernel(type(k), sp.Add(*map(normalize, sp.Add.make_args(sp.expand(n.args[0])))))
         if type(n) is not type(k):
-            return n, None
-    if type(n) is not sp.exp:
-        return n, ({frozenset({(n, 1)}): QQ.one}, {}) if n.free_symbols else None
-    m = _exponent(n.args[0])
-    return n, None if m is None else ({m: QQ.one}, {})
+            return n, _read(n)
+    m = _exponent(n.args[0]) if type(n) is sp.exp else None
+    return n, ({frozenset({(n, 1)}) if m is None else m: QQ.one}, {})
 
 
 @cacheit
@@ -162,6 +157,8 @@ def _exponent(a):
 
 
 _GENERATORS = (sp.Symbol, AppliedUndef, sp.Derivative)
+# the atoms whose powers sympy leaves as they are (``_evaluates``)
+_READ_ATOMS = _GENERATORS + KERNEL_CLASSES
 # the kernels other than exp, which the ring reads as atoms, and their
 # derivatives d kernel(a) / da
 _KERNEL_PARTIALS = {sp.sin: sp.cos, sp.cos: lambda a: -sp.sin(a), sp.sinh: sp.cosh,
@@ -214,13 +211,9 @@ def euler(terms):
 
 def _mapped(terms, image):
     """The value of a ``_read`` sum with each atom power g**k replaced by the
-    value image(g, k); None when an image is None."""
-    products = []
-    for m, c in terms.items():
-        if None in (images := [image(g, k) for g, k in m]):
-            return None
-        products.append(reduce(_product, images, ({frozenset(): c}, {})))
-    return _plus(products)
+    value image(g, k)."""
+    return _plus([reduce(_product, [image(g, k) for g, k in m], ({frozenset(): c}, {}))
+                  for m, c in terms.items()])
 
 
 @cacheit
@@ -285,16 +278,28 @@ def _tree(terms):
     terms sorted by sympy's private ``_args_sortkey``, c first, and joined
     by ``AssocOp._from_args``; exp atoms by ``_kernel``.  Exact for distinct
     ring atoms with one constant exp at most, and one sum among them besides
-    another atom, whose products ``flatten`` only sorts.  Cached, like the
-    constructors, on monomials and coefficients, which hold no ring."""
+    another atom, whose products ``flatten`` only sorts.  A power that sympy
+    evaluates (``_evaluates``) makes the sum sympy's tree, normalized.
+    Cached, like the constructors, on monomials and coefficients, which hold
+    no ring."""
     out, constant = [], []
     for monomial, c in terms:
+        if any(k and not isinstance(g, _READ_ATOMS) and _evaluates(g, k) for g, k in monomial):
+            return normalize(sp.Add(*[sp.Mul(c, *[sp.Pow(g, k) for g, k in m]) for m, c in terms]))
         factors = sorted((_kernel(sp.exp, sp.Mul(k, g.args[0])) if type(g) is sp.exp
                           else g if k == 1 else sp.Pow(g, k) for g, k in monomial if k),
                          key=_args_sortkey)
         term = sp.Mul._from_args(factors if c is sp.S.One else [c, *factors], True)
         (out if factors else constant).append(term)
     return sp.Add._from_args(constant + sorted(out, key=_args_sortkey), True)
+
+
+def _evaluates(g, k):
+    """True for an atom power g**k that sympy builds as another node,
+    sqrt(6)**2 or |x|**2, and an integer power of a sum, product or number
+    atom b, b**(1/2)*b**(1/2)."""
+    return (g.is_Add or g.is_Mul or g.is_Number) and k == int(k) or k != 1 and not (
+        (f := sp.Pow(g, k)).is_Pow and f.base == g)
 
 
 def monomial_expr(monomial):
@@ -305,33 +310,51 @@ def monomial_expr(monomial):
 def split_monomials(e, deps):
     """[(c, x-monomial, u-monomial {atom: k})] with sum c * x * u = e, c in QQ
     and not 0, the x-monomial a frozenset of (atom, k) none of whose atoms
-    meets deps, and every atom of the u-monomial meeting them.  A sum is split
-    as ``_read`` reads it; any other e, term by term of ``sympy.expand`` by
-    ``as_independent``, after factoring the denominator of a u-part that meets
-    other symbols (1/(u*x + u + x + 1) is 1/(x + 1) times 1/(u + 1)), and a
-    part that is no ring monomial, such as 1/(x + 1), stands as one atom."""
-    value = _read(e)
-    if value is not None and not value[1]:
-        terms = value[0]
-    else:
-        terms = {}
-        for term in sp.Add.make_args(sp.expand(e)):
-            parts = term.as_independent(*deps, as_Add=False)
-            if parts[1].free_symbols - set(deps):
-                numerator, denominator = sp.fraction(term)
-                parts = (numerator / sp.factor(denominator)).as_independent(*deps, as_Add=False)
-            product = _ONE
-            for part in parts:
-                r, rest = part.as_coeff_Mul(rational=True)
-                read = _read(rest)
-                if read is None or read[1] or len(read[0]) != 1:
-                    read = ({frozenset({(rest, 1)}): QQ.one}, {})
-                product = _times(product, {m: c * QQ(r.p, r.q) for m, c in read[0].items()})
-            (m, c), = product.items()
-            terms[m] = terms[m] + c if m in terms else c
-    return [(c, frozenset((g, k) for g, k in m if g.free_symbols.isdisjoint(deps)),
+    meets deps, and every atom of the u-monomial meeting them, split as
+    ``_read`` reads e, N / D, each factor of D as its ``_factors``:
+    1/(u*x + u + x + 1) is 1/(x + 1) times 1/(u + 1)."""
+    terms, den = _read(e)
+    c, inverse = QQ.one, {}      # 1/D as c * inverse
+    for f, k in den.values():
+        r, monomial = _factors(f, deps)
+        c /= r ** k
+        for g, i in monomial.items():
+            inverse[g] = inverse.get(g, 0) - i * k
+    if den:
+        terms = _times(terms, {frozenset(inverse.items()): c})
+    return [(q, frozenset((g, k) for g, k in m if g.free_symbols.isdisjoint(deps)),
              {g: k for g, k in m if not g.free_symbols.isdisjoint(deps)})
-            for m, c in terms.items() if c]
+            for m, q in terms.items() if q]
+
+
+def _factors(f, deps):
+    """(r, {atom: i}) with f = r * prod atom**i, for a sum f of ``_read``
+    terms: a one-term f is its monomial, exp(u/2)**3 as exp(u)**(3/2); a sum
+    whose atoms all meet deps, or none do, is one atom, the sum f / r with
+    integer coprime coefficients and a positive leading term, as
+    ``sympy.cancel`` writes a denominator; any other is the product of the
+    factors of ``factor_list`` on its ring element, each read so."""
+    f = {m: c for m, c in f.items() if c}
+    if len(f) == 1:
+        (m, r), = f.items()
+        return r, dict(m)
+    atoms = _atoms([(f, {})])
+    if len({g.free_symbols.isdisjoint(deps) for g in atoms}) > 1 and deps:
+        (a, s), = _ring_elements([(f, {})])
+        gens = [(g, atoms[g]) for g in _ring_order(atoms)]
+        r, monomial = QQ.one, {}
+        content, factors = a.factor_list()
+        for p, j in [(s, -1)] * (s != 1) + factors:
+            q, m = _factors({frozenset((g, sp.Rational(k, d)) for (g, d), k in zip(gens, key) if k): c
+                             for key, c in p.items()}, ())
+            r *= q ** j
+            for g, i in m.items():
+                monomial[g] = monomial.get(g, 0) + i * j
+        return r * content, {g: i for g, i in monomial.items() if i}
+    r = QQ(gcd(*(c.numerator for c in f.values())), reduce(ilcm, (c.denominator for c in f.values())))
+    if _negative_lead([(dict(m), c) for m, c in f.items()]):
+        r = -r
+    return r, {_tree(tuple((m, QQ.to_sympy(c / r)) for m, c in f.items())): 1}
 
 
 def _atoms(values):
@@ -342,23 +365,29 @@ def _atoms(values):
         for s in (num, *(f for f, _ in den.values())):
             for m in s:
                 for g, k in m:
-                    atoms[g] = ilcm(atoms.get(g, 1), k.denominator) if type(g) is sp.exp else 1
+                    atoms[g] = atoms.get(g, 1) if type(k) is int else ilcm(atoms.get(g, 1), k.q)
     return atoms
+
+
+def _ring_order(atoms):
+    """The atoms in the order of their ring generators, exponentials first."""
+    return sorted(atoms, key=lambda g: type(g) is not sp.exp)
 
 
 def _ring_elements(values):
     """``_read`` values (N, D) as pairs of one sparse ring over QQ on their
-    atoms, each factor of D multiplied in the ring.
+    atoms, exponentials first, each factor of D multiplied in the ring.
 
-    The generator of exp(t) is exp(t/d), d the lcm of t's exponent
-    denominators, so its exponents are integers.  A sum with negative
-    exponents is N / S, S the smallest monomial in these generators that
-    clears them.
+    The generator of exp(t) is exp(t/d), and that of another atom x is
+    x**(1/d), d the lcm of the atom's exponent denominators, so that its
+    exponents are integers.  A sum with negative exponents is N / S, S the
+    smallest monomial in these generators that clears them.
     """
     atoms = _atoms(values)
-    dens = {g: d for g, d in atoms.items() if type(g) is sp.exp}
-    index = {g: i for i, g in enumerate([*dens, *(g for g in atoms if g not in dens)])}
-    ring = PolyRing(tuple(sp.exp(g.args[0] / dens[g]) if g in dens else g for g in index), QQ)
+    index = {g: i for i, g in enumerate(_ring_order(atoms))}
+    ring = PolyRing(tuple(sp.exp(g.args[0] / atoms[g]) if type(g) is sp.exp else
+                          g if atoms[g] == 1 else sp.Pow(g, sp.Rational(1, atoms[g]))
+                          for g in index), QQ)
 
     def pair(terms):
         element = {}
@@ -366,12 +395,9 @@ def _ring_elements(values):
             if c:
                 key = [0] * ring.ngens
                 for g, k in m:
-                    key[index[g]] = k
-                if dens:
-                    for i, d in enumerate(dens.values()):
-                        key[i] = int(key[i] * d)
+                    key[index[g]] = k * atoms[g] if type(k) is int else int(k * atoms[g])
                 element[tuple(key)] = c
-        shift = tuple(max(0, -min(column)) for column in zip(*element)) if dens else ()
+        shift = tuple(max(0, -min(column)) for column in zip(*element))
         if not any(shift):
             return ring.from_dict(element), 1
         return (ring.from_dict({tuple(map(operator.add, key, shift)): c
@@ -397,8 +423,9 @@ def _as_expr(n, d):
     if len(q) > 1 and _negative_lead([(dict(decompose_power(g ** k) for g, k in zip(
             q.ring.symbols, monom) if k), c) for monom, c in q.terms()]):
         p, q = -p, -q
-    to_sympy, gens = n.ring.domain.to_sympy, n.ring.symbols
-    p, q = (_tree(tuple((tuple((g, k) for g, k in zip(gens, monom) if k), to_sympy(c))
+    to_sympy = n.ring.domain.to_sympy
+    gens = [(g.base, g.exp) if g.is_Pow and g.exp.is_Rational else (g, 1) for g in n.ring.symbols]
+    p, q = (_tree(tuple((tuple((g, k * e) for (g, e), k in zip(gens, monom) if k), to_sympy(c))
                         for monom, c in f.items())) for f in (p, q))
     return p if q is sp.S.One else p / q
 
@@ -422,6 +449,8 @@ def _over_sum(num, den):
     if len(terms) != 1 or frozenset.intersection(*(frozenset(g for g, _ in m) for m in d)):
         return None
     (m, c), = terms
+    if any(k < 0 for _, k in m):
+        return None
     scale = QQ(reduce(ilcm, (q.denominator for q in [c, *d.values()])),
                gcd(*(q.numerator for q in [c, *d.values()])))
     if _negative_lead([(dict(m2), q) for m2, q in d.items()]):
@@ -433,19 +462,17 @@ def _over_sum(num, den):
 def _derivation(value, images):
     """X(N / D) for a ``_read`` value, given the values X(g) of its atoms g
     by atom (X(t) for g = exp(t)); an atom without one has X(g) = 0.  The
-    product rule on each monomial, where g**k gives k g**(k - 1) X(g) and
-    exp(t)**k gives k X(t) exp(k t), and the quotient rule on each factor
-    f**k of D: X(N / D) = X(N) / D - sum k N X(f) / (f D).  Nothing is
-    cancelled."""
+    product rule on each monomial, where g**k gives k g**(k - 1) X(g) for
+    rational k and exp(t)**k gives k X(t) exp(k t), and the quotient rule on
+    each factor f**k of D: X(N / D) = X(N) / D - sum k N X(f) / (f D).
+    Nothing is cancelled."""
     num, den = value
     partials = {}
     for m, c in num.items():
         for g, k in m:
             if g in images and c:
-                if type(g) is sp.exp:
-                    rest, c2 = m, c * QQ(k.p, k.q)
-                else:
-                    rest, c2 = m - {(g, k)} | ({(g, k - 1)} if k > 1 else set()), c * k
+                c2 = c * (k if type(k) is int else QQ(k.p, k.q))
+                rest = m if type(g) is sp.exp else m - {(g, k)} | ({(g, k - 1)} if k != 1 else set())
                 partial = partials.setdefault(g, {})
                 partial[rest] = partial[rest] + c2 if rest in partial else c2
     out = _plus(_product((partial, {}), images[g]) for g, partial in partials.items())
@@ -464,33 +491,25 @@ def derive(e, images):
     X(sin a) = cos a X(a) for a kernel, X(log a) = X(a) / a and
     X(exp(c t)) = c X(t) exp(c t).
 
-    e and the images are normal forms.  When ``_read`` reads them and the
-    atoms' images, X runs on the values themselves (``_derivation``) and the
-    result is put in normal form once (``_normal_form``), which builds a ring
-    only to cancel a quotient.  Otherwise it is ``sp.diff`` on the expression
-    tree, summed and normalized.  Both give the same normal form, which
-    sympy's cache keeps, as it keeps ``sp.diff``'s.
+    e and the images are normal forms.  X runs on their ``_read`` values and
+    the atoms' images (``_derivation``), and the result is put in normal form
+    once (``_normal_form``), which builds a ring only to cancel a quotient.
+    Cached, as sympy caches ``sp.diff``.
     """
     return _derive(sp.sympify(e), tuple(images.items()))
 
 
 @cacheit
 def _derive(e, images):
-    images = dict(images)
-    value = _read(e)
-    if value is not None:
-        needed = {}
-        for g in _atoms([value]):
-            if g in images:
-                needed[g] = _read(sp.sympify(images[g]))
-            elif not g.is_Symbol:
-                own = tuple((s, images[s]) for s in sorted(g.free_symbols, key=str)
-                            if s in images)
-                if own:
-                    needed[g] = _read(_image(g, own))
-        if None not in needed.values():
-            return _normal_form(None, _derivation(value, needed))
-    return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
+    images, value, needed = dict(images), _read(e), {}
+    for g in _atoms([value]):
+        if g in images:
+            needed[g] = _read(sp.sympify(images[g]))
+        elif not g.is_Symbol:
+            own = tuple((s, images[s]) for s in sorted(g.free_symbols, key=str) if s in images)
+            if own:
+                needed[g] = _read(_image(g, own))
+    return _normal_form(None, _derivation(value, needed))
 
 
 @cacheit
@@ -520,11 +539,8 @@ def _partial(g, s):
 
 def sum_of_products(pairs):
     """sum a * b over the (a, b) pairs, normalized: on their ``_read``
-    values (``_product``, ``_plus``) when it reads every factor, put in
-    normal form once."""
+    values (``_product``, ``_plus``), put in normal form once."""
     values = [_read(sp.sympify(f)) for pair in pairs for f in pair]
-    if None in values:
-        return normalize(sp.Add(*[a * b for a, b in pairs]))
     return _normal_form(None, _plus(map(_product, values[::2], values[1::2])))
 
 
@@ -536,8 +552,8 @@ def difference(a, b):
 
 def normal_forms(sums):
     """``normalize`` of each sum {monomial: c} of ``split_monomials`` terms; a
-    product, sum or power atom, which only its split off the ring makes,
-    takes ``normalize``, which joins 1/(x + 1) + 1/(x + 2), and ``_tree`` not."""
+    sum atom, a factor of D that the split keeps whole, takes ``normalize``,
+    which joins 1/(x + 1) + 1/(x + 2), and ``_tree`` not."""
     return [normalize(sp.Add(*[sp.Mul(QQ.to_sympy(c), *[monomial_expr({g: k}) for g, k in m])
                                for m, c in s.items()]))
             if any(g.is_Add or g.is_Mul or g.is_Pow for m in s for g, _ in m)
@@ -619,15 +635,17 @@ def _read(e):
     and c in QQ; D is the product of its factors {key: (sum, k)}, empty for
     a polynomial, so that a sum of quotients is over the least common
     multiple of their factors.  An atom is a Symbol, an applied unknown
-    function of symbols, a canonical Derivative of one or a non-constant
-    kernel (``_normal_kernel``), with k a positive integer; or exp(t) for a
-    direction t, with k rational and of either sign, standing for exp(k*t).
-    None when e takes the tree path.  A product's atoms and one-term factors
-    multiply into one monomial.  Cached, since the engine reads the same
-    normal forms again and again; no caller changes a value."""
+    function of symbols or a canonical Derivative of one, with k rational;
+    a kernel (``_normal_kernel``), with k a positive integer; exp(t) for a
+    direction t, with k rational, standing for exp(k*t); or any other node
+    as sympy builds it from normal arguments (``_built``), read again if
+    that is another node: b**k, k rational, as the atom b, and u**lam, |x|,
+    I, pi and Int(...) as themselves.  A product's atoms and one-term
+    factors multiply into one monomial.  Non-finite input (zoo, nan, oo,
+    0**-k) raises ``DivisionByZero``.  Cached, since the engine reads the
+    same normal forms again and again; no caller changes a value."""
     if e.is_Add:
-        values = [_read(f) for f in e.args]
-        return None if None in values else _plus(values)
+        return _plus([_read(f) for f in e.args])
     if e.is_Mul:
         c, monomial, num, den = sp.S.One, {}, _ONE, {}
         for f in e.args:
@@ -638,9 +656,7 @@ def _read(e):
             if base.is_Symbol and (k == 1 or k.is_Integer and k.p > 0):
                 monomial[base] = monomial[base] + int(k) if base in monomial else int(k)
                 continue
-            if (value := _read(f)) is None:
-                return None
-            n, d = value
+            n, d = value = _read(f)
             if len(n) == 1 and not d:
                 (m, q), = n.items()
                 if q is QQ.one:
@@ -650,10 +666,14 @@ def _read(e):
             num, den = _product((num, den), value)
         m = frozenset((g, k) for g, k in monomial.items() if k)
         return _times(num, {m: QQ.dtype(c.p, c.q)}), den
-    if e.is_Pow:
-        if not e.exp.is_Integer or (value := _read(e.base)) is None:
-            return None
-        return _power(value, int(e.exp))
+    if e.is_Pow and e.exp.is_Rational:
+        if e.exp.is_Integer:
+            return _power(_read(e.base), int(e.exp))
+        num, den = _read(e.base)
+        if not den and len(num) == 1 and len(m := next(iter(num))) == 1 and num[m] == 1:
+            (g, j), = m     # a rational power of one atom
+            if type(g) is sp.exp or j == 1 and isinstance(g, _GENERATORS):
+                return {frozenset({(g, j * e.exp)}): QQ.one}, {}
     if e.is_Rational:
         return {frozenset(): QQ(e.p, e.q)}, {}
     f = e
@@ -663,18 +683,34 @@ def _read(e):
         return {frozenset({(e, 1)}): QQ.one}, {}
     if e is sp.E:
         e = _E
-    return _normal_kernel(e)[1] if isinstance(e, KERNEL_CLASSES) else None
+    if isinstance(e, KERNEL_CLASSES):
+        return _normal_kernel(e)[1]
+    if e in _BAD_CONSTANTS:
+        raise DivisionByZero("division by zero")
+    n = sp.Pow(_built(e.base), e.exp) if e.is_Pow else e.func(
+        *(normalize(a) if isinstance(a, sp.Expr) else a for a in e.args)) if e.args else e
+    if n != e:
+        return _read(n)
+    return {frozenset({(n.base, n.exp) if n.is_Pow and n.exp.is_Rational else (n, 1)}): QQ.one}, {}
+
+
+def _built(e):
+    """e as sympy builds it from normal forms, products and integer powers
+    rebuilt from their factors: ((x + u)**2)**(1/2) is |u + x|."""
+    if e.is_Mul or e.is_Pow and e.exp.is_Integer:
+        return e.func(*map(_built, e.args))
+    return normalize(e)
 
 
 def _power(value, k):
     """A ``_read`` value N / D to the integer power k, (N / D)**-1 being
-    D / N with N one factor; None for 0**k with k < 0, a division by 0."""
+    D / N with N one factor; 0**k with k < 0 raises ``DivisionByZero``."""
     num, den = value
     if k < 0:
         if not any(num.values()):
-            return None
+            raise DivisionByZero("division by zero")
         num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
-    return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items()}
+    return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items() if k}
 
 
 def _laurent(num, den):
@@ -710,8 +746,9 @@ def normalize(e):
     - A quotient (N, D) is ``_as_expr(N, D)``, ``sympy.cancel``'s form of
       a rational function such as 1/(1 + u); N over a one-term D is the
       sum N/D.
-    - Any other input -- symbolic or fractional powers, constants such as
-      sin(1) -- is put in ``sympy.cancel``'s form (``_tree_normalize``).
+    - x**(p/q) for an atom x is read over the generator x**(1/d), so a
+      quotient cancels further than ``sympy.cancel``, which reads u and
+      sqrt(u) as unrelated: (u - 1)/(sqrt(u) - 1) is sqrt(u) + 1.
 
     The value is read off the input tree (``_read``), multiplied out in QQ
     and converted once, with no ``sympy.expand`` or ``sympy.cancel``;
@@ -729,20 +766,23 @@ def _normal_form(e, value):
     at once (``_tree``), with no ring, N*S/S as one term with P = N*S a
     factor; so is a quotient that cancels without one (see the module
     docstring), and any other in its sparse ring."""
-    if value is None:
-        return _tree_normalize(e)
     num, den = value
     if den and not any(num.values()):
         num, den = {}, {}
-    # N over a one-term D is a Laurent sum, and without exp atoms a one-term
-    # N over a D without monomial content cancels by contents (_over_sum)
+    # N over a one-term D is a Laurent sum, and without exp atoms or rational
+    # exponents a one-term N over a D without monomial content cancels (_over_sum)
     if den and (laurent := _laurent(num, den)) is not None:
         num, den = laurent, {}
     if _plain((num, den)) or not den and sum(map(bool, num.values())) == 1:
         # a polynomial, or one term with negative exponents, as it stands
         out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in num.items() if c))
+    elif any(_evaluates(g, k) for f in (num, *(f for f, _ in den.values())) for m in f
+             for g, k in m if not isinstance(g, _READ_ATOMS)):
+        # sympy builds a power of an opaque atom as another node: read its tree
+        out = normalize(sp.Mul(*[_tree(tuple((m, QQ.to_sympy(c)) for m, c in f.items())) ** j
+                                 for f, j in [(num, 1), *((f, -k) for f, k in den.values())]]))
     elif den:
-        exps = any(type(g) is sp.exp for g in _atoms([value]))
+        exps = any(type(g) is sp.exp or d != 1 for g, d in _atoms([value]).items())
         out = not exps and _over_sum(num, den) or _as_expr(*_ring_elements([value])[0])
     else:
         # N*S / S for negative exponents, S = L*prod g**s_g with least shifts
@@ -753,33 +793,9 @@ def _normal_form(e, value):
             shift.update((g, -k) for g, k in m if c and k < -shift.get(g, 0))
         lcm = QQ(reduce(ilcm, (c.denominator for c in num.values())))
         p = _normal_form(None, (_times(num, {frozenset(shift.items()): lcm}), {}))
-        out = _tree(((((p, 1), *((g, -k) for g, k in shift.items())), QQ.to_sympy(1 / lcm)),))
+        s = _tree(((tuple((g, -k) for g, k in shift.items()), QQ.to_sympy(1 / lcm)),))
+        out = sp.Mul._from_args(sorted([*sp.Mul.make_args(s), p], key=_args_sortkey), True)
     return e if e is not None and out == e else out
-
-
-def _tree_normalize(e):
-    """``normalize`` on sympy's trees, for input ``_read`` rejects
-    (symbolic or fractional powers, other constant kernels): ``sympy.expand``,
-    ``sympy.cancel`` unless the ring reads a polynomial, and a value the
-    ring reads after that put in its form (``_normal_form``), whose
-    exponential generators can cancel further than ``sympy.cancel``'s."""
-    if e.has(*_BAD_CONSTANTS):
-        raise DivisionByZero(f"undefined constant while normalizing {e}")
-    e = e.replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.canonical).replace(
-        lambda n: isinstance(n, KERNEL_CLASSES), lambda k: _normal_kernel(k)[0])
-    e = sp.expand(e)
-    value = _read(e)
-    if value is None or value[1]:
-        try:
-            e = sp.cancel(e)
-        except (PolynomialError, NotImplementedError, ZeroDivisionError):
-            pass
-        if e.has(*_BAD_CONSTANTS):
-            raise DivisionByZero(f"undefined constant while normalizing {e}")
-        value = _read(e)
-    if value is not None and not _plain(value):
-        e = _normal_form(None, value)
-    return e
 
 
 def diff(e, s, ws=None):
@@ -806,31 +822,25 @@ def _substitute(e, bindings):
     """normalize(e.xreplace(dict(bindings))), Derivatives evaluated: the one
     substitution, of (key, value) pairs at once, keys symbols or applied
     unknown functions, on e's ``_read`` value N / D.  An atom power g**k
-    becomes the value of g to the power k where g is a key (``_power``), and
-    where g meets one (a kernel, an exponential, a Derivative of a bound
-    function) its own one-atom tree, substituted and read back; N and each
-    factor of D are mapped so (``_mapped``) and put in normal form once.  The
-    whole tree is substituted only where ``_read`` rejects e or an image, or
-    a factor of D maps to 0.  Cached: route B reduces the same residuals."""
-    bound, value = dict(bindings), _read(e)
-
-    def replaced(t):    # t.xreplace(bound), its Derivatives evaluated
-        return t.xreplace(bound).replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.doit())
+    becomes the value of g to the power k where g is a key (``_power``; sympy's
+    g**k, read, for k not an integer), and where g meets one (a kernel, an
+    exponential, a Derivative of a bound function) its own one-atom tree,
+    substituted and read back; N and each factor of D are mapped so
+    (``_mapped``) and put in normal form once.  A factor of D that maps to 0
+    raises ``DivisionByZero``.  Cached: route B reduces the same residuals."""
+    bound, (num, den) = dict(bindings), _read(e)
 
     @cache
     def image(g, k):
         if g in bound:
-            return (v := _read(bound[g])) and _power(v, k)
+            return _power(_read(bound[g]), k) if type(k) is int else _read(sp.Pow(bound[g], k))
         if not g.is_Symbol and g.has(*bound):
-            return _read(replaced(monomial_expr({g: k})))
+            return _read(monomial_expr({g: k}).xreplace(bound).replace(
+                lambda n: isinstance(n, sp.Derivative), lambda n: n.doit()))
         return {frozenset({(g, k)}): QQ.one}, {}
 
-    if value is not None:
-        parts = [_mapped(value[0], image), *(
-            (f := _mapped(d, image)) and _power(f, -k) for d, k in value[1].values())]
-        if None not in parts:
-            return _normal_form(None, reduce(_product, parts))
-    return normalize(replaced(e))
+    return _normal_form(None, reduce(_product, [_mapped(num, image), *(
+        _power(_mapped(d, image), -k) for d, k in den.values())]))
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +942,7 @@ def zero_verdict(e, seed=None):
     there, each log argument > 0), else Unknown, sampling-blocked.  A
     constant is NonZero, structural, when its value to 40 significant digits
     is not 0.  Any other n -- a nonzero log read, a direction that is no
-    monomial, a constant kernel -- is a straight-line program (``_program``)
+    monomial, an opaque atom -- is a straight-line program (``_program``)
     enclosed in interval arithmetic (Moore, 1966) at 53, 212 and 848 bits,
     at exact-rational points from ``sample_points``: an interval that
     excludes 0 certifies NonZero (``interval``, witness (point, bits)), a
@@ -954,24 +964,22 @@ def zero_verdict(e, seed=None):
     # is 0 exactly when the numerator of the other factors is
     value = _read(sp.Mul(*[f for f in sp.Mul.make_args(n) if not (
         type(f) is sp.exp or f.is_Pow and f.exp.could_extract_minus_sign())]))
-    cancels = False
-    if value is not None:
-        terms = euler(value[0])
-        if not terms:
-            return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
-        if _independent(g for m in terms for g, _ in m):
-            return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
-        # exp(t/d) per direction t, d the lcm over all logs, so that their factors meet
-        gens = [(h, d) for h, d in _atoms([_read(g.args[0]) for m in terms for g, _ in m
-                                           if type(g) is sp.log]).items() if type(h) is sp.exp]
-        try:
-            read, _ = _mapped(terms, lambda g, k: (_log_read(g, k, *gens), {}))
-            cancels = not any(read.values())
-        except (BasePolynomialError, NotImplementedError, AttributeError):
-            pass   # factorrat raises AttributeError on irrational content
+    terms, cancels = euler(value[0]), False
+    if not terms:
+        return ZeroResult(ZeroVerdict.ZERO, "structural", seed=seed)
+    if _independent(g for m in terms for g, _ in m):
+        return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
+    # exp(t/d) per direction t, d the lcm over all logs, so that their factors meet
+    gens = [(h, d) for h, d in _atoms([_read(g.args[0]) for m in terms for g, _ in m
+                                       if type(g) is sp.log]).items() if type(h) is sp.exp]
+    try:
+        read, _ = _mapped(terms, lambda g, k: (_log_read(g, k, *gens), {}))
+        cancels = not any(read.values())
+    except (BasePolynomialError, NotImplementedError, AttributeError):
+        pass   # factorrat raises AttributeError on irrational content
     if not cancels and not n.free_symbols:
         # decided by its value to 40 significant digits, however small;
-        # none settles a constant such as sin(1)**2 + cos(1)**2 - 1
+        # none settles a constant such as sin(pi/7)**2 + cos(pi/7)**2 - 1
         try:
             if n.evalf(40, strict=True) != 0:
                 return ZeroResult(ZeroVerdict.NONZERO, "structural", seed=seed)
@@ -1009,7 +1017,7 @@ def is_zero(e, seed=None):
 class Elimination:
     """Gauss-Jordan elimination of a matrix of normal forms over the field
     ``ring.to_domain().get_field()`` of the ring of ``_ring_elements`` on
-    the entries' ``_read`` values; an unreadable entry is a generator.
+    the entries' ``_read`` values.
 
     Column by column, except the last ``carried``, the pivot is the first
     nonzero entry, in input order, of a row without one: the ring decides
@@ -1021,16 +1029,13 @@ class Elimination:
 
     def __init__(self, matrix, carried=0, seed=None):
         entries = [sp.sympify(e) for row in matrix for e in row]
-        values = [_read(e) for e in entries]
-        opaque = {e for e, value in zip(entries, values) if value is None}
-        elements = _ring_elements([({frozenset({(e, 1)}): QQ.one}, {}) if value is None
-                                   else value for e, value in zip(entries, values)])
+        elements = _ring_elements([_read(e) for e in entries])
         ring = elements[0][0].ring
         field = ring.to_domain().get_field().field
 
         def nonzero(v):
             atoms = {g for monom in v.numer.monoms() for g, k in zip(ring.symbols, monom) if k}
-            if not v or _independent(atoms) and opaque.isdisjoint(atoms):
+            if not v or _independent(atoms):
                 return bool(v)
             # the rank is generic in the unknown functions too: the zero test
             # reads each of their atoms as one more symbol

@@ -182,7 +182,9 @@ def cmd_verify_solution(report, problem, args, seed):
         raise PreconditionFailed("candidates section",
                                  "verify-solution needs a [candidates] section")
     dc = problem.field_groups and any(c.target in ("dc", "both") for c in problem.candidates)
-    nf = rectify(problem.fields(args.fields), seed=seed).nf if dc else None
+    # a family in Z_j-form is its characteristic system as it stands (Def. 7.1)
+    F = problem.fields(args.fields) if dc else None
+    nf = (z_form(F) or rectify(F, seed=seed).nf) if dc else None
     for cand in problem.candidates:
         systems = []
         if cand.target in ("pde", "both") and problem.pde is not None:

@@ -88,10 +88,11 @@ class AnsatzFamily:
 
     def key(self, monomial, deps):
         """The key of a u-monomial {atom: k} as ``algebra.split_monomials`` reads it,
-        or None when it is no single element of the family closure; a
-        trigonometric family reads its monomials through ``_fourier``."""
+        or None when it is no single element of the family closure, such as
+        sqrt(u) in the polynomial family; a trigonometric family reads its
+        monomials through ``_fourier``."""
         if self.kind == POLYNOMIAL:
-            if monomial.keys() <= set(deps):
+            if monomial.keys() <= set(deps) and all(k == int(k) for k in monomial.values()):
                 return tuple(monomial.get(d, 0) for d in deps)
             return None
         den = 2 if self.kind == EXPONENTIAL else 1

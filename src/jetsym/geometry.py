@@ -96,15 +96,21 @@ def projects_onto_tx(F, seed=None, rank_report=None):
 
 def _all_zero(exprs, seed):
     """(Yes, None) iff every expression is Zero; (No, i) at the first NonZero
-    exprs[i]; (Unknown, None) otherwise."""
-    verdict = TriBool.YES
+    exprs[i]; (Unknown, i) at the first undecided exprs[i] otherwise."""
+    verdict, first = TriBool.YES, None
     for i, e in enumerate(exprs):
         v = zero_verdict(e, seed=seed).verdict
         if v is ZeroVerdict.NONZERO:
             return TriBool.NO, i
-        if v is ZeroVerdict.UNKNOWN:
-            verdict = TriBool.UNKNOWN
-    return verdict, None
+        if v is ZeroVerdict.UNKNOWN and first is None:
+            verdict, first = TriBool.UNKNOWN, i
+    return verdict, first
+
+
+def _bracket_note(j, k, verdict, residual):
+    """The note on bracket [j,k], whose residual escapes the span (No) or is undecided."""
+    status = " leaves the span:" if verdict is TriBool.NO else ": span membership undetermined,"
+    return f"bracket [{j},{k}]{status} residual {print_expr(residual)}"
 
 
 def is_abelian(F, seed=None):
@@ -186,14 +192,13 @@ def _involutivity(F, seed):
             continue
         coeffs, residuals = elimination.solution(len(F) + i)
         pair_verdict, escape = _all_zero(residuals, seed)
+        if escape is not None:
+            notes.append(_bracket_note(j, k, pair_verdict, residuals[escape]))
         if pair_verdict is TriBool.NO:
-            notes.append(f"bracket [{j},{k}] leaves the span: "
-                         f"residual {print_expr(residuals[escape])}")
             return InvolutivityReport(TriBool.NO, None, subset, assumptions, notes)
         assumptions = minor
         if pair_verdict is TriBool.UNKNOWN:
             verdict = TriBool.UNKNOWN
-            notes.append(f"bracket [{j},{k}]: span membership undetermined")
         else:
             structure[(j, k)] = tuple(coeffs)
     if verdict is not TriBool.YES:
@@ -249,8 +254,7 @@ def analyze_distribution(F, seed=None):
             _, j, k, res = escape
             slots = [m.xi.index(1) for m in F.members]
             j, k = slots.index(j), slots.index(k)
-            inv.notes.append(f"bracket [{min(j, k)},{max(j, k)}] leaves the span: "
-                             f"residual {print_expr(-res if j < k else res)}")
+            inv.notes.append(_bracket_note(min(j, k), max(j, k), abelian, -res if j < k else res))
     return DistributionReport(rank, projects, inv.verdict, abelian, inv.structure_functions,
                               inv.spanning_subset, inv.assumptions, notes + inv.notes, nf,
                               elimination)

@@ -19,11 +19,10 @@ antiderivatives (these make every normalized expression printable and
 re-parseable; the bare grammar above has no derivative syntax).
 
 ``parse`` walks the text once into an unevaluated tree (no ``flatten`` or
-``eval``), reads it (``algebra._read``) and puts the value in normal
-form once; a tree that no value reads (a rational power, ``Int(...)``, 1/0)
-is ``_evaluated``, built as sympy's constructors build the text, and
-normalized.  So are a call's arguments; a call outside any other is read
-where it is built, and a divisor whose value is 0 or None and tree 0 raises.
+``eval``), reads it (``algebra._read``, which reads every finite tree) and
+puts the value in normal form once.  A call's arguments are normalized and
+the call is read where it is built, so that a non-finite one raises there;
+a divisor whose value is 0 raises.
 
 The printer emits this same grammar, a sum's terms in the order of sympy's
 ``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
@@ -91,20 +90,10 @@ def tokenize(text):
     return out
 
 
-@cacheit
-def _evaluated(e):
-    """The parser's tree e as sympy's constructors build it: each sum,
-    product and power rebuilt, its arguments first."""
-    if e.is_Add or e.is_Mul or e.is_Pow:
-        return e.func(*map(_evaluated, e.args))
-    return e
-
-
 class _Parser:
     def __init__(self, text, ws):
         self.tokens = tokenize(text)
         self.ws = ws
-        self.depth = 0      # the number of calls whose arguments are being read
         self.i = 0
 
     def peek(self):
@@ -143,8 +132,7 @@ class _Parser:
             op = self.advance()
             rhs = self.factor()
             if op.kind == "/":
-                if (self.depth or (value := algebra._read(rhs)) is None or not any(
-                        value[0].values())) and _evaluated(rhs) == 0:
+                if not any(algebra._read(rhs)[0].values()):
                     raise DivisionByZero(f"literal division by zero at offset {op.pos}")
                 rhs = sp.Pow(rhs, -1, evaluate=False)
             e = sp.Mul._from_args((e, rhs), True)
@@ -192,8 +180,7 @@ class _Parser:
                 return self.jet(tok)
             if self.peek().kind == "(":
                 node = self.call(tok)
-                if not self.depth:      # a kernel of a non-finite argument raises here
-                    algebra._read(node)
+                algebra._read(node)     # a kernel not finite at its argument, log(0), raises here
                 return node
             try:
                 return self.ws.resolve(tok.text)
@@ -228,14 +215,12 @@ class _Parser:
         return info[1]
 
     def call(self, head):
-        self.depth += 1
         self.expect("(")
-        args = [_evaluated(self.expr())]
+        args = [algebra.normalize(self.expr())]
         while self.peek().kind == ",":
             self.advance()
-            args.append(_evaluated(self.expr()))
+            args.append(algebra.normalize(self.expr()))
         self.expect(")")
-        self.depth -= 1
         name = head.text
         if name in KERNELS:
             if len(args) != 1:
@@ -272,11 +257,8 @@ class _Parser:
 def parse(text, ws):
     """Parse expression text against a workspace, normalized: the text's
     unevaluated tree is read (``algebra._read``) and its value put in
-    normal form once; a tree that no value reads is ``_evaluated`` and
-    normalized, so that every text has the normal form of sympy's tree."""
-    tree = _Parser(text, ws).run()
-    value = algebra._read(tree)
-    return algebra.normalize(_evaluated(tree)) if value is None else algebra._normal_form(None, value)
+    normal form once."""
+    return algebra._normal_form(None, algebra._read(_Parser(text, ws).run()))
 
 
 # ---------------------------------------------------------------------------

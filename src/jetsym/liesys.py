@@ -5,7 +5,9 @@ A normal form whose right-hand sides split as x-dependent coefficients times
 u-only vector fields closing into a finite-dimensional Lie algebra is a PDE
 Lie system.  The split, the u-fields' coordinates and the Riccati and affine
 shapes are read off the QQ coefficients, x-monomials and u-monomials of the
-one x/u splitter (``algebra.split_monomials``); the sums formed from them
+one x/u splitter (``algebra.split_monomials``), which splits a quotient on
+its value; a u-exponent that is not a natural number, sqrt(u) or 1/u, is
+outside both shapes.  The sums formed from them
 are built by ``algebra.normal_forms`` and ``algebra.sum_of_products``, and a
 u-field's coordinates over the generators come from one exact reduction over
 QQ (``DomainMatrix.rref``).  For q = 1 and an algebra that a catalogued change of variable
@@ -261,7 +263,8 @@ def recognize_riccati(sys):
         parts = [{} for _ in range(q)]     # per component: exponents -> {x-monomial: c}
         for a in range(q):
             for c, x, monomial in split_monomials(sys.nf.rhs[(a, j)], deps):
-                if not monomial.keys() <= set(deps) or sum(monomial.values()) > 2:
+                if not monomial.keys() <= set(deps) or sum(monomial.values()) > 2 or any(
+                        k < 0 or k != int(k) for k in monomial.values()):
                     return None, print_expr(
                         QQ.to_sympy(c) * monomial_expr(dict(x)) * monomial_expr(monomial))
                 group = parts[a].setdefault(tuple(monomial.get(d, 0) for d in deps), {})
@@ -309,7 +312,7 @@ def _affine_coefficients(expr, w):
     """(c, d) with expr = c*w + d, c and d free of w, or None."""
     parts = ({}, {})
     for c, x, monomial in split_monomials(expr, (w,)):
-        if not monomial.keys() <= {w} or monomial.get(w, 0) > 1:
+        if not monomial.keys() <= {w} or monomial.get(w, 0) not in (0, 1):
             return None
         group = parts[monomial.get(w, 0)]
         group[x] = group.get(x, QQ.zero) + c
@@ -319,13 +322,15 @@ def _affine_coefficients(expr, w):
 def _antiderivative(e, x):
     """F with dF/dx = e, term by term as ``split_monomials`` splits e, in
     normal form: a factor free of x stays, 1/(1 + y) too, x**k gives
-    x**(k + 1)/(k + 1), x**k*exp(a*x) the sum that integration by parts gives
-    and D(h, x) gives h.  None for a term of another shape, or a quotient in x."""
+    x**(k + 1)/(k + 1) for rational k other than -1, x**k*exp(a*x) for
+    natural k the sum that integration by parts gives and D(h, x) gives h.
+    None for a term of another shape, or a quotient by a sum in x."""
     out = {}
     for c, rest, m in split_monomials(e, (x,)):
         k, a, d = m.pop(x, 0), m.pop(sp.exp(x), 0), next(iter(m), None)
-        if m and (k or a or m != {d: 1} or not isinstance(d, sp.Derivative)
-                  or d.variable_count != ((x, 1),)):
+        if k == -1 or a and k != abs(int(k)) or m and (
+                k or a or m != {d: 1} or not isinstance(d, sp.Derivative)
+                or d.variable_count != ((x, 1),)):
             return None
         parts = [({d.expr: 1}, 1)] if m else [({x: k + 1}, sp.Rational(1, k + 1))] if not a else [
             ({x: k - i, sp.exp(x): a}, (-1) ** i * perm(k, i) / a ** (i + 1)) for i in range(k + 1)]

@@ -17,9 +17,9 @@ from sympy.polys.rings import PolyElement, PolyRing
 from jetsym import algebra, grammar
 from jetsym import (Workspace, ZeroVerdict, diff, is_zero, normalize, parse,
                     print_expr, substitute, zero_verdict)
-from jetsym.algebra import (_E, _as_expr, _normal_form, _read, _ring_elements, _substitute,
-                            _tree, _tree_normalize, derive, evaluate_at, monomial_expr,
-                            normal_forms, split_monomials, sum_of_products)
+from jetsym.algebra import (_E, _as_expr, _normal_form, _normal_kernel, _read,
+                            _ring_elements, _substitute, _tree, derive, evaluate_at,
+                            monomial_expr, normal_forms, split_monomials, sum_of_products)
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import CyclicBinding, DivisionByZero
 from jetsym.geometry import lie_bracket
@@ -146,7 +146,7 @@ def test_laurent_normal_form_shifts_minimally():
 
 
 def _tree_derive(e, images):
-    """The expression-tree formula that ``derive`` falls back to."""
+    """The expression-tree formula of ``derive``, its reference."""
     return normalize(sp.Add(*[sp.diff(e, s) * v for s, v in images.items()]))
 
 
@@ -169,7 +169,7 @@ def test_derive_ring_matches_tree(e, images):
     assert _same_tree(derive(e, images), _tree_derive(e, images))
 
 
-# a u^(1/2) factor is off the ring: sum_of_products falls back to normalize
+# a u^(1/2) factor, which the ring reads over the generator u^(1/2)
 _off_ring = st.builds(lambda a: a * sp.sqrt(_u), _sums)
 
 
@@ -257,10 +257,10 @@ def test_substitutions_ring_matches_tree(e, combos, symbols):
 
 
 def test_substitutions_fall_back_off_the_ring(monkeypatch):
-    """A rational function in e or in a value stays on values; an atom of e
-    that meets a key, sin(u_{x1}), is substituted on its own tree and read
-    back, and only where a factor of D maps to 0 does the whole tree take the
-    tree path, which reports the division.  All give normalize's answer."""
+    """A rational function in e or in a value stays on values; only an atom
+    of e that meets a key, sin(u_{x1}), is substituted on its own tree and
+    read back.  All give normalize's answer.  A factor of D that maps to 0
+    raises without substituting any tree."""
     ws = _PLAIN_WS
     t, u, jet = ws.independent[0], ws.dependent[0], ws.parse("u_{x1}")
     cases = [(normalize(e), value) for e, value in [
@@ -284,14 +284,14 @@ def test_substitutions_fall_back_off_the_ring(monkeypatch):
     assert calls == [sp.sin(jet)]
     with pytest.raises(DivisionByZero):
         substitute(normalize(t / (u - jet)), {jet: u})
-    assert calls[1:] == [normalize(t / (u - jet))]
+    assert calls == [sp.sin(jet)]
 
 
 def test_derive_falls_back_off_the_ring(monkeypatch):
-    """Only input the ring does not read, a symbolic power, takes the tree
-    path.  A rational function, a constant exponential, log u (whose image
-    has 1/u) and an image 1/(1 + u) derive in the ring.  Both give the
-    tree formula's answer."""
+    """Every input derives on values: a rational function, a symbolic power
+    u**lam, which is one atom whose partial ``sp.diff`` takes, a constant
+    exponential, log u (whose image has 1/u), an image 1/(1 + u) and a
+    rational power sqrt(u).  All give the tree formula's answer."""
     ws = _PLAIN_WS
     t, u, lam = ws.independent[0], ws.dependent[0], ws.parameters["lam"]
     cases = [(normalize(e), images) for e, images in [
@@ -299,7 +299,8 @@ def test_derive_falls_back_off_the_ring(monkeypatch):
         (u ** lam * t, {t: 1, u: 1}),
         (sp.exp(-sp.Rational(1, 3)) * u ** 2, {u: t}),
         (sp.log(u) * t, {t: 1, u: u ** 2}),
-        (u ** 2 * t, {t: 1 / (1 + u), u: 1})]]
+        (u ** 2 * t, {t: 1 / (1 + u), u: 1}),
+        (sp.sqrt(u) * t / (1 + u), {t: 1, u: u ** 2})]]
     expected = [_tree_derive(e, images) for e, images in cases]
     sp.core.cache.clear_cache()
     calls = []
@@ -307,7 +308,7 @@ def test_derive_falls_back_off_the_ring(monkeypatch):
     monkeypatch.setattr(sp, "diff", lambda f, *a, **k: calls.append(f) or real(f, *a, **k))
     for (e, images), reference in zip(cases, expected):
         assert derive(e, images) == reference
-    assert set(calls) == {cases[1][0]}
+    assert set(calls) == {u ** lam}
 
 
 def test_derive_reads_kernel_arguments_normalized():
@@ -385,6 +386,26 @@ _trees = st.recursive(
     max_leaves=8)
 
 
+def _tree_normalize(e):
+    """``normalize`` on sympy's trees, the reader's reference: canonical
+    Derivatives and kernels, ``sympy.expand``, ``sympy.cancel`` of a
+    quotient, and a value with negative exponents put in its form."""
+    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise DivisionByZero("division by zero")
+    e = e.replace(lambda n: isinstance(n, sp.Derivative), lambda n: n.canonical).replace(
+        lambda n: isinstance(n, KERNEL_CLASSES), lambda k: _normal_kernel(k)[0])
+    e = sp.expand(e)
+    if _read(e)[1]:
+        try:
+            e = sp.cancel(e)
+        except (PolynomialError, NotImplementedError, ZeroDivisionError):
+            pass
+        if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+            raise DivisionByZero("division by zero")
+    value = _read(e)
+    return e if algebra._plain(value) else _normal_form(None, value)
+
+
 def _normal_or_error(f, e):
     """f(e) with its srepr, which == then compares in stored argument order."""
     try:
@@ -438,9 +459,7 @@ def test_log_reads_as_sympy_expand_splits_it(e, form):
     """A log that sympy.expand_log splits is read as its split, and a log
     of a positive rational that it leaves whole is a constant atom: the
     normal form is sympy.expand's, which the tree path gave, without it."""
-    sp.core.cache.clear_cache()
-    with mock.patch.object(algebra, "_tree_normalize", side_effect=AssertionError):
-        n = normalize(e)
+    n = normalize(e)
     assert _same_tree(n, form) and _same_tree(n, sp.expand(e))
     assert _same_tree(normalize(n), n)
 
@@ -741,12 +760,13 @@ def test_ordered_terms_is_as_ordered_terms(e):
 
 def test_tree_needs_distinct_ring_atoms():
     """``_tree`` only sorts, which is all ``flatten`` does to products of
-    ring atoms.  A generator that is a sum, which ``Elimination`` allows for
-    an unreadable entry, is distributed over by ``flatten``, and two
-    constant exponentials combine; so ``Elimination`` keeps ``as_expr``."""
+    ring atoms.  A generator that is a sum, the atom b of an opaque power
+    b**(1/2), is distributed over by ``flatten``, and ``_tree`` builds
+    sympy's tree for it; two constant exponentials combine, which ``_tree``
+    does not see, so ``Elimination`` keeps ``as_expr``."""
     p = PolyRing((_x1 + _u,), QQ).from_dict({(1,): QQ(2)})
     assert p.as_expr() == 2 * _x1 + 2 * _u
-    assert _as_expr(p, 1) == sp.Mul(2, _x1 + _u, evaluate=False)
+    assert _same_tree(_as_expr(p, 1), p.as_expr())
     constants = (sp.exp(sp.Rational(1, 2)), sp.exp(sp.Rational(1, 3)))
     q = PolyRing(constants, QQ).from_dict({(1, 1): QQ(1)})
     assert q.as_expr() == sp.exp(sp.Rational(5, 6))
@@ -874,7 +894,7 @@ def test_fixture_commands_call_no_cancel(monkeypatch, capsys):
     built only to cancel a quotient, and in ``Elimination``."""
     root = Path(__file__).resolve().parent.parent / "problems"
     calls = []
-    for module, name in [(sp, "cancel"), (sp, "integrate"), (algebra, "_tree_normalize")]:
+    for module, name in [(sp, "cancel"), (sp, "integrate")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, name=name, real=real, **k:
                             calls.append(name) or real(*a, **k))
@@ -1033,15 +1053,23 @@ def test_nonzero_rational_constant_is_structurally_nonzero(ws2):
 
 
 def test_tiny_constant_is_structurally_nonzero():
-    """A constant that is not Rational is decided by its value to 40
-    significant digits, however small; only a constant that no precision
-    settles stays a probabilistic Zero."""
+    """A constant that is not Rational is decided structurally, however
+    small: constant kernels are atoms that Euler's formula reads over e and
+    e^i, which are algebraically independent (Lindemann-Weierstrass), so
+    sin(1)**2 + cos(1)**2 - 1 is a structural Zero too."""
     eps = sp.Rational(1, 10 ** 12)
     for e in [sp.exp(-36), sp.sin(eps / 1000), sp.exp(1 + eps) - sp.E]:
         r = zero_verdict(e)
         assert (r.verdict, r.confidence) == (ZeroVerdict.NONZERO, "structural"), e
     r = zero_verdict(sp.sin(1) ** 2 + sp.cos(1) ** 2 - 1)
-    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "probabilistic")
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
+
+
+def test_constant_kernel_identity_is_structurally_zero():
+    """sin(x1 + 1) - sin(x1)*cos(1) - cos(x1)*sin(1) cancels through Euler's
+    formula over exp(i*x1) and exp(i), with cos(1) and sin(1) read as atoms."""
+    r = zero_verdict(sp.sin(_x1 + 1) - sp.sin(_x1) * sp.cos(1) - sp.cos(_x1) * sp.sin(1))
+    assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
 
 
 def test_nonzero_ring_element_is_structurally_nonzero():
@@ -1191,11 +1219,12 @@ _EULER_IDENTITIES = [
     lambda a, b: sp.cosh(a) - (sp.exp(a) + sp.exp(-a)) / 2,
 ]
 _small = st.sampled_from([-3, -2, -1, 1, 2, 3])
-# a holds x and b does not, so that a + b is not a constant, which the ring
-# does not read
+# a holds x and b holds y, so that neither is a constant; a + b may be one,
+# whose kernels are atoms of the ring
 _arguments = st.builds(lambda c, d, e: c * _X + d * _Y + e, _small, st.integers(-3, 3),
                        st.integers(-3, 3))
-_y_arguments = st.builds(lambda d, e: d * _Y + e, _small, st.integers(-3, 3))
+_y_arguments = st.builds(lambda c, d, e: c * _X + d * _Y + e, st.integers(-3, 3), _small,
+                         st.integers(-3, 3))
 _multipliers = st.builds(lambda c, i, j, d: c * _X ** i * _Y ** j + d,
                          _small, st.integers(1, 2), st.integers(0, 2), _small)
 _epsilon_terms = st.one_of(st.just(0), st.builds(
@@ -1206,6 +1235,8 @@ _epsilon_terms = st.one_of(st.just(0), st.builds(
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_EULER_IDENTITIES), _arguments, _y_arguments, _multipliers,
        _epsilon_terms)
+@example(_EULER_IDENTITIES[3], -3 * _X - _Y, 3 * _X + _Y + 1, _X + 1, 0)
+@example(_EULER_IDENTITIES[4], -_X + 2 * _Y, _X - 2 * _Y - 3, _X * _Y - 2, sp.exp(_X) / 10 ** 12)
 def test_euler_verdict_matches_the_interval_verdict(identity, a, b, multiplier, epsilon):
     """A trigonometric or hyperbolic identity times a polynomial, plus
     eps*exp(c*x + d) or not: the structural verdict through Euler's formula

@@ -43,6 +43,14 @@ def test_collect_zero_is_empty(ws2):
     assert collect_family(sp.Integer(0), AnsatzFamily(POLYNOMIAL, 2), [u]) == {}
 
 
+def test_collect_family_rejects_fractional_powers(ws2):
+    """sqrt(u) reads as u to the power 1/2, which no polynomial key holds."""
+    u, x1 = ws2.dependent[0], ws2.independent[0]
+    assert AnsatzFamily(POLYNOMIAL, 2).key({u: sp.Rational(1, 2)}, [u]) is None
+    with pytest.raises(NotInFamily):
+        collect_family(normalize(x1 * sp.sqrt(u) + u ** 2), AnsatzFamily(POLYNOMIAL, 2), [u])
+
+
 def test_collect_not_in_family(ws2):
     u = ws2.dependent[0]
     with pytest.raises(NotInFamily):

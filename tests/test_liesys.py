@@ -287,8 +287,10 @@ def test_antiderivative_is_sympy_integrate(terms):
 def test_antiderivative_leaves_other_shapes():
     """A quotient, an opaque function or a derivative times t, and an
     exponential whose direction is not t itself take sympy.integrate."""
-    for e in [_T / (_T + 1), _T * _H, _T * _DH, sp.exp(_T * _FREE[0]), sp.exp(_T ** 2)]:
+    for e in [_T / (_T + 1), _T * _H, _T * _DH, sp.exp(_T * _FREE[0]), sp.exp(_T ** 2), 1 / _T,
+              sp.sqrt(_T) * sp.exp(_T)]:
         assert _antiderivative(normalize(e), _T) is None, e
+    assert _antiderivative(normalize(3 * sp.sqrt(_T)), _T) == 2 * _T ** sp.Rational(3, 2)
 
 
 def test_solve_with_unresolved_integral():
@@ -331,6 +333,21 @@ def test_recognize_riccati_rejects_an_extra_quadratic_term():
     data, violation = _riccati_violation((lambda u, v: u * v,
                                           lambda u, v: v ** 2 + 5 * u * v))
     assert data is None and violation == "5*u*v"
+
+
+def test_recognize_riccati_rejects_fractional_and_negative_powers():
+    """sqrt(u) and 1/u are u-monomials of exponent 1/2 and -1, outside the
+    polynomials in u."""
+    for rhs, term in [(lambda u, v: sp.sqrt(u) + v, "u^(1/2)"), (lambda u, v: 1 / u, "1/u")]:
+        data, violation = _riccati_violation((rhs, lambda u, v: 0))
+        assert data is None and violation == term
+
+
+def test_affine_coefficients_reject_fractional_and_negative_powers():
+    w, x1 = sp.Symbol("w", real=True, positive=True), _WS.parse("x1")
+    assert liesys._affine_coefficients(normalize(x1 * w + 2), w) == (x1, 2)
+    for e in [x1 * sp.sqrt(w) + w, x1 / w]:
+        assert liesys._affine_coefficients(normalize(e), w) is None, e
 
 
 def test_recognize_riccati_reads_d_from_every_component():

@@ -393,7 +393,7 @@ def test_substituting_commands_make_no_xreplace_call(monkeypatch, capsys):
         assert rc == 0
     assert not {name for name, _, _ in calls} & {
         "jetsym.condsym", "jetsym.liesys", "jetsym.jets", "jetsym.problem"}
-    substituted = [tree for name, f, tree in calls if name == "jetsym.algebra" and f == "replaced"]
+    substituted = [tree for name, f, tree in calls if name == "jetsym.algebra" and f == "image"]
     assert substituted
     assert all(type(tree) in (sp.exp, sp.log) for tree in substituted)
 
@@ -529,18 +529,57 @@ _KINK = ("[variables]\nindependent = x1 x2\ndependent = u\n"
 
 def test_verify_solution_rectifies_only_for_a_dc_candidate(capsys, tmp_path):
     """A candidate checked against the PDE alone is checked whatever the
-    family is: undetermined involutivity no longer stops it."""
+    family is: undetermined involutivity no longer stops it.  A candidate on
+    the constraints of a family in Z_j-form is checked against its own
+    equations, its characteristic system (Def. 7.1), with no rectification;
+    one of a family that must be rectified still needs it."""
     path = tmp_path / "kink.jetsym"
     path.write_text(_KINK.replace("PHI", "D(h(x1),x1)*u^2"))
     rc, data = run_json(capsys, "verify-solution", path)
     assert rc == 0
     assert [(v["name"], v["verdict"], v["confidence"]) for v in data["verdicts"]] == [
         ("kink: wave", "Zero", "structural")]
-    # a candidate on the rectified constraints still needs the rectification
     path.write_text(_KINK.replace("PHI", "D(h(x1),x1)*u^2").replace("@ pde", "@ both"))
+    rc, data = run_json(capsys, "verify-solution", path)
+    assert rc == 2
+    assert [(v["name"], v["verdict"], v["confidence"]) for v in data["verdicts"]] == [
+        ("kink: wave", "Zero", "structural"), ("kink: u_{x1} = u^2", "Zero", "structural"),
+        ("kink: u_{x2} = u^2*D(h(x1),x1)", "Unknown", "opaque")]
+    # the same family written off Z_j-form, Z2 + Z1, is rectified first
+    path.write_text(_KINK.replace("PHI", "D(h(x1),x1)*u^2").replace("@ pde", "@ both").replace(
+        '"0" | "1" ; "D(h(x1),x1)*u^2"', '"1" | "1" ; "u^2 + D(h(x1),x1)*u^2"'))
     rc, data = run_json(capsys, "verify-solution", path)
     assert rc == 3
     assert "involutivity undetermined" in data["error"]
+
+
+def test_undetermined_bracket_note_names_its_residual(capsys, tmp_path):
+    """An Unknown involutivity or Abelian verdict names the residual it
+    could not decide, as a No names the one that escapes: [Z1, Z2] is
+    h''(x1)*u^2 d/du, on the Z_j-form family and off it."""
+    path = tmp_path / "kink.jetsym"
+    for z2 in ('"0" | "1" ; "D(h(x1),x1)*u^2"', '"1" | "1" ; "u^2 + D(h(x1),x1)*u^2"'):
+        path.write_text(_KINK.replace('"0" | "1" ; "PHI"', z2))
+        rc, data = run_json(capsys, "analyze-distribution", path)
+        assert rc == 2
+        notes = [n for n in data["notes"] if "span membership undetermined" in n]
+        assert len(notes) == 1
+        residual = notes[0].split("residual ")[1]
+        assert residual.lstrip("-") == "u^2*D(h(x1),x1,x1)", notes
+
+
+def test_rational_powers_and_constant_kernels_verify_structurally(capsys, tmp_path):
+    """The reader takes x1^(1/2) and the constant kernels sin(1) and cos(1):
+    a solution of u_{x1} = sin(x1 + 1) + (3/2)*x1^(1/2) is Zero, structural,
+    through Euler's formula over exp(i*x1) and exp(i)."""
+    path = tmp_path / "roots.jetsym"
+    path.write_text("[variables]\nindependent = x1\ndependent = u\n[options]\norder = 1\n"
+                    '[pde]\nroot = "u_{x1} - sin(x1 + 1) - (3/2)*x1^(1/2)"\n'
+                    '[candidates]\nc = "-cos(x1)*cos(1) + sin(x1)*sin(1) + x1^(3/2)" @ pde\n')
+    rc, data = run_json(capsys, "verify-solution", path)
+    assert rc == 0
+    assert [(v["name"], v["verdict"], v["confidence"]) for v in data["verdicts"]] == [
+        ("c: root", "Zero", "structural")]
 
 
 @pytest.mark.parametrize("phi,verdict,rc", [("D(h(x1),x1)*u^2", "Unknown", 2),
