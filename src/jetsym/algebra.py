@@ -82,7 +82,6 @@ class ZeroResult:
 
 
 KERNEL_CLASSES = (sp.exp, sp.log, sp.sin, sp.cos, sp.sinh, sp.cosh)
-_BAD_CONSTANTS = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
 @cacheit
@@ -163,7 +162,6 @@ _READ_ATOMS = _GENERATORS + KERNEL_CLASSES
 # derivatives d kernel(a) / da
 _KERNEL_PARTIALS = {sp.sin: sp.cos, sp.cos: lambda a: -sp.sin(a), sp.sinh: sp.cosh,
                     sp.cosh: sp.sinh, sp.log: lambda a: 1 / a}
-_KERNEL_ATOMS = tuple(_KERNEL_PARTIALS)
 
 
 def _independent(atoms):
@@ -192,13 +190,14 @@ def _euler(g, k):
     """g**k as a ``_read`` sum over QQ_I, through Euler's formula for a ring
     atom g in ``_EULER`` whose argument a has an ``_exponent``: E = exp(a)
     is a monomial in the generators exp(t) that exp(a) reads, and
-    E = exp(i*a) one in atoms exp(i*t).  {g: k} for any other atom."""
-    if type(g) not in _EULER or (m := _exponent(g.args[0])) is None:
+    E = exp(i*a) one in atoms exp(i*t).  {g: k} for any other atom, and for
+    k not a natural number: sqrt(sin(x)) and 1/sin(x) are no sums in E."""
+    if type(g) not in _EULER or k < 1 or k != int(k) or (m := _exponent(g.args[0])) is None:
         return {frozenset({(g, k)}): QQ.one}
     if type(g) in (sp.sin, sp.cos):
         m = frozenset((sp.exp(sp.I * t.args[0], evaluate=False), j) for t, j in m)
     c, c_inverse = _EULER[type(g)]
-    return reduce(_times, [{m: c, frozenset((t, -j) for t, j in m): c_inverse}] * k)
+    return reduce(_times, [{m: c, frozenset((t, -j) for t, j in m): c_inverse}] * int(k))
 
 
 def euler(terms):
@@ -224,8 +223,8 @@ def _log_read(g, k, *gens):
     quotient of monomials, else by ``sympy.factor_list`` over the generators
     exp(t/d), one for each pair (exp(t), d) in gens, which cover a's exp
     atoms.  A factor exp(s)**j reads as j*s, since log|exp(s)| = s for real
-    s.  {g: k} otherwise."""
-    if type(g) is not sp.log:
+    s.  {g: k} otherwise, and for k not a natural number."""
+    if type(g) is not sp.log or k < 1 or k != int(k):
         return {frozenset({(g, k)}): QQ.one}
     value = _read(a := g.args[0])
     laurent = _laurent(*value)
@@ -244,7 +243,7 @@ def _log_read(g, k, *gens):
     terms, _ = _plus([v if type(p) is sp.exp and (v := _read(j * p.args[0])) and not v[1] else
                       ({frozenset({(sp.Abs(p, evaluate=False), 1)}): QQ.convert(j)}, {})
                       for p, j in [*factors, *sp.factorrat(abs(c)).items()]])
-    return reduce(_times, [terms] * k)
+    return reduce(_times, [terms] * int(k))
 
 
 # the atom of the direction t = 1, unevaluated since exp(1) is E
@@ -284,7 +283,7 @@ def _tree(terms):
     no ring."""
     out, constant = [], []
     for monomial, c in terms:
-        if any(k and not isinstance(g, _READ_ATOMS) and _evaluates(g, k) for g, k in monomial):
+        if _evaluates(monomial):
             return normalize(sp.Add(*[sp.Mul(c, *[sp.Pow(g, k) for g, k in m]) for m, c in terms]))
         factors = sorted((_kernel(sp.exp, sp.Mul(k, g.args[0])) if type(g) is sp.exp
                           else g if k == 1 else sp.Pow(g, k) for g, k in monomial if k),
@@ -294,12 +293,15 @@ def _tree(terms):
     return sp.Add._from_args(constant + sorted(out, key=_args_sortkey), True)
 
 
-def _evaluates(g, k):
-    """True for an atom power g**k that sympy builds as another node,
-    sqrt(6)**2 or |x|**2, and an integer power of a sum, product or number
-    atom b, b**(1/2)*b**(1/2)."""
-    return (g.is_Add or g.is_Mul or g.is_Number) and k == int(k) or k != 1 and not (
-        (f := sp.Pow(g, k)).is_Pow and f.base == g)
+def _evaluates(monomial):
+    """True for a monomial that sympy builds as another node: sqrt(6)**2,
+    |x|**2, b**(1/2)*b**(1/2) for a sum, product or number atom b, and
+    powers of numbers that sympy's Mul merges, sqrt(2)*sqrt(3)."""
+    powers = [(g, k, sp.Pow(g, k)) for g, k in monomial if k and not isinstance(g, _READ_ATOMS)]
+    numbers = {f for g, _, f in powers if g.is_Number}
+    return any((g.is_Add or g.is_Mul or g.is_Number) and k == int(k) or k != 1 and not (
+        f.is_Pow and f.base == g) for g, k, f in powers) or len(numbers) > 1 and set(
+            sp.Mul.make_args(sp.Mul(*numbers))) != numbers
 
 
 def monomial_expr(monomial):
@@ -342,15 +344,14 @@ def _factors(f, deps):
     if len({g.free_symbols.isdisjoint(deps) for g in atoms}) > 1 and deps:
         (a, s), = _ring_elements([(f, {})])
         gens = [(g, atoms[g]) for g in _ring_order(atoms)]
-        r, monomial = QQ.one, {}
-        content, factors = a.factor_list()
+        (r, factors), monomial = a.factor_list(), {}
         for p, j in [(s, -1)] * (s != 1) + factors:
             q, m = _factors({frozenset((g, sp.Rational(k, d)) for (g, d), k in zip(gens, key) if k): c
                              for key, c in p.items()}, ())
             r *= q ** j
             for g, i in m.items():
                 monomial[g] = monomial.get(g, 0) + i * j
-        return r * content, {g: i for g, i in monomial.items() if i}
+        return r, {g: i for g, i in monomial.items() if i}
     r = QQ(gcd(*(c.numerator for c in f.values())), reduce(ilcm, (c.denominator for c in f.values())))
     if _negative_lead([(dict(m), c) for m, c in f.items()]):
         r = -r
@@ -443,14 +444,13 @@ def _over_sum(num, den):
     is a number, so ``PolyElement.cancel`` scales c*m and D to integer
     coefficients with coprime contents, by lcm(denominators) /
     gcd(numerators), and D's leading term takes a positive sign.  None for
-    any other N / D."""
+    any other N / D, and for a negative exponent, 1/(x + u**-1)."""
     terms = [(m, c) for m, c in num.items() if c]
     d = {m: c for m, c in _scaled(_ONE, {}, den).items() if c}
-    if len(terms) != 1 or frozenset.intersection(*(frozenset(g for g, _ in m) for m in d)):
+    if len(terms) != 1 or any(k < 0 for m in (terms[0][0], *d) for _, k in m) or (
+            frozenset.intersection(*(frozenset(g for g, _ in m) for m in d))):
         return None
     (m, c), = terms
-    if any(k < 0 for _, k in m):
-        return None
     scale = QQ(reduce(ilcm, (q.denominator for q in [c, *d.values()])),
                gcd(*(q.numerator for q in [c, *d.values()])))
     if _negative_lead([(dict(m2), q) for m2, q in d.items()]):
@@ -521,9 +521,8 @@ def _image(g, images):
     images = dict(images)
     if isinstance(g, sp.exp):
         return derive(g.args[0], images)
-    if isinstance(g, _KERNEL_ATOMS):
-        a = g.args[0]
-        return sum_of_products([(_KERNEL_PARTIALS[type(g)](a), derive(a, images))])
+    if type(g) in _KERNEL_PARTIALS:
+        return sum_of_products([(_KERNEL_PARTIALS[type(g)](a := g.args[0]), derive(a, images))])
     return sum_of_products([(v, _partial(g, s)) for s, v in images.items()])
 
 
@@ -636,7 +635,7 @@ def _read(e):
     a polynomial, so that a sum of quotients is over the least common
     multiple of their factors.  An atom is a Symbol, an applied unknown
     function of symbols or a canonical Derivative of one, with k rational;
-    a kernel (``_normal_kernel``), with k a positive integer; exp(t) for a
+    a kernel (``_normal_kernel``), with k rational; exp(t) for a
     direction t, with k rational, standing for exp(k*t); or any other node
     as sympy builds it from normal arguments (``_built``), read again if
     that is another node: b**k, k rational, as the atom b, and u**lam, |x|,
@@ -676,16 +675,14 @@ def _read(e):
                 return {frozenset({(g, j * e.exp)}): QQ.one}, {}
     if e.is_Rational:
         return {frozenset(): QQ(e.p, e.q)}, {}
-    f = e
-    if isinstance(e, sp.Derivative):
-        e, f = e.canonical, e.expr
+    e, f = (e.canonical, e.expr) if isinstance(e, sp.Derivative) else (e, e)
     if e.is_Symbol or isinstance(f, AppliedUndef) and all(a.is_Symbol for a in f.args):
         return {frozenset({(e, 1)}): QQ.one}, {}
     if e is sp.E:
         e = _E
     if isinstance(e, KERNEL_CLASSES):
         return _normal_kernel(e)[1]
-    if e in _BAD_CONSTANTS:
+    if e in (sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise DivisionByZero("division by zero")
     n = sp.Pow(_built(e.base), e.exp) if e.is_Pow else e.func(
         *(normalize(a) if isinstance(a, sp.Expr) else a for a in e.args)) if e.args else e
@@ -776,8 +773,7 @@ def _normal_form(e, value):
     if _plain((num, den)) or not den and sum(map(bool, num.values())) == 1:
         # a polynomial, or one term with negative exponents, as it stands
         out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in num.items() if c))
-    elif any(_evaluates(g, k) for f in (num, *(f for f, _ in den.values())) for m in f
-             for g, k in m if not isinstance(g, _READ_ATOMS)):
+    elif any(map(_evaluates, (m for f in (num, *(f for f, _ in den.values())) for m in f))):
         # sympy builds a power of an opaque atom as another node: read its tree
         out = normalize(sp.Mul(*[_tree(tuple((m, QQ.to_sympy(c)) for m, c in f.items())) ** j
                                  for f, j in [(num, 1), *((f, -k) for f, k in den.values())]]))

@@ -112,11 +112,15 @@ def cmd_charsys(report, problem, args, seed):
         report.add("consistent", "Yes")
 
 
-def cmd_compatibility(report, problem, args, seed):
-    F = problem.fields(args.fields)
+def _constraints(F, seed):
+    """(nf, rectified): F in Z_j-form is its characteristic system (Def. 7.1)."""
     nf = z_form(F)
-    if nf is None:
-        nf = rectify(F, seed=seed).nf
+    return (nf, False) if nf is not None else (rectify(F, seed=seed).nf, True)
+
+
+def cmd_compatibility(report, problem, args, seed):
+    nf, rectified = _constraints(problem.fields(args.fields), seed)
+    if rectified:
         report.notes.append("fields rectified before the compatibility check")
     ws = problem.ws
     all_zero = True
@@ -182,9 +186,7 @@ def cmd_verify_solution(report, problem, args, seed):
         raise PreconditionFailed("candidates section",
                                  "verify-solution needs a [candidates] section")
     dc = problem.field_groups and any(c.target in ("dc", "both") for c in problem.candidates)
-    # a family in Z_j-form is its characteristic system as it stands (Def. 7.1)
-    F = problem.fields(args.fields) if dc else None
-    nf = (z_form(F) or rectify(F, seed=seed).nf) if dc else None
+    nf = _constraints(problem.fields(args.fields), seed)[0] if dc else None
     for cand in problem.candidates:
         systems = []
         if cand.target in ("pde", "both") and problem.pde is not None:

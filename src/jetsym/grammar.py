@@ -22,7 +22,7 @@ re-parseable; the bare grammar above has no derivative syntax).
 ``eval``), reads it (``algebra._read``, which reads every finite tree) and
 puts the value in normal form once.  A call's arguments are normalized and
 the call is read where it is built, so that a non-finite one raises there;
-a divisor whose value is 0 raises.
+a divisor whose normal form is 0 raises, 2^(1/2)*3^(1/2) - 6^(1/2) too.
 
 The printer emits this same grammar, a sum's terms in the order of sympy's
 ``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
@@ -132,7 +132,9 @@ class _Parser:
             op = self.advance()
             rhs = self.factor()
             if op.kind == "/":
-                if not any(algebra._read(rhs)[0].values()):
+                num = algebra._read(rhs)[0]     # 0 as it stands, or once sympy builds it
+                if not any(num.values()) or any(map(algebra._evaluates, num)) and (
+                        algebra.normalize(rhs) == 0):
                     raise DivisionByZero(f"literal division by zero at offset {op.pos}")
                 rhs = sp.Pow(rhs, -1, evaluate=False)
             e = sp.Mul._from_args((e, rhs), True)

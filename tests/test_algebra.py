@@ -1072,6 +1072,16 @@ def test_constant_kernel_identity_is_structurally_zero():
     assert (r.verdict, r.confidence) == (ZeroVerdict.ZERO, "structural")
 
 
+@pytest.mark.parametrize("e", [
+    sp.sin(_x1) ** sp.Rational(1, 2) - _x1, sp.log(_x1) ** sp.Rational(1, 2) - 1,
+    sp.cos(_u) ** sp.Rational(-1, 2) - _x1, sp.sinh(_x1) ** sp.Rational(3, 2) + 1])
+def test_rational_powers_of_kernels_are_sampled(e):
+    """A kernel to a rational power is an atom with that exponent, which
+    Euler's formula and the log read leave as it is: the interval path
+    decides it."""
+    assert zero_verdict(e).verdict is ZeroVerdict.NONZERO
+
+
 def test_nonzero_ring_element_is_structurally_nonzero():
     """A nonzero element of the ring over independent atoms is a nonzero
     function, however small its coefficients: no point is sampled."""

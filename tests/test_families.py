@@ -52,7 +52,7 @@ def test_collect_family_rejects_fractional_powers(ws2):
 
 
 def test_collect_not_in_family(ws2):
-    u = ws2.dependent[0]
+    u, x1 = ws2.dependent[0], ws2.independent[0]
     with pytest.raises(NotInFamily):
         collect_family(sp.log(u), AnsatzFamily(POLYNOMIAL, 2), [u])
     with pytest.raises(NotInFamily):
@@ -68,6 +68,11 @@ def test_collect_not_in_family(ws2):
             collect_family(normalize(e), AnsatzFamily(TRIGONOMETRIC, 3), [u])
     with pytest.raises(NotInFamily):
         collect_family(u * sp.exp(u), AnsatzFamily(HYPERBOLIC, 1), [u])
+    # a kernel to a power that is no natural number is no sum through Euler's formula
+    for family, kernel in [(TRIGONOMETRIC, sp.sin(u)), (HYPERBOLIC, sp.cosh(u))]:
+        for power in (-1, sp.Rational(1, 2)):
+            with pytest.raises(NotInFamily):
+                collect_family(normalize(x1 * kernel ** power), AnsatzFamily(family, 2), [u])
 
 
 def test_collect_keeps_x_parts_outside_the_ring(ws2):

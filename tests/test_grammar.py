@@ -140,7 +140,7 @@ def test_print_parse_round_trip_fuzz(e):
 
 # grammar strings over jets, lam, h(t) and D(h(t),t): sums, differences,
 # products, quotients and integer powers of leaves, kernel calls of such
-# strings, rational powers and Int(...), never inside a kernel argument
+# strings, rational powers of both and Int(...), never inside a kernel argument
 def _operations(children):
     return st.one_of(
         st.builds("{} {} {}".format, children, st.sampled_from("+-*/"), children),
@@ -151,7 +151,10 @@ def _operations(children):
 _SIMPLE = st.recursive(st.sampled_from(
     ["x1", "u", "u_{x1}", "u_{t,x1}", "lam", "h(t)", "D(h(t),t)", "3", "0", "(2/3)"]),
     _operations, max_leaves=4)
-_TREE_ONLY = st.one_of(st.builds("({})^({})".format, _SIMPLE, st.sampled_from(["1/2", "-3/2"])),
+_RATIONAL = st.sampled_from(["1/2", "-3/2"])
+_TREE_ONLY = st.one_of(st.builds("({})^({})".format, _SIMPLE, _RATIONAL),
+                       st.builds("{}({})^({})".format, st.sampled_from(sorted(KERNELS)), _SIMPLE,
+                                 _RATIONAL),
                        st.builds("Int({},t)".format, _SIMPLE))
 _TEXTS = st.recursive(st.one_of(
     _SIMPLE, st.builds("{}({})".format, st.sampled_from(sorted(KERNELS)), _SIMPLE), _TREE_ONLY),
@@ -184,6 +187,10 @@ def _tree_parse(text, ws):
 @example("exp(u/2)*exp(-u/2) + 1/(x1 - x1 + 2*u) - (u + 1)^2/(u + 1)")
 @example("-1/(x1 + lam) + h(t)^2/(2*h(t)*x1) - 3/(4*u_{x1} - 2*lam)")
 @example("log(4*x1*u) - exp(t + 1/u)*(2/3)^-1 + sin(-u)/(h(t) + u)^2")
+@example("2^(1/2)*3^(1/2) - 6^(1/2)")
+@example("(3)^(1/2)*((2/3))^(1/2)")
+@example("1/(x1 + (u^(-1/2))^2)")
+@example("sin(x1)^(1/2)*sin(x1) - cos(u)^(-3/2)")
 def test_value_parse_is_the_tree_parse(text):
     """``parse`` reads the text's unevaluated tree and gives the normal form
     of sympy's tree of the text, node for node, or raises its error; the
@@ -208,6 +215,7 @@ _PARSE_ERRORS = [
     ("u/(2/2 - 1)", DivisionByZero, "literal division by zero at offset 1", None),
     ("u^(1/2)/(x1 - x1)", DivisionByZero, "literal division by zero at offset 7", None),
     (f"u/{_ZERO}", DivisionByZero, "literal division by zero at offset 1", None),
+    ("u/(2^(1/2)*3^(1/2) - 6^(1/2))", DivisionByZero, "literal division by zero at offset 1", None),
     (f"sin(1/{_ZERO}) + )", DivisionByZero, "literal division by zero at offset 5", None)]
 
 

@@ -582,6 +582,19 @@ def test_rational_powers_and_constant_kernels_verify_structurally(capsys, tmp_pa
         ("c: root", "Zero", "structural")]
 
 
+def test_rational_powers_of_kernels_verify(capsys, tmp_path):
+    """sin(x1)^(1/2) is an atom with exponent 1/2: its derivative cancels
+    against the PDE, and a residual that holds it is sampled."""
+    path = tmp_path / "root_of_sin.jetsym"
+    path.write_text("[variables]\nindependent = x1\ndependent = u\n[options]\norder = 1\n"
+                    '[pde]\nroot = "u_{x1} - cos(x1)/(2*sin(x1)^(1/2))"\n'
+                    '[candidates]\nc = "sin(x1)^(1/2)" @ pde\nd = "x1 + sin(x1)^(3/2)" @ pde\n')
+    rc, data = run_json(capsys, "verify-solution", path)
+    assert rc == 1
+    assert [(v["name"], v["verdict"], v["confidence"]) for v in data["verdicts"]] == [
+        ("c: root", "Zero", "structural"), ("d: root", "NonZero", "interval")]
+
+
 @pytest.mark.parametrize("phi,verdict,rc", [("D(h(x1),x1)*u^2", "Unknown", 2),
                                             ("x1*u^2", "No", 1)])
 def test_rectifiable_is_unknown_when_involutivity_is(capsys, tmp_path, phi, verdict, rc):
