@@ -39,14 +39,14 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, islice
 from math import gcd
 
 import sympy as sp
 from mpmath.ctx_iv import MPIntervalContext
 from sympy.core.basic import _args_sortkey
-from sympy.core.cache import cacheit
+from sympy.core.cache import CACHE, SYMPY_CACHE_SIZE, USE_CACHE
 from sympy.core.evalf import PrecisionExhausted
 from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
@@ -84,13 +84,21 @@ class ZeroResult:
 KERNEL_CLASSES = (sp.exp, sp.log, sp.sin, sp.cos, sp.sinh, sp.cosh)
 
 
-@cacheit
+def _memo(f):
+    """f in an LRU cache with untyped keys, (g, 1) and (g, S.One) one key:
+    typed keys hash h(t)'s type, whose hash rebuilds its class_key.  Sized,
+    switched and emptied (``clear_cache``) as sympy's own caches are."""
+    if USE_CACHE != "no":
+        CACHE.append(f := lru_cache(SYMPY_CACHE_SIZE)(f))
+    return f
+
+
 def _normal_kernel(k):
     """The kernel k with its argument normalized (k itself when the argument
-    is normal) and its ``_read`` value, once per kernel.  An argument that
-    is not a polynomial stands expanded, and exp(a) reads as the product of
-    exp(t) over the terms t of a, as ``sympy.expand`` splits it:
-    exp(x2 + 1/u) is exp(x2)*exp(1/u).  A log that
+    is normal) and its ``_read`` value, for ``_read``, which memoizes it.
+    An argument that is not a polynomial stands expanded, and exp(a) reads
+    as the product of exp(t) over the terms t of a, as ``sympy.expand``
+    splits it: exp(x2 + 1/u) is exp(x2)*exp(1/u).  A log that
     ``sympy.expand_log`` splits reads as its split, log(4*x) as
     log(x) + 2*log(2), and a log of a positive rational it leaves whole is
     an atom; the split is made here, with no ``eval``, of a sum without a
@@ -123,7 +131,7 @@ def _normal_kernel(k):
     return n, ({frozenset({(n, 1)}) if m is None else m: QQ.one}, {})
 
 
-@cacheit
+@_memo
 def _kernel(cls, a):
     """cls(a), built without sympy's ``eval`` where that provably returns
     nothing, since its assumption queries on a fresh tree cost up to a
@@ -185,7 +193,7 @@ _EULER = {sp.sin: (QQ_I(0, QQ(-1, 2)), QQ_I(0, QQ(1, 2))), sp.cos: (QQ(1, 2), QQ
           sp.sinh: (QQ(1, 2), QQ(-1, 2)), sp.cosh: (QQ(1, 2), QQ(1, 2))}
 
 
-@cacheit
+@_memo
 def _euler(g, k):
     """g**k as a ``_read`` sum over QQ_I, through Euler's formula for a ring
     atom g in ``_EULER`` whose argument a has an ``_exponent``: E = exp(a)
@@ -215,7 +223,7 @@ def _mapped(terms, image):
                   for m, c in terms.items()])
 
 
-@cacheit
+@_memo
 def _log_read(g, k, *gens):
     """log(a)**k, for a log atom g = log(a), as a sum over QQ in atoms |p|
     that stand for log|p|: a = c*prod p**j, p the primes of the rational c
@@ -269,7 +277,7 @@ def _direction(arg):
     return (g, c * c2) if isinstance(g, sp.exp) else None
 
 
-@cacheit
+@_memo
 def _tree(terms):
     """The sum of c * prod(g**k) over (monomial, c) pairs, a monomial being
     (atom, k) pairs and exp(t)**k standing for exp(k*t), as ``sympy.Add``
@@ -499,7 +507,7 @@ def derive(e, images):
     return _derive(sp.sympify(e), tuple(images.items()))
 
 
-@cacheit
+@_memo
 def _derive(e, images):
     images, value, needed = dict(images), _read(e), {}
     for g in _atoms([value]):
@@ -512,7 +520,7 @@ def _derive(e, images):
     return _normal_form(None, _derivation(value, needed))
 
 
-@cacheit
+@_memo
 def _image(g, images):
     """X(g) for an atom g of a ``_read`` value that is not a chart symbol,
     given the images of its own free symbols: computed once per atom and
@@ -521,7 +529,7 @@ def _image(g, images):
     images = dict(images)
     if isinstance(g, sp.exp):
         return derive(g.args[0], images)
-    if type(g) in _KERNEL_PARTIALS:
+    if isinstance(g, KERNEL_CLASSES):   # no dict lookup: h(t)'s type hashes slowly
         return sum_of_products([(_KERNEL_PARTIALS[type(g)](a := g.args[0]), derive(a, images))])
     return sum_of_products([(v, _partial(g, s)) for s, v in images.items()])
 
@@ -626,7 +634,7 @@ def _plain(value):
 _ONE = {frozenset(): QQ.one}
 
 
-@cacheit
+@_memo
 def _read(e):
     """The value (N, D) of e, N / D as the ring reads ``sympy.expand`` of e
     with canonical derivatives and normal kernel arguments, read off the
@@ -813,7 +821,7 @@ def substitute(e, bindings):
     return _substitute(sp.sympify(e), bindings)
 
 
-@cacheit
+@_memo
 def _substitute(e, bindings):
     """normalize(e.xreplace(dict(bindings))), Derivatives evaluated: the one
     substitution, of (key, value) pairs at once, keys symbols or applied
@@ -824,19 +832,23 @@ def _substitute(e, bindings):
     substituted and read back; N and each factor of D are mapped so
     (``_mapped``) and put in normal form once.  A factor of D that maps to 0
     raises ``DivisionByZero``.  Cached: route B reduces the same residuals."""
-    bound, (num, den) = dict(bindings), _read(e)
-
-    @cache
-    def image(g, k):
-        if g in bound:
-            return _power(_read(bound[g]), k) if type(k) is int else _read(sp.Pow(bound[g], k))
-        if not g.is_Symbol and g.has(*bound):
-            return _read(monomial_expr({g: k}).xreplace(bound).replace(
-                lambda n: isinstance(n, sp.Derivative), lambda n: n.doit()))
-        return {frozenset({(g, k)}): QQ.one}, {}
-
+    num, den = _read(e)
+    image = lambda g, k: _bound_image(g, k, bindings)
     return _normal_form(None, reduce(_product, [_mapped(num, image), *(
         _power(_mapped(d, image), -k) for d, k in den.values())]))
+
+
+@_memo
+def _bound_image(g, k, bindings):
+    """The value of the atom power g**k under ``_substitute``'s bindings,
+    once per atom power and bindings for all the residuals substituted."""
+    bound = dict(bindings)
+    if g in bound:
+        return _power(_read(bound[g]), k) if type(k) is int else _read(sp.Pow(bound[g], k))
+    if not g.is_Symbol and g.has(*bound):
+        return _read(monomial_expr({g: k}).xreplace(bound).replace(
+            lambda n: isinstance(n, sp.Derivative), lambda n: n.doit()))
+    return {frozenset({(g, k)}): QQ.one}, {}
 
 
 # ---------------------------------------------------------------------------

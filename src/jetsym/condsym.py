@@ -269,20 +269,13 @@ def verify_conditional_symmetry(pde, F, n, force_direct=False, seed=None):
     return _direct_tangency(pde, F, n, seed=seed, notes=notes)
 
 
-def _leading_jet(e, ws):
-    jets = ws.jet_atoms(e)
-    if not jets:
-        return None
-    return max(jets, key=lambda t: (t[2].sort_key(), t[1], t[0].name))
-
-
 def _solve_for_leading_jet(e, ws, mapping, assumptions):
     """e = A*jet + B: map the leading jet to -B/A and note a non-constant A
     as an assumption, once; False when e is not affine in its leading jet."""
-    lead = _leading_jet(e, ws)
-    if lead is None:
+    jets = ws.jet_atoms(e)
+    if not jets:
         return False
-    s = lead[0]
+    s = max(jets, key=lambda t: (t[2].sort_key(), t[1], t[0].name))[0]
     A = derive(e, {s: sp.S.One})
     if A == 0 or A.has(s):
         return False

@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import sympy as sp
-from sympy.core.cache import cacheit
 from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.sorting import default_sort_key
@@ -270,7 +269,7 @@ def parse(text, ws):
 _ADD, _MUL, _POW, _ATOM = 1, 2, 3, 4
 
 
-@cacheit
+@algebra._memo
 def _sort_key(e):
     """``default_sort_key(e)``, as ``Expr.sort_key`` computes it, but with the
     terms of each sum in e ordered by ``ordered_terms``."""
@@ -290,7 +289,7 @@ def _sort_key(e):
     return expr.class_key(), (len(args), args), _sort_key(exp), coeff
 
 
-@cacheit
+@algebra._memo
 def _factor(f):
     """(value, None, 0) of a number factor of a term, (1, base, exponent) of
     any other, as ``Expr.as_terms`` reads them."""
@@ -302,7 +301,7 @@ def _factor(f):
     return 1, *decompose_power(f)
 
 
-@cacheit
+@algebra._memo
 def ordered_terms(e):
     """``e.as_ordered_terms()``, as a tuple, for commutative e: sympy's key,
     with each factor of a term valued (``complex`` of a number, which runs

@@ -83,14 +83,6 @@ def _coordinates(ufield, deps):
     return {k: v for k, v in coords.items() if v != 0}
 
 
-def _field(coords, q):
-    """The u-field, a q-tuple of normal forms, with the given coordinates."""
-    comps = [[] for _ in range(q)]
-    for (a, m), r in coords.items():
-        comps[a].append((r, m))
-    return tuple(map(sum_of_products, comps))
-
-
 def _solve_rational(generators_coords, target_coords):
     """Coordinates of target over the generators, free ones 0, or None when
     there are none: one reduction of the augmented matrix over QQ."""
@@ -179,7 +171,8 @@ def vg_closure(nf, cap=10):
         if coords[lead] < 0:
             content = -content
         gen_coords.append({k: v / content for k, v in coords.items()})
-        gens.append(_field(gen_coords[-1], nf.ws.q))
+        gens.append(tuple(sum_of_products([(r, m) for (a, m), r in gen_coords[-1].items() if a == i])
+                          for i in range(nf.ws.q)))
         return (sp.Integer(0),) * (len(gens) - 1) + (content,)
 
     pieces = {j: [(c, solve(coords)) for c, coords in pairs] for j, pairs in separate(nf).items()}

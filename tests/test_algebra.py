@@ -339,6 +339,24 @@ def test_atom_image_is_computed_once(monkeypatch):
     assert calls.count(h) == 1
 
 
+def test_memo_keys_are_untyped_and_keep_identities():
+    """jetsym's memos key on equality alone: (g, S.One, b) and (g, 1, b) are
+    one key of ``_bound_image``, whose branches for an integer and a sympy
+    exponent give equal values.  A normal e is its own normal form, the same
+    object, however its value was read."""
+    jet = _PLAIN_WS.parse("u_{x1}")
+    bindings = ((jet, _PLAIN_WS.parse("u + 1")),)
+    sp.core.cache.clear_cache()
+    image = algebra._bound_image(jet, sp.S.One, bindings)
+    assert algebra._bound_image(jet, 1, bindings) is image
+    assert algebra._bound_image.__wrapped__(jet, 1, bindings) == image
+    for text in ("u^2*x1 - 3/2", "exp(u/2)/(u + 1)", "sin(h(t))*D(h(t),t) + lam/x1",
+                 "log(u + 1)^2 - u^(1/2)"):
+        e = normalize(_PLAIN_WS.parse(text))
+        assert _normal_form(e, _read(e)) is e
+        assert normalize(e) is e
+
+
 def test_normalize_cancels_non_plain(monkeypatch):
     """Rational functions, kernel and Laurent sums are put in sympy.cancel's
     form without it: the ring reads a rational function as a pair (N, D).

@@ -17,6 +17,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +86,18 @@ def test_golden_report(fixture, command):
 def test_golden_variant_report(fixture, command, extra):
     _check(golden_path(fixture, command, extra).read_text(),
            *run_json(fixture, command, extra))
+
+
+@pytest.mark.parametrize("fixture,command,extra", [("wave", "derive-determining", ()),
+                                                   ("wave", "verify-symmetry", ("--force-direct",))],
+                         ids=["derive-determining", "verify-symmetry.force-direct"])
+def test_report_without_caches(fixture, command, extra):
+    """With sympy's caches and jetsym's memos off (SYMPY_USE_CACHE=no), a
+    fresh process prints the golden report: no result rests on a memo."""
+    proc = subprocess.run([sys.executable, "-m", "jetsym.cli", command, str(SOURCES[fixture]),
+                           *extra, "--format", "json"], capture_output=True, text=True,
+                          env={**os.environ, "SYMPY_USE_CACHE": "no"})
+    _check(golden_path(fixture, command, extra).read_text(), proc.returncode, proc.stdout)
 
 
 def load_expectations():

@@ -4,9 +4,9 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.core.cache import cacheit
 
 from jetsym import MultiIndex, Workspace, grammar, normalize, parse, print_expr
+from jetsym.algebra import _memo
 from jetsym.errors import (DivisionByZero, ExprSyntaxError, JetOrderExceeded,
                            JetsymError, UnknownSymbol)
 from jetsym.grammar import KERNELS
@@ -164,7 +164,7 @@ _TEXTS = st.recursive(st.one_of(
 _NON_FINITE = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
-@cacheit
+@_memo
 def _evaluated(e):
     """The parser's tree e as sympy's constructors build it: each sum,
     product and power rebuilt, its arguments first.  A node that sympy

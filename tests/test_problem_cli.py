@@ -12,7 +12,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetsym import algebra, condsym
+from jetsym import algebra, condsym, grammar
 from jetsym import problem as problem_module
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import NotSeparable, SchemaError
@@ -280,6 +280,28 @@ def test_cross_process_determinism(args):
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_clear_cache_empties_every_memo(capsys):
+    """jetsym's memos are registered in sympy's cache, so that
+    ``clear_cache`` empties each of them after commands and zero tests that
+    fill them all, and a cold pass stays cold.  ``_normal_kernel`` has none:
+    ``_read``, its one caller, is memoized on the same kernel."""
+    memos = {f.__name__: f for module in (algebra, grammar) for f in vars(module).values()
+             if hasattr(f, "cache_info")}
+    assert sorted(memos) == ["_bound_image", "_derive", "_euler", "_factor", "_image",
+                             "_kernel", "_log_read", "_read", "_sort_key", "_substitute",
+                             "_tree", "ordered_terms"]
+    assert all(any(f is c for c in sp.core.cache.CACHE) for f in memos.values())
+    for command, fixture, *extra in [("verify-symmetry", "wave", "--force-direct"),
+                                     ("solve-liesys", "liouville")]:
+        assert run_json(capsys, command, PROBLEMS / f"{fixture}.jetsym", *extra)[0] == 0
+    ws = load_problem(PROBLEMS / "wave.jetsym").ws
+    for text in ("sin(u)^2 + cos(u)^2 - 1", "log(exp(u)*(x1^2 + 1)) - u - log(x1^2 + 1)"):
+        assert algebra.zero_verdict(ws.parse(text)).verdict.value == "Zero"
+    assert all(f.cache_info().currsize for f in memos.values())
+    sp.core.cache.clear_cache()
+    assert {name: f.cache_info().currsize for name, f in memos.items()} == dict.fromkeys(memos, 0)
+
+
 @pytest.mark.parametrize("tiny", ["1/1000000000000", "exp(-40)"])
 def test_tiny_pivot_family_is_rectifiable(capsys, tmp_path, tiny):
     path = tmp_path / "tiny.jetsym"
@@ -393,7 +415,8 @@ def test_substituting_commands_make_no_xreplace_call(monkeypatch, capsys):
         assert rc == 0
     assert not {name for name, _, _ in calls} & {
         "jetsym.condsym", "jetsym.liesys", "jetsym.jets", "jetsym.problem"}
-    substituted = [tree for name, f, tree in calls if name == "jetsym.algebra" and f == "image"]
+    substituted = [tree for name, f, tree in calls
+                   if name == "jetsym.algebra" and f == "_bound_image"]
     assert substituted
     assert all(type(tree) in (sp.exp, sp.log) for tree in substituted)
 
