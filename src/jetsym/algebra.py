@@ -19,7 +19,10 @@ that stands for N / D, D a product of sums: empty for a polynomial.
 multiply and add values without cancelling (``_product``, ``_plus``,
 ``_derivation``) and put the result in normal form once (``_normal_form``),
 a tree built at once for a value without a denominator; ``grammar.parse``
-reads its unevaluated tree.  A sparse ring over QQ
+reads its unevaluated tree.  The steps of a determining system
+(``_derived``, ``_difference``, ``_substitution``) stay on values: they map
+hashable forms of normal values (``_frozen``, ``_normal``) to forms, are
+memoized on them, and build no tree (``_boundary`` builds one on request).  A sparse ring over QQ
 (``sympy.polys.rings.PolyRing``) is built only to cancel a quotient
 (``_ring_elements``, ``_as_expr``), and in ``Elimination``; a quotient
 cancels without one when N is 0 or D one term (``_laurent``) and, without
@@ -321,9 +324,10 @@ def split_monomials(e, deps):
     """[(c, x-monomial, u-monomial {atom: k})] with sum c * x * u = e, c in QQ
     and not 0, the x-monomial a frozenset of (atom, k) none of whose atoms
     meets deps, and every atom of the u-monomial meeting them, split as
-    ``_read`` reads e, N / D, each factor of D as its ``_factors``:
-    1/(u*x + u + x + 1) is 1/(x + 1) times 1/(u + 1)."""
-    terms, den = _read(e)
+    ``_read`` reads e, N / D, or as e is for the form of a value, each factor
+    of D as its ``_factors``: 1/(u*x + u + x + 1) is 1/(x + 1) times
+    1/(u + 1)."""
+    terms, den = _thawed(e) if type(e) is tuple else _read(e)
     c, inverse = QQ.one, {}      # 1/D as c * inverse
     for f, k in den.values():
         r, monomial = _factors(f, deps)
@@ -500,16 +504,29 @@ def derive(e, images):
     X(exp(c t)) = c X(t) exp(c t).
 
     e and the images are normal forms.  X runs on their ``_read`` values and
-    the atoms' images (``_derivation``), and the result is put in normal form
+    the atoms' images (``_derivative``), and the result is put in normal form
     once (``_normal_form``), which builds a ring only to cancel a quotient.
-    Cached, as sympy caches ``sp.diff``.
+    Cached, as sympy caches ``sp.diff``; ``_derived`` is the same step kept
+    on values.
     """
     return _derive(sp.sympify(e), tuple(images.items()))
 
 
 @_memo
 def _derive(e, images):
-    images, value, needed = dict(images), _read(e), {}
+    return _normal_form(None, _derivative(_read(e), images))
+
+
+@_memo
+def _derived(form, images):
+    """The form of ``derive`` on the value of a form: its step on values."""
+    return _normal(_derivative(_thawed(form), images))
+
+
+def _derivative(value, images):
+    """X(value), not normalized: ``_derivation`` given the values of the
+    images of the value's atoms (``_image`` for an atom that meets them)."""
+    images, needed = dict(images), {}
     for g in _atoms([value]):
         if g in images:
             needed[g] = _read(sp.sympify(images[g]))
@@ -517,7 +534,7 @@ def _derive(e, images):
             own = tuple((s, images[s]) for s in sorted(g.free_symbols, key=str) if s in images)
             if own:
                 needed[g] = _read(_image(g, own))
-    return _normal_form(None, _derivation(value, needed))
+    return _derivation(value, needed)
 
 
 @_memo
@@ -802,6 +819,64 @@ def _normal_form(e, value):
     return e if e is not None and out == e else out
 
 
+def _frozen(value):
+    """The form of a ``_read`` value (N, D), hashable: the frozensets of N's
+    (monomial, c) pairs and of D's (key, k) pairs, a factor's key being the
+    frozenset of its own pairs."""
+    num, den = value
+    return frozenset(num.items()), frozenset((key, k) for key, (_, k) in den.items())
+
+
+def _thawed(form):
+    """The ``_read`` value of a form."""
+    num, den = form
+    return dict(num), {key: (dict(key), k) for key, k in den}
+
+
+@_memo
+def _form(e):
+    """The form of ``_read(e)``."""
+    return _frozen(_read(e))
+
+
+@_memo
+def _boundary(form):
+    """The normal form of a form's value, e for ``_form(e)`` of a normal e: the
+    tree of a value step, built only where a tree is asked for."""
+    return _normal_form(None, _thawed(form))
+
+
+def _normal(value):
+    """The form of ``_read(_normal_form(None, value))``, built on the value
+    where its normal form is a sum or N*S/S: the terms but 0, each negative
+    integer power g**-s of an atom other than exp(t), the largest, moved to
+    D as the one-term factor g to the power s, as ``_read`` reads a power
+    g**-s; 0 is the term 0.  Read off the normal form for a quotient, a
+    negative power of an opaque atom or a power that sympy evaluates."""
+    num, den = value
+    if den and (laurent := _laurent(num, den)) is not None:
+        num, den = laurent, {}
+    terms = {m: c for m, c in num.items() if c}
+    if den and terms or any(map(_evaluates, terms)) or any(
+            k < 0 and not isinstance(g, _READ_ATOMS) for m in terms for g, k in m):
+        return _form(_normal_form(None, value))
+    shift = {}
+    for m in terms:
+        shift.update((g, -k) for g, k in m if k < -shift.get(g, 0) and type(g) is not sp.exp)
+    shift = {g: int(s) for g, s in shift.items() if s == int(s)}
+    if shift:
+        terms = _times(terms, {frozenset(shift.items()): QQ.one})
+    return (frozenset(terms.items() or [(frozenset(), QQ.zero)]),
+            frozenset((frozenset({(frozenset({(g, 1)}), QQ.one)}), s) for g, s in shift.items()))
+
+
+@_memo
+def _difference(a, b):
+    """The form of a - b for forms a and b."""
+    (n, d), (m, e) = _thawed(a), _thawed(b)
+    return _normal(_plus([(n, d), ({k: -c for k, c in m.items()}, e)]))
+
+
 def diff(e, s, ws=None):
     """Partial derivative, jet coordinates as independent symbols: ``derive`` with s -> 1."""
     if ws is not None and ws.kind(s) is None and not (
@@ -823,30 +898,45 @@ def substitute(e, bindings):
 
 @_memo
 def _substitute(e, bindings):
-    """normalize(e.xreplace(dict(bindings))), Derivatives evaluated: the one
-    substitution, of (key, value) pairs at once, keys symbols or applied
-    unknown functions, on e's ``_read`` value N / D.  An atom power g**k
-    becomes the value of g to the power k where g is a key (``_power``; sympy's
-    g**k, read, for k not an integer), and where g meets one (a kernel, an
-    exponential, a Derivative of a bound function) its own one-atom tree,
-    substituted and read back; N and each factor of D are mapped so
-    (``_mapped``) and put in normal form once.  A factor of D that maps to 0
-    raises ``DivisionByZero``.  Cached: route B reduces the same residuals."""
-    num, den = _read(e)
+    """normalize(e.xreplace(dict(bindings))), Derivatives evaluated: the
+    normal form of ``_bound`` under the forms of the values.  Cached: route
+    B reduces the same residuals."""
+    return _normal_form(None, _bound(_read(e), tuple((k, _form(v)) for k, v in bindings)))
+
+
+@_memo
+def _substitution(e, bindings):
+    """The form of ``_substitute`` for bindings (key, form): its step on values."""
+    return _normal(_bound(_read(e), bindings))
+
+
+def _bound(value, bindings):
+    """The one substitution, of (key, form) pairs at once, keys symbols or
+    applied unknown functions, on a value N / D, not normalized.  An atom
+    power g**k becomes the value of g to the power k where g is a key
+    (``_power``; sympy's g**k, read, for k not an integer), and where g meets
+    one (a kernel, an exponential, a Derivative of a bound function) its own
+    one-atom tree, substituted and read back; N and each factor of D are
+    mapped so (``_mapped``).  A factor of D that maps to 0 raises
+    ``DivisionByZero``."""
+    num, den = value
     image = lambda g, k: _bound_image(g, k, bindings)
-    return _normal_form(None, reduce(_product, [_mapped(num, image), *(
-        _power(_mapped(d, image), -k) for d, k in den.values())]))
+    return reduce(_product, [_mapped(num, image), *(
+        _power(_mapped(d, image), -k) for d, k in den.values())])
 
 
 @_memo
 def _bound_image(g, k, bindings):
-    """The value of the atom power g**k under ``_substitute``'s bindings,
-    once per atom power and bindings for all the residuals substituted."""
+    """The value of the atom power g**k under ``_bound``'s bindings, once per
+    atom power and bindings for all the residuals substituted; a bound tree
+    is built only for an xreplace or a rational power."""
     bound = dict(bindings)
     if g in bound:
-        return _power(_read(bound[g]), k) if type(k) is int else _read(sp.Pow(bound[g], k))
+        return _power(_thawed(bound[g]), k) if type(k) is int else _read(
+            sp.Pow(_boundary(bound[g]), k))
     if not g.is_Symbol and g.has(*bound):
-        return _read(monomial_expr({g: k}).xreplace(bound).replace(
+        return _read(monomial_expr({g: k}).xreplace(
+            {s: _boundary(v) for s, v in bindings if g.has(s)}).replace(
             lambda n: isinstance(n, sp.Derivative), lambda n: n.doit()))
     return {frozenset({(g, k)}): QQ.one}, {}
 

@@ -2,9 +2,10 @@
 
 Characteristic systems from vector-field families, integrability residuals
 of normal forms, ansatz construction over the closed function families,
-determining-system generation by coefficient collection, and verification
-of conditional symmetries (via rectification, or directly by prolonged
-tangency) and of explicit solutions.
+determining-system generation by coefficient collection, run on values from
+the ansatz to the collected coefficients, and verification of conditional
+symmetries (via rectification, or directly by prolonged tangency) and of
+explicit solutions.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import JetsymError, ReductionIncomplete
 from .families import AnsatzFamily, collect_family
 from .geometry import analyze_distribution, rectify
 from .grammar import ordered_terms, print_expr
-from .jets import (NormalFormSystem, ProlongedVectorField, compatibility_residuals,
-                   restrict_routes, restrict_to_section)
+from .jets import (NormalFormSystem, ProlongedVectorField, _residuals, _routes,
+                   compatibility_residuals, restrict_to_section)
 from .multiindex import MultiIndex, indices_up_to
 
 __all__ = [
@@ -144,14 +145,13 @@ def build_ansatz(family, ws):
     for j in range(ws.p):
         letter = string.ascii_lowercase[j] if j < 26 else f"a{j}"
         for a in range(ws.q):
-            total = sp.Integer(0)
+            pairs = []
             for key in keys:
                 suffix = family.suffix(key)
                 name = f"{letter}{suffix}" if ws.q == 1 else f"{letter}{a + 1}_{suffix}"
-                fn = ws.add_function(name)
-                unknowns.append(fn)
-                total += fn * family.monomial(key, deps)
-            rhs[(a, j)] = normalize(total)
+                unknowns.append(fn := ws.add_function(name))
+                pairs.append((fn, family.monomial(key, deps)))
+            rhs[(a, j)] = sum_of_products(pairs)
     return AnsatzSystem(ws, family, rhs, tuple(unknowns))
 
 
@@ -160,10 +160,10 @@ def build_ansatz(family, ws):
 # ---------------------------------------------------------------------------
 
 def _canonical_equation(e):
-    """Fix the overall sign so structurally equal equations deduplicate: an
-    expanded sum negates to its normal form, a Laurent form in the ring."""
+    """Fix the overall sign so structurally equal equations deduplicate: a
+    leading term with a minus sign negates the equation (``sum_of_products``)."""
     if e != 0 and ordered_terms(e)[0].could_extract_minus_sign():
-        return -e if e.is_Add else sum_of_products([(-1, e)])
+        return sum_of_products([(-1, e)])
     return e
 
 
@@ -186,7 +186,10 @@ def determining_system(pde, ansatz):
 
     A mixed jet restricted to the ansatz section resolves differently along
     each peel route off shell; every route is collected so no condition is
-    lost, and duplicates are removed structurally.
+    lost, and duplicates are removed structurally.  The jet values,
+    residuals and restrictions stay forms of values (``jets._residuals``,
+    ``jets._routes``) up to ``collect_family``, whose coefficients are the
+    first trees built.
     """
     ws, family = ansatz.ws, ansatz.family
     nf = ansatz.normal_form()
@@ -200,8 +203,8 @@ def determining_system(pde, ansatz):
         return list(eqs)
 
     return DeterminingSystem(
-        ws, family, equations(res for *_, res in compatibility_residuals(nf)),
-        equations(r for _, delta in pde.items() for r in restrict_routes(delta, nf)))
+        ws, family, equations(res for *_, res in _residuals(nf)),
+        equations(r for _, delta in pde.items() for r in _routes(delta, nf)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import sympy as sp
 from sympy.polys.domains import QQ, QQ_I
 
-from .algebra import derive, euler, monomial_expr, normal_forms, normalize, split_monomials
+from .algebra import (_memo, derive, euler, monomial_expr, normal_forms, normalize,
+                      split_monomials)
 from .errors import FamilyNotClosed, NotInFamily
 
 POLYNOMIAL = "polynomial"
@@ -106,21 +107,29 @@ class AnsatzFamily:
 
 def _family_terms(monomial, family, deps):
     """[(r, key)] with sum r * basis element = the u-monomial; NotInFamily
-    when there is none.  A u-monomial that is no single basis element is
-    rewritten through Euler's formula (``algebra.euler``): sinh and cosh
-    into exponentials of u, and sin and cos into powers of exp(i*u), which
-    ``_fourier`` reads.  A u-part outside the ring, which
-    ``split_monomials`` keeps as one atom, has no key."""
+    when there is none (``_family_read``)."""
+    return [(QQ.to_sympy(r), key) for r, key in _family_read(frozenset(monomial.items()),
+                                                              family, tuple(deps))]
+
+
+@_memo
+def _family_read(u, family, deps):
+    """``_family_terms`` of the u-monomial u, a frozenset of (atom, k), with r
+    in QQ; read once per u-monomial, family and deps.  A u-monomial that is
+    no single basis element is rewritten through Euler's formula
+    (``algebra.euler``): sinh and cosh into exponentials of u, and sin and
+    cos into powers of exp(i*u), which ``_fourier`` reads.  A u-part outside
+    the ring, which ``split_monomials`` keeps as one atom, has no key."""
     trigonometric = family.kind == TRIGONOMETRIC
-    if not trigonometric and (key := family.key(monomial, deps)) is not None:
-        return [(1, key)]
-    terms = euler({frozenset(monomial.items()): QQ.one})
+    if not trigonometric and (key := family.key(dict(u), deps)) is not None:
+        return [(QQ.one, key)]
+    terms = euler({u: QQ.one})
     terms = (_fourier(terms, deps[0]) if trigonometric
              else {family.key(dict(m), deps): c for m, c in terms.items()})
-    out = [(QQ.to_sympy(c.x), key) for key, c in terms.items() for c in [QQ_I.convert(c)]
+    out = [(c.x, key) for key, c in terms.items() for c in [QQ_I.convert(c)]
            if key is not None and not c.y]
     if len(out) < len(terms):
-        raise NotInFamily(monomial_expr(monomial), family.kind)
+        raise NotInFamily(monomial_expr(dict(u)), family.kind)
     return out
 
 
@@ -144,20 +153,16 @@ def collect_family(e, family, deps):
     """Write e = sum coeff(m) * m over the family basis monomials.
 
     ``e`` must be a normal form (the output of ``normalize`` or of an engine
-    operation), which is not normalized again here.  Each distinct
-    u-monomial of its ``split_monomials`` terms is read into family keys
-    once, the QQ coefficients are summed over x-monomials per key, and the
-    sums are built together (``normal_forms``), in ``default_sort_key``
-    order of the basis monomials.  A u-monomial that cannot be matched
-    raises NotInFamily.
+    operation), or the form of its value (``algebra._form``), which is not
+    normalized again here.  Each u-monomial of its ``split_monomials`` terms
+    is read into family keys (``_family_read``), the QQ coefficients are
+    summed over x-monomials per key, and the sums are built together
+    (``normal_forms``), in ``default_sort_key`` order of the basis
+    monomials.  A u-monomial that cannot be matched raises NotInFamily.
     """
-    deps = tuple(deps)
-    read, acc = {}, {}
-    for c, x, monomial in split_monomials(sp.sympify(e), deps):
-        u = frozenset(monomial.items())
-        if u not in read:
-            read[u] = [(QQ.convert(r), key) for r, key in _family_terms(monomial, family, deps)]
-        for r, key in read[u]:
+    deps, acc = tuple(deps), {}
+    for c, x, monomial in split_monomials(e if type(e) is tuple else sp.sympify(e), deps):
+        for r, key in _family_read(frozenset(monomial.items()), family, deps):
             group = acc.setdefault(key, {})
             group[x] = group[x] + r * c if x in group else r * c
     return dict(sorted(((family.monomial(key, deps), coeff) for key, coeff

@@ -5,6 +5,13 @@ jet coordinates via iterated total derivatives of their characteristics.
 Contracting a prolonged field with a basic contact form gives exactly the
 total derivative of a characteristic, which is the residual whose zero set
 defines a characteristic system.
+
+On a section in normal form the jet values, their compatibility residuals
+and the peel-route restrictions are the forms of ``_read`` values
+(``algebra._form``): section derivatives, differences and substitutions run
+on values from the right-hand sides to the restricted equations, each step
+memoized on its forms, and a tree is built only where a public function
+returns one (``algebra._boundary``).
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from itertools import product
 
 import sympy as sp
 
-from .algebra import _substitute, derive, difference, normalize, sum_of_products
+from .algebra import (_boundary, _derived, _difference, _form, _substitution, derive,
+                      normalize, sum_of_products)
 from .errors import HardJetLimitExceeded, PreconditionFailed
 from .grammar import print_expr
 from .multiindex import MultiIndex, indices_up_to
@@ -212,14 +220,19 @@ class NormalFormSystem:
 
     def jet_value(self, alpha, route):
         """u^a_K on the section along a peel route of K, outermost slot first:
-        phi^a_i for the route (i,), else D-tilde_{route[0]} of the value
-        along route[1:]."""
+        the normal form of ``_jet``."""
+        return _boundary(self._jet(alpha, route))
+
+    def _jet(self, alpha, route):
+        """The form of u^a_K along the route: phi^a_i's for the route (i,),
+        else ``_section_derivative`` in slot route[0] of the form along
+        route[1:]."""
         route = tuple(route)
         key = (alpha, route)
         if key not in self._jets:
             self._jets[key] = (
-                section_derivative(self.jet_value(alpha, route[1:]), route[0], self)
-                if len(route) > 1 else self.rhs[(alpha, route[0])])
+                _section_derivative(self._jet(alpha, route[1:]), route[0], self)
+                if len(route) > 1 else _form(self.rhs[(alpha, route[0])]))
         return self._jets[key]
 
     def fields(self):
@@ -250,11 +263,17 @@ class NormalFormSystem:
 
 def section_derivative(e, i, nf):
     """D-tilde_i = d/dx_i + sum_b phi^b_i d/du^b acting on a J0 expression,
-    i a 0-based slot: ``derive`` with x_i -> 1 and u^b -> phi^b_i."""
+    i a 0-based slot: the normal form of ``_section_derivative``."""
+    return _boundary(_section_derivative(_form(sp.sympify(e)), i, nf))
+
+
+def _section_derivative(form, i, nf):
+    """D-tilde_i of a form: ``derive``'s value step with x_i -> 1 and
+    u^b -> phi^b_i."""
     ws = nf.ws
     images = {u: nf.rhs[(b, i)] for b, u in enumerate(ws.dependent)}
     images[ws.independent[i]] = sp.S.One
-    return derive(e, images)
+    return _derived(form, tuple(images.items()))
 
 
 def compatibility_residuals(nf):
@@ -264,8 +283,13 @@ def compatibility_residuals(nf):
     for j < k.  It is the phi^a-part of the bracket [Z_j, Z_k] of the induced
     fields, whose xi-part is 0, so all residuals vanish iff the fields commute.
     """
-    ws, value = nf.ws, nf.jet_value
-    return [(a, j, k, difference(value(a, (j, k)), value(a, (k, j))))
+    return [(a, j, k, _boundary(res)) for a, j, k, res in _residuals(nf)]
+
+
+def _residuals(nf):
+    """``compatibility_residuals`` with each residual a form."""
+    ws, value = nf.ws, nf._jet
+    return [(a, j, k, _difference(value(a, (j, k)), value(a, (k, j))))
             for a in range(ws.q) for j in range(ws.p) for k in range(j + 1, ws.p)]
 
 
@@ -276,7 +300,8 @@ def restrict_to_section(e, nf):
     normal form all routes agree because total derivatives commute.
     """
     e = sp.sympify(e)
-    return _substitute(e, tuple((s, nf.jet_value(a, K.slots())) for s, a, K in nf.ws.jet_atoms(e)))
+    return _boundary(_substitution(e, tuple((s, nf._jet(a, K.slots()))
+                                            for s, a, K in nf.ws.jet_atoms(e))))
 
 
 def restrict_routes(e, nf):
@@ -286,9 +311,13 @@ def restrict_routes(e, nf):
     machinery collects coefficients from every route so that no condition
     implied by a resolution order is lost.
     """
-    e = sp.sympify(e)
+    return [_boundary(form) for form in _routes(sp.sympify(e), nf)]
+
+
+def _routes(e, nf):
+    """``restrict_routes`` with each restriction a form."""
     atoms = sorted(nf.ws.jet_atoms(e), key=lambda t: t[0].name)
-    alternatives = [list(dict.fromkeys(nf.jet_value(a, route) for route in K.routes()))
+    alternatives = [list(dict.fromkeys(nf._jet(a, route) for route in K.routes()))
                     for _, a, K in atoms]
     combos = math.prod(map(len, alternatives))
     if combos > ROUTE_LIMIT:
@@ -296,5 +325,5 @@ def restrict_routes(e, nf):
             "route enumeration", f"{combos} jet resolution routes exceed limit {ROUTE_LIMIT}")
     # the first atom varies slowest, each over its distinct values last-first
     symbols = [s for s, _, _ in atoms]
-    return list(dict.fromkeys(_substitute(e, tuple(zip(symbols, combo)))
+    return list(dict.fromkeys(_substitution(e, tuple(zip(symbols, combo)))
                               for combo in product(*(values[::-1] for values in alternatives))))

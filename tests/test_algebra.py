@@ -345,7 +345,7 @@ def test_memo_keys_are_untyped_and_keep_identities():
     exponent give equal values.  A normal e is its own normal form, the same
     object, however its value was read."""
     jet = _PLAIN_WS.parse("u_{x1}")
-    bindings = ((jet, _PLAIN_WS.parse("u + 1")),)
+    bindings = ((jet, algebra._form(_PLAIN_WS.parse("u + 1"))),)
     sp.core.cache.clear_cache()
     image = algebra._bound_image(jet, sp.S.One, bindings)
     assert algebra._bound_image(jet, 1, bindings) is image
@@ -663,6 +663,26 @@ def test_quotients_cancel_without_a_ring(case):
                            if ring_free else _ring_elements):
         out = _normal_form(None, (num, den))
     assert _same_tree(out, _as_expr(*_ring_elements([(num, den)])[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_read_sums().map(lambda terms: (terms, {})),
+                 _quotients().map(lambda case: case[:2])))
+@example(({frozenset(): QQ(0)}, {}))
+@example(({frozenset({(_x1, sp.Rational(-1, 2))}): QQ(1), frozenset({(_x1, -1), (_u, 1)}): QQ(2)},
+          {}))
+@example(({frozenset({(_x1, sp.Rational(-3, 2))}): QQ(1), frozenset({(_x1, -1)}): QQ(-2)}, {}))
+@example(({frozenset({(sp.sin(_u), -2), (sp.exp(_u), sp.Rational(-1, 2))}): QQ(3, 2)}, {}))
+@example(({frozenset({(_h, -1)}): QQ(1), frozenset({(_u, 2)}): QQ(1)}, {}))
+def test_normal_value_is_the_read_of_its_normal_form(value):
+    """The value steps of the determining pipeline keep ``_normal(v)``, the
+    form of the value of v's normal form, built without a tree for a sum or
+    N*S/S, whose negative integer powers of atoms other than exp(t) ``_read``
+    reads as one-term factors of D; its boundary tree is v's normal form."""
+    tree = _normal_form(None, value)
+    form = algebra._normal(value)
+    assert algebra._thawed(form) == _read(tree)
+    assert _same_tree(algebra._boundary(form), tree)
 
 
 _FIXTURES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.jetsym"))

@@ -139,16 +139,12 @@ def wave_determining():
 
 def test_determining_system_derives_each_jet_value_once(monkeypatch):
     """The compatibility residual and both peel routes of u_{x1,x2} read the
-    same two section derivatives, so each is derived once.  Every module's
-    binding of section_derivative is counted."""
-    calls = []
-    real = jets.section_derivative
-    for name, module in list(sys.modules.items()):
-        if name.startswith("jetsym.") and getattr(module, "section_derivative", None) is real:
-            monkeypatch.setattr(module, "section_derivative",
-                                lambda e, slot, nf: calls.append((e, slot)) or real(e, slot, nf))
+    same two section derivatives, so each is derived once.  A jet value is
+    derived on values by ``jets._section_derivative``; every module's binding
+    of it is counted."""
+    calls = _count_calls(monkeypatch, jets, "_section_derivative")
     wave_determining()
-    assert len(set(calls)) == len(calls) == 2
+    assert len({(form, slot) for form, slot, _ in calls}) == len(calls) == 2
 
 
 def _count_calls(monkeypatch, module, name):
@@ -165,9 +161,10 @@ def _count_calls(monkeypatch, module, name):
 def test_verify_symmetry_reads_a_normal_form_once(monkeypatch, capsys):
     """verify-symmetry on the wave fixture, a family in Z_j-form, brackets
     nothing: its Abelian test and route A's restriction of u_{x1,x2} share
-    the normal form's two section derivatives D~_1 phi_2 and D~_2 phi_1."""
+    the normal form's two section derivatives D~_1 phi_2 and D~_2 phi_1,
+    each derived on values by ``jets._section_derivative``."""
     brackets = _count_calls(monkeypatch, geometry, "lie_bracket")
-    derivatives = _count_calls(monkeypatch, jets, "section_derivative")
+    derivatives = _count_calls(monkeypatch, jets, "_section_derivative")
     assert main(["verify-symmetry", str(PROBLEMS / "wave.jetsym")]) == 0
     capsys.readouterr()
     assert (len(brackets), len(derivatives)) == (0, 2)

@@ -12,7 +12,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetsym import algebra, condsym, grammar
+from jetsym import algebra, condsym, families, grammar
 from jetsym import problem as problem_module
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import NotSeparable, SchemaError
@@ -20,6 +20,7 @@ from jetsym.problem import load_problem
 from jetsym.report import Report
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+LADDER = Path(__file__).resolve().parent.parent / "perfbench" / "problems"
 
 
 def run_cli(capsys, *args):
@@ -284,16 +285,21 @@ def test_clear_cache_empties_every_memo(capsys):
     """jetsym's memos are registered in sympy's cache, so that
     ``clear_cache`` empties each of them after commands and zero tests that
     fill them all, and a cold pass stays cold.  ``_normal_kernel`` has none:
-    ``_read``, its one caller, is memoized on the same kernel."""
-    memos = {f.__name__: f for module in (algebra, grammar) for f in vars(module).values()
-             if hasattr(f, "cache_info")}
-    assert sorted(memos) == ["_bound_image", "_derive", "_euler", "_factor", "_image",
-                             "_kernel", "_log_read", "_read", "_sort_key", "_substitute",
+    ``_read``, its one caller, is memoized on the same kernel.  The value
+    steps of a determining system (``_derived``, ``_difference``,
+    ``_substitution``) and ``families._family_read`` are filled by
+    derive-determining on a trigonometric ladder rung."""
+    memos = {f.__name__: f for module in (algebra, grammar, families)
+             for f in vars(module).values() if hasattr(f, "cache_info")}
+    assert sorted(memos) == ["_bound_image", "_boundary", "_derive", "_derived", "_difference",
+                             "_euler", "_factor", "_family_read", "_form", "_image", "_kernel",
+                             "_log_read", "_read", "_sort_key", "_substitute", "_substitution",
                              "_tree", "ordered_terms"]
     assert all(any(f is c for c in sp.core.cache.CACHE) for f in memos.values())
-    for command, fixture, *extra in [("verify-symmetry", "wave", "--force-direct"),
-                                     ("solve-liesys", "liouville")]:
-        assert run_json(capsys, command, PROBLEMS / f"{fixture}.jetsym", *extra)[0] == 0
+    for command, path, *extra in [("verify-symmetry", PROBLEMS / "wave.jetsym", "--force-direct"),
+                                  ("solve-liesys", PROBLEMS / "liouville.jetsym"),
+                                  ("derive-determining", LADDER / "sine-gordon-n2.jetsym")]:
+        assert run_json(capsys, command, path, *extra)[0] == 0
     ws = load_problem(PROBLEMS / "wave.jetsym").ws
     for text in ("sin(u)^2 + cos(u)^2 - 1", "log(exp(u)*(x1^2 + 1)) - u - log(x1^2 + 1)"):
         assert algebra.zero_verdict(ws.parse(text)).verdict.value == "Zero"
