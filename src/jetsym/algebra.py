@@ -14,23 +14,24 @@ exponential exp(c*t) with c rational (t = 1 for a rational constant), one
 atom exp(t) with rational exponents; and any other node, Int(...), |x| or
 the base b of b**(1/2), as one opaque atom.  A log that
 ``sympy.expand_log`` splits reads as its split.  A value is a pair (N, D)
-that stands for N / D, D a product of sums: empty for a polynomial.
-``derive``, ``sum_of_products``, ``difference`` and ``_substitute``
-multiply and add values without cancelling (``_product``, ``_plus``,
-``_derivation``) and put the result in normal form once (``_normal_form``),
-a tree built at once for a value without a denominator; ``grammar.parse``
-reads its unevaluated tree.  The steps of a determining system
-(``_derived``, ``_difference``, ``_substitution``) stay on values: they map
-hashable forms of normal values (``_frozen``, ``_normal``) to forms, are
-memoized on them, and build no tree (``_boundary`` builds one on request).  A sparse ring over QQ
-(``sympy.polys.rings.PolyRing``) is built only to cancel a quotient
-(``_ring_elements``, ``_as_expr``), and in ``Elimination``; a quotient
-cancels without one when N is 0 or D one term (``_laurent``) and, without
-exp atoms or rational exponents, when N is one term over a D without
-monomial content (``_over_sum``).  Trees are built without sympy's
-``flatten`` and ``eval``: ``_tree`` sorts factors and terms, N*S/S among
-them, and ``_kernel`` builds exp and log atoms unevaluated where evaluation
-is the identity.  For the zero test and family collection, ``euler``
+that stands for N / D, D a product of sums {factor: k}: empty for a
+polynomial.  ``derive``, ``sum_of_products``, ``difference`` and
+``_substitute`` multiply and add values without cancelling (``_product``,
+``_plus``, ``_derivation``) and put the result in normal form once
+(``_normal_form``), a tree built at once for a value without a
+denominator; ``grammar.parse`` reads its unevaluated tree.  The steps of a determining system
+(``_derived``, ``_difference``, ``_substitution``) stay on values: a form
+is a normal value whose N and D are ``_Sum``s, hashed by their monomials
+and factors (``_form``, ``_normal``), and each step maps forms to forms,
+memoized on them, and builds no tree (``_boundary`` builds one on request).
+A sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to
+cancel a quotient (``_ring_elements``, ``_as_expr``), and in
+``Elimination``; a quotient cancels without one when N is 0 or D one term
+(``_laurent``) and, without exp atoms or rational exponents, when N is one
+term over a D without monomial content (``_over_sum``).  Trees are built
+without sympy's ``flatten`` and ``eval``: ``_tree`` sorts factors and
+terms, N*S/S among them, and ``_kernel`` builds exp and log atoms
+unevaluated where evaluation is the identity.  For the zero test and family collection, ``euler``
 rewrites sin, cos, sinh and cosh through Euler's formula over the Gaussian
 rationals QQ_I, so that their identities cancel as sums; normal forms stay
 in sin and cos; the zero test alone reads logs (``_log_read``).
@@ -327,9 +328,9 @@ def split_monomials(e, deps):
     ``_read`` reads e, N / D, or as e is for the form of a value, each factor
     of D as its ``_factors``: 1/(u*x + u + x + 1) is 1/(x + 1) times
     1/(u + 1)."""
-    terms, den = _thawed(e) if type(e) is tuple else _read(e)
+    terms, den = e if type(e) is tuple else _read(e)
     c, inverse = QQ.one, {}      # 1/D as c * inverse
-    for f, k in den.values():
+    for f, k in den.items():
         r, monomial = _factors(f, deps)
         c /= r ** k
         for g, i in monomial.items():
@@ -375,7 +376,7 @@ def _atoms(values):
     with the lcm of its exponents' denominators."""
     atoms = {}
     for num, den in values:
-        for s in (num, *(f for f, _ in den.values())):
+        for s in (num, *den):
             for m in s:
                 for g, k in m:
                     atoms[g] = atoms.get(g, 1) if type(k) is int else ilcm(atoms.get(g, 1), k.q)
@@ -420,7 +421,7 @@ def _ring_elements(values):
     elements = []
     for num, den in values:
         a, s = pair(num)
-        for f, k in den.values():
+        for f, k in den.items():
             b, t = pair(f)
             a, s = a * t ** k, s * b ** k
         elements.append((a, s))
@@ -491,8 +492,8 @@ def _derivation(value, images):
     if not den:
         return out
     return _plus([_product(out, (_ONE, den)), *(
-        _product(({m: -k * c for m, c in num.items()}, {**den, key: (f, k + 1)}),
-                 _derivation((f, {}), images)) for key, (f, k) in den.items())])
+        _product(({m: -k * c for m, c in num.items()}, {**den, f: k + 1}),
+                 _derivation((f, {}), images)) for f, k in den.items())])
 
 
 def derive(e, images):
@@ -520,7 +521,7 @@ def _derive(e, images):
 @_memo
 def _derived(form, images):
     """The form of ``derive`` on the value of a form: its step on values."""
-    return _normal(_derivative(_thawed(form), images))
+    return _normal(_derivative(form, images))
 
 
 def _derivative(value, images):
@@ -606,8 +607,7 @@ def _product(a, b):
     numerators over the product of the denominators, equal factors merged."""
     (n, d), (m, e) = a, b
     if d and e:
-        e = {**d, **{key: (f, d[key][1] + k) if key in d else (f, k)
-                     for key, (f, k) in e.items()}}
+        e = {**d, **{f: d.get(f, 0) + k for f, k in e.items()}}
     return _times(n, m), e or d
 
 
@@ -619,15 +619,14 @@ def _plus(values):
     for n, d in values:
         if not any(n.values()):
             continue
-        group = groups.setdefault(frozenset((key, k) for key, (_, k) in d.items()) if d
-                                  else None, ({}, d))[0]
+        group = groups.setdefault(frozenset(d.items()) if d else None, ({}, d))[0]
         for m, c in n.items():
             group[m] = group[m] + c if m in group else c
     if len(groups) == 1:
         return next(iter(groups.values()))
     num, lcm = {}, {}
     for _, d in groups.values():
-        lcm.update((key, (g, k)) for key, (g, k) in d.items() if k > lcm.get(key, (g, 0))[1])
+        lcm.update((f, k) for f, k in d.items() if k > lcm.get(f, 0))
     for n, d in groups.values():
         for m, c in _scaled(n, d, lcm).items():
             num[m] = num[m] + c if m in num else c
@@ -636,8 +635,7 @@ def _plus(values):
 
 def _scaled(num, den, lcm):
     """num times the factors of the denominator lcm that den lacks."""
-    return reduce(_times, [f for key, (f, k) in lcm.items()
-                           for _ in range(k - den.get(key, (f, 0))[1])], num)
+    return reduce(_times, [f for f, k in lcm.items() for _ in range(k - den.get(f, 0))], num)
 
 
 def _plain(value):
@@ -651,20 +649,35 @@ def _plain(value):
 _ONE = {frozenset(): QQ.one}
 
 
+class _Sum(dict):
+    """A map that no caller changes, hashed once, by its keys: a ``_read``
+    sum by its monomials (a hash of a QQ coefficient runs Python code), D by
+    its factors, bindings {key: form} by their keys.  Equal as dicts.  The N
+    of ``_form(e)`` keeps e (``tree``), any other None."""
+    __slots__ = ("hash", "tree")
+
+    def __init__(self, mapping, tree=None):
+        super().__init__(mapping)
+        self.hash, self.tree = hash(frozenset(self)), tree
+
+    def __hash__(self):
+        return self.hash
+
+
 @_memo
 def _read(e):
     """The value (N, D) of e, N / D as the ring reads ``sympy.expand`` of e
     with canonical derivatives and normal kernel arguments, read off the
     tree e.  N is a sum {monomial: c}, a monomial a frozenset of (atom, k)
-    and c in QQ; D is the product of its factors {key: (sum, k)}, empty for
-    a polynomial, so that a sum of quotients is over the least common
-    multiple of their factors.  An atom is a Symbol, an applied unknown
-    function of symbols or a canonical Derivative of one, with k rational;
-    a kernel (``_normal_kernel``), with k rational; exp(t) for a
-    direction t, with k rational, standing for exp(k*t); or any other node
-    as sympy builds it from normal arguments (``_built``), read again if
-    that is another node: b**k, k rational, as the atom b, and u**lam, |x|,
-    I, pi and Int(...) as themselves.  A product's atoms and one-term
+    and c in QQ; D is the product of its factors {factor: k}, each factor a
+    ``_Sum``, empty for a polynomial, so that a sum of quotients is over the
+    least common multiple of their factors.  An atom is a Symbol, an
+    applied unknown function of symbols or a canonical Derivative of one,
+    with k rational; a kernel (``_normal_kernel``), with k rational; exp(t)
+    for a direction t, with k rational, standing for exp(k*t); or any other
+    node as sympy builds it from normal arguments (``_built``), read again
+    if that is another node: b**k, k rational, as the atom b, and u**lam,
+    |x|, I, pi and Int(...) as themselves.  A product's atoms and one-term
     factors multiply into one monomial.  Non-finite input (zoo, nan, oo,
     0**-k) raises ``DivisionByZero``.  Cached, since the engine reads the
     same normal forms again and again; no caller changes a value."""
@@ -731,17 +744,17 @@ def _power(value, k):
     if k < 0:
         if not any(num.values()):
             raise DivisionByZero("division by zero")
-        num, den, k = _scaled(_ONE, {}, den), {frozenset(num.items()): (num, 1)}, -k
-    return reduce(_times, [num] * k, _ONE), {key: (g, j * k) for key, (g, j) in den.items() if k}
+        num, den, k = _scaled(_ONE, {}, den), {_Sum(num): 1}, -k
+    return reduce(_times, [num] * k, _ONE), {f: j * k for f, j in den.items() if k}
 
 
 def _laurent(num, den):
     """N / D as one sum, with negative exponents, when each factor of D is
     one term; else None."""
-    if any(len(f) != 1 for f, _ in den.values()):
+    if any(len(f) != 1 for f in den):
         return None
     return reduce(_times, [{frozenset((g, -i * j) for g, i in m): 1 / c ** j}
-                           for f, j in den.values() for m, c in f.items()], num)
+                           for f, j in den.items() for m, c in f.items()], num)
 
 
 def normalize(e):
@@ -798,10 +811,10 @@ def _normal_form(e, value):
     if _plain((num, den)) or not den and sum(map(bool, num.values())) == 1:
         # a polynomial, or one term with negative exponents, as it stands
         out = _tree(tuple((m, QQ.to_sympy(c)) for m, c in num.items() if c))
-    elif any(map(_evaluates, (m for f in (num, *(f for f, _ in den.values())) for m in f))):
+    elif any(map(_evaluates, (m for f in (num, *den) for m in f))):
         # sympy builds a power of an opaque atom as another node: read its tree
         out = normalize(sp.Mul(*[_tree(tuple((m, QQ.to_sympy(c)) for m, c in f.items())) ** j
-                                 for f, j in [(num, 1), *((f, -k) for f, k in den.values())]]))
+                                 for f, j in [(num, 1), *((f, -k) for f, k in den.items())]]))
     elif den:
         exps = any(type(g) is sp.exp or d != 1 for g, d in _atoms([value]).items())
         out = not exps and _over_sum(num, den) or _as_expr(*_ring_elements([value])[0])
@@ -819,31 +832,23 @@ def _normal_form(e, value):
     return e if e is not None and out == e else out
 
 
-def _frozen(value):
-    """The form of a ``_read`` value (N, D), hashable: the frozensets of N's
-    (monomial, c) pairs and of D's (key, k) pairs, a factor's key being the
-    frozenset of its own pairs."""
-    num, den = value
-    return frozenset(num.items()), frozenset((key, k) for key, (_, k) in den.items())
-
-
-def _thawed(form):
-    """The ``_read`` value of a form."""
-    num, den = form
-    return dict(num), {key: (dict(key), k) for key, k in den}
-
-
 @_memo
 def _form(e):
-    """The form of ``_read(e)``."""
-    return _frozen(_read(e))
+    """The form of ``_read(e)``: the value with N and D ``_Sum``s, N keeping e."""
+    num, den = _read(e)
+    return _Sum(num, e), _Sum(den)
+
+
+def _boundary(form):
+    """The normal form of a form's value: e for ``_form(e)``, else the tree of
+    a value step, built only where a tree is asked for (``_step_tree``)."""
+    return _step_tree(form) if form[0].tree is None else form[0].tree
 
 
 @_memo
-def _boundary(form):
-    """The normal form of a form's value, e for ``_form(e)`` of a normal e: the
-    tree of a value step, built only where a tree is asked for."""
-    return _normal_form(None, _thawed(form))
+def _step_tree(form):
+    """The normal form of a form's value, built once per form."""
+    return _normal_form(None, form)
 
 
 def _normal(value):
@@ -866,15 +871,15 @@ def _normal(value):
     shift = {g: int(s) for g, s in shift.items() if s == int(s)}
     if shift:
         terms = _times(terms, {frozenset(shift.items()): QQ.one})
-    return (frozenset(terms.items() or [(frozenset(), QQ.zero)]),
-            frozenset((frozenset({(frozenset({(g, 1)}), QQ.one)}), s) for g, s in shift.items()))
+    return (_Sum(terms or {frozenset(): QQ.zero}),
+            _Sum({_Sum({frozenset({(g, 1)}): QQ.one}): s for g, s in shift.items()}))
 
 
 @_memo
 def _difference(a, b):
     """The form of a - b for forms a and b."""
-    (n, d), (m, e) = _thawed(a), _thawed(b)
-    return _normal(_plus([(n, d), ({k: -c for k, c in m.items()}, e)]))
+    m, e = b
+    return _normal(_plus([a, ({k: -c for k, c in m.items()}, e)]))
 
 
 def diff(e, s, ws=None):
@@ -896,47 +901,39 @@ def substitute(e, bindings):
     return _substitute(sp.sympify(e), bindings)
 
 
-@_memo
 def _substitute(e, bindings):
     """normalize(e.xreplace(dict(bindings))), Derivatives evaluated: the
-    normal form of ``_bound`` under the forms of the values.  Cached: route
-    B reduces the same residuals."""
-    return _normal_form(None, _bound(_read(e), tuple((k, _form(v)) for k, v in bindings)))
+    normal form of ``_substitution`` on the forms of e and the values."""
+    return _boundary(_substitution(_form(e), tuple((k, _form(v)) for k, v in bindings)))
 
 
 @_memo
-def _substitution(e, bindings):
-    """The form of ``_substitute`` for bindings (key, form): its step on values."""
-    return _normal(_bound(_read(e), bindings))
-
-
-def _bound(value, bindings):
-    """The one substitution, of (key, form) pairs at once, keys symbols or
-    applied unknown functions, on a value N / D, not normalized.  An atom
+def _substitution(form, bindings):
+    """The form of the one substitution, of (key, form) pairs at once, keys
+    symbols or applied unknown functions, on a form's value N / D.  An atom
     power g**k becomes the value of g to the power k where g is a key
     (``_power``; sympy's g**k, read, for k not an integer), and where g meets
     one (a kernel, an exponential, a Derivative of a bound function) its own
     one-atom tree, substituted and read back; N and each factor of D are
     mapped so (``_mapped``).  A factor of D that maps to 0 raises
     ``DivisionByZero``."""
-    num, den = value
-    image = lambda g, k: _bound_image(g, k, bindings)
-    return reduce(_product, [_mapped(num, image), *(
-        _power(_mapped(d, image), -k) for d, k in den.values())])
+    (num, den), bound = form, _Sum(bindings)
+    image = lambda g, k: _bound_image(g, k, bound)
+    return _normal(reduce(_product, [_mapped(num, image), *(
+        _power(_mapped(d, image), -k) for d, k in den.items())]))
 
 
 @_memo
-def _bound_image(g, k, bindings):
-    """The value of the atom power g**k under ``_bound``'s bindings, once per
-    atom power and bindings for all the residuals substituted; a bound tree
-    is built only for an xreplace or a rational power."""
-    bound = dict(bindings)
+def _bound_image(g, k, bound):
+    """The value of the atom power g**k under the bindings {key: form}, once
+    per atom power and bindings for all the residuals substituted; a bound
+    tree is built only for an xreplace or a rational power."""
     if g in bound:
-        return _power(_thawed(bound[g]), k) if type(k) is int else _read(
+        return _power(bound[g], k) if type(k) is int else _read(
             sp.Pow(_boundary(bound[g]), k))
     if not g.is_Symbol and g.has(*bound):
         return _read(monomial_expr({g: k}).xreplace(
-            {s: _boundary(v) for s, v in bindings if g.has(s)}).replace(
+            {s: _boundary(v) for s, v in bound.items() if g.has(s)}).replace(
             lambda n: isinstance(n, sp.Derivative), lambda n: n.doit()))
     return {frozenset({(g, k)}): QQ.one}, {}
 

@@ -105,21 +105,15 @@ class AnsatzFamily:
         return tuple(key)
 
 
-def _family_terms(monomial, family, deps):
-    """[(r, key)] with sum r * basis element = the u-monomial; NotInFamily
-    when there is none (``_family_read``)."""
-    return [(QQ.to_sympy(r), key) for r, key in _family_read(frozenset(monomial.items()),
-                                                              family, tuple(deps))]
-
-
 @_memo
 def _family_read(u, family, deps):
-    """``_family_terms`` of the u-monomial u, a frozenset of (atom, k), with r
-    in QQ; read once per u-monomial, family and deps.  A u-monomial that is
-    no single basis element is rewritten through Euler's formula
-    (``algebra.euler``): sinh and cosh into exponentials of u, and sin and
-    cos into powers of exp(i*u), which ``_fourier`` reads.  A u-part outside
-    the ring, which ``split_monomials`` keeps as one atom, has no key."""
+    """[(r, key)], r in QQ, with sum r * basis element = the u-monomial u, a
+    frozenset of (atom, k); NotInFamily when there is none.  Read once per
+    u-monomial, family and deps.  A u-monomial that is no single basis
+    element is rewritten through Euler's formula (``algebra.euler``): sinh
+    and cosh into exponentials of u, and sin and cos into powers of
+    exp(i*u), which ``_fourier`` reads.  A u-part outside the ring, which
+    ``split_monomials`` keeps as one atom, has no key."""
     trigonometric = family.kind == TRIGONOMETRIC
     if not trigonometric and (key := family.key(dict(u), deps)) is not None:
         return [(QQ.one, key)]

@@ -7,11 +7,12 @@ total derivative of a characteristic, which is the residual whose zero set
 defines a characteristic system.
 
 On a section in normal form the jet values, their compatibility residuals
-and the peel-route restrictions are the forms of ``_read`` values
-(``algebra._form``): section derivatives, differences and substitutions run
-on values from the right-hand sides to the restricted equations, each step
-memoized on its forms, and a tree is built only where a public function
-returns one (``algebra._boundary``).
+and the peel-route restrictions are forms, ``_read`` values whose N and D
+hash by their monomials (``algebra._form``): section derivatives,
+differences and substitutions run on them from the right-hand sides to the
+restricted equations, each step memoized on its forms, and a tree is built
+only where a public function returns one (``algebra._boundary``, which
+gives back the tree a form was read off).
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ def restrict_to_section(e, nf):
     normal form all routes agree because total derivatives commute.
     """
     e = sp.sympify(e)
-    return _boundary(_substitution(e, tuple((s, nf._jet(a, K.slots()))
-                                            for s, a, K in nf.ws.jet_atoms(e))))
+    return _boundary(_substitution(_form(e), tuple((s, nf._jet(a, K.slots()))
+                                                   for s, a, K in nf.ws.jet_atoms(e))))
 
 
 def restrict_routes(e, nf):
@@ -324,6 +325,6 @@ def _routes(e, nf):
         raise PreconditionFailed(
             "route enumeration", f"{combos} jet resolution routes exceed limit {ROUTE_LIMIT}")
     # the first atom varies slowest, each over its distinct values last-first
-    symbols = [s for s, _, _ in atoms]
-    return list(dict.fromkeys(_substitution(e, tuple(zip(symbols, combo)))
+    symbols, form = [s for s, _, _ in atoms], _form(e)
+    return list(dict.fromkeys(_substitution(form, tuple(zip(symbols, combo)))
                               for combo in product(*(values[::-1] for values in alternatives))))

@@ -12,7 +12,7 @@ from jetsym.cli import main
 from jetsym.condsym import build_ansatz
 from jetsym.errors import FamilyNotClosed, NotInFamily
 from jetsym.families import (EXPONENTIAL, HYPERBOLIC, POLYNOMIAL,
-                             TRIGONOMETRIC, AnsatzFamily, _family_terms, check_closure,
+                             TRIGONOMETRIC, AnsatzFamily, _family_read, check_closure,
                              collect_family)
 from jetsym.jets import compatibility_residuals, restrict_routes
 from jetsym.problem import load_problem
@@ -176,8 +176,8 @@ def _collect_reference(e, family, deps):
     """Collection by sympy: the x-parts of each key summed and normalized."""
     acc = {}
     for x, monomial in split_terms(e, deps):
-        for r, key in _family_terms(monomial, family, deps):
-            acc.setdefault(key, []).append(r * x)
+        for r, key in _family_read(frozenset(monomial.items()), family, deps):
+            acc.setdefault(key, []).append(QQ.to_sympy(r) * x)
     return dict(sorted(((family.monomial(key, deps), c) for key, parts in acc.items()
                         if (c := normalize(sp.Add(*parts))) != 0),
                        key=lambda kv: sp.default_sort_key(kv[0])))
@@ -209,7 +209,7 @@ def test_collect_family_matches_split_and_normalize(kind, data):
             == [(sp.srepr(m), sp.srepr(c)) for m, c in reference.items()])
 
 
-# u-factors that take the Euler rewrite of _family_terms, and sympy's
+# u-factors that take the Euler rewrite of _family_read, and sympy's
 # rewrite that is the reference for it: TR8 for products of sin and cos,
 # rewrite(exp) for sinh and cosh
 _EULER_FACTORS = {
@@ -241,16 +241,17 @@ def test_family_terms_match_the_sympy_rewrites(kind, data):
     family = AnsatzFamily(kind, 3)
     m = sp.Mul(*data.draw(st.lists(st.sampled_from(factors), min_size=1, max_size=3)))
     ((_, _, monomial),) = algebra.split_monomials(m, (_U,))
+    u_monomial = frozenset(monomial.items())
     terms = [(c, family.key(u, (_U,)) if kind == HYPERBOLIC else _trigonometric_key(u))
              for c, u in split_terms(sp.expand(rewrite(m)), (_U,))]
     if any(key is None for _, key in terms):
         with pytest.raises(NotInFamily):
-            _family_terms(monomial, family, (_U,))
+            _family_read(u_monomial, family, (_U,))
         return
     reference = {}
     for c, key in terms:
         reference[key] = reference.get(key, 0) + c
-    assert ({key: r for r, key in _family_terms(monomial, family, (_U,))}
+    assert ({key: QQ.to_sympy(r) for r, key in _family_read(u_monomial, family, (_U,))}
             == {key: c for key, c in reference.items() if c})
 
 

@@ -37,6 +37,16 @@ def test_normal_form_system_checks_its_rhs(ws2):
         NormalFormSystem(ws2, {(0, 0): u, (0, 1): ux1})
 
 
+def test_jet_value_of_a_slot_is_its_right_hand_side(ws2):
+    """A form read off a tree builds that tree back, also where a second
+    ``normalize`` would give another sign: the jet value along a one-slot
+    route is the right-hand side itself, a quotient over powers of |x1|."""
+    x1, u = ws2.independent[0], ws2.dependent[0]
+    t = normalize(1 / (sp.Abs(x1) * (sp.Abs(x1) - 1) ** 2))
+    assert algebra._boundary(algebra._form(t)) is t
+    assert NormalFormSystem(ws2, {(0, 0): t, (0, 1): u}).jet_value(0, (0,)) is t
+
+
 def test_constructors_take_normal_forms_as_given(ws2, monkeypatch):
     """VectorField, NormalFormSystem and AnsatzSystem.from_explicit check
     their entries without normalizing them: input that is no normal form is

@@ -3,7 +3,7 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "jetsym"
 # the line count of src/jetsym/*.py, as `wc -l` counts it, that ROADMAP item 8
 # (at most 3300) is worked down from
-BUDGET = 4362
+BUDGET = 4354
 
 
 def test_source_stays_within_the_line_budget():
