@@ -2,7 +2,7 @@
 
 Exit status: 0 when every verdict is affirmative/Zero, 1 when any verdict is
 negative, 2 when any verdict is Unknown, 3 on errors, a malformed command
-line among them.
+line and an exception that escapes a command among them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .condsym import (AnsatzSystem, build_ansatz,
 from .errors import JetsymError, PreconditionFailed
 from .geometry import (VectorFieldFamily, analyze_distribution, is_abelian, rectify,
                        z_form)
-from .grammar import print_expr
+from .grammar import print_expr, print_value
 from .liesys import build_pde_lie_system, recognize_riccati, solve_solvable_q1
 from .problem import load_problem
 from .report import Report
@@ -126,8 +126,7 @@ def cmd_compatibility(report, problem, args, seed):
     all_zero = True
     for a, j, k, res in compatibility_residuals(nf):
         v = zero_verdict(res, seed=seed)
-        if v.verdict.value != "Zero":
-            all_zero = False
+        all_zero &= v.verdict.value == "Zero"
         x, u = ws.independent, ws.dependent[a]
         name = f"D_{x[j]}(phi^{u}_{x[k]}) - D_{x[k]}(phi^{u}_{x[j]})"
         report.add(name, v.verdict.value, confidence=v.confidence,
@@ -148,13 +147,11 @@ def cmd_derive_determining(report, problem, args, seed):
     ansatz = (build_ansatz(spec.family, ws) if spec.explicit_rhs is None
               else AnsatzSystem.from_explicit(spec.family, ws, spec.explicit_rhs))
     dsys = determining_system(pde, ansatz)
-    for eq in dsys.compatibility_eqs:
-        report.equations.append(f"compatibility: {print_expr(eq)} = 0")
-    for eq in dsys.pde_eqs:
-        report.equations.append(f"pde: {print_expr(eq)} = 0")
+    for kind, eqs in (("compatibility", dsys.compatibility), ("pde", dsys.pde)):
+        report.equations.extend(f"{kind}: {print_value(eq)} = 0" for eq in eqs)
     report.add("determining system generated", "ok",
-               detail=f"{len(dsys.pde_eqs)} PDE equations, "
-                      f"{len(dsys.compatibility_eqs)} compatibility equations "
+               detail=f"{len(dsys.pde)} PDE equations, "
+                      f"{len(dsys.compatibility)} compatibility equations "
                       f"in {len(ansatz.unknowns)} unknown functions")
     report.notes.append(
         "unknowns: " + ", ".join(print_expr(f) for f in ansatz.unknowns))
@@ -291,8 +288,9 @@ def main(argv=None):
         return _error(None, str(err), fmt)
     try:
         report = run(args)
-    except JetsymError as err:
-        return _error(args.command, str(err), args.format)
+    except Exception as err:    # a defect too ends in the error object, never a traceback
+        message = str(err) if isinstance(err, JetsymError) else f"{type(err).__name__}: {err}"
+        return _error(args.command, message, args.format)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:

@@ -3,7 +3,7 @@
 Characteristic systems from vector-field families, integrability residuals
 of normal forms, ansatz construction over the closed function families,
 determining-system generation by coefficient collection, run on values from
-the ansatz to the collected coefficients, and verification of conditional
+the ansatz to the printed equations, and verification of conditional
 symmetries (via rectification, or directly by prolonged tangency) and of
 explicit solutions.
 """
@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .algebra import (TriBool, ZeroVerdict, _substitute, derive, normalize, sum_of_products,
-                      zero_verdict)
+from .algebra import (TriBool, ZeroVerdict, _substitute, _Sum, derive, normal_forms, normalize,
+                      sum_of_products, zero_verdict)
 from .errors import JetsymError, ReductionIncomplete
-from .families import AnsatzFamily, collect_family
+from .families import AnsatzFamily, _collect
 from .geometry import analyze_distribution, rectify
-from .grammar import ordered_terms, print_expr
+from .grammar import ordered_terms, print_expr, value_terms
 from .jets import (NormalFormSystem, ProlongedVectorField, _residuals, _routes,
                    compatibility_residuals, restrict_to_section)
 from .multiindex import MultiIndex, indices_up_to
@@ -66,13 +66,9 @@ class CharacteristicSystem:
     prolonged: tuple = ()  # j^n Y_j, which owns the residuals of member j
 
     def rows(self, ws):
-        out = []
-        for (j, a, counts), e in sorted(
-                self.residuals.items(),
-                key=lambda kv: (kv[0][0], kv[0][1], MultiIndex(kv[0][2]).sort_key())):
-            out.append((f"member {j}, D_{counts} Q^{ws.dependent[a].name}",
-                        print_expr(e)))
-        return out
+        return [(f"member {j}, D_{counts} Q^{ws.dependent[a].name}", print_expr(e))
+                for (j, a, counts), e in sorted(self.residuals.items(), key=lambda kv: (
+                    kv[0][0], kv[0][1], MultiIndex(kv[0][2]).sort_key()))]
 
 
 def characteristic_system(F, n, seed=None):
@@ -159,25 +155,32 @@ def build_ansatz(family, ws):
 # determining systems
 # ---------------------------------------------------------------------------
 
-def _canonical_equation(e):
-    """Fix the overall sign so structurally equal equations deduplicate: a
-    leading term with a minus sign negates the equation (``sum_of_products``)."""
-    if e != 0 and ordered_terms(e)[0].could_extract_minus_sign():
-        return sum_of_products([(-1, e)])
-    return e
+def _signed(coeff):
+    """A coefficient value {x-monomial: c} as a ``_Sum``, its coefficients
+    flipped when its first term in print order has a minus sign, so that
+    equal equations deduplicate; None when it is 0."""
+    terms = value_terms(coeff)
+    if terms is None and (e := normal_forms([coeff])[0]) == 0:
+        return None
+    negative = terms[0][1] < 0 if terms else ordered_terms(e)[0].could_extract_minus_sign()
+    return _Sum({m: -c for m, c in coeff.items()} if negative else coeff)
 
 
 @dataclass
 class DeterminingSystem:
-    """E^r = 0 (integrability) and f_R = 0 (PDE) on the unknown coefficients."""
+    """E^r = 0 (integrability) and f_R = 0 (PDE) on the unknown coefficients,
+    as signed values (``_signed``); ``compatibility_eqs`` and ``pde_eqs``
+    are their normal forms."""
 
     ws: object
     family: AnsatzFamily
-    compatibility_eqs: list
-    pde_eqs: list
+    compatibility: list
+    pde: list
+    compatibility_eqs = property(lambda self: normal_forms(self.compatibility))
+    pde_eqs = property(lambda self: normal_forms(self.pde))
 
     def all_equations(self):
-        return list(self.compatibility_eqs) + list(self.pde_eqs)
+        return self.compatibility_eqs + self.pde_eqs
 
 
 def determining_system(pde, ansatz):
@@ -186,19 +189,18 @@ def determining_system(pde, ansatz):
 
     A mixed jet restricted to the ansatz section resolves differently along
     each peel route off shell; every route is collected so no condition is
-    lost, and duplicates are removed structurally.  The jet values,
-    residuals and restrictions stay forms of values (``jets._residuals``,
-    ``jets._routes``) up to ``collect_family``, whose coefficients are the
-    first trees built.
+    lost, and duplicates are removed on the signed values.  Jet values,
+    residuals, restrictions and coefficients stay values (``jets._residuals``,
+    ``jets._routes``, ``families._collect``).
     """
     ws, family = ansatz.ws, ansatz.family
     nf = ansatz.normal_form()
 
     def equations(residuals):
-        eqs = {}   # insertion-ordered, structurally deduplicated
+        eqs = {}   # insertion-ordered, deduplicated
         for res in residuals:
-            for coeff in collect_family(res, family, ws.dependent).values():
-                if (eq := _canonical_equation(coeff)) != 0:
+            for _, coeff in _collect(res, family, ws.dependent):
+                if (eq := _signed(coeff)) is not None:
                     eqs.setdefault(eq)
         return list(eqs)
 
@@ -320,12 +322,9 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
                 f"cannot solve {name} for its leading jet: {print_expr(red)}")
 
     # joint-consistency: the constraints must admit common points at all
-    unsat = []
-    for key, res in char.residuals.items():
-        if _nonzero_constant(_reduce(_reduce(res, delta_map), char_map), ws, seed):
-            unsat.append(print_expr(res))
-    if char.inconsistent:
-        unsat.extend(print_expr(char.residuals[k]) for k in char.inconsistent)
+    unsat = [print_expr(res) for res in char.residuals.values()
+             if _nonzero_constant(_reduce(_reduce(res, delta_map), char_map), ws, seed)]
+    unsat += [print_expr(char.residuals[k]) for k in char.inconsistent]
     if unsat:
         notes.append("constraint set unsatisfiable: residual(s) "
                      + "; ".join(sorted(set(unsat)))

@@ -4,14 +4,13 @@ A family fixes the u-dependence allowed on the right-hand sides of the
 differential constraints: polynomials in the dependent variables,
 half-integer exponentials exp(k*u/2), trigonometric combinations
 1/sin(n*u)/cos(n*u), or integer exponentials exp(k*u) (the hyperbolic
-basis in exponential form).  Families are closed under d/du, products,
-and linear combinations, which is what makes coefficient collection of
-the determining equations possible.  Collection and the closure check
-split a normal form into QQ coefficients times x-monomials times
-u-monomials with the one x/u splitter (``algebra.split_monomials``), and
-collection sums the coefficients over x-monomials per key.  A product of
-sin and cos, or of sinh, cosh and exp, goes to the basis through Euler's
-formula (``algebra.euler``).
+basis in exponential form).  Families are closed under d/du, products and
+linear combinations, which makes coefficient collection possible.
+Collection and the closure check split a normal form into QQ coefficients
+times x-monomials times u-monomials (``algebra.split_monomials``), and
+``_collect`` sums the coefficients over x-monomials per family key into
+values {x-monomial: c}.  A product of sin and cos, or of sinh, cosh and
+exp, goes to the basis through Euler's formula (``algebra.euler``).
 """
 
 from __future__ import annotations
@@ -143,25 +142,28 @@ def _fourier(terms, u):
     return {key: c for key, c in out.items() if c}
 
 
-def collect_family(e, family, deps):
-    """Write e = sum coeff(m) * m over the family basis monomials.
-
-    ``e`` must be a normal form (the output of ``normalize`` or of an engine
-    operation), or the form of its value (``algebra._form``), which is not
-    normalized again here.  Each u-monomial of its ``split_monomials`` terms
-    is read into family keys (``_family_read``), the QQ coefficients are
-    summed over x-monomials per key, and the sums are built together
-    (``normal_forms``), in ``default_sort_key`` order of the basis
-    monomials.  A u-monomial that cannot be matched raises NotInFamily.
-    """
+def _collect(e, family, deps):
+    """[(basis monomial m, value)], e = sum value * m, in ``default_sort_key``
+    order of m: each value {x-monomial: c}, c in QQ and not 0, sums the QQ
+    coefficients of the ``split_monomials`` terms of e over the family keys
+    of their u-monomials (``_family_read``), which raise NotInFamily."""
     deps, acc = tuple(deps), {}
     for c, x, monomial in split_monomials(e if type(e) is tuple else sp.sympify(e), deps):
         for r, key in _family_read(frozenset(monomial.items()), family, deps):
             group = acc.setdefault(key, {})
             group[x] = group[x] + r * c if x in group else r * c
-    return dict(sorted(((family.monomial(key, deps), coeff) for key, coeff
-                        in zip(acc, normal_forms(acc.values())) if coeff != 0),
-                       key=lambda kv: sp.default_sort_key(kv[0])))
+    return sorted(((family.monomial(key, deps), value) for key, group in acc.items()
+                   for value in [{x: c for x, c in group.items() if c}] if value),
+                  key=lambda kv: sp.default_sort_key(kv[0]))
+
+
+def collect_family(e, family, deps):
+    """{m: coeff} with e = sum coeff * m over the family basis monomials m,
+    each coeff a ``_collect`` value in normal form, but 0; e is a normal
+    form, or the form of its value (``algebra._form``)."""
+    terms = _collect(e, family, deps)
+    return {m: coeff for (m, _), coeff in zip(terms, normal_forms(v for _, v in terms))
+            if coeff != 0}
 
 
 def check_closure(basis, deps):

@@ -20,17 +20,21 @@ re-parseable; the bare grammar above has no derivative syntax).
 
 ``parse`` walks the text once into an unevaluated tree (no ``flatten`` or
 ``eval``), reads it (``algebra._read``, which reads every finite tree) and
-puts the value in normal form once.  A call's arguments are normalized and
-the call is read where it is built, so that a non-finite one raises there;
-a divisor whose normal form is 0 raises, 2^(1/2)*3^(1/2) - 6^(1/2) too.
+puts the value in normal form once.  A call's arguments are normalized, a
+kernel is built once, on the argument that ``algebra._normal_kernel``
+keeps, and the call is read where it is built, so that a non-finite one
+raises there; a divisor whose normal form is 0 raises, 2^(1/2)*3^(1/2) -
+6^(1/2) too.
 
 The printer emits this same grammar, a sum's terms in the order of sympy's
 ``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
-``e`` for every normalized expression.
+``e`` for every normalized expression.  ``print_value`` prints a value
+{monomial: c} as ``print_expr`` prints its normal form, with no tree built.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 import sympy as sp
@@ -53,40 +57,22 @@ class Token(NamedTuple):
     pos: int
 
 
+# a number is decimal digits; an identifier a letter, then letters, digits and
+# underscores, but for the "_{" that opens a jet's subscripts
+_TOKEN = re.compile(r"\s*(?:(?P<NUMBER>\d+)|(?P<IDENT>[^\W\d_](?:[^\W_]|_(?!\{))*)"
+                    r"|(?P<JETOPEN>_\{)|(?P<OP>[-+*/^(),}]))")
+
+
 def tokenize(text):
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("NUMBER", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum()
-                             or (text[j] == "_" and text[j + 1:j + 2] != "{")):
-                j += 1
-            out.append(Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        if c == "_" and text[i + 1:i + 2] == "{":
-            out.append(Token("JETOPEN", "_{", i))
-            i += 2
-            continue
-        if c in "+-*/^(),}":
-            out.append(Token(c, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    out.append(Token("EOF", "", n))
-    return out
+    out, i = [], 0
+    while match := _TOKEN.match(text, i):
+        kind = match[0][-1] if match.lastgroup == "OP" else match.lastgroup
+        out.append(Token(kind, match[match.lastgroup], match.start(match.lastgroup)))
+        i = match.end()
+    i = len(text) - len(text[i:].lstrip())
+    if i < len(text):
+        raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+    return out + [Token("EOF", "", len(text))]
 
 
 class _Parser:
@@ -226,7 +212,9 @@ class _Parser:
         if name in KERNELS:
             if len(args) != 1:
                 raise ExprSyntaxError(f"kernel {name} takes one argument", head.pos)
-            return algebra._kernel(KERNELS[name], args[0])
+            cls, a = KERNELS[name], args[0]     # built once, where _normal_kernel keeps it
+            return cls(a, evaluate=False) if cls is not sp.log and not algebra._plain(
+                algebra._read(a)) else algebra._kernel(cls, a)
         if name in ("D", "Int"):
             return self._formal(head, args)
         if name in self.ws.functions:
@@ -327,6 +315,36 @@ def ordered_terms(e):
         tuple(-d[2].get(g, 0) for g in gens), ((bool(d[1].imag), d[1].imag), d[1].real))))
 
 
+@algebra._memo
+def _monomial(m):
+    """(True for a negative exponent, key, numerator texts, denominator
+    texts) of a monomial {atom: k}: the key holds (0, ``_sort_key`` of the
+    base, -exponent) of each factor of its tree as ``_factor`` splits it,
+    sorted, then (1,).  None for a number or an opaque atom."""
+    if not all(isinstance(g, algebra._READ_ATOMS) and not g.is_number for g, _ in m):
+        return None
+    factors = [algebra._power_tree(g, k) for g, k in m]
+    key = sorted((0, _sort_key(base), -e) for _, base, e in map(_factor, factors))
+    return any(k < 0 for _, k in m), (*key, (1,)), *_split(sorted(factors, key=_sort_key))
+
+
+def value_terms(value):
+    """The terms (monomial, c) of a value {monomial: c}, c in QQ and not 0,
+    in the order of ``ordered_terms`` on its normal form, sympy's c - k*x
+    included: on positive exponents the ``_monomial`` keys order terms as
+    sympy's key, where no number decides.  None for a value printed from
+    its tree: one with a number or an opaque atom (a sum atom), or a sum
+    with a negative exponent, whose normal form is N*S/S."""
+    info = {m: _monomial(m) for m in value}
+    if None in info.values() or len(value) > 1 and any(i[0] for i in info.values()):
+        return None
+    terms = sorted(value.items(), key=lambda t: info[t[0]][1])
+    if len(terms) == 2 and not terms[1][0] and terms[1][1] > 0 > terms[0][1] and (
+            len(terms[0][0]) == 1):
+        terms.reverse()
+    return terms
+
+
 def _print(e, need):
     text, level = _render(e)
     return f"({text})" if level < need else text
@@ -369,21 +387,28 @@ def _render_mul(e):
     if coeff.is_Rational and coeff < 0:
         inner, _ = _render(-e)
         return f"-{inner}", _ADD
+    return _quotient(*_split(sorted(sp.Mul.make_args(e), key=_sort_key))), _MUL
+
+
+def _split(factors):
+    """The numerator and the denominator texts of a product's factors: p and
+    q of a Rational p/q, and the inverse of a negative power."""
     num, den = [], []
-    for f in sorted(sp.Mul.make_args(e), key=_sort_key):
+    for f in factors:
         if f.is_Rational and not f.is_Integer:
-            if f.p != 1:
-                num.append(sp.Integer(f.p))
-            den.append(sp.Integer(f.q))
+            num += [str(f.p)] * (f.p != 1)
+            den.append(str(f.q))
         elif f.is_Pow and f.exp.is_Rational and f.exp < 0 and f.base is not sp.S.Exp1:
-            den.append(sp.Pow(f.base, -f.exp))
+            den.append(_print(sp.Pow(f.base, -f.exp), _POW))
         else:
-            num.append(f)
-    num_text = "*".join(_print(f, _POW) for f in num) or "1"
-    if not den:
-        return num_text, _MUL
-    den_text = "*".join(_print(f, _POW) for f in den)
-    return f"{num_text}/{den_text if len(den) == 1 else f'({den_text})'}", _MUL
+            num.append(_print(f, _POW))
+    return num, den
+
+
+def _quotient(num, den):
+    """The text num/den of factor texts, den in parentheses for two or more."""
+    text, under = "*".join(num) or "1", "*".join(den)
+    return f"{text}/({under})" if len(den) > 1 else f"{text}/{under}" if den else text
 
 
 def _render_pow(e):
@@ -401,3 +426,18 @@ def print_expr(e):
     """Render an expression in the shared grammar, a sum's terms in the order
     of ``ordered_terms``."""
     return _render(sp.sympify(e))[0]
+
+
+def print_value(value):
+    """``print_expr`` of the normal form of a value {monomial: c}, rendered
+    from ``value_terms`` and ``_monomial`` texts where they order it."""
+    if (terms := value_terms(value)) is None:
+        return print_expr(algebra.normal_forms([value])[0])
+    out = []
+    for m, c in terms:
+        (*_, num, den), r = _monomial(m), abs(c)
+        text = _quotient([str(r.numerator)] * (r.numerator != 1) + num,
+                         [str(r.denominator)] * (r.denominator != 1) + den)
+        out.append(("-" if c < 0 else "") + text if not out else
+                   (" - " if c < 0 else " + ") + text)
+    return "".join(out)

@@ -737,10 +737,11 @@ def test_loading_the_fixtures_builds_no_ring(monkeypatch):
 
 
 def test_loading_the_fixtures_evaluates_no_kernel(monkeypatch):
-    """Each problem fixture loads from a cold cache without a log ``eval``,
-    and with an exp ``eval`` only on an argument that ``_kernel`` does not
-    build unevaluated, such as (u*x2 + 1)/u, the normal form in
-    exp(x2 + 1/u)."""
+    """Each problem fixture loads from a cold cache without a log or an exp
+    ``eval``: a kernel is built once, on the argument ``_normal_kernel``
+    keeps (``grammar._Parser.call``), so exp(x2 + 1/u) is built on x2 + 1/u,
+    which ``_kernel`` builds unevaluated, and never on its normal form
+    (u*x2 + 1)/u, which it does not."""
     calls = {sp.exp: [], sp.log: []}
     for cls, seen in calls.items():
         monkeypatch.setattr(cls, "eval", classmethod(
@@ -748,12 +749,11 @@ def test_loading_the_fixtures_evaluates_no_kernel(monkeypatch):
     for path in _FIXTURES:
         sp.core.cache.clear_cache()
         load_problem(path)
-    assert len(_FIXTURES) == 6 and calls[sp.log] == [] and calls[sp.exp]
-    for a in list(calls[sp.exp]):
-        sp.core.cache.clear_cache()
-        before = len(calls[sp.exp])
-        algebra._kernel(sp.exp, a)
-        assert len(calls[sp.exp]) > before
+    assert len(_FIXTURES) == 6 and calls == {sp.exp: [], sp.log: []}
+    u, x2 = sp.symbols("u x2", real=True)
+    sp.core.cache.clear_cache()
+    algebra._kernel(sp.exp, (u * x2 + 1) / u)
+    assert calls[sp.exp] == [(u * x2 + 1) / u]
 
 
 def test_log_quotient_in_a_log_sum_is_split_as_expand_log_splits_it():

@@ -4,12 +4,14 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from jetsym import MultiIndex, Workspace, grammar, normalize, parse, print_expr
-from jetsym.algebra import _memo
+from jetsym.algebra import _memo, _normal_form, normal_forms, split_monomials, sum_of_products
+from jetsym.condsym import _signed
 from jetsym.errors import (DivisionByZero, ExprSyntaxError, JetOrderExceeded,
                            JetsymError, UnknownSymbol)
-from jetsym.grammar import KERNELS
+from jetsym.grammar import KERNELS, ordered_terms, print_value, value_terms
 
 from conftest import random_expr, same_tree
 
@@ -242,3 +244,87 @@ def test_evaluated_is_sympys_tree(text, expected):
     text's operations, one after another: a power evaluates, a call
     evaluates, and -1 times a quotient keeps its two coefficients."""
     assert sp.srepr(_evaluated(grammar._Parser(text, _WS).run())) == expected
+
+
+# the x-part atoms of determining equations: unknown functions, their
+# derivatives, x symbols, a parameter and kernels of x
+_DWS = Workspace(["x1", "x2"], ["u"], order_cap=2)
+_DWS.add_parameter("lam")
+for _name, _args in (("a", None), ("b", None), ("h", ["x2"])):
+    _DWS.add_function(_name, args=_args)
+_X_ATOMS = [_DWS.parse(text) for text in (
+    "a(x1,x2)", "b(x1,x2)", "h(x2)", "D(a(x1,x2),x1)", "D(a(x1,x2),x1,x2)", "D(h(x2),x2)",
+    "x1", "x2", "lam", "sin(x2)")] + [sp.exp(_DWS.independent[0], evaluate=False)]
+_QQ = st.builds(lambda p, q: QQ(p, q), st.integers(-9, 9).filter(bool), st.integers(1, 4))
+_X_MONOMIALS = st.builds(lambda powers: frozenset(dict(powers).items()), st.lists(st.tuples(
+    st.sampled_from(_X_ATOMS), st.sampled_from([1, 1, 2, 3, sp.Rational(1, 2)])), max_size=3))
+
+
+@st.composite
+def _coefficient_values(draw):
+    """A determining coefficient {x-monomial: c}: a sum of terms, a single
+    term whose exponents may be negative, or a two-term c - k*x, c and k of
+    either sign; a sum with a negative exponent is no such coefficient, its
+    normal form N*S/S printed from its tree."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        g, k = draw(st.sampled_from(_X_ATOMS)), draw(st.sampled_from([1, 2, sp.Rational(1, 2)]))
+        return {frozenset(): draw(_QQ), frozenset({(g, k)}): draw(_QQ)}
+    if kind == 1:
+        powers = draw(st.lists(st.tuples(st.sampled_from(_X_ATOMS), st.sampled_from(
+            [1, 2, -1, -3, sp.Rational(-1, 2)])), min_size=1, max_size=3))
+        return {frozenset(dict(powers).items()): draw(_QQ)}
+    return draw(st.dictionaries(_X_MONOMIALS, _QQ, min_size=1, max_size=6))
+
+
+def _tree_equation(e):
+    """The reference sign rule on the tree: negated when its first term has a
+    minus sign."""
+    return sum_of_products([(-1, e)]) if ordered_terms(e)[0].could_extract_minus_sign() else e
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_coefficient_values(), min_size=1, max_size=3), st.lists(
+    st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=6))
+@example([{frozenset(): QQ(2), frozenset({(_X_ATOMS[6], 1)}): QQ(-3)}], [(0, False), (0, True)])
+@example([{frozenset(): QQ(-1, 2), frozenset({(_X_ATOMS[0], 1)}): QQ(1)}], [(0, True), (0, False)])
+def test_value_printer_is_the_tree_printer(values, picks):
+    """The value printer, the value sign rule and deduplication on signed
+    values give what the tree path gives: ``print_value(v)`` is
+    ``print_expr`` of v's normal form, the first term of ``value_terms``
+    has c < 0 exactly when that of ``ordered_terms`` extracts a minus sign,
+    and equations drawn from values and their negations deduplicate to the
+    same equations in the same order."""
+    for v in values:
+        tree, terms = _normal_form(None, (v, {})), value_terms(v)
+        assert terms is not None
+        assert print_value(v) == print_expr(tree)
+        assert (terms[0][1] < 0) == ordered_terms(tree)[0].could_extract_minus_sign()
+    drawn = [{m: -c if negate else c for m, c in values[i % len(values)].items()}
+             for i, negate in picks]
+    by_value = list(dict.fromkeys(map(_signed, drawn)))
+    by_tree = list(dict.fromkeys(_tree_equation(_normal_form(None, (v, {}))) for v in drawn))
+    assert normal_forms(by_value) == by_tree
+    assert [print_value(v) for v in by_value] == list(map(print_expr, by_tree))
+
+
+@pytest.mark.parametrize("text", ["x2/(x1 + 1) - 2*x2", "2*x2 - x2/(x1 + 1)", "2^(1/2)*x1 - 3",
+                                  "3 - 2^(1/2)*x1", "1/x1 - x2", "x2 - 1/x1"])
+def test_values_that_monomials_do_not_order_take_the_tree_path(text):
+    """A coefficient with a sum atom (a split denominator), a number atom,
+    or a negative exponent in a sum is signed and printed from its normal
+    form: ``value_terms`` orders none, ``print_value`` is ``print_expr`` of
+    the normal form, and it and its negation are signed by the tree's sign
+    rule."""
+    v = {x: c for c, x, _ in split_monomials(_DWS.parse(text), ())}
+    tree = normal_forms([v])[0]
+    assert value_terms(v) is None and print_value(v) == print_expr(tree)
+    for w in (v, {m: -c for m, c in v.items()}):
+        assert normal_forms([_signed(w)]) == [_tree_equation(normal_forms([w])[0])]
+
+
+def test_a_value_whose_normal_form_is_0_is_no_equation():
+    """sqrt(2)*sqrt(3) - sqrt(6), whose terms sympy merges, signs to None."""
+    half = sp.Rational(1, 2)
+    assert _signed({frozenset({(sp.Integer(2), half), (sp.Integer(3), half)}): QQ(1),
+                    frozenset({(sp.Integer(6), half)}): QQ(-1)}) is None

@@ -12,7 +12,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetsym import algebra, condsym, families, grammar
+from jetsym import algebra, cli, condsym, families, grammar
 from jetsym import problem as problem_module
 from jetsym.cli import COMMANDS, main
 from jetsym.errors import NotSeparable, SchemaError
@@ -287,14 +287,15 @@ def test_clear_cache_empties_every_memo(capsys):
     fill them all, and a cold pass stays cold.  ``_normal_kernel`` has none:
     ``_read``, its one caller, is memoized on the same kernel.  The value
     steps of a determining system (``_derived``, ``_difference``,
-    ``_substitution``) and ``families._family_read`` are filled by
-    derive-determining on a trigonometric ladder rung."""
+    ``_substitution``), ``families._family_read`` and the value printer's
+    ``grammar._monomial`` are filled by derive-determining on a
+    trigonometric ladder rung."""
     memos = {f.__name__: f for module in (algebra, grammar, families)
              for f in vars(module).values() if hasattr(f, "cache_info")}
     assert sorted(memos) == ["_bound_image", "_derive", "_derived", "_difference", "_euler",
                              "_factor", "_family_read", "_form", "_image", "_kernel",
-                             "_log_read", "_read", "_sort_key", "_step_tree", "_substitution",
-                             "_tree", "ordered_terms"]
+                             "_log_read", "_monomial", "_read", "_sort_key", "_step_tree",
+                             "_substitution", "_tree", "ordered_terms"]
     assert all(any(f is c for c in sp.core.cache.CACHE) for f in memos.values())
     for command, path, *extra in [("verify-symmetry", PROBLEMS / "wave.jetsym", "--force-direct"),
                                   ("solve-liesys", PROBLEMS / "liouville.jetsym"),
@@ -639,3 +640,34 @@ def test_rectifiable_is_unknown_when_involutivity_is(capsys, tmp_path, phi, verd
     assert verdicts["rectifiable"]["verdict"] == verdict
     assert verdicts["rectifiable"]["detail"].startswith("precondition failed (involutivity)")
     assert code == rc
+
+
+def test_an_exception_that_escapes_a_command_exits_3(capsys, monkeypatch):
+    """A command that raises anything, a ValueError from a defect too, ends
+    in exit 3 with the command's error object under --format json, and in
+    the error line on stderr otherwise; no traceback, never exit 1."""
+    def broken(report, problem, args, seed):
+        raise ValueError("cannot print expression node X")
+    monkeypatch.setitem(cli._HANDLERS, "charsys", broken)
+    rc, data = run_json(capsys, "charsys", PROBLEMS / "wave.jetsym")
+    assert (rc, data) == (3, {"command": "charsys", "exit_code": 3,
+                              "error": "ValueError: cannot print expression node X"})
+    rc, out, err = run_cli(capsys, "charsys", PROBLEMS / "wave.jetsym")
+    assert (rc, out) == (3, "")
+    assert err == "jetsym charsys: error: ValueError: cannot print expression node X\n"
+
+
+def test_abs_problem_file_ends_in_a_report_or_an_error_object(capsys, tmp_path):
+    """|u| in the [pde] and |x1| in a phi, written as rational powers of
+    squares: solve-liesys, whose potential sympy integrates to a Piecewise
+    that the printer refuses, ends in exit 3 with its error object, and
+    every command in a report or an error object, with no traceback."""
+    path = tmp_path / "abs.jetsym"
+    path.write_text("[variables]\nindependent = x1 x2\ndependent = u\n[options]\norder = 2\n"
+                    "[pde]\nwave = \"(u^2)^(1/2) - u_{x1,x2}\"\n[fields]\n"
+                    "Z1 = \"1\" | \"0\" ; \"(x1^2)^(1/2)*u\"\nZ2 = \"0\" | \"1\" ; \"u\"\n")
+    rc, data = run_json(capsys, "solve-liesys", path)
+    assert rc == data["exit_code"] == 3 and "ExprCondPair" in data["error"]
+    for command in COMMANDS:
+        rc, data = run_json(capsys, command, path)
+        assert rc == data["exit_code"]
