@@ -1,30 +1,40 @@
 """Core expression operations: normalize, diff, substitute, zero-testing.
 
 Expressions are sympy objects built over workspace symbols; this module
-pins down the canonical form and the engine-wide three-valued zero test,
-in exact rational arithmetic: no float decides a verdict.
+pins down the canonical form and the engine-wide three-valued zero test.
+Exact rational arithmetic throughout; the zero test encloses values in
+interval arithmetic, and no float decides a verdict.
 
 Every operation runs on the values of one reader, ``_read``, which turns
-any finite tree into sums of monomials over QQ in atoms with rational
-exponents: symbols, applied unknown functions and canonical Derivatives;
-sin/cos/sinh/cosh/log atoms, constants such as sin(1) among them; one atom
-exp(t) for each direction t of an exponential exp(c*t), c rational; and
-any other node, Int(...), |x| or the base b of b**(1/2), as one opaque
-atom.  A value is a pair (N, D) that stands for N / D, D a product of sums
-{factor: k}, empty for a polynomial.  ``derive``, ``sum_of_products``,
-``difference`` and ``_substitute`` multiply and add values without
-cancelling (``_product``, ``_plus``, ``_derivation``) and put the result
-in normal form once (``_normal_form``).  The steps of a determining system
-(``_derived``, ``_difference``, ``_substitution``) map forms, normal values
-whose N and D are hashable ``_Sum``s (``_form``, ``_normal``), to forms,
-memoized on them, and build no tree (``_boundary`` builds one on request).
-A sparse ring over QQ (``PolyRing``) is built only to cancel a quotient
-that ``_laurent`` or ``_over_sum`` cannot (``_ring_elements``,
-``_as_expr``), and in ``Elimination``.  Trees are built without sympy's
-``flatten`` and ``eval`` (``_tree``, ``_kernel``).  For the zero test and
-family collection, ``euler`` rewrites sin, cos, sinh and cosh through
-Euler's formula over QQ_I, so that their identities cancel as sums; the
-zero test alone reads logs (``_log_read``).
+any finite tree into sums of monomials over QQ.  Atoms are symbols,
+applied unknown functions and canonical Derivatives, with rational
+exponents; sin/cos/sinh/cosh/log atoms, constants such as sin(1) among
+them, and logs of positive rationals; for each direction t of an
+exponential exp(c*t) with c rational (t = 1 for a rational constant), one
+atom exp(t) with rational exponents; and any other node, Int(...), |x| or
+the base b of b**(1/2), as one opaque atom.  A log that
+``sympy.expand_log`` splits reads as its split.  A value is a pair (N, D)
+that stands for N / D, D a product of sums {factor: k}: empty for a
+polynomial.  ``derive``, ``sum_of_products``, ``difference`` and
+``_substitute`` multiply and add values without cancelling (``_product``,
+``_plus``, ``_derivation``) and put the result in normal form once
+(``_normal_form``), a tree built at once for a value without a
+denominator; ``grammar.parse`` reads its unevaluated tree.  The steps of a determining system
+(``_derived``, ``_difference``, ``_substitution``) stay on values: a form
+is a normal value whose N and D are ``_Sum``s, hashed by their monomials
+and factors (``_form``, ``_normal``), and each step maps forms to forms,
+memoized on them, and builds no tree (``_boundary`` builds one on request).
+A sparse ring over QQ (``sympy.polys.rings.PolyRing``) is built only to
+cancel a quotient (``_ring_elements``, ``_as_expr``), and in
+``Elimination``; a quotient cancels without one when N is 0 or D one term
+(``_laurent``) and, without exp atoms or rational exponents, when N is one
+term over a D without monomial content (``_over_sum``).  Trees are built
+without sympy's ``flatten`` and ``eval``: ``_tree`` sorts factors and
+terms, N*S/S among them, and ``_kernel`` builds exp and log atoms
+unevaluated where evaluation is the identity.  For the zero test and family collection, ``euler``
+rewrites sin, cos, sinh and cosh through Euler's formula over the Gaussian
+rationals QQ_I, so that their identities cancel as sums; normal forms stay
+in sin and cos; the zero test alone reads logs (``_log_read``).
 """
 
 from __future__ import annotations
@@ -87,11 +97,13 @@ def _memo(f):
     return f
 
 
-def _normal_kernel(k):
-    """The kernel k with its argument normalized (k itself when the argument
-    is normal) and its ``_read`` value, for ``_read``, which memoizes it.
-    An argument that is not a polynomial stands expanded, k built once on it
-    (a log on the normal argument first, for its split): exp(a) reads as the
+def _normal_kernel(k, unevaluated=False):
+    """The kernel k with its argument normalized and its ``_read`` value, for
+    ``_read`` and the parser: k itself when its argument is normal, but for
+    an ``unevaluated`` node, the parser's, which ``_kernel`` builds, so that
+    sympy's sign rule sin(-y) = -sin(y) applies.  An argument that is
+    not a polynomial stands expanded, the kernel built once on it (a log on
+    the normal argument first, for its split): exp(a) reads as the
     product of exp(t) over the terms t of a, exp(x2 + 1/u) as
     exp(x2)*exp(1/u).  A log that
     ``sympy.expand_log`` splits reads as its split, log(4*x) as
@@ -106,7 +118,7 @@ def _normal_kernel(k):
     n = _normal_form(a, value)
     if not _plain(value) and type(k) is not sp.log:     # built once, on the argument kept
         n = sp.Add(*map(normalize, sp.Add.make_args(sp.expand(n))))
-    n = k if n is a else _kernel(type(k), n)
+    n = k if n is a and not unevaluated else _kernel(type(k), n)
     if type(n) is not type(k):
         return n, _read(n)
     if type(n) is sp.log:    # expand_log rewrites a log quotient inside a sum

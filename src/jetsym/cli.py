@@ -126,7 +126,8 @@ def cmd_compatibility(report, problem, args, seed):
     all_zero = True
     for a, j, k, res in compatibility_residuals(nf):
         v = zero_verdict(res, seed=seed)
-        all_zero &= v.verdict.value == "Zero"
+        if v.verdict.value != "Zero":
+            all_zero = False
         x, u = ws.independent, ws.dependent[a]
         name = f"D_{x[j]}(phi^{u}_{x[k]}) - D_{x[k]}(phi^{u}_{x[j]})"
         report.add(name, v.verdict.value, confidence=v.confidence,

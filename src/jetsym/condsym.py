@@ -66,9 +66,13 @@ class CharacteristicSystem:
     prolonged: tuple = ()  # j^n Y_j, which owns the residuals of member j
 
     def rows(self, ws):
-        return [(f"member {j}, D_{counts} Q^{ws.dependent[a].name}", print_expr(e))
-                for (j, a, counts), e in sorted(self.residuals.items(), key=lambda kv: (
-                    kv[0][0], kv[0][1], MultiIndex(kv[0][2]).sort_key()))]
+        out = []
+        for (j, a, counts), e in sorted(
+                self.residuals.items(),
+                key=lambda kv: (kv[0][0], kv[0][1], MultiIndex(kv[0][2]).sort_key())):
+            out.append((f"member {j}, D_{counts} Q^{ws.dependent[a].name}",
+                        print_expr(e)))
+        return out
 
 
 def characteristic_system(F, n, seed=None):
@@ -322,9 +326,12 @@ def _direct_tangency(pde, F, n, seed=None, notes=None):
                 f"cannot solve {name} for its leading jet: {print_expr(red)}")
 
     # joint-consistency: the constraints must admit common points at all
-    unsat = [print_expr(res) for res in char.residuals.values()
-             if _nonzero_constant(_reduce(_reduce(res, delta_map), char_map), ws, seed)]
-    unsat += [print_expr(char.residuals[k]) for k in char.inconsistent]
+    unsat = []
+    for key, res in char.residuals.items():
+        if _nonzero_constant(_reduce(_reduce(res, delta_map), char_map), ws, seed):
+            unsat.append(print_expr(res))
+    if char.inconsistent:
+        unsat.extend(print_expr(char.residuals[k]) for k in char.inconsistent)
     if unsat:
         notes.append("constraint set unsatisfiable: residual(s) "
                      + "; ".join(sorted(set(unsat)))

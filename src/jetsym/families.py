@@ -4,13 +4,15 @@ A family fixes the u-dependence allowed on the right-hand sides of the
 differential constraints: polynomials in the dependent variables,
 half-integer exponentials exp(k*u/2), trigonometric combinations
 1/sin(n*u)/cos(n*u), or integer exponentials exp(k*u) (the hyperbolic
-basis in exponential form).  Families are closed under d/du, products and
-linear combinations, which makes coefficient collection possible.
-Collection and the closure check split a normal form into QQ coefficients
-times x-monomials times u-monomials (``algebra.split_monomials``), and
-``_collect`` sums the coefficients over x-monomials per family key into
-values {x-monomial: c}.  A product of sin and cos, or of sinh, cosh and
-exp, goes to the basis through Euler's formula (``algebra.euler``).
+basis in exponential form).  Families are closed under d/du, products,
+and linear combinations, which is what makes coefficient collection of
+the determining equations possible.  Collection and the closure check
+split a normal form into QQ coefficients times x-monomials times
+u-monomials with the one x/u splitter (``algebra.split_monomials``), and
+``_collect`` sums the coefficients over x-monomials per key into values
+{x-monomial: c}.  A product of
+sin and cos, or of sinh, cosh and exp, goes to the basis through Euler's
+formula (``algebra.euler``).
 """
 
 from __future__ import annotations

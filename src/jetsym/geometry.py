@@ -187,7 +187,7 @@ def _involutivity(F, seed):
     assumptions = []
     notes = []
     for i, ((j, k), br) in enumerate(zip(pairs, brackets)):
-        if all(e == 0 for e in br.coefficient_row()):
+        if br.is_zero_field():
             structure[(j, k)] = tuple(sp.Integer(0) for _ in subset)
             continue
         coeffs, residuals = elimination.solution(len(F) + i)

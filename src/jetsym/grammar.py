@@ -21,10 +21,10 @@ re-parseable; the bare grammar above has no derivative syntax).
 ``parse`` walks the text once into an unevaluated tree (no ``flatten`` or
 ``eval``), reads it (``algebra._read``, which reads every finite tree) and
 puts the value in normal form once.  A call's arguments are normalized, a
-kernel is built once, on the argument that ``algebra._normal_kernel``
-keeps, and the call is read where it is built, so that a non-finite one
-raises there; a divisor whose normal form is 0 raises, 2^(1/2)*3^(1/2) -
-6^(1/2) too.
+kernel call is an unevaluated node that ``algebra._normal_kernel`` builds
+once, on the argument it keeps, and the call is read where it is built,
+so that a non-finite one raises there; a divisor whose normal form is 0
+raises, 2^(1/2)*3^(1/2) - 6^(1/2) too.
 
 The printer emits this same grammar, a sum's terms in the order of sympy's
 ``as_ordered_terms`` (``ordered_terms``), so ``parse(print(e))`` reproduces
@@ -34,7 +34,6 @@ The printer emits this same grammar, a sum's terms in the order of sympy's
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 import sympy as sp
@@ -57,22 +56,40 @@ class Token(NamedTuple):
     pos: int
 
 
-# a number is decimal digits; an identifier a letter, then letters, digits and
-# underscores, but for the "_{" that opens a jet's subscripts
-_TOKEN = re.compile(r"\s*(?:(?P<NUMBER>\d+)|(?P<IDENT>[^\W\d_](?:[^\W_]|_(?!\{))*)"
-                    r"|(?P<JETOPEN>_\{)|(?P<OP>[-+*/^(),}]))")
-
-
 def tokenize(text):
-    out, i = [], 0
-    while match := _TOKEN.match(text, i):
-        kind = match[0][-1] if match.lastgroup == "OP" else match.lastgroup
-        out.append(Token(kind, match[match.lastgroup], match.start(match.lastgroup)))
-        i = match.end()
-    i = len(text) - len(text[i:].lstrip())
-    if i < len(text):
-        raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
-    return out + [Token("EOF", "", len(text))]
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(Token("NUMBER", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum()
+                             or (text[j] == "_" and text[j + 1:j + 2] != "{")):
+                j += 1
+            out.append(Token("IDENT", text[i:j], i))
+            i = j
+            continue
+        if c == "_" and text[i + 1:i + 2] == "{":
+            out.append(Token("JETOPEN", "_{", i))
+            i += 2
+            continue
+        if c in "+-*/^(),}":
+            out.append(Token(c, c, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+    out.append(Token("EOF", "", n))
+    return out
 
 
 class _Parser:
@@ -212,9 +229,7 @@ class _Parser:
         if name in KERNELS:
             if len(args) != 1:
                 raise ExprSyntaxError(f"kernel {name} takes one argument", head.pos)
-            cls, a = KERNELS[name], args[0]     # built once, where _normal_kernel keeps it
-            return cls(a, evaluate=False) if cls is not sp.log and not algebra._plain(
-                algebra._read(a)) else algebra._kernel(cls, a)
+            return _kernel_call(KERNELS[name], args[0])
         if name in ("D", "Int"):
             return self._formal(head, args)
         if name in self.ws.functions:
@@ -241,6 +256,13 @@ class _Parser:
         if head.text == "D":
             return sp.Derivative(args[0], *args[1:]).canonical
         return sp.Integral(args[0], *args[1:])
+
+
+@algebra._memo
+def _kernel_call(cls, a):
+    """cls(a) as ``algebra._normal_kernel`` builds it from the parser's
+    unevaluated node, memoized here, since no ``_read`` memo sees that node."""
+    return algebra._normal_kernel(cls(a, evaluate=False), True)[0]
 
 
 def parse(text, ws):

@@ -56,6 +56,9 @@ class VectorField:
     def coefficient_row(self):
         return list(self.xi) + list(self.phi)
 
+    def is_zero_field(self):
+        return all(e == 0 for e in self.xi + self.phi)
+
 
 def _as_index(K):
     return K if isinstance(K, MultiIndex) else MultiIndex(tuple(K))
@@ -236,8 +239,12 @@ class NormalFormSystem:
     def fields(self):
         """The induced fields Z_j = d/dx^j + sum phi^a_j d/du^a."""
         ws = self.ws
-        return [VectorField(ws, tuple(sp.Integer(int(i == j)) for i in range(ws.p)),
-                            tuple(self.rhs[(a, j)] for a in range(ws.q))) for j in range(ws.p)]
+        out = []
+        for j in range(ws.p):
+            xi = tuple(sp.Integer(1) if i == j else sp.Integer(0) for i in range(ws.p))
+            phi = tuple(self.rhs[(a, j)] for a in range(ws.q))
+            out.append(VectorField(ws, xi, phi))
+        return out
 
     def equations(self):
         """Constraint residuals u^a_i - phi^a_i as jet expressions."""

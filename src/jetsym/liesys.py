@@ -21,7 +21,6 @@ formal integral node and downgrades the verification verdict to Unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
 from math import perm
 
@@ -166,7 +165,9 @@ def vg_closure(nf, cap=10):
             raise CapExceeded(cap)
         # store with rational content 1 and a positive leading coordinate
         lead = min(coords, key=lambda k: (k[0], sp.default_sort_key(k[1])))
-        content = reduce(sp.gcd, coords.values(), sp.Integer(0))
+        content = sp.Integer(0)
+        for v in coords.values():
+            content = sp.gcd(content, v)
         if coords[lead] < 0:
             content = -content
         gen_coords.append({k: v / content for k, v in coords.items()})
@@ -388,7 +389,9 @@ def solve_solvable_q1(sys, seed=None):
         quotients = [normalize(d * sp.exp(-P)) for d in ds]
         w_n, unresolved_n = _potential(quotients, ws)
         unresolved = unresolved_h or unresolved_n
-        lam = ws.parameters.get("lam") or ws.add_parameter("lam")
+        lam = ws.parameters.get("lam")
+        if lam is None:
+            lam = ws.add_parameter("lam")
         w_expr = normalize(w_h * (w_n + lam))
         u_sol = _substitute(u_of_w, ((w, w_expr),))
         verdicts = verify_solution([nf], {u: u_sol}, ws, seed=seed)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 
 @dataclass(frozen=True, order=False)
@@ -54,7 +54,10 @@ class MultiIndex:
 
     def slots(self):
         """Slot indices with multiplicity, lowest slot first."""
-        return tuple(i for i, k in enumerate(self.counts) for _ in range(k))
+        out = []
+        for i, k in enumerate(self.counts):
+            out.extend([i] * k)
+        return tuple(out)
 
     def routes(self):
         """All distinct orderings of the slot multiset.
@@ -69,11 +72,23 @@ class MultiIndex:
 
 
 def indices_of_order(p, n):
-    """All multi-indices with p slots and |K| = n, in canonical order: the
-    counts in lexicographic order, as ``itertools.product`` gives them."""
-    return [MultiIndex(c) for c in product(range(n + 1), repeat=p) if sum(c) == n]
+    """All multi-indices with p slots and |K| = n, in canonical order."""
+    out = []
+
+    def rec(prefix, remaining, slots_left):
+        if slots_left == 1:
+            out.append(MultiIndex(tuple(prefix + [remaining])))
+            return
+        for k in range(remaining + 1):
+            rec(prefix + [k], remaining - k, slots_left - 1)
+
+    rec([], n, p)
+    return sorted(out, key=MultiIndex.sort_key)
 
 
 def indices_up_to(p, n):
     """All multi-indices with 1 <= |K| <= n."""
-    return [K for m in range(1, n + 1) for K in indices_of_order(p, m)]
+    out = []
+    for m in range(1, n + 1):
+        out.extend(indices_of_order(p, m))
+    return out

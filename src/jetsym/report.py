@@ -97,8 +97,13 @@ class Report:
             lines.append("solution:")
             for key, value in sorted(self.solution.items()):
                 lines.append(f"  {key} = {value}")
-        for title, items in (("assumptions", self.assumptions), ("notes", self.notes)):
-            if items:
-                lines += [f"{title}:", *(f"  - {item}" for item in items)]
+        if self.assumptions:
+            lines.append("assumptions:")
+            for a in self.assumptions:
+                lines.append(f"  - {a}")
+        if self.notes:
+            lines.append("notes:")
+            for n in self.notes:
+                lines.append(f"  - {n}")
         lines.append(f"exit: {self.exit_code()}")
         return "\n".join(lines) + "\n"

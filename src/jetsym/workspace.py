@@ -73,7 +73,7 @@ class Workspace:
         if name in self._names:
             raise ValueError(f"name {name!r} already registered")
         sym = sp.Symbol(name, real=True)
-        self._names[name] = (kind, index, sym)
+        self._names[name] = (kind, index)
         return sym
 
     # -- registration -------------------------------------------------
@@ -128,7 +128,7 @@ class Workspace:
         base = self.dependent[alpha].name
         subs = ",".join(self.independent[i].name for i in K.slots())
         sym = sp.Symbol(f"{base}_{{{subs}}}", real=True)
-        self._names[sym.name] = (SymbolKind.JET, (alpha, K), sym)
+        self._names[sym.name] = (SymbolKind.JET, (alpha, K))
         self._jets[key] = sym
         return sym
 
@@ -137,7 +137,7 @@ class Workspace:
         entry = self._names.get(getattr(sym, "name", None))
         if entry is None:
             return None
-        kind, index, _ = entry
+        kind, index = entry
         if kind is SymbolKind.JET:
             return index
         if kind is SymbolKind.DEPENDENT:
@@ -154,7 +154,14 @@ class Workspace:
             if name in self.functions:
                 raise UnknownSymbol(f"{name} is a function; call it with arguments")
             raise UnknownSymbol(name)
-        return entry[2]
+        kind, index = entry
+        if kind is SymbolKind.INDEPENDENT:
+            return self.independent[index]
+        if kind is SymbolKind.DEPENDENT:
+            return self.dependent[index]
+        if kind is SymbolKind.PARAMETER:
+            return self.parameters[name]
+        return self._jets[(index[0], index[1].counts)]
 
     # -- expression introspection ---------------------------------------
 

@@ -738,10 +738,11 @@ def test_loading_the_fixtures_builds_no_ring(monkeypatch):
 
 def test_loading_the_fixtures_evaluates_no_kernel(monkeypatch):
     """Each problem fixture loads from a cold cache without a log or an exp
-    ``eval``: a kernel is built once, on the argument ``_normal_kernel``
-    keeps (``grammar._Parser.call``), so exp(x2 + 1/u) is built on x2 + 1/u,
-    which ``_kernel`` builds unevaluated, and never on its normal form
-    (u*x2 + 1)/u, which it does not."""
+    ``eval``: the parser's kernel call is an unevaluated node, and
+    ``_normal_kernel`` builds it once, on the argument it keeps, so
+    exp(x2 + 1/u) is built on x2 + 1/u, which ``_kernel`` builds
+    unevaluated, and never on its normal form (u*x2 + 1)/u, which it does
+    not."""
     calls = {sp.exp: [], sp.log: []}
     for cls, seen in calls.items():
         monkeypatch.setattr(cls, "eval", classmethod(

@@ -169,10 +169,10 @@ _NON_FINITE = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 @_memo
 def _evaluated(e):
     """The parser's tree e as sympy's constructors build it: each sum,
-    product and power rebuilt, its arguments first.  A node that sympy
-    builds non-finite, 1/0 or 0**-1, is a division by zero, even where
-    sympy goes on to a finite value, (1/0)**(-1/2) = 0."""
-    if e.is_Add or e.is_Mul or e.is_Pow:
+    product, power and kernel call rebuilt, its arguments first.  A node
+    that sympy builds non-finite, 1/0, 0**-1 or log(0), is a division by
+    zero, even where sympy goes on to a finite value, (1/0)**(-1/2) = 0."""
+    if e.is_Add or e.is_Mul or e.is_Pow or isinstance(e, tuple(KERNELS.values())):
         e = e.func(*map(_evaluated, e.args))
         if e in _NON_FINITE or any(a in _NON_FINITE for a in e.args):
             raise DivisionByZero("division by zero")
@@ -193,6 +193,7 @@ def _tree_parse(text, ws):
 @example("(3)^(1/2)*((2/3))^(1/2)")
 @example("1/(x1 + (u^(-1/2))^2)")
 @example("sin(x1)^(1/2)*sin(x1) - cos(u)^(-3/2)")
+@example("sin(-1/x1) + cos(-u/x1) - cos(u/x1) + sinh((-2)/(x1 + u))")
 def test_value_parse_is_the_tree_parse(text):
     """``parse`` reads the text's unevaluated tree and gives the normal form
     of sympy's tree of the text, node for node, or raises its error; the
@@ -204,6 +205,16 @@ def test_value_parse_is_the_tree_parse(text):
             parse(text, _WS)
         return
     assert same_tree(parse(text, _WS), expected)
+
+
+@pytest.mark.parametrize("text", ["sin(-1/x1)", "cos(-1/x1)", "sinh(-2/x1)", "cosh(-u/x1)",
+                                  "exp(t + 1/u)", "log(-1/x1)"])
+def test_a_kernel_of_a_quotient_is_built_by_sympy(text):
+    """A kernel whose argument is no polynomial is built on its expanded
+    argument by sympy's constructor, which applies sin(-y) = -sin(y) and
+    cos(-y) = cos(y): parse gives ``normalize`` of sympy's evaluated call."""
+    name, argument = text[:-1].split("(", 1)
+    assert same_tree(parse(text, _WS), normalize(KERNELS[name](parse(argument, _WS))))
 
 
 _ZERO = "((x1+1)^2 - x1^2 - 2*x1 - 1)"     # 0, which sympy's tree does not show

@@ -285,7 +285,8 @@ def test_clear_cache_empties_every_memo(capsys):
     """jetsym's memos are registered in sympy's cache, so that
     ``clear_cache`` empties each of them after commands and zero tests that
     fill them all, and a cold pass stays cold.  ``_normal_kernel`` has none:
-    ``_read``, its one caller, is memoized on the same kernel.  The value
+    ``_read`` is memoized on the same kernel, and ``grammar._kernel_call``
+    on the parser's call.  The value
     steps of a determining system (``_derived``, ``_difference``,
     ``_substitution``), ``families._family_read`` and the value printer's
     ``grammar._monomial`` are filled by derive-determining on a
@@ -294,8 +295,8 @@ def test_clear_cache_empties_every_memo(capsys):
              for f in vars(module).values() if hasattr(f, "cache_info")}
     assert sorted(memos) == ["_bound_image", "_derive", "_derived", "_difference", "_euler",
                              "_factor", "_family_read", "_form", "_image", "_kernel",
-                             "_log_read", "_monomial", "_read", "_sort_key", "_step_tree",
-                             "_substitution", "_tree", "ordered_terms"]
+                             "_kernel_call", "_log_read", "_monomial", "_read", "_sort_key",
+                             "_step_tree", "_substitution", "_tree", "ordered_terms"]
     assert all(any(f is c for c in sp.core.cache.CACHE) for f in memos.values())
     for command, path, *extra in [("verify-symmetry", PROBLEMS / "wave.jetsym", "--force-direct"),
                                   ("solve-liesys", PROBLEMS / "liouville.jetsym"),
